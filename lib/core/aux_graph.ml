@@ -5,9 +5,6 @@ module Sp = Mcgraph.Sp_engine
 type t = {
   net : Sdn.Network.t;
   req : Sdn.Request.t;
-  keep : int -> bool;
-  edge_weight : int -> float;
-  placement_cost : int -> float;
   ext : G.t;
   vnode : int;
   base_m : int;
@@ -16,10 +13,11 @@ type t = {
   wv : (int, float) Hashtbl.t;              (* server -> virtual edge weight *)
   engine : Sp.t;                            (* base graph, weight b·c_e, pruned *)
   candidates : int list;
-  source_edges : (int, int list) Hashtbl.t; (* server -> kept base edges (s_k, v) *)
 }
 
-let base_weight t e = if t.keep e then t.edge_weight e else infinity
+(* base edges cost what the engine's pruned weights say: its per-epoch
+   vector, the same values [Sp.dist] and [Sp.path] were computed from *)
+let base_weight t e = (Sp.weights t.engine).(e)
 
 let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
     ~request ~candidate_servers () =
@@ -64,9 +62,6 @@ let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
     {
       net;
       req = request;
-      keep;
-      edge_weight;
-      placement_cost;
       ext;
       vnode = nn;
       base_m = mm;
@@ -75,7 +70,6 @@ let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
       wv = Hashtbl.create 16;
       engine;
       candidates = candidate_servers;
-      source_edges = Hashtbl.create 16;
     }
   in
   let s = request.Sdn.Request.source in
@@ -86,13 +80,7 @@ let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
         if d = infinity then infinity
         else d +. placement_cost v
       in
-      Hashtbl.replace t.wv v w;
-      let incident =
-        List.filter_map
-          (fun (nbr, e) -> if nbr = v && keep e then Some e else None)
-          (G.neighbors g s)
-      in
-      if incident <> [] then Hashtbl.replace t.source_edges v incident)
+      Hashtbl.replace t.wv v w)
     candidate_servers;
   t
 
@@ -133,7 +121,9 @@ type subset_metric = {
   hub_row : float array array; (* hubs.(i)'s engine dist array; [||] at s'_k *)
   hd : float array array;     (* hub-to-hub exact distances *)
   hmove : hub_move array array;
-  zero_edges : (int, unit) Hashtbl.t;  (* base edges costing zero *)
+  through : float array option array;
+      (* through.(x) for a non-hub node x: a_x(j) = min_i rx(h_i) + hd(i, j)
+         over base hubs i, j; filled on x's first non-hub query *)
 }
 
 let weight sm e =
@@ -142,7 +132,6 @@ let weight sm e =
     let v = server_of_virtual_edge t e in
     if List.mem v sm.subset then virtual_edge_weight t v else infinity
   end
-  else if Hashtbl.mem sm.zero_edges e then 0.0
   else base_weight t e
 
 let subset_metric t subset =
@@ -156,9 +145,8 @@ let subset_metric t subset =
      accounting that rule lets Steiner trees transit server-adjacent
      edges for free — including for servers whose VM is never used — and
      systematically inflates the realised cost of multi-server trees, so
-     we deliberately do not apply it (DESIGN.md §3). The table stays so
-     tests can enable the paper-faithful behaviour explicitly. *)
-  let zero_edges = Hashtbl.create 4 in
+     we deliberately do not apply it (DESIGN.md §3): the only special
+     edges are the virtual ones. *)
   let hubs = Array.of_list (t.req.Sdn.Request.source :: t.vnode :: subset) in
   let h = Array.length hubs in
   (* snapshot each hub's engine row once so the (hot) metric queries
@@ -172,8 +160,8 @@ let subset_metric t subset =
   in
   let hd = Array.make_matrix h h infinity in
   let hmove = Array.make_matrix h h Base_leg in
-  (* direct moves: base legs, zero edges (s_k ↔ subset server), virtual
-     edges (s'_k ↔ subset server) *)
+  (* direct moves: base legs between base hubs, virtual edges
+     (s'_k ↔ subset server) *)
   for i = 0 to h - 1 do
     hd.(i).(i) <- 0.0;
     for j = 0 to h - 1 do
@@ -214,7 +202,15 @@ let subset_metric t subset =
       done
     done
   done;
-  { aux = t; subset; hubs; hub_row; hd; hmove; zero_edges }
+  {
+    aux = t;
+    subset;
+    hubs;
+    hub_row;
+    hd;
+    hmove;
+    through = Array.make (G.n t.ext) None;
+  }
 
 (* distance between extended nodes; hubs.(1) is the virtual node *)
 let dist sm x y =
@@ -245,20 +241,31 @@ let dist sm x y =
     done
   end
   else begin
+    (* min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y) taken as
+       min over j of a_x(j) + row_j(y): rounded addition is monotone, so
+       the inner minimum commutes with adding row_j(y), bit for bit *)
     let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
+    let a =
+      match sm.through.(x) with
+      | Some a -> a
+      | None ->
+        let a = Array.make h infinity in
+        for i = 0 to h - 1 do
+          if sm.hubs.(i) <> t.vnode then
+            for j = 0 to h - 1 do
+              let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(j) in
+              if c < a.(j) then a.(j) <- c
+            done
+        done;
+        sm.through.(x) <- Some a;
+        a
+    in
     best := rx.(y);
-    for i = 0 to h - 1 do
-      if sm.hubs.(i) <> t.vnode then
-        for j = 0 to h - 1 do
-          if sm.hubs.(j) <> t.vnode then begin
-            let c =
-              rx.(sm.hubs.(i))
-              +. sm.hd.(i).(j)
-              +. sm.hub_row.(j).(y)
-            in
-            if c < !best then best := c
-          end
-        done
+    for j = 0 to h - 1 do
+      if sm.hubs.(j) <> t.vnode then begin
+        let c = a.(j) +. sm.hub_row.(j).(y) in
+        if c < !best then best := c
+      end
     done
   end;
   !best

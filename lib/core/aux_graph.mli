@@ -2,15 +2,16 @@
 
     For a request [r_k] the extended graph adds a virtual source [s'_k]
     and one virtual edge [(s'_k, v)] per candidate server [v], weighted
-    [b_k·d_G(s_k, v) + c_v(SC_k)]; base edges cost [b_k·c_e]; edges
-    [(s_k, v)] with [v] in the chosen server combination cost zero.
+    [b_k·d_G(s_k, v) + c_v(SC_k)]; base edges cost [b_k·c_e]. The
+    paper's zero-cost edges [(s_k, v)] for [v] in the chosen server
+    combination are deliberately not applied (DESIGN.md §3).
 
     Instead of materialising one graph per server combination and
     re-running Dijkstra (the naive [O(|V_S|^K)] Dijkstra blow-up), the
     module evaluates each combination's metric exactly through a {e hub
-    decomposition}: every special edge (virtual or zeroed) is incident
-    to [s_k] or [s'_k], so any shortest path is base legs stitched at the
-    hubs [{s_k, s'_k} ∪ subset]. A small Floyd–Warshall over the hubs
+    decomposition}: every special (virtual) edge is incident to [s'_k],
+    so any shortest path is base legs stitched at the hubs
+    [{s_k, s'_k} ∪ subset]. A small Floyd–Warshall over the hubs
     yields exact distances and reconstructible paths. Base-graph legs
     come from a lazy {!Mcgraph.Sp_engine}: one Dijkstra tree per queried
     source (the request source, candidate servers, destinations), cached
@@ -83,7 +84,8 @@ val subset_metric : t -> int list -> subset_metric
 val weight : subset_metric -> int -> float
 (** Per-edge weight of the auxiliary graph under this combination
     ([infinity] for pruned base edges and other combinations' virtual
-    edges; [0] for zeroed source–server edges). *)
+    edges). Base edges read the engine's per-epoch weight vector
+    ({!Mcgraph.Sp_engine.weights}). *)
 
 val dist : subset_metric -> int -> int -> float
 (** Exact shortest-path distance in [G_k^i] between any two extended

@@ -409,16 +409,20 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
         end
       in
       let screened = List.filter_map Fun.id (List.mapi screen usable) in
+      (* price trees off the engine's weight vector for this epoch — the
+         values [link_w] returns, without re-evaluating it per edge *)
+      let wvec = Sp.weights eng in
+      let link_wv e = wvec.(e) in
       let compute p =
         let v = p.p_server in
         let terms = List.sort_uniq compare (v :: terminals) in
         match
-          Mcgraph.Steiner.kmb_with_metric g ~weight:link_w ~terminals:terms
+          Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
             ~dist ~path
         with
         | None -> None
         | Some tree_edges ->
-          let w_tree = Mcgraph.Steiner.tree_cost ~weight:link_w tree_edges in
+          let w_tree = Mcgraph.Steiner.tree_cost ~weight:link_wv tree_edges in
           if thresholds_on && w_tree >= params.sigma_e then begin
             saw_threshold_violation := true;
             None
@@ -427,7 +431,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
             let rooted = Tree.of_edges g ~root:s tree_edges in
             let u = Tree.lca_many rooted (v :: request.Sdn.Request.destinations) in
             let backtrack = Tree.path_up rooted v ~ancestor:u in
-            let w_back = Mcgraph.Steiner.tree_cost ~weight:link_w backtrack in
+            let w_back = Mcgraph.Steiner.tree_cost ~weight:link_wv backtrack in
             let score = w_tree +. w_back +. p.p_wv in
             Some
               {

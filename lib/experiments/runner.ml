@@ -34,40 +34,15 @@ let span_mean_ms p =
   if dc = 0 then 0.0
   else 1000.0 *. (Obs.Histogram.sum p.h -. p.s0) /. float_of_int dc
 
-(* Obs.Histogram.quantile over the *delta* buckets: the upper bound of
-   the first bucket at which the cumulative delta reaches q * total
-   (infinity when it only lands in the overflow bucket, 0 when nothing
-   was recorded) — the same upper-estimate semantics the histogram's own
-   quantile has, but restricted to what happened after the probe *)
+(* Obs.Histogram.bucket_quantile over the *delta* buckets: the same
+   rule as the histogram's own quantile, restricted to what happened
+   after the probe *)
 let span_quantile_ms p q =
   if q < 0.0 || q > 1.0 then invalid_arg "Runner.span_quantile_ms";
   let now = Obs.Histogram.buckets p.h in
   let delta = Array.mapi (fun i c -> c - p.b0.(i)) now in
-  let total = Array.fold_left ( + ) 0 delta in
-  if total = 0 then 0.0
-  else begin
-    let bounds = Obs.Histogram.bounds p.h in
-    let target = q *. float_of_int total in
-    let cum = ref 0 in
-    let result = ref infinity in
-    (try
-       Array.iteri
-         (fun i c ->
-           cum := !cum + c;
-           (* [!cum > 0]: with q = 0 the target is 0 and a bare [>=]
-              would fire on the first bucket even when it is empty,
-              reporting a bound no observation ever fell under; the
-              minimum quantile is the first *non-empty* bucket *)
-           if !cum > 0 && float_of_int !cum >= target then begin
-             result :=
-               (if i < Array.length bounds then 1000.0 *. bounds.(i)
-                else infinity);
-             raise Exit
-           end)
-         delta
-     with Exit -> ());
-    !result
-  end
+  1000.0
+  *. Obs.Histogram.bucket_quantile ~bounds:(Obs.Histogram.bounds p.h) delta q
 
 type counter_probe = { c : Obs.Counter.t; v0 : int }
 

@@ -75,6 +75,26 @@ let insert_or_decrease h ~key p =
   let i = h.pos.(key) in
   if i < 0 then insert h ~key p else if p < h.prio.(i) then decrease h ~key p
 
+(* [insert_or_decrease] with the priority read from [prios] on this side
+   of the call, so no float crosses a function boundary (boxed without
+   flambda); the operation sequence is identical *)
+let insert_or_decrease_from h prios key =
+  if not (in_range h key) then
+    invalid_arg "Heap.insert_or_decrease: key out of range";
+  let i = h.pos.(key) in
+  if i < 0 then begin
+    let i = h.size in
+    h.keys.(i) <- key;
+    h.prio.(i) <- prios.(key);
+    h.pos.(key) <- i;
+    h.size <- i + 1;
+    sift_up h i
+  end
+  else if prios.(key) < h.prio.(i) then begin
+    h.prio.(i) <- prios.(key);
+    sift_up h i
+  end
+
 let pop_min h =
   if h.size = 0 then None
   else begin
@@ -85,6 +105,18 @@ let pop_min h =
     h.pos.(key) <- -1;
     if last > 0 then sift_down h 0;
     Some (key, p)
+  end
+
+let pop_min_key h =
+  if h.size = 0 then -1
+  else begin
+    let key = h.keys.(0) in
+    let last = h.size - 1 in
+    swap h 0 last;
+    h.size <- last;
+    h.pos.(key) <- -1;
+    if last > 0 then sift_down h 0;
+    key
   end
 
 let clear h =

@@ -38,9 +38,20 @@ val insert_or_decrease : t -> key:int -> float -> unit
     smaller; a no-op when the key is present with a smaller or equal
     priority. This is the Dijkstra relaxation primitive. *)
 
+val insert_or_decrease_from : t -> float array -> int -> unit
+(** [insert_or_decrease_from h prios key] is
+    [insert_or_decrease h ~key prios.(key)], performing the same heap
+    operations without allocating: the priority is read inside the heap
+    rather than passed (and boxed) as an argument. *)
+
 val pop_min : t -> (int * float) option
 (** Remove and return the key with the smallest priority, or [None] when
     the heap is empty. Ties are broken arbitrarily. *)
+
+val pop_min_key : t -> int
+(** [pop_min_key h] removes the key with the smallest priority exactly as
+    {!pop_min} does and returns it, or [-1] when the heap is empty;
+    allocation-free, for callers that track priorities themselves. *)
 
 val clear : t -> unit
 (** Remove every key, retaining the capacity. *)

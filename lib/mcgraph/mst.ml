@@ -1,24 +1,23 @@
 let weight_of ~weight edges =
   List.fold_left (fun acc e -> acc +. weight e) 0.0 edges
 
+(* A stable sort of edge indices by weight: equal weights keep their
+   input order, and infinite (pruned) edges sort last and are skipped. *)
 let kruskal_edges g ~weight edge_ids =
-  let weighted =
-    List.filter_map
-      (fun e ->
-        let w = weight e in
-        if w = infinity then None else Some (w, e))
-      edge_ids
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) weighted in
+  let ids = Array.of_list edge_ids in
+  let ws = Array.map weight ids in
+  let order = Array.init (Array.length ids) Fun.id in
+  Array.stable_sort (fun a b -> Float.compare ws.(a) ws.(b)) order;
   let uf = Union_find.create (Graph.n g) in
-  let picked =
-    List.filter
-      (fun (_, e) ->
-        let u, v = Graph.endpoints g e in
-        Union_find.union uf u v)
-      sorted
-  in
-  List.map snd picked
+  let picked = ref [] in
+  Array.iter
+    (fun i ->
+      let e = ids.(i) in
+      let u, v = Graph.endpoints g e in
+      if ws.(i) <> infinity && Union_find.union uf u v then
+        picked := e :: !picked)
+    order;
+  List.rev !picked
 
 let kruskal g ~weight =
   let ids = List.init (Graph.m g) Fun.id in

@@ -14,7 +14,13 @@ let c_pops = Obs.Counter.make "dijkstra.heap_pops"
 let c_scans = Obs.Counter.make "dijkstra.edges_scanned"
 let c_relax = Obs.Counter.make "dijkstra.relaxations"
 
-let dijkstra g ~weight ~source =
+let weight_vector g ~weight = Array.init (Graph.m g) weight
+
+(* The one Dijkstra kernel. Weights come from a flat float array, so a
+   relaxation makes no closure call and boxes no float; the popped
+   priority is always [dist.(u)] (every heap priority change writes the
+   same value to [dist]), so the pop returns the key alone. *)
+let dijkstra_vec g ~weights ~source =
   let nn = Graph.n g in
   let c = Graph.csr g in
   let off = c.Graph.off and nbr = c.Graph.nbr and eid = c.Graph.eid in
@@ -29,35 +35,34 @@ let dijkstra g ~weight ~source =
   let track = !Obs.enabled in
   let pops = ref 0 and scans = ref 0 and relax = ref 0 in
   dist.(source) <- 0.0;
-  Heap.insert heap ~key:source 0.0;
-  let rec drain () =
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (u, du) ->
-      if track then incr pops;
-      settled.(u) <- true;
-      for i = off.(u) to off.(u + 1) - 1 do
-        let v = nbr.(i) in
-        if track then incr scans;
-        if not settled.(v) then begin
-          let e = eid.(i) in
-          let w = weight e in
-          if w < 0.0 then invalid_arg "Paths.dijkstra: negative weight";
-          if w < infinity then begin
-            let d' = du +. w in
-            if d' < dist.(v) then begin
-              if track then incr relax;
-              dist.(v) <- d';
-              parent_edge.(v) <- e;
-              parent.(v) <- u;
-              Heap.insert_or_decrease heap ~key:v d'
-            end
+  Heap.insert_or_decrease_from heap dist source;
+  let next = ref (Heap.pop_min_key heap) in
+  while !next >= 0 do
+    let u = !next in
+    let du = dist.(u) in
+    if track then incr pops;
+    settled.(u) <- true;
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(i) in
+      if track then incr scans;
+      if not settled.(v) then begin
+        let e = eid.(i) in
+        let w = weights.(e) in
+        if w < 0.0 then invalid_arg "Paths.dijkstra: negative weight";
+        if w < infinity then begin
+          let d' = du +. w in
+          if d' < dist.(v) then begin
+            if track then incr relax;
+            dist.(v) <- d';
+            parent_edge.(v) <- e;
+            parent.(v) <- u;
+            Heap.insert_or_decrease_from heap dist v
           end
         end
-      done;
-      drain ()
-  in
-  drain ();
+      end
+    done;
+    next := Heap.pop_min_key heap
+  done;
   if track then begin
     Obs.Counter.incr c_runs;
     Obs.Counter.add c_pops !pops;
@@ -65,6 +70,9 @@ let dijkstra g ~weight ~source =
     Obs.Counter.add c_relax !relax
   end;
   { source; dist; parent_edge; parent }
+
+let dijkstra g ~weight ~source =
+  dijkstra_vec g ~weights:(weight_vector g ~weight) ~source
 
 let bellman_ford g ~weight ~source =
   let nn = Graph.n g in
@@ -130,8 +138,9 @@ let all_pairs g ~weight =
   let d = Array.make nn [||] in
   let pe = Array.make nn [||] in
   let pn = Array.make nn [||] in
+  let weights = weight_vector g ~weight in
   for s = 0 to nn - 1 do
-    let spt = dijkstra g ~weight ~source:s in
+    let spt = dijkstra_vec g ~weights ~source:s in
     d.(s) <- spt.dist;
     pe.(s) <- spt.parent_edge;
     pn.(s) <- spt.parent

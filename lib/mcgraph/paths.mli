@@ -14,7 +14,24 @@ type spt = {
 (** A single-source shortest-path tree. *)
 
 val dijkstra : Graph.t -> weight:(int -> float) -> source:int -> spt
-(** Raises [Invalid_argument] if a traversed edge has negative weight. *)
+(** [dijkstra g ~weight ~source] is
+    [dijkstra_vec g ~weights:(weight_vector g ~weight) ~source]: [weight]
+    is evaluated once on every edge id in [[0, Graph.m g)] — including
+    edges the search never scans — so it must be pure and total there.
+    Raises [Invalid_argument] if a traversed edge has negative weight. *)
+
+val weight_vector : Graph.t -> weight:(int -> float) -> float array
+(** [weight_vector g ~weight] is [weight e] for every edge id [e] of [g],
+    in id order: the materialised form {!dijkstra_vec} reads. *)
+
+val dijkstra_vec : Graph.t -> weights:float array -> source:int -> spt
+(** The Dijkstra kernel, reading edge [e]'s weight as [weights.(e)]
+    ([Array.length weights >= Graph.m g]). Neighbours are relaxed in CSR
+    slot order and priority ties are broken by the indexed heap, so for
+    equal weights the tree — [dist] bits, [parent] and [parent_edge] —
+    is a deterministic function of the graph, the weights and the
+    source. Raises [Invalid_argument] if a traversed edge has negative
+    weight. *)
 
 val bellman_ford : Graph.t -> weight:(int -> float) -> source:int -> spt
 (** Reference oracle; O(n·m). Requires non-negative weights (undirected

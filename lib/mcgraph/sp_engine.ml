@@ -13,7 +13,12 @@
    arrays each, and before this sweep existed a request burst could pin
    one obsolete tree per source for the engine's lifetime. After the
    sweep the invariant "every [Some] entry is current" holds, so the
-   per-query fast path is a single array read. *)
+   per-query fast path is a single array read.
+
+   Weights: the closure is materialised into one float array on the
+   first miss (or {!weights} read) at a new epoch and dropped together
+   with the trees, so every Dijkstra of an epoch reads the same flat
+   vector instead of re-evaluating the closure per relaxation. *)
 
 module Obs = Nfv_obs.Obs
 
@@ -27,6 +32,7 @@ type t = {
   graph : Graph.t;
   mutable weight : int -> float;   (* swappable via [renew] *)
   epoch : unit -> int;
+  mutable wvec : float array option;  (* weights at [valid_epoch], once filled *)
   cache : Paths.spt option array;   (* per-source tree, or None *)
   mutable valid_epoch : int;        (* epoch every cached tree was built at *)
   mutable computed : int;
@@ -50,6 +56,7 @@ let create ?(epoch = fun () -> 0) graph ~weight =
     graph;
     weight;
     epoch;
+    wvec = None;
     cache = Array.make n None;
     valid_epoch = epoch ();
     computed = 0;
@@ -60,6 +67,7 @@ let create ?(epoch = fun () -> 0) graph ~weight =
 let graph t = t.graph
 
 let drop_all t =
+  t.wvec <- None;
   Array.iteri
     (fun i tree ->
       if tree <> None then begin
@@ -78,6 +86,20 @@ let refresh t =
     t.valid_epoch <- now
   end
 
+(* the weight vector of [valid_epoch], filled on first use; refilled if
+   the graph gained edges since (same epoch, so the same values) *)
+let vector t =
+  match t.wvec with
+  | Some w when Array.length w = Graph.m t.graph -> w
+  | _ ->
+    let w = Paths.weight_vector t.graph ~weight:t.weight in
+    t.wvec <- Some w;
+    w
+
+let weights t =
+  refresh t;
+  vector t
+
 let spt t source =
   refresh t;
   match t.cache.(source) with
@@ -87,7 +109,7 @@ let spt t source =
     tree
   | None ->
     Obs.Counter.incr c_misses;
-    let tree = Paths.dijkstra t.graph ~weight:t.weight ~source in
+    let tree = Paths.dijkstra_vec t.graph ~weights:(vector t) ~source in
     t.computed <- t.computed + 1;
     Atomic.incr total_computed;
     t.cache.(source) <- Some tree;
@@ -98,10 +120,10 @@ let peek t source =
   t.cache.(source)
 
 (* Re-arm a long-lived engine for a new caller-supplied weight closure.
-   Sweeping first (via [refresh]) means cached trees survive only when
-   the epoch is unchanged — exactly the case where the caller guarantees
-   the new closure is extensionally equal to the old one, so the
-   surviving trees are still correct. *)
+   Sweeping first (via [refresh]) means cached trees — and the weight
+   vector — survive only when the epoch is unchanged: exactly the case
+   where the caller guarantees the new closure is extensionally equal to
+   the old one, so the surviving trees and weights are still correct. *)
 let renew t ~weight =
   refresh t;
   t.weight <- weight

@@ -21,8 +21,27 @@
     subsequent queries recompute against the new prices instead of
     serving wrong distances. With the default constant epoch the cache
     never expires, which is correct for weights that are pure functions
-    of the edge id. The [weight] function must be pure between two equal
-    readings of [epoch]; nothing else is assumed of it.
+    of the edge id.
+
+    {2 Weight vector and the purity contract}
+
+    The engine does not call [weight] during a search. On the first
+    Dijkstra (cache miss) or {!weights} read at a new epoch it evaluates
+    [weight] once on {e every} edge id in [[0, Graph.m g)], stores the
+    results in one float array (sized by [Graph.m] at fill time), and
+    every later Dijkstra of that epoch reads the array. The vector is
+    dropped together with the cached trees — by an epoch change observed
+    at lookup time or by {!invalidate} — and survives {!renew} when the
+    epoch is unchanged, under the same extensional-equality contract that
+    keeps the cached trees valid. So [weight] must be
+    - {b pure} between two equal readings of [epoch]: evaluating it early,
+      or on edges no search reaches, must give what a later evaluation in
+      the same epoch would; and
+    - {b total} on [[0, Graph.m g)]: the fill evaluates edges that no
+      Dijkstra may ever scan, so it must not raise on any edge id.
+
+    A negative weight is still reported (by [Invalid_argument]) only when
+    a search relaxes that edge.
 
     {2 Determinism and tie-breaks}
 
@@ -57,9 +76,10 @@ type stats = {
 
 val create : ?epoch:(unit -> int) -> Graph.t -> weight:(int -> float) -> t
 (** [create ?epoch g ~weight] prepares an engine; no Dijkstra runs until
-    the first query. [weight] is read at tree-computation time, so it may
-    consult mutable state as long as [epoch] changes whenever that state
-    does (the epoch-invalidation contract above). Default [epoch] is
+    the first query. [weight] is read when an epoch's weight vector is
+    filled, so it may consult mutable state as long as [epoch] changes
+    whenever that state does, and it must be pure and total on the edge
+    ids (the contracts above). Default [epoch] is
     constant [0] (immutable weights). [epoch] is called once at creation
     to pin the initial cache validity. *)
 
@@ -87,6 +107,15 @@ val path : t -> int -> int -> int list option
 val path_nodes : t -> int -> int -> int list option
 (** Nodes of the same path, starting with [u]. *)
 
+val weights : t -> float array
+(** [weights t] is the current epoch's weight vector, [(weights t).(e)]
+    being [weight e] — filled now if this epoch has not filled it yet.
+    Callers pricing the engine's own paths (Online_CP's tree and
+    backtrack costs, its second KMB spanning tree, [Aux_graph]'s base
+    edges) read it instead of re-evaluating the closure. The array is
+    shared with the engine: never mutate it, and do not keep it past an
+    epoch change. *)
+
 val renew : t -> weight:(int -> float) -> unit
 (** [renew t ~weight] re-arms a long-lived engine for a new weight
     closure: if the epoch moved since the cached trees were built they
@@ -94,7 +123,8 @@ val renew : t -> weight:(int -> float) -> unit
     a lookup-time sweep would), then [weight] replaces the engine's
     closure. {b Contract:} when the epoch has {e not} moved, the caller
     must guarantee the new closure is extensionally equal to the one it
-    replaces — surviving cached trees are served unchanged. This is what
+    replaces — surviving cached trees and the weight vector are served
+    unchanged. This is what
     lets an admission window keep one engine per weight class across
     requests: closures capture per-request state (e.g. the request's
     bandwidth), but as long as the window keys engines so that equal key
@@ -102,8 +132,8 @@ val renew : t -> weight:(int -> float) -> unit
     [Nfv_multicast.Sp_window]. *)
 
 val invalidate : t -> unit
-(** Drop every cached tree regardless of epoch; each dropped tree counts
-    as an invalidation in {!stats}. *)
+(** Drop every cached tree and the weight vector regardless of epoch;
+    each dropped tree counts as an invalidation in {!stats}. *)
 
 val stats : t -> stats
 (** This engine's lifetime cache counters. *)

@@ -1,51 +1,50 @@
 let tree_cost ~weight edges =
   List.fold_left (fun acc e -> acc +. weight e) 0.0 edges
 
-let dedup_edges edges =
-  let seen = Hashtbl.create 16 in
+let dedup_edges g edges =
+  let seen = Bytes.make (Graph.m g) '\000' in
   List.filter
     (fun e ->
-      if Hashtbl.mem seen e then false
+      if Bytes.get seen e <> '\000' then false
       else begin
-        Hashtbl.add seen e ();
+        Bytes.set seen e '\001';
         true
       end)
     edges
 
+(* Leaf-stripping is confluent: an edge hanging off a non-terminal leaf
+   stays removable until it is removed, so every sweep order reaches the
+   same fixpoint, and the survivors are read back off the input list in
+   its order. *)
 let prune g ~terminals edges =
-  let is_terminal = Hashtbl.create 16 in
-  List.iter (fun t -> Hashtbl.replace is_terminal t ()) terminals;
-  let degree = Hashtbl.create 16 in
-  let bump v d =
-    let cur = Option.value (Hashtbl.find_opt degree v) ~default:0 in
-    Hashtbl.replace degree v (cur + d)
+  let nn = Graph.n g in
+  let is_terminal = Bytes.make nn '\000' in
+  List.iter (fun t -> Bytes.set is_terminal t '\001') terminals;
+  let degree = Array.make nn 0 in
+  let bump e d =
+    let u, v = Graph.endpoints g e in
+    degree.(u) <- degree.(u) + d;
+    degree.(v) <- degree.(v) + d
   in
-  let live = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace live e ();
-      let u, v = Graph.endpoints g e in
-      bump u 1;
-      bump v 1)
-    edges;
+  List.iter (fun e -> bump e 1) edges;
+  let removable x = degree.(x) = 1 && Bytes.get is_terminal x = '\000' in
+  let removed = Bytes.make (Graph.m g) '\000' in
   let changed = ref true in
   while !changed do
     changed := false;
-    Hashtbl.iter
-      (fun e () ->
-        let u, v = Graph.endpoints g e in
-        let removable x =
-          Hashtbl.find degree x = 1 && not (Hashtbl.mem is_terminal x)
-        in
-        if removable u || removable v then begin
-          Hashtbl.remove live e;
-          bump u (-1);
-          bump v (-1);
-          changed := true
+    List.iter
+      (fun e ->
+        if Bytes.get removed e = '\000' then begin
+          let u, v = Graph.endpoints g e in
+          if removable u || removable v then begin
+            Bytes.set removed e '\001';
+            bump e (-1);
+            changed := true
+          end
         end)
-      (Hashtbl.copy live)
+      edges
   done;
-  List.filter (Hashtbl.mem live) edges
+  List.filter (fun e -> Bytes.get removed e = '\000') edges
 
 (* Shared core of both KMB variants: given a sorted unique terminal list
    and a metric closure with path extraction, build an MST over the
@@ -64,7 +63,7 @@ let kmb_core g ~weight ~terminals ~dist ~path =
           | None -> invalid_arg "Steiner.kmb: metric/path disagree")
         closure_mst
     in
-    let subgraph = dedup_edges expanded in
+    let subgraph = dedup_edges g expanded in
     let mst2 = Mst.kruskal_subset g ~weight ~edges:subgraph in
     Some (prune g ~terminals mst2)
 
@@ -72,7 +71,10 @@ let kmb g ~weight ~terminals =
   match List.sort_uniq compare terminals with
   | [] | [ _ ] -> Some []
   | uniq ->
-    let spts = List.map (fun t -> (t, Paths.dijkstra g ~weight ~source:t)) uniq in
+    let weights = Paths.weight_vector g ~weight in
+    let spts =
+      List.map (fun t -> (t, Paths.dijkstra_vec g ~weights ~source:t)) uniq
+    in
     let spt_of = Hashtbl.create 16 in
     List.iter (fun (t, spt) -> Hashtbl.replace spt_of t spt) spts;
     let dist u v =
@@ -120,8 +122,9 @@ let exact g ~weight ~terminals =
     let terms = Array.of_list uniq in
     (* only distances/paths from the ≤15 terminals are consulted, so run
        one Dijkstra per terminal rather than eager all-pairs *)
+    let weights = Paths.weight_vector g ~weight in
     let term_spt =
-      Array.map (fun t -> Paths.dijkstra g ~weight ~source:t) terms
+      Array.map (fun t -> Paths.dijkstra_vec g ~weights ~source:t) terms
     in
     let full = (1 lsl t) - 1 in
     let dp = Array.make_matrix (full + 1) nn infinity in
@@ -221,7 +224,7 @@ let exact g ~weight ~terminals =
       (* Distinct shortest-path legs may overlap and close cycles; an MST
          of the collected subgraph restores a tree without raising the
          cost above the (optimal) dp value. *)
-      let uniq_edges = dedup_edges !edges in
+      let uniq_edges = dedup_edges g !edges in
       let tree = Mst.kruskal_subset g ~weight ~edges:uniq_edges in
       Some (prune g ~terminals:uniq tree)
     end

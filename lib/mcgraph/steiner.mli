@@ -30,7 +30,12 @@ val exact : Graph.t -> weight:(int -> float) -> terminals:int list -> int list o
 
 val prune : Graph.t -> terminals:int list -> int list -> int list
 (** Repeatedly remove edges whose endpoint of degree one is not a
-    terminal; the standard final step of KMB. *)
+    terminal; the standard final step of KMB. Leaf-stripping reaches a
+    unique fixpoint; the surviving edges keep their input order. *)
+
+val dedup_edges : Graph.t -> int list -> int list
+(** The edge ids with later repeats removed, first occurrences kept in
+    order. *)
 
 val tree_cost : weight:(int -> float) -> int list -> float
 (** Total weight of an edge-id list. *)

@@ -344,26 +344,30 @@ module Histogram = struct
     if c = 0 && not (in_main ()) then Array.make (Array.length t.bnds + 1) 0
     else Array.copy b
 
+  (* the upper bound of the first non-empty bucket at which the
+     cumulative count reaches q * total. [cum > 0]: with q = 0 the
+     target is 0 and a bare [>=] would fire on a leading empty bucket,
+     reporting a bound no observation ever fell under *)
+  let bucket_quantile ~bounds buckets q =
+    if q < 0.0 || q > 1.0 then invalid_arg "Obs.Histogram.bucket_quantile";
+    let total = Array.fold_left ( + ) 0 buckets in
+    if total = 0 then 0.0
+    else begin
+      let target = q *. float_of_int total in
+      let rec go i cum =
+        let cum = cum + buckets.(i) in
+        if cum > 0 && float_of_int cum >= target then
+          if i < Array.length bounds then bounds.(i) else infinity
+        else if i + 1 < Array.length buckets then go (i + 1) cum
+        else infinity
+      in
+      go 0 0
+    end
+
   let quantile t q =
     if q < 0.0 || q > 1.0 then invalid_arg "Obs.Histogram.quantile";
-    let cnt, _, bkts = view t in
-    if cnt = 0 then 0.0
-    else begin
-      let target = q *. float_of_int cnt in
-      let cum = ref 0 in
-      let result = ref infinity in
-      (try
-         Array.iteri
-           (fun i c ->
-             cum := !cum + c;
-             if float_of_int !cum >= target then begin
-               result := (if i < Array.length t.bnds then t.bnds.(i) else infinity);
-               raise Exit
-             end)
-           bkts
-       with Exit -> ());
-      !result
-    end
+    let _, _, bkts = view t in
+    bucket_quantile ~bounds:t.bnds bkts q
 
   let name t = t.name
 end
@@ -754,26 +758,6 @@ module Export = struct
 
   (* ---- human-readable table ---- *)
 
-  let quantile_of ~bounds ~buckets ~count q =
-    if count = 0 then 0.0
-    else begin
-      let target = q *. float_of_int count in
-      let cum = ref 0 in
-      let result = ref infinity in
-      (try
-         Array.iteri
-           (fun i c ->
-             cum := !cum + c;
-             if float_of_int !cum >= target then begin
-               result :=
-                 (if i < Array.length bounds then bounds.(i) else infinity);
-               raise Exit
-             end)
-           buckets
-       with Exit -> ());
-      !result
-    end
-
   let pp_table ppf snap =
     let fired = function
       | Counter (_, v) -> v <> 0
@@ -826,7 +810,7 @@ module Export = struct
         Format.fprintf ppf "histograms (seconds):@.";
         List.iter
           (fun (name, count, sum, bounds, buckets) ->
-            let q p = quantile_of ~bounds ~buckets ~count p in
+            let q = Histogram.bucket_quantile ~bounds buckets in
             Format.fprintf ppf
               "  %-44s %8d obs  mean %8.3f ms  p50<=%g p95<=%g p99<=%g@." name
               count

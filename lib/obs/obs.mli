@@ -194,12 +194,23 @@ module Histogram : sig
   (** Per-bucket counts (a copy), length [Array.length (bounds t) + 1];
       the final cell is the overflow bucket. *)
 
+  val bucket_quantile : bounds:float array -> int array -> float -> float
+  (** [bucket_quantile ~bounds buckets q] (with [0 <= q <= 1]) is the
+      upper bound of the first {e non-empty} bucket at which the
+      cumulative count reaches [q] times the total count — an upper
+      estimate of the q-quantile at bucket resolution. [buckets] has one
+      cell per bound plus the overflow cell. An empty bucket never
+      carries the quantile, so [q = 0] reports the first non-empty
+      bucket's bound. [infinity] when the quantile falls in the overflow
+      bucket; [0.] when every bucket is empty. The one bucket-quantile
+      rule behind {!quantile}, the [Export] table and the figure
+      harness's delta quantiles. *)
+
   val quantile : t -> float -> float
-  (** [quantile t q] (with [0 <= q <= 1]) is the upper bound of the
-      first bucket at which the cumulative count reaches [q * count t] —
-      an upper estimate of the q-quantile at bucket resolution.
-      [infinity] when the quantile falls in the overflow bucket; [0.]
-      when the histogram is empty. *)
+  (** [quantile t q] is [bucket_quantile ~bounds:(bounds t) (buckets t) q]:
+      an upper estimate of the q-quantile at bucket resolution;
+      [infinity] when it falls in the overflow bucket, [0.] when the
+      histogram is empty. *)
 
   val name : t -> string
 end

@@ -227,6 +227,56 @@ let prop_metric_exact_pruned =
         !ok
       end)
 
+(* The non-hub query memoises a_x(j) = min_i rx(h_i) + hd(i, j); it must
+   return the bits of the O(h²) double loop it replaced,
+   min(rx(y), min_{i,j} (rx(h_i) + hd(i, j)) + row_j(y)), rebuilt here
+   from the public hub-to-hub and base distances. Integer edge weights
+   make equal-cost alternatives common. *)
+let prop_dist_matches_quadratic =
+  Tutil.qtest ~count:80 "non-hub dist = O(h^2) formula (bits)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
+      let request = Tutil.random_request rng net ~id:0 in
+      let aux =
+        if seed mod 2 = 0 then
+          Aux.build ~net ~request ~candidate_servers:(N.servers net) ()
+        else
+          Aux.build ~edge_weight:(fun e -> float_of_int (1 + (e mod 3)))
+            ~net ~request ~candidate_servers:(N.servers net) ()
+      in
+      let servers = Aux.reachable_servers aux in
+      let subsets = Nfv_multicast.Combinations.subsets_up_to servers 3 in
+      let n = N.n net in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun subset ->
+          let sm = Aux.subset_metric aux subset in
+          let base_hubs = request.Sdn.Request.source :: subset in
+          let hubs = Aux.virtual_node aux :: base_hubs in
+          let ok = ref true in
+          for x = 0 to n - 1 do
+            for y = 0 to n - 1 do
+              if not (List.mem x hubs || List.mem y hubs) then begin
+                let best = ref (Aux.base_dist aux x y) in
+                List.iter
+                  (fun hi ->
+                    List.iter
+                      (fun hj ->
+                        let c =
+                          Aux.base_dist aux x hi +. Aux.dist sm hi hj
+                          +. Aux.base_dist aux hj y
+                        in
+                        if c < !best then best := c)
+                      base_hubs)
+                  base_hubs;
+                if bits (Aux.dist sm x y) <> bits !best then ok := false
+              end
+            done
+          done;
+          !ok)
+        subsets)
+
 let () =
   Alcotest.run "aux_graph"
     [
@@ -245,5 +295,6 @@ let () =
           prop_path_realises_dist;
           prop_pseudo_tree_valid;
           prop_cost_agreement;
+          prop_dist_matches_quadratic;
         ] );
     ]

@@ -142,6 +142,25 @@ let prop_prim_metric_matches_kruskal_on_complete =
         let ktotal = Mst.weight_of ~weight:(Tutil.weight_fn warr) k in
         Float.abs (total -. ktotal) < 1e-6)
 
+(* the array kernel picks exactly the edges, in exactly the order, of
+   the List.sort + union-find Kruskal it replaced: a random edge subset
+   in random order, repeats and pruned edges included, under tied
+   weights (where the sort's stability decides the tree) *)
+let prop_kruskal_subset_matches_reference =
+  Tutil.qtest ~count:300 "kruskal_subset = reference (stable ties)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:40 in
+      let weight = Tutil.weight_fn (Tutil.tied_weights rng g) in
+      let edges =
+        List.init (Topology.Rng.int rng (2 * G.m g)) (fun _ ->
+            Topology.Rng.int rng (G.m g))
+      in
+      Mst.kruskal_subset g ~weight ~edges
+      = Tutil.reference_kruskal_edges g ~weight edges
+      && Mst.kruskal g ~weight
+         = Tutil.reference_kruskal_edges g ~weight (List.init (G.m g) Fun.id))
+
 let () =
   Alcotest.run "mst"
     [
@@ -165,5 +184,6 @@ let () =
           prop_spanning_tree;
           prop_lightest_edge;
           prop_prim_metric_matches_kruskal_on_complete;
+          prop_kruskal_subset_matches_reference;
         ] );
     ]

@@ -90,6 +90,30 @@ let test_histogram_quantile () =
   Alcotest.(check (float 0.0)) "p100 overflows" infinity
     (Obs.Histogram.quantile h 1.0)
 
+(* the one bucket-quantile rule: an empty bucket never carries the
+   quantile, so q = 0 is the first non-empty bucket, not bounds.(0) *)
+let test_bucket_quantile_edges () =
+  let bounds = [| 1.0; 2.0; 4.0 |] in
+  let check name buckets expected =
+    List.iter2
+      (fun q want ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s: q=%g" name q)
+          want
+          (Obs.Histogram.bucket_quantile ~bounds buckets q))
+      [ 0.0; 0.5; 1.0 ] expected
+  in
+  check "empty" [| 0; 0; 0; 0 |] [ 0.0; 0.0; 0.0 ];
+  check "leading-empty" [| 0; 0; 3; 1 |] [ 4.0; 4.0; infinity ];
+  check "single-sample" [| 0; 1; 0; 0 |] [ 2.0; 2.0; 2.0 ];
+  check "overflow-only" [| 0; 0; 0; 2 |] [ infinity; infinity; infinity ];
+  (* the histogram's own quantile follows the same rule *)
+  with_enabled @@ fun () ->
+  let h = Obs.Histogram.make ~bounds "test.hist.q0" in
+  Obs.Histogram.observe h 3.0;
+  Alcotest.(check (float 0.0)) "histogram q=0 skips empty buckets" 4.0
+    (Obs.Histogram.quantile h 0.0)
+
 let test_histogram_bad_bounds () =
   Alcotest.check_raises "non-increasing bounds"
     (Invalid_argument "Obs.Histogram.make: bounds not strictly increasing")
@@ -239,6 +263,8 @@ let () =
         [
           Alcotest.test_case "bucketing" `Quick test_histogram_bucketing;
           Alcotest.test_case "quantiles" `Quick test_histogram_quantile;
+          Alcotest.test_case "bucket quantile edges" `Quick
+            test_bucket_quantile_edges;
           Alcotest.test_case "bad bounds rejected" `Quick
             test_histogram_bad_bounds;
         ] );

@@ -148,6 +148,24 @@ let prop_apsp_rows =
           done;
           !ok))
 
+(* the weight-vector kernel reproduces the closure-per-relaxation
+   Dijkstra bit for bit — distances, parents and parent edges — under
+   heavy ties, where the heap's tie-breaks decide the tree *)
+let prop_kernel_bit_identical =
+  Tutil.qtest ~count:200 "dijkstra kernel = reference (bits, ties)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:40 in
+      let w = Tutil.tied_weights rng g in
+      let weight = Tutil.weight_fn w in
+      let weights = P.weight_vector g ~weight in
+      List.for_all
+        (fun s ->
+          let r = Tutil.reference_dijkstra g ~weight ~source:s in
+          Tutil.same_spt r (P.dijkstra g ~weight ~source:s)
+          && Tutil.same_spt r (P.dijkstra_vec g ~weights ~source:s))
+        (List.init (G.n g) Fun.id))
+
 let () =
   Alcotest.run "paths"
     [
@@ -169,5 +187,6 @@ let () =
           prop_path_consistency;
           prop_apsp_triangle;
           prop_apsp_rows;
+          prop_kernel_bit_identical;
         ] );
     ]

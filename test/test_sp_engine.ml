@@ -345,6 +345,66 @@ let test_csr_invalidated_by_add_edge () =
   let c2 = G.csr g in
   Alcotest.(check int) "rebuilt after add_edge" 4 (Array.length c2.G.nbr)
 
+(* --- weight vector: bit-identity and lifetime ---------------------------- *)
+
+(* An engine serves trees from its per-epoch weight vector; they must be
+   bit-identical to a closure Dijkstra at the same weights, across epoch
+   bumps (weights mutate, vector refilled) and renews (same epoch: an
+   equal closure, vector and trees kept; new epoch: new closure). *)
+let prop_vector_spt_bit_identical =
+  Tutil.qtest ~count:120 "vector-backed spt = closure dijkstra (bits)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+      let w = Tutil.tied_weights rng g in
+      let epoch = ref 0 in
+      let eng = Sp.create g ~weight:(Tutil.weight_fn w) ~epoch:(fun () -> !epoch) in
+      let n = G.n g in
+      let agrees () =
+        let s = Rng.int rng n in
+        let weight = Tutil.weight_fn w in
+        let tree = Sp.spt eng s in
+        Tutil.same_spt tree (Tutil.reference_dijkstra g ~weight ~source:s)
+        && Tutil.same_spt tree (Paths.dijkstra g ~weight ~source:s)
+        && Sp.weights eng = w
+      in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        (match Rng.int rng 3 with
+        | 0 ->
+          (* bump: re-draw a few weights, keeping the ties *)
+          let fresh = Tutil.tied_weights rng g in
+          Array.iteri (fun e x -> if Rng.int rng 3 = 0 then w.(e) <- x) fresh;
+          incr epoch
+        | 1 -> Sp.renew eng ~weight:(fun e -> w.(e))
+        | _ -> ());
+        for _ = 1 to 3 do
+          if not (agrees ()) then ok := false
+        done
+      done;
+      !ok)
+
+let test_weight_vector_lifetime () =
+  let g, _ = waxman_with_pruning 31 in
+  let w = Array.init (G.m g) (fun e -> float_of_int (1 + (e mod 3))) in
+  let epoch = ref 0 in
+  let eng = Sp.create g ~weight:(fun e -> w.(e)) ~epoch:(fun () -> !epoch) in
+  let v0 = Sp.weights eng in
+  Alcotest.(check (array (float 0.0))) "filled from the closure" w v0;
+  ignore (Sp.spt eng 0);
+  Alcotest.(check bool) "a miss reuses the epoch's vector" true
+    (Sp.weights eng == v0);
+  Sp.renew eng ~weight:(fun e -> w.(e));
+  Alcotest.(check bool) "renew at the same epoch keeps it" true
+    (Sp.weights eng == v0);
+  w.(0) <- 7.0;
+  incr epoch;
+  let v1 = Sp.weights eng in
+  Alcotest.(check bool) "an epoch bump drops it" true (v1 != v0);
+  Alcotest.check Tutil.check_float "refilled at the new epoch" 7.0 v1.(0);
+  Sp.invalidate eng;
+  Alcotest.(check bool) "invalidate drops it" true (Sp.weights eng != v1)
+
 let () =
   Alcotest.run "sp_engine"
     [
@@ -353,6 +413,9 @@ let () =
           prop_dist_equals_eager;
           prop_path_equals_eager;
           prop_queries_are_lazy;
+          prop_vector_spt_bit_identical;
+          Alcotest.test_case "weight vector lifetime" `Quick
+            test_weight_vector_lifetime;
         ] );
       ( "epoch",
         [

@@ -158,6 +158,118 @@ let prop_two_terminals =
         | _ -> false
       end)
 
+(* ---- bit-identity with the Hashtbl-based kernels they replaced ---- *)
+
+let reference_dedup_edges edges =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun e ->
+      if Hashtbl.mem seen e then false
+      else begin
+        Hashtbl.add seen e ();
+        true
+      end)
+    edges
+
+let reference_prune g ~terminals edges =
+  let is_terminal = Hashtbl.create 16 in
+  List.iter (fun t -> Hashtbl.replace is_terminal t ()) terminals;
+  let degree = Hashtbl.create 16 in
+  let bump v d =
+    let cur = Option.value (Hashtbl.find_opt degree v) ~default:0 in
+    Hashtbl.replace degree v (cur + d)
+  in
+  let live = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace live e ();
+      let u, v = G.endpoints g e in
+      bump u 1;
+      bump v 1)
+    edges;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Hashtbl.iter
+      (fun e () ->
+        let u, v = G.endpoints g e in
+        let removable x =
+          Hashtbl.find degree x = 1 && not (Hashtbl.mem is_terminal x)
+        in
+        if removable u || removable v then begin
+          Hashtbl.remove live e;
+          bump u (-1);
+          bump v (-1);
+          changed := true
+        end)
+      (Hashtbl.copy live)
+  done;
+  List.filter (Hashtbl.mem live) edges
+
+(* a random spanning forest under tied weights, its edges shuffled, with
+   a random terminal set: the shape [prune] sees after KMB's second MST *)
+let forest_instance seed =
+  let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:40 in
+  let w = Tutil.tied_weights rng g in
+  let forest = Mcgraph.Mst.kruskal g ~weight:(Tutil.weight_fn w) in
+  let arr = Array.of_list forest in
+  Topology.Rng.shuffle rng arr;
+  let terminals =
+    List.filter (fun _ -> Topology.Rng.int rng 4 = 0) (List.init (G.n g) Fun.id)
+  in
+  (g, rng, w, Array.to_list arr, terminals)
+
+let prop_prune_matches_reference =
+  Tutil.qtest ~count:300 "prune = Hashtbl reference"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, _, _, forest, terminals = forest_instance seed in
+      S.prune g ~terminals forest = reference_prune g ~terminals forest)
+
+let prop_dedup_matches_reference =
+  Tutil.qtest ~count:300 "dedup_edges = Hashtbl reference"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+      let edges =
+        List.init (Topology.Rng.int rng 60) (fun _ -> Topology.Rng.int rng (G.m g))
+      in
+      S.dedup_edges g edges = reference_dedup_edges edges)
+
+(* the whole of KMB under ties: the array kernels and the vector Dijkstra
+   give the tree the reference kernels give *)
+let prop_kmb_matches_reference =
+  Tutil.qtest ~count:150 "kmb = kmb over reference kernels (ties)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, rng, w, _, terminals = forest_instance seed in
+      let terminals =
+        List.sort_uniq compare (Topology.Rng.int rng (G.n g) :: terminals)
+      in
+      let weight = Tutil.weight_fn w in
+      let trees =
+        List.map (fun t -> (t, Tutil.reference_dijkstra g ~weight ~source:t)) terminals
+      in
+      let tree_of u = List.assoc u trees in
+      let expected =
+        match
+          Mcgraph.Mst.prim_metric ~points:(Array.of_list terminals)
+            ~dist:(fun u v -> (tree_of u).Mcgraph.Paths.dist.(v))
+        with
+        | None -> None
+        | Some closure ->
+          let expanded =
+            List.concat_map
+              (fun (a, b) ->
+                Option.get (Mcgraph.Paths.path_edges g (tree_of a) b))
+              closure
+          in
+          let sub = reference_dedup_edges expanded in
+          let mst2 = Tutil.reference_kruskal_edges g ~weight sub in
+          Some (reference_prune g ~terminals mst2)
+      in
+      S.kmb g ~weight ~terminals = expected)
+
 let () =
   Alcotest.run "steiner"
     [
@@ -181,5 +293,8 @@ let () =
           prop_kmb_ratio;
           prop_exact_lower_bounds_kmb;
           prop_two_terminals;
+          prop_prune_matches_reference;
+          prop_dedup_matches_reference;
+          prop_kmb_matches_reference;
         ] );
     ]
