@@ -40,91 +40,60 @@ type stats = {
   records : record list;
 }
 
-let record_of_cp net request = function
-  | Online_cp.Admitted a ->
-    {
-      request_id = request.Sdn.Request.id;
-      admitted = true;
-      server = Some a.Online_cp.server;
-      cost = Some (Pseudo_tree.cost net a.Online_cp.tree);
-      detail = "";
-    }
-  | Online_cp.Rejected r ->
-    {
-      request_id = request.Sdn.Request.id;
-      admitted = false;
-      server = None;
-      cost = None;
-      detail = Online_cp.rejection_to_string r;
-    }
+type pricing = {
+  algo : algorithm;
+  mode : [ `Exponential | `Linear ];
+  params : Online_cp.params;
+  avail : Online_cp.avail option;
+  window : Sp_window.t;
+}
 
-(* default parameters with both admission thresholds disabled — the
-   single definition behind the Online_cp_no_threshold variant here and
-   Repair's re-admission tier *)
-let no_threshold_params net =
-  let p = Online_cp.default_params net in
-  { p with Online_cp.sigma_v = infinity; sigma_e = infinity }
-
-(* [srlg] reaches the three Online_cp-family variants as their [?avail]
-   pricing; the SP baseline keeps its own load-oblivious weights (it
-   exists to show what ignoring load costs — ignoring the failure model
-   is the same ablation), so [srlg] does not apply to it. *)
-let decide ?window ?srlg net algo request =
-  match algo with
-  | Online_cp_no_threshold ->
-    let params = no_threshold_params net in
-    record_of_cp net request
-      (Online_cp.admit ~mode:`Exponential ~params ?window ?avail:srlg net
-         request)
-  | Online_cp ->
-    record_of_cp net request
-      (Online_cp.admit ~mode:`Exponential ?window ?avail:srlg net request)
-  | Online_linear ->
-    record_of_cp net request
-      (Online_cp.admit ~mode:`Linear ?window ?avail:srlg net request)
-  | Sp -> (
-    match Online_sp.admit ?window net request with
-    | Online_sp.Admitted a ->
-      {
-        request_id = request.Sdn.Request.id;
-        admitted = true;
-        server = Some a.Online_sp.server;
-        cost = Some (Pseudo_tree.cost net a.Online_sp.tree);
-        detail = "";
-      }
-    | Online_sp.Rejected msg ->
-      {
-        request_id = request.Sdn.Request.id;
-        admitted = false;
-        server = None;
-        cost = None;
-        detail = msg;
-      })
-
-(* Each admit below prices the request against the network's current
-   residuals; a successful allocate bumps [Sdn.Network.weight_epoch], so
-   shortest-path engines never serve stale distances — a per-run
-   [Sp_window] only lets cached trees survive while the epoch stands
-   still (request bursts that end in rejection). *)
-let admit_tree ?window ?srlg net algo request =
-  let of_cp = function
-    | Online_cp.Admitted a -> Ok a.Online_cp.tree
-    | Online_cp.Rejected r -> Error (Online_cp.rejection_to_string r)
+(* the one algorithm -> (mode, params) map. Sp admits with its own
+   load-oblivious unit weights; its [`Linear] entry is what Repair's
+   tiers 1-2 search under. *)
+let pricing ?window ?avail net algo =
+  (match avail with
+  | Some av when Online_cp.avail_links av <> Sdn.Network.m net ->
+    invalid_arg "Admission.pricing: avail built over a different network"
+  | _ -> ());
+  let window =
+    match window with Some w -> w | None -> Sp_window.create net
   in
-  match algo with
-  | Online_cp ->
-    of_cp (Online_cp.admit ~mode:`Exponential ?window ?avail:srlg net request)
-  | Online_linear ->
-    of_cp (Online_cp.admit ~mode:`Linear ?window ?avail:srlg net request)
-  | Online_cp_no_threshold ->
-    let params = no_threshold_params net in
-    of_cp
-      (Online_cp.admit ~mode:`Exponential ~params ?window ?avail:srlg net
-         request)
+  let params = Online_cp.default_params net in
+  let mode, params =
+    match algo with
+    | Online_cp -> (`Exponential, params)
+    | Online_cp_no_threshold ->
+      (`Exponential, { params with sigma_v = infinity; sigma_e = infinity })
+    | Online_linear | Sp -> (`Linear, params)
+  in
+  { algo; mode; params; avail; window }
+
+(* Each admit prices the request against the network's current
+   residuals; a successful allocate bumps [Sdn.Network.weight_epoch], so
+   shortest-path engines never serve stale distances — the pricing's
+   [Sp_window] only lets cached trees survive while the epoch stands
+   still (request bursts that end in rejection). The SP baseline keeps
+   its own load-oblivious weights (it exists to show what ignoring load
+   costs — ignoring the failure model is the same ablation), so [avail]
+   does not apply to it. *)
+let admit p request =
+  let net = Sp_window.net p.window in
+  match p.algo with
+  | Online_cp | Online_cp_no_threshold | Online_linear -> (
+    match
+      Online_cp.admit ~mode:p.mode ~params:p.params ~window:p.window
+        ?avail:p.avail net request
+    with
+    | Online_cp.Admitted a -> Ok a.Online_cp.tree
+    | Online_cp.Rejected r -> Error (Online_cp.rejection_to_string r))
   | Sp -> (
-    match Online_sp.admit ?window net request with
+    match Online_sp.admit ~window:p.window net request with
     | Online_sp.Admitted a -> Ok a.Online_sp.tree
     | Online_sp.Rejected msg -> Error msg)
+
+let admit_tree ?window ?avail net algo request =
+  admit (pricing ?window ?avail net algo) request
 
 (* Per-variant telemetry: the algorithm modules count under their own
    names ("online_cp.…"), but one Online_cp module serves three
@@ -137,19 +106,35 @@ let publish_run_counters algo ~dijkstras ~sp_hits ~sp_misses ~admitted =
   Obs.Counter.add (Obs.Counter.make (prefix ^ ".sp_misses")) sp_misses;
   Obs.Counter.add (Obs.Counter.make (prefix ^ ".admitted")) admitted
 
-let run ?(reset = true) ?srlg net algo requests =
-  if reset then Sdn.Network.reset net;
+let run ?avail net algo requests =
+  (* one pricing, hence one engine window, for the whole run: requests
+     between two epoch bumps (i.e. after a rejection) reuse each other's
+     Dijkstra trees instead of starting from a cold per-request engine *)
+  let p = pricing ?avail net algo in
+  Sdn.Network.reset net;
   let dij0 = Obs.Counter.value c_dijkstra_runs in
   let hits0 = Obs.Counter.value c_sp_hits in
   let misses0 = Obs.Counter.value c_sp_misses in
-  (* one engine window for the whole run: requests between two epoch
-     bumps (i.e. after a rejection) reuse each other's Dijkstra trees
-     instead of starting from a cold per-request engine *)
-  let window = Sp_window.create net in
   (* [Obs.clock] (default [Sys.time]) rather than [Sys.time] directly,
      so the determinism tests can substitute a per-domain fake clock *)
   let started = !Obs.clock () in
-  let records = List.map (decide ~window ?srlg net algo) requests in
+  let records =
+    List.map
+      (fun request ->
+        let request_id = request.Sdn.Request.id in
+        match admit p request with
+        | Ok (tree : Pseudo_tree.t) ->
+          {
+            request_id;
+            admitted = true;
+            server = Some (List.hd tree.Pseudo_tree.servers);
+            cost = Some (Pseudo_tree.cost net tree);
+            detail = "";
+          }
+        | Error detail ->
+          { request_id; admitted = false; server = None; cost = None; detail })
+      requests
+  in
   let runtime_s = !Obs.clock () -. started in
   let admitted =
     List.length (List.filter (fun (r : record) -> r.admitted) records)

@@ -15,11 +15,57 @@ type algorithm =
 
 val algorithm_to_string : algorithm -> string
 
-val no_threshold_params : Sdn.Network.t -> Online_cp.params
-(** {!Online_cp.default_params} with both admission thresholds set to
-    [infinity] — the parameterisation behind {!Online_cp_no_threshold},
-    shared with {!Repair}'s re-admission tier so the "no thresholds"
-    variant is defined in exactly one place. *)
+(** {1 The pricing context}
+
+    Online_CP (§V) prices every decision with one cost model. A
+    {!pricing} value fixes that model once per run: the algorithm, the
+    weight mode and parameters it implies, the optional availability
+    view, and the {!Sp_window} of cached shortest-path engines. The same
+    value then serves every decision of the run — fresh admissions,
+    {!Repair}'s tiers and {!Dynamic}'s restoration pass — so all of them
+    price identically and share cached Dijkstra trees (outcomes are
+    identical to per-request engines, see {!Sp_window}).
+
+    The map from algorithm to weight model is:
+    - {!Online_cp}: exponential weights, {!Online_cp.default_params};
+    - {!Online_cp_no_threshold}: exponential weights, default params
+      with both thresholds set to [infinity];
+    - {!Online_linear}: linear unit costs;
+    - {!Sp}: admission uses {!Online_sp}'s load-oblivious hop weights;
+      repair's patch and migration tiers search under linear unit costs.
+
+    [avail] (an {!Online_cp.avail}: SRLG-exposure surcharge plus
+    spare-capacity floor) applies to every Online_cp-family admission
+    and to repair's searches; the {!Sp} baseline admits without it (its
+    load-oblivious pricing is the ablation). With [alpha = 0] and no
+    reserve, every decision under the context is {e bit-identical} to
+    one without [avail]: the surcharge term is never evaluated, the
+    engine family keys are the baseline keys, and the floor never fires
+    (property-tested in [test/test_avail.ml]). *)
+
+type pricing = private {
+  algo : algorithm;
+  mode : [ `Exponential | `Linear ];
+  params : Online_cp.params;
+  avail : Online_cp.avail option;
+  window : Sp_window.t;
+}
+
+val pricing :
+  ?window:Sp_window.t ->
+  ?avail:Online_cp.avail ->
+  Sdn.Network.t ->
+  algorithm ->
+  pricing
+(** The context for [algorithm] over a network. [window] (default: a
+    fresh one) lets the caller share engines with a surrounding run; it
+    must be a window over the same network. Raises [Invalid_argument]
+    when [avail] was built by {!Online_cp.make_avail} over a network
+    with a different link count. *)
+
+val admit : pricing -> Sdn.Request.t -> (Pseudo_tree.t, string) result
+(** Decide one request and return the admitted pseudo-multicast tree (the
+    network's residuals are reduced), or the rejection reason. *)
 
 type record = {
   request_id : int;
@@ -44,32 +90,20 @@ type stats = {
 }
 
 val run :
-  ?reset:bool ->
-  ?srlg:Online_cp.avail ->
+  ?avail:Online_cp.avail ->
   Sdn.Network.t ->
   algorithm ->
   Sdn.Request.t list ->
   stats
-(** Process the sequence in order. [reset] (default [true]) restores the
-    network's residuals before starting. The whole run shares one
-    {!Sp_window}, so consecutive requests that leave the weight epoch
-    unchanged (rejections) reuse each other's cached Dijkstra trees;
-    outcomes are identical to per-request engines (see {!Sp_window}).
-
-    [srlg] threads an {!Online_cp.avail} (SRLG-exposure surcharge +
-    spare-capacity floor) through every Online_cp-family admit; the
-    [Sp] baseline ignores it (its load-oblivious pricing is the
-    ablation). With [alpha = 0] and no reserve the run is bit-identical
-    to one without [srlg]. *)
+(** Reset the network's residuals and process the sequence in order
+    under one {!pricing} built from [avail] (see above). *)
 
 val admit_tree :
   ?window:Sp_window.t ->
-  ?srlg:Online_cp.avail ->
+  ?avail:Online_cp.avail ->
   Sdn.Network.t -> algorithm -> Sdn.Request.t -> (Pseudo_tree.t, string) result
-(** Decide one request and return the admitted pseudo-multicast tree (the
-    network's residuals are reduced), or the rejection reason. Used by
-    the dynamic simulator, which must release the tree's allocation when
-    the request departs. [srlg] as in {!run}. *)
+(** [admit_tree ?window ?avail net algo r] is
+    [admit (pricing ?window ?avail net algo) r]. *)
 
 val admitted_after : stats -> int -> int
 (** Number of admissions among the first [n] arrivals — used to draw the

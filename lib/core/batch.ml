@@ -48,7 +48,7 @@ let reorder ?k ?window net requests = function
     in
     List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) priced)
 
-let plan ?k ?(reset = true) ?srlg net requests order =
+let plan ?k ?(reset = true) ?avail net requests order =
   (* Reset strictly before pricing: Cheapest_first's solves must see the
      idle network, not whatever residuals the previous run left behind
      (they used to run first, making the promised idle-network pricing a
@@ -64,7 +64,7 @@ let plan ?k ?(reset = true) ?srlg net requests order =
   let admitted = ref 0 and rejected = ref 0 and total = ref 0.0 in
   let trees = ref [] in
   (* the offline planner prices with Appro_Multi's linear costs, so the
-     exposure surcharge does not apply here; [srlg]'s spare-capacity
+     exposure surcharge does not apply here; [avail]'s spare-capacity
      floor does. [Appro_multi.admit] has already committed the
      allocation when it returns [Ok], so the floor is asked on the
      committed residuals ({!Online_cp.reserve_admits_after}) and the
@@ -73,7 +73,7 @@ let plan ?k ?(reset = true) ?srlg net requests order =
      plan's Sp_window engines (the old release / check / re-commit
      dance churned the epoch twice per admitted request). *)
   let floor_blocks alloc =
-    match srlg with
+    match avail with
     | Some av when Online_cp.avail_reserve av > 0.0 ->
       if Online_cp.reserve_admits_after av net alloc then false
       else begin
@@ -105,8 +105,8 @@ let plan ?k ?(reset = true) ?srlg net requests order =
     trees = List.rev !trees;
   }
 
-let compare_orders ?k ?(reset = true) ?srlg net requests =
-  (* [?srlg]/[?reset] used to be dropped on the floor here, so the
+let compare_orders ?k ?(reset = true) ?avail net requests =
+  (* [?avail]/[?reset] used to be dropped on the floor here, so the
      comparison could not express the availability floor [plan]
      supports. With [reset:false] every order must still start from the
      caller's residuals, so each plan's admitted trees are released
@@ -115,7 +115,7 @@ let compare_orders ?k ?(reset = true) ?srlg net requests =
      same per-link aggregation). *)
   List.map
     (fun o ->
-      let r = plan ?k ~reset ?srlg net requests o in
+      let r = plan ?k ~reset ?avail net requests o in
       if not reset then
         List.iter
           (fun (_, t) -> Sdn.Network.release net (Pseudo_tree.allocation t))

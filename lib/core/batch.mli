@@ -43,7 +43,7 @@ val reorder :
     ({!Dynamic.run}~[faults]). *)
 
 val plan :
-  ?k:int -> ?reset:bool -> ?srlg:Online_cp.avail -> Sdn.Network.t ->
+  ?k:int -> ?reset:bool -> ?avail:Online_cp.avail -> Sdn.Network.t ->
   Sdn.Request.t list -> order -> result
 (** Resets the network (unless [reset:false]), reorders the batch, and
     admits greedily with [Appro_Multi_Cap]. The reset happens {e before}
@@ -53,18 +53,18 @@ val plan :
     pricing and admission — shares one {!Sp_window} of cached
     shortest-path trees.
 
-    [srlg] applies {!Online_cp.avail}'s spare-capacity floor to every
+    [avail] applies {!Online_cp.avail}'s spare-capacity floor to every
     admit: a request whose tree would leave some shared-risk group's
     pooled residual below [reserve × capacity] is rejected (counted
     under [avail.reserve_blocked]) and its allocation undone. The
     exposure {e surcharge} does not apply here — [Appro_Multi_Cap]
-    prices with its own linear costs, not {!Online_cp.link_weight}.
-    With no reserve the plan is bit-identical to one without [srlg]. *)
+    prices with its own linear costs, not {!Admission.pricing}'s — so
+    with no reserve the plan is bit-identical to one without [avail]. *)
 
 val compare_orders :
-  ?k:int -> ?reset:bool -> ?srlg:Online_cp.avail -> Sdn.Network.t ->
+  ?k:int -> ?reset:bool -> ?avail:Online_cp.avail -> Sdn.Network.t ->
   Sdn.Request.t list -> (order * result) list
-(** {!plan} under every ordering policy, threading [reset] and [srlg]
+(** {!plan} under every ordering policy, threading [reset] and [avail]
     through each (they used to be silently dropped, so the comparison
     could not express the availability floor). With the default
     [reset:true] each plan starts from a fresh network; with

@@ -51,13 +51,11 @@ type stats = {
 type faults = {
   timeline : Sdn.Fault.timeline;
   controller : Sdn.Fault.t option;
-  budget : Repair.budget;
   restore : Restore.t option;
 }
 
-let make_faults ?controller ?(budget = Repair.default_budget)
-    ?(restore = Some Restore.default) timeline =
-  { timeline; controller; budget; restore }
+let make_faults ?controller ?(restore = Some Restore.default) timeline =
+  { timeline; controller; restore }
 
 type happened =
   | Arrived of { id : int; tree : Pseudo_tree.t option }
@@ -72,8 +70,10 @@ type event =
   | Depart of int
   | Strike of Sdn.Fault.event
 
-let run ?(reset = true) ?faults ?srlg ?(observe = fun _ _ -> ()) net algo trace
-    =
+let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
+    trace =
+  (* one pricing context for arrivals, repair and restoration *)
+  let pricing = Admission.pricing ?avail net algo in
   if reset then Sdn.Network.reset net;
   let fault =
     match faults with
@@ -83,7 +83,6 @@ let run ?(reset = true) ?faults ?srlg ?(observe = fun _ _ -> ()) net algo trace
            | Some c -> c
            | None -> Sdn.Fault.create net)
   in
-  let window = Sp_window.create net in
   let q = ref (Pq.of_list (List.map (fun a -> (a.at, Arrive a)) trace)) in
   (match faults with
   | None -> ()
@@ -144,7 +143,7 @@ let run ?(reset = true) ?faults ?srlg ?(observe = fun _ _ -> ()) net algo trace
       List.iter
         (fun (r : Sdn.Request.t) ->
           Obs.Counter.incr c_restore_attempted;
-          match Admission.admit_tree ~window ?srlg net algo r with
+          match Admission.admit pricing r with
           | Ok tree ->
             Obs.Counter.incr c_restore_restored;
             Hashtbl.remove backlog r.Sdn.Request.id;
@@ -152,7 +151,8 @@ let run ?(reset = true) ?faults ?srlg ?(observe = fun _ _ -> ()) net algo trace
             enter r.Sdn.Request.id tree;
             observe now (Restored { id = r.Sdn.Request.id; tree })
           | Error _ -> Obs.Counter.incr c_restore_failed)
-        (Restore.select ~window ~returned net rcfg entries)
+        (Restore.select ~window:pricing.Admission.window ~returned net rcfg
+           entries)
   in
   let strike now ev =
     let fault = Option.get fault and cfg = Option.get faults in
@@ -175,7 +175,7 @@ let run ?(reset = true) ?faults ?srlg ?(observe = fun _ _ -> ()) net algo trace
         let vtree = Hashtbl.find live vid in
         Hashtbl.remove live vid;
         match
-          Repair.repair ~budget:cfg.budget ~algo ~window ?avail:srlg
+          Repair.repair pricing
             ~link_down:(Sdn.Fault.link_is_down fault)
             ~server_down:(Sdn.Fault.server_is_down fault)
             net vtree
@@ -207,7 +207,7 @@ let run ?(reset = true) ?faults ?srlg ?(observe = fun _ _ -> ()) net algo trace
       (match ev with
       | Arrive a -> (
         let id = a.request.Sdn.Request.id in
-        match Admission.admit_tree ~window ?srlg net algo a.request with
+        match Admission.admit pricing a.request with
         | Ok tree ->
           incr admitted;
           enter id tree;

@@ -80,7 +80,6 @@ type faults = {
           fresh one over the run's network. Pass an explicit controller
           to inspect confiscations afterwards (or to start from
           pre-existing faults). *)
-  budget : Repair.budget;  (** per-eviction repair effort *)
   restore : Restore.t option;
       (** selection policy and trigger set for the restoration pass;
           [None] disables proactive restoration (reactive repair only) *)
@@ -88,13 +87,12 @@ type faults = {
 
 val make_faults :
   ?controller:Sdn.Fault.t ->
-  ?budget:Repair.budget ->
   ?restore:Restore.t option ->
   Sdn.Fault.timeline ->
   faults
-(** Defaults: fresh controller, {!Repair.default_budget},
-    [Some Restore.default] — the smallest-first heal-only pass,
-    bit-identical to the pre-policy simulator. *)
+(** Defaults: fresh controller, [Some Restore.default] — the
+    smallest-first heal-only pass, bit-identical to the pre-policy
+    simulator. *)
 
 (** What one merged event did — the observation stream for tests and
     tracing. Events fire in simulation order; a fault's eviction
@@ -116,7 +114,7 @@ type happened =
 val run :
   ?reset:bool ->
   ?faults:faults ->
-  ?srlg:Online_cp.avail ->
+  ?avail:Online_cp.avail ->
   ?observe:(float -> happened -> unit) ->
   Sdn.Network.t ->
   Admission.algorithm ->
@@ -129,8 +127,9 @@ val run :
     Ties on the clock resolve deterministically (the queue is a pure
     value), so a (network, trace, faults) triple always replays the
     same event sequence. The whole run — admission, repair and
-    restoration — shares one {!Sp_window} of cached shortest-path
-    engines; outcomes are identical to per-request engines.
+    restoration — shares one {!Admission.pricing} context built from
+    [algorithm] and [avail] (see there for the cost model, the shared
+    {!Sp_window} and the [alpha = 0] bit-identity guarantee).
 
     With [reset:false] the network's current residuals are kept (the
     caller owns that state); the network ends with exactly the
@@ -138,23 +137,15 @@ val run :
     unhealed confiscations when [faults] fired). [observe] (default a
     no-op) sees every {!happened} with its timestamp, in order.
 
-    [srlg] threads an {!Online_cp.avail} through the whole run:
-    arrivals and restoration re-admissions price links with the
-    SRLG-exposure surcharge and are gated by the spare-capacity floor
-    ({!Admission.admit_tree}~[?srlg]), and every eviction repair
-    searches under the same surcharged weights
-    ({!Repair.repair}~[?avail] — tiers 1–2 are exempt from the floor).
-    Typically built from the same partition the fault timeline cuts,
-    so admission prices the very correlations the simulator will
-    inject. With [alpha = 0] and no reserve the run is bit-identical
-    to one without [srlg].
+    [avail] is typically built from the same partition the fault
+    timeline cuts, so admission prices the very correlations the
+    simulator will inject.
 
     Restoration passes run under [faults.restore]'s {!Restore.t}:
     {!Restore.select} orders the backlog (the knapsack policies read a
     returned-bandwidth estimate — a healed link's confiscation, a
     departing session's summed link allocation, [0.] for [Server_up])
-    and each candidate is re-attempted through
-    {!Admission.admit_tree}. With the default policy the pass — trigger
+    and each candidate is re-attempted through {!Admission.admit}. With the default policy the pass — trigger
     set, order, counters and span — is bit-identical to the historical
     hard-coded smallest-first pass (pinned in [test/test_restore.ml]).
 

@@ -126,6 +126,7 @@ let make_avail ?(alpha = 0.0) ?(reserve = 0.0) net groups =
 let avail_alpha av = av.av_alpha
 let avail_reserve av = av.av_reserve
 let avail_group_count av = Array.length av.av_groups
+let avail_links av = Array.length av.av_group_of
 let avail_group_of av e =
   if e < 0 || e >= Array.length av.av_group_of then -1 else av.av_group_of.(e)
 
@@ -287,7 +288,7 @@ let slack x = x +. (1e-9 *. Float.max 1.0 (Float.abs x))
    fewer hops in both modes without affecting the thresholds. *)
 let hop_epsilon = 1e-6
 
-let link_weight ?avail ~mode ~params net ~bandwidth e =
+let link_weight avail ~mode ~params net ~bandwidth e =
   if not (Sdn.Network.link_admits net e bandwidth) then infinity
   else
     let base =
@@ -308,7 +309,7 @@ let server_weight ~mode ~params net ~demand v =
   | `Exponential -> Cost_model.server_weight net ~base:params.alpha v
   | `Linear -> Sdn.Network.server_unit_cost net v *. demand
 
-let weight_family ?avail ~mode ~params () =
+let weight_family avail ~mode ~params =
   let base =
     match mode with
     | `Exponential ->
@@ -327,6 +328,18 @@ let weight_family ?avail ~mode ~params () =
       (Int64.to_string (Int64.bits_of_float av.av_alpha))
   | _ -> base
 
+let engine ?avail ~mode ~params ?window net ~bandwidth =
+  let weight e = link_weight avail ~mode ~params net ~bandwidth e in
+  match window with
+  | Some w ->
+    Sp_window.engine w
+      ~family:(weight_family avail ~mode ~params)
+      ~bucket:(Sp_window.bucket w ~bandwidth)
+      ~weight
+  | None ->
+    Sp.create (Sdn.Network.graph net) ~weight
+      ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+
 let admit_impl ~mode ~params ~window ~prune ~avail net request =
   let params =
     match params with Some p -> p | None -> default_params net
@@ -335,7 +348,6 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
   let b = request.Sdn.Request.bandwidth in
   let s = request.Sdn.Request.source in
   let demand = Sdn.Request.demand_mhz request in
-  let link_w e = link_weight ?avail ~mode ~params net ~bandwidth:b e in
   let server_w v = server_weight ~mode ~params net ~demand v in
   let thresholds_on = mode = `Exponential in
   let usable =
@@ -352,17 +364,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
        contract), so a request following a rejection reuses cached trees
        instead of starting cold. *)
     let terminals = List.sort_uniq compare (s :: request.Sdn.Request.destinations) in
-    let eng =
-      match window with
-      | Some w ->
-        let family = weight_family ?avail ~mode ~params () in
-        Sp_window.engine w ~family
-          ~bucket:(Sp_window.bucket w ~bandwidth:b)
-          ~weight:link_w
-      | None ->
-        Sp.create g ~weight:link_w
-          ~epoch:(fun () -> Sdn.Network.weight_epoch net)
-    in
+    let eng = engine ?avail ~mode ~params ?window net ~bandwidth:b in
     List.iter (fun t -> ignore (Sp.spt eng t)) terminals;
     (* non-terminal sources (candidate servers) answer from the terminal
        end's tree by symmetry, so servers never cost a Dijkstra. The
@@ -410,7 +412,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
       in
       let screened = List.filter_map Fun.id (List.mapi screen usable) in
       (* price trees off the engine's weight vector for this epoch — the
-         values [link_w] returns, without re-evaluating it per edge *)
+         values [link_weight] returns, without re-evaluating it per edge *)
       let wvec = Sp.weights eng in
       let link_wv e = wvec.(e) in
       let compute p =

@@ -60,7 +60,7 @@ type outcome = Admitted of admitted | Rejected of rejection
       derived from residuals alone and cached per
       {!Sdn.Network.weight_epoch}, so surcharged weights remain pure
       between equal epoch readings — {!Sp_window}'s exactness contract
-      survives because {!weight_family} forks the engine family (stamp +
+      survives because {!engine} forks the engine family (stamp +
       [alpha] bits) exactly when the surcharge changes the weights.
     - {e spare-capacity floor}: with [reserve = r > 0], a candidate tree
       whose allocation would leave a touched group's aggregate residual
@@ -98,6 +98,10 @@ val avail_reserve : avail -> float
 val avail_group_count : avail -> int
 (** Number of (non-empty) groups after normalization. *)
 
+val avail_links : avail -> int
+(** Link count of the network the value was built over; an [avail] is
+    only meaningful on a network with exactly that many links. *)
+
 val avail_group_of : avail -> int -> int
 (** Group index of an edge, [-1] for ungrouped or out-of-range ids. *)
 
@@ -131,22 +135,31 @@ val reserve_admits_after :
     string + same weight closure at an equal epoch means the window's
     exactness contract lets cached Dijkstra trees flow both ways. *)
 
-val link_weight :
+val engine :
   ?avail:avail ->
   mode:[ `Exponential | `Linear ] ->
   params:params ->
+  ?window:Sp_window.t ->
   Sdn.Network.t ->
   bandwidth:float ->
-  int ->
-  float
-(** Traversal weight of one link for a request needing [bandwidth] Mbps:
-    [infinity] when the residual cannot admit the bandwidth, otherwise
-    the exponential ([β^{1−B_e(k)/B_e} − 1]) or linear unit cost, plus
-    the hop epsilon that breaks zero-load ties toward fewer hops, plus —
-    with [avail] at [alpha > 0] — the exposure surcharge
-    [alpha × exposure(group)] on grouped links. Reads residual state —
-    pure only between equal {!Sdn.Network.weight_epoch} readings (the
-    exposure cache is keyed on the same epoch). *)
+  Mcgraph.Sp_engine.t
+(** The shortest-path engine {!admit} searches for a request needing
+    [bandwidth] Mbps. A link weighs [infinity] when its residual cannot
+    admit the bandwidth, otherwise the exponential
+    ([β^{1−B_e(k)/B_e} − 1]) or linear unit cost, plus a hop epsilon
+    that breaks zero-load ties toward fewer hops, plus — with [avail] at
+    [alpha > 0] — the exposure surcharge [alpha × exposure(group)] on
+    grouped links. Weights read residual state, so they are pure only
+    between equal {!Sdn.Network.weight_epoch} readings (the exposure
+    cache is keyed on the same epoch).
+
+    With [window] the engine comes from {!Sp_window.engine} under a
+    family key that folds in [β]'s bits (exponential mode) and, with
+    [avail] at [alpha > 0], the avail value's unique stamp and [alpha]'s
+    bits: distinct params or distinct [avail] values never share an
+    engine, while at [alpha = 0] the key is the baseline key because
+    the weights are equal. Without [window] it is a fresh private
+    engine. *)
 
 val server_weight :
   mode:[ `Exponential | `Linear ] ->
@@ -158,21 +171,6 @@ val server_weight :
 (** Placement weight of one server for a consolidated chain demand of
     [demand] MHz (exponential node weight, or unit cost × demand in
     [`Linear] mode). *)
-
-val weight_family :
-  ?avail:avail ->
-  mode:[ `Exponential | `Linear ] ->
-  params:params ->
-  unit ->
-  string
-(** The {!Sp_window} family key under which {!admit} registers engines
-    for {!link_weight} closures with these parameters ([β]'s bits are
-    folded into the exponential key, so distinct params never share an
-    engine). With [avail] at [alpha > 0] the key additionally carries
-    the avail value's unique stamp and [alpha]'s bits — surcharged
-    closures never share an engine with baseline ones, and two distinct
-    [avail] values never share with each other; at [alpha = 0] the key
-    is the baseline key, because the closures are extensionally equal. *)
 
 val slack : float -> float
 (** [slack x] relaxes a score bound by one part in 10⁹ (ULP drift guard):

@@ -27,36 +27,11 @@ type outcome =
   | Repaired of { tree : Pseudo_tree.t; tier : tier }
   | Dropped of string
 
-type budget = {
-  max_patch_paths : int;
-  max_migrate_candidates : int;
-  allow_readmit : bool;
-}
-
-let default_budget =
-  { max_patch_paths = 8; max_migrate_candidates = 16; allow_readmit = true }
-
-(* the weight model each admission algorithm prices with; repair must
-   search under the *same* prices so its engines can share Sp_window
-   families with the surrounding admission run *)
-let pricing_of_algo net = function
-  | Admission.Online_cp -> (`Exponential, Online_cp.default_params net)
-  | Admission.Online_cp_no_threshold ->
-    (`Exponential, Admission.no_threshold_params net)
-  | Admission.Online_linear | Admission.Sp ->
-    (`Linear, Online_cp.default_params net)
-
-let repair_engine ?window ?avail ~mode ~params net ~bandwidth =
-  let link_w e = Online_cp.link_weight ?avail ~mode ~params net ~bandwidth e in
-  match window with
-  | Some w ->
-    Sp_window.engine w
-      ~family:(Online_cp.weight_family ?avail ~mode ~params ())
-      ~bucket:(Sp_window.bucket w ~bandwidth)
-      ~weight:link_w
-  | None ->
-    Sp.create (Sdn.Network.graph net) ~weight:link_w
-      ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+(* effort caps: tier 1 gives up when more severed terminals need
+   re-attaching, tier 2 prices at most this many candidate servers (the
+   bound-sorted prefix) *)
+let max_patch_paths = 8
+let max_migrate_candidates = 16
 
 (* ---- shared tree surgery ---------------------------------------------- *)
 
@@ -147,7 +122,7 @@ exception Infeasible
 
 (* re-attach every severed terminal of the old tree through current
    shortest paths; the old server assignment is kept *)
-let try_patch ~budget ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
+let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
     =
   let g = Sdn.Network.graph net in
   let request = victim.Pseudo_tree.request in
@@ -170,7 +145,7 @@ let try_patch ~budget ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
         List.sort_uniq compare (victim.Pseudo_tree.servers @ dests)
       in
       let severed = List.filter (fun v -> not in_tree.(v)) must_reach in
-      if List.length severed > budget.max_patch_paths then None
+      if List.length severed > max_patch_paths then None
       else
         try
           (* Each severed terminal gets a shortest path to the closest
@@ -228,7 +203,7 @@ let try_patch ~budget ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
    the triangle-inequality lower bound [w_v + max 0 (dist s v - maxd)]
    before the per-candidate Dijkstra runs, with Online_cp's ULP slack so
    screening never reorders the exact outcome. *)
-let try_migrate ~budget ~eng ~mode ~params ~link_down ~server_down net
+let try_migrate ~eng ~mode ~params ~link_down ~server_down net
     (victim : Pseudo_tree.t) =
   match victim.Pseudo_tree.servers with
   | [] | _ :: _ :: _ -> None
@@ -273,7 +248,7 @@ let try_migrate ~budget ~eng ~mode ~params ~link_down ~server_down net
             (Sdn.Network.servers net)
           |> List.sort compare
         in
-        (* price candidates in bound order, best-first under the budget *)
+        (* price candidates in bound order, best-first under the cap *)
         let priced = ref [] in
         let incumbent = ref infinity in
         let considered = ref 0 in
@@ -282,7 +257,7 @@ let try_migrate ~budget ~eng ~mode ~params ~link_down ~server_down net
             if
               bound = infinity
               || bound > Online_cp.slack !incumbent
-              || !considered >= budget.max_migrate_candidates
+              || !considered >= max_migrate_candidates
             then Obs.Counter.incr c_migrate_pruned
             else begin
               incr considered;
@@ -331,18 +306,19 @@ let try_migrate ~budget ~eng ~mode ~params ~link_down ~server_down net
 
 (* ---- the escalation ladder -------------------------------------------- *)
 
-let repair ?(budget = default_budget) ?(algo = Admission.Online_cp) ?window
-    ?avail ~link_down ~server_down net (victim : Pseudo_tree.t) =
+let repair (p : Admission.pricing) ~link_down ~server_down net
+    (victim : Pseudo_tree.t) =
   Obs.Counter.incr c_attempted;
   let t0 = if !Obs.enabled then !Obs.clock () else 0.0 in
-  let mode, params = pricing_of_algo net algo in
+  let mode = p.Admission.mode and params = p.Admission.params in
   let eng =
-    repair_engine ?window ?avail ~mode ~params net
+    Online_cp.engine ?avail:p.Admission.avail ~mode ~params
+      ~window:p.Admission.window net
       ~bandwidth:victim.Pseudo_tree.request.Sdn.Request.bandwidth
   in
   let patched =
     Obs.Span.run "repair.patch" @@ fun () ->
-    try_patch ~budget ~eng ~link_down ~server_down net victim
+    try_patch ~eng ~link_down ~server_down net victim
   in
   let result =
     match patched with
@@ -352,32 +328,24 @@ let repair ?(budget = default_budget) ?(algo = Admission.Online_cp) ?window
     | None -> (
       let migrated =
         Obs.Span.run "repair.migrate" @@ fun () ->
-        try_migrate ~budget ~eng ~mode ~params ~link_down ~server_down net
-          victim
+        try_migrate ~eng ~mode ~params ~link_down ~server_down net victim
       in
       match migrated with
       | Some tree ->
         Obs.Counter.incr c_migrated;
         Repaired { tree; tier = Migrated }
-      | None ->
-        if not budget.allow_readmit then begin
+      | None -> (
+        let readmitted =
+          Obs.Span.run "repair.readmit" @@ fun () ->
+          Admission.admit p victim.Pseudo_tree.request
+        in
+        match readmitted with
+        | Ok tree ->
+          Obs.Counter.incr c_readmitted;
+          Repaired { tree; tier = Readmitted }
+        | Error msg ->
           Obs.Counter.incr c_dropped;
-          Dropped "patch and migration failed; re-admission disabled"
-        end
-        else begin
-          let readmitted =
-            Obs.Span.run "repair.readmit" @@ fun () ->
-            Admission.admit_tree ?window ?srlg:avail net algo
-              victim.Pseudo_tree.request
-          in
-          match readmitted with
-          | Ok tree ->
-            Obs.Counter.incr c_readmitted;
-            Repaired { tree; tier = Readmitted }
-          | Error msg ->
-            Obs.Counter.incr c_dropped;
-            Dropped msg
-        end)
+          Dropped msg))
   in
   if !Obs.enabled then Obs.Histogram.observe h_attempt (!Obs.clock () -. t0);
   result

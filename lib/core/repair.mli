@@ -18,8 +18,10 @@
     + {e Full re-admission} ({!Readmitted}) — forget the old tree and
       run {!Admission.admit_tree} from scratch.
 
-    Each tier is budgeted (see {!budget}) and instrumented; a request
-    that no tier can restore is {!Dropped} with nothing allocated.
+    Tiers 1–2 are capped (tier 1 gives up beyond 8 severed terminals,
+    tier 2 prices at most 16 candidate servers) and every tier is
+    instrumented; a request that no tier can restore is {!Dropped} with
+    nothing allocated.
 
     {2 Preconditions and exactness}
 
@@ -63,49 +65,20 @@ type outcome =
       (** the new tree's resources are reserved in the network *)
   | Dropped of string  (** no tier succeeded; nothing is allocated *)
 
-type budget = {
-  max_patch_paths : int;
-      (** tier 1 gives up when more than this many severed terminals
-          need re-attaching *)
-  max_migrate_candidates : int;
-      (** tier 2 prices at most this many candidate servers (the
-          bound-sorted prefix) *)
-  allow_readmit : bool;  (** whether tier 3 may run at all *)
-}
-
-val default_budget : budget
-(** [{ max_patch_paths = 8; max_migrate_candidates = 16;
-      allow_readmit = true }]. *)
-
 val repair :
-  ?budget:budget ->
-  ?algo:Admission.algorithm ->
-  ?window:Sp_window.t ->
-  ?avail:Online_cp.avail ->
+  Admission.pricing ->
   link_down:(int -> bool) ->
   server_down:(int -> bool) ->
   Sdn.Network.t ->
   Pseudo_tree.t ->
   outcome
-(** [repair ~link_down ~server_down net victim] attempts the tiers in
-    order on an evicted tree whose allocation is already released.
-    [algo] (default {!Admission.Online_cp}) selects the pricing model:
-    tiers 1–2 price links and servers with {!Online_cp.link_weight} /
-    {!Online_cp.server_weight} in the matching mode, and tier 3 runs
-    {!Admission.admit_tree} with the same algorithm
-    ({!Admission.Online_cp_no_threshold} reuses
-    {!Admission.no_threshold_params}). [window] shares shortest-path
-    engines with the surrounding admission run — repair registers its
-    engines under {!Online_cp.weight_family}, so patching after an
-    admission burst starts from warm Dijkstra trees.
-
-    [avail] threads availability-aware pricing through every tier:
-    tiers 1–2 search under the surcharged link weights (and register
-    their engines under the forked family, so they keep sharing with
-    the surrounding availability-aware admission), and tier 3 passes it
-    to {!Admission.admit_tree} — so re-admission is gated by the
+(** [repair pricing ~link_down ~server_down net victim] attempts the
+    tiers in order on an evicted tree whose allocation is already
+    released, under the run's {!Admission.pricing} context: tiers 1–2
+    search the context's {!Online_cp.engine} (same mode, params, avail
+    and {!Sp_window} as admission, so patching after an admission burst
+    starts from warm Dijkstra trees) and tier 3 is {!Admission.admit}
+    with the context itself — re-admission is gated by the avail's
     spare-capacity floor like any fresh admission. Tiers 1–2 allocate
     directly and are deliberately {e exempt} from the floor: keeping an
-    evicted session alive in place outranks preserving headroom. With
-    [alpha = 0] and no reserve the repair outcomes are bit-identical to
-    the baseline, as for admission. *)
+    evicted session alive in place outranks preserving headroom. *)

@@ -5,7 +5,7 @@
     request enters a backlog until its natural departure time passes.
     Returned capacity (a heal, or optionally a departure) triggers a
     restoration pass that re-attempts the backlog through
-    {!Admission.admit_tree} — and the order of those attempts decides
+    {!Admission.admit} — and the order of those attempts decides
     who gets the scarce returned capacity. This module makes that order
     (and the trigger set) a first-class policy instead of the
     hard-coded [Batch.Smallest_first] replay the pass shipped with:
@@ -92,7 +92,6 @@ type entry = {
 }
 
 val select :
-  ?k:int ->
   ?window:Sp_window.t ->
   returned:float ->
   Sdn.Network.t ->
@@ -111,5 +110,5 @@ val select :
     share the surrounding run's cached shortest-path engines.
 
     [select t] with [t = default] returns exactly
-    [Batch.reorder ?k ?window net (id-sorted requests)
+    [Batch.reorder ?window net (id-sorted requests)
      Batch.Smallest_first] — the bit-identity anchor. *)

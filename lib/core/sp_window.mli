@@ -23,7 +23,7 @@
       mode, plus any parameter the closure reads (callers embed e.g.
       [Int64.bits_of_float beta] in the string when a numeric parameter
       scales the weights). Availability-aware pricing follows the same
-      discipline: {!Online_cp.weight_family} appends an
+      discipline: {!Online_cp.engine}'s family key appends an
       ["+avail:<stamp>:<alpha-bits>"] token whenever an
       {!Online_cp.avail} with [alpha > 0] is in force, so surcharged
       and baseline weight functions never share an engine, and two

@@ -6,7 +6,7 @@
    matched points the same RNG: same network, same Poisson trace, same
    partition, same fault timeline — the alpha column is the only
    treatment. In particular the alpha = 0 sweep is byte-for-byte the
-   dynamic_churn baseline (run_point passes no ?srlg at all), which
+   dynamic_churn baseline (run_point passes no ?avail at all), which
    test_specs.ml asserts on the smoke instances.
 
    What the treatment should show: with alpha > 0, Online_CP's link

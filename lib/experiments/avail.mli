@@ -4,7 +4,7 @@
     {!Dynamic_churn.sweep_key}, so matched points across alphas (and
     across this family and [dynamic_churn] itself) get identical
     per-point RNGs — identical networks, traces, partitions and fault
-    timelines. The [alpha = 0] sweep passes no [?srlg] and is
+    timelines. The [alpha = 0] sweep passes no [?avail] and is
     byte-identical to the dynamic-churn baseline; non-zero alphas
     surcharge every link by [alpha × exposure] of its shared-risk
     group, buying survival under correlated cuts at some acceptance

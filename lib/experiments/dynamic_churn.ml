@@ -49,7 +49,7 @@ let metrics =
   @ List.map fst tiers
   @ [ "restored"; "restored_frac"; "p50_ms"; "p99_ms" ]
 
-let run_point ?(alpha = 0.0) ?(reserve = 0.0) ?restore ?mean_holding
+let run_point ?(alpha = 0.0) ?restore ?mean_holding
     ?(heal_div = 4.0) ~make_net ~srlg ~load ~rate ~rng () =
   let mean_holding = Option.value ~default:mean_holding_default mean_holding in
   let net = make_net rng in
@@ -69,11 +69,11 @@ let run_point ?(alpha = 0.0) ?(reserve = 0.0) ?restore ?mean_holding
   in
   (* availability-aware pricing over the *same* partition the timeline
      cuts (for "ind", the matched singleton groups). Building the avail
-     consumes no randomness, and [alpha = 0] with no reserve passes
-     [None], so the baseline point is bit-for-bit the pre-avail run. *)
+     consumes no randomness, and [alpha = 0] passes [None], so the
+     baseline point is bit-for-bit the pre-avail run. *)
   let avail =
-    if alpha > 0.0 || reserve > 0.0 then
-      Some (Nfv_multicast.Online_cp.make_avail ~alpha ~reserve net groups)
+    if alpha > 0.0 then
+      Some (Nfv_multicast.Online_cp.make_avail ~alpha net groups)
     else None
   in
   let tier_probes =
@@ -88,7 +88,7 @@ let run_point ?(alpha = 0.0) ?(reserve = 0.0) ?restore ?mean_holding
     | None -> Dyn.make_faults timeline
     | Some policy -> Dyn.make_faults ~restore:(Some policy) timeline
   in
-  let s = Dyn.run ?srlg:avail ~faults net Adm.Online_cp trace in
+  let s = Dyn.run ?avail ~faults net Adm.Online_cp trace in
   let tier_counts =
     List.map (fun (name, p) -> (name, Runner.counter_delta p)) tier_probes
   in

@@ -68,7 +68,6 @@ val point_index : ni:int -> mi:int -> li:int -> ri:int -> int
 
 val run_point :
   ?alpha:float ->
-  ?reserve:float ->
   ?restore:Nfv_multicast.Restore.t ->
   ?mean_holding:float ->
   ?heal_div:float ->
@@ -80,10 +79,10 @@ val run_point :
   unit ->
   Spec.point_result
 (** One grid point: build the network, trace, partition and timeline
-    from [rng], run [Dynamic.run] and report {!metrics}. [alpha] /
-    [reserve] (defaults [0.]) switch on availability-aware pricing
+    from [rng], run [Dynamic.run] and report {!metrics}. [alpha]
+    (default [0.]) switches on availability-aware pricing
     ({!Nfv_multicast.Online_cp.make_avail} over the same partition the
-    timeline cuts); both zero pass no [?srlg] at all, so the point is
+    timeline cuts); zero passes no [?avail] at all, so the point is
     bit-for-bit the baseline. [restore] swaps the restoration policy of
     the simulator's backlog pass (omitted: the default smallest-first
     heal-only pass, again bit-for-bit the baseline) — the {!Restore}

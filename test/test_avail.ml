@@ -11,6 +11,7 @@ module Fault = Sdn.Fault
 module Cp = Nfv_multicast.Online_cp
 module Adm = Nfv_multicast.Admission
 module Batch = Nfv_multicast.Batch
+module Dyn = Nfv_multicast.Dynamic
 module Pt = Nfv_multicast.Pseudo_tree
 module Rng = Topology.Rng
 module Obs = Nfv_obs.Obs
@@ -79,6 +80,51 @@ let test_make_avail_validation () =
   Alcotest.(check int) "negative is ungrouped" (-1) (Cp.avail_group_of av (-5));
   Alcotest.(check (float 0.0)) "alpha default" 0.0 (Cp.avail_alpha av);
   Alcotest.(check (float 0.0)) "reserve default" 0.0 (Cp.avail_reserve av)
+
+(* an avail indexes its network's link ids: one built over a network
+   with a different link count must be refused up front, not misprice
+   or fail deep inside a run *)
+let path_net links =
+  let g = G.create (links + 1) in
+  for v = 0 to links - 1 do
+    ignore (G.add_edge g v (v + 1))
+  done;
+  N.make_explicit
+    ~topology:(Topology.Topo.make ~name:"path" g)
+    ~servers:[ (0, 1000.0, 1.0) ]
+    ~link_capacities:(Array.make links 100.0)
+    ~link_unit_costs:(Array.make links 1.0) ()
+
+let test_avail_network_mismatch () =
+  let net = designed_net () in
+  let req = mk_request ~id:0 ~source:0 ~destinations:[ 3 ] ~bandwidth:10.0 in
+  let trace = [ { Dyn.at = 1.0; holding = 1.0; request = req } ] in
+  List.iter
+    (fun (what, other) ->
+      let av =
+        Cp.make_avail ~alpha:1.0 other [| List.init (N.m other) Fun.id |]
+      in
+      Alcotest.(check int) (what ^ ": link count recorded") (N.m other)
+        (Cp.avail_links av);
+      List.iter
+        (fun algo ->
+          Alcotest.(check bool)
+            (what ^ ": pricing refuses it under "
+            ^ Adm.algorithm_to_string algo)
+            true
+            (raises_invalid (fun () -> Adm.pricing ~avail:av net algo)))
+        [ Adm.Online_cp; Adm.Online_cp_no_threshold; Adm.Online_linear; Adm.Sp ];
+      Alcotest.(check bool) (what ^ ": run refuses it") true
+        (raises_invalid (fun () -> Adm.run ~avail:av net Adm.Online_cp [ req ]));
+      Alcotest.(check bool) (what ^ ": admit_tree refuses it") true
+        (raises_invalid (fun () -> Adm.admit_tree ~avail:av net Adm.Online_cp req));
+      Alcotest.(check bool) (what ^ ": Dynamic.run refuses it") true
+        (raises_invalid (fun () -> Dyn.run ~avail:av net Adm.Online_cp trace)))
+    [ ("larger network", path_net 9); ("smaller network", path_net 2) ];
+  (* a same-size network is accepted *)
+  let av = Cp.make_avail ~alpha:1.0 (path_net 6) [| [ 0; 1 ] |] in
+  Alcotest.(check bool) "equal link count accepted" false
+    (raises_invalid (fun () -> Adm.pricing ~avail:av net Adm.Online_cp))
 
 (* ---- exposure across allocate / release / confiscate / heal ------------- *)
 
@@ -175,12 +221,12 @@ let test_batch_plan_floor () =
   Alcotest.(check int) "baseline plan admits" 1 base.Batch.admitted;
   (* a neutral avail changes nothing *)
   let neutral = Cp.make_avail net groups in
-  let same = Batch.plan ~srlg:neutral net reqs Batch.Arrival in
+  let same = Batch.plan ~avail:neutral net reqs Batch.Arrival in
   Alcotest.(check bool) "neutral avail: identical plan" true (base = same);
   (* the tight floor rejects, rolls the allocation back, and counts it *)
   let tight = Cp.make_avail ~reserve:0.9 net groups in
   let b0 = counter "avail.reserve_blocked" in
-  let blocked = Batch.plan ~srlg:tight net reqs Batch.Arrival in
+  let blocked = Batch.plan ~avail:tight net reqs Batch.Arrival in
   Alcotest.(check int) "tight floor admits none" 0 blocked.Batch.admitted;
   Alcotest.(check int) "tight floor rejects all" 1 blocked.Batch.rejected;
   Alcotest.(check int) "blocked plan counted" (b0 + 1)
@@ -212,7 +258,7 @@ let alpha_zero_equivalence seed =
       let base = Adm.run net algo reqs in
       let base_res = residuals net in
       let av = Cp.make_avail ~alpha:0.0 net groups in
-      let treated = Adm.run ~srlg:av net algo reqs in
+      let treated = Adm.run ~avail:av net algo reqs in
       if strip base <> strip treated then
         QCheck.Test.fail_reportf "alpha=0 diverged on %s"
           (Adm.algorithm_to_string algo);
@@ -306,6 +352,8 @@ let () =
         [
           Alcotest.test_case "make_avail validation" `Quick
             test_make_avail_validation;
+          Alcotest.test_case "avail over another network is refused" `Quick
+            test_avail_network_mismatch;
           Alcotest.test_case "exposure lifecycle" `Quick
             test_exposure_lifecycle;
           Alcotest.test_case "reserve floor in Online_cp" `Quick

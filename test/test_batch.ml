@@ -158,17 +158,17 @@ let test_passing_floor_no_epoch_churn () =
   in
   (* reserve 0.1 on the 600-Mbps group: three 15-Mbps trees leave 555,
      far above the 60-Mbps floor — every admit passes *)
-  let run srlg =
+  let run floored =
     let net = designed_net () in
-    let srlg =
-      if srlg then
+    let avail =
+      if floored then
         Some (Cp.make_avail ~reserve:0.1 net [| List.init (N.m net) Fun.id |])
       else None
     in
     let e0 = N.weight_epoch net in
     let h0 = counter "sp_engine.cache_hits" in
     let m0 = counter "sp_engine.cache_misses" in
-    let r = B.plan ?srlg net reqs B.Arrival in
+    let r = B.plan ?avail net reqs B.Arrival in
     ( r.B.admitted,
       N.weight_epoch net - e0,
       counter "sp_engine.cache_hits" - h0,
@@ -182,7 +182,7 @@ let test_passing_floor_no_epoch_churn () =
   Alcotest.(check int) "same shortest-path cache hits" hits hits';
   Alcotest.(check int) "same shortest-path cache misses" misses misses'
 
-(* compare_orders used to silently drop [?srlg]: the floor could never
+(* compare_orders used to silently drop [?avail]: the floor could never
    flip an order's outcome. With a 480-Mbps floor on the 600-Mbps
    group, a 40-Mbps tree (120 Mbps over 3 links) lands exactly on the
    floor, after which nothing else fits — so largest-first admits only
@@ -209,7 +209,7 @@ let test_compare_orders_floor_flips_an_order () =
   let tight =
     Cp.make_avail ~reserve:0.8 net [| List.init (N.m net) Fun.id |]
   in
-  let floored = B.compare_orders ~srlg:tight net reqs in
+  let floored = B.compare_orders ~avail:tight net reqs in
   Alcotest.(check int) "smallest-first packs the two small requests" 2
     (admitted B.Smallest_first floored);
   Alcotest.(check int) "largest-first lands on the floor and stops" 1

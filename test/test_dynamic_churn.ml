@@ -11,6 +11,7 @@ module Fault = Sdn.Fault
 module Adm = Nfv_multicast.Admission
 module Dyn = Nfv_multicast.Dynamic
 module Pt = Nfv_multicast.Pseudo_tree
+module Cp = Nfv_multicast.Online_cp
 module Repair = Nfv_multicast.Repair
 module Rng = Topology.Rng
 module Obs = Nfv_obs.Obs
@@ -290,6 +291,95 @@ let test_fault_free_regression () =
     Dyn.run ~faults:(Dyn.make_faults []) net2 Adm.Online_cp_no_threshold trace2
   in
   Alcotest.(check bool) "empty timeline is bit-identical" true (s = s2)
+
+(* ---- every algorithm under SRLG cuts -----------------------------------
+   One seeded GEANT trace under correlated cuts, per algorithm, with and
+   without an exposure surcharge: arrivals, every repair tier, drops and
+   restorations all occur. The MD5 of the full [happened] stream (ids,
+   tiers, servers and edge uses of every tree, hex-float timestamps)
+   and of the stats pins each algorithm's branch of the pricing map, so
+   a refactor of the cost-model plumbing must reproduce every decision
+   exactly. Recorded before the pricing context existed. *)
+
+let add_tree buf (t : Pt.t) =
+  List.iter (fun v -> Printf.bprintf buf " s%d" v) t.Pt.servers;
+  List.iter (fun (e, m) -> Printf.bprintf buf " %d*%d" e m) t.Pt.edge_uses
+
+let add_happened buf t h =
+  Printf.bprintf buf "%h " t;
+  (match h with
+  | Dyn.Arrived { id; tree = None } -> Printf.bprintf buf "A%d -" id
+  | Dyn.Arrived { id; tree = Some t } ->
+    Printf.bprintf buf "A%d" id;
+    add_tree buf t
+  | Dyn.Departed { id; released } -> Printf.bprintf buf "D%d %b" id released
+  | Dyn.Fault_fired { victims; _ } ->
+    Printf.bprintf buf "F";
+    List.iter (Printf.bprintf buf " %d") victims
+  | Dyn.Repaired { id; tier; tree } ->
+    Printf.bprintf buf "R%d %s" id (Repair.tier_to_string tier);
+    add_tree buf tree
+  | Dyn.Dropped { id } -> Printf.bprintf buf "X%d" id
+  | Dyn.Restored { id; tree } ->
+    Printf.bprintf buf "S%d" id;
+    add_tree buf tree);
+  Buffer.add_char buf '\n'
+
+let srlg_run_digest algo ~alpha =
+  let rng = Rng.create 41 in
+  let net =
+    N.make ~rng ~servers:Topology.Geant.default_servers
+      (Topology.Geant.topology ())
+  in
+  let groups = Fault.srlg_partition ~groups:6 ~rng net in
+  let trace =
+    Dyn.poisson_trace rng net ~rate:2.0 ~mean_holding:100.0 ~count:300
+  in
+  let horizon =
+    List.fold_left (fun h (a : Dyn.arrival) -> Float.max h a.Dyn.at) 1.0 trace
+  in
+  let timeline =
+    Fault.srlg_timeline ~heal_after:20.0 ~rng ~horizon ~events:12 groups
+  in
+  let avail =
+    Option.map
+      (fun alpha -> Cp.make_avail ~alpha ~reserve:0.05 net groups)
+      alpha
+  in
+  let buf = Buffer.create 65536 in
+  let s =
+    Dyn.run ~faults:(Dyn.make_faults timeline) ?avail ~observe:(add_happened buf)
+      net algo trace
+  in
+  Printf.bprintf buf "%d %d %d %d %d %h %d %h %h %h %d %d %d %d\n"
+    s.Dyn.arrivals s.Dyn.admitted s.Dyn.rejected s.Dyn.completed
+    s.Dyn.peak_concurrent s.Dyn.acceptance_ratio 0 s.Dyn.mean_concurrent
+    s.Dyn.mean_utilization s.Dyn.horizon s.Dyn.evicted s.Dyn.repaired
+    s.Dyn.dropped s.Dyn.restored;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_srlg_run_per_algorithm () =
+  List.iter
+    (fun (algo, plain, surcharged) ->
+      let name = Adm.algorithm_to_string algo in
+      Alcotest.(check string) (name ^ ", no avail") plain
+        (srlg_run_digest algo ~alpha:None);
+      Alcotest.(check string) (name ^ ", alpha = 1, reserve = 0.05") surcharged
+        (srlg_run_digest algo ~alpha:(Some 1.0)))
+    [
+      ( Adm.Online_cp,
+        "ae7dfd8db640287f1029ec3a8fb69dff",
+        "df04d5abd35c23bff6799d361faa05a2" );
+      ( Adm.Online_cp_no_threshold,
+        "3acc0c9ee962a2cecbb2277b499e5ccb",
+        "7504578c6706e30cd876da46f655d8be" );
+      ( Adm.Online_linear,
+        "cf3c5fd543660b11e61f40cbc98762a0",
+        "e1a10c7c69d652b8292225691634fbd8" );
+      ( Adm.Sp,
+        "45a8a4baf5b5ccf1b5def8a0e980b5e5",
+        "4e842b332025e54dfefd00a15cebb2c4" );
+    ]
 
 (* ---- the reset:false contract ------------------------------------------ *)
 
@@ -582,6 +672,8 @@ let () =
             `Quick test_fault_free_regression;
           Alcotest.test_case "reset:false keeps caller state" `Quick
             test_reset_false_keeps_caller_state;
+          Alcotest.test_case "SRLG runs pinned under every algorithm" `Quick
+            test_srlg_run_per_algorithm;
         ] );
       ( "property",
         [

@@ -39,7 +39,7 @@ let mk_request ~id ~source ~destinations ~bandwidth =
     ~chain:[ Sdn.Vnf.Firewall ]
 
 let repair_with ~window ~fault net tree =
-  Repair.repair ~window
+  Repair.repair (Adm.pricing ~window net Adm.Online_cp)
     ~link_down:(Fault.link_is_down fault)
     ~server_down:(Fault.server_is_down fault)
     net tree
@@ -101,6 +101,57 @@ let test_single_edge_failure_is_patched () =
       (Repair.tier_to_string tier)
   | Repair.Dropped msg -> Alcotest.failf "dropped: %s" msg);
   check_counters_sum ~before ~after:(repair_counters ())
+
+(* the same two failures under every algorithm's pricing: a cut link is
+   patched around through node 4 (server kept), a dead lone server drops
+   the session with tier 3's rejection reason. Recorded before the
+   pricing context replaced the per-algorithm plumbing. *)
+let test_repair_per_algorithm () =
+  let edges (t : Pt.t) =
+    String.concat ","
+      (List.map (fun (e, m) -> Printf.sprintf "%d*%d" e m) t.Pt.edge_uses)
+  in
+  let show = function
+    | Repair.Repaired { tree; tier } ->
+      Printf.sprintf "%s servers=%s edges=%s" (Repair.tier_to_string tier)
+        (String.concat "," (List.map string_of_int tree.Pt.servers))
+        (edges tree)
+    | Repair.Dropped msg -> "dropped: " ^ msg
+  in
+  let case algo event =
+    let net, (_, _, e2, _, _) = patch_net () in
+    let req = mk_request ~id:0 ~source:0 ~destinations:[ 3 ] ~bandwidth:10.0 in
+    let tree =
+      match Adm.admit_tree net algo req with
+      | Ok t -> t
+      | Error e -> Alcotest.failf "admission failed: %s" e
+    in
+    let fault = Fault.create net in
+    let event = if event = `Link then Fault.Link_down e2 else Fault.Server_down 2 in
+    ignore (Fault.inject fault ~live:[ (0, Pt.allocation tree) ] event);
+    let out =
+      Repair.repair (Adm.pricing net algo)
+        ~link_down:(Fault.link_is_down fault)
+        ~server_down:(Fault.server_is_down fault)
+        net tree
+    in
+    (match out with
+    | Repair.Repaired { tree; _ } -> (
+      match Pt.validate net tree with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "repaired tree invalid: %s" e)
+    | Repair.Dropped _ -> ());
+    show out
+  in
+  List.iter
+    (fun algo ->
+      let name = Adm.algorithm_to_string algo in
+      Alcotest.(check string) (name ^ ": cut link")
+        "patched servers=2 edges=0*1,1*2,3*1,4*1" (case algo `Link);
+      Alcotest.(check string) (name ^ ": dead lone server")
+        "dropped: no server with enough computing residual"
+        (case algo `Server))
+    [ Adm.Online_cp; Adm.Online_cp_no_threshold; Adm.Online_linear; Adm.Sp ]
 
 (* healing restores exactly the confiscated capacity *)
 let test_heal_restores_capacity () =
@@ -338,6 +389,8 @@ let () =
             test_lone_server_failure_is_dropped;
           Alcotest.test_case "degrade without eviction" `Quick
             test_degrade_without_eviction;
+          Alcotest.test_case "every algorithm's pricing repairs alike" `Quick
+            test_repair_per_algorithm;
         ] );
       ( "property",
         [
