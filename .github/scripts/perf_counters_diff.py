@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Compare the deterministic per-layer work counters of two bench/perf runs.
+"""Check that two bench/perf runs did the same work and reached the same outcomes.
 
 Usage: perf_counters_diff.py PARENT.json CHANGE.json
 
 Both files are `perf.exe --all --out` results taken at the same seed and
-scale. Work counters (Dijkstras, relaxations, cache hits, epoch bumps,
-victims, attempts, ...) are exact for a seed, so a change that claims to
-do the same work must leave every one of them bit-identical; times and
-time shares are not compared. Exits 1 and lists the differences when any
-counter moved, or when a workload or counter is missing on one side.
+scale. For every workload three things must be identical:
+
+- the derived per-layer work values (Dijkstras, relaxations, cache hits,
+  epoch bumps, victims, attempts, ... per op or per call);
+- the full raw `counters` map the run recorded, every counter by name;
+- the `fingerprint` string (outcome counts, exact-metric bits and a
+  digest of every decision and tree).
+
+The scale a CI run uses has no committed fingerprint, so the fingerprint
+comparison is what catches a change to outcomes that happens to leave
+the work values equal. All of these are exact for a seed; times and
+time shares are not compared. Exits 1 and lists the differences when
+anything moved, or when a workload, counter or fingerprint is missing on
+one side.
 """
 import json
 import re
 import sys
 
-COUNTERS = re.compile(
+DERIVED = re.compile(
     r"^(paths\..*_per_op"
     r"|sp_engine\..*"
     r"|sp_window\.reuse_ratio"
@@ -27,29 +36,42 @@ COUNTERS = re.compile(
 )
 
 
-def counters(path):
+def exact_values(path):
+    """(workload, kind, name) -> value for everything that must match."""
     with open(path) as f:
         run = json.load(f)
-    return {
-        (w, name): metric["value"]
-        for w, record in run["workloads"].items()
-        for name, metric in record["per_layer"].items()
-        if COUNTERS.match(name)
-    }
+    values = {}
+    for w, record in run["workloads"].items():
+        for name, metric in record["per_layer"].items():
+            if DERIVED.match(name):
+                values[(w, "per_layer", name)] = metric["value"]
+        for name, value in record["counters"].items():
+            values[(w, "counter", name)] = value
+        values[(w, "fingerprint", "")] = record["fingerprint"]
+    return values
 
 
 def main(argv):
     if len(argv) != 3:
         sys.exit(__doc__)
-    parent, change = counters(argv[1]), counters(argv[2])
+    parent, change = exact_values(argv[1]), exact_values(argv[2])
+    keys = set(parent) | set(change)
     diffs = []
-    for key in sorted(set(parent) | set(change)):
+    for key in sorted(keys):
         a, b = parent.get(key), change.get(key)
         if a != b:
-            diffs.append("%s %s: parent %r, change %r" % (key[0], key[1], a, b))
+            label = " ".join(part for part in key if part)
+            diffs.append("%s: parent %r, change %r" % (label, a, b))
     for line in diffs:
         print(line)
-    print("%d counters compared, %d differ" % (len(set(parent) | set(change)), len(diffs)))
+
+    def count(kind):
+        return sum(1 for key in keys if key[1] == kind)
+
+    print(
+        "%d per-layer values, %d raw counters, %d fingerprints compared, %d differ"
+        % (count("per_layer"), count("counter"), count("fingerprint"), len(diffs))
+    )
     return 1 if diffs or not parent else 0
 
 

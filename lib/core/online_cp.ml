@@ -261,12 +261,15 @@ type pending = { p_pos : int; p_server : int; p_wv : float; p_bound : float }
    usable position; the explicit comparator preserves that tie-break now
    that pruning computes candidates out of order. *)
 let cand_order a b =
-  let c = compare a.cand_score b.cand_score in
-  if c <> 0 then c else compare b.cand_pos a.cand_pos
+  let c = Float.compare a.cand_score b.cand_score in
+  if c <> 0 then c else Int.compare b.cand_pos a.cand_pos
 
 let pending_order a b =
-  let c = compare a.p_bound b.p_bound in
-  if c <> 0 then c else compare b.p_pos a.p_pos
+  let c = Float.compare a.p_bound b.p_bound in
+  if c <> 0 then c else Int.compare b.p_pos a.p_pos
+
+(* [List.mem] on ints without the polymorphic compare *)
+let rec mem_int x = function [] -> false | y :: rest -> y = x || mem_int x rest
 
 let min_by order = function
   | [] -> invalid_arg "Online_cp.min_by: empty"
@@ -363,7 +366,9 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
        across requests of the same weight class (Sp_window's exactness
        contract), so a request following a rejection reuses cached trees
        instead of starting cold. *)
-    let terminals = List.sort_uniq compare (s :: request.Sdn.Request.destinations) in
+    let terminals =
+      List.sort_uniq Int.compare (s :: request.Sdn.Request.destinations)
+    in
     let eng = engine ?avail ~mode ~params ?window net ~bandwidth:b in
     List.iter (fun t -> ignore (Sp.spt eng t)) terminals;
     (* non-terminal sources (candidate servers) answer from the terminal
@@ -373,7 +378,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
        trees for other requests' terminals, and answering from those
        would pick different (equal-cost) paths than the per-request
        engine did. *)
-    let is_terminal x = List.mem x terminals in
+    let is_terminal x = mem_int x terminals in
     let dist x y =
       if is_terminal x then (Sp.spt eng x).Paths.dist.(y)
       else (Sp.spt eng y).Paths.dist.(x)
@@ -417,7 +422,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
       let link_wv e = wvec.(e) in
       let compute p =
         let v = p.p_server in
-        let terms = List.sort_uniq compare (v :: terminals) in
+        let terms = List.sort_uniq Int.compare (v :: terminals) in
         match
           Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
             ~dist ~path

@@ -13,14 +13,16 @@ type t = {
   routes : (int * route) list;
 }
 
+(* sort, then count each run of equal ids: ascending (edge, uses) *)
 let edge_uses_of_list edges =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let cur = Option.value (Hashtbl.find_opt tbl e) ~default:0 in
-      Hashtbl.replace tbl e (cur + 1))
-    edges;
-  List.sort compare (Hashtbl.fold (fun e c acc -> (e, c) :: acc) tbl [])
+  let rec runs acc = function
+    | [] -> List.rev acc
+    | e :: rest -> (
+      match acc with
+      | (e', c) :: acc' when e' = e -> runs ((e, c + 1) :: acc') rest
+      | _ -> runs ((e, 1) :: acc) rest)
+  in
+  runs [] (List.sort Int.compare edges)
 
 let make ~request ~servers ~edge_uses ~routes =
   if servers = [] then invalid_arg "Pseudo_tree.make: no servers";
@@ -32,7 +34,7 @@ let make ~request ~servers ~edge_uses ~routes =
     edge_uses_of_list
       (List.concat_map (fun (e, c) -> List.init c (fun _ -> e)) edge_uses)
   in
-  { request; servers = List.sort_uniq compare servers; edge_uses = merged; routes }
+  { request; servers = List.sort_uniq Int.compare servers; edge_uses = merged; routes }
 
 let cost net t =
   let b = t.request.Sdn.Request.bandwidth in

@@ -17,8 +17,6 @@ type stats = { engines : int; acquisitions : int; reuses : int }
 type t = {
   net : Sdn.Network.t;
   engines : (string * int, Sp.t) Hashtbl.t;
-  mutable residuals_epoch : int;      (* epoch [sorted_residuals] is valid at *)
-  mutable sorted_residuals : float array;
   mutable acquisitions : int;
   mutable reuses : int;
 }
@@ -27,8 +25,6 @@ let create net =
   {
     net;
     engines = Hashtbl.create 8;
-    residuals_epoch = min_int;
-    sorted_residuals = [||];
     acquisitions = 0;
     reuses = 0;
   }
@@ -36,28 +32,19 @@ let create net =
 let net t = t.net
 
 (* The bucket of bandwidth [b] is |{e : not (link_admits net e b)}| under
-   the current residuals. [Sdn.Network.link_admits] accepts when
-   [residual >= b -. 1e-9], so a link is pruned iff its residual sorts
-   strictly below [b -. 1e-9] — replicating that exact float expression
-   keeps the bucket decision bit-compatible with the weight functions
-   that call [link_admits]. Because the pruned sets are nested as [b]
-   grows, an equal count implies an equal set. *)
+   the current residuals, i.e. the number of links whose residual is
+   strictly below [b -. 1e-9]. Counting through [link_admits] itself
+   keeps the bucket bit-compatible with the weight functions that prune
+   with it. Because the pruned sets are nested as [b] grows, an equal
+   count implies an equal set. One linear pass and no snapshot: the
+   epoch moves on nearly every admit under churn, so a sorted copy of
+   the residuals would be rebuilt about as often as it is searched. *)
 let bucket t ~bandwidth =
-  let epoch = Sdn.Network.weight_epoch t.net in
-  if epoch <> t.residuals_epoch then begin
-    let r = Array.init (Sdn.Network.m t.net) (Sdn.Network.link_residual t.net) in
-    Array.sort compare r;
-    t.sorted_residuals <- r;
-    t.residuals_epoch <- epoch
-  end;
-  let r = t.sorted_residuals in
-  let threshold = bandwidth -. 1e-9 in
-  let lo = ref 0 and hi = ref (Array.length r) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if r.(mid) < threshold then lo := mid + 1 else hi := mid
+  let pruned = ref 0 in
+  for e = 0 to Sdn.Network.m t.net - 1 do
+    if not (Sdn.Network.link_admits t.net e bandwidth) then incr pruned
   done;
-  !lo
+  !pruned
 
 let engine t ~family ~bucket:bkt ~weight =
   t.acquisitions <- t.acquisitions + 1;

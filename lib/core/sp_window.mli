@@ -61,10 +61,10 @@ val net : t -> Sdn.Network.t
 
 val bucket : t -> bandwidth:float -> int
 (** The bandwidth's feasibility class under the current residuals:
-    [|{e : not (link_admits net e bandwidth)}|], computed by binary
-    search over a per-epoch sorted residual snapshot (rebuilt lazily on
-    epoch change). Bit-compatible with [Sdn.Network.link_admits]'s
-    tolerance. *)
+    [|{e : not (link_admits net e bandwidth)}|], counted in one O(m)
+    pass over the link residuals ([residual < bandwidth -. 1e-9]); no
+    snapshot is kept, so nothing depends on the weight epoch.
+    Bit-compatible with [Sdn.Network.link_admits]'s tolerance. *)
 
 val engine :
   t -> family:string -> bucket:int -> weight:(int -> float) -> Mcgraph.Sp_engine.t

@@ -23,34 +23,59 @@ let mem h key = in_range h key && h.pos.(key) >= 0
 
 let priority h key = if mem h key then Some h.prio.(h.pos.(key)) else None
 
-let swap h i j =
-  let ki = h.keys.(i) and kj = h.keys.(j) in
-  let pi = h.prio.(i) and pj = h.prio.(j) in
-  h.keys.(i) <- kj;
-  h.keys.(j) <- ki;
-  h.prio.(i) <- pj;
-  h.prio.(j) <- pi;
-  h.pos.(kj) <- i;
-  h.pos.(ki) <- j
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.prio.(i) < h.prio.(parent) then begin
-      swap h i parent;
-      sift_up h parent
+(* Hole-based sifts: the moving entry is held in locals while each
+   displaced entry moves one level into the hole, and it is written once
+   at its final slot. They make exactly the comparisons the swap-based
+   sifts made (each against the moving entry's priority, or, in
+   [sift_down], the right child against the left when the left already
+   won), so every entry ends at the same index and ties break as before. *)
+let sift_up h i =
+  let keys = h.keys and prio = h.prio and pos = h.pos in
+  let key = keys.(i) and p = prio.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    if p < prio.(parent) then begin
+      let kp = keys.(parent) in
+      keys.(!hole) <- kp;
+      prio.(!hole) <- prio.(parent);
+      pos.(kp) <- !hole;
+      hole := parent
     end
-  end
+    else moving := false
+  done;
+  keys.(!hole) <- key;
+  prio.(!hole) <- p;
+  pos.(key) <- !hole
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.prio.(l) < h.prio.(!smallest) then smallest := l;
-  if r < h.size && h.prio.(r) < h.prio.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
+let sift_down h i =
+  let keys = h.keys and prio = h.prio and pos = h.pos and size = h.size in
+  let key = keys.(i) and p = prio.(i) in
+  let hole = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    let r = l + 1 in
+    (* [-1] stands for the hole, i.e. the moving entry's priority [p] *)
+    let smallest = if l < size && prio.(l) < p then l else -1 in
+    let smallest =
+      if
+        r < size
+        && (if smallest < 0 then prio.(r) < p else prio.(r) < prio.(smallest))
+      then r
+      else smallest
+    in
+    if smallest < 0 then moving := false
+    else begin
+      let kc = keys.(smallest) in
+      keys.(!hole) <- kc;
+      prio.(!hole) <- prio.(smallest);
+      pos.(kc) <- !hole;
+      hole := smallest
+    end
+  done;
+  keys.(!hole) <- key;
+  prio.(!hole) <- p;
+  pos.(key) <- !hole
 
 let insert h ~key p =
   if not (in_range h key) then invalid_arg "Heap.insert: key out of range";
@@ -95,15 +120,22 @@ let insert_or_decrease_from h prios key =
     sift_up h i
   end
 
+(* drop the root: the last entry fills its slot and sifts down *)
+let remove_root h =
+  let last = h.size - 1 in
+  h.size <- last;
+  h.pos.(h.keys.(0)) <- -1;
+  if last > 0 then begin
+    h.keys.(0) <- h.keys.(last);
+    h.prio.(0) <- h.prio.(last);
+    sift_down h 0
+  end
+
 let pop_min h =
   if h.size = 0 then None
   else begin
     let key = h.keys.(0) and p = h.prio.(0) in
-    let last = h.size - 1 in
-    swap h 0 last;
-    h.size <- last;
-    h.pos.(key) <- -1;
-    if last > 0 then sift_down h 0;
+    remove_root h;
     Some (key, p)
   end
 
@@ -111,11 +143,7 @@ let pop_min_key h =
   if h.size = 0 then -1
   else begin
     let key = h.keys.(0) in
-    let last = h.size - 1 in
-    swap h 0 last;
-    h.size <- last;
-    h.pos.(key) <- -1;
-    if last > 0 then sift_down h 0;
+    remove_root h;
     key
   end
 
@@ -124,3 +152,8 @@ let clear h =
     h.pos.(h.keys.(i)) <- -1
   done;
   h.size <- 0
+
+module For_testing = struct
+  let state h =
+    (Array.sub h.keys 0 h.size, Array.sub h.prio 0 h.size, Array.copy h.pos)
+end

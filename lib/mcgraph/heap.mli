@@ -2,7 +2,17 @@
 
     Keys are small non-negative integers (typically graph node ids); each
     key may appear at most once. The heap supports the decrease-key
-    operation required by Dijkstra's algorithm in O(log n). *)
+    operation required by Dijkstra's algorithm in O(log n).
+
+    {b Tie order.} Equal priorities are never reordered by a sift: an
+    entry moves past another only on a strict [<]. Which of two tied
+    keys {!pop_min} returns first is therefore a fixed function of the
+    operation sequence, and Dijkstra's parent choices (hence every tree
+    and decision built on them) depend on it. The sifts move a hole
+    rather than swapping, but make the same comparisons and leave every
+    entry at the same index as the classic swap-based sifts; the test
+    suite keeps a swap-based reference heap and checks the two agree
+    state for state. *)
 
 type t
 
@@ -46,7 +56,8 @@ val insert_or_decrease_from : t -> float array -> int -> unit
 
 val pop_min : t -> (int * float) option
 (** Remove and return the key with the smallest priority, or [None] when
-    the heap is empty. Ties are broken arbitrarily. *)
+    the heap is empty. Ties are broken deterministically (see the tie
+    order note above). *)
 
 val pop_min_key : t -> int
 (** [pop_min_key h] removes the key with the smallest priority exactly as
@@ -55,3 +66,10 @@ val pop_min_key : t -> int
 
 val clear : t -> unit
 (** Remove every key, retaining the capacity. *)
+
+(** Test-only view of the internal arrays. *)
+module For_testing : sig
+  val state : t -> int array * float array * int array
+  (** Copies of the live heap slots' keys and priorities (index order,
+      [0 .. size - 1]) and of the whole key-to-slot map ([-1] = absent). *)
+end

@@ -68,7 +68,7 @@ let kmb_core g ~weight ~terminals ~dist ~path =
     Some (prune g ~terminals mst2)
 
 let kmb g ~weight ~terminals =
-  match List.sort_uniq compare terminals with
+  match List.sort_uniq Int.compare terminals with
   | [] | [ _ ] -> Some []
   | uniq ->
     let weights = Paths.weight_vector g ~weight in
@@ -89,12 +89,12 @@ let kmb g ~weight ~terminals =
     kmb_core g ~weight ~terminals:uniq ~dist ~path
 
 let kmb_with_metric g ~weight ~terminals ~dist ~path =
-  match List.sort_uniq compare terminals with
+  match List.sort_uniq Int.compare terminals with
   | [] | [ _ ] -> Some []
   | uniq -> kmb_core g ~weight ~terminals:uniq ~dist ~path
 
 let is_steiner_tree g ~terminals edges =
-  match List.sort_uniq compare terminals with
+  match List.sort_uniq Int.compare terminals with
   | [] -> edges = []
   | root :: _ as uniq -> (
     match Tree.of_edges g ~root edges with
@@ -113,7 +113,7 @@ type dw_choice =
   | Dw_move of int                   (* predecessor node, same mask *)
 
 let exact g ~weight ~terminals =
-  let uniq = List.sort_uniq compare terminals in
+  let uniq = List.sort_uniq Int.compare terminals in
   let t = List.length uniq in
   if t > 15 then invalid_arg "Steiner.exact: too many terminals";
   if t <= 1 then Some []
@@ -143,7 +143,7 @@ let exact g ~weight ~terminals =
             let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
             go x 0
           in
-          compare (pc a) (pc b))
+          Int.compare (pc a) (pc b))
         masks
     in
     List.iter

@@ -11,11 +11,14 @@ type t = {
 let of_edges g ~root edges =
   let nn = Graph.n g in
   if root < 0 || root >= nn then invalid_arg "Tree.of_edges: root out of range";
-  let in_set = Hashtbl.create 16 in
+  let m = Graph.m g in
+  let in_set = Bytes.make m '\000' in
   List.iter
     (fun e ->
-      if Hashtbl.mem in_set e then invalid_arg "Tree.of_edges: repeated edge";
-      Hashtbl.add in_set e ())
+      if e < 0 || e >= m then invalid_arg "Tree.of_edges: edge id out of range";
+      if Bytes.get in_set e <> '\000' then
+        invalid_arg "Tree.of_edges: repeated edge";
+      Bytes.set in_set e '\001')
     edges;
   let parent_node = Array.make nn (-1) in
   let parent_edge_id = Array.make nn (-1) in
@@ -29,7 +32,7 @@ let of_edges g ~root edges =
     let u = Queue.pop q in
     order := u :: !order;
     Graph.iter_neighbors g u (fun v e ->
-        if Hashtbl.mem in_set e then begin
+        if Bytes.get in_set e <> '\000' then begin
           if depth_of.(v) < 0 then begin
             depth_of.(v) <- depth_of.(u) + 1;
             parent_node.(v) <- u;

@@ -9,8 +9,10 @@ type t
 
 val of_edges : Graph.t -> root:int -> int list -> t
 (** [of_edges g ~root edges] orients [edges] away from [root]. Raises
-    [Invalid_argument] if the edge set contains a cycle, a repeated edge,
-    or an edge not connected to [root]. *)
+    [Invalid_argument] if [root] is not a node of [g], if an edge id lies
+    outside [\[0, Graph.m g)] (["Tree.of_edges: edge id out of range"]),
+    or if the edge set contains a cycle, a repeated edge, or an edge not
+    connected to [root]. *)
 
 val root : t -> int
 

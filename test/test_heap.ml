@@ -141,6 +141,101 @@ let prop_mixed_ops =
         prios;
       !ok)
 
+(* ---- state-for-state agreement with the swap-based reference ---- *)
+
+module Ref = Tutil.Ref_heap
+
+type op =
+  | Insert of int * float
+  | Decrease of int * float
+  | Insert_or_decrease of int * float
+  | Insert_or_decrease_from of int * float
+  | Pop_min
+  | Pop_min_key
+  | Clear
+
+let show_op = function
+  | Insert (k, p) -> Printf.sprintf "insert %d %g" k p
+  | Decrease (k, p) -> Printf.sprintf "decrease %d %g" k p
+  | Insert_or_decrease (k, p) -> Printf.sprintf "insert_or_decrease %d %g" k p
+  | Insert_or_decrease_from (k, p) ->
+    Printf.sprintf "insert_or_decrease_from %d %g" k p
+  | Pop_min -> "pop_min"
+  | Pop_min_key -> "pop_min_key"
+  | Clear -> "clear"
+
+let capacity = 20
+
+(* heavy ties: mostly 0, a few small integers and infinity; keys run one
+   past the capacity so the range checks are exercised too *)
+let gen_op =
+  let open QCheck.Gen in
+  let prio =
+    frequency
+      [ (3, return 0.0); (6, map float_of_int (int_range 1 3));
+        (2, return infinity); (1, float_range 0.0 4.0) ]
+  in
+  let key = int_bound capacity in
+  frequency
+    [
+      (4, map2 (fun k p -> Insert (k, p)) key prio);
+      (2, map2 (fun k p -> Decrease (k, p)) key prio);
+      (4, map2 (fun k p -> Insert_or_decrease (k, p)) key prio);
+      (3, map2 (fun k p -> Insert_or_decrease_from (k, p)) key prio);
+      (3, return Pop_min);
+      (2, return Pop_min_key);
+      (1, return Clear);
+    ]
+
+type result = Done | Popped of (int * float) option | Key of int | Raised of string
+
+(* one operation on either heap; [Invalid_argument] is part of the result *)
+module Step (H : sig
+  type t
+  val insert : t -> key:int -> float -> unit
+  val decrease : t -> key:int -> float -> unit
+  val insert_or_decrease : t -> key:int -> float -> unit
+  val insert_or_decrease_from : t -> float array -> int -> unit
+  val pop_min : t -> (int * float) option
+  val pop_min_key : t -> int
+  val clear : t -> unit
+end) =
+struct
+  let apply h prios op =
+    try
+      match op with
+      | Insert (k, p) -> H.insert h ~key:k p; Done
+      | Decrease (k, p) -> H.decrease h ~key:k p; Done
+      | Insert_or_decrease (k, p) -> H.insert_or_decrease h ~key:k p; Done
+      | Insert_or_decrease_from (k, p) ->
+        if k < Array.length prios then prios.(k) <- p;
+        H.insert_or_decrease_from h prios k;
+        Done
+      | Pop_min -> Popped (H.pop_min h)
+      | Pop_min_key -> Key (H.pop_min_key h)
+      | Clear -> H.clear h; Done
+    with Invalid_argument msg -> Raised msg
+end
+
+module Step_new = Step (Heap)
+module Step_ref = Step (Ref)
+
+let prop_matches_swap_reference =
+  Tutil.qtest ~count:500 "hole-based sifts = swap-based reference, state for state"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        Gen.(list_size (int_range 1 120) gen_op))
+    (fun ops ->
+      let h = Heap.create capacity and r = Ref.create capacity in
+      let prios = Array.make (capacity + 1) 0.0 in
+      List.for_all
+        (fun op ->
+          let got = Step_new.apply h prios op in
+          let want = Step_ref.apply r prios op in
+          got = want && Heap.For_testing.state h = Ref.state r)
+        ops)
+
 let () =
   Alcotest.run "heap"
     [
@@ -159,5 +254,11 @@ let () =
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "negative capacity" `Quick test_negative_capacity;
         ] );
-      ("property", [ prop_heapsort; prop_running_min; prop_mixed_ops ]);
+      ( "property",
+        [
+          prop_heapsort;
+          prop_running_min;
+          prop_mixed_ops;
+          prop_matches_swap_reference;
+        ] );
     ]

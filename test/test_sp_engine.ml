@@ -248,6 +248,46 @@ let prop_bucket_counts_infeasible_links =
       done;
       W.bucket w ~bandwidth:b = !direct)
 
+(* the linear count must equal the sorted-snapshot binary search it
+   replaced, residuals sitting exactly on the [b -. 1e-9] boundary and
+   one ULP either side of it included *)
+let prop_bucket_matches_sorted_reference =
+  Tutil.qtest ~count:200 "window bucket = sorted-snapshot reference"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+      let cap = 100.0 in
+      let b =
+        match Rng.int rng 5 with
+        | 0 -> 0.0
+        | 1 -> cap
+        | 2 -> float_of_int (1 + Rng.int rng 99)
+        | _ -> Rng.float_range rng 0.0 cap
+      in
+      let edge = b -. 1e-9 in
+      let residual _ =
+        let r =
+          match Rng.int rng 8 with
+          | 0 -> b
+          | 1 -> edge
+          | 2 -> Float.pred edge
+          | 3 -> Float.succ edge
+          | 4 -> 0.0
+          | 5 -> cap
+          | _ -> Rng.float_range rng 0.0 cap
+        in
+        (* make_explicit accepts residuals in [-1e-9, cap + 1e-9] *)
+        if r < -1e-9 then 0.0 else r
+      in
+      let net =
+        N.make_explicit ~topology:(Topology.Topo.make ~name:"bucket" g)
+          ~link_residuals:(Array.init (G.m g) residual)
+          ~servers:[ (0, 1000.0, 1.0) ]
+          ~link_capacities:(Array.make (G.m g) cap)
+          ~link_unit_costs:(Array.make (G.m g) 1.0) ()
+      in
+      W.bucket (W.create net) ~bandwidth:b = Tutil.reference_bucket net ~bandwidth:b)
+
 let test_window_reuse_within_epoch () =
   let net, _ = window_net 31 in
   let w = W.create net in
@@ -443,6 +483,7 @@ let () =
       ( "window",
         [
           prop_bucket_counts_infeasible_links;
+          prop_bucket_matches_sorted_reference;
           Alcotest.test_case "reuse within epoch" `Quick
             test_window_reuse_within_epoch;
           Alcotest.test_case "sweep on epoch bump" `Quick

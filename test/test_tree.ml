@@ -70,6 +70,15 @@ let test_repeated_edge_rejected () =
   Alcotest.check_raises "repeat" (Invalid_argument "Tree.of_edges: repeated edge")
     (fun () -> ignore (T.of_edges g ~root:0 [ 0; 0 ]))
 
+let test_edge_id_out_of_range () =
+  let g = G.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  List.iter
+    (fun edges ->
+      Alcotest.check_raises "out of range"
+        (Invalid_argument "Tree.of_edges: edge id out of range") (fun () ->
+          ignore (T.of_edges g ~root:0 edges)))
+    [ [ 0; 2 ]; [ -1; 0 ]; [ 0; 1; 7 ] ]
+
 (* ---- properties against a naive LCA ---- *)
 
 let random_tree seed =
@@ -140,6 +149,7 @@ let () =
           Alcotest.test_case "cycle rejected" `Quick test_cycle_rejected;
           Alcotest.test_case "disconnected rejected" `Quick test_disconnected_rejected;
           Alcotest.test_case "repeated edge rejected" `Quick test_repeated_edge_rejected;
+          Alcotest.test_case "edge id out of range" `Quick test_edge_id_out_of_range;
         ] );
       ("property", [ prop_lca_naive; prop_path_between_depth; prop_bfs_orders_nodes ]);
     ]
