@@ -18,6 +18,10 @@ the work values equal. All of these are exact for a seed; times and
 time shares are not compared. Exits 1 and lists the differences when
 anything moved, or when a workload, counter or fingerprint is missing on
 one side.
+
+It also prints each workload's end-to-end `alloc_words_per_op`, parent
+-> change, as an information line. That value is exact for a seed and
+scale too, but a change may move it on purpose, so it does not gate.
 """
 import json
 import re
@@ -51,6 +55,17 @@ def exact_values(path):
     return values
 
 
+def alloc_words(path):
+    """workload -> alloc_words_per_op (end to end)."""
+    with open(path) as f:
+        run = json.load(f)
+    return {
+        w: record["end_to_end"]["alloc_words_per_op"]["value"]
+        for w, record in run["workloads"].items()
+        if "alloc_words_per_op" in record.get("end_to_end", {})
+    }
+
+
 def main(argv):
     if len(argv) != 3:
         sys.exit(__doc__)
@@ -64,6 +79,12 @@ def main(argv):
             diffs.append("%s: parent %r, change %r" % (label, a, b))
     for line in diffs:
         print(line)
+
+    words_parent, words_change = alloc_words(argv[1]), alloc_words(argv[2])
+    for w in sorted(set(words_parent) & set(words_change)):
+        a, b = words_parent[w], words_change[w]
+        delta = "" if a == 0 else " (%+.1f%%)" % (100.0 * (b - a) / a)
+        print("info: %s alloc_words_per_op %.1f -> %.1f%s" % (w, a, b, delta))
 
     def count(kind):
         return sum(1 for key in keys if key[1] == kind)

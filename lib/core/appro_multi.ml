@@ -47,6 +47,17 @@ let acquire_engine window ~bandwidth ~capacitated =
       fun ~weight -> Sp_window.engine w ~family ~bucket ~weight)
     window
 
+(* lexicographic order on int lists, [[]] first: the order polymorphic
+   [compare] gives them *)
+let rec compare_subsets a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a', y :: b' ->
+    let c = Int.compare x y in
+    if c <> 0 then c else compare_subsets a' b'
+
 let candidates_impl ?(k = default_k) ?engine ?edge_weight ?placement_cost ~keep
     ~usable_servers net request =
   if k < 1 then invalid_arg "Appro_multi: K must be at least 1";
@@ -68,7 +79,11 @@ let candidates_impl ?(k = default_k) ?engine ?edge_weight ?placement_cost ~keep
      unused costs the same as its subset) *)
   List.sort
     (fun (ca, sa, _, _) (cb, sb, _, _) ->
-      compare (ca, List.length sa, sa) (cb, List.length sb, sb))
+      let c = Float.compare ca cb in
+      if c <> 0 then c
+      else
+        let c = Int.compare (List.length sa) (List.length sb) in
+        if c <> 0 then c else compare_subsets sa sb)
     !found
 
 (* The [combinations] field always reports the size of the explored
@@ -96,7 +111,7 @@ let solve_with ?k ?engine ~keep ~usable_servers net request =
       Ok
         {
           tree;
-          subset = List.sort compare subset;
+          subset = List.sort Int.compare subset;
           aux_cost;
           cost = Pseudo_tree.cost net tree;
           combinations;
@@ -146,7 +161,7 @@ let admit ?k ?window net request =
           Ok
             {
               tree;
-              subset = List.sort compare subset;
+              subset = List.sort Int.compare subset;
               aux_cost;
               cost = Pseudo_tree.cost net tree;
               combinations = combinations_explored ?k aux;

@@ -10,14 +10,17 @@ type t = {
   base_m : int;
   vedge_of_server : (int, int) Hashtbl.t;   (* server -> virtual edge id *)
   server_of_vedge : int array;              (* vedge id - base_m -> server *)
-  wv : (int, float) Hashtbl.t;              (* server -> virtual edge weight *)
+  wv : float array;                         (* vedge id - base_m -> its weight *)
   engine : Sp.t;                            (* base graph, weight b·c_e, pruned *)
   candidates : int list;
+  terminals : int list;                     (* {s'_k} ∪ D_k, sorted, unique *)
+  (* the a_x memo of the subset metric that queried last (see [through]) *)
+  mutable ax_owner : int;                   (* that metric's id *)
+  mutable ax_next : int;                    (* next subset metric id *)
+  mutable ax_gen : int;                     (* generation of [ax_owner] *)
+  ax_stamp : int array;                     (* node -> generation of its row *)
+  mutable ax_rows : float array;            (* node x's row at x·h .. x·h+h-1 *)
 }
-
-(* base edges cost what the engine's pruned weights say: its per-epoch
-   vector, the same values [Sp.dist] and [Sp.path] were computed from *)
-let base_weight t e = (Sp.weights t.engine).(e)
 
 let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
     ~request ~candidate_servers () =
@@ -67,20 +70,26 @@ let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
       base_m = mm;
       vedge_of_server;
       server_of_vedge;
-      wv = Hashtbl.create 16;
+      wv = Array.make (Array.length server_of_vedge) infinity;
       engine;
       candidates = candidate_servers;
+      terminals = List.sort_uniq Int.compare (nn :: request.Sdn.Request.destinations);
+      ax_owner = -1;
+      ax_next = 0;
+      ax_gen = 0;
+      ax_stamp = Array.make (nn + 1) 0;
+      ax_rows = [||];
     }
   in
   let s = request.Sdn.Request.source in
-  List.iter
-    (fun v ->
+  List.iteri
+    (fun i v ->
       let d = Sp.dist t.engine s v in
       let w =
         if d = infinity then infinity
         else d +. placement_cost v
       in
-      Hashtbl.replace t.wv v w)
+      t.wv.(i) <- w)
     candidate_servers;
   t
 
@@ -95,8 +104,8 @@ let server_of_virtual_edge t e =
 let virtual_edge_of_server t v = Hashtbl.find_opt t.vedge_of_server v
 
 let virtual_edge_weight t v =
-  match Hashtbl.find_opt t.wv v with
-  | Some w -> w
+  match Hashtbl.find_opt t.vedge_of_server v with
+  | Some e -> t.wv.(e - t.base_m)
   | None -> invalid_arg "Aux_graph.virtual_edge_weight: not a candidate"
 
 let reachable_servers t =
@@ -116,28 +125,30 @@ type hub_move =
 
 type subset_metric = {
   aux : t;
+  id : int;                   (* owner key of the a_x memo *)
   subset : int list;
+  h : int;                    (* number of hubs *)
   hubs : int array;           (* node ids; hubs.(0) = s_k, hubs.(1) = s'_k *)
   hub_row : float array array; (* hubs.(i)'s engine dist array; [||] at s'_k *)
   hd : float array array;     (* hub-to-hub exact distances *)
   hmove : hub_move array array;
-  through : float array option array;
-      (* through.(x) for a non-hub node x: a_x(j) = min_i rx(h_i) + hd(i, j)
-         over base hubs i, j; filled on x's first non-hub query *)
+  wvec : float array;         (* the engine's weight vector at creation *)
 }
 
-let weight sm e =
+(* base edges cost what the engine's pruned weights say: its per-epoch
+   vector, the same values [Sp.dist] and [Sp.path] were computed from *)
+let[@inline] weight sm e =
   let t = sm.aux in
-  if is_virtual_edge t e then begin
-    let v = server_of_virtual_edge t e in
-    if List.mem v sm.subset then virtual_edge_weight t v else infinity
+  if e >= t.base_m then begin
+    let i = e - t.base_m in
+    if List.mem t.server_of_vedge.(i) sm.subset then t.wv.(i) else infinity
   end
-  else base_weight t e
+  else sm.wvec.(e)
 
 let subset_metric t subset =
   List.iter
     (fun v ->
-      if not (Hashtbl.mem t.wv v) then
+      if not (Hashtbl.mem t.vedge_of_server v) then
         invalid_arg "Aux_graph.subset_metric: not a candidate server")
     subset;
   (* The paper zeroes the cost of base edges (s_k, v) for v in the chosen
@@ -202,73 +213,103 @@ let subset_metric t subset =
       done
     done
   done;
-  {
-    aux = t;
-    subset;
-    hubs;
-    hub_row;
-    hd;
-    hmove;
-    through = Array.make (G.n t.ext) None;
-  }
+  let id = t.ax_next in
+  t.ax_next <- id + 1;
+  { aux = t; id; subset; h; hubs; hub_row; hd; hmove; wvec = Sp.weights t.engine }
 
-(* distance between extended nodes; hubs.(1) is the virtual node *)
-let dist sm x y =
+let rec hub_from hubs node i =
+  if i >= Array.length hubs then -1
+  else if hubs.(i) = node then i
+  else hub_from hubs node (i + 1)
+
+let hub_index sm node = hub_from sm.hubs node 0
+
+(* The row a_x(j) = min_i rx(h_i) + hd(i, j) over base hubs i, for a
+   non-hub node x, filled on x's first non-hub query: its offset in the
+   request's scratch. The scratch holds the rows of one subset metric at
+   a time; a query from another one takes it over and starts a new
+   generation, so a row is never read under another metric's hubs. *)
+let through sm x rx =
   let t = sm.aux in
-  let h = Array.length sm.hubs in
-  let hub_index node =
-    let rec find i = if i >= h then -1 else if sm.hubs.(i) = node then i else find (i + 1) in
-    find 0
-  in
-  let best = ref infinity in
-  let ix = hub_index x and iy = hub_index y in
-  if ix >= 0 && iy >= 0 then best := sm.hd.(ix).(iy)
+  let h = sm.h in
+  if t.ax_owner <> sm.id then begin
+    t.ax_owner <- sm.id;
+    t.ax_gen <- t.ax_gen + 1;
+    let need = Array.length t.ax_stamp * h in
+    if Array.length t.ax_rows < need then t.ax_rows <- Array.make need infinity
+  end;
+  let base = x * h in
+  if t.ax_stamp.(x) <> t.ax_gen then begin
+    let a = t.ax_rows in
+    Array.fill a base h infinity;
+    for i = 0 to h - 1 do
+      if sm.hubs.(i) <> t.vnode then
+        for j = 0 to h - 1 do
+          let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(j) in
+          if c < a.(base + j) then a.(base + j) <- c
+        done
+    done;
+    t.ax_stamp.(x) <- t.ax_gen
+  end;
+  base
+
+(* [out.(k)] <- distance between extended nodes x (hub index [ix], or
+   -1) and y; hubs.(1) is the virtual node. A non-hub x reads its engine
+   row once per query. *)
+let dist_into sm x ix y out k =
+  let t = sm.aux in
+  let h = sm.h in
+  let iy = hub_index sm y in
+  if ix >= 0 && iy >= 0 then out.(k) <- sm.hd.(ix).(iy)
   else if ix >= 0 then begin
+    let best = ref infinity in
     for j = 0 to h - 1 do
       if sm.hubs.(j) <> t.vnode then begin
         let c = sm.hd.(ix).(j) +. sm.hub_row.(j).(y) in
         if c < !best then best := c
       end
-    done
-  end
-  else if iy >= 0 then begin
-    let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
-    for i = 0 to h - 1 do
-      if sm.hubs.(i) <> t.vnode then begin
-        let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(iy) in
-        if c < !best then best := c
-      end
-    done
+    done;
+    out.(k) <- !best
   end
   else begin
-    (* min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y) taken as
-       min over j of a_x(j) + row_j(y): rounded addition is monotone, so
-       the inner minimum commutes with adding row_j(y), bit for bit *)
     let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
-    let a =
-      match sm.through.(x) with
-      | Some a -> a
-      | None ->
-        let a = Array.make h infinity in
-        for i = 0 to h - 1 do
-          if sm.hubs.(i) <> t.vnode then
-            for j = 0 to h - 1 do
-              let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(j) in
-              if c < a.(j) then a.(j) <- c
-            done
-        done;
-        sm.through.(x) <- Some a;
-        a
-    in
-    best := rx.(y);
-    for j = 0 to h - 1 do
-      if sm.hubs.(j) <> t.vnode then begin
-        let c = a.(j) +. sm.hub_row.(j).(y) in
-        if c < !best then best := c
-      end
-    done
-  end;
-  !best
+    if iy >= 0 then begin
+      let best = ref infinity in
+      for i = 0 to h - 1 do
+        if sm.hubs.(i) <> t.vnode then begin
+          let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(iy) in
+          if c < !best then best := c
+        end
+      done;
+      out.(k) <- !best
+    end
+    else begin
+      (* min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y) taken as
+         min over j of a_x(j) + row_j(y): rounded addition is monotone,
+         so the inner minimum commutes with adding row_j(y), bit for bit *)
+      let base = through sm x rx in
+      let a = t.ax_rows in
+      let best = ref rx.(y) in
+      for j = 0 to h - 1 do
+        if sm.hubs.(j) <> t.vnode then begin
+          let c = a.(base + j) +. sm.hub_row.(j).(y) in
+          if c < !best then best := c
+        end
+      done;
+      out.(k) <- !best
+    end
+  end
+
+let fill_row sm x dst n out =
+  let ix = hub_index sm x in
+  for i = 0 to n - 1 do
+    dist_into sm x ix dst.(i) out i
+  done
+
+let dist sm x y =
+  let out = [| 0.0 |] in
+  dist_into sm x (hub_index sm x) y out 0;
+  out.(0)
 
 (* expand the hub-level move (i, j) into concrete edge ids *)
 let rec expand_hub sm i j acc =
@@ -278,7 +319,7 @@ let rec expand_hub sm i j acc =
     | Special e -> e :: acc
     | Base_leg -> (
       match Sp.path sm.aux.engine sm.hubs.(i) sm.hubs.(j) with
-      | Some p -> List.rev_append (List.rev p) acc
+      | Some p -> ( match acc with [] -> p | _ -> p @ acc)
       | None -> invalid_arg "Aux_graph: hub base leg without path")
     | Via k -> expand_hub sm i k (expand_hub sm k j acc)
 
@@ -287,14 +328,8 @@ let path sm x y =
   if dist sm x y = infinity then None
   else if x = y then Some []
   else begin
-    let h = Array.length sm.hubs in
-    let hub_index node =
-      let rec find i =
-        if i >= h then -1 else if sm.hubs.(i) = node then i else find (i + 1)
-      in
-      find 0
-    in
-    let ix = hub_index x and iy = hub_index y in
+    let h = sm.h in
+    let ix = hub_index sm x and iy = hub_index sm y in
     (* recompute the argmin of [dist] and expand it *)
     let best = ref infinity and choice = ref `None in
     if ix >= 0 && iy >= 0 then begin
@@ -365,13 +400,19 @@ let path sm x y =
   end
 
 let steiner_tree sm =
-  let t = sm.aux in
-  let terminals = t.vnode :: t.req.Sdn.Request.destinations in
-  Mcgraph.Steiner.kmb_with_metric t.ext ~weight:(weight sm) ~terminals
-    ~dist:(dist sm) ~path:(path sm)
+  Mcgraph.Steiner.kmb_with_metric sm.aux.ext ~weight:(weight sm)
+    ~terminals:sm.aux.terminals ~row:(fill_row sm) ~path:(path sm)
 
 let tree_cost sm edges =
-  List.fold_left (fun acc e -> acc +. weight sm e) 0.0 edges
+  let acc = ref 0.0 and rest = ref edges and fin = ref false in
+  while not !fin do
+    match !rest with
+    | [] -> fin := true
+    | e :: r ->
+      acc := !acc +. weight sm e;
+      rest := r
+  done;
+  !acc
 
 let to_pseudo_tree t tree_edges =
   let req = t.req in

@@ -79,7 +79,14 @@ type subset_metric
 (** The exact metric of [G_k^i] for one server combination. *)
 
 val subset_metric : t -> int list -> subset_metric
-(** Raises [Invalid_argument] if the subset contains a non-candidate. *)
+(** Raises [Invalid_argument] if the subset contains a non-candidate.
+    The subset metrics of one [t] share a per-request memo of the
+    non-hub rows [a_x]; it holds one metric's rows at a time, and a
+    query from another metric takes it over, so metrics may be queried
+    in any interleaving with the same answers. Like [t] itself, they
+    must not be queried from two domains at once. A metric reads the
+    engine's weight vector and hub rows once, when built, so it answers
+    for the weight epoch it was built at. *)
 
 val weight : subset_metric -> int -> float
 (** Per-edge weight of the auxiliary graph under this combination

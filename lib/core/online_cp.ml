@@ -383,6 +383,17 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
       if is_terminal x then (Sp.spt eng x).Paths.dist.(y)
       else (Sp.spt eng y).Paths.dist.(x)
     in
+    (* [dist] a row at a time for KMB: the same lookup per pair *)
+    let row x dst n out =
+      if is_terminal x then
+        for i = 0 to n - 1 do
+          out.(i) <- (Sp.spt eng x).Paths.dist.(dst.(i))
+        done
+      else
+        for i = 0 to n - 1 do
+          out.(i) <- (Sp.spt eng dst.(i)).Paths.dist.(x)
+        done
+    in
     let path x y =
       if is_terminal x then Paths.path_edges g (Sp.spt eng x) y
       else Option.map List.rev (Paths.path_edges g (Sp.spt eng y) x)
@@ -425,7 +436,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
         let terms = List.sort_uniq Int.compare (v :: terminals) in
         match
           Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
-            ~dist ~path
+            ~row ~path
         with
         | None -> None
         | Some tree_edges ->

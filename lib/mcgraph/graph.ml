@@ -66,6 +66,14 @@ let endpoints g e =
   check_edge g e "Graph.endpoints";
   (g.eu.(e), g.ev.(e))
 
+let edge_u g e =
+  check_edge g e "Graph.edge_u";
+  g.eu.(e)
+
+let edge_v g e =
+  check_edge g e "Graph.edge_v";
+  g.ev.(e)
+
 let other_endpoint g e u =
   check_edge g e "Graph.other_endpoint";
   if g.eu.(e) = u then g.ev.(e)

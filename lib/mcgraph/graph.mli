@@ -29,6 +29,13 @@ val m : t -> int
 val endpoints : t -> int -> int * int
 (** Endpoints of an edge, in insertion order. *)
 
+val edge_u : t -> int -> int
+(** First endpoint of an edge ([fst (endpoints g e)]) without building
+    the pair; for loops that visit one edge at a time. *)
+
+val edge_v : t -> int -> int
+(** Second endpoint of an edge ([snd (endpoints g e)]). *)
+
 val other_endpoint : t -> int -> int -> int
 (** [other_endpoint g e u] is the endpoint of [e] that is not [u].
     Raises [Invalid_argument] if [u] is not an endpoint of [e]. *)

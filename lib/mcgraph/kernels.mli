@@ -1,0 +1,79 @@
+(** Per-domain scratch memory for the spanning-tree and Steiner kernels,
+    and the two slice kernels KMB runs on it (private to [Mcgraph]).
+
+    One KMB run must cost work proportional to its terminals and its
+    expanded subgraph, not to the graph it lives in. So no kernel clears
+    an O(|V|) or O(|E|) array per call: each domain owns one scratch
+    ({!get}, a [Domain.DLS] value) holding a {e stamped} key → slot map
+    and a few growable buffers. Resetting the map bumps a generation
+    counter instead of clearing it; a key reads as present only if it
+    was bound under the current generation. The arrays grow to the
+    largest graph a domain has seen and are never shrunk.
+
+    {b Re-entrancy.} A kernel holds the scratch from entry to return, so
+    no kernel may be called again, on the same domain, from inside one of
+    its own callbacks ([weight], [dist], [path], [row]). Different
+    domains never share a scratch. *)
+
+type ints
+(** A growable int buffer. *)
+
+type floats
+(** A growable float buffer. *)
+
+type t = private {
+  mutable stamp : int array;
+  mutable slot : int array;
+  mutable gen : int;
+  edges_a : ints;  (** an edge-id list handed between kernels *)
+  edges_b : ints;  (** a second one, for the next stage *)
+  i0 : ints;       (** kernel-local work buffers: any kernel may clobber them *)
+  i1 : ints;
+  i2 : ints;
+  f0 : floats;
+  f1 : floats;
+}
+
+val get : unit -> t
+(** This domain's scratch. *)
+
+val ints : ints -> int -> int array
+(** [ints b n] is [b]'s array, grown to length [>= n] first; the
+    contents are unspecified after a growth. *)
+
+val floats : floats -> int -> float array
+(** As {!ints}, for a float buffer. *)
+
+val push : ints -> int -> int -> unit
+(** [push b i x] sets entry [i] of [b] to [x], growing [b] and keeping
+    its entries [0 .. i-1]. *)
+
+val of_list : ints -> int list -> int array
+(** The list copied into the buffer from index 0. *)
+
+val to_list : int array -> int -> int list
+(** The first [n] entries as a list. *)
+
+val reset_keys : t -> size:int -> unit
+(** Forget every key; the next keys are in [[0, size)]. O(1) unless the
+    map must grow. *)
+
+val find : t -> int -> int
+(** The slot bound to a key since the last reset, or [-1]. *)
+
+val bind : t -> int -> int -> unit
+(** Bind a key to a (non-negative) slot. *)
+
+val kruskal :
+  Graph.t -> weight:(int -> float) -> int array -> int -> ints -> int
+(** [kruskal g ~weight src n dst] writes to [dst], in pick order, the
+    edges of a minimum spanning forest of the edge ids [src.(0 .. n-1)]
+    and returns how many. Equal weights keep their input order; infinite
+    weights are skipped. The union-find runs over compact slots of the
+    edges' own endpoints. [src] must not be one of the scratch's work
+    buffers. *)
+
+val prune : Graph.t -> terminals:int list -> int array -> int -> int list
+(** [prune g ~terminals src n]: the distinct edge ids [src.(0 .. n-1)]
+    that survive repeated removal of edges with a non-terminal endpoint
+    of degree one, in input order. *)

@@ -1,23 +1,13 @@
 let weight_of ~weight edges =
   List.fold_left (fun acc e -> acc +. weight e) 0.0 edges
 
-(* A stable sort of edge indices by weight: equal weights keep their
-   input order, and infinite (pruned) edges sort last and are skipped. *)
+(* Minimum spanning forest of an edge-id list: the list goes into the
+   domain's scratch and comes back in pick order (see kernels.mli). *)
 let kruskal_edges g ~weight edge_ids =
-  let ids = Array.of_list edge_ids in
-  let ws = Array.map weight ids in
-  let order = Array.init (Array.length ids) Fun.id in
-  Array.stable_sort (fun a b -> Float.compare ws.(a) ws.(b)) order;
-  let uf = Union_find.create (Graph.n g) in
-  let picked = ref [] in
-  Array.iter
-    (fun i ->
-      let e = ids.(i) in
-      let u, v = Graph.endpoints g e in
-      if ws.(i) <> infinity && Union_find.union uf u v then
-        picked := e :: !picked)
-    order;
-  List.rev !picked
+  let s = Kernels.get () in
+  let src = Kernels.of_list s.edges_a edge_ids in
+  let n = Kernels.kruskal g ~weight src (List.length edge_ids) s.edges_b in
+  Kernels.to_list (Kernels.ints s.edges_b n) n
 
 let kruskal g ~weight =
   let ids = List.init (Graph.m g) Fun.id in
@@ -57,39 +47,53 @@ let prim g ~weight ~root =
   drain ();
   List.rev !picked
 
-let prim_metric ~points ~dist =
+(* Prim on the metric closure, one row of distances per tree point.
+   [rest.(0 .. r-1)] holds the indices of the points not yet in the
+   tree, in increasing order, so each row asks for exactly the pairs, in
+   exactly the order, that a per-pair scan of the points would. *)
+let prim_rows ~points ~row =
   let t = Array.length points in
   if t = 0 then Some []
   else begin
-    let in_tree = Array.make t false in
-    let best = Array.make t infinity in
-    let best_from = Array.make t (-1) in
-    in_tree.(0) <- true;
-    for j = 1 to t - 1 do
-      best.(j) <- dist points.(0) points.(j);
-      best_from.(j) <- 0
+    let s = Kernels.get () in
+    let rest = Kernels.ints s.i0 t
+    and dst = Kernels.ints s.i1 t
+    and from = Kernels.ints s.i2 t in
+    let best = Kernels.floats s.f0 t and buf = Kernels.floats s.f1 t in
+    let r = ref (t - 1) in
+    for i = 0 to t - 2 do
+      rest.(i) <- i + 1;
+      dst.(i) <- points.(i + 1)
+    done;
+    if t > 1 then row points.(0) dst (t - 1) buf;
+    for i = 0 to t - 2 do
+      best.(i + 1) <- buf.(i);
+      from.(i + 1) <- 0
     done;
     let edges = ref [] in
     let ok = ref true in
-    for _ = 1 to t - 1 do
-      if !ok then begin
-        let pick = ref (-1) in
-        for j = 0 to t - 1 do
-          if (not in_tree.(j)) && (!pick < 0 || best.(j) < best.(!pick)) then
-            pick := j
-        done;
-        if !pick < 0 || best.(!pick) = infinity then ok := false
-        else begin
-          let j = !pick in
-          in_tree.(j) <- true;
-          edges := (points.(best_from.(j)), points.(j)) :: !edges;
-          for k = 0 to t - 1 do
-            if not in_tree.(k) then begin
-              let w = dist points.(j) points.(k) in
-              if w < best.(k) then begin
-                best.(k) <- w;
-                best_from.(k) <- j
-              end
+    while !ok && !r > 0 do
+      (* the first point of least [best], as a strict [<] scan picks *)
+      let p = ref 0 in
+      for q = 1 to !r - 1 do
+        if best.(rest.(q)) < best.(rest.(!p)) then p := q
+      done;
+      let j = rest.(!p) in
+      if best.(j) = infinity then ok := false
+      else begin
+        edges := (points.(from.(j)), points.(j)) :: !edges;
+        Array.blit rest (!p + 1) rest !p (!r - !p - 1);
+        decr r;
+        if !r > 0 then begin
+          for q = 0 to !r - 1 do
+            dst.(q) <- points.(rest.(q))
+          done;
+          row points.(j) dst !r buf;
+          for q = 0 to !r - 1 do
+            let k = rest.(q) in
+            if buf.(q) < best.(k) then begin
+              best.(k) <- buf.(q);
+              from.(k) <- j
             end
           done
         end
@@ -97,3 +101,9 @@ let prim_metric ~points ~dist =
     done;
     if !ok then Some (List.rev !edges) else None
   end
+
+let prim_metric ~points ~dist =
+  prim_rows ~points ~row:(fun src dst n out ->
+      for i = 0 to n - 1 do
+        out.(i) <- dist src dst.(i)
+      done)

@@ -3,7 +3,15 @@
     [kmb] is the 2(1 − 1/|S|)-approximation of Kou, Markowsky and Berman
     (Acta Informatica 1981) used throughout the paper; [exact] is the
     Dreyfus–Wagner dynamic program, exponential in the number of
-    terminals, used on small instances and as a test oracle. *)
+    terminals, used on small instances and as a test oracle.
+
+    After its metric queries, one KMB run costs work proportional to its
+    terminals and its expanded subgraph: the closure MST, the path
+    expansion, the second MST and the pruning run on a per-domain
+    scratch (see {!Mst}) with no O(|V|) or O(|E|) set-up. The same
+    re-entrancy rule holds: a [weight], [row] or [path] callback must not
+    call [kmb], [kmb_with_metric], [prune], [dedup_edges] or the
+    {!Mst} kernels on the same domain. *)
 
 val kmb : Graph.t -> weight:(int -> float) -> terminals:int list -> int list option
 (** Edge ids of an approximate Steiner tree spanning [terminals];
@@ -15,14 +23,16 @@ val kmb_with_metric :
   Graph.t ->
   weight:(int -> float) ->
   terminals:int list ->
-  dist:(int -> int -> float) ->
+  row:(int -> int array -> int -> float array -> unit) ->
   path:(int -> int -> int list option) ->
   int list option
-(** KMB where the metric closure is supplied by the caller: [dist u v]
-    is the shortest-path cost between nodes and [path u v] its edge ids.
-    Used with precomputed all-pairs data to avoid re-running Dijkstra for
-    every server combination of [Appro_Multi]. [weight] must agree with
-    the metric (it prices the edges returned by [path]). *)
+(** KMB where the metric closure is supplied by the caller, a row at a
+    time: [row u dst n out] sets [out.(i)] to the shortest-path cost from
+    node [u] to node [dst.(i)] for [i < n] (the {!Mst.prim_rows}
+    contract), and [path u v] gives that path's edge ids. Used with
+    precomputed shortest-path data to avoid re-running Dijkstra for every
+    server combination of [Appro_Multi]. [weight] must agree with the
+    metric (it prices the edges returned by [path]). *)
 
 val exact : Graph.t -> weight:(int -> float) -> terminals:int list -> int list option
 (** Optimal Steiner tree by Dreyfus–Wagner: O(3^t·n + 2^t·n²) for [t]
@@ -30,8 +40,10 @@ val exact : Graph.t -> weight:(int -> float) -> terminals:int list -> int list o
 
 val prune : Graph.t -> terminals:int list -> int list -> int list
 (** Repeatedly remove edges whose endpoint of degree one is not a
-    terminal; the standard final step of KMB. Leaf-stripping reaches a
-    unique fixpoint; the surviving edges keep their input order. *)
+    terminal; the standard final step of KMB. The edge ids must be
+    distinct (a forest, as KMB's second MST gives). Leaf-stripping
+    reaches a unique fixpoint; the surviving edges keep their input
+    order. *)
 
 val dedup_edges : Graph.t -> int list -> int list
 (** The edge ids with later repeats removed, first occurrences kept in

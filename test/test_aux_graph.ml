@@ -277,6 +277,68 @@ let prop_dist_matches_quadratic =
           !ok)
         subsets)
 
+(* Subset metrics of one request share its a_x scratch, one metric's
+   rows at a time. Queried round-robin — every query takes the scratch
+   over from another metric, whose hub count may differ — each must give
+   the bits, paths and Steiner tree it gives when queried alone (on a
+   second build of the same request), and Dijkstra's distances on the
+   materialised graph. Integer edge weights make ties common. *)
+let prop_interleaved_subsets =
+  Tutil.qtest ~count:60 "interleaved subset metrics = each alone"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
+      let request = Tutil.random_request rng net ~id:0 in
+      let build () =
+        if seed mod 2 = 0 then
+          Aux.build ~net ~request ~candidate_servers:(N.servers net) ()
+        else
+          Aux.build ~edge_weight:(fun e -> float_of_int (1 + (e mod 3)))
+            ~net ~request ~candidate_servers:(N.servers net) ()
+      in
+      let shared = build () and alone = build () in
+      let servers = Aux.reachable_servers shared in
+      let all = Array.of_list (Nfv_multicast.Combinations.subsets_up_to servers 3) in
+      let subsets =
+        if all = [||] then []
+        else List.init 6 (fun _ -> all.(Rng.int rng (Array.length all)))
+      in
+      let ext = Aux.ext_graph shared in
+      let nodes = G.n ext in
+      let pairs =
+        List.init 40 (fun _ -> (Rng.int rng nodes, Rng.int rng nodes))
+      in
+      let answers sm (x, y) =
+        (Int64.bits_of_float (Aux.dist sm x y), Aux.path sm x y)
+      in
+      (* round-robin: pair by pair, metric by metric *)
+      let sms = List.map (Aux.subset_metric shared) subsets in
+      let by_pair = List.map (fun p -> List.map (fun sm -> answers sm p) sms) pairs in
+      let trees = List.map Aux.steiner_tree sms in
+      let by_pair_again =
+        List.map (fun p -> List.map (fun sm -> answers sm p) sms) pairs
+      in
+      List.for_all2
+        (fun (k, subset) tree ->
+          let sm = Aux.subset_metric alone subset in
+          let solo = List.map (answers sm) pairs in
+          let solo_tree = Aux.steiner_tree sm in
+          let mext, weight = Aux.materialize alone ~subset in
+          let exact =
+            List.for_all
+              (fun (x, y) ->
+                let d1 = Aux.dist sm x y in
+                let d2 = (P.dijkstra mext ~weight ~source:x).P.dist.(y) in
+                (d1 = infinity) = (d2 = infinity)
+                && (d1 = infinity || Float.abs (d1 -. d2) <= 1e-6))
+              pairs
+          in
+          solo = List.map (fun row -> List.nth row k) by_pair
+          && solo = List.map (fun row -> List.nth row k) by_pair_again
+          && solo_tree = tree && exact)
+        (List.mapi (fun k subset -> (k, subset)) subsets)
+        trees)
+
 let () =
   Alcotest.run "aux_graph"
     [
@@ -296,5 +358,6 @@ let () =
           prop_pseudo_tree_valid;
           prop_cost_agreement;
           prop_dist_matches_quadratic;
+          prop_interleaved_subsets;
         ] );
     ]

@@ -161,6 +161,60 @@ let prop_kruskal_subset_matches_reference =
       && Mst.kruskal g ~weight
          = Tutil.reference_kruskal_edges g ~weight (List.init (G.m g) Fun.id))
 
+(* the same, on graphs of alternating sizes in one run *)
+let prop_kruskal_subset_back_to_back =
+  Tutil.qtest ~count:100 "kruskal_subset = reference across graph sizes"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (lo, hi) ->
+          let g, rng = Tutil.random_connected_graph seed ~lo ~hi in
+          let weight = Tutil.weight_fn (Tutil.tied_weights rng g) in
+          let edges =
+            List.init (Topology.Rng.int rng (2 * G.m g)) (fun _ ->
+                Topology.Rng.int rng (G.m g))
+          in
+          Mst.kruskal_subset g ~weight ~edges
+          = Tutil.reference_kruskal_edges g ~weight edges)
+        Tutil.size_ladder)
+
+(* the row kernel against the per-pair Prim it replaced, on asymmetric
+   metrics with heavy ties and some infinite pairs: the same edges (or
+   the same [None]) and the same (source, target) queries in the same
+   order *)
+let prop_prim_rows_matches_reference =
+  Tutil.qtest ~count:300 "prim_rows = per-pair reference, same queries"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Topology.Rng.create seed in
+      let t = Topology.Rng.int rng 15 in
+      let points = Array.init t (fun i -> (3 * i) + Topology.Rng.int rng 3) in
+      let span = (3 * t) + 3 in
+      let table =
+        Array.init (span * span) (fun _ ->
+            match Topology.Rng.int rng 10 with
+            | 0 -> if Topology.Rng.int rng 3 = 0 then infinity else 0.0
+            | 1 | 2 -> 1.0 +. 1e-6
+            | _ -> float_of_int (1 + Topology.Rng.int rng 3))
+      in
+      let dist a b = table.((a * span) + b) in
+      let log_ref = ref [] and log_rows = ref [] in
+      let expected =
+        Tutil.reference_prim_metric ~points ~dist:(fun a b ->
+            log_ref := (a, b) :: !log_ref;
+            dist a b)
+      in
+      let got =
+        Mst.prim_rows ~points ~row:(fun src dst n out ->
+            for i = 0 to n - 1 do
+              log_rows := (src, dst.(i)) :: !log_rows;
+              out.(i) <- dist src dst.(i)
+            done)
+      in
+      got = expected
+      && !log_rows = !log_ref
+      && Mst.prim_metric ~points ~dist = expected)
+
 let () =
   Alcotest.run "mst"
     [
@@ -185,5 +239,7 @@ let () =
           prop_lightest_edge;
           prop_prim_metric_matches_kruskal_on_complete;
           prop_kruskal_subset_matches_reference;
+          prop_kruskal_subset_back_to_back;
+          prop_prim_rows_matches_reference;
         ] );
     ]

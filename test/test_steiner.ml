@@ -236,6 +236,27 @@ let prop_dedup_matches_reference =
       in
       S.dedup_edges g edges = reference_dedup_edges edges)
 
+(* the same, on forests of alternating sizes in one run *)
+let prop_prune_back_to_back =
+  Tutil.qtest ~count:100 "prune = Hashtbl reference across graph sizes"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (lo, hi) ->
+          let g, rng = Tutil.random_connected_graph seed ~lo ~hi in
+          let w = Tutil.tied_weights rng g in
+          let arr = Array.of_list (Mcgraph.Mst.kruskal g ~weight:(Tutil.weight_fn w)) in
+          Topology.Rng.shuffle rng arr;
+          let forest = Array.to_list arr in
+          let terminals =
+            List.filter
+              (fun _ -> Topology.Rng.int rng 4 = 0)
+              (List.init (G.n g) Fun.id)
+          in
+          S.prune g ~terminals forest = reference_prune g ~terminals forest
+          && S.dedup_edges g (forest @ forest) = forest)
+        Tutil.size_ladder)
+
 (* the whole of KMB under ties: the array kernels and the vector Dijkstra
    give the tree the reference kernels give *)
 let prop_kmb_matches_reference =
@@ -270,6 +291,32 @@ let prop_kmb_matches_reference =
       in
       S.kmb g ~weight ~terminals = expected)
 
+(* each domain has its own scratch: KMB on two domains at once gives
+   the trees one domain gives in sequence *)
+let test_kmb_two_domains () =
+  let instances =
+    List.init 40 (fun seed ->
+        let lo, hi = List.nth Tutil.size_ladder (seed mod 4) in
+        let g, rng = Tutil.random_connected_graph (1000 + seed) ~lo ~hi in
+        let w = Tutil.tied_weights rng g in
+        let terminals =
+          List.init (2 + Topology.Rng.int rng 6) (fun _ ->
+              Topology.Rng.int rng (G.n g))
+        in
+        (g, Tutil.weight_fn w, terminals))
+  in
+  let run_all order =
+    List.map (fun (g, weight, terminals) -> S.kmb g ~weight ~terminals) order
+  in
+  let sequential = run_all instances in
+  for _ = 1 to 5 do
+    let other = Domain.spawn (fun () -> List.rev (run_all (List.rev instances))) in
+    let here = run_all instances in
+    let there = Domain.join other in
+    if here <> sequential || there <> sequential then
+      Alcotest.fail "kmb differs across domains"
+  done
+
 let () =
   Alcotest.run "steiner"
     [
@@ -285,6 +332,7 @@ let () =
           Alcotest.test_case "exact uses steiner node" `Quick test_exact_steiner_node;
           Alcotest.test_case "exact terminal guard" `Quick test_exact_too_many_terminals;
           Alcotest.test_case "is_steiner_tree" `Quick test_is_steiner_tree;
+          Alcotest.test_case "kmb on two domains" `Quick test_kmb_two_domains;
         ] );
       ( "property",
         [
@@ -294,6 +342,7 @@ let () =
           prop_exact_lower_bounds_kmb;
           prop_two_terminals;
           prop_prune_matches_reference;
+          prop_prune_back_to_back;
           prop_dedup_matches_reference;
           prop_kmb_matches_reference;
         ] );
