@@ -452,5 +452,3 @@ let placement_strategies ?(seed = 1) ?requests ?sizes () =
 
 let online_k ?(seed = 1) ?requests ?n () =
   one seed (online_k_instance ~seed ?requests ?n ())
-
-let run ?(seed = 1) ?requests () = Runner.figures ~seed (instance ~seed ?requests ())

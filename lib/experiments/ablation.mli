@@ -32,9 +32,6 @@ val online_k : ?seed:int -> ?requests:int -> ?n:int -> unit -> Exp_common.figure
 val spec : Spec.t
 (** All ablations as one registered family (["ablation"]): figures
     [ablA1], [ablA2cost], [ablA2time], [ablA2cluster], [ablA3],
-    [ablA4]. *)
-
-val run : ?seed:int -> ?requests:int -> unit -> Exp_common.figure list
-(** All ablations. When [requests] is given it overrides every
-    sub-experiment's own default request count (used by the fast test
-    configurations); otherwise each keeps its default. *)
+    [ablA4]. When [--requests] is given it overrides every
+    sub-experiment's own default request count; otherwise each keeps
+    its default. *)

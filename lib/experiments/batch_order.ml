@@ -61,5 +61,3 @@ let spec =
     ~figure_ids:[ "batchA" ]
     ~smoke:(fun ~seed:_ -> instance ~n:30 ~sizes:[ 15; 30 ] ())
     (fun ~seed:_ ~requests:_ -> instance ())
-
-let run ?(seed = 1) ?n ?sizes () = Runner.figures ~seed (instance ?n ?sizes ())

@@ -5,8 +5,5 @@
 
 val spec : Spec.t
 (** Registered as ["batch"]; the family has no request-count knob, so
-    [--requests] is ignored. *)
-
-val run : ?seed:int -> ?n:int -> ?sizes:int list -> unit -> Exp_common.figure list
-(** [n] is the network size (default 80), [sizes] the batch sizes
-    swept. *)
+    [--requests] is ignored. An 80-switch network; batch sizes 100,
+    200, 400 and 800. *)

@@ -80,6 +80,3 @@ let spec =
     ~figure_ids:[ "delayA" ] ~default_requests:400
     ~smoke:(fun ~seed:_ -> instance ~n:40 ~requests:20 ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?n ?requests () =
-  Runner.figures ~seed (instance ?n ?requests ())

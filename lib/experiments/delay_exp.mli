@@ -5,8 +5,5 @@
     deadlines the min-hop SP baseline keeps more of its admissions. *)
 
 val spec : Spec.t
-(** Registered as ["delay"]. *)
-
-val run : ?seed:int -> ?n:int -> ?requests:int -> unit -> Exp_common.figure list
-(** [n] is the network size, [requests] the sequence length per
-    deadline level. *)
+(** Registered as ["delay"]; [--requests] is the sequence length per
+    deadline level (default 400, on a 100-switch network). *)

@@ -80,6 +80,3 @@ let spec =
     ~figure_ids:[ "dynA"; "dynB" ] ~default_requests:2000
     ~smoke:(fun ~seed:_ -> instance ~n:40 ~arrivals:40 ())
     (fun ~seed:_ ~requests -> instance ?arrivals:requests ())
-
-let run ?(seed = 1) ?n ?arrivals () =
-  Runner.figures ~seed (instance ?n ?arrivals ())

@@ -5,11 +5,8 @@
     acceptance ratio separates load-aware from load-oblivious routing. *)
 
 val spec : Spec.t
-(** Registered as ["dynamic"]; [--requests] maps to the arrival count. *)
-
-val run :
-  ?seed:int -> ?n:int -> ?arrivals:int -> unit -> Exp_common.figure list
-(** Acceptance ratio and time-averaged utilisation vs offered load
+(** Registered as ["dynamic"]; [--requests] maps to the arrival count.
+    Acceptance ratio and time-averaged utilisation vs offered load
     (expected concurrent sessions), for Online_CP (both threshold
     variants) and SP. Defaults: n = 100 switches, 2 000 arrivals per
     point. *)

@@ -14,10 +14,10 @@ let all : Spec.t list =
     Delay_exp.spec;
     Table_exp.spec;
     Stress.spec;
-    Churn.spec;
-    Dynamic_churn.spec;
-    Avail.spec;
-    Restore.spec;
+    Churn.churn;
+    Churn.dynamic_churn;
+    Churn.avail;
+    Churn.restore;
   ]
 
 let ids = List.map (fun s -> s.Spec.id) all

@@ -5,8 +5,5 @@
     regime of Huang et al. [10]). *)
 
 val spec : Spec.t
-(** Registered as ["tables"]. *)
-
-val run : ?seed:int -> ?n:int -> ?requests:int -> unit -> Exp_common.figure list
-(** [n] is the network size, [requests] the sequence length per TCAM
-    budget level. *)
+(** Registered as ["tables"]; [--requests] is the sequence length per
+    TCAM budget level (default 400, on a 100-switch network). *)

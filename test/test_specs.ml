@@ -63,6 +63,63 @@ let test_declared_figures () =
         (List.length fids) (List.length sorted))
     Experiments.Registry.all
 
+(* The goldens pin only the smoke instances; this pins the default-scale
+   layout [--figure] runs. Each family's instance is serialised (sweep
+   keys and sizes; figure ids, titles, labels, notes and cells, x in hex
+   so every bit counts) and digested. A layout change is announced by
+   updating the digest here. *)
+let layout_digest (inst : Spec.instance) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (s : Spec.sweep) -> add "sweep %S %d\n" s.Spec.key s.Spec.points)
+    inst.Spec.sweeps;
+  List.iter
+    (fun (f : Spec.figure_def) ->
+      add "figure %S %S %S %S\n" f.Spec.fid f.Spec.title f.Spec.xlabel
+        f.Spec.ylabel;
+      List.iter (add "note %S\n") f.Spec.notes;
+      List.iter
+        (fun (s : Spec.series_def) ->
+          add "series %S\n" s.Spec.label;
+          List.iter
+            (fun (c : Spec.cell) ->
+              add "cell %h %d %d %S\n" c.Spec.x c.Spec.sweep c.Spec.point
+                c.Spec.metric)
+            s.Spec.cells)
+        f.Spec.series)
+    inst.Spec.figures;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_layouts =
+  [
+    ("fig5", "69ff8f84a3ca78b65ef3a930f649a534");
+    ("fig6", "2b25a3fd7f833307f3906061cdf8edc6");
+    ("fig7", "ecb3fb4e43bdfb6e4dc27feb6ed23827");
+    ("fig8", "932a833f80c25fded9601c4c93657728");
+    ("fig9", "feef792638a4092956f74f7b70dce0cc");
+    ("ablation", "1e80334c507a759705080f2ddce5e03c");
+    ("dynamic", "18a8759990aa10c192d7a16a75f4bbe6");
+    ("batch", "95b6d467201850e6fe9dbbe006554d8e");
+    ("delay", "f88ef0c03ff938077cce673f59e0c9aa");
+    ("tables", "b98a82e10958b7a39efe71e237a1b55b");
+    ("stress", "dee206b58fd5f53dec7ea369ce3645fa");
+    ("churn", "25ee817bd6aa8eba2cd09dd21bd3ccbb");
+    ("dynamic_churn", "009b8556e467bf59a22cd4dd21aaee8b");
+    ("avail", "d4f36cbd921d5cb5b69dcc8c718df969");
+    ("restore", "a9b96d312e6760a3e4894f42c4ee3c06");
+  ]
+
+let test_default_layouts () =
+  let got =
+    List.map
+      (fun (s : Spec.t) ->
+        (s.Spec.id, layout_digest (s.Spec.instance ~seed:1 ~requests:None)))
+      Experiments.Registry.all
+  in
+  Alcotest.(check (list (pair string string)))
+    "default-scale layouts" expected_layouts got
+
 (* every cell of every figure must name a sweep/point/metric the sweeps
    can produce — shape errors surface at assembly, so run the smallest
    family end to end *)
@@ -124,7 +181,7 @@ let series_points figs label =
     figs
 
 let check_matched ~family ~treatment =
-  let base = smoke_figures Experiments.Dynamic_churn.spec in
+  let base = smoke_figures Experiments.Churn.dynamic_churn in
   let matched = ref 0 in
   List.iter
     (fun f ->
@@ -152,13 +209,13 @@ let check_matched ~family ~treatment =
   if !matched = 0 then Alcotest.failf "no %s series matched" treatment
 
 let test_matched_baselines () =
-  check_matched ~family:Experiments.Avail.spec ~treatment:"a0";
-  check_matched ~family:Experiments.Restore.spec
+  check_matched ~family:Experiments.Churn.avail ~treatment:"a0";
+  check_matched ~family:Experiments.Churn.restore
     ~treatment:"replay-smallest-first"
 
 (* the restoration ledger per cell, not just summed over the run *)
 let test_restore_cell_ledger () =
-  let figs = smoke_figures Experiments.Restore.spec in
+  let figs = smoke_figures Experiments.Churn.restore in
   List.iter
     (fun f ->
       List.iter
@@ -376,6 +433,8 @@ let () =
         [
           Alcotest.test_case "ids" `Quick test_registry_ids;
           Alcotest.test_case "declared figures" `Quick test_declared_figures;
+          Alcotest.test_case "default-scale layouts" `Quick
+            test_default_layouts;
           Alcotest.test_case "assembly smoke" `Quick test_assembly_smoke;
           Alcotest.test_case "stress conservation" `Quick
             test_stress_conservation;
