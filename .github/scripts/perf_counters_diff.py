@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Check that two bench/perf runs did the same work and reached the same outcomes.
+"""Check that a change reached the same outcomes as its parent with no more work.
 
 Usage: perf_counters_diff.py PARENT.json CHANGE.json
 
 Both files are `perf.exe --all --out` results taken at the same seed and
-scale. For every workload three things must be identical:
+scale. For every workload:
 
-- the derived per-layer work values (Dijkstras, relaxations, cache hits,
-  epoch bumps, victims, attempts, ... per op or per call);
-- the full raw `counters` map the run recorded, every counter by name;
 - the `fingerprint` string (outcome counts, exact-metric bits and a
-  digest of every decision and tree).
+  digest of every decision and tree) must be identical;
+- every work value may fall but never rise: the full raw `counters` map
+  the run recorded, counter by counter, and the derived per-layer values
+  counted per op, admit, solve, strike or pass (Dijkstras, relaxations,
+  cache hits, epoch bumps, victims, attempts, ...). A value that counts
+  work *avoided* (its name says `pruned`) may rise but never fall;
+- ratios (`*_ratio`) and counters recorded on one side only are printed
+  as information lines and do not gate: doing less work moves a cache
+  hit ratio either way, and a new counter has no parent value.
 
 The scale a CI run uses has no committed fingerprint, so the fingerprint
-comparison is what catches a change to outcomes that happens to leave
-the work values equal. All of these are exact for a seed; times and
-time shares are not compared. Exits 1 and lists the differences when
-anything moved, or when a workload, counter or fingerprint is missing on
-one side.
+comparison is what catches a change to outcomes. Every gated value is
+exact for a seed; times and time shares are not compared. Exits 1 and
+lists the offending values when one moved the wrong way, or when a
+workload or fingerprint is missing on one side.
 
 It also prints each workload's end-to-end `alloc_words_per_op`, parent
 -> change, as an information line. That value is exact for a seed and
@@ -40,60 +44,85 @@ DERIVED = re.compile(
 )
 
 
-def exact_values(path):
-    """(workload, kind, name) -> value for everything that must match."""
+def load(path):
     with open(path) as f:
-        run = json.load(f)
-    values = {}
-    for w, record in run["workloads"].items():
+        return json.load(f)["workloads"]
+
+
+def values(run):
+    """(workload, kind, name) -> value for every compared value."""
+    out = {}
+    for w, record in run.items():
         for name, metric in record["per_layer"].items():
             if DERIVED.match(name):
-                values[(w, "per_layer", name)] = metric["value"]
+                out[(w, "per_layer", name)] = metric["value"]
         for name, value in record["counters"].items():
-            values[(w, "counter", name)] = value
-        values[(w, "fingerprint", "")] = record["fingerprint"]
-    return values
+            out[(w, "counter", name)] = value
+    return out
 
 
-def alloc_words(path):
-    """workload -> alloc_words_per_op (end to end)."""
-    with open(path) as f:
-        run = json.load(f)
-    return {
-        w: record["end_to_end"]["alloc_words_per_op"]["value"]
-        for w, record in run["workloads"].items()
-        if "alloc_words_per_op" in record.get("end_to_end", {})
-    }
+def verdict(name, a, b):
+    """None when [b] may replace [a], else the reason it may not."""
+    if name.endswith("_ratio"):
+        return None
+    if "pruned" in name:
+        return "fell" if b < a else None
+    return "rose" if b > a else None
 
 
 def main(argv):
     if len(argv) != 3:
         sys.exit(__doc__)
-    parent, change = exact_values(argv[1]), exact_values(argv[2])
-    keys = set(parent) | set(change)
-    diffs = []
-    for key in sorted(keys):
+    parent_run, change_run = load(argv[1]), load(argv[2])
+    diffs, info = [], []
+
+    for w in sorted(set(parent_run) | set(change_run)):
+        if w not in parent_run or w not in change_run:
+            diffs.append("%s: workload on one side only" % w)
+            continue
+        a = parent_run[w].get("fingerprint")
+        b = change_run[w].get("fingerprint")
+        if a is None or a != b:
+            diffs.append("%s fingerprint: parent %r, change %r" % (w, a, b))
+
+    parent, change = values(parent_run), values(change_run)
+    for key in sorted(set(parent) | set(change)):
+        label = " ".join(key)
         a, b = parent.get(key), change.get(key)
-        if a != b:
-            label = " ".join(part for part in key if part)
-            diffs.append("%s: parent %r, change %r" % (label, a, b))
-    for line in diffs:
+        if a is None or b is None:
+            info.append("info: %s: parent %r, change %r (one side only)" % (label, a, b))
+        elif a != b:
+            why = verdict(key[2], a, b)
+            line = "%s: parent %r, change %r" % (label, a, b)
+            if why:
+                diffs.append("%s (%s)" % (line, why))
+            else:
+                info.append("info: " + line)
+
+    for line in diffs + info:
         print(line)
 
-    words_parent, words_change = alloc_words(argv[1]), alloc_words(argv[2])
-    for w in sorted(set(words_parent) & set(words_change)):
-        a, b = words_parent[w], words_change[w]
-        delta = "" if a == 0 else " (%+.1f%%)" % (100.0 * (b - a) / a)
-        print("info: %s alloc_words_per_op %.1f -> %.1f%s" % (w, a, b, delta))
+    for w in sorted(set(parent_run) & set(change_run)):
+        e2e_a = parent_run[w].get("end_to_end", {})
+        e2e_b = change_run[w].get("end_to_end", {})
+        if "alloc_words_per_op" in e2e_a and "alloc_words_per_op" in e2e_b:
+            a = e2e_a["alloc_words_per_op"]["value"]
+            b = e2e_b["alloc_words_per_op"]["value"]
+            delta = "" if a == 0 else " (%+.1f%%)" % (100.0 * (b - a) / a)
+            print("info: %s alloc_words_per_op %.1f -> %.1f%s" % (w, a, b, delta))
 
-    def count(kind):
-        return sum(1 for key in keys if key[1] == kind)
-
+    keys = set(parent) | set(change)
     print(
-        "%d per-layer values, %d raw counters, %d fingerprints compared, %d differ"
-        % (count("per_layer"), count("counter"), count("fingerprint"), len(diffs))
+        "%d per-layer values, %d raw counters, %d fingerprints compared, "
+        "%d gated differences"
+        % (
+            sum(1 for key in keys if key[1] == "per_layer"),
+            sum(1 for key in keys if key[1] == "counter"),
+            len(set(parent_run) | set(change_run)),
+            len(diffs),
+        )
     )
-    return 1 if diffs or not parent else 0
+    return 1 if diffs or not parent_run else 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ let c_solved = Obs.Counter.make "appro_multi.solved"
 let c_infeasible = Obs.Counter.make "appro_multi.infeasible"
 let c_admitted = Obs.Counter.make "appro_multi.admitted"
 let c_rejected = Obs.Counter.make "appro_multi.rejected"
+let c_priced = Obs.Counter.make "appro_multi.subsets_priced"
 
 (* span + Dijkstra attribution + outcome count around one solve/admit *)
 let observe span ~ok ~err f =
@@ -58,33 +59,44 @@ let rec compare_subsets a b =
     let c = Int.compare x y in
     if c <> 0 then c else compare_subsets a' b'
 
-let candidates_impl ?(k = default_k) ?engine ?edge_weight ?placement_cost ~keep
-    ~usable_servers net request =
+(* deterministic order: cost, then subset size, then the subset itself
+   (equal-cost trees are common — a superset whose extra servers go
+   unused costs the same as its subset) *)
+let order ca sa cb sb =
+  let c = Float.compare ca cb in
+  if c <> 0 then c
+  else
+    let c = Int.compare (List.length sa) (List.length sb) in
+    if c <> 0 then c else compare_subsets sa sb
+
+(* Call [f cost subset edges] for every feasible combination of [aux]'s
+   reachable servers, in enumeration order, except those
+   [Aux_graph.redundant] proves repeat a smaller combination's tree and
+   cost (DESIGN.md §17): that smaller one comes first in [order], so no
+   minimum and no first-allocatable candidate changes. *)
+let price ?(k = default_k) aux f =
   if k < 1 then invalid_arg "Appro_multi: K must be at least 1";
+  Combinations.iter_subsets_up_to (Aux_graph.reachable_servers aux) k
+    (fun subset ->
+      if not (Aux_graph.redundant aux subset) then begin
+        Obs.Counter.incr c_priced;
+        let sm = Aux_graph.subset_metric aux subset in
+        match Aux_graph.steiner_tree sm with
+        | None -> ()
+        | Some edges ->
+          let c = Aux_graph.tree_cost sm edges in
+          if c < infinity then f c subset edges
+      end)
+
+let candidates_impl ?k ?engine ?edge_weight ?placement_cost ~keep
+    ~usable_servers net request =
   let aux =
     Aux_graph.build ~keep ?edge_weight ?placement_cost ?engine ~net ~request
       ~candidate_servers:usable_servers ()
   in
-  let reachable = Aux_graph.reachable_servers aux in
   let found = ref [] in
-  Combinations.iter_subsets_up_to reachable k (fun subset ->
-      let sm = Aux_graph.subset_metric aux subset in
-      match Aux_graph.steiner_tree sm with
-      | None -> ()
-      | Some edges ->
-        let c = Aux_graph.tree_cost sm edges in
-        if c < infinity then found := (c, subset, aux, edges) :: !found);
-  (* deterministic order: cost, then subset size, then the subset itself
-     (equal-cost trees are common — a superset whose extra servers go
-     unused costs the same as its subset) *)
-  List.sort
-    (fun (ca, sa, _, _) (cb, sb, _, _) ->
-      let c = Float.compare ca cb in
-      if c <> 0 then c
-      else
-        let c = Int.compare (List.length sa) (List.length sb) in
-        if c <> 0 then c else compare_subsets sa sb)
-    !found
+  price ?k aux (fun c subset edges -> found := (c, subset, aux, edges) :: !found);
+  List.sort (fun (ca, sa, _, _) (cb, sb, _, _) -> order ca sa cb sb) !found
 
 (* The [combinations] field always reports the size of the explored
    search space: the number of non-empty server subsets of size ≤ K drawn
@@ -99,23 +111,33 @@ let candidates ?k ?edge_weight ?placement_cost ~keep ~usable_servers net
   candidates_impl ?k ?edge_weight ?placement_cost ~keep ~usable_servers net
     request
 
+let result net ?k aux ~aux_cost ~subset tree =
+  {
+    tree;
+    subset = List.sort Int.compare subset;
+    aux_cost;
+    cost = Pseudo_tree.cost net tree;
+    combinations = combinations_explored ?k aux;
+  }
+
+(* one incumbent, the least candidate under [order] so far *)
 let solve_with ?k ?engine ~keep ~usable_servers net request =
   observe "appro_multi.solve" ~ok:c_solved ~err:c_infeasible @@ fun () ->
   if usable_servers = [] then Error "no usable server"
   else
-    match candidates_impl ?k ?engine ~keep ~usable_servers net request with
-    | [] -> Error "no feasible pseudo-multicast tree"
-    | (aux_cost, subset, aux, edges) :: _ ->
-      let tree = Aux_graph.to_pseudo_tree aux edges in
-      let combinations = combinations_explored ?k aux in
-      Ok
-        {
-          tree;
-          subset = List.sort Int.compare subset;
-          aux_cost;
-          cost = Pseudo_tree.cost net tree;
-          combinations;
-        }
+    let aux =
+      Aux_graph.build ~keep ?engine ~net ~request
+        ~candidate_servers:usable_servers ()
+    in
+    let best = ref None in
+    price ?k aux (fun c subset edges ->
+        match !best with
+        | Some (bc, bs, _) when order c subset bc bs >= 0 -> ()
+        | _ -> best := Some (c, subset, edges));
+    match !best with
+    | None -> Error "no feasible pseudo-multicast tree"
+    | Some (aux_cost, subset, edges) ->
+      Ok (result net ?k aux ~aux_cost ~subset (Aux_graph.to_pseudo_tree aux edges))
 
 let solve ?k ?window net request =
   let engine =
@@ -157,15 +179,7 @@ let admit ?k ?window net request =
       | (aux_cost, subset, aux, edges) :: rest -> (
         let tree = Aux_graph.to_pseudo_tree aux edges in
         match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
-        | Ok () ->
-          Ok
-            {
-              tree;
-              subset = List.sort Int.compare subset;
-              aux_cost;
-              cost = Pseudo_tree.cost net tree;
-              combinations = combinations_explored ?k aux;
-            }
+        | Ok () -> Ok (result net ?k aux ~aux_cost ~subset tree)
         | Error _ -> try_cands rest)
     in
     try_cands cands

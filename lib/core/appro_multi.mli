@@ -6,7 +6,9 @@
     builds the auxiliary graph [G_k^i] (see {!Aux_graph}), finds a KMB
     Steiner tree spanning the virtual source and all destinations, and
     keeps the cheapest tree over all combinations, mapped back to a
-    pseudo-multicast tree of the SDN. *)
+    pseudo-multicast tree of the SDN. Combinations holding a server
+    that provably changes nothing ({!Aux_graph.redundant}) are not
+    priced; the result is that of pricing them all (DESIGN.md §17). *)
 
 type result = {
   tree : Pseudo_tree.t;
@@ -59,7 +61,12 @@ val candidates :
   Sdn.Network.t ->
   Sdn.Request.t ->
   (float * int list * Aux_graph.t * int list) list
-(** All feasible [(aux_cost, subset, aux, tree_edges)] candidates in
-    increasing cost order — exposed for the online multi-server variant,
-    ablations and tests. Custom prices ([edge_weight], [placement_cost])
-    replace the default linear [b_k·c_e] / [c_v(SC_k)] objective. *)
+(** The feasible [(aux_cost, subset, aux, tree_edges)] candidates in
+    increasing (cost, subset size, subset) order — exposed for the
+    online multi-server variant, ablations and tests. A combination
+    that {!Aux_graph.redundant} proves to repeat, bit for bit, the cost
+    and tree of one of its proper subsets is omitted: that subset is
+    listed before it, so the first candidate, and the first one that
+    allocates, are those of the full enumeration. Custom prices
+    ([edge_weight], [placement_cost]) replace the default linear
+    [b_k·c_e] / [c_v(SC_k)] objective. *)

@@ -2,6 +2,24 @@ module G = Mcgraph.Graph
 module Paths = Mcgraph.Paths
 module Sp = Mcgraph.Sp_engine
 
+(* The per-request table behind [redundant] (DESIGN.md §17). Positions
+   are candidate positions (the virtual-edge order); a row is the
+   engine's distance array of that candidate, [[||]] when it was not
+   cached when the table was built. *)
+type dominance = {
+  usable : bool;                            (* every Q × Q distance known *)
+  nc : int;                                 (* candidate positions *)
+  index : int array;                        (* node -> position, or -1 *)
+  tol : float;                              (* margin over rounding *)
+  srow : float array array;                 (* position -> engine row *)
+  off_q : bool array;                       (* u -> (b) on Q × Q *)
+  off_s : bool array;                       (* u·nc + v -> (b) on {v} × Q *)
+  nw : int;                                 (* mask words per (u, v) *)
+  beats : int array;                        (* (u·nc + v)·nw + w -> (a) on Q *)
+  full : int array;                         (* word -> all of Q's bits *)
+}
+
+
 type t = {
   net : Sdn.Network.t;
   req : Sdn.Request.t;
@@ -20,6 +38,7 @@ type t = {
   mutable ax_gen : int;                     (* generation of [ax_owner] *)
   ax_stamp : int array;                     (* node -> generation of its row *)
   mutable ax_rows : float array;            (* node x's row at x·h .. x·h+h-1 *)
+  mutable dom : dominance option;           (* built on [redundant]'s first use *)
 }
 
 let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
@@ -79,6 +98,7 @@ let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
       ax_gen = 0;
       ax_stamp = Array.make (nn + 1) 0;
       ax_rows = [||];
+      dom = None;
     }
   in
   let s = request.Sdn.Request.source in
@@ -413,6 +433,199 @@ let tree_cost sm edges =
       rest := r
   done;
   !acc
+
+(* ------------------------------------------------------------------ *)
+(* servers that change nothing (DESIGN.md §17)                          *)
+
+let mask_bits = 62
+
+(* Read off the engine rows already cached — the source's, the reachable
+   candidates' and the destinations' — so building it never runs a
+   Dijkstra. A candidate without a cached row takes no part (its flags
+   stay false); a destination pair neither of whose rows is cached
+   leaves the whole table unusable. Either way less is pruned, never
+   more. *)
+let build_dominance t =
+  let nc = List.length t.candidates in
+  let row v =
+    match Sp.peek t.engine v with Some spt -> spt.Paths.dist | None -> [||]
+  in
+  let has r = Array.length r > 0 in
+  let q =
+    Array.of_list
+      (List.sort_uniq Int.compare
+         (t.req.Sdn.Request.source :: t.req.Sdn.Request.destinations))
+  in
+  let nq = Array.length q in
+  let qrow = Array.map row q in
+  (* d(p, q) off whichever end has a cached row *)
+  let usable = ref true in
+  let dqq = Array.make_matrix nq nq 0.0 in
+  for a = 0 to nq - 1 do
+    for b = 0 to nq - 1 do
+      if a <> b then
+        if has qrow.(a) then dqq.(a).(b) <- qrow.(a).(q.(b))
+        else if has qrow.(b) then dqq.(a).(b) <- qrow.(b).(q.(a))
+        else usable := false
+    done
+  done;
+  let srow =
+    Array.init nc (fun i ->
+        if t.wv.(i) < infinity then row t.server_of_vedge.(i) else [||])
+  in
+  let index = Array.make (t.vnode + 1) (-1) in
+  List.iteri (fun i v -> index.(v) <- i) t.candidates;
+  (* the margin Online_cp.slack gives, taken against the largest finite
+     distance the rule compares, so it dominates the rounding of every
+     float sum in the metric *)
+  let maxd = ref 1.0 in
+  let see x = if x < infinity && x > !maxd then maxd := x in
+  Array.iter (Array.iter see) dqq;
+  Array.iteri
+    (fun i r ->
+      if has r then begin
+        see t.wv.(i);
+        Array.iter (fun x -> see r.(x)) q;
+        List.iter (fun v -> see r.(v)) t.candidates
+      end)
+    srow;
+  let tol = 1e-9 *. !maxd in
+  let in_q v = Array.exists (fun x -> x = v) q in
+  (* (b) on Q × Q: u lies off every shortest path between Q's nodes *)
+  let off_q =
+    Array.init nc (fun i ->
+        let su = srow.(i) in
+        has su
+        && (not (in_q t.server_of_vedge.(i)))
+        && begin
+          let ok = ref true in
+          for a = 0 to nq - 1 do
+            for b = 0 to nq - 1 do
+              if a <> b && not (su.(q.(a)) +. su.(q.(b)) > dqq.(a).(b) +. tol)
+              then ok := false
+            done
+          done;
+          !ok
+        end)
+  in
+  (* (b) on {v} × Q: u lies off every shortest path from server v to Q *)
+  let off_s = Array.make (nc * nc) false in
+  let nw = (nq + mask_bits - 1) / mask_bits in
+  let beats = Array.make (nc * nc * nw) 0 in
+  for i = 0 to nc - 1 do
+    for j = 0 to nc - 1 do
+      let su = srow.(i) and sv = srow.(j) in
+      if i <> j && has su && has sv then begin
+        let v = t.server_of_vedge.(j) in
+        let ok = ref true in
+        for b = 0 to nq - 1 do
+          let x = q.(b) in
+          if x <> v && not (su.(v) +. su.(x) > sv.(x) +. tol) then ok := false;
+          (* (a) at x: the route s'_k → v → x beats s'_k → u → x *)
+          if t.wv.(i) +. su.(x) > t.wv.(j) +. sv.(x) +. tol then begin
+            let w = ((i * nc) + j) * nw + (b / mask_bits) in
+            beats.(w) <- beats.(w) lor (1 lsl (b mod mask_bits))
+          end
+        done;
+        off_s.((i * nc) + j) <- !ok
+      end
+    done
+  done;
+  let full =
+    Array.init nw (fun w ->
+        (1 lsl min mask_bits (nq - (w * mask_bits))) - 1)
+  in
+  { usable = !usable; nc; index; tol; srow; off_q; off_s; nw; beats; full }
+
+let dominance t =
+  match t.dom with
+  | Some d -> d
+  | None ->
+    let d = build_dominance t in
+    t.dom <- Some d;
+    d
+
+(* [R] below is [subset] without the server at position [iu]: each
+   function traverses [subset] and skips [iu]. *)
+
+(* (b) on {v} × Q for every v ∈ R, read off the table — which also
+   guarantees every row of R is present for the checks after it *)
+let rec rows_off d iu = function
+  | [] -> true
+  | v :: rest ->
+    let iv = d.index.(v) in
+    (iv = iu || d.off_s.((iu * d.nc) + iv)) && rows_off d iu rest
+
+(* min over v ∈ R of w_v + d(v, x) *)
+let rec best_to d t iu x acc = function
+  | [] -> acc
+  | v :: rest ->
+    let iv = d.index.(v) in
+    let acc =
+      if iv = iu then acc
+      else
+        let c = t.wv.(iv) +. d.srow.(iv).(x) in
+        if c < acc then c else acc
+    in
+    best_to d t iu x acc rest
+
+(* (b) on {v} × {v'} for the servers v' of R listed after v *)
+let rec pairs_off d iu v iv = function
+  | [] -> true
+  | v' :: rest ->
+    let iv' = d.index.(v') in
+    (iv' = iu
+    || d.srow.(iu).(v) +. d.srow.(iu).(v') > d.srow.(iv).(v') +. d.tol)
+    && pairs_off d iu v iv rest
+
+(* (a) at each server of R, and (b) on R × R *)
+let rec at_servers d t iu all = function
+  | [] -> true
+  | v :: rest ->
+    let iv = d.index.(v) in
+    (iv = iu
+    || t.wv.(iu) +. d.srow.(iu).(v) > best_to d t iu v infinity all +. d.tol
+       && pairs_off d iu v iv rest)
+    && at_servers d t iu all rest
+
+(* (a) on Q: every node of Q has a server of R that beats u there *)
+let rec union d iu w acc = function
+  | [] -> acc
+  | v :: rest ->
+    let iv = d.index.(v) in
+    union d iu w
+      (if iv = iu then acc else acc lor d.beats.((((iu * d.nc) + iv) * d.nw) + w))
+      rest
+
+let rec covers d iu subset w =
+  w >= d.nw
+  || (union d iu w 0 subset = d.full.(w) && covers d iu subset (w + 1))
+
+let inert d t subset u =
+  let iu = d.index.(u) in
+  d.off_q.(iu)
+  && rows_off d iu subset
+  && at_servers d t iu subset subset
+  && covers d iu subset 0
+
+let rec exists_inert d t subset = function
+  | [] -> false
+  | u :: rest -> inert d t subset u || exists_inert d t subset rest
+
+let rec all_candidates d = function
+  | [] -> true
+  | v :: rest ->
+    v >= 0 && v < Array.length d.index && d.index.(v) >= 0
+    && all_candidates d rest
+
+let redundant t subset =
+  match subset with
+  | [] | [ _ ] -> false
+  | _ ->
+    let d = dominance t in
+    if not (all_candidates d subset) then
+      invalid_arg "Aux_graph.redundant: not a candidate server";
+    d.usable && exists_inert d t subset subset
 
 let to_pseudo_tree t tree_edges =
   let req = t.req in

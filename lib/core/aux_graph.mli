@@ -108,6 +108,25 @@ val steiner_tree : subset_metric -> int list option
 val tree_cost : subset_metric -> int list -> float
 (** Cost of an edge set under this combination's weights. *)
 
+val redundant : t -> int list -> bool
+(** [redundant aux subset] is [true] when some server [u] of [subset]
+    (of at least two servers) provably changes nothing: the KMB tree
+    {!steiner_tree} finds for [subset] and its {!tree_cost} are, bit for
+    bit, those of [subset] without [u]. The test (DESIGN.md §17) asks
+    that [u]'s virtual edge loses, by a margin above float rounding, to
+    the other servers' at the source, every destination and every other
+    server of [subset], and that [u] lies off every shortest path
+    between them. [false] is always safe: it only means the subset must
+    be priced.
+
+    The first call builds a per-request table from the engine rows
+    already cached — the source's, the reachable candidates' and the
+    destinations' — and never runs a Dijkstra, so it prunes the most
+    once the singletons have been priced. Like {!subset_metric} it
+    answers for the weight epoch the table was built at. Raises
+    [Invalid_argument] if a subset of two or more servers contains a
+    non-candidate. *)
+
 val to_pseudo_tree : t -> int list -> Pseudo_tree.t
 (** Map an auxiliary Steiner tree (rooted at the virtual source) back to
     a pseudo-multicast tree of the SDN: virtual edges expand into

@@ -358,19 +358,21 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
   in
   if usable = [] then Rejected No_feasible_server
   else begin
-    (* one lazy Dijkstra per terminal, shared by every candidate server;
-       the engine is keyed by the network's weight epoch, so the
-       load-dependent exponential weights invalidate on allocate/release
-       rather than the caller rebuilding state from scratch. When the
-       caller runs a whole admission window, the engine itself is shared
-       across requests of the same weight class (Sp_window's exactness
-       contract), so a request following a rejection reuses cached trees
-       instead of starting cold. *)
+    (* at most one lazy Dijkstra per terminal, run on its first query
+       and shared by every candidate server: the source's tree comes
+       first (the reachability check below), so an [Unreachable]
+       rejection costs one Dijkstra. The engine is keyed by the
+       network's weight epoch, so the load-dependent exponential
+       weights invalidate on allocate/release rather than the caller
+       rebuilding state from scratch. When the caller runs a whole
+       admission window, the engine itself is shared across requests
+       of the same weight class (Sp_window's exactness contract), so a
+       request following a rejection reuses cached trees instead of
+       starting cold. *)
     let terminals =
       List.sort_uniq Int.compare (s :: request.Sdn.Request.destinations)
     in
     let eng = engine ?avail ~mode ~params ?window net ~bandwidth:b in
-    List.iter (fun t -> ignore (Sp.spt eng t)) terminals;
     (* non-terminal sources (candidate servers) answer from the terminal
        end's tree by symmetry, so servers never cost a Dijkstra. The
        split is on membership in *this* request's terminal set, not on

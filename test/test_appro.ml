@@ -3,6 +3,7 @@ module O = Nfv_multicast.One_server
 module E = Nfv_multicast.Exact
 module C = Nfv_multicast.Combinations
 module Pt = Nfv_multicast.Pseudo_tree
+module Ag = Nfv_multicast.Aux_graph
 module N = Sdn.Network
 module Rng = Topology.Rng
 
@@ -304,6 +305,169 @@ let prop_capacitated_never_exceeds =
         (N.servers net);
       !ok)
 
+(* --- pruned enumeration vs every subset priced --- *)
+
+(* Appro_multi's candidate order: cost, then subset size, then the
+   subset itself *)
+let by_order (ca, sa, _) (cb, sb, _) =
+  compare (ca, List.length sa, sa) (cb, List.length sb, sb)
+
+(* every feasible combination priced, none skipped, through the public
+   Aux_graph API: the unpruned Algorithm 1 *)
+let all_priced ~k ~keep ~usable net req =
+  let aux = Ag.build ~keep ~net ~request:req ~candidate_servers:usable () in
+  let found = ref [] in
+  C.iter_subsets_up_to (Ag.reachable_servers aux) k (fun subset ->
+      let sm = Ag.subset_metric aux subset in
+      match Ag.steiner_tree sm with
+      | None -> ()
+      | Some edges ->
+        let c = Ag.tree_cost sm edges in
+        if c < infinity then found := (c, subset, edges) :: !found);
+  (aux, List.sort by_order !found)
+
+let bits = Int64.bits_of_float
+
+let same_candidate (ca, sa, ea) (cb, sb, eb) =
+  bits ca = bits cb && sa = sb && ea = eb
+
+let proper_subset a b =
+  List.length a < List.length b && List.for_all (fun v -> List.mem v b) a
+
+(* [pruned] keeps [full]'s order, and every entry it omits repeats, bit
+   for bit, the cost and tree of a proper subset listed before it *)
+let rec omits_only_repeats ~before full pruned =
+  match (full, pruned) with
+  | [], [] -> true
+  | [], _ :: _ -> false
+  | x :: full', y :: pruned' when same_candidate x y ->
+    omits_only_repeats ~before:(x :: before) full' pruned'
+  | ((c, s, e) as x) :: full', _ ->
+    List.exists
+      (fun (c', s', e') -> bits c' = bits c && e' = e && proper_subset s' s)
+      before
+    && omits_only_repeats ~before:(x :: before) full' pruned
+
+let same_result (cost, subset, tree) = function
+  | Ok res ->
+    bits res.A.aux_cost = bits cost
+    && res.A.subset = List.sort Int.compare subset
+    && res.A.tree = tree
+  | Error _ -> false
+
+let expect_solve aux full got =
+  match (full, got) with
+  | [], Error _ -> true
+  | (c, s, e) :: _, got -> same_result (c, s, Ag.to_pseudo_tree aux e) got
+  | [], Ok _ -> false
+
+(* one instance, built twice from its seed: the network the library
+   mutates and the one the oracle allocates on, kept in step *)
+let oracle_instance seed =
+  let rng = Rng.create seed in
+  let uniform = N.uniform_profile ~link_capacity:700.0 ~server_capacity:6000.0 in
+  let net =
+    match seed mod 3 with
+    | 0 ->
+      (* float costs; tight links so that some trees fail to allocate *)
+      let profile = { N.default_profile with N.link_capacity = (300.0, 900.0) } in
+      N.make_random_servers ~profile ~fraction:0.2 ~rng
+        (Topology.Waxman.generate ~alpha:0.5 ~beta:0.4 rng
+           ~n:(Rng.int_range rng 10 24))
+    | 1 ->
+      N.make_random_servers ~profile:uniform ~fraction:0.25 ~rng
+        (Topology.Waxman.generate ~alpha:0.5 ~beta:0.4 rng
+           ~n:(Rng.int_range rng 10 24))
+    | _ ->
+      N.make ~profile:uniform ~rng ~servers:Topology.Geant.default_servers
+        (Topology.Geant.topology ())
+  in
+  (net, Workload.Gen.sequence rng net ~count:8)
+
+let capacitated_filters net req =
+  let b = req.Sdn.Request.bandwidth in
+  let demand = Sdn.Request.demand_mhz req in
+  ( (fun e -> N.link_admits net e b),
+    List.filter (fun v -> N.server_admits net v demand) (N.servers net) )
+
+let prop_pruning_exact =
+  Tutil.qtest ~count:100
+    "pruned subsets change no solve, admit or candidate order"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let k = 2 + (seed / 3 mod 2) in
+      let net, reqs = oracle_instance seed in
+      let twin, _ = oracle_instance seed in
+      List.for_all
+        (fun req ->
+          let aux, full =
+            all_priced ~k ~keep:(fun _ -> true) ~usable:(N.servers net) net req
+          in
+          let solve_ok = expect_solve aux full (A.solve ~k net req) in
+          let keep, usable = capacitated_filters net req in
+          let caux, cfull = all_priced ~k ~keep ~usable net req in
+          let cap_ok = expect_solve caux cfull (A.solve_capacitated ~k net req) in
+          let cands =
+            List.map
+              (fun (c, s, _, e) -> (c, s, e))
+              (A.candidates ~k ~keep ~usable_servers:usable net req)
+          in
+          let cands_ok = omits_only_repeats ~before:[] cfull cands in
+          (* the first oracle candidate the twin can allocate *)
+          let expected =
+            List.find_map
+              (fun (c, s, e) ->
+                let tree = Ag.to_pseudo_tree caux e in
+                match N.allocate twin (Pt.allocation tree) with
+                | Ok () -> Some (c, s, tree)
+                | Error _ -> None)
+              cfull
+          in
+          let got = A.admit ~k net req in
+          let admit_ok =
+            match expected with
+            | Some want -> same_result want got
+            | None -> Result.is_error got
+          in
+          solve_ok && cap_ok && cands_ok && admit_ok)
+        reqs)
+
+(* Condition (a) at the destinations alone does not make a server
+   inert. GÉANT at uniform costs, seed 2, request 43: server 21's
+   virtual route loses to server 0's at both destinations by more than
+   the slack, yet {0, 21} and {0} get different KMB trees, because 21
+   can also serve as a hub on the way. *)
+let test_weak_rule_changes_tree () =
+  let rng = Rng.create 2 in
+  let net =
+    N.make
+      ~profile:(N.uniform_profile ~link_capacity:700.0 ~server_capacity:6000.0)
+      ~rng ~servers:Topology.Geant.default_servers (Topology.Geant.topology ())
+  in
+  let req = List.nth (Workload.Gen.sequence rng net ~count:44) 43 in
+  let aux = Ag.build ~net ~request:req ~candidate_servers:(N.servers net) () in
+  let price subset =
+    let sm = Ag.subset_metric aux subset in
+    match Ag.steiner_tree sm with
+    | Some edges -> (Ag.tree_cost sm edges, edges)
+    | None -> Alcotest.fail "GÉANT is connected"
+  in
+  let route v x = Ag.virtual_edge_weight aux v +. Ag.base_dist aux v x in
+  let weak =
+    List.for_all
+      (fun x -> route 21 x > Nfv_multicast.Online_cp.slack (route 0 x))
+      req.Sdn.Request.destinations
+  in
+  Alcotest.(check bool) "(a) holds at every destination" true weak;
+  List.iter (fun v -> ignore (price [ v ])) (Ag.reachable_servers aux);
+  let cost_r, tree_r = price [ 0 ] and cost_s, tree_s = price [ 0; 21 ] in
+  Alcotest.(check bool) "yet the tree changes" true
+    (tree_r <> tree_s && bits cost_r <> bits cost_s);
+  Alcotest.(check bool) "so {0, 21} is priced" false (Ag.redundant aux [ 0; 21 ]);
+  Alcotest.(check bool) "while other pairs are skipped" true
+    (List.exists (Ag.redundant aux)
+       (C.subsets_of_size (Ag.reachable_servers aux) 2))
+
 let () =
   Alcotest.run "appro"
     [
@@ -323,6 +487,8 @@ let () =
           Alcotest.test_case "capacitated pruning" `Quick test_capacitated_prunes_links;
           Alcotest.test_case "admit allocates" `Quick test_admit_allocates;
           Alcotest.test_case "k validation" `Quick test_rejects_bad_k;
+          Alcotest.test_case "(a) at destinations alone is unsound" `Quick
+            test_weak_rule_changes_tree;
         ] );
       ( "property",
         [
@@ -337,5 +503,6 @@ let () =
           prop_one_server_valid;
           prop_exact_valid;
           prop_capacitated_never_exceeds;
+          prop_pruning_exact;
         ] );
     ]
