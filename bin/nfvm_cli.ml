@@ -14,11 +14,58 @@ let requests_arg =
   let doc = "Requests per data point / sequence length (figure-specific default)." in
   Arg.(value & opt (some int) None & info [ "requests" ] ~docv:"N" ~doc)
 
+(* A [--topology] value, validated at parse time so a bad spec is a
+   command-line error (exit 124) naming it, not an uncaught exception. *)
+type topology =
+  | Geant
+  | As1755
+  | As4755
+  | Fat_tree of int
+  | Waxman of int
+  | Transit_stub of int
+
+let topology_conv =
+  let parse spec =
+    let known =
+      "expected geant, as1755, as4755, fat-tree:K, waxman:N or transit-stub:N"
+    in
+    let parsed =
+      match String.split_on_char ':' spec with
+      | [ "geant" ] -> Ok Geant
+      | [ "as1755" ] -> Ok As1755
+      | [ "as4755" ] -> Ok As4755
+      | [ kind; n ] -> (
+        match (kind, int_of_string_opt n) with
+        | "fat-tree", Some k when k >= 2 && k mod 2 = 0 -> Ok (Fat_tree k)
+        | "fat-tree", _ -> Error "K must be an even integer >= 2"
+        | "waxman", Some n when n >= 2 -> Ok (Waxman n)
+        | "waxman", _ -> Error "N must be an integer >= 2"
+        | "transit-stub", Some n when n >= 10 -> Ok (Transit_stub n)
+        | "transit-stub", _ -> Error "N must be an integer >= 10"
+        | _ -> Error known)
+      | _ -> Error known
+    in
+    Result.map_error
+      (fun why -> `Msg (Printf.sprintf "invalid topology %S: %s" spec why))
+      parsed
+  in
+  let print ppf = function
+    | Geant -> Format.pp_print_string ppf "geant"
+    | As1755 -> Format.pp_print_string ppf "as1755"
+    | As4755 -> Format.pp_print_string ppf "as4755"
+    | Fat_tree k -> Format.fprintf ppf "fat-tree:%d" k
+    | Waxman n -> Format.fprintf ppf "waxman:%d" n
+    | Transit_stub n -> Format.fprintf ppf "transit-stub:%d" n
+  in
+  Arg.conv (parse, print)
+
 let topology_arg =
   let doc =
-    "Topology: geant, as1755, as4755, fat-tree:K, waxman:N, transit-stub:N."
+    "Topology: geant, as1755, as4755, fat-tree:K (K even, >= 2), waxman:N \
+     (N >= 2), transit-stub:N (N >= 10)."
   in
-  Arg.(value & opt string "waxman:50" & info [ "topology" ] ~docv:"SPEC" ~doc)
+  Arg.(
+    value & opt topology_conv (Waxman 50) & info [ "topology" ] ~docv:"SPEC" ~doc)
 
 let k_arg =
   let doc = "Maximum number of servers per service chain (K)." in
@@ -48,22 +95,16 @@ let with_stats stats f =
   if stats then Nfv_obs.Obs.Export.print_table stderr;
   r
 
-let parse_topology rng spec =
-  match String.split_on_char ':' spec with
-  | [ "geant" ] ->
-    (Topology.Geant.topology (), Some Topology.Geant.default_servers)
-  | [ "as1755" ] -> (Topology.Rocketfuel.as1755 (), None)
-  | [ "as4755" ] -> (Topology.Rocketfuel.as4755 (), None)
-  | [ "fat-tree"; k ] ->
-    let k = int_of_string k in
+let parse_topology rng = function
+  | Geant -> (Topology.Geant.topology (), Some Topology.Geant.default_servers)
+  | As1755 -> (Topology.Rocketfuel.as1755 (), None)
+  | As4755 -> (Topology.Rocketfuel.as4755 (), None)
+  | Fat_tree k ->
     let aggs = Topology.Fat_tree.aggregation_switches ~k in
     let servers = List.filteri (fun i _ -> i mod (k / 2) = 0) aggs in
     (Topology.Fat_tree.generate ~k (), Some servers)
-  | [ "waxman"; n ] ->
-    (Experiments.Exp_common.gtitm_like rng ~n:(int_of_string n), None)
-  | [ "transit-stub"; n ] ->
-    (Topology.Transit_stub.generate_sized rng ~n:(int_of_string n), None)
-  | _ -> failwith ("unknown topology spec: " ^ spec)
+  | Waxman n -> (Experiments.Exp_common.gtitm_like rng ~n, None)
+  | Transit_stub n -> (Topology.Transit_stub.generate_sized rng ~n, None)
 
 let make_network rng spec =
   let topo, servers = parse_topology rng spec in
@@ -85,41 +126,45 @@ let csv_arg =
   let doc = "Also write each figure as $(docv)/<id>.csv." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
 
-let run_figures figs = Experiments.Exp_common.render_all Format.std_formatter figs
+let fake_clock_arg =
+  let doc =
+    "Replace the CPU clock with a deterministic per-domain tick counter, so \
+     timing columns and span histograms are reproducible (see \
+     EXPERIMENTS.md)."
+  in
+  Arg.(value & flag & info [ "fake-clock" ] ~doc)
 
 let run_spec ~seed ~requests ~obs_out ~csv spec =
   let figs = Experiments.Runner.run ~seed ?requests ?obs_out spec in
-  run_figures figs;
+  Experiments.Exp_common.render_all Format.std_formatter figs;
   match csv with
   | None -> ()
   | Some dir ->
     List.iter (fun f -> ignore (Experiments.Exp_common.write_csv ~dir f)) figs
 
+(* the figure subcommands and [all] share every option and differ only in
+   the families they run *)
+let figures_term specs =
+  let action seed requests jobs fake_clock stats obs_out csv =
+    Experiments.Pool.set_jobs jobs;
+    if fake_clock then Experiments.Exp_common.install_fake_clock ();
+    with_stats stats (fun () ->
+        List.iter (run_spec ~seed ~requests ~obs_out ~csv) specs)
+  in
+  Term.(
+    const action $ seed_arg $ requests_arg $ jobs_arg $ fake_clock_arg
+    $ stats_arg $ obs_out_arg $ csv_arg)
+
 (* one subcommand per registered experiment family — the registry, not
    this file, decides what exists *)
 let spec_cmd (spec : Experiments.Spec.t) =
-  let action seed requests jobs stats obs_out csv =
-    Experiments.Pool.set_jobs jobs;
-    with_stats stats (fun () -> run_spec ~seed ~requests ~obs_out ~csv spec)
-  in
   Cmd.v
     (Cmd.info spec.Experiments.Spec.id ~doc:(spec.Experiments.Spec.doc ^ "."))
-    Term.(
-      const action $ seed_arg $ requests_arg $ jobs_arg $ stats_arg
-      $ obs_out_arg $ csv_arg)
+    (figures_term [ spec ])
 
 let all_cmd =
   let doc = "Every registered experiment family (the full reproduction run)." in
-  let action seed jobs stats obs_out csv =
-    Experiments.Pool.set_jobs jobs;
-    with_stats stats (fun () ->
-        List.iter
-          (run_spec ~seed ~requests:None ~obs_out ~csv)
-          Experiments.Registry.all)
-  in
-  Cmd.v (Cmd.info "all" ~doc)
-    Term.(
-      const action $ seed_arg $ jobs_arg $ stats_arg $ obs_out_arg $ csv_arg)
+  Cmd.v (Cmd.info "all" ~doc) (figures_term Experiments.Registry.all)
 
 (* ---------- solve one request ---------- *)
 

@@ -8,8 +8,6 @@ type result = {
 
 module Obs = Nfv_obs.Obs
 
-let c_dijkstra_runs = Obs.Counter.make "dijkstra.runs"
-let c_dijkstra_relax = Obs.Counter.make "dijkstra.relaxations"
 let c_dijkstras = Obs.Counter.make "appro_multi.dijkstras"
 let c_relaxations = Obs.Counter.make "appro_multi.relaxations"
 let c_solved = Obs.Counter.make "appro_multi.solved"
@@ -20,12 +18,10 @@ let c_priced = Obs.Counter.make "appro_multi.subsets_priced"
 
 (* span + Dijkstra attribution + outcome count around one solve/admit *)
 let observe span ~ok ~err f =
-  Obs.Span.run span @@ fun () ->
-  let runs0 = Obs.Counter.value c_dijkstra_runs in
-  let relax0 = Obs.Counter.value c_dijkstra_relax in
-  let result = f () in
-  Obs.Counter.add c_dijkstras (Obs.Counter.value c_dijkstra_runs - runs0);
-  Obs.Counter.add c_relaxations (Obs.Counter.value c_dijkstra_relax - relax0);
+  let result =
+    Mcgraph.Paths.attributed span ~dijkstras:c_dijkstras
+      ~relaxations:c_relaxations f
+  in
   Obs.Counter.incr (match result with Ok _ -> ok | Error _ -> err);
   result
 

@@ -1,8 +1,6 @@
 module Sp = Mcgraph.Sp_engine
 module Obs = Nfv_obs.Obs
 
-let c_dijkstra_runs = Obs.Counter.make "dijkstra.runs"
-let c_dijkstra_relax = Obs.Counter.make "dijkstra.relaxations"
 let c_dijkstras = Obs.Counter.make "one_server.dijkstras"
 let c_relaxations = Obs.Counter.make "one_server.relaxations"
 let c_solved = Obs.Counter.make "one_server.solved"
@@ -110,12 +108,10 @@ let solve_impl net request =
       Ok { tree; server = v; cost = Pseudo_tree.cost net tree })
 
 let solve net request =
-  Obs.Span.run "one_server.solve" @@ fun () ->
-  let runs0 = Obs.Counter.value c_dijkstra_runs in
-  let relax0 = Obs.Counter.value c_dijkstra_relax in
-  let result = solve_impl net request in
-  Obs.Counter.add c_dijkstras (Obs.Counter.value c_dijkstra_runs - runs0);
-  Obs.Counter.add c_relaxations (Obs.Counter.value c_dijkstra_relax - relax0);
+  let result =
+    Mcgraph.Paths.attributed "one_server.solve" ~dijkstras:c_dijkstras
+      ~relaxations:c_relaxations (fun () -> solve_impl net request)
+  in
   (match result with
   | Ok _ -> Obs.Counter.incr c_solved
   | Error _ -> Obs.Counter.incr c_infeasible);

@@ -3,10 +3,6 @@ module Sp = Mcgraph.Sp_engine
 module Tree = Mcgraph.Tree
 module Obs = Nfv_obs.Obs
 
-(* shared process-wide counters ([Obs.Counter.make] is idempotent per
-   name), diffed around each solve to attribute Dijkstra work here *)
-let c_dijkstra_runs = Obs.Counter.make "dijkstra.runs"
-let c_dijkstra_relax = Obs.Counter.make "dijkstra.relaxations"
 let c_dijkstras = Obs.Counter.make "online_cp.dijkstras"
 let c_relaxations = Obs.Counter.make "online_cp.relaxations"
 let c_admitted = Obs.Counter.make "online_cp.admitted"
@@ -574,12 +570,11 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
 
 let admit ?(mode = `Exponential) ?params ?window ?(prune = true) ?avail net
     request =
-  Obs.Span.run "online_cp.admit" @@ fun () ->
-  let runs0 = Obs.Counter.value c_dijkstra_runs in
-  let relax0 = Obs.Counter.value c_dijkstra_relax in
-  let outcome = admit_impl ~mode ~params ~window ~prune ~avail net request in
-  Obs.Counter.add c_dijkstras (Obs.Counter.value c_dijkstra_runs - runs0);
-  Obs.Counter.add c_relaxations (Obs.Counter.value c_dijkstra_relax - relax0);
+  let outcome =
+    Paths.attributed "online_cp.admit" ~dijkstras:c_dijkstras
+      ~relaxations:c_relaxations (fun () ->
+        admit_impl ~mode ~params ~window ~prune ~avail net request)
+  in
   (match outcome with
   | Admitted _ -> Obs.Counter.incr c_admitted
   | Rejected No_feasible_server -> Obs.Counter.incr c_rej_no_server

@@ -2,8 +2,6 @@ module Paths = Mcgraph.Paths
 module Sp = Mcgraph.Sp_engine
 module Obs = Nfv_obs.Obs
 
-let c_dijkstra_runs = Obs.Counter.make "dijkstra.runs"
-let c_dijkstra_relax = Obs.Counter.make "dijkstra.relaxations"
 let c_dijkstras = Obs.Counter.make "online_sp.dijkstras"
 let c_relaxations = Obs.Counter.make "online_sp.relaxations"
 let c_admitted = Obs.Counter.make "online_sp.admitted"
@@ -106,12 +104,10 @@ let admit_impl ~window net request =
   end
 
 let admit ?window net request =
-  Obs.Span.run "online_sp.admit" @@ fun () ->
-  let runs0 = Obs.Counter.value c_dijkstra_runs in
-  let relax0 = Obs.Counter.value c_dijkstra_relax in
-  let outcome = admit_impl ~window net request in
-  Obs.Counter.add c_dijkstras (Obs.Counter.value c_dijkstra_runs - runs0);
-  Obs.Counter.add c_relaxations (Obs.Counter.value c_dijkstra_relax - relax0);
+  let outcome =
+    Paths.attributed "online_sp.admit" ~dijkstras:c_dijkstras
+      ~relaxations:c_relaxations (fun () -> admit_impl ~window net request)
+  in
   (match outcome with
   | Admitted _ -> Obs.Counter.incr c_admitted
   | Rejected _ -> Obs.Counter.incr c_rejected);

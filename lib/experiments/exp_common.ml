@@ -111,11 +111,6 @@ let as1755_network rng =
 let as4755_network rng =
   Sdn.Network.make_random_servers ~fraction:0.1 ~rng (Topology.Rocketfuel.as4755 ())
 
-let time_of f =
-  let t0 = !Nfv_obs.Obs.clock () in
-  let x = f () in
-  (x, !Nfv_obs.Obs.clock () -. t0)
-
 (* One tick per read, counted per domain (domain-local state), so the
    number of ticks a measured region consumes depends only on the code
    it runs — not on which domain ran it or what siblings did

@@ -1,6 +1,6 @@
 (** Shared infrastructure for reproducing the paper's figures: network
     construction matching §VI-A, figure/series data structures, and a
-    plain-text table renderer used by the bench harness and the CLI. *)
+    plain-text table renderer used by the CLI. *)
 
 type series = {
   label : string;
@@ -48,23 +48,16 @@ val as1755_network : Topology.Rng.t -> Sdn.Network.t
 
 val as4755_network : Topology.Rng.t -> Sdn.Network.t
 
-val time_of : (unit -> 'a) -> 'a * float
-(** Result and elapsed seconds per [Nfv_obs.Obs.clock] (default
-    [Sys.time], process CPU time). Under [--jobs N] the default clock
-    charges a region with CPU burnt by sibling domains too, so treat
-    parallel-run wall-clock totals as upper bounds — or install the
-    fake clock for determinism checks. *)
-
 val install_fake_clock : unit -> unit
-(** Replace [Nfv_obs.Obs.clock] (the one process clock, also read by
-    {!time_of}) with a deterministic per-domain tick counter (one tick
-    of 2{^-13} s ≈ 0.12 ms per read, domain-local state; the dyadic
-    tick keeps clock differences — and histogram sums of them — exact
-    in floating point). The ticks a measured region consumes then
-    depend only on the code it runs, never on scheduling, which is what
-    makes figure timing columns byte-identical across [--jobs]
-    settings. Process global and irreversible; meant for the
-    determinism tests and [bench --fake-clock]. *)
+(** Replace [Nfv_obs.Obs.clock] (the one process clock) with a
+    deterministic per-domain tick counter (one tick of 2{^-13} s ≈
+    0.12 ms per read, domain-local state; the dyadic tick keeps clock
+    differences — and histogram sums of them — exact in floating point).
+    The ticks a measured region consumes then depend only on the code it
+    runs, never on scheduling, which is what makes figure timing columns
+    byte-identical across [--jobs] settings. Process global and
+    irreversible; meant for the determinism tests and
+    [nfvm --fake-clock]. *)
 
 val mean : float list -> float
 (** 0 on the empty list. *)

@@ -11,8 +11,7 @@
     declared shape of its outputs.
 
     The registry ({!Registry}) holds one {!t} per experiment family;
-    the bench harness and the CLI both enumerate it instead of
-    hard-coding figure lists. *)
+    the CLI enumerates it instead of hard-coding figure lists. *)
 
 type point_result = (string * float) list
 (** Named metrics one grid point computes. Names are free-form and
@@ -76,8 +75,7 @@ val restoration_ledger : ledger
 
 type t = {
   id : string;
-      (** registry key; also the bench [--figure] name and the CLI
-          subcommand *)
+      (** registry key; also the CLI subcommand *)
   doc : string;  (** one-line description, shown by the CLI *)
   figure_ids : string list;
       (** ids of the figures the instance emits, in emission order —

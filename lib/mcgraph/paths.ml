@@ -8,11 +8,21 @@ type spt = {
 module Obs = Nfv_obs.Obs
 
 (* process-wide Dijkstra work counters; algorithm layers attribute them
-   to themselves by diffing [Obs.Counter.value] around a solve *)
+   to themselves through [attributed] *)
 let c_runs = Obs.Counter.make "dijkstra.runs"
 let c_pops = Obs.Counter.make "dijkstra.heap_pops"
 let c_scans = Obs.Counter.make "dijkstra.edges_scanned"
 let c_relax = Obs.Counter.make "dijkstra.relaxations"
+
+(* the counters are read outside the span, which records only its own
+   histogram, so [f] is the one closure a call allocates *)
+let attributed span ~dijkstras ~relaxations f =
+  let runs0 = Obs.Counter.value c_runs in
+  let relax0 = Obs.Counter.value c_relax in
+  let result = Obs.Span.run span f in
+  Obs.Counter.add dijkstras (Obs.Counter.value c_runs - runs0);
+  Obs.Counter.add relaxations (Obs.Counter.value c_relax - relax0);
+  result
 
 let weight_vector g ~weight = Array.init (Graph.m g) weight
 

@@ -20,6 +20,19 @@ val dijkstra : Graph.t -> weight:(int -> float) -> source:int -> spt
     edges the search never scans — so it must be pure and total there.
     Raises [Invalid_argument] if a traversed edge has negative weight. *)
 
+val attributed :
+  string ->
+  dijkstras:Nfv_obs.Obs.Counter.t ->
+  relaxations:Nfv_obs.Obs.Counter.t ->
+  (unit -> 'a) ->
+  'a
+(** [attributed span ~dijkstras ~relaxations f] is
+    [Nfv_obs.Obs.Span.run span f] that also adds to [dijkstras] and
+    [relaxations] the Dijkstra runs and relaxations this module counted
+    (as [dijkstra.runs] and [dijkstra.relaxations]) while [f] ran: how
+    an algorithm layer charges its shortest-path work to itself. If [f]
+    raises, nothing is added. *)
+
 val weight_vector : Graph.t -> weight:(int -> float) -> float array
 (** [weight_vector g ~weight] is [weight e] for every edge id [e] of [g],
     in id order: the materialised form {!dijkstra_vec} reads. *)

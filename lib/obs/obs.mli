@@ -8,8 +8,8 @@
     (the default) every recording call reduces to one boolean load and a
     branch, so instrumented code paths stay within noise of their
     uninstrumented versions and figure reproductions remain
-    byte-identical. The [--stats] flag of [bin/nfvm_cli] and
-    [bench/main] flips the switch and dumps a report on exit.
+    byte-identical. The [--stats] flag of [bin/nfvm_cli] flips the
+    switch and dumps a report on exit.
 
     Instruments are registered globally by name, in creation order, and
     live for the whole process: constructors are idempotent, so two

@@ -20,7 +20,7 @@ let () = E.install_fake_clock ()
 let smoke_seed = 3
 
 (* render every figure of a family into one string: the tables exactly as
-   the bench prints them, then each figure's CSV *)
+   the CLI prints them, then each figure's CSV *)
 let render_family figs =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in

@@ -64,7 +64,7 @@ let test_declared_figures () =
     Experiments.Registry.all
 
 (* The goldens pin only the smoke instances; this pins the default-scale
-   layout [--figure] runs. Each family's instance is serialised (sweep
+   layout [nfvm <family>] runs. Each family's instance is serialised (sweep
    keys and sizes; figure ids, titles, labels, notes and cells, x in hex
    so every bit counts) and digested. A layout change is announced by
    updating the digest here. *)
