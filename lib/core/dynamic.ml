@@ -106,10 +106,19 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
   let depart_of : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let last_time = ref 0.0 in
   let conc_integral = ref 0.0 and util_integral = ref 0.0 in
+  (* residuals change only through allocate, release and reset, and each
+     bumps the weight epoch, so the O(|E|) mean is recomputed once per
+     epoch and is the same float a fresh sum would give *)
+  let util_epoch = ref min_int and util = ref 0.0 in
   let step now =
     let dt = now -. !last_time in
     conc_integral := !conc_integral +. (dt *. float_of_int !concurrent);
-    util_integral := !util_integral +. (dt *. Sdn.Network.mean_link_utilization net);
+    let epoch = Sdn.Network.weight_epoch net in
+    if epoch <> !util_epoch then begin
+      util := Sdn.Network.mean_link_utilization net;
+      util_epoch := epoch
+    end;
+    util_integral := !util_integral +. (dt *. !util);
     last_time := now
   in
   let enter id tree =
@@ -163,9 +172,12 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
       | Sdn.Fault.Link_up e -> Sdn.Fault.confiscated_link fault e
       | _ -> 0.0
     in
-    let holders = sorted_live () in
+    (* a heal evicts nobody and never reads the live sessions *)
     let allocations =
-      List.map (fun (id, t) -> (id, Pseudo_tree.allocation t)) holders
+      match ev with
+      | Sdn.Fault.Link_up _ | Sdn.Fault.Server_up _ -> []
+      | _ ->
+        List.map (fun (id, t) -> (id, Pseudo_tree.allocation t)) (sorted_live ())
     in
     let victims = Sdn.Fault.inject fault ~live:allocations ev in
     evicted := !evicted + List.length victims;

@@ -19,6 +19,13 @@ let c_rej_unallocatable = Obs.Counter.make "online_cp.rejected.unallocatable"
 let c_pruned = Obs.Counter.make "online_cp.pruned.servers"
 let c_pruned_late = Obs.Counter.make "online_cp.pruned.computed_late"
 
+(* proved rejections: servers whose tree the tripod bound (or the
+   source's own distances) proved over the edge threshold before KMB,
+   and requests the window's component labels proved unreachable
+   before any Dijkstra *)
+let c_pruned_threshold = Obs.Counter.make "online_cp.pruned.over_threshold"
+let c_pruned_unreachable = Obs.Counter.make "online_cp.pruned.unreachable"
+
 (* availability-aware pricing: per-epoch exposure recomputations and
    candidates blocked by the per-group spare-capacity floor *)
 let c_avail_refreshes = Obs.Counter.make "avail.exposure_refreshes"
@@ -327,17 +334,22 @@ let weight_family avail ~mode ~params =
       (Int64.to_string (Int64.bits_of_float av.av_alpha))
   | _ -> base
 
-let engine ?avail ~mode ~params ?window net ~bandwidth =
+(* [bucket] is the window's feasibility bucket for [bandwidth] when the
+   caller has counted it already *)
+let engine_at ?avail ~mode ~params ?window ?bucket net ~bandwidth =
   let weight e = link_weight avail ~mode ~params net ~bandwidth e in
   match window with
   | Some w ->
-    Sp_window.engine w
-      ~family:(weight_family avail ~mode ~params)
-      ~bucket:(Sp_window.bucket w ~bandwidth)
-      ~weight
+    let bucket =
+      match bucket with Some k -> k | None -> Sp_window.bucket w ~bandwidth
+    in
+    Sp_window.engine w ~family:(weight_family avail ~mode ~params) ~bucket ~weight
   | None ->
     Sp.create (Sdn.Network.graph net) ~weight
       ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+
+let engine ?avail ~mode ~params ?window net ~bandwidth =
+  engine_at ?avail ~mode ~params ?window net ~bandwidth
 
 let admit_impl ~mode ~params ~window ~prune ~avail net request =
   let params =
@@ -346,6 +358,7 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
   let g = Sdn.Network.graph net in
   let b = request.Sdn.Request.bandwidth in
   let s = request.Sdn.Request.source in
+  let destinations = request.Sdn.Request.destinations in
   let demand = Sdn.Request.demand_mhz request in
   let server_w v = server_weight ~mode ~params net ~demand v in
   let thresholds_on = mode = `Exponential in
@@ -354,217 +367,281 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
   in
   if usable = [] then Rejected No_feasible_server
   else begin
-    (* at most one lazy Dijkstra per terminal, run on its first query
-       and shared by every candidate server: the source's tree comes
-       first (the reachability check below), so an [Unreachable]
-       rejection costs one Dijkstra. The engine is keyed by the
-       network's weight epoch, so the load-dependent exponential
-       weights invalidate on allocate/release rather than the caller
-       rebuilding state from scratch. When the caller runs a whole
-       admission window, the engine itself is shared across requests
-       of the same weight class (Sp_window's exactness contract), so a
-       request following a rejection reuses cached trees instead of
-       starting cold. *)
-    let terminals =
-      List.sort_uniq Int.compare (s :: request.Sdn.Request.destinations)
+    let bucket =
+      match window with
+      | Some w -> Some (Sp_window.bucket w ~bandwidth:b)
+      | None -> None
     in
-    let eng = engine ?avail ~mode ~params ?window net ~bandwidth:b in
-    (* non-terminal sources (candidate servers) answer from the terminal
-       end's tree by symmetry, so servers never cost a Dijkstra. The
-       split is on membership in *this* request's terminal set, not on
-       what the engine happens to have cached: a shared engine may hold
-       trees for other requests' terminals, and answering from those
-       would pick different (equal-cost) paths than the per-request
-       engine did. *)
-    let is_terminal x = mem_int x terminals in
-    let dist x y =
-      if is_terminal x then (Sp.spt eng x).Paths.dist.(y)
-      else (Sp.spt eng y).Paths.dist.(x)
+    (* A link prices infinite exactly when it cannot admit [b], so a
+       destination outside the source's component of the admitting links
+       is at distance infinity: the reachability check below would reject
+       [Unreachable] after a source Dijkstra. The window's labels prove
+       that first, at the same point of the decision. *)
+    let labelled_apart =
+      match (window, bucket) with
+      | Some w, Some bucket when prune ->
+        not (Sp_window.connects w ~bucket ~bandwidth:b s destinations)
+      | _ -> false
     in
-    (* [dist] a row at a time for KMB: the same lookup per pair *)
-    let row x dst n out =
-      if is_terminal x then
-        for i = 0 to n - 1 do
-          out.(i) <- (Sp.spt eng x).Paths.dist.(dst.(i))
-        done
-      else
-        for i = 0 to n - 1 do
-          out.(i) <- (Sp.spt eng dst.(i)).Paths.dist.(x)
-        done
-    in
-    let path x y =
-      if is_terminal x then Paths.path_edges g (Sp.spt eng x) y
-      else Option.map List.rev (Paths.path_edges g (Sp.spt eng y) x)
-    in
-    let reachable =
-      let spt_s = Sp.spt eng s in
-      List.for_all
-        (fun d -> spt_s.Paths.dist.(d) < infinity)
-        request.Sdn.Request.destinations
-    in
-    if not reachable then Rejected Unreachable
+    if labelled_apart then begin
+      Obs.Counter.incr c_pruned_unreachable;
+      Rejected Unreachable
+    end
     else begin
-      let saw_threshold_violation = ref false in
-      let saw_server_unreachable = ref false in
-      (* cheap screening pass: node threshold and source-to-server
-         reachability (an O(1) read off s's tree). The expensive part —
-         the KMB tree and the backtrack — is deferred per server. *)
-      let screen pos v =
-        let wv = server_w v in
-        if thresholds_on && wv >= params.sigma_v then begin
-          saw_threshold_violation := true;
-          None
-        end
-        else begin
-          let dsv = dist s v in
-          if dsv = infinity then begin
-            saw_server_unreachable := true;
-            None
-          end
-          else Some { p_pos = pos; p_server = v; p_wv = wv; p_bound = dsv +. wv }
-        end
+      (* at most one lazy Dijkstra per terminal, run on its first query
+         and shared by every candidate server: the source's tree comes
+         first (the reachability check below), so an [Unreachable]
+         rejection costs one Dijkstra. The engine is keyed by the
+         network's weight epoch, so the load-dependent exponential
+         weights invalidate on allocate/release rather than the caller
+         rebuilding state from scratch. When the caller runs a whole
+         admission window, the engine itself is shared across requests
+         of the same weight class (Sp_window's exactness contract), so a
+         request following a rejection reuses cached trees instead of
+         starting cold. *)
+      let terminals = List.sort_uniq Int.compare (s :: destinations) in
+      let eng = engine_at ?avail ~mode ~params ?window ?bucket net ~bandwidth:b in
+      (* non-terminal sources (candidate servers) answer from the terminal
+         end's tree by symmetry, so servers never cost a Dijkstra. The
+         split is on membership in *this* request's terminal set, not on
+         what the engine happens to have cached: a shared engine may hold
+         trees for other requests' terminals, and answering from those
+         would pick different (equal-cost) paths than the per-request
+         engine did. *)
+      let is_terminal x = mem_int x terminals in
+      (* KMB's metric, a row at a time *)
+      let row x dst n out =
+        if is_terminal x then
+          for i = 0 to n - 1 do
+            out.(i) <- (Sp.spt eng x).Paths.dist.(dst.(i))
+          done
+        else
+          for i = 0 to n - 1 do
+            out.(i) <- (Sp.spt eng dst.(i)).Paths.dist.(x)
+          done
       in
-      let screened = List.filter_map Fun.id (List.mapi screen usable) in
-      (* price trees off the engine's weight vector for this epoch — the
-         values [link_weight] returns, without re-evaluating it per edge *)
-      let wvec = Sp.weights eng in
-      let link_wv e = wvec.(e) in
-      let compute p =
-        let v = p.p_server in
-        let terms = List.sort_uniq Int.compare (v :: terminals) in
-        match
-          Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
-            ~row ~path
-        with
-        | None -> None
-        | Some tree_edges ->
-          let w_tree = Mcgraph.Steiner.tree_cost ~weight:link_wv tree_edges in
-          if thresholds_on && w_tree >= params.sigma_e then begin
+      let path x y =
+        if is_terminal x then Paths.path_edges g (Sp.spt eng x) y
+        else Option.map List.rev (Paths.path_edges g (Sp.spt eng y) x)
+      in
+      (* the bounds below read distances as rows: the source's once, each
+         destination's on first need (a Dijkstra KMB would run anyway) *)
+      let from_s = (Sp.spt eng s).Paths.dist in
+      let reachable = List.for_all (fun d -> from_s.(d) < infinity) destinations in
+      if not reachable then Rejected Unreachable
+      else begin
+        let saw_threshold_violation = ref false in
+        let saw_server_unreachable = ref false in
+        (* cheap screening pass: node threshold and source-to-server
+           reachability (an O(1) read off s's tree). The expensive part —
+           the KMB tree and the backtrack — is deferred per server. *)
+        let screen pos v =
+          let wv = server_w v in
+          if thresholds_on && wv >= params.sigma_v then begin
             saw_threshold_violation := true;
             None
           end
           else begin
-            let rooted = Tree.of_edges g ~root:s tree_edges in
-            let u = Tree.lca_many rooted (v :: request.Sdn.Request.destinations) in
-            let backtrack = Tree.path_up rooted v ~ancestor:u in
-            let w_back = Mcgraph.Steiner.tree_cost ~weight:link_wv backtrack in
-            let score = w_tree +. w_back +. p.p_wv in
-            Some
-              {
-                cand_server = v;
-                cand_pos = p.p_pos;
-                cand_tree = tree_edges;
-                cand_backtrack = backtrack;
-                cand_lca = u;
-                cand_score = score;
-              }
+            let dsv = from_s.(v) in
+            if dsv = infinity then begin
+              saw_server_unreachable := true;
+              None
+            end
+            else Some { p_pos = pos; p_server = v; p_wv = wv; p_bound = dsv +. wv }
           end
-      in
-      (* price servers in usable order, skipping any whose lower bound
-         already loses to the best complete candidate so far; the
-         incumbent only improves, so a deferred server's bound also
-         exceeds the final best score *)
-      let computed = ref [] in
-      let deferred = ref [] in
-      let incumbent = ref infinity in
-      List.iter
-        (fun p ->
-          if prune && p.p_bound > slack !incumbent then
-            deferred := p :: !deferred
-          else
-            match compute p with
-            | None -> ()
-            | Some c ->
-              if c.cand_score < !incumbent then incumbent := c.cand_score;
-              computed := c :: !computed)
-        screened;
-      let try_alloc c =
-        let v = c.cand_server in
-        let rooted = Tree.of_edges g ~root:s c.cand_tree in
-        let to_server = List.rev (Tree.path_up rooted v ~ancestor:s) in
-        let route_of d =
-          (* the processed copy climbs only to LCA(v, d) — a prefix of
-             the reserved v → u backtrack — before descending, so no
-             edge carries more traffic than Algorithm 2 accounts for *)
-          let onward = Tree.path_between rooted v d in
-          (d, { Pseudo_tree.to_server; server = v; onward })
         in
-        let routes = List.map route_of request.Sdn.Request.destinations in
-        let tree =
-          Pseudo_tree.make ~request ~servers:[ v ]
-            ~edge_uses:
-              (Pseudo_tree.edge_uses_of_list (c.cand_tree @ c.cand_backtrack))
-            ~routes
-        in
-        let alloc = Pseudo_tree.allocation tree in
-        (* the spare-capacity floor fires before the allocation attempt:
-           a blocked candidate behaves exactly like a failed allocation
-           (no side effects, the select loop moves on), so a run that
-           ends with every candidate blocked is an ordinary
-           [Unallocatable] rejection *)
-        let blocked =
-          match avail with
-          | Some av when not (reserve_admits av net alloc) ->
-            Obs.Counter.incr c_avail_blocked;
-            true
-          | _ -> false
-        in
-        if blocked then None
-        else
-          match Sdn.Network.allocate net alloc with
-          | Ok () ->
-            Some (Admitted { tree; server = v; lca = c.cand_lca; score = c.cand_score })
-          | Error _ -> None
-      in
-      (* Walk candidates in score order (ties by the historical order,
-         see [cand_order]) attempting allocation, materialising deferred
-         servers whenever their bound says they could still rank at or
-         before the current front-runner. Failed allocations have no
-         side effects, so skipping servers that would only have been
-         failed attempts is unobservable. *)
-      let rec select computed deferred =
-        match computed with
-        | [] -> (
-          match deferred with
-          | [] -> Rejected Unallocatable
-          | _ ->
-            (* the fallback chain outlived every priced candidate;
-               materialise the most promising deferred server *)
-            let next = min_by pending_order deferred in
-            let deferred = List.filter (fun p -> p.p_pos <> next.p_pos) deferred in
-            Obs.Counter.incr c_pruned_late;
-            (match compute next with
-            | None -> select [] deferred
-            | Some c -> select [ c ] deferred))
-        | _ -> (
-          let best = min_by cand_order computed in
-          let ready, still =
-            List.partition (fun p -> p.p_bound <= slack best.cand_score) deferred
+        let screened = List.filter_map Fun.id (List.mapi screen usable) in
+        let sigma_e = slack params.sigma_e in
+        let dests = Array.of_list destinations in
+        let far = ref 0.0 in
+        for i = 0 to Array.length dests - 1 do
+          far := Float.max !far from_s.(dests.(i))
+        done;
+        let far = !far in
+        (* Every candidate tree contains s and each destination d, so it
+           weighs at least [far], the largest d(s, d); [far] beyond σ_e puts
+           every tree over the edge threshold. With a screened server left,
+           the naive run prices it, sees the violation and rejects
+           [Over_threshold] — the same answer, reached here without a KMB
+           run. *)
+        if prune && thresholds_on && screened <> [] && far > sigma_e then begin
+          Obs.Counter.add c_pruned_threshold (List.length screened);
+          Rejected Over_threshold
+        end
+        else begin
+          let dest_rows = Array.make (Array.length dests) [||] in
+          let dest_row i =
+            if Array.length dest_rows.(i) = 0 then
+              dest_rows.(i) <- (Sp.spt eng dests.(i)).Paths.dist;
+            dest_rows.(i)
           in
-          if ready <> [] then begin
-            List.iter (fun _ -> Obs.Counter.incr c_pruned_late) ready;
-            let newly = List.filter_map compute ready in
-            select (newly @ computed) still
-          end
-          else
-            match try_alloc best with
-            | Some outcome ->
-              Obs.Counter.add c_pruned (List.length deferred);
-              outcome
-            | None ->
-              select
-                (List.filter (fun c -> c.cand_pos <> best.cand_pos) computed)
-                deferred)
-      in
-      match !computed with
-      | [] ->
-        (* nothing priced ⟹ nothing deferred (no incumbent, no pruning),
-           so the attribution below sees the complete picture *)
-        if !saw_threshold_violation then Rejected Over_threshold
-        else if screened = [] && !saw_server_unreachable then
-          Rejected Server_unreachable
-        else Rejected Unreachable
-      | cands -> select cands !deferred
+          (* The tripod lemma (DESIGN.md §11): a tree containing s, v and d
+             weighs at least (d(s,v) + d(v,d) + d(s,d)) / 2, and at least
+             d(s,v). A bound beyond [slack σ_e] proves the KMB tree would
+             fail the edge threshold. By the triangle inequality no tripod
+             bound exceeds d(s,v) + [far], so the scan runs only when that
+             sum does; skipping it only ever leaves the server to KMB. *)
+          let proved_over v =
+            let dsv = from_s.(v) in
+            let over = ref (dsv > sigma_e) and i = ref 0 in
+            if dsv +. far > sigma_e then
+              while (not !over) && !i < Array.length dests do
+                let d = dests.(!i) in
+                over := (dsv +. (dest_row !i).(v) +. from_s.(d)) /. 2.0 > sigma_e;
+                incr i
+              done;
+            !over
+          in
+          (* price trees off the engine's weight vector for this epoch — the
+             values [link_weight] returns, without re-evaluating it per edge *)
+          let wvec = Sp.weights eng in
+          let link_wv e = wvec.(e) in
+          let compute p =
+            let v = p.p_server in
+            if prune && thresholds_on && proved_over v then begin
+              Obs.Counter.incr c_pruned_threshold;
+              saw_threshold_violation := true;
+              None
+            end
+            else
+              let terms = List.sort_uniq Int.compare (v :: terminals) in
+              match
+                Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
+                  ~row ~path
+              with
+              | None -> None
+              | Some tree_edges ->
+                let w_tree = Mcgraph.Steiner.tree_cost ~weight:link_wv tree_edges in
+                if thresholds_on && w_tree >= params.sigma_e then begin
+                  saw_threshold_violation := true;
+                  None
+                end
+                else begin
+                  let rooted = Tree.of_edges g ~root:s tree_edges in
+                  let u = Tree.lca_many rooted (v :: destinations) in
+                  let backtrack = Tree.path_up rooted v ~ancestor:u in
+                  let w_back = Mcgraph.Steiner.tree_cost ~weight:link_wv backtrack in
+                  let score = w_tree +. w_back +. p.p_wv in
+                  Some
+                    {
+                      cand_server = v;
+                      cand_pos = p.p_pos;
+                      cand_tree = tree_edges;
+                      cand_backtrack = backtrack;
+                      cand_lca = u;
+                      cand_score = score;
+                    }
+                end
+          in
+          (* price servers in usable order, skipping any whose lower bound
+             already loses to the best complete candidate so far; the
+             incumbent only improves, so a deferred server's bound also
+             exceeds the final best score *)
+          let computed = ref [] in
+          let deferred = ref [] in
+          let incumbent = ref infinity in
+          List.iter
+            (fun p ->
+              if prune && p.p_bound > slack !incumbent then
+                deferred := p :: !deferred
+              else
+                match compute p with
+                | None -> ()
+                | Some c ->
+                  if c.cand_score < !incumbent then incumbent := c.cand_score;
+                  computed := c :: !computed)
+            screened;
+          let try_alloc c =
+            let v = c.cand_server in
+            let rooted = Tree.of_edges g ~root:s c.cand_tree in
+            let to_server = List.rev (Tree.path_up rooted v ~ancestor:s) in
+            let route_of d =
+              (* the processed copy climbs only to LCA(v, d) — a prefix of
+                 the reserved v → u backtrack — before descending, so no
+                 edge carries more traffic than Algorithm 2 accounts for *)
+              let onward = Tree.path_between rooted v d in
+              (d, { Pseudo_tree.to_server; server = v; onward })
+            in
+            let routes = List.map route_of destinations in
+            let tree =
+              Pseudo_tree.make ~request ~servers:[ v ]
+                ~edge_uses:
+                  (Pseudo_tree.edge_uses_of_list (c.cand_tree @ c.cand_backtrack))
+                ~routes
+            in
+            let alloc = Pseudo_tree.allocation tree in
+            (* the spare-capacity floor fires before the allocation attempt:
+               a blocked candidate behaves exactly like a failed allocation
+               (no side effects, the select loop moves on), so a run that
+               ends with every candidate blocked is an ordinary
+               [Unallocatable] rejection *)
+            let blocked =
+              match avail with
+              | Some av when not (reserve_admits av net alloc) ->
+                Obs.Counter.incr c_avail_blocked;
+                true
+              | _ -> false
+            in
+            if blocked then None
+            else
+              match Sdn.Network.allocate net alloc with
+              | Ok () ->
+                Some
+                  (Admitted
+                     { tree; server = v; lca = c.cand_lca; score = c.cand_score })
+              | Error _ -> None
+          in
+          (* Walk candidates in score order (ties by the historical order,
+             see [cand_order]) attempting allocation, materialising deferred
+             servers whenever their bound says they could still rank at or
+             before the current front-runner. Failed allocations have no
+             side effects, so skipping servers that would only have been
+             failed attempts is unobservable. *)
+          let rec select computed deferred =
+            match computed with
+            | [] -> (
+              match deferred with
+              | [] -> Rejected Unallocatable
+              | _ ->
+                (* the fallback chain outlived every priced candidate;
+                   materialise the most promising deferred server *)
+                let next = min_by pending_order deferred in
+                let deferred = List.filter (fun p -> p.p_pos <> next.p_pos) deferred in
+                Obs.Counter.incr c_pruned_late;
+                (match compute next with
+                | None -> select [] deferred
+                | Some c -> select [ c ] deferred))
+            | _ -> (
+              let best = min_by cand_order computed in
+              let ready, still =
+                List.partition (fun p -> p.p_bound <= slack best.cand_score) deferred
+              in
+              if ready <> [] then begin
+                List.iter (fun _ -> Obs.Counter.incr c_pruned_late) ready;
+                let newly = List.filter_map compute ready in
+                select (newly @ computed) still
+              end
+              else
+                match try_alloc best with
+                | Some outcome ->
+                  Obs.Counter.add c_pruned (List.length deferred);
+                  outcome
+                | None ->
+                  select
+                    (List.filter (fun c -> c.cand_pos <> best.cand_pos) computed)
+                    deferred)
+          in
+          match !computed with
+          | [] ->
+            (* nothing priced ⟹ nothing deferred (no incumbent, no pruning),
+               so the attribution below sees the complete picture *)
+            if !saw_threshold_violation then Rejected Over_threshold
+            else if screened = [] && !saw_server_unreachable then
+              Rejected Server_unreachable
+            else Rejected Unreachable
+          | cands -> select cands !deferred
+        end
+      end
     end
   end
 

@@ -206,6 +206,22 @@ val admit :
     telemetry and the amount of work differ. [?prune:false] exists for
     the equivalence tests and A/B telemetry.
 
+    Pruning also proves two rejections before doing the work that would
+    reach them (DESIGN.md §11, "Proving rejections before pricing
+    them"). Every tree over [s], a server [v] and a destination [d]
+    weighs at least the tripod bound
+    [(d(s,v) + d(v,d) + d(s,d)) / 2], and at least [d(s,v)] and
+    [d(s,d)]. So a server whose bound exceeds [slack σ_e] is counted
+    as a threshold violation without a KMB run. A request with some
+    [d(s,d)] beyond [slack σ_e] and at least one screened server is
+    rejected [Over_threshold] after the source Dijkstra alone. With
+    [?window], a destination that {!Sp_window.connects} places outside
+    the source's component of the links admitting the bandwidth gives
+    [Unreachable] before any engine is acquired. Reasons and outcomes
+    are those of [?prune:false]. Telemetry:
+    [online_cp.pruned.over_threshold] (servers skipped) and
+    [online_cp.pruned.unreachable] (requests).
+
     [?avail] (default: none) enables availability-aware pricing: the
     exposure surcharge joins the link weights (and the engine family
     key) and the spare-capacity floor gates each allocation attempt —

@@ -7,6 +7,7 @@
    of residuals lies below them, because the pruned sets are nested). *)
 
 module Sp = Mcgraph.Sp_engine
+module Uf = Mcgraph.Union_find
 module Obs = Nfv_obs.Obs
 
 let c_creates = Obs.Counter.make "sp_window.engine_creates"
@@ -14,9 +15,14 @@ let c_reuses = Obs.Counter.make "sp_window.engine_reuses"
 
 type stats = { engines : int; acquisitions : int; reuses : int }
 
+(* the components of the links one bucket admits, valid at [l_epoch];
+   the forest is relabelled in place when the epoch moves *)
+type labels = { mutable l_epoch : int; forest : Uf.t }
+
 type t = {
   net : Sdn.Network.t;
   engines : (string * int, Sp.t) Hashtbl.t;
+  labels : (int, labels) Hashtbl.t;
   mutable acquisitions : int;
   mutable reuses : int;
 }
@@ -25,6 +31,7 @@ let create net =
   {
     net;
     engines = Hashtbl.create 8;
+    labels = Hashtbl.create 8;
     acquisitions = 0;
     reuses = 0;
   }
@@ -45,6 +52,37 @@ let bucket t ~bandwidth =
     if not (Sdn.Network.link_admits t.net e bandwidth) then incr pruned
   done;
   !pruned
+
+(* Equal bucket at an equal epoch means an equal admitted link set, so
+   the labels are a function of (epoch, bucket) exactly like the
+   engines' weights are; each bucket keeps one forest for the window's
+   lifetime and relabels it when it is read at a new epoch. *)
+let connects t ~bucket:bkt ~bandwidth s dsts =
+  let epoch = Sdn.Network.weight_epoch t.net in
+  let l =
+    match Hashtbl.find_opt t.labels bkt with
+    | Some l -> l
+    | None ->
+      let l = { l_epoch = min_int; forest = Uf.create (Sdn.Network.n t.net) } in
+      Hashtbl.replace t.labels bkt l;
+      l
+  in
+  (* bucket 0 admits every link at any epoch, so its labels never go
+     stale *)
+  if l.l_epoch = min_int || (bkt > 0 && l.l_epoch <> epoch) then begin
+    let g = Sdn.Network.graph t.net in
+    Uf.reset l.forest;
+    for e = 0 to Sdn.Network.m t.net - 1 do
+      if Sdn.Network.link_admits t.net e bandwidth then
+        ignore (Uf.union l.forest (Mcgraph.Graph.edge_u g e) (Mcgraph.Graph.edge_v g e))
+    done;
+    l.l_epoch <- epoch
+  end;
+  let rec all_joined = function
+    | [] -> true
+    | d :: rest -> Uf.same l.forest s d && all_joined rest
+  in
+  all_joined dsts
 
 let engine t ~family ~bucket:bkt ~weight =
   t.acquisitions <- t.acquisitions + 1;

@@ -66,6 +66,18 @@ val bucket : t -> bandwidth:float -> int
     snapshot is kept, so nothing depends on the weight epoch.
     Bit-compatible with [Sdn.Network.link_admits]'s tolerance. *)
 
+val connects : t -> bucket:int -> bandwidth:float -> int -> int list -> bool
+(** [connects t ~bucket ~bandwidth s ds] is whether every node of [ds]
+    lies in [s]'s connected component of the subgraph of links that
+    [link_admits] [bandwidth] — exactly the links the window's weight
+    functions price finite, so [false] means some [d] is at distance
+    [infinity] from [s] under any of them. [bucket] must be
+    [bucket t ~bandwidth] at the current epoch. The labels are a
+    function of (weight epoch, bucket) and are cached under that key:
+    one union-find pass over the links on the first read of a bucket
+    at an epoch, in a forest the bucket keeps and relabels in place.
+    Bucket 0 admits every link, so its labels are computed once. *)
+
 val engine :
   t -> family:string -> bucket:int -> weight:(int -> float) -> Mcgraph.Sp_engine.t
 (** [engine t ~family ~bucket ~weight] is the window's engine for the

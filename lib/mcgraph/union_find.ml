@@ -14,6 +14,15 @@ let create n =
     sets = n;
   }
 
+let reset t =
+  let n = Array.length t.parent in
+  for i = 0 to n - 1 do
+    t.parent.(i) <- i
+  done;
+  Array.fill t.rank 0 n 0;
+  Array.fill t.set_size 0 n 1;
+  t.sets <- n
+
 let rec find t x =
   let p = t.parent.(x) in
   if p = x then x

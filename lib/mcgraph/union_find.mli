@@ -5,6 +5,10 @@ type t
 val create : int -> t
 (** [create n] is a partition of [{0, ..., n-1}] into singletons. *)
 
+val reset : t -> unit
+(** [reset t] makes [t] the partition into singletons again, in place:
+    no allocation, so one forest can be relabelled many times. *)
+
 val find : t -> int -> int
 (** Canonical representative of an element's set. *)
 

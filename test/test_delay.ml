@@ -98,24 +98,25 @@ let prop_delay_consistent_with_validation =
           | Error _ -> true)
         reqs)
 
+(* Per request on a freshly reset network, SP routes the same tree
+   whatever the bound, so a request admitted under 8 ms is admitted under
+   100 ms. (Counting admissions over a shared sequence is not monotone:
+   one rollback can free capacity for several later decisions.) The seed
+   is pinned so the property draws the same cases on every run. *)
 let prop_tightening_monotone =
-  Tutil.qtest ~count:30 "tighter deadlines never admit more"
+  Tutil.qtest ~count:30 ~rand:(Random.State.make [| 21 |])
+    "tighter deadlines never admit more"
     QCheck.(int_bound 10_000)
     (fun seed ->
       let net, rng = Tutil.random_network seed ~lo:10 ~hi:25 in
       let reqs = Workload.Gen.sequence rng net ~count:25 in
-      let count bound =
+      let admits bound r =
         Sdn.Network.reset net;
-        List.fold_left
-          (fun k r ->
-            let r = Sdn.Request.with_deadline r bound in
-            match D.admit net Adm.Sp r with Ok _ -> k + 1 | Error _ -> k)
-          0 reqs
+        match D.admit net Adm.Sp (Sdn.Request.with_deadline r bound) with
+        | Ok _ -> true
+        | Error _ -> false
       in
-      (* SP's routing ignores the bound; allow one unit of slack for the
-         rare case where a rollback frees capacity that flips a later
-         decision *)
-      count 8.0 <= count 100.0 + 1)
+      List.for_all (fun r -> (not (admits 8.0 r)) || admits 100.0 r) reqs)
 
 let () =
   Alcotest.run "delay"

@@ -357,6 +357,143 @@ let test_window_and_pruning_telemetry () =
   Alcotest.(check bool) "engine cache served hits" true
     (v "sp_engine.cache_hits" > 0)
 
+(* --- proved rejections (tripod bound, component labels) --- *)
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
+
+let with_obs f =
+  Obs.reset_all ();
+  Obs.enabled := true;
+  Fun.protect ~finally:(fun () -> Obs.enabled := false) f
+
+(* A thin, sparse substrate: a random spanning tree plus a few chords,
+   links carrying one to four requests, servers that never run out. Links
+   saturate within a run and cut the graph apart, and a drawn edge
+   threshold (down to 2 % of |V| - 1) puts many trees near sigma_e. *)
+let thin_case seed =
+  let rng = Rng.create (seed + 4100) in
+  let n = Rng.int_range rng 10 24 in
+  let g = Mcgraph.Graph.create n in
+  for v = 1 to n - 1 do
+    ignore (Mcgraph.Graph.add_edge g v (Rng.int rng v))
+  done;
+  for _ = 1 to Rng.int rng (n / 3) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v && not (Mcgraph.Graph.mem_edge g u v) then
+      ignore (Mcgraph.Graph.add_edge g u v)
+  done;
+  let profile =
+    {
+      N.default_profile with
+      link_capacity = (150.0, 700.0);
+      server_capacity = (1e6, 1e6);
+    }
+  in
+  let net =
+    N.make_random_servers ~profile ~fraction:0.25 ~rng
+      (Topology.Topo.make ~name:"thin" g)
+  in
+  let p = Cp.default_params net in
+  let params = { p with Cp.sigma_e = p.Cp.sigma_e *. Rng.float_range rng 0.02 1.0 } in
+  let reqs = Workload.Gen.sequence rng net ~count:60 in
+  (net, params, reqs)
+
+let thin_run ~windowed seed =
+  let net, params, reqs = thin_case seed in
+  let admit =
+    if windowed then Cp.admit ~params ~window:(W.create net) ~prune:true net
+    else Cp.admit ~params ~prune:false net
+  in
+  let outcomes = List.map (fun r -> cp_fingerprint (admit r)) reqs in
+  (outcomes, net_state net)
+
+let prop_proved_rejections_exact =
+  Tutil.qtest ~count:40 "proved rejections = naive run, bit for bit"
+    QCheck.(int_bound 10_000)
+    (fun seed -> thin_run ~windowed:true seed = thin_run ~windowed:false seed)
+
+(* the property above must exercise both proofs, not just pass *)
+let test_proved_rejections_fire () =
+  with_obs @@ fun () ->
+  for seed = 0 to 19 do
+    ignore (thin_run ~windowed:true seed)
+  done;
+  Alcotest.(check bool) "tripod bound skipped servers" true
+    (counter "online_cp.pruned.over_threshold" > 0);
+  Alcotest.(check bool) "labels proved requests unreachable" true
+    (counter "online_cp.pruned.unreachable" > 0)
+
+(* The path 2 - 1 - 0 - 3 - 4 with servers 2 and 3, every link idle so
+   each weighs the hop epsilon h. From s = 0 to d = 4, server 2's tripod
+   bound is (2h + 4h + 2h) / 2 = 4h while d(s, 2) and d(s, 4) are only
+   2h; server 3's tree weighs 2h. *)
+let fork_net () =
+  let g = Mcgraph.Graph.of_edges ~n:5 [ (0, 1); (1, 2); (0, 3); (3, 4) ] in
+  N.make_explicit ~topology:(Topology.Topo.make ~name:"fork" g)
+    ~servers:[ (2, 8_000.0, 0.01); (3, 8_000.0, 0.01) ]
+    ~link_capacities:(Array.make 4 1_000.0)
+    ~link_unit_costs:(Array.make 4 1.0)
+    ()
+
+let fork_request =
+  Sdn.Request.make ~id:0 ~source:0 ~destinations:[ 4 ] ~bandwidth:10.0
+    ~chain:[ Sdn.Vnf.Nat ]
+
+let h = 1e-6 (* Online_cp's hop epsilon: the weight of an idle link *)
+
+let test_tripod_skips_server () =
+  let params = { (Cp.default_params (fork_net ())) with Cp.sigma_e = 3.5 *. h } in
+  let naive = cp_fingerprint (Cp.admit ~params ~prune:false (fork_net ()) fork_request) in
+  with_obs @@ fun () ->
+  let outcome = Cp.admit ~params (fork_net ()) fork_request in
+  (match outcome with
+  | Cp.Admitted a -> Alcotest.(check int) "server 3 (tree 2h)" 3 a.Cp.server
+  | Cp.Rejected r -> Alcotest.failf "rejected: %s" (Cp.rejection_to_string r));
+  Alcotest.(check string) "same as naive" naive (cp_fingerprint outcome);
+  Alcotest.(check int) "server 2 skipped" 1 (counter "online_cp.pruned.over_threshold")
+
+let test_source_distance_rejects () =
+  let params = { (Cp.default_params (fork_net ())) with Cp.sigma_e = 1.5 *. h } in
+  (match Cp.admit ~params ~prune:false (fork_net ()) fork_request with
+  | Cp.Rejected Cp.Over_threshold -> ()
+  | o -> Alcotest.failf "naive: %s" (cp_fingerprint o));
+  with_obs @@ fun () ->
+  (match Cp.admit ~params (fork_net ()) fork_request with
+  | Cp.Rejected Cp.Over_threshold -> ()
+  | o -> Alcotest.failf "pruned: %s" (cp_fingerprint o));
+  Alcotest.(check int) "both servers skipped" 2
+    (counter "online_cp.pruned.over_threshold");
+  Alcotest.(check int) "only the source Dijkstra" 1 (counter "online_cp.dijkstras")
+
+(* 0 - 1 - 2 - 3 with the server at 1 and a straw on 2 - 3: 3 is cut off
+   at bandwidth 10 *)
+let test_labels_prove_unreachable () =
+  let net () =
+    let g = Mcgraph.Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
+    N.make_explicit ~topology:(Topology.Topo.make ~name:"cut" g)
+      ~servers:[ (1, 8_000.0, 0.01) ]
+      ~link_capacities:[| 1_000.0; 1_000.0; straw_capacity |]
+      ~link_unit_costs:(Array.make 3 1.0)
+      ()
+  in
+  let req =
+    Sdn.Request.make ~id:0 ~source:0 ~destinations:[ 2; 3 ] ~bandwidth:10.0
+      ~chain:[ Sdn.Vnf.Nat ]
+  in
+  (match Cp.admit ~prune:false (net ()) req with
+  | Cp.Rejected Cp.Unreachable -> ()
+  | o -> Alcotest.failf "naive: %s" (cp_fingerprint o));
+  with_obs @@ fun () ->
+  let net = net () in
+  (match Cp.admit ~window:(W.create net) net req with
+  | Cp.Rejected Cp.Unreachable -> ()
+  | o -> Alcotest.failf "pruned: %s" (cp_fingerprint o));
+  Alcotest.(check int) "proved by the labels" 1
+    (counter "online_cp.pruned.unreachable");
+  Alcotest.(check int) "no Dijkstra" 0 (counter "online_cp.dijkstras");
+  Alcotest.(check int) "still counted as unreachable" 1
+    (counter "online_cp.rejected.unreachable")
+
 let prop_cp_score_nonnegative =
   Tutil.qtest ~count:30 "admitted scores are non-negative"
     QCheck.(int_bound 10_000)
@@ -411,6 +548,17 @@ let () =
           prop_sp_window_exact;
           Alcotest.test_case "window and pruning telemetry" `Quick
             test_window_and_pruning_telemetry;
+        ] );
+      ( "proofs",
+        [
+          prop_proved_rejections_exact;
+          Alcotest.test_case "both proofs fire" `Quick test_proved_rejections_fire;
+          Alcotest.test_case "tripod bound skips a server" `Quick
+            test_tripod_skips_server;
+          Alcotest.test_case "source distance rejects" `Quick
+            test_source_distance_rejects;
+          Alcotest.test_case "labels prove unreachable" `Quick
+            test_labels_prove_unreachable;
         ] );
       ( "property",
         [

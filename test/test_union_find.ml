@@ -26,6 +26,21 @@ let test_chain () =
   Alcotest.(check int) "full size" 100 (Uf.size t 50);
   Alcotest.(check bool) "ends joined" true (Uf.same t 0 99)
 
+let test_reset () =
+  let t = Uf.create 6 in
+  ignore (Uf.union t 0 1);
+  ignore (Uf.union t 2 3);
+  ignore (Uf.union t 1 3);
+  Uf.reset t;
+  Alcotest.(check int) "count" 6 (Uf.count t);
+  for i = 0 to 5 do
+    Alcotest.(check int) "self root" i (Uf.find t i);
+    Alcotest.(check int) "singleton" 1 (Uf.size t i)
+  done;
+  ignore (Uf.union t 4 5);
+  Alcotest.(check bool) "usable again" true (Uf.same t 4 5);
+  Alcotest.(check bool) "old sets gone" false (Uf.same t 0 3)
+
 let test_empty () =
   let t = Uf.create 0 in
   Alcotest.(check int) "count" 0 (Uf.count t)
@@ -83,6 +98,7 @@ let () =
           Alcotest.test_case "initial" `Quick test_initial;
           Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "chain" `Quick test_chain;
+          Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "negative size" `Quick test_negative;
         ] );

@@ -3,8 +3,8 @@
 module G = Mcgraph.Graph
 module Rng = Topology.Rng
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?rand name gen prop =
+  QCheck_alcotest.to_alcotest ?rand (QCheck.Test.make ~count ~name gen prop)
 
 (* A connected random graph from a seed: n in [lo, hi], extra edges over a
    random spanning tree. Returns the graph and the rng used (advanced), so
