@@ -128,8 +128,8 @@ let csv_arg =
 
 let fake_clock_arg =
   let doc =
-    "Replace the CPU clock with a deterministic per-domain tick counter, so \
-     timing columns and span histograms are reproducible (see \
+    "Replace the wall clock with a deterministic per-domain tick counter, \
+     so timing columns and span histograms are reproducible (see \
      EXPERIMENTS.md)."
   in
   Arg.(value & flag & info [ "fake-clock" ] ~doc)
@@ -248,4 +248,11 @@ let main =
     (List.map spec_cmd Experiments.Registry.all
     @ [ all_cmd; solve_cmd; admit_cmd ])
 
-let () = exit (Cmd.eval main)
+(* timing columns and spans read the monotonic wall clock (seconds since
+   start-up); the library default, [Sys.time], is process CPU time and
+   overstates per-request times under --jobs. --fake-clock replaces it. *)
+let () =
+  let origin = Monotonic_clock.now () in
+  (Nfv_obs.Obs.clock :=
+     fun () -> Int64.to_float (Int64.sub (Monotonic_clock.now ()) origin) *. 1e-9);
+  exit (Cmd.eval main)

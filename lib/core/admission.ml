@@ -3,8 +3,6 @@ module Obs = Nfv_obs.Obs
 let c_sp_hits = Obs.Counter.make "sp_engine.cache_hits"
 let c_sp_misses = Obs.Counter.make "sp_engine.cache_misses"
 let c_dijkstra_runs = Obs.Counter.make "dijkstra.runs"
-let t_run = Obs.Timer.make "admission.run"
-let g_mean_util = Obs.Gauge.make "network.mean_link_utilization"
 
 type algorithm =
   | Online_cp
@@ -115,8 +113,9 @@ let run ?avail net algo requests =
   let dij0 = Obs.Counter.value c_dijkstra_runs in
   let hits0 = Obs.Counter.value c_sp_hits in
   let misses0 = Obs.Counter.value c_sp_misses in
-  (* [Obs.clock] (default [Sys.time]) rather than [Sys.time] directly,
-     so the determinism tests can substitute a per-domain fake clock *)
+  (* [Obs.clock] rather than [Sys.time] directly: the process clock the
+     front end installed (wall clock in nfvm), or the determinism tests'
+     per-domain fake clock *)
   let started = !Obs.clock () in
   let records =
     List.map
@@ -139,8 +138,6 @@ let run ?avail net algo requests =
   let admitted =
     List.length (List.filter (fun (r : record) -> r.admitted) records)
   in
-  Obs.Timer.add t_run runtime_s;
-  Obs.Gauge.set g_mean_util (Sdn.Network.mean_link_utilization net);
   if !Obs.enabled then
     publish_run_counters algo
       ~dijkstras:(Obs.Counter.value c_dijkstra_runs - dij0)

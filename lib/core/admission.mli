@@ -85,7 +85,7 @@ type stats = {
   max_link_utilization : float;
   jain_fairness : float;
   total_cost : float;              (** Σ admitted linear costs *)
-  runtime_s : float;               (** CPU time of the whole run *)
+  runtime_s : float;               (** [Obs.clock] time of the whole run *)
   records : record list;           (** in arrival order *)
 }
 

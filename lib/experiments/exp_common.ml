@@ -111,11 +111,12 @@ let as1755_network rng =
 let as4755_network rng =
   Sdn.Network.make_random_servers ~fraction:0.1 ~rng (Topology.Rocketfuel.as4755 ())
 
-(* One tick per read, counted per domain (domain-local state), so the
-   number of ticks a measured region consumes depends only on the code
-   it runs — not on which domain ran it or what siblings did
-   concurrently. That makes the figures' "ms per request" columns
-   byte-identical across --jobs settings.
+(* Stands in for the wall clock nfvm installs (or the library's
+   [Sys.time] default). One tick per read, counted per domain
+   (domain-local state), so the number of ticks a measured region
+   consumes depends only on the code it runs — not on which domain ran
+   it or what siblings did concurrently. That makes the figures' "ms per
+   request" columns byte-identical across --jobs settings.
 
    The tick is a power of two (2^-13 s ≈ 0.12 ms) so every clock value
    is an exact multiple of it and differences of two readings are exact:

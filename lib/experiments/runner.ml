@@ -42,7 +42,7 @@ let span_quantile_ms p q =
   let now = Obs.Histogram.buckets p.h in
   let delta = Array.mapi (fun i c -> c - p.b0.(i)) now in
   1000.0
-  *. Obs.Histogram.bucket_quantile ~bounds:(Obs.Histogram.bounds p.h) delta q
+  *. Obs.Histogram.bucket_quantile delta q
 
 type counter_probe = { c : Obs.Counter.t; v0 : int }
 

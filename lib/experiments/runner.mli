@@ -15,10 +15,10 @@ val run :
   Exp_common.figure list
 (** Run a registered spec. With [obs_out:DIR], every instrument is
     zeroed before the sweeps and a snapshot of exactly this family's
-    telemetry is written to [DIR/<id>.obs.json] after them (round-trips
-    through [Obs.Export.of_json]). Zeroing makes the snapshot
-    self-contained, at the price of resetting whatever a surrounding
-    [--stats] accumulation had collected so far. *)
+    telemetry is written to [DIR/<id>.obs.json] after them
+    ([Obs.Export.to_json] of the snapshot and a newline). Zeroing makes
+    the snapshot self-contained, at the price of resetting whatever a
+    surrounding [--stats] accumulation had collected so far. *)
 
 val figures : ?seed:int -> Spec.instance -> Exp_common.figure list
 (** Run an already-parameterised instance (the experiment modules'

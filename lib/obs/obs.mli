@@ -27,11 +27,11 @@
     per-domain {e shard}; reads from a worker see that domain's unmerged
     contribution, so before/after delta attribution keeps working inside
     a worker. After joining a worker, the main domain folds its shard
-    back with {!Sharding.merge}: counters and timers sum, histograms add
-    bucket-wise, gauges are last-write-wins in merge order. The same
-    name must keep the same histogram bounds across domains. {!enabled}
-    and {!clock} are plain refs shared by all domains: set them before
-    spawning workers and leave them alone while workers run. *)
+    back with {!Sharding.merge}: counters sum and histograms add
+    bucket-wise, so the merged registry does not depend on merge order.
+    {!enabled} and {!clock} are plain refs shared by all domains: set
+    them before spawning workers and leave them alone while workers
+    run. *)
 
 val enabled : bool ref
 (** Master switch, default [false]. All recording operations ({!Counter.incr},
@@ -39,14 +39,13 @@ val enabled : bool ref
     [false]; registration and read-out work regardless. *)
 
 val clock : (unit -> float) ref
-(** Time source used by {!Timer.time} and {!Span.run}, in seconds.
-    Defaults to [Sys.time] (processor time). Note that [Sys.time] is
-    process-wide: under a multi-domain run a worker's span durations
-    include CPU burnt by sibling domains, so treat per-request timing
-    telemetry from parallel runs as an upper bound (the determinism
-    test suite substitutes a per-domain fake clock instead). Tests
-    substitute a fake clock to make span and timer arithmetic
-    deterministic. *)
+(** Time source used by {!Span.run} (and by layers that time a region
+    themselves), in seconds. The library default
+    is [Sys.time] (processor time), which is process-wide: under a
+    multi-domain run a worker's span durations include CPU burnt by
+    sibling domains. Front ends that want per-request wall time install
+    a monotonic clock here ([nfvm] does, unless [--fake-clock] asks for
+    the deterministic per-domain fake clock the determinism tests use). *)
 
 val reset_all : unit -> unit
 (** Zero every registered instrument (counts, sums, buckets). The
@@ -64,10 +63,9 @@ val reset_all : unit -> unit
       List.iter Obs.Sharding.merge shards
     ]}
 
-    Merging in spawn order makes the gauge last-write-wins rule
-    deterministic per domain id. Nothing here is gated on {!enabled}:
-    when recording was disabled the shard is empty and [merge] is a
-    no-op. *)
+    Every kind merges by summing, so the order of the merges does not
+    matter. Nothing here is gated on {!enabled}: when recording was
+    disabled the shard is empty and [merge] is a no-op. *)
 module Sharding : sig
   type shard
 
@@ -79,11 +77,10 @@ module Sharding : sig
       to the joining domain. *)
 
   val merge : shard -> unit
-  (** Fold a worker shard into the global registry: counters and timers
-      sum, histogram buckets add bucket-wise (instruments first seen in
-      the worker are registered with the worker's bounds), gauges
-      overwrite (last merge wins). Must be called from the main domain;
-      raises [Invalid_argument] elsewhere. *)
+  (** Fold a worker shard into the global registry: counters sum,
+      histogram counts, sums and buckets add (instruments first seen in
+      the worker are registered by the merge). Must be called from the
+      main domain; raises [Invalid_argument] elsewhere. *)
 end
 
 (** {1 Instruments} *)
@@ -112,68 +109,21 @@ module Counter : sig
   val name : t -> string
 end
 
-(** Last-write-wins scalar measurements (utilisations, sizes, rates). *)
-module Gauge : sig
-  type t
-
-  val make : string -> t
-  (** Idempotent per name, like {!Counter.make}. *)
-
-  val set : t -> float -> unit
-  (** Record the latest value, when {!enabled}. *)
-
-  val value : t -> float
-  (** Latest recorded value; [0.] before any {!set}. *)
-
-  val name : t -> string
-end
-
-(** Scalar accumulating timers: total elapsed seconds and a call count.
-    For distributions (per-request solve times) prefer {!Span} /
-    {!Histogram}; a timer is the cheap choice when only the aggregate
-    matters. *)
-module Timer : sig
-  type t
-
-  val make : string -> t
-  (** Idempotent per name, like {!Counter.make}. *)
-
-  val add : t -> float -> unit
-  (** Record one observation of a duration (seconds) measured by the
-      caller, when {!enabled}. Negative durations raise
-      [Invalid_argument]. *)
-
-  val time : t -> (unit -> 'a) -> 'a
-  (** [time t f] runs [f] and records its duration per {!clock}. When
-      disabled this is exactly [f ()]. The duration is recorded even if
-      [f] raises. *)
-
-  val count : t -> int
-  (** Number of recorded observations. *)
-
-  val total : t -> float
-  (** Sum of recorded durations, seconds. *)
-
-  val name : t -> string
-end
-
-(** Fixed-bucket latency/size histograms. A histogram owns an increasing
-    array of finite upper bounds [b_0 < … < b_{n-1}] and [n + 1]
-    buckets: observation [x] lands in the first bucket with [x <= b_i],
-    or in the overflow bucket when [x > b_{n-1}]. Buckets are fixed at
-    creation, so observing allocates nothing. *)
+(** Fixed-bucket latency/size histograms. Every histogram shares one
+    bucket layout: the finite upper bounds {!Histogram.default_bounds}
+    [b_0 < … < b_{n-1}] and [n + 1] buckets. Observation [x] lands in
+    the first bucket with [x <= b_i], or in the overflow bucket when
+    [x > b_{n-1}]. Observing allocates nothing. *)
 module Histogram : sig
   type t
 
   val default_bounds : float array
-  (** Log-spaced second-scale bounds ([1e-6 … 10.0]), suited to
-      per-request solve times from microseconds to seconds. *)
+  (** The bucket bounds of every histogram: log-spaced seconds
+      ([1e-6 … 10.0]), suited to per-request solve times from
+      microseconds to seconds. *)
 
-  val make : ?bounds:float array -> string -> t
-  (** [make ?bounds name] registers (idempotently — if [name] already
-      exists its original bounds win and [?bounds] is ignored) a
-      histogram. Raises [Invalid_argument] if [bounds] is empty, not
-      strictly increasing, or not finite. *)
+  val make : string -> t
+  (** Idempotent per name, like {!Counter.make}. *)
 
   val observe : t -> float -> unit
   (** Record one observation, when {!enabled}. *)
@@ -187,15 +137,13 @@ module Histogram : sig
   val mean : t -> float
   (** [sum / count], or [0.] when empty. *)
 
-  val bounds : t -> float array
-  (** The finite upper bounds (a copy). *)
-
   val buckets : t -> int array
-  (** Per-bucket counts (a copy), length [Array.length (bounds t) + 1];
-      the final cell is the overflow bucket. *)
+  (** Per-bucket counts (a copy), length
+      [Array.length default_bounds + 1]; the final cell is the overflow
+      bucket. *)
 
-  val bucket_quantile : bounds:float array -> int array -> float -> float
-  (** [bucket_quantile ~bounds buckets q] (with [0 <= q <= 1]) is the
+  val bucket_quantile : int array -> float -> float
+  (** [bucket_quantile buckets q] (with [0 <= q <= 1]) is the
       upper bound of the first {e non-empty} bucket at which the
       cumulative count reaches [q] times the total count — an upper
       estimate of the q-quantile at bucket resolution. [buckets] has one
@@ -207,7 +155,7 @@ module Histogram : sig
       harness's delta quantiles. *)
 
   val quantile : t -> float -> float
-  (** [quantile t q] is [bucket_quantile ~bounds:(bounds t) (buckets t) q]:
+  (** [quantile t q] is [bucket_quantile (buckets t) q]:
       an upper estimate of the q-quantile at bucket resolution;
       [infinity] when it falls in the overflow bucket, [0.] when the
       histogram is empty. *)
@@ -234,64 +182,42 @@ end
 
 (** {1 Export} *)
 
-(** Snapshots of every registered instrument, and serialisers for them.
+(** Snapshots of every registered instrument, and their one file format.
 
-    A snapshot is an ordinary value: exporters are pure functions of it,
-    and {!of_csv} / {!of_json} invert {!to_csv} / {!to_json} exactly
-    (floats are printed with round-trip precision), so external tooling
-    — and the round-trip tests — can reconstruct the numbers without
-    this library. *)
+    A snapshot is an ordinary value: {!Export.to_json} and
+    {!Export.pp_table} are pure functions of it. *)
 module Export : sig
   type metric =
     | Counter of string * int
-    | Gauge of string * float
-    | Timer of { name : string; count : int; total : float }
     | Histogram of {
         name : string;
         count : int;
         sum : float;
-        bounds : float array;
         buckets : int array;
       }
   (** One exported instrument. Field meanings match the accessors of the
       corresponding instrument modules. *)
 
   type snapshot = metric list
-  (** All instruments, grouped by kind (counters, then gauges, timers,
-      histograms), each group sorted by name — registration order would
-      depend on which domain first touched an instrument, so name order
-      is what keeps two exports of the same run diffable across [--jobs]
-      settings. *)
+  (** All instruments, grouped by kind (counters, then histograms), each
+      group sorted by name — registration order would depend on which
+      domain first touched an instrument, so name order is what keeps
+      two exports of the same run diffable across [--jobs] settings. *)
 
   val snapshot : unit -> snapshot
   (** Capture the current values of every registered instrument. *)
 
-  val to_csv : snapshot -> string
-  (** CSV with one row per instrument:
-      [counter,<name>,<value>] · [gauge,<name>,<value>] ·
-      [timer,<name>,<count>,<total>] ·
-      [histogram,<name>,<count>,<sum>,<bounds>,<buckets>], where
-      [<bounds>] and [<buckets>] are [;]-separated. No header row.
-      Floats round-trip exactly through {!of_csv}. *)
-
-  val of_csv : string -> snapshot
-  (** Parse {!to_csv} output. Raises [Failure] on rows it does not
-      recognise. *)
-
   val to_json : snapshot -> string
-  (** A JSON object with [counters], [gauges], [timers] and
-      [histograms] sub-objects keyed by instrument name. All values are
-      finite JSON numbers (or arrays/objects of them). *)
-
-  val of_json : string -> snapshot
-  (** Parse {!to_json} output (a minimal JSON reader — objects, arrays,
-      strings without escapes, numbers — sufficient for snapshots, not a
-      general JSON parser). Raises [Failure] on malformed input. *)
+  (** A JSON object with [counters] and [histograms] sub-objects keyed
+      by instrument name. Each histogram carries [count], [sum],
+      [bounds] ({!Histogram.default_bounds}) and [buckets]. All values
+      are finite JSON numbers, floats printed with round-trip precision
+      ([%.17g]). *)
 
   val pp_table : Format.formatter -> snapshot -> unit
-  (** Human-readable report: counters and gauges as aligned name/value
-      lines, timers with count/total/mean, histograms with count, mean,
-      p50/p95/p99 estimates and non-empty buckets. *)
+  (** Human-readable report: counters as aligned name/value lines,
+      histograms with count, mean, p50/p95/p99 estimates and non-empty
+      buckets. *)
 
   val print_table : out_channel -> unit
   (** [pp_table] of a fresh {!snapshot}, to a channel (the CLIs print to

@@ -1,5 +1,5 @@
 (* Nfv_obs: instrument arithmetic, the disabled-mode no-op guarantee
-   the figure reproductions rely on, and exact export round-trips. All
+   the figure reproductions rely on, and the JSON export's shape. All
    instruments are process-global, so every test starts from
    [reset_all] and restores [enabled := false] on exit. *)
 
@@ -10,7 +10,7 @@ let with_enabled f =
   Obs.enabled := true;
   Fun.protect ~finally:(fun () -> Obs.enabled := false) f
 
-(* --- counters, gauges, timers ------------------------------------------ *)
+(* --- counters ------------------------------------------------------------ *)
 
 let test_counter_arithmetic () =
   with_enabled @@ fun () ->
@@ -35,57 +35,34 @@ let test_bad_name_rejected () =
     (Invalid_argument "Obs: invalid instrument name: bad name")
     (fun () -> ignore (Obs.Counter.make "bad name"))
 
-let test_gauge_last_write_wins () =
-  with_enabled @@ fun () ->
-  let g = Obs.Gauge.make "test.gauge" in
-  Alcotest.(check (float 0.0)) "default" 0.0 (Obs.Gauge.value g);
-  Obs.Gauge.set g 1.5;
-  Obs.Gauge.set g 0.25;
-  Alcotest.(check (float 0.0)) "last write wins" 0.25 (Obs.Gauge.value g)
-
-let test_timer_with_fake_clock () =
-  with_enabled @@ fun () ->
-  let t = Obs.Timer.make "test.timer" in
-  let now = ref 0.0 in
-  let saved = !Obs.clock in
-  Obs.clock := (fun () -> !now);
-  Fun.protect ~finally:(fun () -> Obs.clock := saved) @@ fun () ->
-  let r = Obs.Timer.time t (fun () -> now := !now +. 2.0; "done") in
-  Alcotest.(check string) "result threaded through" "done" r;
-  Obs.Timer.add t 0.5;
-  Alcotest.(check int) "two observations" 2 (Obs.Timer.count t);
-  Alcotest.(check (float 1e-9)) "total = 2.0 + 0.5" 2.5 (Obs.Timer.total t);
-  Alcotest.check_raises "negative duration"
-    (Invalid_argument "Obs.Timer.add: negative duration") (fun () ->
-      Obs.Timer.add t (-1.0))
-
 (* --- histograms -------------------------------------------------------- *)
 
+(* every histogram buckets on [default_bounds]: 1e-6 ... 1e-1, 1, 10 *)
 let test_histogram_bucketing () =
   with_enabled @@ fun () ->
-  let h = Obs.Histogram.make ~bounds:[| 1.0; 10.0; 100.0 |] "test.hist" in
-  (* one per bucket: <=1, <=10, <=100, overflow; boundary goes low *)
-  List.iter (Obs.Histogram.observe h) [ 0.5; 1.0; 10.0; 99.0; 1000.0 ];
+  let h = Obs.Histogram.make "test.hist" in
+  (* boundaries go low, the tail overflows *)
+  List.iter (Obs.Histogram.observe h) [ 0.5e-6; 1e-6; 1e-2; 0.5; 1000.0 ];
   Alcotest.(check int) "count" 5 (Obs.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 1110.5 (Obs.Histogram.sum h);
-  Alcotest.(check (float 1e-9)) "mean" 222.1 (Obs.Histogram.mean h);
-  Alcotest.(check (array (float 0.0))) "bounds preserved"
-    [| 1.0; 10.0; 100.0 |]
-    (Obs.Histogram.bounds h);
+  Alcotest.(check (float 1e-9)) "sum" 1000.5100015 (Obs.Histogram.sum h);
+  Alcotest.(check (float 1e-9)) "mean" 200.1020003 (Obs.Histogram.mean h);
+  Alcotest.(check (array (float 0.0))) "one bucket layout"
+    [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
+    Obs.Histogram.default_bounds;
   Alcotest.(check (array int)) "buckets: boundary lands low, tail overflows"
-    [| 2; 1; 1; 1 |]
+    [| 2; 0; 0; 0; 1; 0; 1; 0; 1 |]
     (Obs.Histogram.buckets h)
 
 let test_histogram_quantile () =
   with_enabled @@ fun () ->
-  let h = Obs.Histogram.make ~bounds:[| 1.0; 2.0; 4.0 |] "test.hist.q" in
+  let h = Obs.Histogram.make "test.hist.q" in
   Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Obs.Histogram.quantile h 0.5);
-  for _ = 1 to 90 do Obs.Histogram.observe h 0.5 done;
-  for _ = 1 to 9 do Obs.Histogram.observe h 1.5 done;
+  for _ = 1 to 90 do Obs.Histogram.observe h 0.5e-3 done;
+  for _ = 1 to 9 do Obs.Histogram.observe h 0.5e-2 done;
   Obs.Histogram.observe h 100.0;
-  Alcotest.(check (float 0.0)) "p50 in first bucket" 1.0
+  Alcotest.(check (float 0.0)) "p50 in the 1e-3 bucket" 1e-3
     (Obs.Histogram.quantile h 0.5);
-  Alcotest.(check (float 0.0)) "p95 in second bucket" 2.0
+  Alcotest.(check (float 0.0)) "p95 in the 1e-2 bucket" 1e-2
     (Obs.Histogram.quantile h 0.95);
   Alcotest.(check (float 0.0)) "p100 overflows" infinity
     (Obs.Histogram.quantile h 1.0)
@@ -93,32 +70,27 @@ let test_histogram_quantile () =
 (* the one bucket-quantile rule: an empty bucket never carries the
    quantile, so q = 0 is the first non-empty bucket, not bounds.(0) *)
 let test_bucket_quantile_edges () =
-  let bounds = [| 1.0; 2.0; 4.0 |] in
+  (* buckets: <=1e-6, <=1e-5, <=1e-4, <=1e-3, ..., <=10, overflow *)
   let check name buckets expected =
     List.iter2
       (fun q want ->
         Alcotest.(check (float 0.0))
           (Printf.sprintf "%s: q=%g" name q)
           want
-          (Obs.Histogram.bucket_quantile ~bounds buckets q))
+          (Obs.Histogram.bucket_quantile buckets q))
       [ 0.0; 0.5; 1.0 ] expected
   in
-  check "empty" [| 0; 0; 0; 0 |] [ 0.0; 0.0; 0.0 ];
-  check "leading-empty" [| 0; 0; 3; 1 |] [ 4.0; 4.0; infinity ];
-  check "single-sample" [| 0; 1; 0; 0 |] [ 2.0; 2.0; 2.0 ];
-  check "overflow-only" [| 0; 0; 0; 2 |] [ infinity; infinity; infinity ];
+  check "empty" [| 0; 0; 0; 0; 0; 0; 0; 0; 0 |] [ 0.0; 0.0; 0.0 ];
+  check "leading-empty" [| 0; 0; 3; 0; 0; 0; 0; 0; 1 |] [ 1e-4; 1e-4; infinity ];
+  check "single-sample" [| 0; 1; 0; 0; 0; 0; 0; 0; 0 |] [ 1e-5; 1e-5; 1e-5 ];
+  check "overflow-only" [| 0; 0; 0; 0; 0; 0; 0; 0; 2 |]
+    [ infinity; infinity; infinity ];
   (* the histogram's own quantile follows the same rule *)
   with_enabled @@ fun () ->
-  let h = Obs.Histogram.make ~bounds "test.hist.q0" in
-  Obs.Histogram.observe h 3.0;
-  Alcotest.(check (float 0.0)) "histogram q=0 skips empty buckets" 4.0
+  let h = Obs.Histogram.make "test.hist.q0" in
+  Obs.Histogram.observe h 3e-4;
+  Alcotest.(check (float 0.0)) "histogram q=0 skips empty buckets" 1e-3
     (Obs.Histogram.quantile h 0.0)
-
-let test_histogram_bad_bounds () =
-  Alcotest.check_raises "non-increasing bounds"
-    (Invalid_argument "Obs.Histogram.make: bounds not strictly increasing")
-    (fun () ->
-      ignore (Obs.Histogram.make ~bounds:[| 2.0; 1.0 |] "test.hist.bad"))
 
 (* --- spans ------------------------------------------------------------- *)
 
@@ -160,23 +132,21 @@ let test_disabled_is_noop () =
   Obs.reset_all ();
   Obs.enabled := false;
   let c = Obs.Counter.make "test.off.counter" in
-  let g = Obs.Gauge.make "test.off.gauge" in
-  let t = Obs.Timer.make "test.off.timer" in
   let h = Obs.Histogram.make "test.off.hist" in
   Obs.Counter.incr c;
   Obs.Counter.add c 10;
-  Obs.Gauge.set g 3.0;
-  Obs.Timer.add t 1.0;
-  let r = Obs.Timer.time t (fun () -> 17) in
   Obs.Histogram.observe h 0.5;
-  Obs.Span.run "test.off.span" (fun () ->
-      Alcotest.(check (option string)) "spans not tracked when disabled" None
-        (Obs.Span.current ()));
-  Alcotest.(check int) "time still runs f" 17 r;
+  let r =
+    Obs.Span.run "test.off.span" (fun () ->
+        Alcotest.(check (option string)) "spans not tracked when disabled" None
+          (Obs.Span.current ());
+        17)
+  in
+  Alcotest.(check int) "span still runs f" 17 r;
   Alcotest.(check int) "counter untouched" 0 (Obs.Counter.value c);
-  Alcotest.(check (float 0.0)) "gauge untouched" 0.0 (Obs.Gauge.value g);
-  Alcotest.(check int) "timer untouched" 0 (Obs.Timer.count t);
-  Alcotest.(check int) "histogram untouched" 0 (Obs.Histogram.count h)
+  Alcotest.(check int) "histogram untouched" 0 (Obs.Histogram.count h);
+  Alcotest.(check int) "span histogram untouched" 0
+    (Obs.Histogram.count (Obs.Histogram.make "test.off.span"))
 
 let test_reset_all () =
   with_enabled @@ fun () ->
@@ -188,62 +158,31 @@ let test_reset_all () =
   Alcotest.(check int) "counter zeroed" 0 (Obs.Counter.value c);
   Alcotest.(check int) "histogram zeroed" 0 (Obs.Histogram.count h);
   Alcotest.(check (array int)) "buckets zeroed"
-    (Array.make (Array.length (Obs.Histogram.bounds h) + 1) 0)
+    (Array.make (Array.length Obs.Histogram.default_bounds + 1) 0)
     (Obs.Histogram.buckets h)
 
-(* --- export round-trips ------------------------------------------------ *)
+(* --- export -------------------------------------------------------------- *)
 
-(* A snapshot with every metric kind and awkward floats (negative,
-   subnormal-ish, many digits) to exercise round-trip precision. *)
-let populate () =
-  with_enabled @@ fun () ->
-  Obs.Counter.add (Obs.Counter.make "rt.counter") 12345;
-  Obs.Gauge.set (Obs.Gauge.make "rt.gauge") 0.30000000000000004;
-  let t = Obs.Timer.make "rt.timer" in
-  Obs.Timer.add t 0.1;
-  Obs.Timer.add t 0.2;
-  let h = Obs.Histogram.make ~bounds:[| 1e-6; 0.125; 3.0 |] "rt.hist" in
-  Obs.Histogram.observe h 1e-7;
-  Obs.Histogram.observe h 0.1;
-  Obs.Histogram.observe h 7.5;
-  Obs.Export.snapshot ()
-
-let check_roundtrip which encode decode =
-  let snap = populate () in
-  let back = decode (encode snap) in
-  if back <> snap then
-    Alcotest.failf "%s round-trip changed the snapshot" which
-
-let test_csv_roundtrip () =
-  check_roundtrip "CSV" Obs.Export.to_csv Obs.Export.of_csv
-
-let test_json_roundtrip () =
-  check_roundtrip "JSON" Obs.Export.to_json Obs.Export.of_json
-
-let test_csv_shape () =
-  Obs.reset_all ();
-  let rows = String.split_on_char '\n' (Obs.Export.to_csv (populate ())) in
-  let find prefix =
-    match List.find_opt (fun r -> String.length r >= String.length prefix
-                                  && String.sub r 0 (String.length prefix) = prefix) rows with
-    | Some r -> r
-    | None -> Alcotest.failf "no row starting with %s" prefix
+(* the one file format, pinned on a hand-built snapshot: counters, then
+   histograms with the shared bounds, floats at round-trip precision *)
+let test_json_shape () =
+  let snap =
+    Obs.Export.
+      [
+        Counter ("a.count", 12345);
+        Histogram
+          { name = "a.span"; count = 2; sum = 0.30000000000000004;
+            buckets = [| 1; 0; 0; 0; 0; 1; 0; 0; 0 |] };
+      ]
   in
-  Alcotest.(check string) "counter row" "counter,rt.counter,12345"
-    (find "counter,rt.counter");
-  Alcotest.(check string) "timer row"
-    (Printf.sprintf "timer,rt.timer,2,%.17g" 0.30000000000000004)
-    (find "timer,rt.timer")
-
-let test_of_csv_rejects_garbage () =
-  match Obs.Export.of_csv "nonsense,row" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "of_csv accepted a malformed row"
-
-let test_of_json_rejects_garbage () =
-  match Obs.Export.of_json "{\"counters\":" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "of_json accepted truncated input"
+  Alcotest.(check string) "to_json"
+    ({|{"counters":{"a.count":12345},"histograms":{"a.span":{"count":2,|}
+    ^ {|"sum":0.30000000000000004,"bounds":[9.9999999999999995e-07,|}
+    ^ {|1.0000000000000001e-05,0.0001,0.001,0.01,0.10000000000000001,1,10],|}
+    ^ {|"buckets":[1,0,0,0,0,1,0,0,0]}}}|})
+    (Obs.Export.to_json snap);
+  Alcotest.(check string) "empty snapshot" {|{"counters":{},"histograms":{}}|}
+    (Obs.Export.to_json [])
 
 let () =
   Alcotest.run "obs"
@@ -254,10 +193,6 @@ let () =
           Alcotest.test_case "make is idempotent" `Quick
             test_counter_idempotent_make;
           Alcotest.test_case "bad names rejected" `Quick test_bad_name_rejected;
-          Alcotest.test_case "gauge last-write-wins" `Quick
-            test_gauge_last_write_wins;
-          Alcotest.test_case "timer with fake clock" `Quick
-            test_timer_with_fake_clock;
         ] );
       ( "histograms",
         [
@@ -265,8 +200,6 @@ let () =
           Alcotest.test_case "quantiles" `Quick test_histogram_quantile;
           Alcotest.test_case "bucket quantile edges" `Quick
             test_bucket_quantile_edges;
-          Alcotest.test_case "bad bounds rejected" `Quick
-            test_histogram_bad_bounds;
         ] );
       ( "spans",
         [
@@ -281,12 +214,6 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "CSV round-trip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
-          Alcotest.test_case "CSV row shape" `Quick test_csv_shape;
-          Alcotest.test_case "of_csv rejects garbage" `Quick
-            test_of_csv_rejects_garbage;
-          Alcotest.test_case "of_json rejects garbage" `Quick
-            test_of_json_rejects_garbage;
+          Alcotest.test_case "JSON shape" `Quick test_json_shape;
         ] );
     ]
