@@ -22,8 +22,14 @@ let () =
   Format.printf "snapshot : %s (%d bytes)@." path (String.length text);
 
   (* 3. reload into fresh values *)
-  match Result.bind (Sdn.Snapshot.load path) Sdn.Snapshot.scenario_of_string with
-  | Error e -> Format.printf "reload failed: %s@." e
+  let reloaded =
+    Result.bind (Sdn.Snapshot.load path) Sdn.Snapshot.scenario_of_string
+  in
+  Sys.remove path;
+  match reloaded with
+  | Error e ->
+    Format.printf "reload failed: %s@." e;
+    exit 1
   | Ok (net', requests') ->
     (* 4. replay the same online run on both *)
     let run net reqs =
@@ -47,4 +53,4 @@ let () =
         replayed.Nfv_multicast.Admission.records
     in
     Format.printf "decisions identical: %b@." identical;
-    Sys.remove path
+    if not identical then exit 1

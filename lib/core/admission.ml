@@ -38,24 +38,18 @@ type stats = {
   records : record list;
 }
 
-type pricing = {
-  algo : algorithm;
-  mode : [ `Exponential | `Linear ];
-  params : Online_cp.params;
-  avail : Online_cp.avail option;
-  window : Sp_window.t;
-}
+type pricing = { algo : algorithm; cp : Online_cp.pricing }
 
 (* the one algorithm -> (mode, params) map. Sp admits with its own
    load-oblivious unit weights; its [`Linear] entry is what Repair's
    tiers 1-2 search under. *)
 let pricing ?window ?avail net algo =
-  (match avail with
-  | Some av when Online_cp.avail_links av <> Sdn.Network.m net ->
-    invalid_arg "Admission.pricing: avail built over a different network"
-  | _ -> ());
   let window =
-    match window with Some w -> w | None -> Sp_window.create net
+    match window with
+    | Some w when Sp_window.net w != net ->
+      invalid_arg "Admission.pricing: window over a different network"
+    | Some w -> w
+    | None -> Sp_window.create net
   in
   let params = Online_cp.default_params net in
   let mode, params =
@@ -65,7 +59,7 @@ let pricing ?window ?avail net algo =
       (`Exponential, { params with sigma_v = infinity; sigma_e = infinity })
     | Online_linear | Sp -> (`Linear, params)
   in
-  { algo; mode; params; avail; window }
+  { algo; cp = Online_cp.pricing ?avail ~mode ~params window }
 
 (* Each admit prices the request against the network's current
    residuals; a successful allocate bumps [Sdn.Network.weight_epoch], so
@@ -76,17 +70,13 @@ let pricing ?window ?avail net algo =
    costs — ignoring the failure model is the same ablation), so [avail]
    does not apply to it. *)
 let admit p request =
-  let net = Sp_window.net p.window in
   match p.algo with
   | Online_cp | Online_cp_no_threshold | Online_linear -> (
-    match
-      Online_cp.admit ~mode:p.mode ~params:p.params ~window:p.window
-        ?avail:p.avail net request
-    with
+    match Online_cp.admit p.cp request with
     | Online_cp.Admitted a -> Ok a.Online_cp.tree
     | Online_cp.Rejected r -> Error (Online_cp.rejection_to_string r))
   | Sp -> (
-    match Online_sp.admit ~window:p.window net request with
+    match Online_sp.admit p.cp.Online_cp.window request with
     | Online_sp.Admitted a -> Ok a.Online_sp.tree
     | Online_sp.Rejected msg -> Error msg)
 

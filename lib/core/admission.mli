@@ -18,9 +18,10 @@ val algorithm_to_string : algorithm -> string
 (** {1 The pricing context}
 
     Online_CP (§V) prices every decision with one cost model. A
-    {!pricing} value fixes that model once per run: the algorithm, the
-    weight mode and parameters it implies, the optional availability
-    view, and the {!Sp_window} of cached shortest-path engines. The same
+    {!pricing} value fixes that model once per run: the algorithm and
+    the {!Online_cp.pricing} it implies (weight mode, parameters, the
+    optional availability view and the {!Sp_window} of cached
+    shortest-path engines). The same
     value then serves every decision of the run — fresh admissions,
     {!Repair}'s tiers and {!Dynamic}'s restoration pass — so all of them
     price identically and share cached Dijkstra trees (outcomes are
@@ -43,13 +44,7 @@ val algorithm_to_string : algorithm -> string
     engine family keys are the baseline keys, and the floor never fires
     (property-tested in [test/test_avail.ml]). *)
 
-type pricing = private {
-  algo : algorithm;
-  mode : [ `Exponential | `Linear ];
-  params : Online_cp.params;
-  avail : Online_cp.avail option;
-  window : Sp_window.t;
-}
+type pricing = private { algo : algorithm; cp : Online_cp.pricing }
 
 val pricing :
   ?window:Sp_window.t ->
@@ -58,10 +53,11 @@ val pricing :
   algorithm ->
   pricing
 (** The context for [algorithm] over a network. [window] (default: a
-    fresh one) lets the caller share engines with a surrounding run; it
-    must be a window over the same network. Raises [Invalid_argument]
-    when [avail] was built by {!Online_cp.make_avail} over a network
-    with a different link count. *)
+    fresh one) lets the caller share engines with a surrounding run.
+    Raises [Invalid_argument] when [window] is not over [net] itself
+    (physical equality) or when [avail] was built by
+    {!Online_cp.make_avail} over a network with a different link
+    count. *)
 
 val admit : pricing -> Sdn.Request.t -> (Pseudo_tree.t, string) result
 (** Decide one request and return the admitted pseudo-multicast tree (the

@@ -160,7 +160,8 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
             enter r.Sdn.Request.id tree;
             observe now (Restored { id = r.Sdn.Request.id; tree })
           | Error _ -> Obs.Counter.incr c_restore_failed)
-        (Restore.select ~window:pricing.Admission.window ~returned net rcfg
+        (Restore.select ~window:pricing.Admission.cp.Online_cp.window ~returned
+           net rcfg
            entries)
   in
   let strike now ev =
@@ -190,7 +191,7 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
           Repair.repair pricing
             ~link_down:(Sdn.Fault.link_is_down fault)
             ~server_down:(Sdn.Fault.server_is_down fault)
-            net vtree
+            vtree
         with
         | Repair.Repaired { tree; tier } ->
           incr repaired;

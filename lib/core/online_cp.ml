@@ -160,22 +160,28 @@ let exposure av net gi =
   end;
   av.av_exposure.(gi)
 
-(* would this allocation leave every touched group's aggregate residual
-   at or above its reserve floor? Groups the allocation does not touch
-   cannot move, so only touched groups are summed. The floor comparison
-   carries the usual relative ULP slack so a no-op reserve can never
-   reject on float drift. *)
-let reserve_admits av net (alloc : Sdn.Network.allocation) =
+(* would every group the allocation touches keep its aggregate residual
+   at or above its reserve floor? Before the allocation is committed its
+   per-group amounts are subtracted; once [committed] the residuals
+   already reflect it and are read as they stand. Groups the allocation
+   does not touch cannot move, so only touched groups are summed. The
+   floor comparison carries the usual relative ULP slack so a no-op
+   reserve can never reject on float drift. *)
+let floor_holds av net (alloc : Sdn.Network.allocation) ~committed =
   if av.av_reserve <= 0.0 then true
   else begin
-    let extra = Array.make (Array.length av.av_groups) 0.0 in
+    let groups = Array.length av.av_groups in
+    let extra = Array.make groups 0.0 and seen = Array.make groups false in
     let touched = ref [] in
     List.iter
       (fun (e, amt) ->
         let gi = avail_group_of av e in
         if gi >= 0 && amt > 0.0 then begin
-          if extra.(gi) = 0.0 then touched := gi :: !touched;
-          extra.(gi) <- extra.(gi) +. amt
+          if not seen.(gi) then begin
+            seen.(gi) <- true;
+            touched := gi :: !touched
+          end;
+          if not committed then extra.(gi) <- extra.(gi) +. amt
         end)
       alloc.Sdn.Network.links;
     List.for_all
@@ -190,37 +196,12 @@ let reserve_admits av net (alloc : Sdn.Network.allocation) =
       !touched
   end
 
-(* the committed-view twin of [reserve_admits]: the allocation already
-   sits on the network, so the touched groups' residuals are read as
-   they stand — no hypothetical subtraction. Callers holding a freshly
-   committed allocation (Batch.plan's floor) can ask this directly
-   instead of release / check / re-allocate, which bumped the weight
-   epoch twice and flushed every Sp_window engine even when the floor
-   passed. *)
-let reserve_admits_after av net (alloc : Sdn.Network.allocation) =
-  if av.av_reserve <= 0.0 then true
-  else begin
-    let seen = Array.make (Array.length av.av_groups) false in
-    let touched = ref [] in
-    List.iter
-      (fun (e, amt) ->
-        let gi = avail_group_of av e in
-        if gi >= 0 && amt > 0.0 && not seen.(gi) then begin
-          seen.(gi) <- true;
-          touched := gi :: !touched
-        end)
-      alloc.Sdn.Network.links;
-    List.for_all
-      (fun gi ->
-        let residual =
-          Array.fold_left
-            (fun acc e -> acc +. Sdn.Network.link_residual net e)
-            0.0 av.av_groups.(gi)
-        in
-        let floor = av.av_reserve *. av.av_group_cap.(gi) in
-        residual +. (1e-9 *. Float.max 1.0 floor) >= floor)
-      !touched
-  end
+(* [extra] stays 0 here, and [residual -. 0.] is [residual] bit for bit.
+   Callers holding a freshly committed allocation (Batch.plan's floor)
+   ask this instead of release / check / re-allocate, which bumped the
+   weight epoch twice and flushed every Sp_window engine even when the
+   floor passed. *)
+let reserve_admits_after av net alloc = floor_holds av net alloc ~committed:true
 
 type rejection =
   | No_feasible_server
@@ -294,94 +275,96 @@ let slack x = x +. (1e-9 *. Float.max 1.0 (Float.abs x))
    fewer hops in both modes without affecting the thresholds. *)
 let hop_epsilon = 1e-6
 
-let link_weight avail ~mode ~params net ~bandwidth e =
+(* the weight model of one run: nothing outside this module reads its
+   model fields (callers read at most [window]), so a new pricing input
+   is one more field here *)
+type pricing = {
+  mode : [ `Exponential | `Linear ];
+  params : params;
+  avail : avail option;
+  window : Sp_window.t;
+}
+
+let pricing ?avail ~mode ~params window =
+  (match avail with
+  | Some av when avail_links av <> Sdn.Network.m (Sp_window.net window) ->
+    invalid_arg "Online_cp.pricing: avail built over a different network"
+  | _ -> ());
+  { mode; params; avail; window }
+
+let link_weight p net ~bandwidth e =
   if not (Sdn.Network.link_admits net e bandwidth) then infinity
   else
     let base =
-      match mode with
-      | `Exponential -> Cost_model.link_weight net ~base:params.beta e +. hop_epsilon
+      match p.mode with
+      | `Exponential -> Cost_model.link_weight net ~base:p.params.beta e +. hop_epsilon
       | `Linear -> Cost_model.linear_link_weight net e +. hop_epsilon
     in
     (* [alpha = 0] takes the [_] branch: the surcharge term is never
        evaluated, so the result is the bit-identical baseline weight *)
-    match avail with
+    match p.avail with
     | Some av when av.av_alpha > 0.0 ->
       let gi = av.av_group_of.(e) in
       if gi < 0 then base else base +. (av.av_alpha *. exposure av net gi)
     | _ -> base
 
-let server_weight ~mode ~params net ~demand v =
-  match mode with
-  | `Exponential -> Cost_model.server_weight net ~base:params.alpha v
+let server_weight p ~demand v =
+  let net = Sp_window.net p.window in
+  match p.mode with
+  | `Exponential -> Cost_model.server_weight net ~base:p.params.alpha v
   | `Linear -> Sdn.Network.server_unit_cost net v *. demand
 
-let weight_family avail ~mode ~params =
+let weight_family p =
   let base =
-    match mode with
+    match p.mode with
     | `Exponential ->
       (* the exponential weights read [beta]; fold its bits into the key
          so different params never share an engine *)
-      "online_cp.exp:" ^ Int64.to_string (Int64.bits_of_float params.beta)
+      "online_cp.exp:" ^ Int64.to_string (Int64.bits_of_float p.params.beta)
     | `Linear -> "online_cp.lin"
   in
   (* the surcharge changes the weight function iff [alpha > 0]; only
      then does the family fork (stamp + alpha bits), so zero-alpha
      admits keep sharing engines with the baseline — the other half of
      the bit-identity argument above *)
-  match avail with
+  match p.avail with
   | Some av when av.av_alpha > 0.0 ->
     Printf.sprintf "%s+avail:%d:%s" base av.av_stamp
       (Int64.to_string (Int64.bits_of_float av.av_alpha))
   | _ -> base
 
-(* [bucket] is the window's feasibility bucket for [bandwidth] when the
-   caller has counted it already *)
-let engine_at ?avail ~mode ~params ?window ?bucket net ~bandwidth =
-  let weight e = link_weight avail ~mode ~params net ~bandwidth e in
-  match window with
-  | Some w ->
-    let bucket =
-      match bucket with Some k -> k | None -> Sp_window.bucket w ~bandwidth
-    in
-    Sp_window.engine w ~family:(weight_family avail ~mode ~params) ~bucket ~weight
-  | None ->
-    Sp.create (Sdn.Network.graph net) ~weight
-      ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+(* [bucket] is the window's feasibility bucket for [bandwidth]; admission
+   counts it once and also reads the component labels with it *)
+let engine_at p ~bucket ~bandwidth =
+  let net = Sp_window.net p.window in
+  Sp_window.engine p.window ~family:(weight_family p) ~bucket
+    ~weight:(fun e -> link_weight p net ~bandwidth e)
 
-let engine ?avail ~mode ~params ?window net ~bandwidth =
-  engine_at ?avail ~mode ~params ?window net ~bandwidth
+let engine p ~bandwidth =
+  engine_at p ~bucket:(Sp_window.bucket p.window ~bandwidth) ~bandwidth
 
-let admit_impl ~mode ~params ~window ~prune ~avail net request =
-  let params =
-    match params with Some p -> p | None -> default_params net
-  in
+let admit_impl ~prune p request =
+  let net = Sp_window.net p.window and params = p.params in
   let g = Sdn.Network.graph net in
   let b = request.Sdn.Request.bandwidth in
   let s = request.Sdn.Request.source in
   let destinations = request.Sdn.Request.destinations in
   let demand = Sdn.Request.demand_mhz request in
-  let server_w v = server_weight ~mode ~params net ~demand v in
-  let thresholds_on = mode = `Exponential in
+  let server_w v = server_weight p ~demand v in
+  let thresholds_on = p.mode = `Exponential in
   let usable =
     List.filter (fun v -> Sdn.Network.server_admits net v demand) (Sdn.Network.servers net)
   in
   if usable = [] then Rejected No_feasible_server
   else begin
-    let bucket =
-      match window with
-      | Some w -> Some (Sp_window.bucket w ~bandwidth:b)
-      | None -> None
-    in
+    let bucket = Sp_window.bucket p.window ~bandwidth:b in
     (* A link prices infinite exactly when it cannot admit [b], so a
        destination outside the source's component of the admitting links
        is at distance infinity: the reachability check below would reject
        [Unreachable] after a source Dijkstra. The window's labels prove
        that first, at the same point of the decision. *)
     let labelled_apart =
-      match (window, bucket) with
-      | Some w, Some bucket when prune ->
-        not (Sp_window.connects w ~bucket ~bandwidth:b s destinations)
-      | _ -> false
+      prune && not (Sp_window.connects p.window ~bucket ~bandwidth:b s destinations)
     in
     if labelled_apart then begin
       Obs.Counter.incr c_pruned_unreachable;
@@ -394,13 +377,13 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
          rejection costs one Dijkstra. The engine is keyed by the
          network's weight epoch, so the load-dependent exponential
          weights invalidate on allocate/release rather than the caller
-         rebuilding state from scratch. When the caller runs a whole
-         admission window, the engine itself is shared across requests
-         of the same weight class (Sp_window's exactness contract), so a
-         request following a rejection reuses cached trees instead of
-         starting cold. *)
+         rebuilding state from scratch. The engine comes from the
+         pricing's window, so it is shared across the requests of one
+         run in the same weight class (Sp_window's exactness contract),
+         and a request following a rejection reuses cached trees instead
+         of starting cold. *)
       let terminals = List.sort_uniq Int.compare (s :: destinations) in
-      let eng = engine_at ?avail ~mode ~params ?window ?bucket net ~bandwidth:b in
+      let eng = engine_at p ~bucket ~bandwidth:b in
       (* non-terminal sources (candidate servers) answer from the terminal
          end's tree by symmetry, so servers never cost a Dijkstra. The
          split is on membership in *this* request's terminal set, not on
@@ -576,8 +559,8 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
                ends with every candidate blocked is an ordinary
                [Unallocatable] rejection *)
             let blocked =
-              match avail with
-              | Some av when not (reserve_admits av net alloc) ->
+              match p.avail with
+              | Some av when not (floor_holds av net alloc ~committed:false) ->
                 Obs.Counter.incr c_avail_blocked;
                 true
               | _ -> false
@@ -645,12 +628,10 @@ let admit_impl ~mode ~params ~window ~prune ~avail net request =
     end
   end
 
-let admit ?(mode = `Exponential) ?params ?window ?(prune = true) ?avail net
-    request =
+let admit ?(prune = true) p request =
   let outcome =
     Paths.attributed "online_cp.admit" ~dijkstras:c_dijkstras
-      ~relaxations:c_relaxations (fun () ->
-        admit_impl ~mode ~params ~window ~prune ~avail net request)
+      ~relaxations:c_relaxations (fun () -> admit_impl ~prune p request)
   in
   (match outcome with
   | Admitted _ -> Obs.Counter.incr c_admitted

@@ -112,37 +112,52 @@ val exposure : avail -> Sdn.Network.t -> int -> float
     epoch bump refreshes every group (telemetry:
     [avail.exposure_refreshes]). *)
 
-val reserve_admits : avail -> Sdn.Network.t -> Sdn.Network.allocation -> bool
-(** Whether committing the allocation would keep every touched group's
-    aggregate residual at or above [reserve × group capacity] (with the
-    usual relative ULP slack). Always [true] when [reserve = 0]. *)
-
 val reserve_admits_after :
   avail -> Sdn.Network.t -> Sdn.Network.allocation -> bool
-(** The committed-view twin of {!reserve_admits}: the allocation is
-    {e already} on the network, and the touched groups' residuals are
-    checked as they stand (same floor, same ULP slack). Lets a caller
-    that has just allocated test the floor without releasing and
+(** Whether every group the allocation touches keeps its aggregate
+    residual at or above [reserve × group capacity] (with the usual
+    relative ULP slack). The allocation is {e already} on the network,
+    so the touched groups' residuals are checked as they stand — the
+    same floor {!admit} applies before allocating. Lets a caller that
+    has just allocated test the floor without releasing and
     re-committing — the release/re-allocate dance bumps the weight
     epoch twice and flushes every {!Sp_window} engine even when the
     floor passes. Always [true] when [reserve = 0]. *)
 
-(** {1 Pricing surface}
+(** {1 The pricing context}
 
-    The exact weight model {!admit} prices against, exported so other
-    components (notably {!Repair}) can search with {e identical} prices
-    and share {!Sp_window} engine families with admission — same family
-    string + same weight closure at an equal epoch means the window's
-    exactness contract lets cached Dijkstra trees flow both ways. *)
+    One value fixes the weight model every decision of a run prices
+    against: the mode, the params, the optional {!avail} and the
+    {!Sp_window} of cached shortest-path engines. {!admit} prices with
+    it, and other components (notably {!Repair}) search with the same
+    value, so they price {e identically} and share engine families with
+    admission — same family key and same weight closure at an equal
+    epoch means the window's exactness contract lets cached Dijkstra
+    trees flow both ways. Only this module reads the weight model's
+    fields (callers read at most [window]); a new pricing input is a new
+    field, not a new argument on every caller. *)
 
-val engine :
+type pricing = private {
+  mode : [ `Exponential | `Linear ];
+  params : params;
+  avail : avail option;
+  window : Sp_window.t;
+}
+
+val pricing :
   ?avail:avail ->
   mode:[ `Exponential | `Linear ] ->
   params:params ->
-  ?window:Sp_window.t ->
-  Sdn.Network.t ->
-  bandwidth:float ->
-  Mcgraph.Sp_engine.t
+  Sp_window.t ->
+  pricing
+(** [pricing ?avail ~mode ~params window] prices over
+    [Sp_window.net window]. Raises [Invalid_argument] when [avail] was
+    built by {!make_avail} over a network with a different link count.
+    A fresh window per request gives each admit a private engine; one
+    window for a whole run lets admits share cached trees (outcomes are
+    identical either way, see {!Sp_window}). *)
+
+val engine : pricing -> bandwidth:float -> Mcgraph.Sp_engine.t
 (** The shortest-path engine {!admit} searches for a request needing
     [bandwidth] Mbps. A link weighs [infinity] when its residual cannot
     admit the bandwidth, otherwise the exponential
@@ -153,21 +168,14 @@ val engine :
     between equal {!Sdn.Network.weight_epoch} readings (the exposure
     cache is keyed on the same epoch).
 
-    With [window] the engine comes from {!Sp_window.engine} under a
-    family key that folds in [β]'s bits (exponential mode) and, with
-    [avail] at [alpha > 0], the avail value's unique stamp and [alpha]'s
-    bits: distinct params or distinct [avail] values never share an
-    engine, while at [alpha = 0] the key is the baseline key because
-    the weights are equal. Without [window] it is a fresh private
-    engine. *)
+    The engine comes from {!Sp_window.engine} under a family key that
+    folds in [β]'s bits (exponential mode) and, with [avail] at
+    [alpha > 0], the avail value's unique stamp and [alpha]'s bits:
+    distinct params or distinct [avail] values never share an engine,
+    while at [alpha = 0] the key is the baseline key because the
+    weights are equal. *)
 
-val server_weight :
-  mode:[ `Exponential | `Linear ] ->
-  params:params ->
-  Sdn.Network.t ->
-  demand:float ->
-  int ->
-  float
+val server_weight : pricing -> demand:float -> int -> float
 (** Placement weight of one server for a consolidated chain demand of
     [demand] MHz (exponential node weight, or unit cost × demand in
     [`Linear] mode). *)
@@ -179,22 +187,12 @@ val slack : float -> float
     would keep. Shared by admission's candidate pruning and Repair's
     migration screening. *)
 
-val admit :
-  ?mode:[ `Exponential | `Linear ] ->
-  ?params:params ->
-  ?window:Sp_window.t ->
-  ?prune:bool ->
-  ?avail:avail ->
-  Sdn.Network.t ->
-  Sdn.Request.t ->
-  outcome
+val admit : ?prune:bool -> pricing -> Sdn.Request.t -> outcome
 (** Decide one request; on admission the network's residuals are
-    reduced by the tree's allocation.
-
-    [?window] (default: a private per-request engine) lets an admission
-    run share shortest-path engines across requests — cached Dijkstra
-    trees survive from one admit to the next as long as the weight epoch
-    does not move (see {!Sp_window} for why this is exact).
+    reduced by the tree's allocation. Cached Dijkstra trees in the
+    pricing's window survive from one admit to the next as long as the
+    weight epoch does not move (see {!Sp_window} for why this is
+    exact).
 
     [?prune] (default [true]) enables incumbent-based candidate-server
     pruning: usable servers are screened by the lower bound
@@ -203,27 +201,25 @@ val admit :
     true lower bound on the candidate score, so pruning is exact — the
     admitted tree, the allocation, and the rejection reason are
     identical with pruning on or off; only the [online_cp.pruned.*]
-    telemetry and the amount of work differ. [?prune:false] exists for
-    the equivalence tests and A/B telemetry.
+    telemetry and the amount of work differ. [?prune:false] is the
+    naive reference the equivalence tests compare against.
 
-    Pruning also proves two rejections before doing the work that would
-    reach them (DESIGN.md §11, "Proving rejections before pricing
+    Pruning also proves two rejections before doing the work that
+    would reach them (DESIGN.md §11, "Proving rejections before pricing
     them"). Every tree over [s], a server [v] and a destination [d]
     weighs at least the tripod bound
     [(d(s,v) + d(v,d) + d(s,d)) / 2], and at least [d(s,v)] and
     [d(s,d)]. So a server whose bound exceeds [slack σ_e] is counted
     as a threshold violation without a KMB run. A request with some
     [d(s,d)] beyond [slack σ_e] and at least one screened server is
-    rejected [Over_threshold] after the source Dijkstra alone. With
-    [?window], a destination that {!Sp_window.connects} places outside
-    the source's component of the links admitting the bandwidth gives
-    [Unreachable] before any engine is acquired. Reasons and outcomes
-    are those of [?prune:false]. Telemetry:
-    [online_cp.pruned.over_threshold] (servers skipped) and
-    [online_cp.pruned.unreachable] (requests).
+    rejected [Over_threshold] after the source Dijkstra alone. A
+    destination that {!Sp_window.connects} places outside the source's
+    component of the links admitting the bandwidth gives [Unreachable]
+    before any engine is acquired. Reasons and outcomes are those of
+    [?prune:false]. Telemetry: [online_cp.pruned.over_threshold]
+    (servers skipped) and [online_cp.pruned.unreachable] (requests).
 
-    [?avail] (default: none) enables availability-aware pricing: the
-    exposure surcharge joins the link weights (and the engine family
-    key) and the spare-capacity floor gates each allocation attempt —
-    see the {!avail} section above for the exactness and equivalence
-    guarantees. *)
+    With an [avail], the exposure surcharge joins the link weights (and
+    the engine family key) and the spare-capacity floor gates each
+    allocation attempt — see the {!avail} section above for the
+    exactness and equivalence guarantees. *)

@@ -23,7 +23,8 @@ type candidate = {
   cand_hops : int;
 }
 
-let admit_impl ~window net request =
+let admit_impl window request =
+  let net = Sp_window.net window in
   let g = Sdn.Network.graph net in
   let b = request.Sdn.Request.bandwidth in
   let s = request.Sdn.Request.source in
@@ -37,13 +38,9 @@ let admit_impl ~window net request =
     (* unit weights are fully determined by the feasibility pruning, so
        the bandwidth bucket alone keys the engine within a window *)
     let eng =
-      match window with
-      | Some w ->
-        Sp_window.engine w ~family:"online_sp"
-          ~bucket:(Sp_window.bucket w ~bandwidth:b)
-          ~weight
-      | None ->
-        Sp.create g ~weight ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+      Sp_window.engine window ~family:"online_sp"
+        ~bucket:(Sp_window.bucket window ~bandwidth:b)
+        ~weight
     in
     let consider acc v =
       let spt = Sp.spt eng v in
@@ -103,10 +100,10 @@ let admit_impl ~window net request =
       try_cands sorted
   end
 
-let admit ?window net request =
+let admit window request =
   let outcome =
     Paths.attributed "online_sp.admit" ~dijkstras:c_dijkstras
-      ~relaxations:c_relaxations (fun () -> admit_impl ~window net request)
+      ~relaxations:c_relaxations (fun () -> admit_impl window request)
   in
   (match outcome with
   | Admitted _ -> Obs.Counter.incr c_admitted

@@ -15,8 +15,9 @@ type admitted = {
 
 type outcome = Admitted of admitted | Rejected of string
 
-val admit : ?window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t -> outcome
-(** Decide one request; on admission the network's residuals are
-    reduced. [?window] shares the per-server shortest-path trees across
-    the requests of an admission run (exact — see {!Sp_window}); by
-    default every call builds a private engine. *)
+val admit : Sp_window.t -> Sdn.Request.t -> outcome
+(** Decide one request over [Sp_window.net window]; on admission the
+    network's residuals are reduced. The window's engines share the
+    per-server shortest-path trees across the requests of an admission
+    run (exact — see {!Sp_window}); a fresh window per request gives
+    each call a private engine. *)

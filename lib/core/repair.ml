@@ -203,8 +203,7 @@ let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
    the triangle-inequality lower bound [w_v + max 0 (dist s v - maxd)]
    before the per-candidate Dijkstra runs, with Online_cp's ULP slack so
    screening never reorders the exact outcome. *)
-let try_migrate ~eng ~mode ~params ~link_down ~server_down net
-    (victim : Pseudo_tree.t) =
+let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
   match victim.Pseudo_tree.servers with
   | [] | _ :: _ :: _ -> None
   | [ _v0 ] ->
@@ -230,7 +229,7 @@ let try_migrate ~eng ~mode ~params ~link_down ~server_down net
             (fun acc v -> Float.max acc spt_s.Paths.dist.(v))
             0.0 tree_nodes
         in
-        let w_v v = Online_cp.server_weight ~mode ~params net ~demand v in
+        let w_v v = Online_cp.server_weight cp ~demand v in
         let screened =
           List.filter_map
             (fun v ->
@@ -306,14 +305,14 @@ let try_migrate ~eng ~mode ~params ~link_down ~server_down net
 
 (* ---- the escalation ladder -------------------------------------------- *)
 
-let repair (p : Admission.pricing) ~link_down ~server_down net
+let repair (p : Admission.pricing) ~link_down ~server_down
     (victim : Pseudo_tree.t) =
   Obs.Counter.incr c_attempted;
   let t0 = if !Obs.enabled then !Obs.clock () else 0.0 in
-  let mode = p.Admission.mode and params = p.Admission.params in
+  let cp = p.Admission.cp in
+  let net = Sp_window.net cp.Online_cp.window in
   let eng =
-    Online_cp.engine ?avail:p.Admission.avail ~mode ~params
-      ~window:p.Admission.window net
+    Online_cp.engine cp
       ~bandwidth:victim.Pseudo_tree.request.Sdn.Request.bandwidth
   in
   let patched =
@@ -328,7 +327,7 @@ let repair (p : Admission.pricing) ~link_down ~server_down net
     | None -> (
       let migrated =
         Obs.Span.run "repair.migrate" @@ fun () ->
-        try_migrate ~eng ~mode ~params ~link_down ~server_down net victim
+        try_migrate ~eng cp ~link_down ~server_down net victim
       in
       match migrated with
       | Some tree ->

@@ -16,7 +16,7 @@
       {!Online_cp} (distance-lower-bound screening with the same ULP
       {!Online_cp.slack} guard).
     + {e Full re-admission} ({!Readmitted}) — forget the old tree and
-      run {!Admission.admit_tree} from scratch.
+      run {!Admission.admit} from scratch under the run's pricing.
 
     Tiers 1–2 are capped (tier 1 gives up beyond 8 severed terminals,
     tier 2 prices at most 16 candidate servers) and every tier is
@@ -69,16 +69,15 @@ val repair :
   Admission.pricing ->
   link_down:(int -> bool) ->
   server_down:(int -> bool) ->
-  Sdn.Network.t ->
   Pseudo_tree.t ->
   outcome
-(** [repair pricing ~link_down ~server_down net victim] attempts the
-    tiers in order on an evicted tree whose allocation is already
-    released, under the run's {!Admission.pricing} context: tiers 1–2
-    search the context's {!Online_cp.engine} (same mode, params, avail
-    and {!Sp_window} as admission, so patching after an admission burst
-    starts from warm Dijkstra trees) and tier 3 is {!Admission.admit}
-    with the context itself — re-admission is gated by the avail's
-    spare-capacity floor like any fresh admission. Tiers 1–2 allocate
+(** [repair pricing ~link_down ~server_down victim] attempts the tiers
+    in order on an evicted tree whose allocation is already released,
+    over the network of the pricing's window and under the run's
+    {!Admission.pricing} context: tiers 1–2 search the context's
+    {!Online_cp.engine} (same {!Online_cp.pricing} as admission, so
+    patching after an admission burst starts from warm Dijkstra trees)
+    and tier 3 is [Admission.admit pricing] — re-admission is gated by
+    the avail's spare-capacity floor like any fresh admission. Tiers 1–2 allocate
     directly and are deliberately {e exempt} from the floor: keeping an
     evicted session alive in place outranks preserving headroom. *)

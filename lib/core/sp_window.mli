@@ -1,16 +1,19 @@
 (** Window-scoped shortest-path engine cache for batched admission.
 
     The online algorithms price each request with a per-request weight
-    function and run lazy Dijkstras through {!Mcgraph.Sp_engine}. Before
-    this module each admit created a {e fresh} engine, so cached trees
-    never survived from one request to the next even when nothing about
-    the network had changed — exactly the case after a rejection, which
-    leaves {!Sdn.Network.weight_epoch} untouched. A window is created
-    once per admission run ({!Admission.run}, {!Batch.plan}) and hands
-    each admit an engine that persists across requests; only an
+    function and run lazy Dijkstras through {!Mcgraph.Sp_engine}, always
+    on an engine from a window. A window is created once per admission
+    run — {!Admission.pricing} creates it (or checks the caller's is
+    over the same network) for {!Admission.run}, {!Dynamic.run} and
+    {!Repair}; {!Batch.plan} keeps its own — and hands each admit an
+    engine that persists across requests, so cached trees survive from
+    one request to the next while nothing about the network changes
+    (exactly the case after a rejection, which leaves
+    {!Sdn.Network.weight_epoch} untouched). Only an
     [allocate]/[release]/[reset] that actually bumps the epoch causes
     the engine's cached trees to be swept (by the epoch contract of
-    {!Mcgraph.Sp_engine}).
+    {!Mcgraph.Sp_engine}). A fresh window per request is a private
+    engine per admit.
 
     {2 Exactness contract}
 
@@ -42,8 +45,8 @@
     Equal [(family, bucket)] at an equal epoch therefore implies equal
     weights, which is the contract {!Mcgraph.Sp_engine.renew} needs to
     swap closures without dropping valid trees. With the key discipline
-    above, every admission outcome is bit-identical to the fresh-engine
-    behaviour this module replaces. *)
+    above, every admission outcome is bit-identical to that of a fresh
+    window per request. *)
 
 type t
 (** A per-(network, admission-window) engine cache. *)

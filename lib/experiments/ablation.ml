@@ -424,8 +424,6 @@ let instance ~seed ?requests () =
 let spec =
   Spec.make ~id:"ablation"
     ~doc:"Ablations A1-A4: cost model, servers per chain, placement, online K"
-    ~figure_ids:
-      [ "ablA1"; "ablA2cost"; "ablA2time"; "ablA2cluster"; "ablA3"; "ablA4" ]
     ~smoke:(fun ~seed -> instance ~seed ~requests:12 ())
     (fun ~seed ~requests -> instance ~seed ?requests ())
 

@@ -58,6 +58,5 @@ let instance ?(n = 80) ?(sizes = [ 100; 200; 400; 800 ]) () =
 let spec =
   Spec.make ~id:"batch"
     ~doc:"Extension: offline batch admission order comparison"
-    ~figure_ids:[ "batchA" ]
     ~smoke:(fun ~seed:_ -> instance ~n:30 ~sizes:[ 15; 30 ] ())
     (fun ~seed:_ ~requests:_ -> instance ())

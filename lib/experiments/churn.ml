@@ -105,8 +105,8 @@ let rate_series ~label ~sweep ~point metrics =
       })
     metrics
 
-let family ~id ~doc ~figure_ids ~default_requests ~ledgers ~smoke instance =
-  Spec.make ~id ~doc ~figure_ids ~default_requests ~ledgers
+let family ~id ~doc ~default_requests ~ledgers ~smoke instance =
+  Spec.make ~id ~doc ~ledgers
     ~smoke:(fun ~seed:_ -> instance smoke)
     (fun ~seed:_ ~requests ->
       instance (Option.value ~default:default_requests requests))
@@ -206,7 +206,7 @@ let churn =
     ~doc:
       "Churn: failure injection + tiered repair, survival and latency vs \
        failure rate on GEANT/AS1755"
-    ~figure_ids:[ "churnA"; "churnB" ] ~default_requests:800
+    ~default_requests:800
     ~ledgers:[ Spec.repair_ledger ] ~smoke:64 churn_instance
 
 (* ---- the Poisson families: one grid, one point, a treatment per sweep ---- *)
@@ -495,8 +495,8 @@ let restore_instance requests =
 
 (* avail and restore share dynamic_churn's scales, so their matched
    cells line up in the smoke runs too *)
-let poisson_family ~id ~doc ~figure_ids instance =
-  family ~id ~doc ~figure_ids ~default_requests:400
+let poisson_family ~id ~doc instance =
+  family ~id ~doc ~default_requests:400
     ~ledgers:[ Spec.repair_ledger; Spec.restoration_ledger ]
     ~smoke:16 instance
 
@@ -506,7 +506,6 @@ let dynamic_churn =
       "Failure-aware dynamic churn: Poisson arrivals/departures with \
        time-stamped faults, tiered repair and heal-triggered restoration, \
        independent vs SRLG, on GEANT/AS1755"
-    ~figure_ids:[ "dynchA"; "dynchB"; "dynchC"; "dynchD" ]
     dynamic_churn_instance
 
 let avail =
@@ -515,7 +514,6 @@ let avail =
       "Availability sweep: dynamic churn re-run under SRLG-exposure \
        surcharges (alpha x failure rate x {independent, SRLG}) on \
        GEANT/AS1755, matched-RNG with dynamic_churn"
-    ~figure_ids:[ "availA"; "availB"; "availC"; "availD" ]
     avail_instance
 
 let restore =
@@ -526,5 +524,4 @@ let restore =
        deadline-aware, depart-triggered) on GEANT/AS1755, matched-RNG with \
        dynamic_churn, plus stressed GEANT cells where the heal-time pass \
        is contended"
-    ~figure_ids:[ "restoreA"; "restoreB"; "restoreC"; "restoreD" ]
     restore_instance

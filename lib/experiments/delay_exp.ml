@@ -77,6 +77,5 @@ let instance ?(n = 100) ?(requests = 400) () =
 let spec =
   Spec.make ~id:"delay"
     ~doc:"Extension: delay-bounded admission vs deadline tightness"
-    ~figure_ids:[ "delayA" ] ~default_requests:400
     ~smoke:(fun ~seed:_ -> instance ~n:40 ~requests:20 ())
     (fun ~seed:_ ~requests -> instance ?requests ())

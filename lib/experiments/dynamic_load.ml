@@ -77,6 +77,5 @@ let instance ?(n = 100) ?(arrivals = 2000) () =
 let spec =
   Spec.make ~id:"dynamic"
     ~doc:"Extension: acceptance under request departures vs offered load"
-    ~figure_ids:[ "dynA"; "dynB" ] ~default_requests:2000
     ~smoke:(fun ~seed:_ -> instance ~n:40 ~arrivals:40 ())
     (fun ~seed:_ ~requests -> instance ?arrivals:requests ())

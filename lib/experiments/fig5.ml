@@ -103,8 +103,6 @@ let instance ?(requests = 30) ?(sizes = default_sizes) () =
 let spec =
   Spec.make ~id:"fig5"
     ~doc:"Fig. 5: Appro_Multi vs Alg_One_Server on random networks"
-    ~figure_ids:[ "fig5a"; "fig5b"; "fig5c"; "fig5d"; "fig5e"; "fig5f" ]
-    ~default_requests:30
     ~smoke:(fun ~seed:_ -> instance ~requests:2 ~sizes:[ 30; 50 ] ())
     (fun ~seed:_ ~requests -> instance ?requests ())
 

@@ -96,8 +96,6 @@ let instance ?(requests = 100) () =
 let spec =
   Spec.make ~id:"fig6"
     ~doc:"Fig. 6: Appro_Multi vs Alg_One_Server in GEANT and AS1755"
-    ~figure_ids:[ "fig6a"; "fig6c"; "fig6b"; "fig6d" ]
-    ~default_requests:100
     ~smoke:(fun ~seed:_ -> instance ~requests:2 ())
     (fun ~seed:_ ~requests -> instance ?requests ())
 

@@ -90,7 +90,6 @@ let instance ?(requests = 120) ?(sizes = [ 50; 100; 150; 200; 250 ]) () =
 let spec =
   Spec.make ~id:"fig7"
     ~doc:"Fig. 7: Appro_Multi_Cap under capacity constraints"
-    ~figure_ids:[ "fig7a"; "fig7b" ] ~default_requests:120
     ~smoke:(fun ~seed:_ -> instance ~requests:10 ~sizes:[ 30; 50 ] ())
     (fun ~seed:_ ~requests -> instance ?requests ())
 

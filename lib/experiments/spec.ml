@@ -37,16 +37,13 @@ type ledger = { total : string; parts : string list }
 type t = {
   id : string;
   doc : string;
-  figure_ids : string list;
-  default_requests : int option;
   instance : seed:int -> requests:int option -> instance;
   smoke : seed:int -> instance;
   ledgers : ledger list;
 }
 
-let make ~id ~doc ~figure_ids ?default_requests ?(ledgers = []) ~smoke instance
-    =
-  { id; doc; figure_ids; default_requests; instance; smoke; ledgers }
+let make ~id ~doc ?(ledgers = []) ~smoke instance =
+  { id; doc; instance; smoke; ledgers }
 
 let repair_ledger =
   {

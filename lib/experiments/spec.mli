@@ -77,12 +77,6 @@ type t = {
   id : string;
       (** registry key; also the CLI subcommand *)
   doc : string;  (** one-line description, shown by the CLI *)
-  figure_ids : string list;
-      (** ids of the figures the instance emits, in emission order —
-          static, so tooling can enumerate outputs without running *)
-  default_requests : int option;
-      (** what an absent [--requests] means, [None] when the family has
-          no request-count knob (informational) *)
   instance : seed:int -> requests:int option -> instance;
       (** [seed] is also what the runner hands {!Pool.map}; it is passed
           here so point functions that race several algorithms on one
@@ -103,8 +97,6 @@ type t = {
 val make :
   id:string ->
   doc:string ->
-  figure_ids:string list ->
-  ?default_requests:int ->
   ?ledgers:ledger list ->
   smoke:(seed:int -> instance) ->
   (seed:int -> requests:int option -> instance) ->

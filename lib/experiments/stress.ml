@@ -105,7 +105,6 @@ let instance ?(requests = default_requests) () =
 let spec =
   Spec.make ~id:"stress"
     ~doc:"Stress: Online_CP rejection-reason telemetry vs load on Rocketfuel topologies"
-    ~figure_ids:[ "stressA"; "stressB" ] ~default_requests
     ~smoke:(fun ~seed:_ -> instance ~requests:32 ())
     (fun ~seed:_ ~requests -> instance ?requests ())
 

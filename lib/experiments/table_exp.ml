@@ -68,6 +68,5 @@ let instance ?(n = 100) ?(requests = 400) () =
 let spec =
   Spec.make ~id:"tables"
     ~doc:"Extension: per-switch forwarding-table budgets"
-    ~figure_ids:[ "tableA" ] ~default_requests:400
     ~smoke:(fun ~seed:_ -> instance ~n:40 ~requests:20 ())
     (fun ~seed:_ ~requests -> instance ?requests ())

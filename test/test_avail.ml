@@ -183,12 +183,12 @@ let test_reserve_floor () =
   let groups = [| List.init m Fun.id |] in
   let req = mk_request ~id:0 ~source:0 ~destinations:[ 3 ] ~bandwidth:40.0 in
   (* baseline and a loose floor both admit *)
-  (match Cp.admit net req with
+  (match Cp.admit (Tutil.cp_pricing net) req with
   | Cp.Admitted a -> N.release net (Pt.allocation a.Cp.tree)
   | Cp.Rejected r ->
     Alcotest.failf "baseline rejected: %s" (Cp.rejection_to_string r));
   let loose = Cp.make_avail ~reserve:0.5 net groups in
-  (match Cp.admit ~avail:loose net req with
+  (match Cp.admit (Tutil.cp_pricing ~avail:loose net) req with
   | Cp.Admitted a -> N.release net (Pt.allocation a.Cp.tree)
   | Cp.Rejected r ->
     Alcotest.failf "loose floor rejected: %s" (Cp.rejection_to_string r));
@@ -196,7 +196,7 @@ let test_reserve_floor () =
      >= 120 Mbps) would leave < 540 — every candidate is blocked *)
   let tight = Cp.make_avail ~reserve:0.9 net groups in
   let b0 = counter "avail.reserve_blocked" in
-  (match Cp.admit ~avail:tight net req with
+  (match Cp.admit (Tutil.cp_pricing ~avail:tight net) req with
   | Cp.Admitted _ -> Alcotest.fail "tight floor admitted"
   | Cp.Rejected r ->
     Alcotest.(check string) "blocked admits reject as Unallocatable"
@@ -280,7 +280,11 @@ let prune_equivalence_under_alpha seed =
     let groups = Fault.srlg_partition ~groups:4 ~rng net in
     let av = Cp.make_avail ~alpha:2.5 net groups in
     let reqs = Workload.Gen.sequence rng net ~count:20 in
-    let outs = List.map (fun r -> outcome_key (Cp.admit ~prune ~avail:av net r)) reqs in
+    let outs =
+      List.map
+        (fun r -> outcome_key (Cp.admit ~prune (Tutil.cp_pricing ~avail:av net) r))
+        reqs
+    in
     (outs, residuals net)
   in
   let on = run true and off = run false in
@@ -321,7 +325,7 @@ let exposure_conservation seed =
   let live = ref [] in
   List.iter
     (fun r ->
-      (match Cp.admit ~avail:av net r with
+      (match Cp.admit (Tutil.cp_pricing ~avail:av net) r with
       | Cp.Admitted a ->
         live := (r.Sdn.Request.id, Pt.allocation a.Cp.tree) :: !live
       | Cp.Rejected _ -> ());

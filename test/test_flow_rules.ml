@@ -160,7 +160,7 @@ let prop_online_cp_verifies =
       let reqs = Workload.Gen.sequence rng net ~count:25 in
       List.for_all
         (fun r ->
-          match Nfv_multicast.Online_cp.admit net r with
+          match Nfv_multicast.Online_cp.admit (Tutil.cp_pricing net) r with
           | Nfv_multicast.Online_cp.Admitted a -> (
             match Fr.verify net a.Nfv_multicast.Online_cp.tree with
             | Ok () -> true
@@ -176,7 +176,9 @@ let prop_sp_verifies =
       let reqs = Workload.Gen.sequence rng net ~count:25 in
       List.for_all
         (fun r ->
-          match Nfv_multicast.Online_sp.admit net r with
+          match
+            Nfv_multicast.Online_sp.admit (Nfv_multicast.Sp_window.create net) r
+          with
           | Nfv_multicast.Online_sp.Admitted a -> (
             match Fr.verify net a.Nfv_multicast.Online_sp.tree with
             | Ok () -> true

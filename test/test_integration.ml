@@ -123,8 +123,11 @@ let test_admission_interleaving_safe () =
   N.reset net;
   List.iteri
     (fun i r ->
-      if i mod 2 = 0 then ignore (Nfv_multicast.Online_cp.admit net r)
-      else ignore (Nfv_multicast.Online_sp.admit net r))
+      if i mod 2 = 0 then
+        ignore (Nfv_multicast.Online_cp.admit (Tutil.cp_pricing net) r)
+      else
+        ignore
+          (Nfv_multicast.Online_sp.admit (Nfv_multicast.Sp_window.create net) r))
     reqs;
   for e = 0 to N.m net - 1 do
     if N.link_residual net e < -1e-6 then Alcotest.fail "negative residual"

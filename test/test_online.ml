@@ -24,7 +24,7 @@ let test_default_params () =
 let test_admit_on_idle_network () =
   let net, rng = mk_net 2 in
   let req = Workload.Gen.request rng net ~id:0 in
-  match Cp.admit net req with
+  match Cp.admit (Tutil.cp_pricing net) req with
   | Cp.Rejected r -> Alcotest.failf "idle network rejects: %s" (Cp.rejection_to_string r)
   | Cp.Admitted a -> (
     Alcotest.(check bool) "server placed" true (N.is_server net a.Cp.server);
@@ -42,7 +42,7 @@ let test_rejects_when_servers_full () =
       | Error e -> Alcotest.failf "drain: %s" e)
     (N.servers net);
   let req = Workload.Gen.request rng net ~id:0 in
-  match Cp.admit net req with
+  match Cp.admit (Tutil.cp_pricing net) req with
   | Cp.Rejected Cp.No_feasible_server -> ()
   | Cp.Rejected r -> Alcotest.failf "wrong reason: %s" (Cp.rejection_to_string r)
   | Cp.Admitted _ -> Alcotest.fail "should reject"
@@ -53,7 +53,7 @@ let test_threshold_rejection () =
   (* absurdly low thresholds force Case 3 *)
   let p = Cp.default_params net in
   let p = { p with Cp.sigma_v = -1.0; sigma_e = -1.0 } in
-  match Cp.admit ~params:p net req with
+  match Cp.admit (Tutil.cp_pricing ~params:p net) req with
   | Cp.Rejected Cp.Over_threshold -> ()
   | Cp.Rejected r -> Alcotest.failf "wrong reason: %s" (Cp.rejection_to_string r)
   | Cp.Admitted _ -> Alcotest.fail "should reject"
@@ -63,7 +63,7 @@ let test_linear_mode_ignores_thresholds () =
   let req = Workload.Gen.request rng net ~id:0 in
   let p = Cp.default_params net in
   let p = { p with Cp.sigma_v = -1.0; sigma_e = -1.0 } in
-  match Cp.admit ~mode:`Linear ~params:p net req with
+  match Cp.admit (Tutil.cp_pricing ~mode:`Linear ~params:p net) req with
   | Cp.Admitted _ -> ()
   | Cp.Rejected r -> Alcotest.failf "linear mode: %s" (Cp.rejection_to_string r)
 
@@ -71,7 +71,7 @@ let test_admission_consumes_resources () =
   let net, rng = mk_net 6 in
   let req = Workload.Gen.request rng net ~id:0 in
   let before = List.map (fun v -> N.server_residual net v) (N.servers net) in
-  match Cp.admit net req with
+  match Cp.admit (Tutil.cp_pricing net) req with
   | Cp.Rejected _ -> Alcotest.fail "should admit on idle network"
   | Cp.Admitted a ->
     let after = List.map (fun v -> N.server_residual net v) (N.servers net) in
@@ -109,7 +109,7 @@ let test_server_unreachable_attribution () =
   Obs.reset_all ();
   Obs.enabled := true;
   Fun.protect ~finally:(fun () -> Obs.enabled := false) @@ fun () ->
-  (match Cp.admit net req with
+  (match Cp.admit (Tutil.cp_pricing net) req with
   | Cp.Rejected Cp.Server_unreachable -> ()
   | Cp.Rejected r -> Alcotest.failf "wrong reason: %s" (Cp.rejection_to_string r)
   | Cp.Admitted _ -> Alcotest.fail "should reject");
@@ -123,7 +123,7 @@ let test_server_unreachable_attribution () =
     Sdn.Request.make ~id:1 ~source:0 ~destinations:[ 1 ]
       ~bandwidth:(straw_capacity /. 4.0) ~chain:[ Sdn.Vnf.Nat ]
   in
-  match Cp.admit net small with
+  match Cp.admit (Tutil.cp_pricing net) small with
   | Cp.Admitted _ -> ()
   | Cp.Rejected r -> Alcotest.failf "small request: %s" (Cp.rejection_to_string r)
 
@@ -146,7 +146,7 @@ let test_linear_mode_hop_tiebreak () =
     Sdn.Request.make ~id:0 ~source:0 ~destinations:[ 4 ] ~bandwidth:1.0
       ~chain:[ Sdn.Vnf.Nat ]
   in
-  match Cp.admit ~mode:`Linear net req with
+  match Cp.admit (Tutil.cp_pricing ~mode:`Linear net) req with
   | Cp.Rejected r -> Alcotest.failf "should admit: %s" (Cp.rejection_to_string r)
   | Cp.Admitted a ->
     Alcotest.(check (list (pair int int)))
@@ -159,7 +159,7 @@ let test_linear_mode_hop_tiebreak () =
 let test_sp_admits_idle () =
   let net, rng = mk_net 7 in
   let req = Workload.Gen.request rng net ~id:0 in
-  match Sp.admit net req with
+  match Sp.admit (W.create net) req with
   | Sp.Rejected msg -> Alcotest.failf "idle network: %s" msg
   | Sp.Admitted a -> (
     Alcotest.(check bool) "hops positive" true (a.Sp.hops >= 1);
@@ -178,7 +178,7 @@ let test_sp_rejects_when_starved () =
     | Error msg -> Alcotest.failf "drain: %s" msg
   done;
   let req = Workload.Gen.request rng net ~id:0 in
-  match Sp.admit net req with
+  match Sp.admit (W.create net) req with
   | Sp.Rejected _ -> ()
   | Sp.Admitted _ -> Alcotest.fail "should reject"
 
@@ -255,7 +255,7 @@ let prop_admitted_trees_valid =
       N.reset net;
       List.for_all
         (fun r ->
-          match Cp.admit net r with
+          match Cp.admit (Tutil.cp_pricing net) r with
           | Cp.Admitted a -> (
             match Pt.validate net a.Cp.tree with Ok () -> true | Error _ -> false)
           | Cp.Rejected _ -> true)
@@ -270,7 +270,7 @@ let prop_sp_trees_valid =
       N.reset net;
       List.for_all
         (fun r ->
-          match Sp.admit net r with
+          match Sp.admit (W.create net) r with
           | Sp.Admitted a -> (
             match Pt.validate net a.Sp.tree with Ok () -> true | Error _ -> false)
           | Sp.Rejected _ -> true)
@@ -304,14 +304,14 @@ let prop_prune_and_window_exact =
       let net2, rng2 = mk_net (seed + 1700) in
       let reqs1 = Workload.Gen.sequence rng1 net1 ~count:40 in
       let reqs2 = Workload.Gen.sequence rng2 net2 ~count:40 in
-      let w = W.create net1 in
+      let shared = Tutil.cp_pricing net1 in
       let fast =
-        List.map
-          (fun r -> cp_fingerprint (Cp.admit ~window:w ~prune:true net1 r))
-          reqs1
+        List.map (fun r -> cp_fingerprint (Cp.admit ~prune:true shared r)) reqs1
       in
       let naive =
-        List.map (fun r -> cp_fingerprint (Cp.admit ~prune:false net2 r)) reqs2
+        List.map
+          (fun r -> cp_fingerprint (Cp.admit ~prune:false (Tutil.cp_pricing net2) r))
+          reqs2
       in
       fast = naive && net_state net1 = net_state net2)
 
@@ -333,10 +333,10 @@ let prop_sp_window_exact =
       let reqs1 = Workload.Gen.sequence rng1 net1 ~count:40 in
       let reqs2 = Workload.Gen.sequence rng2 net2 ~count:40 in
       let w = W.create net1 in
-      let windowed =
-        List.map (fun r -> sp_fingerprint (Sp.admit ~window:w net1 r)) reqs1
+      let windowed = List.map (fun r -> sp_fingerprint (Sp.admit w r)) reqs1 in
+      let naive =
+        List.map (fun r -> sp_fingerprint (Sp.admit (W.create net2) r)) reqs2
       in
-      let naive = List.map (fun r -> sp_fingerprint (Sp.admit net2 r)) reqs2 in
       windowed = naive && net_state net1 = net_state net2)
 
 (* the speed-up must actually materialise: under load, the driver's
@@ -401,8 +401,8 @@ let thin_case seed =
 let thin_run ~windowed seed =
   let net, params, reqs = thin_case seed in
   let admit =
-    if windowed then Cp.admit ~params ~window:(W.create net) ~prune:true net
-    else Cp.admit ~params ~prune:false net
+    if windowed then Cp.admit ~prune:true (Tutil.cp_pricing ~params net)
+    else fun r -> Cp.admit ~prune:false (Tutil.cp_pricing ~params net) r
   in
   let outcomes = List.map (fun r -> cp_fingerprint (admit r)) reqs in
   (outcomes, net_state net)
@@ -443,9 +443,12 @@ let h = 1e-6 (* Online_cp's hop epsilon: the weight of an idle link *)
 
 let test_tripod_skips_server () =
   let params = { (Cp.default_params (fork_net ())) with Cp.sigma_e = 3.5 *. h } in
-  let naive = cp_fingerprint (Cp.admit ~params ~prune:false (fork_net ()) fork_request) in
+  let naive =
+    cp_fingerprint
+      (Cp.admit ~prune:false (Tutil.cp_pricing ~params (fork_net ())) fork_request)
+  in
   with_obs @@ fun () ->
-  let outcome = Cp.admit ~params (fork_net ()) fork_request in
+  let outcome = Cp.admit (Tutil.cp_pricing ~params (fork_net ())) fork_request in
   (match outcome with
   | Cp.Admitted a -> Alcotest.(check int) "server 3 (tree 2h)" 3 a.Cp.server
   | Cp.Rejected r -> Alcotest.failf "rejected: %s" (Cp.rejection_to_string r));
@@ -454,11 +457,12 @@ let test_tripod_skips_server () =
 
 let test_source_distance_rejects () =
   let params = { (Cp.default_params (fork_net ())) with Cp.sigma_e = 1.5 *. h } in
-  (match Cp.admit ~params ~prune:false (fork_net ()) fork_request with
+  let naive = Tutil.cp_pricing ~params (fork_net ()) in
+  (match Cp.admit ~prune:false naive fork_request with
   | Cp.Rejected Cp.Over_threshold -> ()
   | o -> Alcotest.failf "naive: %s" (cp_fingerprint o));
   with_obs @@ fun () ->
-  (match Cp.admit ~params (fork_net ()) fork_request with
+  (match Cp.admit (Tutil.cp_pricing ~params (fork_net ())) fork_request with
   | Cp.Rejected Cp.Over_threshold -> ()
   | o -> Alcotest.failf "pruned: %s" (cp_fingerprint o));
   Alcotest.(check int) "both servers skipped" 2
@@ -480,12 +484,11 @@ let test_labels_prove_unreachable () =
     Sdn.Request.make ~id:0 ~source:0 ~destinations:[ 2; 3 ] ~bandwidth:10.0
       ~chain:[ Sdn.Vnf.Nat ]
   in
-  (match Cp.admit ~prune:false (net ()) req with
+  (match Cp.admit ~prune:false (Tutil.cp_pricing (net ())) req with
   | Cp.Rejected Cp.Unreachable -> ()
   | o -> Alcotest.failf "naive: %s" (cp_fingerprint o));
   with_obs @@ fun () ->
-  let net = net () in
-  (match Cp.admit ~window:(W.create net) net req with
+  (match Cp.admit (Tutil.cp_pricing (net ())) req with
   | Cp.Rejected Cp.Unreachable -> ()
   | o -> Alcotest.failf "pruned: %s" (cp_fingerprint o));
   Alcotest.(check int) "proved by the labels" 1
@@ -503,10 +506,35 @@ let prop_cp_score_nonnegative =
       N.reset net;
       List.for_all
         (fun r ->
-          match Cp.admit net r with
+          match Cp.admit (Tutil.cp_pricing net) r with
           | Cp.Admitted a -> a.Cp.score >= 0.0
           | Cp.Rejected _ -> true)
         reqs)
+
+(* a window over another network — even an identical twin — would price
+   and allocate on that network while the pricing reads this one's
+   params and avail check, so the context refuses it *)
+let test_pricing_refuses_foreign_window () =
+  let net, rng = mk_net 13 in
+  let twin, _ = mk_net 13 in
+  let req = Workload.Gen.request rng net ~id:0 in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun algo ->
+      Alcotest.(check bool)
+        ("foreign window refused under " ^ Adm.algorithm_to_string algo)
+        true
+        (raises (fun () -> Adm.pricing ~window:(W.create twin) net algo)))
+    [ Adm.Online_cp; Adm.Online_cp_no_threshold; Adm.Online_linear; Adm.Sp ];
+  Alcotest.(check bool) "admit_tree refuses it" true
+    (raises (fun () ->
+         Adm.admit_tree ~window:(W.create twin) net Adm.Online_cp req));
+  Alcotest.(check bool) "nothing allocated on the twin" true
+    (net_state twin = net_state net);
+  Alcotest.(check bool) "own window accepted" false
+    (raises (fun () -> Adm.pricing ~window:(W.create net) net Adm.Online_cp))
 
 let () =
   Alcotest.run "online"
@@ -541,6 +569,8 @@ let () =
           Alcotest.test_case "reset + determinism" `Quick test_run_resets;
           Alcotest.test_case "prefix property" `Quick test_prefix_property;
           Alcotest.test_case "names" `Quick test_algorithm_names;
+          Alcotest.test_case "foreign window refused" `Quick
+            test_pricing_refuses_foreign_window;
         ] );
       ( "pruning",
         [

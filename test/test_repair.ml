@@ -42,7 +42,7 @@ let repair_with ~window ~fault net tree =
   Repair.repair (Adm.pricing ~window net Adm.Online_cp)
     ~link_down:(Fault.link_is_down fault)
     ~server_down:(Fault.server_is_down fault)
-    net tree
+    tree
 
 (* ---- designed net 1: a single link failure with a detour ----
        0 --e0-- 1 --e1-- 2(srv)
@@ -133,7 +133,7 @@ let test_repair_per_algorithm () =
       Repair.repair (Adm.pricing net algo)
         ~link_down:(Fault.link_is_down fault)
         ~server_down:(Fault.server_is_down fault)
-        net tree
+        tree
     in
     (match out with
     | Repair.Repaired { tree; _ } -> (

@@ -335,23 +335,28 @@ let test_window_cross_request_reuse () =
   let req = Workload.Gen.request rng net ~id:0 in
   let w = W.create net in
   let p = Cp.default_params net in
-  let rejecting = { p with Cp.sigma_v = -1.0; sigma_e = -1.0 } in
-  (match Cp.admit ~params:rejecting ~window:w net req with
+  let rejecting =
+    Cp.pricing ~mode:`Exponential
+      ~params:{ p with Cp.sigma_v = -1.0; sigma_e = -1.0 }
+      w
+  in
+  (match Cp.admit rejecting req with
   | Cp.Rejected Cp.Over_threshold -> ()
   | _ -> Alcotest.fail "expected threshold rejection");
   let before = Sp.global_trees_computed () in
-  (match Cp.admit ~params:rejecting ~window:w net req with
+  (match Cp.admit rejecting req with
   | Cp.Rejected Cp.Over_threshold -> ()
   | _ -> Alcotest.fail "expected threshold rejection");
   Alcotest.(check int) "rejected replay costs zero Dijkstras" before
     (Sp.global_trees_computed ());
   (* now actually admit: the allocate bumps the epoch, so a further
      admit of the same request recomputes instead of serving stale *)
-  (match Cp.admit ~window:w net req with
+  let admitting = Cp.pricing ~mode:`Exponential ~params:p w in
+  (match Cp.admit admitting req with
   | Cp.Admitted _ -> ()
   | Cp.Rejected r -> Alcotest.failf "idle admit: %s" (Cp.rejection_to_string r));
   let after_admit = Sp.global_trees_computed () in
-  ignore (Cp.admit ~window:w net req);
+  ignore (Cp.admit admitting req);
   Alcotest.(check bool) "post-admission requests recompute" true
     (Sp.global_trees_computed () > after_admit)
 

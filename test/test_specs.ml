@@ -47,16 +47,13 @@ let test_registry_ids () =
       | None -> Alcotest.failf "Registry.find %S = None" id)
     expected_ids
 
-(* Building an instance is pure — no sweep runs — so the declared
-   figure_ids can be checked against the instance shape for free. *)
+(* Building an instance is pure — no sweep runs — so the figures it
+   declares can be checked for free. *)
 let test_declared_figures () =
   List.iter
     (fun (s : Spec.t) ->
       let inst = s.Spec.instance ~seed:1 ~requests:(Some 2) in
       let fids = List.map (fun f -> f.Spec.fid) inst.Spec.figures in
-      Alcotest.(check (list string))
-        (s.Spec.id ^ ": declared figure_ids match the instance")
-        s.Spec.figure_ids fids;
       let sorted = List.sort_uniq compare fids in
       Alcotest.(check int)
         (s.Spec.id ^ ": figure ids unique")

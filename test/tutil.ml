@@ -44,6 +44,19 @@ let random_network seed ~lo ~hi =
 
 let random_request rng net ~id = Workload.Gen.request rng net ~id
 
+(* an Online_CP pricing over a fresh window: exponential mode and the
+   network's default params unless given. One call per admit gives each
+   request a private engine — the naive reference the shared-window
+   runs are compared against. *)
+let cp_pricing ?(mode = `Exponential) ?params ?avail net =
+  let params =
+    match params with
+    | Some p -> p
+    | None -> Nfv_multicast.Online_cp.default_params net
+  in
+  Nfv_multicast.Online_cp.pricing ?avail ~mode ~params
+    (Nfv_multicast.Sp_window.create net)
+
 (* checks that an edge set forms a tree (acyclic and connected) *)
 let is_tree g edges =
   match edges with
