@@ -27,22 +27,32 @@ let observe span ~ok ~err f =
 
 let default_k = 3
 
-(* Engine sharing across a window is keyed per Sp_window's exactness
-   contract: the default base weights are [b_k · c_e] (so the bandwidth's
-   float bits go into the family) pruned by [link_admits _ b_k] (covered
-   by the feasibility bucket). Callers overriding [edge_weight] or
-   [placement_cost] never reach this path — they keep private engines. *)
-let acquire_engine window ~bandwidth ~capacitated =
-  Option.map
-    (fun w ->
-      let bits = Int64.to_string (Int64.bits_of_float bandwidth) in
-      let family, bucket =
-        if capacitated then
-          ("appro.cap:" ^ bits, Sp_window.bucket w ~bandwidth)
-        else ("appro.all:" ^ bits, -1)
-      in
-      fun ~weight -> Sp_window.engine w ~family ~bucket ~weight)
-    window
+(* Algorithm 1's base-edge price and the engine serving it, in one
+   place: [b_k · c_e], and [infinity] on a link without [b_k] residual
+   when the run is capacitated. Over a window the engine is keyed per
+   Sp_window's exactness contract — the bandwidth's float bits go into
+   the family and the capacity pruning is the feasibility bucket; without
+   one it is a private engine bound to the network's weight epoch. A
+   window over another network would serve another graph's trees. *)
+let engine ?window ~capacitated net request =
+  let b = request.Sdn.Request.bandwidth in
+  let weight e =
+    if capacitated && not (Sdn.Network.link_admits net e b) then infinity
+    else b *. Sdn.Network.link_unit_cost net e
+  in
+  match window with
+  | None ->
+    Mcgraph.Sp_engine.create (Sdn.Network.graph net) ~weight
+      ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+  | Some w when Sp_window.net w != net ->
+    invalid_arg "Appro_multi: window over a different network"
+  | Some w ->
+    let bits = Int64.to_string (Int64.bits_of_float b) in
+    let family, bucket =
+      if capacitated then ("appro.cap:" ^ bits, Sp_window.bucket w ~bandwidth:b)
+      else ("appro.all:" ^ bits, -1)
+    in
+    Sp_window.engine w ~family ~bucket ~weight
 
 (* lexicographic order on int lists, [[]] first: the order polymorphic
    [compare] gives them *)
@@ -84,10 +94,9 @@ let price ?(k = default_k) aux f =
           if c < infinity then f c subset edges
       end)
 
-let candidates_impl ?k ?engine ?edge_weight ?placement_cost ~keep
-    ~usable_servers net request =
+let candidates ?k ?placement_cost ~engine ~usable_servers net request =
   let aux =
-    Aux_graph.build ~keep ?edge_weight ?placement_cost ?engine ~net ~request
+    Aux_graph.build ~engine ?placement_cost ~net ~request
       ~candidate_servers:usable_servers ()
   in
   let found = ref [] in
@@ -102,11 +111,6 @@ let combinations_explored ?k aux =
     (List.length (Aux_graph.reachable_servers aux))
     (Option.value k ~default:default_k)
 
-let candidates ?k ?edge_weight ?placement_cost ~keep ~usable_servers net
-    request =
-  candidates_impl ?k ?edge_weight ?placement_cost ~keep ~usable_servers net
-    request
-
 let result net ?k aux ~aux_cost ~subset tree =
   {
     tree;
@@ -117,13 +121,14 @@ let result net ?k aux ~aux_cost ~subset tree =
   }
 
 (* one incumbent, the least candidate under [order] so far *)
-let solve_with ?k ?engine ~keep ~usable_servers net request =
+let solve_with ?k ?window ~capacitated ~usable_servers net request =
   observe "appro_multi.solve" ~ok:c_solved ~err:c_infeasible @@ fun () ->
   if usable_servers = [] then Error "no usable server"
   else
     let aux =
-      Aux_graph.build ~keep ?engine ~net ~request
-        ~candidate_servers:usable_servers ()
+      Aux_graph.build
+        ~engine:(engine ?window ~capacitated net request)
+        ~net ~request ~candidate_servers:usable_servers ()
     in
     let best = ref None in
     price ?k aux (fun c subset edges ->
@@ -136,40 +141,26 @@ let solve_with ?k ?engine ~keep ~usable_servers net request =
       Ok (result net ?k aux ~aux_cost ~subset (Aux_graph.to_pseudo_tree aux edges))
 
 let solve ?k ?window net request =
-  let engine =
-    acquire_engine window ~bandwidth:request.Sdn.Request.bandwidth
-      ~capacitated:false
-  in
-  solve_with ?k ?engine ~keep:(fun _ -> true)
+  solve_with ?k ?window ~capacitated:false
     ~usable_servers:(Sdn.Network.servers net) net request
 
+(* servers with [C(SC_k)] computing residual; the link pruning lives in
+   [engine]'s price *)
 let capacitated_filters net request =
-  let b = request.Sdn.Request.bandwidth in
   let demand = Sdn.Request.demand_mhz request in
-  let keep e = Sdn.Network.link_admits net e b in
-  let usable =
-    List.filter (fun v -> Sdn.Network.server_admits net v demand) (Sdn.Network.servers net)
-  in
-  (keep, usable)
+  List.filter (fun v -> Sdn.Network.server_admits net v demand) (Sdn.Network.servers net)
 
 let solve_capacitated ?k ?window net request =
-  let keep, usable = capacitated_filters net request in
-  let engine =
-    acquire_engine window ~bandwidth:request.Sdn.Request.bandwidth
-      ~capacitated:true
-  in
-  solve_with ?k ?engine ~keep ~usable_servers:usable net request
+  solve_with ?k ?window ~capacitated:true
+    ~usable_servers:(capacitated_filters net request) net request
 
 let admit ?k ?window net request =
   observe "appro_multi.admit" ~ok:c_admitted ~err:c_rejected @@ fun () ->
-  let keep, usable = capacitated_filters net request in
+  let usable = capacitated_filters net request in
   if usable = [] then Error "no usable server"
   else begin
-    let engine =
-      acquire_engine window ~bandwidth:request.Sdn.Request.bandwidth
-        ~capacitated:true
-    in
-    let cands = candidates_impl ?k ?engine ~keep ~usable_servers:usable net request in
+    let engine = engine ?window ~capacitated:true net request in
+    let cands = candidates ?k ~engine ~usable_servers:usable net request in
     let rec try_cands = function
       | [] -> Error "no allocatable pseudo-multicast tree"
       | (aux_cost, subset, aux, edges) :: rest -> (

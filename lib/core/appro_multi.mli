@@ -31,10 +31,13 @@ val solve :
   ?k:int -> ?window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t ->
   (result, string) Stdlib.result
 (** Uncapacitated [Appro_Multi] with at most [k] (default 3, as in the
-    paper's evaluation) servers per request. [?window] shares the base
-    shortest-path engine across requests of equal bandwidth (the default
-    weights are [b_k·c_e], so the bandwidth keys the engine family) —
-    results are identical to the default private engine. *)
+    paper's evaluation) servers per request. Base edges cost [b_k·c_e];
+    the engine that serves them is built here, beside the key that
+    shares it: [?window] shares it across requests of equal bandwidth
+    (the bandwidth's bits key the engine family), without one it is
+    private to the call — results are identical either way. Raises
+    [Invalid_argument] when [window] is not over the network itself
+    (physical equality). *)
 
 val solve_capacitated :
   ?k:int -> ?window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t ->
@@ -54,19 +57,20 @@ val admit :
 
 val candidates :
   ?k:int ->
-  ?edge_weight:(int -> float) ->
   ?placement_cost:(int -> float) ->
-  keep:(int -> bool) ->
+  engine:Mcgraph.Sp_engine.t ->
   usable_servers:int list ->
   Sdn.Network.t ->
   Sdn.Request.t ->
   (float * int list * Aux_graph.t * int list) list
 (** The feasible [(aux_cost, subset, aux, tree_edges)] candidates in
     increasing (cost, subset size, subset) order — exposed for the
-    online multi-server variant, ablations and tests. A combination
-    that {!Aux_graph.redundant} proves to repeat, bit for bit, the cost
-    and tree of one of its proper subsets is omitted: that subset is
-    listed before it, so the first candidate, and the first one that
-    allocates, are those of the full enumeration. Custom prices
-    ([edge_weight], [placement_cost]) replace the default linear
-    [b_k·c_e] / [c_v(SC_k)] objective. *)
+    online multi-server variant and tests. A combination that
+    {!Aux_graph.redundant} proves to repeat, bit for bit, the cost and
+    tree of one of its proper subsets is omitted: that subset is listed
+    before it, so the first candidate, and the first one that allocates,
+    are those of the full enumeration. [engine] prices the base edges
+    (see {!Aux_graph.build}; [infinity] prunes a link) and
+    [placement_cost] the servers (default [c_v(SC_k)]): {!admit} passes
+    its own [b_k·c_e] engine pruned by residual bandwidth, and
+    {!Online_multi} the engine of an {!Online_cp.pricing}. *)

@@ -21,7 +21,6 @@ type dominance = {
 
 
 type t = {
-  net : Sdn.Network.t;
   req : Sdn.Request.t;
   ext : G.t;
   vnode : int;
@@ -29,7 +28,7 @@ type t = {
   vedge_of_server : (int, int) Hashtbl.t;   (* server -> virtual edge id *)
   server_of_vedge : int array;              (* vedge id - base_m -> server *)
   wv : float array;                         (* vedge id - base_m -> its weight *)
-  engine : Sp.t;                            (* base graph, weight b·c_e, pruned *)
+  engine : Sp.t;                            (* base graph, the caller's price *)
   candidates : int list;
   terminals : int list;                     (* {s'_k} ∪ D_k, sorted, unique *)
   (* the a_x memo of the subset metric that queried last (see [through]) *)
@@ -41,8 +40,7 @@ type t = {
   mutable dom : dominance option;           (* built on [redundant]'s first use *)
 }
 
-let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
-    ~request ~candidate_servers () =
+let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
   let g = Sdn.Network.graph net in
   let nn = G.n g and mm = G.m g in
   let ext = G.create (nn + 1) in
@@ -55,34 +53,13 @@ let build ?(keep = fun _ -> true) ?edge_weight ?placement_cost ?engine ~net
       Hashtbl.replace vedge_of_server v e;
       server_of_vedge.(i) <- v)
     candidate_servers;
-  let edge_weight =
-    match edge_weight with
-    | Some w -> w
-    | None ->
-      fun e -> request.Sdn.Request.bandwidth *. Sdn.Network.link_unit_cost net e
-  in
   let placement_cost =
     match placement_cost with
     | Some c -> c
     | None -> fun v -> Sdn.Network.chain_cost net v request.Sdn.Request.chain
   in
-  let pruned_weight e = if keep e then edge_weight e else infinity in
-  (* lazy per-source engine instead of eager all-pairs: only the request
-     source, the candidate servers and the queried destinations ever get
-     a Dijkstra tree. Bound to the network's weight epoch so residual-
-     dependent [keep]/[edge_weight] closures invalidate after allocate.
-     A caller that can prove weight-function equality across requests
-     (Appro_multi over an Sp_window) acquires a shared engine instead. *)
-  let engine =
-    match engine with
-    | Some acquire -> acquire ~weight:pruned_weight
-    | None ->
-      Sp.create g ~weight:pruned_weight
-        ~epoch:(fun () -> Sdn.Network.weight_epoch net)
-  in
   let t =
     {
-      net;
       req = request;
       ext;
       vnode = nn;
@@ -133,7 +110,6 @@ let reachable_servers t =
 
 let base_dist t u v = Sp.dist t.engine u v
 let base_path t u v = Sp.path t.engine u v
-let engine t = t.engine
 
 (* ------------------------------------------------------------------ *)
 (* subset metric: exact hub decomposition                               *)

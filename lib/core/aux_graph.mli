@@ -13,34 +13,31 @@
     so any shortest path is base legs stitched at the hubs
     [{s_k, s'_k} ∪ subset]. A small Floyd–Warshall over the hubs
     yields exact distances and reconstructible paths. Base-graph legs
-    come from a lazy {!Mcgraph.Sp_engine}: one Dijkstra tree per queried
-    source (the request source, candidate servers, destinations), cached
-    across all combinations and keyed by the network's weight epoch —
-    never the former eager O(V²) all-pairs tables. Tests check this
-    against Dijkstra on a materialised auxiliary graph. *)
+    come from a lazy {!Mcgraph.Sp_engine} the caller supplies: one
+    Dijkstra tree per queried source (the request source, candidate
+    servers, destinations), cached across all combinations — never the
+    former eager O(V²) all-pairs tables. Tests check this against
+    Dijkstra on a materialised auxiliary graph. *)
 
 type t
 
 val build :
-  ?keep:(int -> bool) ->
-  ?edge_weight:(int -> float) ->
+  engine:Mcgraph.Sp_engine.t ->
   ?placement_cost:(int -> float) ->
-  ?engine:(weight:(int -> float) -> Mcgraph.Sp_engine.t) ->
   net:Sdn.Network.t ->
   request:Sdn.Request.t ->
   candidate_servers:int list ->
   unit ->
   t
-(** [keep] filters usable base edges (capacity pruning); default keeps
-    all. [edge_weight] prices a base edge (default [b_k·c_e] — override
-    with exponential weights for online use); [placement_cost] prices a
-    server (default [c_v(SC_k)]). [candidate_servers] are the servers
-    considered for hosting the chain (already filtered for computing
-    capacity by the caller). [engine] lets the caller supply the
-    shortest-path engine for the pruned base weights instead of a
-    private one — used to share a window-scoped engine across requests;
-    the supplied engine must answer exactly as a fresh engine over
-    [weight] would (the {!Sp_window} contract). *)
+(** [engine] is a shortest-path engine over [Sdn.Network.graph net]; its
+    weight vector ({!Mcgraph.Sp_engine.weights}) is the price of every
+    base edge, [infinity] marking a pruned one. The caller builds it, so
+    the price and whatever keys a shared engine live in one place:
+    {!Appro_multi} prices [b_k·c_e] (pruned by residual bandwidth when
+    capacitated), {!Online_multi} uses {!Online_cp.engine}.
+    [placement_cost] prices a server (default [c_v(SC_k)]).
+    [candidate_servers] are the servers considered for hosting the
+    chain (already filtered for computing capacity by the caller). *)
 
 val ext_graph : t -> Mcgraph.Graph.t
 (** Base graph plus virtual node and virtual edges; base edge ids are
@@ -58,22 +55,19 @@ val server_of_virtual_edge : t -> int -> int
 val virtual_edge_of_server : t -> int -> int option
 
 val virtual_edge_weight : t -> int -> float
-(** [b_k·d(s_k, v) + c_v(SC_k)] for a candidate server; [infinity] when
-    the server is unreachable from the source. *)
+(** The engine's [d(s_k, v)] plus [placement_cost v] for a candidate
+    server ([b_k·d(s_k, v) + c_v(SC_k)] under Algorithm 1's prices);
+    [infinity] when the server is unreachable from the source. *)
 
 val reachable_servers : t -> int list
 (** Candidate servers with finite virtual-edge weight. *)
 
 val base_dist : t -> int -> int -> float
-(** Shortest-path distance in the (pruned) base graph, in units of
-    [b_k·c_e]. Served by the lazy engine: the first query from a source
+(** Shortest-path distance in the (pruned) base graph under the
+    engine's price. Served by the lazy engine: the first query from a source
     costs one Dijkstra, later queries from it are O(1). *)
 
 val base_path : t -> int -> int -> int list option
-
-val engine : t -> Mcgraph.Sp_engine.t
-(** The underlying per-source engine over the pruned base graph — epoch-
-    bound to the network, exposed for instrumentation and tests. *)
 
 type subset_metric
 (** The exact metric of [G_k^i] for one server combination. *)

@@ -29,16 +29,4 @@ let server_weight net ~base v =
     ~residual:(Sdn.Network.server_residual net v)
     ~base
 
-let link_cost net ~base e =
-  exponential_cost
-    ~capacity:(Sdn.Network.link_capacity net e)
-    ~residual:(Sdn.Network.link_residual net e)
-    ~base
-
-let server_cost net ~base v =
-  exponential_cost
-    ~capacity:(Sdn.Network.server_capacity net v)
-    ~residual:(Sdn.Network.server_residual net v)
-    ~base
-
 let linear_link_weight net e = Sdn.Network.link_unit_cost net e

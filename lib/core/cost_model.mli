@@ -31,11 +31,6 @@ val link_weight : Sdn.Network.t -> base:float -> int -> float
 
 val server_weight : Sdn.Network.t -> base:float -> int -> float
 
-val link_cost : Sdn.Network.t -> base:float -> int -> float
-(** Raw exponential link cost [c_e(k)]. *)
-
-val server_cost : Sdn.Network.t -> base:float -> int -> float
-
 val linear_link_weight : Sdn.Network.t -> int -> float
 (** Load-oblivious weight (the per-Mbps unit cost [c_e]) used by the
     linear-cost ablation and by the offline operational-cost objective. *)

@@ -6,19 +6,18 @@ type admitted = {
 
 type outcome = Admitted of admitted | Rejected of string
 
-let admit ?(k = 2) ?alpha ?beta net request =
-  let alpha = Option.value alpha ~default:(Cost_model.default_base net) in
-  let beta = Option.value beta ~default:(Cost_model.default_base net) in
-  let b = request.Sdn.Request.bandwidth in
+let admit ?(k = 2) window request =
+  let net = Sp_window.net window in
+  let p =
+    Online_cp.pricing ~mode:`Exponential
+      ~params:(Online_cp.default_params net) window
+  in
   let demand = Sdn.Request.demand_mhz request in
-  let hop_epsilon = 1e-6 in
-  let keep e = Sdn.Network.link_admits net e b in
-  let edge_weight e = Cost_model.link_weight net ~base:beta e +. hop_epsilon in
   (* server weight scaled by its utilisation increment so it is
      commensurable with the edge weights (both are load-sensitive,
      dimensionless prices) *)
   let placement_cost v =
-    Cost_model.server_weight net ~base:alpha v
+    Online_cp.server_weight p ~demand v
     +. (demand /. Sdn.Network.server_capacity net v)
   in
   let usable =
@@ -28,13 +27,14 @@ let admit ?(k = 2) ?alpha ?beta net request =
   in
   if usable = [] then Rejected "no server with enough computing residual"
   else begin
-    (* The load-dependent weights are read through the per-request lazy
-       engine inside Aux_graph. Trying candidates in order below stays
-       consistent with the prices they were scored at: a failed allocate
-       changes nothing (atomic) and does not bump the weight epoch. *)
+    (* Online_CP's link prices, read through its window engine inside
+       Aux_graph. Trying candidates in order below stays consistent with
+       the prices they were scored at: a failed allocate changes nothing
+       (atomic) and does not bump the weight epoch. *)
+    let engine = Online_cp.engine p ~bandwidth:request.Sdn.Request.bandwidth in
     let cands =
-      Appro_multi.candidates ~k ~keep ~usable_servers:usable net request
-        ~edge_weight ~placement_cost
+      Appro_multi.candidates ~k ~placement_cost ~engine ~usable_servers:usable
+        net request
     in
     let rec try_cands = function
       | [] -> Rejected "no allocatable combination"
@@ -50,9 +50,10 @@ let admit ?(k = 2) ?alpha ?beta net request =
     | _ -> try_cands cands
   end
 
-let run ?k ?(reset = true) net requests =
-  if reset then Sdn.Network.reset net;
+let run ?k net requests =
+  Sdn.Network.reset net;
+  let window = Sp_window.create net in
   List.fold_left
     (fun acc r ->
-      match admit ?k net r with Admitted _ -> acc + 1 | Rejected _ -> acc)
+      match admit ?k window r with Admitted _ -> acc + 1 | Rejected _ -> acc)
     0 requests

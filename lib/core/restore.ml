@@ -23,10 +23,6 @@ let policy_to_string = function
   | Knapsack Priced -> "knapsack-priced"
   | Deadline -> "deadline"
 
-let trigger_to_string = function
-  | Heal -> "heal"
-  | Heal_or_depart -> "heal-or-depart"
-
 let to_string t =
   match t.trigger with
   | Heal -> policy_to_string t.policy

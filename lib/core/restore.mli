@@ -73,9 +73,6 @@ val policy_to_string : policy -> string
 (** ["replay-<order>"], ["knapsack-volume"], ["knapsack-priced"] or
     ["deadline"] — stable labels for CSV series and CLI output. *)
 
-val trigger_to_string : trigger -> string
-(** ["heal"] or ["heal-or-depart"]. *)
-
 val to_string : t -> string
 (** [policy_to_string], with ["+depart"] appended under
     [Heal_or_depart]. *)

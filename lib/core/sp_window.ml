@@ -13,8 +13,6 @@ module Obs = Nfv_obs.Obs
 let c_creates = Obs.Counter.make "sp_window.engine_creates"
 let c_reuses = Obs.Counter.make "sp_window.engine_reuses"
 
-type stats = { engines : int; acquisitions : int; reuses : int }
-
 (* the components of the links one bucket admits, valid at [l_epoch];
    the forest is relabelled in place when the epoch moves *)
 type labels = { mutable l_epoch : int; forest : Uf.t }
@@ -23,18 +21,10 @@ type t = {
   net : Sdn.Network.t;
   engines : (string * int, Sp.t) Hashtbl.t;
   labels : (int, labels) Hashtbl.t;
-  mutable acquisitions : int;
-  mutable reuses : int;
 }
 
 let create net =
-  {
-    net;
-    engines = Hashtbl.create 8;
-    labels = Hashtbl.create 8;
-    acquisitions = 0;
-    reuses = 0;
-  }
+  { net; engines = Hashtbl.create 8; labels = Hashtbl.create 8 }
 
 let net t = t.net
 
@@ -85,7 +75,6 @@ let connects t ~bucket:bkt ~bandwidth s dsts =
   all_joined dsts
 
 let engine t ~family ~bucket:bkt ~weight =
-  t.acquisitions <- t.acquisitions + 1;
   let key = (family, bkt) in
   match Hashtbl.find_opt t.engines key with
   | Some eng ->
@@ -93,7 +82,6 @@ let engine t ~family ~bucket:bkt ~weight =
        equal by the caller's keying, cached trees stay valid) or it
        moved (renew sweeps before swapping the closure) *)
     Sp.renew eng ~weight;
-    t.reuses <- t.reuses + 1;
     Obs.Counter.incr c_reuses;
     eng
   | None ->
@@ -104,6 +92,3 @@ let engine t ~family ~bucket:bkt ~weight =
     Hashtbl.replace t.engines key eng;
     Obs.Counter.incr c_creates;
     eng
-
-let stats t =
-  { engines = Hashtbl.length t.engines; acquisitions = t.acquisitions; reuses = t.reuses }

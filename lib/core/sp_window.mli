@@ -2,10 +2,11 @@
 
     The online algorithms price each request with a per-request weight
     function and run lazy Dijkstras through {!Mcgraph.Sp_engine}, always
-    on an engine from a window. A window is created once per admission
-    run — {!Admission.pricing} creates it (or checks the caller's is
-    over the same network) for {!Admission.run}, {!Dynamic.run} and
-    {!Repair}; {!Batch.plan} keeps its own — and hands each admit an
+    on an engine from a window; {!Appro_multi} does too when given one.
+    A window is created once per admission run — {!Admission.pricing}
+    creates it (or checks the caller's is over the same network) for
+    {!Admission.run}, {!Dynamic.run} and {!Repair}; {!Online_multi.run}
+    and {!Batch.plan} keep their own — and hands each admit an
     engine that persists across requests, so cached trees survive from
     one request to the next while nothing about the network changes
     (exactly the case after a rejection, which leaves
@@ -51,12 +52,6 @@
 type t
 (** A per-(network, admission-window) engine cache. *)
 
-type stats = {
-  engines : int;       (** distinct (family, bucket) engines created *)
-  acquisitions : int;  (** {!engine} calls served *)
-  reuses : int;        (** acquisitions answered by an existing engine *)
-}
-
 val create : Sdn.Network.t -> t
 (** A fresh window over [net]; no engines until the first {!engine}. *)
 
@@ -86,9 +81,7 @@ val engine :
 (** [engine t ~family ~bucket ~weight] is the window's engine for the
     key [(family, bucket)], created on first use and re-armed with
     [weight] (see {!Mcgraph.Sp_engine.renew}) on reuse. The caller
-    guarantees the keying discipline of the module header. Telemetry:
-    [sp_window.engine_creates] / [sp_window.engine_reuses]. *)
-
-val stats : t -> stats
-(** Lifetime acquisition counters of this window (always live, not
-    gated on [Nfv_obs.Obs.enabled]). *)
+    guarantees the keying discipline of the module header. Telemetry,
+    the window's only record of its acquisitions: each call is one
+    [sp_window.engine_creates] (a new key) or one
+    [sp_window.engine_reuses] (an existing engine). *)

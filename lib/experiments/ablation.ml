@@ -16,7 +16,8 @@ let a1_checkpoints requests =
   let step = max 1 (requests / 10) in
   List.init (requests / step) (fun i -> (i + 1) * step)
 
-let cost_model_instance ~seed ?(requests = 2000) ?(n = 100) () =
+let cost_model_instance ~seed ?(requests = 2000) () =
+  let n = 100 in
   let shared = Pool.point_seed ~figure:"ablA1" ~index:0 ~seed in
   let algos_a = Array.of_list a1_algos in
   let checkpoints = a1_checkpoints requests in
@@ -78,7 +79,8 @@ let cost_model_instance ~seed ?(requests = 2000) ?(n = 100) () =
 (* A2 compares K values at each network size, so the K runs at one size
    must share that size's network and requests: the point seed is
    derived from the size index alone. *)
-let k_sweep_instance ~seed ?(requests = 20) ?(sizes = [ 50; 100; 150 ]) () =
+let k_sweep_instance ~seed ?(requests = 20) () =
+  let sizes = [ 50; 100; 150 ] in
   let ks = [ 1; 2; 3 ] in
   let sizes_a = Array.of_list sizes in
   let per_k = Array.length sizes_a in
@@ -169,7 +171,8 @@ let cluster_metric k b = Printf.sprintf "k%d@%g" k b
    The crossover sits at b ≈ chain_cost / (2·arm). The single point
    derives nothing from the pool rng — the designed topology is seeded
    directly from the user seed, exactly as before the spec port. *)
-let two_cluster_instance ~seed ?(arm = 4) () =
+let two_cluster_instance ~seed =
+  let arm = 4 in
   let point ~rng:_ _ =
     let rng = Topology.Rng.create seed in
     (* nodes: 0 = source; arm nodes per side; server at the far end of each
@@ -267,7 +270,8 @@ let a3_labels =
     ("one", "Alg_One_Server");
   ]
 
-let placement_instance ?(requests = 40) ?(sizes = [ 50; 100; 150 ]) () =
+let placement_instance ?(requests = 40) () =
+  let sizes = [ 50; 100; 150 ] in
   let sizes_a = Array.of_list sizes in
   let sweep =
     {
@@ -340,7 +344,8 @@ let placement_instance ?(requests = 40) ?(sizes = [ 50; 100; 150 ]) () =
    The four runs (K ∈ {1,2,3} and the SP reference) are independent, so
    each is a pool point that rebuilds the shared network and sequence
    from one seed. *)
-let online_k_instance ~seed ?(requests = 800) ?(n = 100) () =
+let online_k_instance ~seed ?(requests = 800) () =
+  let n = 100 in
   let tasks = [| `K 1; `K 2; `K 3; `Sp |] in
   let shared = Pool.point_seed ~figure:"ablA4" ~index:0 ~seed in
   let sweep =
@@ -416,7 +421,7 @@ let instance ~seed ?requests () =
     [
       cost_model_instance ~seed ?requests ();
       k_sweep_instance ~seed ?requests ();
-      two_cluster_instance ~seed ();
+      two_cluster_instance ~seed;
       placement_instance ?requests ();
       online_k_instance ~seed ?requests ();
     ]
@@ -426,27 +431,3 @@ let spec =
     ~doc:"Ablations A1-A4: cost model, servers per chain, placement, online K"
     ~smoke:(fun ~seed -> instance ~seed ~requests:12 ())
     (fun ~seed ~requests -> instance ~seed ?requests ())
-
-(* legacy per-sub-experiment entry points, now thin runner wrappers *)
-
-let one seed inst =
-  match Runner.figures ~seed inst with
-  | [ f ] -> f
-  | fs ->
-    invalid_arg
-      (Printf.sprintf "Ablation: expected one figure, got %d" (List.length fs))
-
-let cost_model ?(seed = 1) ?requests ?n () =
-  one seed (cost_model_instance ~seed ?requests ?n ())
-
-let k_sweep ?(seed = 1) ?requests ?sizes () =
-  Runner.figures ~seed (k_sweep_instance ~seed ?requests ?sizes ())
-
-let two_cluster ?(seed = 1) ?arm () =
-  one seed (two_cluster_instance ~seed ?arm ())
-
-let placement_strategies ?(seed = 1) ?requests ?sizes () =
-  one seed (placement_instance ?requests ?sizes ())
-
-let online_k ?(seed = 1) ?requests ?n () =
-  one seed (online_k_instance ~seed ?requests ?n ())

@@ -105,6 +105,3 @@ let spec =
     ~doc:"Fig. 5: Appro_Multi vs Alg_One_Server on random networks"
     ~smoke:(fun ~seed:_ -> instance ~requests:2 ~sizes:[ 30; 50 ] ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?requests ?sizes () =
-  Runner.figures ~seed (instance ?requests ?sizes ())

@@ -8,9 +8,7 @@
 
 val spec : Spec.t
 (** The registered experiment. Timing columns read the
-    ["appro_multi.solve"] / ["one_server.solve"] span histograms. *)
-
-val run : ?seed:int -> ?requests:int -> ?sizes:int list -> unit -> Exp_common.figure list
-(** Defaults: seed 1, 30 requests averaged per data point (the paper
-    averages 1 000 — raise [requests] to match), sizes
+    ["appro_multi.solve"] / ["one_server.solve"] span histograms. By
+    default 30 requests are averaged per data point (the paper averages
+    1 000 — raise [--requests] to match) over sizes
     [[50; 100; 150; 200; 250]]. *)

@@ -98,5 +98,3 @@ let spec =
     ~doc:"Fig. 6: Appro_Multi vs Alg_One_Server in GEANT and AS1755"
     ~smoke:(fun ~seed:_ -> instance ~requests:2 ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?requests () = Runner.figures ~seed (instance ?requests ())

@@ -7,7 +7,5 @@
 
 val spec : Spec.t
 (** Registered as ["fig6"]; figures [fig6a]/[fig6b] (cost) and
-    [fig6c]/[fig6d] (running time from the solve span histograms). *)
-
-val run : ?seed:int -> ?requests:int -> unit -> Exp_common.figure list
-(** Defaults: seed 1, 100 requests averaged per point. *)
+    [fig6c]/[fig6d] (running time from the solve span histograms). By
+    default 100 requests are averaged per point. *)

@@ -92,6 +92,3 @@ let spec =
     ~doc:"Fig. 7: Appro_Multi_Cap under capacity constraints"
     ~smoke:(fun ~seed:_ -> instance ~requests:10 ~sizes:[ 30; 50 ] ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?requests ?sizes () =
-  Runner.figures ~seed (instance ?requests ?sizes ())

@@ -9,8 +9,6 @@
 
 val spec : Spec.t
 (** Timing reads the ["appro_multi.admit"] span histogram — every
-    admit attempt, rejected ones included. *)
-
-val run : ?seed:int -> ?requests:int -> ?sizes:int list -> unit -> Exp_common.figure list
-(** Defaults: seed 1, 120 sequentially admitted requests per point,
-    sizes [[50; 100; 150; 200; 250]]. *)
+    admit attempt, rejected ones included. By default 120 requests are
+    admitted sequentially per point, over sizes
+    [[50; 100; 150; 200; 250]]. *)

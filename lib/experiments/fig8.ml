@@ -88,6 +88,3 @@ let spec =
   Spec.make ~id:"fig8" ~doc:"Fig. 8: Online_CP vs SP across network sizes"
     ~smoke:(fun ~seed:_ -> instance ~requests:30 ~sizes:[ 30; 50 ] ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?requests ?sizes () =
-  Runner.figures ~seed (instance ?requests ?sizes ())

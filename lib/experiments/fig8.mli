@@ -11,6 +11,5 @@ val spec : Spec.t
 (** The "(ms per request)" column is the mean of the per-request
     ["online_cp.admit"] / ["online_sp.admit"] span histograms over each
     algorithm's run — per-request instrumentation, not the batch
-    wall-clock divided by the request count. *)
-
-val run : ?seed:int -> ?requests:int -> ?sizes:int list -> unit -> Exp_common.figure list
+    wall-clock divided by the request count. By default each run is
+    1 500 requests long, over sizes [[50; 100; 150; 200; 250]]. *)

@@ -86,5 +86,3 @@ let spec =
   Spec.make ~id:"fig9" ~doc:"Fig. 9: Online_CP vs SP in GEANT and AS1755"
     ~smoke:(fun ~seed:_ -> instance ~requests:60 ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?requests () = Runner.figures ~seed (instance ?requests ())

@@ -9,8 +9,6 @@
 
 val spec : Spec.t
 (** Registered as ["fig9"]; figures [fig9a] (GÉANT) and [fig9b]
-    (AS1755), admitted requests per prefix length. *)
-
-val run : ?seed:int -> ?requests:int -> unit -> Exp_common.figure list
-(** Defaults: seed 1, 1 500-request sequences ([requests] sets the
-    horizon; every prefix point comes from the same run). *)
+    (AS1755), admitted requests per prefix length. By default the
+    sequences are 1 500 requests long ([--requests] sets the horizon;
+    every prefix point comes from the same run). *)

@@ -21,10 +21,9 @@ val run :
     surrounding [--stats] accumulation had collected so far. *)
 
 val figures : ?seed:int -> Spec.instance -> Exp_common.figure list
-(** Run an already-parameterised instance (the experiment modules'
-    [run ?sizes ?n …] compatibility wrappers build custom instances and
-    come through here). Recording is forced on while the sweeps run and
-    restored afterwards. *)
+(** Run an already-parameterised instance, such as a spec's [smoke].
+    Recording is forced on while the sweeps run and restored
+    afterwards. *)
 
 val obs_json_path : dir:string -> string -> string
 (** [obs_json_path ~dir id] — where {!run} puts the snapshot for

@@ -107,5 +107,3 @@ let spec =
     ~doc:"Stress: Online_CP rejection-reason telemetry vs load on Rocketfuel topologies"
     ~smoke:(fun ~seed:_ -> instance ~requests:32 ())
     (fun ~seed:_ ~requests -> instance ?requests ())
-
-let run ?(seed = 1) ?requests () = Runner.figures ~seed (instance ?requests ())

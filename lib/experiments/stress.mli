@@ -10,6 +10,3 @@ val spec : Spec.t
 (** Registered as ["stress"]; figures [stressA] (AS1755) and [stressB]
     (AS4755). [--requests] sets the largest load level; the sweep runs
     it and its three halvings. *)
-
-val run : ?seed:int -> ?requests:int -> unit -> Exp_common.figure list
-(** Convenience wrapper: run the spec's instance directly. *)

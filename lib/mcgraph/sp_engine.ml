@@ -22,12 +22,6 @@
 
 module Obs = Nfv_obs.Obs
 
-type stats = {
-  trees_computed : int;
-  cache_hits : int;
-  invalidations : int;
-}
-
 type t = {
   graph : Graph.t;
   mutable weight : int -> float;   (* swappable via [renew] *)
@@ -35,22 +29,14 @@ type t = {
   mutable wvec : float array option;  (* weights at [valid_epoch], once filled *)
   cache : Paths.spt option array;   (* per-source tree, or None *)
   mutable valid_epoch : int;        (* epoch every cached tree was built at *)
-  mutable computed : int;
-  mutable hits : int;
-  mutable stale_drops : int;
 }
-
-(* atomic: engines run concurrently in parallel figure workers *)
-let total_computed = Atomic.make 0
-
-let global_trees_computed () = Atomic.get total_computed
 
 (* process-wide cache behaviour, aggregated over every engine *)
 let c_hits = Obs.Counter.make "sp_engine.cache_hits"
 let c_misses = Obs.Counter.make "sp_engine.cache_misses"
 let c_evictions = Obs.Counter.make "sp_engine.evictions"
 
-let create ?(epoch = fun () -> 0) graph ~weight =
+let create graph ~weight ~epoch =
   let n = max (Graph.n graph) 1 in
   {
     graph;
@@ -59,19 +45,13 @@ let create ?(epoch = fun () -> 0) graph ~weight =
     wvec = None;
     cache = Array.make n None;
     valid_epoch = epoch ();
-    computed = 0;
-    hits = 0;
-    stale_drops = 0;
   }
-
-let graph t = t.graph
 
 let drop_all t =
   t.wvec <- None;
   Array.iteri
     (fun i tree ->
       if tree <> None then begin
-        t.stale_drops <- t.stale_drops + 1;
         Obs.Counter.incr c_evictions;
         t.cache.(i) <- None
       end)
@@ -104,14 +84,11 @@ let spt t source =
   refresh t;
   match t.cache.(source) with
   | Some tree ->
-    t.hits <- t.hits + 1;
     Obs.Counter.incr c_hits;
     tree
   | None ->
     Obs.Counter.incr c_misses;
     let tree = Paths.dijkstra_vec t.graph ~weights:(vector t) ~source in
-    t.computed <- t.computed + 1;
-    Atomic.incr total_computed;
     t.cache.(source) <- Some tree;
     tree
 
@@ -132,9 +109,4 @@ let dist t u v = (spt t u).Paths.dist.(v)
 
 let path t u v = Paths.path_edges t.graph (spt t u) v
 
-let path_nodes t u v = Paths.path_nodes t.graph (spt t u) v
-
 let invalidate t = drop_all t
-
-let stats t =
-  { trees_computed = t.computed; cache_hits = t.hits; invalidations = t.stale_drops }

@@ -15,13 +15,13 @@
     When weights are load-dependent — the online algorithms' exponential
     prices read residual capacities — a bumped epoch makes every cached
     tree stale. The engine re-reads the epoch on {e every} lookup
-    ({!spt}, {!peek}, {!dist}, {!path}, {!path_nodes}); the first lookup
+    ({!spt}, {!peek}, {!dist}, {!path}, {!weights}); the first lookup
     that observes a new epoch drops {e all} cached trees at once, so
     stale O(V) trees are never retained across an epoch change, and
     subsequent queries recompute against the new prices instead of
-    serving wrong distances. With the default constant epoch the cache
-    never expires, which is correct for weights that are pure functions
-    of the edge id.
+    serving wrong distances. With a constant epoch the cache never
+    expires, which is correct for weights that are pure functions of the
+    edge id.
 
     {2 Weight vector and the purity contract}
 
@@ -55,36 +55,25 @@
 
     {2 Telemetry}
 
-    Besides the per-engine {!stats}, every engine feeds the process-wide
-    [Nfv_obs] counters [sp_engine.cache_hits], [sp_engine.cache_misses]
-    and [sp_engine.evictions] (gated on [Obs.enabled]); the Dijkstras it
-    triggers count under the [dijkstra.*] counters of {!Paths}. *)
+    The engine keeps no counters of its own. Every cache event feeds the
+    process-wide [Nfv_obs] counters, gated on [Obs.enabled]: an {!spt}
+    answered from cache is one [sp_engine.cache_hits], a computed tree
+    one [sp_engine.cache_misses], a dropped tree (epoch sweep or
+    {!invalidate}) one [sp_engine.evictions]; each computed tree is also
+    one [dijkstra.runs] of {!Paths}, with the rest of the [dijkstra.*]
+    work counters. *)
 
 type t
 (** A per-(graph, weight function) engine with its tree cache. *)
 
-type stats = {
-  trees_computed : int;   (** Dijkstra runs performed by this engine. *)
-  cache_hits : int;       (** [spt] calls answered from cache. *)
-  invalidations : int;
-      (** Cached trees dropped as stale — by an epoch change observed at
-          lookup time, or by an explicit {!invalidate}. *)
-}
-(** Per-engine cache behaviour, counted unconditionally (not gated on
-    [Nfv_obs.Obs.enabled]) — the unit tests of the caching contract rely
-    on these being always live. *)
-
-val create : ?epoch:(unit -> int) -> Graph.t -> weight:(int -> float) -> t
-(** [create ?epoch g ~weight] prepares an engine; no Dijkstra runs until
+val create : Graph.t -> weight:(int -> float) -> epoch:(unit -> int) -> t
+(** [create g ~weight ~epoch] prepares an engine; no Dijkstra runs until
     the first query. [weight] is read when an epoch's weight vector is
     filled, so it may consult mutable state as long as [epoch] changes
     whenever that state does, and it must be pure and total on the edge
-    ids (the contracts above). Default [epoch] is
-    constant [0] (immutable weights). [epoch] is called once at creation
-    to pin the initial cache validity. *)
-
-val graph : t -> Graph.t
-(** The graph the engine was created over. *)
+    ids (the contracts above). A constant [epoch] suits immutable
+    weights. [epoch] is called once at creation to pin the initial cache
+    validity. *)
 
 val spt : t -> int -> Paths.spt
 (** [spt t s] is the shortest-path tree rooted at source [s], computed
@@ -104,9 +93,6 @@ val path : t -> int -> int -> int list option
 (** Edge ids of a shortest [u → v] path in travel order, from [u]'s
     tree; [None] if unreachable, [Some []] when [u = v]. *)
 
-val path_nodes : t -> int -> int -> int list option
-(** Nodes of the same path, starting with [u]. *)
-
 val weights : t -> float array
 (** [weights t] is the current epoch's weight vector, [(weights t).(e)]
     being [weight e] — filled now if this epoch has not filled it yet.
@@ -119,8 +105,8 @@ val weights : t -> float array
 val renew : t -> weight:(int -> float) -> unit
 (** [renew t ~weight] re-arms a long-lived engine for a new weight
     closure: if the epoch moved since the cached trees were built they
-    are all swept first (counting as invalidations/evictions, exactly as
-    a lookup-time sweep would), then [weight] replaces the engine's
+    are all swept first (counting as evictions, exactly as a lookup-time
+    sweep would), then [weight] replaces the engine's
     closure. {b Contract:} when the epoch has {e not} moved, the caller
     must guarantee the new closure is extensionally equal to the one it
     replaces — surviving cached trees and the weight vector are served
@@ -133,13 +119,4 @@ val renew : t -> weight:(int -> float) -> unit
 
 val invalidate : t -> unit
 (** Drop every cached tree and the weight vector regardless of epoch;
-    each dropped tree counts as an invalidation in {!stats}. *)
-
-val stats : t -> stats
-(** This engine's lifetime cache counters. *)
-
-val global_trees_computed : unit -> int
-(** Process-wide count of Dijkstra trees computed by all engines — an
-    observability hook for benchmarks and admission statistics that
-    works even with [Nfv_obs.Obs.enabled] off. Atomic, so it aggregates
-    across the parallel harness's worker domains too. *)
+    each dropped tree counts as one [sp_engine.evictions]. *)

@@ -66,12 +66,6 @@ let holds_link alloc e =
 let holds_server alloc v =
   List.exists (fun (v', amt) -> v' = v && amt > 0.0) alloc.Network.nodes
 
-let affected event alloc =
-  match event with
-  | Link_down e | Degrade_link (e, _) -> holds_link alloc e
-  | Server_down v | Degrade_server (v, _) -> holds_server alloc v
-  | Link_up _ | Server_up _ -> false
-
 (* release the allocations of every live session matching [pred], in
    increasing id order; returns the evicted ids (already ascending) *)
 let evict_all ~live pred =

@@ -87,21 +87,16 @@ val confiscated_server : t -> int -> float
 (** MHz currently confiscated from a server. Raises [Invalid_argument]
     when the node is not a server. *)
 
-val affected : event -> Network.allocation -> bool
-(** Whether a live session holding this allocation is {e potentially} a
-    victim of the event: it holds a positive amount on the failed link
-    or server. [Down] events evict every affected session;
-    [Degrade] events evict only as many as the confiscation target
-    requires (so [affected] over-approximates their victim set);
-    [Up] events never have victims. *)
-
 val inject : t -> live:(int * Network.allocation) list -> event -> int list
 (** [inject t ~live event] applies the event and returns the ids of the
     evicted victims, in increasing id order. [live] maps session ids
     (which must be distinct) to the allocations they hold; each victim's
     allocation is released {e in full} through {!Network.release} before
     any capacity is confiscated, so the exactness invariant holds at
-    every step. Down/degrade events on an already-down resource are
+    every step. A session is a potential victim when it holds a positive
+    amount on the failed link or server: [Down] events evict every such
+    session, [Degrade] events evict only as many of them as the
+    confiscation needs, and [Up] events never evict. Down/degrade events on an already-down resource are
     no-ops with no victims; up events on a healthy resource likewise.
     Raises [Invalid_argument] on a bad link id, a non-server node, or a
     degradation fraction outside [0, 1]. Telemetry: one

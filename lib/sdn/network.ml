@@ -187,8 +187,6 @@ type allocation = {
   nodes : (int * float) list;
 }
 
-let empty_allocation = { links = []; nodes = [] }
-
 (* sum repeated resources so atomicity checks see aggregate demand *)
 let aggregate pairs =
   let tbl = Hashtbl.create 16 in

@@ -135,9 +135,6 @@ type allocation = {
     is checked, so a pseudo-multicast tree that traverses a link twice
     is charged twice. *)
 
-val empty_allocation : allocation
-(** [{ links = []; nodes = [] }] — always allocatable. *)
-
 val can_allocate : t -> allocation -> bool
 (** Whether {!allocate} would succeed, without committing anything. *)
 

@@ -55,6 +55,3 @@ let random_chain rng =
     Topology.Rng.sample_without_replacement rng len (Array.length all_kinds)
   in
   List.map (fun i -> all_kinds.(i)) idx
-
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-let pp_chain ppf c = Format.pp_print_string ppf (chain_to_string c)

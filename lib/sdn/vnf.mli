@@ -40,6 +40,3 @@ val chain_to_string : chain -> string
 val random_chain : Topology.Rng.t -> chain
 (** A uniformly random chain: length 1–3, distinct functions, random
     order. *)
-
-val pp_kind : Format.formatter -> kind -> unit
-val pp_chain : Format.formatter -> chain -> unit

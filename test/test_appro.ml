@@ -157,6 +157,23 @@ let test_rejects_bad_k () =
   Alcotest.check_raises "k=0" (Invalid_argument "Appro_multi: K must be at least 1")
     (fun () -> ignore (A.solve ~k:0 net req))
 
+(* a window over another network, even an identical twin, would serve
+   that graph's trees, so every entry point refuses it *)
+let test_refuses_foreign_window () =
+  let net = two_cluster_net () and twin = two_cluster_net () in
+  let req = two_cluster_request () in
+  let foreign = Invalid_argument "Appro_multi: window over a different network" in
+  let window = Nfv_multicast.Sp_window.create twin in
+  Alcotest.check_raises "solve" foreign (fun () ->
+      ignore (A.solve ~window net req));
+  Alcotest.check_raises "solve_capacitated" foreign (fun () ->
+      ignore (A.solve_capacitated ~window net req));
+  Alcotest.check_raises "admit" foreign (fun () ->
+      ignore (A.admit ~window net req));
+  let own = Nfv_multicast.Sp_window.create net in
+  Alcotest.(check bool) "own window accepted" true
+    (Result.is_ok (A.solve ~window:own net req))
+
 (* --- randomized properties --- *)
 
 let small_instance seed =
@@ -315,7 +332,10 @@ let by_order (ca, sa, _) (cb, sb, _) =
 (* every feasible combination priced, none skipped, through the public
    Aux_graph API: the unpruned Algorithm 1 *)
 let all_priced ~k ~keep ~usable net req =
-  let aux = Ag.build ~keep ~net ~request:req ~candidate_servers:usable () in
+  let aux =
+    Ag.build ~engine:(Tutil.offline_engine ~keep net req) ~net ~request:req
+      ~candidate_servers:usable ()
+  in
   let found = ref [] in
   C.iter_subsets_up_to (Ag.reachable_servers aux) k (fun subset ->
       let sm = Ag.subset_metric aux subset in
@@ -410,7 +430,9 @@ let prop_pruning_exact =
           let cands =
             List.map
               (fun (c, s, _, e) -> (c, s, e))
-              (A.candidates ~k ~keep ~usable_servers:usable net req)
+              (A.candidates ~k
+                 ~engine:(Tutil.offline_engine ~keep net req)
+                 ~usable_servers:usable net req)
           in
           let cands_ok = omits_only_repeats ~before:[] cfull cands in
           (* the first oracle candidate the twin can allocate *)
@@ -445,7 +467,10 @@ let test_weak_rule_changes_tree () =
       ~rng ~servers:Topology.Geant.default_servers (Topology.Geant.topology ())
   in
   let req = List.nth (Workload.Gen.sequence rng net ~count:44) 43 in
-  let aux = Ag.build ~net ~request:req ~candidate_servers:(N.servers net) () in
+  let aux =
+    Ag.build ~engine:(Tutil.offline_engine net req) ~net ~request:req
+      ~candidate_servers:(N.servers net) ()
+  in
   let price subset =
     let sm = Ag.subset_metric aux subset in
     match Ag.steiner_tree sm with
@@ -487,6 +512,8 @@ let () =
           Alcotest.test_case "capacitated pruning" `Quick test_capacitated_prunes_links;
           Alcotest.test_case "admit allocates" `Quick test_admit_allocates;
           Alcotest.test_case "k validation" `Quick test_rejects_bad_k;
+          Alcotest.test_case "foreign window refused" `Quick
+            test_refuses_foreign_window;
           Alcotest.test_case "(a) at destinations alone is unsound" `Quick
             test_weak_rule_changes_tree;
         ] );

@@ -8,7 +8,8 @@ let instance seed =
   let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
   let request = Tutil.random_request rng net ~id:0 in
   let aux =
-    Aux.build ~net ~request ~candidate_servers:(N.servers net) ()
+    Aux.build ~engine:(Tutil.offline_engine net request) ~net ~request
+      ~candidate_servers:(N.servers net) ()
   in
   (net, request, aux, rng)
 
@@ -202,7 +203,8 @@ let prop_metric_exact_pruned =
       let removed = Array.init (N.m net) (fun _ -> Rng.int rng 10 < 3) in
       let keep e = not removed.(e) in
       let aux =
-        Aux.build ~keep ~net ~request ~candidate_servers:(N.servers net) ()
+        Aux.build ~engine:(Tutil.offline_engine ~keep net request) ~net
+          ~request ~candidate_servers:(N.servers net) ()
       in
       let servers = Aux.reachable_servers aux in
       if servers = [] then true
@@ -240,9 +242,14 @@ let prop_dist_matches_quadratic =
       let request = Tutil.random_request rng net ~id:0 in
       let aux =
         if seed mod 2 = 0 then
-          Aux.build ~net ~request ~candidate_servers:(N.servers net) ()
+          Aux.build ~engine:(Tutil.offline_engine net request) ~net ~request
+            ~candidate_servers:(N.servers net) ()
         else
-          Aux.build ~edge_weight:(fun e -> float_of_int (1 + (e mod 3)))
+          Aux.build
+            ~engine:
+              (Mcgraph.Sp_engine.create (N.graph net)
+                 ~weight:(fun e -> float_of_int (1 + (e mod 3)))
+                 ~epoch:(fun () -> N.weight_epoch net))
             ~net ~request ~candidate_servers:(N.servers net) ()
       in
       let servers = Aux.reachable_servers aux in
@@ -291,9 +298,14 @@ let prop_interleaved_subsets =
       let request = Tutil.random_request rng net ~id:0 in
       let build () =
         if seed mod 2 = 0 then
-          Aux.build ~net ~request ~candidate_servers:(N.servers net) ()
+          Aux.build ~engine:(Tutil.offline_engine net request) ~net ~request
+            ~candidate_servers:(N.servers net) ()
         else
-          Aux.build ~edge_weight:(fun e -> float_of_int (1 + (e mod 3)))
+          Aux.build
+            ~engine:
+              (Mcgraph.Sp_engine.create (N.graph net)
+                 ~weight:(fun e -> float_of_int (1 + (e mod 3)))
+                 ~epoch:(fun () -> N.weight_epoch net))
             ~net ~request ~candidate_servers:(N.servers net) ()
       in
       let shared = build () and alone = build () in

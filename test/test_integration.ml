@@ -150,39 +150,51 @@ let check_figure (fig : Experiments.Exp_common.figure) =
         s.Experiments.Exp_common.points)
     fig.Experiments.Exp_common.series
 
+(* a family's default-scale layout (its full size grid) at a few
+   requests; the smoke instances test_specs and the goldens run use
+   reduced grids and request counts, so these cases cover what they skip
+   (ablation: A1 checkpoints every 2 requests rather than every one) *)
+let scaled (spec : Experiments.Spec.t) requests =
+  Experiments.Runner.figures ~seed:1
+    (spec.Experiments.Spec.instance ~seed:1 ~requests:(Some requests))
+
 let test_fig5_smoke () =
-  let figs = Experiments.Fig5.run ~seed:1 ~requests:3 ~sizes:[ 30; 50 ] () in
+  let figs = scaled Experiments.Fig5.spec 3 in
   Alcotest.(check int) "six figures" 6 (List.length figs);
   List.iter check_figure figs
 
 let test_fig6_smoke () =
-  let figs = Experiments.Fig6.run ~seed:1 ~requests:5 () in
+  let figs = scaled Experiments.Fig6.spec 5 in
   Alcotest.(check int) "four figures" 4 (List.length figs);
   List.iter check_figure figs
 
 let test_fig7_smoke () =
-  let figs = Experiments.Fig7.run ~seed:1 ~requests:3 ~sizes:[ 30; 50 ] () in
+  let figs = scaled Experiments.Fig7.spec 3 in
   Alcotest.(check int) "two figures" 2 (List.length figs);
   List.iter check_figure figs
 
 let test_fig8_smoke () =
-  let figs = Experiments.Fig8.run ~seed:1 ~requests:30 ~sizes:[ 30; 50 ] () in
+  let figs = scaled Experiments.Fig8.spec 30 in
   Alcotest.(check int) "two figures" 2 (List.length figs);
   List.iter check_figure figs
 
 let test_fig9_smoke () =
-  let figs = Experiments.Fig9.run ~seed:1 ~requests:60 () in
+  let figs = scaled Experiments.Fig9.spec 60 in
   Alcotest.(check int) "two figures" 2 (List.length figs);
   List.iter check_figure figs
 
 let test_ablation_smoke () =
-  let fig = Experiments.Ablation.cost_model ~seed:1 ~requests:200 ~n:40 () in
-  check_figure fig;
-  let figs = Experiments.Ablation.k_sweep ~seed:1 ~requests:2 ~sizes:[ 30 ] () in
-  List.iter check_figure figs
+  let figs = scaled Experiments.Ablation.spec 20 in
+  let ids = [ "ablA1"; "ablA2cost"; "ablA2time" ] in
+  let checked =
+    List.filter (fun f -> List.mem f.Experiments.Exp_common.id ids) figs
+  in
+  Alcotest.(check int) "A1 and A2 figures" (List.length ids)
+    (List.length checked);
+  List.iter check_figure checked
 
 let test_render_smoke () =
-  let figs = Experiments.Fig9.run ~seed:1 ~requests:60 () in
+  let figs = scaled Experiments.Fig9.spec 60 in
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Experiments.Exp_common.render_all ppf figs;

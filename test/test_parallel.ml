@@ -78,7 +78,9 @@ let test_telemetry_identical () =
         Fun.protect
           ~finally:(fun () -> Obs.enabled := was)
           (fun () ->
-            ignore (Experiments.Fig5.run ~seed:3 ~requests:2 ~sizes:[ 30; 50 ] ());
+            ignore
+              (Experiments.Runner.figures ~seed:3
+                 (Experiments.Fig5.spec.Spec.smoke ~seed:3));
             int_skeleton (Obs.Export.snapshot ())))
   in
   let seq = capture 1 and par = capture 4 in

@@ -10,6 +10,30 @@ module Sp = Mcgraph.Sp_engine
 module Rng = Topology.Rng
 module N = Sdn.Network
 
+module Obs = Nfv_obs.Obs
+
+(* Engines keep no counters of their own: every cache event lands in the
+   process-global "sp_engine.*" counters (and each computed tree in
+   "dijkstra.runs"), so these tests reset them, enable recording for
+   their own queries only, and read deltas. *)
+let with_obs f =
+  Obs.reset_all ();
+  Obs.enabled := true;
+  Fun.protect ~finally:(fun () -> Obs.enabled := false) f
+
+let c_hits = Obs.Counter.make "sp_engine.cache_hits"
+let c_misses = Obs.Counter.make "sp_engine.cache_misses"
+let c_evictions = Obs.Counter.make "sp_engine.evictions"
+let c_runs = Obs.Counter.make "dijkstra.runs"
+let c_creates = Obs.Counter.make "sp_window.engine_creates"
+let c_reuses = Obs.Counter.make "sp_window.engine_reuses"
+
+(* how much [c] moved while [f] ran *)
+let delta c f =
+  let before = Obs.Counter.value c in
+  f ();
+  Obs.Counter.value c - before
+
 (* A Waxman graph with weights where a random subset of edges is pruned
    to infinity, as capacitated algorithms do with saturated links. *)
 let waxman_with_pruning seed =
@@ -32,7 +56,7 @@ let prop_dist_equals_eager =
     (fun seed ->
       let g, weight = waxman_with_pruning seed in
       let eager = Paths.all_pairs g ~weight in
-      let eng = Sp.create g ~weight in
+      let eng = Sp.create g ~weight ~epoch:(fun () -> 0) in
       let n = G.n g in
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -48,7 +72,7 @@ let prop_path_equals_eager =
     (fun seed ->
       let g, weight = waxman_with_pruning seed in
       let eager = Paths.all_pairs g ~weight in
-      let eng = Sp.create g ~weight in
+      let eng = Sp.create g ~weight ~epoch:(fun () -> 0) in
       let n = G.n g in
       let rng = Rng.create (seed + 1) in
       let ok = ref true in
@@ -63,22 +87,23 @@ let prop_queries_are_lazy =
   Tutil.qtest ~count:60 "engine computes only the queried source trees"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
+      with_obs @@ fun () ->
       let g, weight = waxman_with_pruning seed in
-      let eng = Sp.create g ~weight in
+      let eng = Sp.create g ~weight ~epoch:(fun () -> 0) in
       let n = G.n g in
       let sources = List.sort_uniq compare [ 0; n / 2; n - 1 ] in
       List.iter (fun u -> ignore (Sp.dist eng u 0)) sources;
       (* repeated queries from cached sources must not add trees *)
       List.iter (fun u -> ignore (Sp.dist eng u (n - 1))) sources;
-      let st = Sp.stats eng in
-      st.Sp.trees_computed = List.length sources
-      && st.Sp.cache_hits >= List.length sources)
+      Obs.Counter.value c_misses = List.length sources
+      && Obs.Counter.value c_hits >= List.length sources)
 
 (* --- epoch invalidation ------------------------------------------------ *)
 
 (* Distances under a residual-dependent weight must change after an
    allocate: the engine may not serve the pre-allocation tree. *)
 let test_epoch_invalidation () =
+  with_obs @@ fun () ->
   let rng = Rng.create 42 in
   let topo = Topology.Waxman.generate ~alpha:0.6 ~beta:0.5 rng ~n:20 in
   let net = N.make_random_servers ~fraction:0.3 ~rng topo in
@@ -98,8 +123,8 @@ let test_epoch_invalidation () =
   | Error e -> Alcotest.failf "allocate failed: %s" e);
   let d_after = Sp.dist eng u v in
   Alcotest.(check bool) "distance rose after allocate" true (d_after > d_before);
-  let st = Sp.stats eng in
-  Alcotest.(check bool) "stale tree was dropped" true (st.Sp.invalidations >= 1);
+  Alcotest.(check bool) "stale tree was dropped" true
+    (Obs.Counter.value c_evictions >= 1);
   (* release returns to the original prices — and bumps the epoch again *)
   N.release net { N.links = [ (0, half) ]; nodes = [] };
   Alcotest.(check (Tutil.check_float)) "release restores distances" d_before
@@ -107,6 +132,7 @@ let test_epoch_invalidation () =
 
 let test_epoch_stability () =
   (* without any allocation the epoch is stable: queries hit the cache *)
+  with_obs @@ fun () ->
   let rng = Rng.create 43 in
   let topo = Topology.Waxman.generate rng ~n:15 in
   let net = N.make_random_servers ~fraction:0.3 ~rng topo in
@@ -117,30 +143,15 @@ let test_epoch_stability () =
   for _ = 1 to 5 do
     ignore (Sp.dist eng 0 (G.n g - 1))
   done;
-  let st = Sp.stats eng in
-  Alcotest.(check int) "one tree" 1 st.Sp.trees_computed;
-  Alcotest.(check int) "no invalidations" 0 st.Sp.invalidations
+  Alcotest.(check int) "one tree" 1 (Obs.Counter.value c_misses);
+  Alcotest.(check int) "no invalidations" 0 (Obs.Counter.value c_evictions)
 
 (* --- telemetry counters ------------------------------------------------ *)
-
-module Obs = Nfv_obs.Obs
-
-(* All engines share the process-global "sp_engine.*" counters, so these
-   tests reset them, enable recording for their own queries only, and
-   diff. *)
-let with_obs f =
-  Obs.reset_all ();
-  Obs.enabled := true;
-  Fun.protect ~finally:(fun () -> Obs.enabled := false) f
-
-let c_hits = Obs.Counter.make "sp_engine.cache_hits"
-let c_misses = Obs.Counter.make "sp_engine.cache_misses"
-let c_evictions = Obs.Counter.make "sp_engine.evictions"
 
 let test_obs_hit_miss_counters () =
   with_obs @@ fun () ->
   let g, weight = waxman_with_pruning 11 in
-  let eng = Sp.create g ~weight in
+  let eng = Sp.create g ~weight ~epoch:(fun () -> 0) in
   let n = G.n g in
   ignore (Sp.dist eng 0 (n - 1));
   Alcotest.(check int) "first query is a miss" 1 (Obs.Counter.value c_misses);
@@ -179,9 +190,7 @@ let test_obs_stale_trees_swept () =
   incr epoch;
   (* querying source 0 must sweep the stale tree of source n-1 too *)
   ignore (Sp.dist eng 0 1);
-  let st = Sp.stats eng in
-  Alcotest.(check int) "both stale trees dropped" 2 st.Sp.invalidations;
-  Alcotest.(check int) "evictions counter agrees" 2
+  Alcotest.(check int) "both stale trees dropped" 2
     (Obs.Counter.value c_evictions);
   (* and the swept source recomputes rather than serving stale data *)
   ignore (Sp.dist eng (n - 1) 1);
@@ -191,26 +200,27 @@ let test_obs_stale_trees_swept () =
 (* --- renew: closure swap for long-lived engines ------------------------ *)
 
 let test_renew_keeps_cache_same_epoch () =
+  with_obs @@ fun () ->
   let g, weight = waxman_with_pruning 21 in
-  let eng = Sp.create g ~weight in
+  let eng = Sp.create g ~weight ~epoch:(fun () -> 0) in
   ignore (Sp.dist eng 0 1);
   (* a new but extensionally equal closure: cached trees must survive *)
   Sp.renew eng ~weight:(fun e -> weight e);
   ignore (Sp.dist eng 0 1);
-  let st = Sp.stats eng in
-  Alcotest.(check int) "one tree" 1 st.Sp.trees_computed;
-  Alcotest.(check int) "post-renew query hits" 1 st.Sp.cache_hits;
-  Alcotest.(check int) "nothing swept" 0 st.Sp.invalidations
+  Alcotest.(check int) "one tree" 1 (Obs.Counter.value c_misses);
+  Alcotest.(check int) "post-renew query hits" 1 (Obs.Counter.value c_hits);
+  Alcotest.(check int) "nothing swept" 0 (Obs.Counter.value c_evictions)
 
 let test_renew_sweeps_and_swaps_on_epoch_change () =
+  with_obs @@ fun () ->
   let g, _ = waxman_with_pruning 22 in
   let epoch = ref 0 in
   let eng = Sp.create g ~weight:(fun _ -> 1.0) ~epoch:(fun () -> !epoch) in
   let hops = Sp.dist eng 0 1 in
   incr epoch;
   Sp.renew eng ~weight:(fun _ -> 2.0);
-  let st = Sp.stats eng in
-  Alcotest.(check int) "stale tree swept by renew" 1 st.Sp.invalidations;
+  Alcotest.(check int) "stale tree swept by renew" 1
+    (Obs.Counter.value c_evictions);
   (* the swapped closure is what the recomputation uses *)
   Alcotest.check Tutil.check_float "distances follow the new closure"
     (2.0 *. hops) (Sp.dist eng 0 1)
@@ -289,26 +299,26 @@ let prop_bucket_matches_sorted_reference =
       W.bucket (W.create net) ~bandwidth:b = Tutil.reference_bucket net ~bandwidth:b)
 
 let test_window_reuse_within_epoch () =
+  with_obs @@ fun () ->
   let net, _ = window_net 31 in
   let w = W.create net in
   let weight _ = 1.0 in
   let e1 = W.engine w ~family:"t" ~bucket:0 ~weight in
   ignore (Sp.dist e1 0 1);
-  let before = Sp.global_trees_computed () in
   let e2 = W.engine w ~family:"t" ~bucket:0 ~weight in
   Alcotest.(check bool) "same engine returned" true (e1 == e2);
-  ignore (Sp.dist e2 0 1);
-  Alcotest.(check int) "cached tree reused, no new Dijkstra" before
-    (Sp.global_trees_computed ());
-  let st = W.stats w in
-  Alcotest.(check int) "engines" 1 st.W.engines;
-  Alcotest.(check int) "acquisitions" 2 st.W.acquisitions;
-  Alcotest.(check int) "reuses" 1 st.W.reuses;
+  Alcotest.(check int) "cached tree reused, no new Dijkstra" 0
+    (delta c_runs (fun () -> ignore (Sp.dist e2 0 1)));
+  Alcotest.(check int) "engines" 1 (Obs.Counter.value c_creates);
+  Alcotest.(check int) "acquisitions" 2
+    (Obs.Counter.value c_creates + Obs.Counter.value c_reuses);
+  Alcotest.(check int) "reuses" 1 (Obs.Counter.value c_reuses);
   (* a different key is a different engine *)
   let e3 = W.engine w ~family:"t" ~bucket:1 ~weight in
   Alcotest.(check bool) "distinct key, distinct engine" false (e1 == e3)
 
 let test_window_sweeps_on_epoch_bump () =
+  with_obs @@ fun () ->
   let net, _ = window_net 32 in
   let w = W.create net in
   let weight _ = 1.0 in
@@ -319,18 +329,17 @@ let test_window_sweeps_on_epoch_bump () =
   | Error e -> Alcotest.failf "allocate: %s" e);
   let e2 = W.engine w ~family:"t" ~bucket:0 ~weight in
   Alcotest.(check bool) "engine object survives the bump" true (e1 == e2);
-  let before = Sp.global_trees_computed () in
-  ignore (Sp.dist e2 0 1);
-  Alcotest.(check int) "stale tree recomputed after the bump" (before + 1)
-    (Sp.global_trees_computed ());
+  Alcotest.(check int) "stale tree recomputed after the bump" 1
+    (delta c_runs (fun () -> ignore (Sp.dist e2 0 1)));
   Alcotest.(check bool) "sweep counted" true
-    ((Sp.stats e2).Sp.invalidations >= 1)
+    (Obs.Counter.value c_evictions >= 1)
 
 (* Cross-request reuse through the real admission path: two identical
    admits that both reject leave the epoch alone, so the second one must
    run entirely from cached trees; an admission (epoch bump) must force
    recomputation. *)
 let test_window_cross_request_reuse () =
+  with_obs @@ fun () ->
   let net, rng = window_net 33 in
   let req = Workload.Gen.request rng net ~id:0 in
   let w = W.create net in
@@ -343,22 +352,19 @@ let test_window_cross_request_reuse () =
   (match Cp.admit rejecting req with
   | Cp.Rejected Cp.Over_threshold -> ()
   | _ -> Alcotest.fail "expected threshold rejection");
-  let before = Sp.global_trees_computed () in
-  (match Cp.admit rejecting req with
-  | Cp.Rejected Cp.Over_threshold -> ()
-  | _ -> Alcotest.fail "expected threshold rejection");
-  Alcotest.(check int) "rejected replay costs zero Dijkstras" before
-    (Sp.global_trees_computed ());
+  Alcotest.(check int) "rejected replay costs zero Dijkstras" 0
+    (delta c_runs (fun () ->
+         match Cp.admit rejecting req with
+         | Cp.Rejected Cp.Over_threshold -> ()
+         | _ -> Alcotest.fail "expected threshold rejection"));
   (* now actually admit: the allocate bumps the epoch, so a further
      admit of the same request recomputes instead of serving stale *)
   let admitting = Cp.pricing ~mode:`Exponential ~params:p w in
   (match Cp.admit admitting req with
   | Cp.Admitted _ -> ()
   | Cp.Rejected r -> Alcotest.failf "idle admit: %s" (Cp.rejection_to_string r));
-  let after_admit = Sp.global_trees_computed () in
-  ignore (Cp.admit admitting req);
   Alcotest.(check bool) "post-admission requests recompute" true
-    (Sp.global_trees_computed () > after_admit)
+    (delta c_runs (fun () -> ignore (Cp.admit admitting req)) > 0)
 
 (* --- CSR structural sanity --------------------------------------------- *)
 

@@ -123,7 +123,7 @@ let test_default_layouts () =
 let test_assembly_smoke () =
   E.install_fake_clock ();
   Experiments.Pool.set_jobs 1;
-  let figs = Experiments.Stress.run ~seed:3 ~requests:8 () in
+  let figs = Runner.run ~seed:3 ~requests:8 Experiments.Stress.spec in
   Alcotest.(check (list string))
     "stress produces its declared figures" [ "stressA"; "stressB" ]
     (List.map (fun f -> f.E.id) figs);

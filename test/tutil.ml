@@ -57,6 +57,17 @@ let cp_pricing ?(mode = `Exponential) ?params ?avail net =
   Nfv_multicast.Online_cp.pricing ?avail ~mode ~params
     (Nfv_multicast.Sp_window.create net)
 
+(* Algorithm 1's base-edge price as a private engine, built here rather
+   than through Appro_multi so the oracles that use it stay independent
+   of the library's constructor: [b_k·c_e], and [infinity] on every link
+   [keep] rejects. *)
+let offline_engine ?(keep = fun _ -> true) net req =
+  let b = req.Sdn.Request.bandwidth in
+  Mcgraph.Sp_engine.create (Sdn.Network.graph net)
+    ~weight:(fun e ->
+      if keep e then b *. Sdn.Network.link_unit_cost net e else infinity)
+    ~epoch:(fun () -> Sdn.Network.weight_epoch net)
+
 (* checks that an edge set forms a tree (acyclic and connected) *)
 let is_tree g edges =
   match edges with
