@@ -65,6 +65,28 @@ type happened =
   | Dropped of { id : int }
   | Restored of { id : int; tree : Pseudo_tree.t }
 
+(* the ids of the live sessions using one link or server, in no order:
+   an array with swap-remove, so keeping it current allocates nothing
+   once it has grown *)
+type holder_set = { mutable ids : int array; mutable len : int }
+
+let hold h id =
+  if h.len = Array.length h.ids then begin
+    let ids = Array.make (max 4 (2 * h.len)) 0 in
+    Array.blit h.ids 0 ids 0 h.len;
+    h.ids <- ids
+  end;
+  h.ids.(h.len) <- id;
+  h.len <- h.len + 1
+
+let unhold h id =
+  let i = ref 0 in
+  while h.ids.(!i) <> id do
+    incr i
+  done;
+  h.len <- h.len - 1;
+  h.ids.(!i) <- h.ids.(h.len)
+
 type event =
   | Arrive of arrival
   | Depart of int
@@ -121,14 +143,48 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
     util_integral := !util_integral +. (dt *. !util);
     last_time := now
   in
-  let enter id tree =
+  (* the live sessions whose trees use each link and each server node,
+     so a strike reads only the struck resource's holders
+     ([Fault.inject] skips any session holding no positive amount
+     there); kept only when faults can strike *)
+  let holders =
+    let empty _ = { ids = [||]; len = 0 } in
+    Option.map
+      (fun _ ->
+        ( Array.init (Sdn.Network.m net) empty,
+          Array.init (Sdn.Network.n net) empty ))
+      faults
+  in
+  let index f id (tree : Pseudo_tree.t) =
+    match holders with
+    | None -> ()
+    | Some (links, nodes) ->
+      List.iter (fun (e, _) -> f links.(e) id) tree.Pseudo_tree.edge_uses;
+      List.iter (fun v -> f nodes.(v) id) tree.Pseudo_tree.servers
+  in
+  let add_live id tree =
     Hashtbl.replace live id tree;
+    index hold id tree
+  in
+  let remove_live id tree =
+    Hashtbl.remove live id;
+    index unhold id tree
+  in
+  let enter id tree =
+    add_live id tree;
     incr concurrent;
     if !concurrent > !peak then peak := !concurrent
   in
-  let sorted_live () =
-    Hashtbl.fold (fun id tree acc -> (id, tree) :: acc) live []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  (* the live sessions holding a resource, ascending by id, with their
+     allocations; an id outside the index holds nothing, so it reaches
+     [Fault.inject]'s own validation *)
+  let holding held i =
+    if i < 0 || i >= Array.length held then []
+    else
+      let h = held.(i) in
+      List.init h.len (Array.get h.ids)
+      |> List.sort_uniq Int.compare
+      |> List.map (fun id -> (id, Pseudo_tree.allocation (Hashtbl.find live id)))
   in
   (* one proactive re-admission pass over the dropped backlog, in the
      policy's order. [returned] is the trigger's estimate of the
@@ -173,12 +229,15 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
       | Sdn.Fault.Link_up e -> Sdn.Fault.confiscated_link fault e
       | _ -> 0.0
     in
-    (* a heal evicts nobody and never reads the live sessions *)
+    (* a failure can only evict the struck resource's holders; a heal
+       evicts nobody and never reads the live sessions *)
+    let links, nodes = Option.get holders in
     let allocations =
       match ev with
       | Sdn.Fault.Link_up _ | Sdn.Fault.Server_up _ -> []
-      | _ ->
-        List.map (fun (id, t) -> (id, Pseudo_tree.allocation t)) (sorted_live ())
+      | Sdn.Fault.Link_down e | Sdn.Fault.Degrade_link (e, _) -> holding links e
+      | Sdn.Fault.Server_down v | Sdn.Fault.Degrade_server (v, _) ->
+        holding nodes v
     in
     let victims = Sdn.Fault.inject fault ~live:allocations ev in
     evicted := !evicted + List.length victims;
@@ -186,7 +245,7 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
     List.iter
       (fun vid ->
         let vtree = Hashtbl.find live vid in
-        Hashtbl.remove live vid;
+        remove_live vid vtree;
         match
           Repair.repair pricing
             ~link_down:(Sdn.Fault.link_is_down fault)
@@ -195,7 +254,7 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
         with
         | Repair.Repaired { tree; tier } ->
           incr repaired;
-          Hashtbl.replace live vid tree;
+          add_live vid tree;
           observe now (Repaired { id = vid; tier; tree })
         | Repair.Dropped _ ->
           incr dropped;
@@ -241,7 +300,7 @@ let run ?(reset = true) ?faults ?avail ?(observe = fun _ _ -> ()) net algo
              engine cannot serve trees computed under the old prices *)
           let alloc = Pseudo_tree.allocation tree in
           Sdn.Network.release net alloc;
-          Hashtbl.remove live id;
+          remove_live id tree;
           Hashtbl.remove depart_of id;
           decr concurrent;
           incr completed;

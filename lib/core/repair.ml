@@ -62,24 +62,6 @@ let component g ~edges ~from visited =
   done;
   !keep
 
-(* repeatedly drop leaves outside [keep_nodes], returning the rooted
-   remainder and its edge list *)
-let prune_to g ~root ~keep_nodes edges =
-  let rec go edges =
-    let t = Tree.of_edges g ~root edges in
-    let removable =
-      List.filter
-        (fun v -> v <> root && not (List.mem v keep_nodes))
-        (Tree.leaves t)
-    in
-    if removable = [] then (t, edges)
-    else begin
-      let drop = List.map (fun v -> Tree.parent_edge t v) removable in
-      go (List.filter (fun e -> not (List.mem e drop)) edges)
-    end
-  in
-  go edges
-
 (* witness routes + per-server backtracks for a rooted repaired tree;
    [server_of d] chooses the serving server (must be a tree node) *)
 let finish_tree ~rooted ~support ~request ~server_of =
@@ -181,7 +163,7 @@ let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
             severed;
           let candidate = keep @ !patches in
           let rooted, support =
-            prune_to g ~root:s ~keep_nodes:(s :: must_reach) candidate
+            Tree.prune g ~root:s ~keep:must_reach candidate
           in
           let server_of d =
             match List.assoc_opt d victim.Pseudo_tree.routes with
@@ -219,9 +201,7 @@ let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
     if not (List.for_all (fun d -> in_tree.(d)) dests) then None
     else begin
       try
-        let rooted, kept =
-          prune_to g ~root:s ~keep_nodes:(s :: dests) keep
-        in
+        let rooted, kept = Tree.prune g ~root:s ~keep:dests keep in
         let tree_nodes = Tree.nodes rooted in
         let spt_s = Sp.spt eng s in
         let maxd =

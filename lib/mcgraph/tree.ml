@@ -85,8 +85,52 @@ let children t v =
   check_mem t v "Tree.children";
   List.filter (fun u -> u <> t.root_node && t.parent_node.(u) = v) t.order
 
+(* number of children per node (0 off the tree), one pass over the
+   BFS order *)
+let child_counts t =
+  let kids = Array.make (Array.length t.depth_of) 0 in
+  List.iter
+    (fun u ->
+      if u <> t.root_node then begin
+        let p = t.parent_node.(u) in
+        kids.(p) <- kids.(p) + 1
+      end)
+    t.order;
+  kids
+
 let leaves t =
-  List.filter (fun u -> children t u = [] ) t.order
+  let kids = child_counts t in
+  List.filter (fun u -> kids.(u) = 0) t.order
+
+(* Leaf pruning has a unique fixpoint: a non-root node goes exactly when
+   its subtree holds no kept node. BFS order lists every node before its
+   descendants, so each node met with no children is an original leaf,
+   and the chain cut up from it only reaches ancestors, which the scan
+   has already passed. *)
+let prune g ~root ~keep edges =
+  let t = of_edges g ~root edges in
+  let nn = Array.length t.depth_of in
+  let kept = Bytes.make nn '\000' in
+  List.iter (fun v -> if v >= 0 && v < nn then Bytes.set kept v '\001') keep;
+  let kids = child_counts t in
+  let cut = Bytes.make (Graph.m g) '\000' in
+  let any = ref false in
+  List.iter
+    (fun u ->
+      let v = ref u in
+      while !v <> root && Bytes.get kept !v = '\000' && kids.(!v) = 0 do
+        let p = t.parent_node.(!v) in
+        Bytes.set cut t.parent_edge_id.(!v) '\001';
+        any := true;
+        kids.(p) <- kids.(p) - 1;
+        v := p
+      done)
+    t.order;
+  if not !any then (t, edges)
+  else begin
+    let edges = List.filter (fun e -> Bytes.get cut e = '\000') edges in
+    (of_edges g ~root edges, edges)
+  end
 
 let lca t a b =
   check_mem t a "Tree.lca";

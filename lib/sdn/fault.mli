@@ -90,7 +90,10 @@ val confiscated_server : t -> int -> float
 val inject : t -> live:(int * Network.allocation) list -> event -> int list
 (** [inject t ~live event] applies the event and returns the ids of the
     evicted victims, in increasing id order. [live] maps session ids
-    (which must be distinct) to the allocations they hold; each victim's
+    (which must be distinct) to the allocations they hold. It need only
+    contain every live session holding the struck resource (a caller
+    can pass just those, from an index); the other entries are ignored,
+    as is [live] on an [Up] event. Each victim's
     allocation is released {e in full} through {!Network.release} before
     any capacity is confiscated, so the exactness invariant holds at
     every step. A session is a potential victim when it holds a positive

@@ -179,8 +179,17 @@ let server_unit_cost t v = check_server t v "Network.server_unit_cost"; t.srv_co
 
 let chain_cost t v chain = server_unit_cost t v *. Vnf.chain_demand_mhz chain
 
-let link_admits t e amount = link_residual t e >= amount -. 1e-9
-let server_admits t v amount = server_residual t v >= amount -. 1e-9
+(* the residual is read in place, not through [link_residual] /
+   [server_residual]: those return a boxed float on every call, and the
+   admission checks run once per link or server on every bucket count,
+   component relabel and usable-server filter *)
+let link_admits t e amount =
+  check_link t e "Network.link_residual";
+  t.link_res.(e) >= amount -. 1e-9
+
+let server_admits t v amount =
+  check_server t v "Network.server_residual";
+  t.srv_res.(v) >= amount -. 1e-9
 
 type allocation = {
   links : (int * float) list;

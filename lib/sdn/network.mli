@@ -119,11 +119,15 @@ val chain_cost : t -> int -> Vnf.chain -> float
 
 val link_admits : t -> int -> float -> bool
 (** Whether a link's residual bandwidth covers an amount (with a small
-    tolerance for float drift). *)
+    tolerance for float drift). Raises [Invalid_argument
+    "Network.link_residual: bad edge"] on a bad edge id, as
+    {!link_residual} does. *)
 
 val server_admits : t -> int -> float -> bool
 (** Whether a server's residual computing capacity covers an amount
-    (same tolerance). *)
+    (same tolerance). Raises [Invalid_argument
+    "Network.server_residual: not a server"] when the node is not a
+    server, as {!server_residual} does. *)
 
 (** {1 Atomic allocation} *)
 

@@ -175,6 +175,28 @@ let test_designed_trace () =
    dropped at the server failure and its departure at t=101 must be a
    no-op — the buggy behaviour (releasing the eviction-released tree
    again) would push residuals over capacity *)
+(* a strike on a link or node outside the network, or on a non-server,
+   must fail in [Fault.inject]'s own validation, with a live session on
+   the network (the run reads the struck resource's holders first) *)
+let test_bad_strike_targets () =
+  let net, _ = designed_net () in
+  let trace = [ List.hd (designed_trace ()) ] in
+  List.iter
+    (fun (event, msg) ->
+      Alcotest.check_raises (event_name event) (Invalid_argument msg)
+        (fun () ->
+          ignore
+            (Dyn.run
+               ~faults:(Dyn.make_faults [ { Fault.at = 2.0; event } ])
+               net Adm.Online_cp trace)))
+    [
+      (Fault.Link_down (N.m net), "Fault.inject: bad edge");
+      (Fault.Degrade_link (-1, 0.5), "Fault.inject: bad edge");
+      (Fault.Server_down 1, "Fault.inject: not a server");
+      (Fault.Degrade_server (N.n net, 0.5), "Fault.inject: not a server");
+      (Fault.Server_down (-1), "Fault.inject: not a server");
+    ]
+
 let test_dropped_session_departure_is_noop () =
   let net, e2 = designed_net () in
   let seen = ref [] in
@@ -648,6 +670,99 @@ let conservation_property seed =
   | _ -> ());
   true
 
+(* ---- strikes against a live map rebuilt from the stream -----------------
+   [Dynamic.run] hands [Fault.inject] only the struck resource's holders,
+   read from an index it keeps beside its live set. The oracle here is
+   the whole live set, rebuilt from the [happened] stream alone: a down
+   event on a healthy resource evicts exactly its holders in ascending
+   id order, a degradation evicts an ascending subset of them, and a
+   heal evicts nobody. Timelines mix every event kind with SRLG cuts. *)
+
+let holds_positive pairs r =
+  List.exists (fun (r', amt) -> r' = r && amt > 0.0) pairs
+
+let strike_oracle_property (seed, restore) =
+  let net, rng = Tutil.random_network seed ~lo:8 ~hi:16 in
+  let trace = Dyn.poisson_trace rng net ~rate:3.0 ~mean_holding:8.0 ~count:30 in
+  let horizon =
+    List.fold_left (fun acc a -> Float.max acc a.Dyn.at) 1.0 trace *. 1.25
+  in
+  let slots = int_of_float (Float.round horizon) in
+  let independent =
+    Fault.random_timeline ~heal_after:(max 1 (slots / 4)) ~rng ~slots
+      ~events:10 net
+  in
+  let cuts =
+    Fault.srlg_timeline ~heal_after:(horizon /. 5.0) ~rng ~horizon ~events:3
+      (Fault.srlg_partition ~groups:3 ~rng net)
+  in
+  let timeline =
+    List.stable_sort
+      (fun (a : Fault.stamped) b -> compare a.Fault.at b.Fault.at)
+      (independent @ cuts)
+  in
+  let shadow : (int, Pt.t) Hashtbl.t = Hashtbl.create 16 in
+  let links_down = Hashtbl.create 8 and servers_down = Hashtbl.create 8 in
+  let holders_of pred =
+    Hashtbl.fold
+      (fun id tree acc -> if pred (Pt.allocation tree) then id :: acc else acc)
+      shadow []
+    |> List.sort compare
+  in
+  let link_holders e = holders_of (fun a -> holds_positive a.N.links e) in
+  let server_holders v = holders_of (fun a -> holds_positive a.N.nodes v) in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  let fail ctx what holders =
+    QCheck.Test.fail_reportf "%s: %s (holders [%s])" ctx what
+      (String.concat ";" (List.map string_of_int holders))
+  in
+  let down tbl r ~expected ~victims ctx =
+    let expected = if Hashtbl.mem tbl r then [] else expected in
+    Hashtbl.replace tbl r ();
+    if victims <> expected then fail ctx "victims <> holders" expected
+  in
+  let degrade ~holders ~victims ctx =
+    if not (ascending victims && List.for_all (fun v -> List.mem v holders) victims)
+    then fail ctx "victims not an ascending subset of the holders" holders
+  in
+  let strikes = ref 0 in
+  let observe t h =
+    let ctx = describe (t, h) in
+    match h with
+    | Dyn.Arrived { id; tree = Some tree }
+    | Dyn.Repaired { id; tree; _ }
+    | Dyn.Restored { id; tree } ->
+      Hashtbl.replace shadow id tree
+    | Dyn.Arrived { tree = None; _ } | Dyn.Dropped _ -> ()
+    | Dyn.Departed { id; _ } -> Hashtbl.remove shadow id
+    | Dyn.Fault_fired { event; victims } ->
+      incr strikes;
+      (match event with
+      | Fault.Link_down e ->
+        down links_down e ~expected:(link_holders e) ~victims ctx
+      | Fault.Server_down v ->
+        down servers_down v ~expected:(server_holders v) ~victims ctx
+      | Fault.Degrade_link (e, _) ->
+        degrade ~holders:(link_holders e) ~victims ctx
+      | Fault.Degrade_server (v, _) ->
+        degrade ~holders:(server_holders v) ~victims ctx
+      | Fault.Link_up e ->
+        Hashtbl.remove links_down e;
+        if victims <> [] then fail ctx "a heal evicted" []
+      | Fault.Server_up v ->
+        Hashtbl.remove servers_down v;
+        if victims <> [] then fail ctx "a heal evicted" []);
+      List.iter (Hashtbl.remove shadow) victims
+  in
+  let restore = if restore then Some Nfv_multicast.Restore.default else None in
+  ignore
+    (Dyn.run ~faults:(Dyn.make_faults ~restore timeline) ~observe net
+       Adm.Online_cp trace);
+  !strikes = List.length timeline
+
 let () =
   Alcotest.run "dynamic_churn"
     [
@@ -657,6 +772,8 @@ let () =
             test_designed_trace;
           Alcotest.test_case "dropped session departure is a no-op" `Quick
             test_dropped_session_departure_is_noop;
+          Alcotest.test_case "bad strike targets reach inject" `Quick
+            test_bad_strike_targets;
           Alcotest.test_case "restoration order is id-sorted under ties" `Quick
             test_restoration_order_on_ties;
           Alcotest.test_case "SRLG partition on GEANT coordinates" `Quick
@@ -680,5 +797,8 @@ let () =
           Tutil.qtest ~count:25
             "capacity is conserved after every merged event"
             QCheck.small_nat conservation_property;
+          Tutil.qtest ~count:40 "strikes evict exactly the holders"
+            QCheck.(pair small_nat bool)
+            strike_oracle_property;
         ] );
     ]

@@ -112,6 +112,27 @@ let test_non_server_access_rejected () =
     (Invalid_argument "Network.server_capacity: not a server") (fun () ->
       ignore (N.server_capacity net non_server))
 
+(* the admission checks read residuals in place but keep the residual
+   accessors' validation and messages *)
+let test_admits_errors () =
+  let net = mk_net () in
+  let non_server =
+    let rec find v = if N.is_server net v then find (v + 1) else v in
+    find 0
+  in
+  List.iter
+    (fun e ->
+      Alcotest.check_raises "link_admits on a bad edge"
+        (Invalid_argument "Network.link_residual: bad edge") (fun () ->
+          ignore (N.link_admits net e 1.0)))
+    [ -1; N.m net ];
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "server_admits on a non-server"
+        (Invalid_argument "Network.server_residual: not a server") (fun () ->
+          ignore (N.server_admits net v 1.0)))
+    [ non_server; -1; N.n net ]
+
 let test_allocation_roundtrip () =
   let net = mk_net () in
   let v = List.hd (N.servers net) in
@@ -264,6 +285,7 @@ let () =
           Alcotest.test_case "construction" `Quick test_network_construction;
           Alcotest.test_case "validation" `Quick test_network_validation;
           Alcotest.test_case "non-server access" `Quick test_non_server_access_rejected;
+          Alcotest.test_case "admits errors" `Quick test_admits_errors;
           Alcotest.test_case "alloc/release round-trip" `Quick test_allocation_roundtrip;
           Alcotest.test_case "atomic failure" `Quick test_allocation_atomic;
           Alcotest.test_case "repeat aggregation" `Quick

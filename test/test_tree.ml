@@ -136,6 +136,53 @@ let prop_bfs_orders_nodes =
       let depths = List.map (T.depth t) (T.nodes t) in
       List.sort compare depths = depths)
 
+let prop_leaves_childless =
+  Tutil.qtest ~count:100 "leaves are the nodes without children"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let _, t, _, _ = random_tree seed in
+      T.leaves t = List.filter (fun v -> T.children t v = []) (T.nodes t))
+
+(* a random tree inside a random graph: grown from a random root over
+   random graph edges (so it rarely spans the graph), its edge ids
+   shuffled, and a random keep set that may name nodes off the tree *)
+let random_subtree seed =
+  let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+  let n = G.n g in
+  let root = Topology.Rng.int rng n in
+  let inside = Array.make n false in
+  inside.(root) <- true;
+  let edges = ref [] in
+  for _ = 1 to Topology.Rng.int rng (2 * n) do
+    let u = Topology.Rng.int rng n in
+    if inside.(u) then
+      G.iter_neighbors g u (fun v e ->
+          if (not inside.(v)) && Topology.Rng.int rng 3 = 0 then begin
+            inside.(v) <- true;
+            edges := e :: !edges
+          end)
+  done;
+  let order = Array.of_list !edges in
+  Topology.Rng.shuffle rng order;
+  let keep =
+    List.filter (fun _ -> Topology.Rng.int rng 4 = 0) (List.init n Fun.id)
+  in
+  (g, root, keep, Array.to_list order)
+
+let prop_prune_reference =
+  Tutil.qtest ~count:300 "prune = the iterative leaf-pruning loop"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g, root, keep, edges = random_subtree seed in
+      let t, support = T.prune g ~root ~keep edges in
+      let t', support' = Tutil.reference_prune g ~root ~keep_nodes:keep edges in
+      let shape t =
+        List.map
+          (fun v -> (v, T.parent t v, T.parent_edge t v, T.depth t v))
+          (T.nodes t)
+      in
+      support = support' && T.edges t = T.edges t' && shape t = shape t')
+
 let () =
   Alcotest.run "tree"
     [
@@ -151,5 +198,12 @@ let () =
           Alcotest.test_case "repeated edge rejected" `Quick test_repeated_edge_rejected;
           Alcotest.test_case "edge id out of range" `Quick test_edge_id_out_of_range;
         ] );
-      ("property", [ prop_lca_naive; prop_path_between_depth; prop_bfs_orders_nodes ]);
+      ( "property",
+        [
+          prop_lca_naive;
+          prop_path_between_depth;
+          prop_bfs_orders_nodes;
+          prop_leaves_childless;
+          prop_prune_reference;
+        ] );
     ]

@@ -332,3 +332,24 @@ let reference_prim_metric ~points ~dist =
 (* graphs of alternating sizes, so a kernel's per-domain scratch meets
    stamps left by a larger graph: large, small, medium, small *)
 let size_ladder = [ (60, 120); (2, 8); (20, 40); (2, 8) ]
+
+(* [Repair]'s leaf pruning as it stood before [Mcgraph.Tree.prune]: drop
+   every leaf outside [keep_nodes] (never the root), rebuild, and repeat
+   until no leaf can go. [Tree.prune] must return the same rooted tree
+   and the same edge list, order included. *)
+let reference_prune g ~root ~keep_nodes edges =
+  let module T = Mcgraph.Tree in
+  let rec go edges =
+    let t = T.of_edges g ~root edges in
+    let removable =
+      List.filter
+        (fun v -> v <> root && not (List.mem v keep_nodes))
+        (T.leaves t)
+    in
+    if removable = [] then (t, edges)
+    else begin
+      let drop = List.map (fun v -> T.parent_edge t v) removable in
+      go (List.filter (fun e -> not (List.mem e drop)) edges)
+    end
+  in
+  go edges
