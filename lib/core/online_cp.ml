@@ -230,7 +230,7 @@ type outcome = Admitted of admitted | Rejected of rejection
 type candidate = {
   cand_server : int;
   cand_pos : int;             (* index in the usable-server order *)
-  cand_tree : int list;
+  cand_tree : Tree.t;         (* the KMB tree, rooted at the source *)
   cand_backtrack : int list;  (* edges of the v → u return path *)
   cand_lca : int;
   cand_score : float;
@@ -254,6 +254,17 @@ let pending_order a b =
 
 (* [List.mem] on ints without the polymorphic compare *)
 let rec mem_int x = function [] -> false | y :: rest -> y = x || mem_int x rest
+
+(* the edges from [v] up [t]'s parents to its source, in travel order *)
+let rec up_to_source (t : Paths.spt) v =
+  if v = t.source then [] else t.parent_edge.(v) :: up_to_source t t.parent.(v)
+
+(* [List.sort_uniq Int.compare (x :: l)] for a sorted, duplicate-free
+   [l], sharing the tail past [x]'s place *)
+let rec insert_int x = function
+  | [] -> [ x ]
+  | y :: rest as l ->
+    if x < y then x :: l else if x = y then l else y :: insert_int x rest
 
 let min_by order = function
   | [] -> invalid_arg "Online_cp.min_by: empty"
@@ -405,7 +416,10 @@ let admit_impl ~prune p request =
       in
       let path x y =
         if is_terminal x then Paths.path_edges g (Sp.spt eng x) y
-        else Option.map List.rev (Paths.path_edges g (Sp.spt eng y) x)
+        else
+          (* [x]'s way up [y]'s tree is the x → y path in travel order *)
+          let t = Sp.spt eng y in
+          if t.Paths.dist.(x) = infinity then None else Some (up_to_source t x)
       in
       (* the bounds below read distances as rows: the source's once, each
          destination's on first need (a Dijkstra KMB would run anyway) *)
@@ -487,7 +501,7 @@ let admit_impl ~prune p request =
               None
             end
             else
-              let terms = List.sort_uniq Int.compare (v :: terminals) in
+              let terms = insert_int v terminals in
               match
                 Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
                   ~row ~path
@@ -509,7 +523,7 @@ let admit_impl ~prune p request =
                     {
                       cand_server = v;
                       cand_pos = p.p_pos;
-                      cand_tree = tree_edges;
+                      cand_tree = rooted;
                       cand_backtrack = backtrack;
                       cand_lca = u;
                       cand_score = score;
@@ -536,8 +550,8 @@ let admit_impl ~prune p request =
             screened;
           let try_alloc c =
             let v = c.cand_server in
-            let rooted = Tree.of_edges g ~root:s c.cand_tree in
-            let to_server = List.rev (Tree.path_up rooted v ~ancestor:s) in
+            let rooted = c.cand_tree in
+            let to_server = Tree.path_between rooted s v in
             let route_of d =
               (* the processed copy climbs only to LCA(v, d) — a prefix of
                  the reserved v → u backtrack — before descending, so no
@@ -549,7 +563,7 @@ let admit_impl ~prune p request =
             let tree =
               Pseudo_tree.make ~request ~servers:[ v ]
                 ~edge_uses:
-                  (Pseudo_tree.edge_uses_of_list (c.cand_tree @ c.cand_backtrack))
+                  (Pseudo_tree.edge_uses_of_list (Tree.edges rooted @ c.cand_backtrack))
                 ~routes
             in
             let alloc = Pseudo_tree.allocation tree in

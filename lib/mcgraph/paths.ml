@@ -26,19 +26,49 @@ let attributed span ~dijkstras ~relaxations f =
 
 let weight_vector g ~weight = Array.init (Graph.m g) weight
 
+(* Dijkstra's heap and settled marks, one per domain and grown to the
+   largest graph the domain has run on. Its own DLS slot: [Kernels]'
+   buffers stay live while KMB's [row]/[path] callbacks run Dijkstras. *)
+type scratch = {
+  mutable heap : Heap.t;
+  mutable settled : int array;   (* node -> generation that settled it *)
+  mutable gen : int;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { heap = Heap.create 0; settled = [||]; gen = 0 })
+
+(* Stamps start at 0 and [gen] only grows, so a freshly grown array and
+   every mark of an earlier run read as unsettled. *)
+let scratch nn =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.settled < nn then begin
+    s.heap <- Heap.create nn;
+    s.settled <- Array.make nn 0
+  end
+  else
+    (* a run cut short by a negative weight leaves entries behind *)
+    Heap.clear s.heap;
+  s.gen <- s.gen + 1;
+  s
+
 (* The one Dijkstra kernel. Weights come from a flat float array, so a
    relaxation makes no closure call and boxes no float; the popped
    priority is always [dist.(u)] (every heap priority change writes the
-   same value to [dist]), so the pop returns the key alone. *)
+   same value to [dist]), so the pop returns the key alone. An empty
+   reused heap sees the operation sequence a fresh one would, so ties
+   break as they always did. *)
 let dijkstra_vec g ~weights ~source =
+  if Array.length weights < Graph.m g then
+    invalid_arg "Paths.dijkstra: weight vector shorter than the edge count";
   let nn = Graph.n g in
   let c = Graph.csr g in
   let off = c.Graph.off and nbr = c.Graph.nbr and eid = c.Graph.eid in
   let dist = Array.make nn infinity in
   let parent_edge = Array.make nn (-1) in
   let parent = Array.make nn (-1) in
-  let heap = Heap.create nn in
-  let settled = Array.make nn false in
+  let s = scratch nn in
+  let heap = s.heap and settled = s.settled and gen = s.gen in
   (* read the switch once: with stats off the hot loop carries a single
      predictable branch per event, with stats on we count locally and
      publish once at the end *)
@@ -51,11 +81,11 @@ let dijkstra_vec g ~weights ~source =
     let u = !next in
     let du = dist.(u) in
     if track then incr pops;
-    settled.(u) <- true;
+    settled.(u) <- gen;
     for i = off.(u) to off.(u + 1) - 1 do
       let v = nbr.(i) in
       if track then incr scans;
-      if not settled.(v) then begin
+      if settled.(v) <> gen then begin
         let e = eid.(i) in
         let w = weights.(e) in
         if w < 0.0 then invalid_arg "Paths.dijkstra: negative weight";

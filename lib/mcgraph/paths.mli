@@ -43,8 +43,20 @@ val dijkstra_vec : Graph.t -> weights:float array -> source:int -> spt
     slot order and priority ties are broken by the indexed heap, so for
     equal weights the tree — [dist] bits, [parent] and [parent_edge] —
     is a deterministic function of the graph, the weights and the
-    source. Raises [Invalid_argument] if a traversed edge has negative
-    weight. *)
+    source.
+
+    Raises [Invalid_argument] before searching when
+    [Array.length weights < Graph.m g] (message
+    ["Paths.dijkstra: weight vector shorter than the edge count"]), and
+    if a traversed edge has negative weight
+    (["Paths.dijkstra: negative weight"]).
+
+    A run allocates the three arrays of the returned tree and nothing
+    else sized by the graph: the heap and the settled marks are a
+    per-domain scratch, grown to the largest graph the domain has
+    searched and reused by every later run, including one after a run
+    that raised. It calls no user code, so a run never nests inside
+    another on the same domain. *)
 
 val bellman_ford : Graph.t -> weight:(int -> float) -> source:int -> spt
 (** Reference oracle; O(n·m). Requires non-negative weights (undirected

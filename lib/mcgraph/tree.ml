@@ -1,10 +1,12 @@
+(* A rooted tree keeps one node-indexed array, [slot], and four arrays
+   indexed by BFS slot and sized to the tree: slot 0 is the root, and a
+   parent's slot is always below its children's. *)
 type t = {
-  graph : Graph.t;
-  root_node : int;
-  parent_node : int array;     (* -1 for root and non-tree nodes *)
-  parent_edge_id : int array;
-  depth_of : int array;        (* -1 for non-tree nodes *)
-  order : int list;            (* BFS order *)
+  slot : int array;            (* node -> BFS slot, -1 for non-tree nodes *)
+  order : int array;           (* slot -> node, BFS order *)
+  up : int array;              (* slot -> parent's slot, -1 at the root *)
+  pedge : int array;           (* slot -> edge to the parent, -1 at the root *)
+  depth_at : int array;        (* slot -> depth *)
   edge_ids : int list;
 }
 
@@ -13,94 +15,99 @@ let of_edges g ~root edges =
   if root < 0 || root >= nn then invalid_arg "Tree.of_edges: root out of range";
   let m = Graph.m g in
   let in_set = Bytes.make m '\000' in
-  List.iter
-    (fun e ->
-      if e < 0 || e >= m then invalid_arg "Tree.of_edges: edge id out of range";
-      if Bytes.get in_set e <> '\000' then
-        invalid_arg "Tree.of_edges: repeated edge";
-      Bytes.set in_set e '\001')
-    edges;
-  let parent_node = Array.make nn (-1) in
-  let parent_edge_id = Array.make nn (-1) in
-  let depth_of = Array.make nn (-1) in
-  let order = ref [] in
-  let used = ref 0 in
-  let q = Queue.create () in
-  depth_of.(root) <- 0;
-  Queue.add root q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order := u :: !order;
-    Graph.iter_neighbors g u (fun v e ->
-        if Bytes.get in_set e <> '\000' then begin
-          if depth_of.(v) < 0 then begin
-            depth_of.(v) <- depth_of.(u) + 1;
-            parent_node.(v) <- u;
-            parent_edge_id.(v) <- e;
-            incr used;
-            Queue.add v q
+  let k =
+    List.fold_left
+      (fun k e ->
+        if e < 0 || e >= m then invalid_arg "Tree.of_edges: edge id out of range";
+        if Bytes.get in_set e <> '\000' then
+          invalid_arg "Tree.of_edges: repeated edge";
+        Bytes.set in_set e '\001';
+        k + 1)
+      0 edges
+  in
+  (* each discovery uses a distinct listed edge, so at most k + 1 nodes
+     get a slot; [order] doubles as the BFS queue *)
+  let slot = Array.make nn (-1) in
+  let order = Array.make (k + 1) root in
+  let up = Array.make (k + 1) (-1) in
+  let pedge = Array.make (k + 1) (-1) in
+  let depth_at = Array.make (k + 1) 0 in
+  slot.(root) <- 0;
+  let tail = ref 1 in
+  for head = 0 to k do
+    (* [head] reaching [!tail] means the search ran dry *)
+    if head < !tail then begin
+      let rest = ref (Graph.neighbors g order.(head)) in
+      while !rest != [] do
+        match !rest with
+        | [] -> ()
+        | (v, e) :: tl ->
+          rest := tl;
+          if Bytes.get in_set e <> '\000' then begin
+            let sv = slot.(v) in
+            if sv < 0 then begin
+              let i = !tail in
+              slot.(v) <- i;
+              order.(i) <- v;
+              up.(i) <- head;
+              pedge.(i) <- e;
+              depth_at.(i) <- depth_at.(head) + 1;
+              tail := i + 1
+            end
+            else if pedge.(head) <> e then
+              (* [v] already reached and [e] is not the edge that
+                 discovered the node at [head]: the edge set contains a
+                 cycle through both. Each such cycle edge is seen from
+                 both sides, so guard idempotently. *)
+              if pedge.(sv) <> e then invalid_arg "Tree.of_edges: cycle in edge set"
           end
-          else if parent_edge_id.(u) <> e then
-            (* [v] already reached and [e] is not the edge that discovered
-               [u]: the edge set contains a cycle through [u, v]. Each such
-               cycle edge is seen from both sides, so guard idempotently. *)
-            if parent_edge_id.(v) <> e then
-              invalid_arg "Tree.of_edges: cycle in edge set"
-        end)
+      done
+    end
   done;
-  if !used <> List.length edges then
+  if !tail <> k + 1 then
     invalid_arg "Tree.of_edges: edge set not connected to root";
-  {
-    graph = g;
-    root_node = root;
-    parent_node;
-    parent_edge_id;
-    depth_of;
-    order = List.rev !order;
-    edge_ids = edges;
-  }
+  { slot; order; up; pedge; depth_at; edge_ids = edges }
 
-let root t = t.root_node
-let mem t v = v >= 0 && v < Array.length t.depth_of && t.depth_of.(v) >= 0
-let nodes t = t.order
-let size t = List.length t.order
+let root t = t.order.(0)
+let mem t v = v >= 0 && v < Array.length t.slot && t.slot.(v) >= 0
+let nodes t = Array.to_list t.order
+let size t = Array.length t.order
 let edges t = t.edge_ids
 
-let check_mem t v name =
-  if not (mem t v) then invalid_arg (name ^ ": node not in tree")
+(* [v]'s slot, raising [name ^ ": node not in tree"] off the tree *)
+let slot_of t v name =
+  if not (mem t v) then invalid_arg (name ^ ": node not in tree");
+  t.slot.(v)
 
-let parent t v =
-  check_mem t v "Tree.parent";
-  t.parent_node.(v)
+let node_at t i = if i < 0 then -1 else t.order.(i)
 
-let parent_edge t v =
-  check_mem t v "Tree.parent_edge";
-  t.parent_edge_id.(v)
+let parent t v = node_at t t.up.(slot_of t v "Tree.parent")
+let parent_edge t v = t.pedge.(slot_of t v "Tree.parent_edge")
+let depth t v = t.depth_at.(slot_of t v "Tree.depth")
 
-let depth t v =
-  check_mem t v "Tree.depth";
-  t.depth_of.(v)
+(* nodes whose slots satisfy [keep], in BFS order *)
+let nodes_where t keep =
+  let acc = ref [] in
+  for i = Array.length t.order - 1 downto 0 do
+    if keep i then acc := t.order.(i) :: !acc
+  done;
+  !acc
 
 let children t v =
-  check_mem t v "Tree.children";
-  List.filter (fun u -> u <> t.root_node && t.parent_node.(u) = v) t.order
+  let s = slot_of t v "Tree.children" in
+  nodes_where t (fun i -> t.up.(i) = s)
 
-(* number of children per node (0 off the tree), one pass over the
-   BFS order *)
+(* number of children per slot, one pass over the parents *)
 let child_counts t =
-  let kids = Array.make (Array.length t.depth_of) 0 in
-  List.iter
-    (fun u ->
-      if u <> t.root_node then begin
-        let p = t.parent_node.(u) in
-        kids.(p) <- kids.(p) + 1
-      end)
-    t.order;
+  let kids = Array.make (Array.length t.order) 0 in
+  for i = 1 to Array.length t.order - 1 do
+    kids.(t.up.(i)) <- kids.(t.up.(i)) + 1
+  done;
   kids
 
 let leaves t =
   let kids = child_counts t in
-  List.filter (fun u -> kids.(u) = 0) t.order
+  nodes_where t (fun i -> kids.(i) = 0)
 
 (* Leaf pruning has a unique fixpoint: a non-root node goes exactly when
    its subtree holds no kept node. BFS order lists every node before its
@@ -109,63 +116,73 @@ let leaves t =
    has already passed. *)
 let prune g ~root ~keep edges =
   let t = of_edges g ~root edges in
-  let nn = Array.length t.depth_of in
-  let kept = Bytes.make nn '\000' in
-  List.iter (fun v -> if v >= 0 && v < nn then Bytes.set kept v '\001') keep;
+  let k = Array.length t.order in
+  let kept = Bytes.make k '\000' in
+  List.iter (fun v -> if mem t v then Bytes.set kept t.slot.(v) '\001') keep;
   let kids = child_counts t in
   let cut = Bytes.make (Graph.m g) '\000' in
   let any = ref false in
-  List.iter
-    (fun u ->
-      let v = ref u in
-      while !v <> root && Bytes.get kept !v = '\000' && kids.(!v) = 0 do
-        let p = t.parent_node.(!v) in
-        Bytes.set cut t.parent_edge_id.(!v) '\001';
-        any := true;
-        kids.(p) <- kids.(p) - 1;
-        v := p
-      done)
-    t.order;
+  for i = 0 to k - 1 do
+    let j = ref i in
+    while !j > 0 && Bytes.get kept !j = '\000' && kids.(!j) = 0 do
+      let p = t.up.(!j) in
+      Bytes.set cut t.pedge.(!j) '\001';
+      any := true;
+      kids.(p) <- kids.(p) - 1;
+      j := p
+    done
+  done;
   if not !any then (t, edges)
   else begin
     let edges = List.filter (fun e -> Bytes.get cut e = '\000') edges in
     (of_edges g ~root edges, edges)
   end
 
+(* Parents sit at lower slots than their children, so of two distinct
+   slots the higher one is never the other's ancestor and can climb. *)
+let lca_slot t a b =
+  let a = ref a and b = ref b in
+  while !a <> !b do
+    if !a > !b then a := t.up.(!a) else b := t.up.(!b)
+  done;
+  !a
+
 let lca t a b =
-  check_mem t a "Tree.lca";
-  check_mem t b "Tree.lca";
-  let rec lift v target_depth =
-    if t.depth_of.(v) > target_depth then lift t.parent_node.(v) target_depth
-    else v
-  in
-  let da = t.depth_of.(a) and db = t.depth_of.(b) in
-  let a = lift a (min da db) and b = lift b (min da db) in
-  let rec meet a b = if a = b then a else meet t.parent_node.(a) t.parent_node.(b) in
-  meet a b
+  let sa = slot_of t a "Tree.lca" in
+  let sb = slot_of t b "Tree.lca" in
+  t.order.(lca_slot t sa sb)
 
 let lca_many t = function
   | [] -> invalid_arg "Tree.lca_many: empty list"
   | v :: rest -> List.fold_left (lca t) v rest
 
 let is_ancestor t a ~descendant =
-  check_mem t a "Tree.is_ancestor";
-  check_mem t descendant "Tree.is_ancestor";
-  lca t a descendant = a
+  let sa = slot_of t a "Tree.is_ancestor" in
+  let sd = slot_of t descendant "Tree.is_ancestor" in
+  lca_slot t sa sd = sa
 
 let in_subtree t ~root_of_subtree v =
   mem t v && mem t root_of_subtree && is_ancestor t root_of_subtree ~descendant:v
 
+(* edges from slot [i] up to slot [anc], in travel order, ahead of
+   [tail]; raises when the climb passes the root without meeting [anc] *)
+let rec climb t i anc tail =
+  if i = anc then tail
+  else if i = 0 then invalid_arg "Tree.path_up: not an ancestor"
+  else t.pedge.(i) :: climb t t.up.(i) anc tail
+
+(* edges from slot [anc] down to slot [i], in travel order, ahead of
+   [acc]; [anc] must be an ancestor of [i] *)
+let rec descend t i anc acc =
+  if i = anc then acc else descend t t.up.(i) anc (t.pedge.(i) :: acc)
+
 let path_up t v ~ancestor =
-  check_mem t v "Tree.path_up";
-  check_mem t ancestor "Tree.path_up";
-  let rec walk v acc =
-    if v = ancestor then List.rev acc
-    else if v = t.root_node then invalid_arg "Tree.path_up: not an ancestor"
-    else walk t.parent_node.(v) (t.parent_edge_id.(v) :: acc)
-  in
-  walk v []
+  let sv = slot_of t v "Tree.path_up" in
+  let sa = slot_of t ancestor "Tree.path_up" in
+  climb t sv sa []
 
 let path_between t a b =
-  let anc = lca t a b in
-  path_up t a ~ancestor:anc @ List.rev (path_up t b ~ancestor:anc)
+  let sa = slot_of t a "Tree.lca" in
+  let sb = slot_of t b "Tree.lca" in
+  let anc = lca_slot t sa sb in
+  climb t sa anc (descend t sb anc [])

@@ -3,7 +3,14 @@
     Built from an acyclic, connected set of graph edge ids by orienting
     them away from a chosen root. Provides the lowest-common-ancestor and
     tree-path queries that pseudo-multicast-tree construction needs
-    (Algorithm 2, step 10 of the paper). *)
+    (Algorithm 2, step 10 of the paper).
+
+    {b Cost.} A tree over [k] edges of a graph with [n] nodes and [m]
+    edges takes O(n) words once (a node-to-slot map, plus [m] bytes of
+    edge marks that die with {!of_edges}); everything else it keeps is
+    sized to the tree, O(k) words. {!lca}, {!path_up} and
+    {!path_between} allocate nothing beyond the lists they return;
+    {!nodes} builds its list on each call. *)
 
 type t
 

@@ -183,6 +183,34 @@ let test_disabled_noop () =
   Obs.Sharding.merge shard;
   Alcotest.(check int) "nothing recorded anywhere" 0 (Obs.Counter.value c)
 
+(* --- per-domain kernel scratch --- *)
+
+(* Dijkstra's heap and settled marks are per-domain scratch: two domains
+   searching at once, over graphs of alternating sizes and in opposite
+   orders, each get the trees a sequential run gets. *)
+let test_dijkstra_two_domains () =
+  let instances =
+    List.init 40 (fun seed ->
+        let lo, hi = List.nth Tutil.size_ladder (seed mod 4) in
+        let g, rng = Tutil.random_connected_graph (2000 + seed) ~lo ~hi in
+        let weights = Tutil.tied_weights rng g in
+        (g, weights, Topology.Rng.int rng (Mcgraph.Graph.n g)))
+  in
+  let run_all order =
+    List.map
+      (fun (g, weights, source) -> Mcgraph.Paths.dijkstra_vec g ~weights ~source)
+      order
+  in
+  let sequential = run_all instances in
+  let same = List.for_all2 Tutil.same_spt sequential in
+  for _ = 1 to 5 do
+    let other = Domain.spawn (fun () -> List.rev (run_all (List.rev instances))) in
+    let here = run_all instances in
+    let there = Domain.join other in
+    if not (same here && same there) then
+      Alcotest.fail "dijkstra differs across domains"
+  done
+
 (* --- pool mechanics --- *)
 
 let test_point_seed_distinct () =
@@ -246,6 +274,11 @@ let () =
           Alcotest.test_case "worker-created instrument" `Quick
             test_merge_worker_created;
           Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
+        ] );
+      ( "kernels",
+        [
+          Alcotest.test_case "dijkstra on two domains" `Quick
+            test_dijkstra_two_domains;
         ] );
       ( "pool",
         [

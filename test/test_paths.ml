@@ -41,6 +41,15 @@ let test_dijkstra_negative_rejected () =
     (Invalid_argument "Paths.dijkstra: negative weight") (fun () ->
       ignore (P.dijkstra g ~weight:(fun _ -> -1.0) ~source:0))
 
+let test_short_weight_vector () =
+  let g = path_graph 4 in
+  Alcotest.check_raises "short vector"
+    (Invalid_argument "Paths.dijkstra: weight vector shorter than the edge count")
+    (fun () -> ignore (P.dijkstra_vec g ~weights:[| 1.0; 1.0 |] ~source:0));
+  (* a longer vector is fine: entries past [Graph.m g] are never read *)
+  let spt = P.dijkstra_vec g ~weights:[| 1.0; 1.0; 1.0; -1.0 |] ~source:0 in
+  Alcotest.check Tutil.check_float "distance" 3.0 spt.P.dist.(3)
+
 let test_source_path () =
   let g = path_graph 3 in
   let spt = P.dijkstra g ~weight:unit_weight ~source:1 in
@@ -166,6 +175,37 @@ let prop_kernel_bit_identical =
           && Tutil.same_spt r (P.dijkstra_vec g ~weights ~source:s))
         (List.init (G.n g) Fun.id))
 
+(* The kernel's heap and settled marks are per-domain scratch: runs on
+   graphs of alternating sizes (so the scratch grows, then is reused on
+   a smaller graph) and runs right after one aborted by a negative
+   weight (which leaves heap entries behind) must still match the
+   reference bit for bit. *)
+let prop_scratch_reuse =
+  Tutil.qtest ~count:60 "dijkstra kernel = reference across scratch reuse"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (lo, hi) ->
+          let g, rng = Tutil.random_connected_graph seed ~lo ~hi in
+          let w = Tutil.tied_weights rng g in
+          let weight = Tutil.weight_fn w in
+          let weights = P.weight_vector g ~weight in
+          let negative = Array.map (fun x -> if x = 0.0 then -1.0 else x) weights in
+          let same s =
+            Tutil.same_spt (Tutil.reference_dijkstra g ~weight ~source:s)
+              (P.dijkstra_vec g ~weights ~source:s)
+          in
+          List.for_all
+            (fun s ->
+              same s
+              && begin
+                (try ignore (P.dijkstra_vec g ~weights:negative ~source:s)
+                 with Invalid_argument _ -> ());
+                same s
+              end)
+            (List.init (G.n g) Fun.id))
+        Tutil.size_ladder)
+
 let () =
   Alcotest.run "paths"
     [
@@ -176,6 +216,7 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "infinity prunes" `Quick test_dijkstra_infinite_edge_pruned;
           Alcotest.test_case "negative rejected" `Quick test_dijkstra_negative_rejected;
+          Alcotest.test_case "short weight vector" `Quick test_short_weight_vector;
           Alcotest.test_case "source path empty" `Quick test_source_path;
           Alcotest.test_case "zero weights" `Quick test_zero_weight_edges;
           Alcotest.test_case "apsp" `Quick test_apsp;
@@ -188,5 +229,6 @@ let () =
           prop_apsp_triangle;
           prop_apsp_rows;
           prop_kernel_bit_identical;
+          prop_scratch_reuse;
         ] );
     ]

@@ -183,6 +183,85 @@ let prop_prune_reference =
       in
       support = support' && T.edges t = T.edges t' && shape t = shape t')
 
+(* ---- the slot layout against the node-indexed reference ---- *)
+
+let catch f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+(* every answer a tree gives, for every graph node and one off each end
+   of the id range, and for every ordered pair of them *)
+let answers ~n ~nodes ~mem ~parent ~parent_edge ~depth ~lca ~path_up ~path_between =
+  let vs = List.init (n + 2) (fun i -> i - 1) in
+  ( nodes,
+    List.map
+      (fun v ->
+        ( mem v,
+          catch (fun () -> parent v),
+          catch (fun () -> parent_edge v),
+          catch (fun () -> depth v) ))
+      vs,
+    List.concat_map
+      (fun a ->
+        List.map
+          (fun b ->
+            ( catch (fun () -> lca a b),
+              catch (fun () -> path_up a ~ancestor:b),
+              catch (fun () -> path_between a b) ))
+          vs)
+      vs )
+
+let agrees g ~root edges =
+  let module R = Tutil.Ref_tree in
+  let n = G.n g in
+  match (catch (fun () -> T.of_edges g ~root edges), catch (fun () -> R.of_edges g ~root edges)) with
+  | Error a, Error b -> a = b
+  | Ok t, Ok r ->
+    T.edges t == edges
+    && T.size t = List.length (R.nodes r)
+    && answers ~n ~nodes:(T.nodes t) ~mem:(T.mem t) ~parent:(T.parent t)
+         ~parent_edge:(T.parent_edge t) ~depth:(T.depth t) ~lca:(T.lca t)
+         ~path_up:(T.path_up t) ~path_between:(T.path_between t)
+       = answers ~n ~nodes:(R.nodes r) ~mem:(R.mem r) ~parent:(R.parent r)
+           ~parent_edge:(R.parent_edge r) ~depth:(R.depth r) ~lca:(R.lca r)
+           ~path_up:(R.path_up r) ~path_between:(R.path_between r)
+  | _ -> false
+
+(* [x] inserted at a random position of [l] *)
+let insert_at rng x l =
+  let i = Topology.Rng.int rng (List.length l + 1) in
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+let prop_layout_reference =
+  Tutil.qtest ~count:100 "of_edges and queries = node-indexed reference"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      (* a spanning tree: [random_connected_graph] lays edges [0, n-1)
+         down as one, the rest close cycles *)
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+      let n = G.n g and m = G.m g in
+      let spanning = Array.init (n - 1) Fun.id in
+      Topology.Rng.shuffle rng spanning;
+      let spanning = Array.to_list spanning in
+      let root = Topology.Rng.int rng n in
+      let pick l = List.nth l (Topology.Rng.int rng (List.length l)) in
+      let bad =
+        [ insert_at rng (-1) spanning; insert_at rng (m + Topology.Rng.int rng 3) spanning ]
+        @ (if m > n - 1 then [ insert_at rng (n - 1 + Topology.Rng.int rng (m - n + 1)) spanning ]
+           else [])
+        @
+        if spanning = [] then []
+        else
+          [
+            insert_at rng (pick spanning) spanning;
+            List.filter (fun e -> e <> pick spanning) spanning;
+          ]
+      in
+      let g', root', _, sub = random_subtree seed in
+      agrees g ~root spanning
+      && agrees g' ~root:root' sub
+      && List.for_all (agrees g ~root) bad
+      && agrees g ~root:n spanning
+      && agrees g ~root:(-1) [ -1 ])
+
 let () =
   Alcotest.run "tree"
     [
@@ -205,5 +284,6 @@ let () =
           prop_bfs_orders_nodes;
           prop_leaves_childless;
           prop_prune_reference;
+          prop_layout_reference;
         ] );
     ]
