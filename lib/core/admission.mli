@@ -35,14 +35,13 @@ val algorithm_to_string : algorithm -> string
     - {!Sp}: admission uses {!Online_sp}'s load-oblivious hop weights;
       repair's patch and migration tiers search under linear unit costs.
 
-    [avail] (an {!Online_cp.avail}: SRLG-exposure surcharge plus
-    spare-capacity floor) applies to every Online_cp-family admission
-    and to repair's searches; the {!Sp} baseline admits without it (its
-    load-oblivious pricing is the ablation). With [alpha = 0] and no
-    reserve, every decision under the context is {e bit-identical} to
-    one without [avail]: the surcharge term is never evaluated, the
-    engine family keys are the baseline keys, and the floor never fires
-    (property-tested in [test/test_avail.ml]). *)
+    [avail] (an {!Online_cp.avail}: an SRLG-exposure surcharge on link
+    weights) applies to every Online_cp-family admission and to repair's
+    searches; the {!Sp} baseline admits without it (its load-oblivious
+    pricing is the ablation). With [alpha = 0], every decision under the
+    context is {e bit-identical} to one without [avail]: the surcharge
+    term is never evaluated and the engine family keys are the baseline
+    keys (property-tested in [test/test_avail.ml]). *)
 
 type pricing = private { algo : algorithm; cp : Online_cp.pricing }
 

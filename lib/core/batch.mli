@@ -43,32 +43,9 @@ val reorder :
     ({!Dynamic.run}~[faults]). *)
 
 val plan :
-  ?k:int -> ?reset:bool -> ?avail:Online_cp.avail -> Sdn.Network.t ->
-  Sdn.Request.t list -> order -> result
-(** Resets the network (unless [reset:false]), reorders the batch, and
-    admits greedily with [Appro_Multi_Cap]. The reset happens {e before}
-    ordering, so [Cheapest_first] prices against the idle network; with
-    [reset:false] ordering and admission both run against the network's
-    current residuals (the caller owns that state). The whole plan —
+  ?k:int -> Sdn.Network.t -> Sdn.Request.t list -> order -> result
+(** Resets the network, reorders the batch, and admits greedily with
+    [Appro_Multi_Cap]. The reset happens {e before} ordering, so
+    [Cheapest_first] prices against the idle network. The whole plan —
     pricing and admission — shares one {!Sp_window} of cached
-    shortest-path trees.
-
-    [avail] applies {!Online_cp.avail}'s spare-capacity floor to every
-    admit: a request whose tree would leave some shared-risk group's
-    pooled residual below [reserve × capacity] is rejected (counted
-    under [avail.reserve_blocked]) and its allocation undone. The
-    exposure {e surcharge} does not apply here — [Appro_Multi_Cap]
-    prices with its own linear costs, not {!Admission.pricing}'s — so
-    with no reserve the plan is bit-identical to one without [avail]. *)
-
-val compare_orders :
-  ?k:int -> ?reset:bool -> ?avail:Online_cp.avail -> Sdn.Network.t ->
-  Sdn.Request.t list -> (order * result) list
-(** {!plan} under every ordering policy, threading [reset] and [avail]
-    through each (they used to be silently dropped, so the comparison
-    could not express the availability floor). With the default
-    [reset:true] each plan starts from a fresh network; with
-    [reset:false] each plan runs against the caller's residuals and its
-    admitted trees are released again afterwards, so every order sees
-    the same starting state and the network ends where it began (up to
-    float round-off). *)
+    shortest-path trees. *)

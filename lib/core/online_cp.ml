@@ -26,10 +26,8 @@ let c_pruned_late = Obs.Counter.make "online_cp.pruned.computed_late"
 let c_pruned_threshold = Obs.Counter.make "online_cp.pruned.over_threshold"
 let c_pruned_unreachable = Obs.Counter.make "online_cp.pruned.unreachable"
 
-(* availability-aware pricing: per-epoch exposure recomputations and
-   candidates blocked by the per-group spare-capacity floor *)
+(* availability-aware pricing: per-epoch exposure recomputations *)
 let c_avail_refreshes = Obs.Counter.make "avail.exposure_refreshes"
-let c_avail_blocked = Obs.Counter.make "avail.reserve_blocked"
 
 type params = {
   alpha : float;
@@ -46,34 +44,27 @@ let default_params net =
 (* ---- availability-aware pricing ----------------------------------------
 
    An [avail] value carries an SRLG partition (Fault.srlg_partition
-   output, or any disjoint link grouping) and turns it into admission
-   pressure two ways:
-
-   - an exposure surcharge: each link's traversal weight gains
-     [alpha * exposure(group)], where exposure is the allocated fraction
-     of the group's aggregate bandwidth — traffic already riding the
-     shared-risk group. Exposure is derived purely from the network's
-     residuals, so it is a function of [Sdn.Network.weight_epoch]: the
-     per-group cache below is recomputed exactly once per epoch and the
-     surcharged weights stay pure between equal epoch readings, which is
-     what keeps Sp_window's exactness contract intact (the [avail] value
-     is folded into the family key whenever it changes the weights).
-
-   - a spare-capacity floor: with [reserve = r > 0], a candidate whose
-     allocation would leave some touched group's aggregate residual
-     below [r * group capacity] is rejected before it can allocate.
+   output, or any disjoint link grouping) and turns it into an exposure
+   surcharge: each link's traversal weight gains [alpha * exposure(group)],
+   where exposure is the allocated fraction of the group's aggregate
+   bandwidth — traffic already riding the shared-risk group. Exposure is
+   derived purely from the network's residuals, so it is a function of
+   [Sdn.Network.weight_epoch]: the per-group cache below is recomputed
+   exactly once per epoch and the surcharged weights stay pure between
+   equal epoch readings, which is what keeps Sp_window's exactness
+   contract intact (the [avail] value is folded into the family key
+   whenever it changes the weights).
 
    With [alpha = 0] the surcharge term is never evaluated and the family
    key is unchanged, so pricing — and every cached engine — is
-   bit-identical to the baseline; with [reserve = 0] the floor never
-   fires. That is the provable-equivalence switch the tests pin. *)
+   bit-identical to the baseline. That is the provable-equivalence switch
+   the tests pin. *)
 
 type avail = {
   av_groups : int array array;   (* normalized non-empty groups *)
   av_group_of : int array;       (* edge id -> group index, -1 = ungrouped *)
   av_group_cap : float array;    (* Σ link capacity per group, Mbps *)
   av_alpha : float;              (* surcharge per unit exposure *)
-  av_reserve : float;            (* spare fraction kept free per group *)
   av_stamp : int;                (* distinguishes avail values in family keys *)
   mutable av_epoch : int;        (* epoch the exposure cache is valid at *)
   av_exposure : float array;     (* allocated fraction per group, in [0, 1] *)
@@ -83,11 +74,9 @@ type avail = {
    avail values, so the stamp source must be race-free *)
 let av_stamps = Atomic.make 0
 
-let make_avail ?(alpha = 0.0) ?(reserve = 0.0) net groups =
+let make_avail ?(alpha = 0.0) net groups =
   if not (Float.is_finite alpha) || alpha < 0.0 then
     invalid_arg "Online_cp.make_avail: alpha must be finite and >= 0";
-  if not (reserve >= 0.0 && reserve < 1.0) then
-    invalid_arg "Online_cp.make_avail: reserve outside [0, 1)";
   let m = Sdn.Network.m net in
   let group_of = Array.make m (-1) in
   let nonempty =
@@ -120,14 +109,12 @@ let make_avail ?(alpha = 0.0) ?(reserve = 0.0) net groups =
     av_group_of = group_of;
     av_group_cap = group_cap;
     av_alpha = alpha;
-    av_reserve = reserve;
     av_stamp = Atomic.fetch_and_add av_stamps 1;
     av_epoch = min_int;
     av_exposure = Array.make (Array.length groups_arr) 0.0;
   }
 
 let avail_alpha av = av.av_alpha
-let avail_reserve av = av.av_reserve
 let avail_group_count av = Array.length av.av_groups
 let avail_links av = Array.length av.av_group_of
 let avail_group_of av e =
@@ -159,49 +146,6 @@ let exposure av net gi =
     Obs.Counter.incr c_avail_refreshes
   end;
   av.av_exposure.(gi)
-
-(* would every group the allocation touches keep its aggregate residual
-   at or above its reserve floor? Before the allocation is committed its
-   per-group amounts are subtracted; once [committed] the residuals
-   already reflect it and are read as they stand. Groups the allocation
-   does not touch cannot move, so only touched groups are summed. The
-   floor comparison carries the usual relative ULP slack so a no-op
-   reserve can never reject on float drift. *)
-let floor_holds av net (alloc : Sdn.Network.allocation) ~committed =
-  if av.av_reserve <= 0.0 then true
-  else begin
-    let groups = Array.length av.av_groups in
-    let extra = Array.make groups 0.0 and seen = Array.make groups false in
-    let touched = ref [] in
-    List.iter
-      (fun (e, amt) ->
-        let gi = avail_group_of av e in
-        if gi >= 0 && amt > 0.0 then begin
-          if not seen.(gi) then begin
-            seen.(gi) <- true;
-            touched := gi :: !touched
-          end;
-          if not committed then extra.(gi) <- extra.(gi) +. amt
-        end)
-      alloc.Sdn.Network.links;
-    List.for_all
-      (fun gi ->
-        let residual =
-          Array.fold_left
-            (fun acc e -> acc +. Sdn.Network.link_residual net e)
-            0.0 av.av_groups.(gi)
-        in
-        let floor = av.av_reserve *. av.av_group_cap.(gi) in
-        residual -. extra.(gi) +. (1e-9 *. Float.max 1.0 floor) >= floor)
-      !touched
-  end
-
-(* [extra] stays 0 here, and [residual -. 0.] is [residual] bit for bit.
-   Callers holding a freshly committed allocation (Batch.plan's floor)
-   ask this instead of release / check / re-allocate, which bumped the
-   weight epoch twice and flushed every Sp_window engine even when the
-   floor passed. *)
-let reserve_admits_after av net alloc = floor_holds av net alloc ~committed:true
 
 type rejection =
   | No_feasible_server
@@ -566,27 +510,12 @@ let admit_impl ~prune p request =
                   (Pseudo_tree.edge_uses_of_list (Tree.edges rooted @ c.cand_backtrack))
                 ~routes
             in
-            let alloc = Pseudo_tree.allocation tree in
-            (* the spare-capacity floor fires before the allocation attempt:
-               a blocked candidate behaves exactly like a failed allocation
-               (no side effects, the select loop moves on), so a run that
-               ends with every candidate blocked is an ordinary
-               [Unallocatable] rejection *)
-            let blocked =
-              match p.avail with
-              | Some av when not (floor_holds av net alloc ~committed:false) ->
-                Obs.Counter.incr c_avail_blocked;
-                true
-              | _ -> false
-            in
-            if blocked then None
-            else
-              match Sdn.Network.allocate net alloc with
-              | Ok () ->
-                Some
-                  (Admitted
-                     { tree; server = v; lca = c.cand_lca; score = c.cand_score })
-              | Error _ -> None
+            match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
+            | Ok () ->
+              Some
+                (Admitted
+                   { tree; server = v; lca = c.cand_lca; score = c.cand_score })
+            | Error _ -> None
           in
           (* Walk candidates in score order (ties by the historical order,
              see [cand_order]) attempting allocation, materialising deferred

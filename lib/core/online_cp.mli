@@ -50,27 +50,22 @@ type outcome = Admitted of admitted | Rejected of rejection
     correlated SRLG cuts land on trees that were routed straight through
     one shared-risk group. An {!avail} value — built from a
     {!Sdn.Fault.srlg_partition} (or any disjoint link grouping) — makes
-    the failure model part of the price:
-
-    - {e exposure surcharge}: each grouped link's traversal weight gains
-      [alpha × exposure(group)], where exposure is the allocated
-      fraction of the group's aggregate bandwidth (live traffic already
-      riding the shared-risk group; confiscated capacity counts, so a
-      group with an active fault reads heavily exposed). Exposure is
-      derived from residuals alone and cached per
-      {!Sdn.Network.weight_epoch}, so surcharged weights remain pure
-      between equal epoch readings — {!Sp_window}'s exactness contract
-      survives because {!engine} forks the engine family (stamp +
-      [alpha] bits) exactly when the surcharge changes the weights.
-    - {e spare-capacity floor}: with [reserve = r > 0], a candidate tree
-      whose allocation would leave a touched group's aggregate residual
-      below [r × group capacity] is rejected before allocating
-      (telemetry: [avail.reserve_blocked]); a request whose every
-      candidate is blocked rejects as {!Unallocatable}.
+    the failure model part of the price through an {e exposure
+    surcharge}: each grouped link's traversal weight gains
+    [alpha × exposure(group)], where exposure is the allocated fraction
+    of the group's aggregate bandwidth (live traffic already riding the
+    shared-risk group; confiscated capacity counts, so a group with an
+    active fault reads heavily exposed). Exposure is derived from
+    residuals alone and cached per {!Sdn.Network.weight_epoch}, so
+    surcharged weights remain pure between equal epoch readings —
+    {!Sp_window}'s exactness contract survives because {!engine} forks
+    the engine family (stamp + [alpha] bits) exactly when the surcharge
+    changes the weights. Availability is a price, never a gate: an
+    [avail] rejects no candidate on its own.
 
     With [alpha = 0] the surcharge term is never evaluated and the
-    family key is unchanged; with [reserve = 0] the floor never fires —
-    admission under such an [avail] is {e bit-identical} to the baseline
+    family key is unchanged, so admission under such an [avail] is
+    {e bit-identical} to the baseline
     (equivalence property in [test/test_avail.ml], same pattern as
     [?prune:false]). The [pruned.*] lower-bound screen stays sound under
     any [alpha]: the surcharge only adds non-negative per-edge terms, so
@@ -80,21 +75,15 @@ type outcome = Admitted of admitted | Rejected of rejection
 type avail
 (** An SRLG-exposure pricing configuration over one network. *)
 
-val make_avail :
-  ?alpha:float ->
-  ?reserve:float ->
-  Sdn.Network.t ->
-  int list array ->
-  avail
-(** [make_avail ~alpha ~reserve net groups] over disjoint link groups
-    (empty groups are dropped; links absent from every group carry no
-    surcharge and no floor). Defaults [alpha = 0.] and [reserve = 0.] —
-    the provably-neutral configuration. Raises [Invalid_argument] when
-    [alpha] is negative or non-finite, [reserve] is outside [0, 1), an
-    edge id is out of range, or an edge appears in two groups. *)
+val make_avail : ?alpha:float -> Sdn.Network.t -> int list array -> avail
+(** [make_avail ~alpha net groups] over disjoint link groups (empty
+    groups are dropped; links absent from every group carry no
+    surcharge). Default [alpha = 0.] — the provably-neutral
+    configuration. Raises [Invalid_argument] when [alpha] is negative or
+    non-finite, an edge id is out of range, or an edge appears in two
+    groups. *)
 
 val avail_alpha : avail -> float
-val avail_reserve : avail -> float
 val avail_group_count : avail -> int
 (** Number of (non-empty) groups after normalization. *)
 
@@ -111,18 +100,6 @@ val exposure : avail -> Sdn.Network.t -> int -> float
     Cached per {!Sdn.Network.weight_epoch}; the first read after an
     epoch bump refreshes every group (telemetry:
     [avail.exposure_refreshes]). *)
-
-val reserve_admits_after :
-  avail -> Sdn.Network.t -> Sdn.Network.allocation -> bool
-(** Whether every group the allocation touches keeps its aggregate
-    residual at or above [reserve × group capacity] (with the usual
-    relative ULP slack). The allocation is {e already} on the network,
-    so the touched groups' residuals are checked as they stand — the
-    same floor {!admit} applies before allocating. Lets a caller that
-    has just allocated test the floor without releasing and
-    re-committing — the release/re-allocate dance bumps the weight
-    epoch twice and flushes every {!Sp_window} engine even when the
-    floor passes. Always [true] when [reserve = 0]. *)
 
 (** {1 The pricing context}
 
@@ -220,6 +197,5 @@ val admit : ?prune:bool -> pricing -> Sdn.Request.t -> outcome
     (servers skipped) and [online_cp.pruned.unreachable] (requests).
 
     With an [avail], the exposure surcharge joins the link weights (and
-    the engine family key) and the spare-capacity floor gates each
-    allocation attempt — see the {!avail} section above for the
+    the engine family key) — see the {!avail} section above for the
     exactness and equivalence guarantees. *)

@@ -77,7 +77,5 @@ val repair :
     {!Admission.pricing} context: tiers 1–2 search the context's
     {!Online_cp.engine} (same {!Online_cp.pricing} as admission, so
     patching after an admission burst starts from warm Dijkstra trees)
-    and tier 3 is [Admission.admit pricing] — re-admission is gated by
-    the avail's spare-capacity floor like any fresh admission. Tiers 1–2 allocate
-    directly and are deliberately {e exempt} from the floor: keeping an
-    evicted session alive in place outranks preserving headroom. *)
+    and tier 3 is [Admission.admit pricing], priced exactly like any
+    fresh admission. *)

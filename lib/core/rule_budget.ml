@@ -16,7 +16,6 @@ let used t v =
   check t v "Rule_budget.used";
   t.used_at.(v)
 
-let residual t v = t.cap - used t v
 let total_used t = Array.fold_left ( + ) 0 t.used_at
 
 let demand_of rules =
@@ -45,8 +44,6 @@ let uninstall t rules =
       if t.used_at.(v) < d then invalid_arg "Rule_budget.uninstall: over-release")
     (demand_of rules);
   List.iter (fun (v, d) -> t.used_at.(v) <- t.used_at.(v) - d) (demand_of rules)
-
-let reset t = Array.fill t.used_at 0 (Array.length t.used_at) 0
 
 let admit t net algo request =
   match Admission.admit_tree net algo request with

@@ -18,7 +18,6 @@ val capacity : t -> int
 val used : t -> int -> int
 (** Rules currently installed at a switch. *)
 
-val residual : t -> int -> int
 val total_used : t -> int
 
 val fits : t -> Flow_rules.t -> bool
@@ -29,8 +28,6 @@ val install : t -> Flow_rules.t -> (unit, string) result
 val uninstall : t -> Flow_rules.t -> unit
 (** Return the rules (e.g. when the session departs). Raises
     [Invalid_argument] on over-release. *)
-
-val reset : t -> unit
 
 val admit :
   t ->

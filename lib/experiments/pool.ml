@@ -49,11 +49,11 @@ let point_seed ~figure ~index ~seed =
 
 (* ---- the map itself ---- *)
 
-let map ?jobs ~figure ~seed n f =
+let map ~figure ~seed n f =
   let run i =
     f ~rng:(Topology.Rng.create (point_seed ~figure ~index:i ~seed)) i
   in
-  let j = min (match jobs with Some j when j > 0 -> j | Some _ | None -> get_jobs ()) n in
+  let j = min (get_jobs ()) n in
   if j <= 1 || not (Domain.is_main_domain ()) then List.init n run
   else begin
     let results = Array.make n None in

@@ -23,8 +23,8 @@ val default_jobs : unit -> int
     for the coordinating main domain. *)
 
 val set_jobs : int -> unit
-(** Set the process-wide worker count used when {!map} is called without
-    [?jobs]: [0] means auto ({!default_jobs}), [1] the sequential
+(** Set the process-wide worker count {!map} uses — the one way to set
+    it: [0] means auto ({!default_jobs}), [1] the sequential
     in-main-domain path, [n > 1] that many worker domains. Raises
     [Invalid_argument] on negative values. The library starts at [1]
     (sequential) so programmatic users opt in explicitly; the CLIs call
@@ -44,7 +44,6 @@ val point_seed : figure:string -> index:int -> seed:int -> int
     explicitly. *)
 
 val map :
-  ?jobs:int ->
   figure:string ->
   seed:int ->
   int ->
@@ -54,12 +53,12 @@ val map :
     [f ~rng:(Rng.create (point_seed ~figure ~index:i ~seed)) i] for
     [i = 0 .. n-1] and returns the results in index order.
 
-    With an effective job count of 1 (or [n <= 1], or when already
+    With a job count ({!get_jobs}) of 1 (or [n <= 1], or when already
     inside a worker domain) everything runs inline in the calling
     domain — exactly the historical sequential path. Otherwise
-    [min jobs n] domains are spawned; each claims indices from a shared
-    atomic counter, runs [f], and finally hands its [Nfv_obs] shard
-    back to be merged. [f] must confine its effects to state reachable
+    [min (get_jobs ()) n] domains are spawned; each claims indices from
+    a shared atomic counter, runs [f], and finally hands its [Nfv_obs]
+    shard back to be merged. [f] must confine its effects to state reachable
     from its own arguments (networks built from [rng], local
     accumulators); the figure modules obey this. If a point raises, the
     first exception (in domain spawn order) is re-raised after all

@@ -211,21 +211,21 @@ let heal_all t =
   Array.fill t.srv_down 0 (Array.length t.srv_down) false
 
 (* the failure-kind mix: 35 % link outage, 20 % server outage, 25 %
-   link degradation, 20 % server degradation, all over uniform targets *)
-let draw_failure rng ~m ~servers ~degrade_fraction =
+   link degradation, 20 % server degradation, all over uniform targets;
+   a degradation confiscates half the target's capacity *)
+let draw_failure rng ~m ~servers =
   let u = Rng.float rng 1.0 in
   if u < 0.35 && m > 0 then Link_down (Rng.int rng m)
   else if u < 0.55 then Server_down (Rng.choose rng servers)
-  else if u < 0.8 && m > 0 then Degrade_link (Rng.int rng m, degrade_fraction)
-  else Degrade_server (Rng.choose rng servers, degrade_fraction)
+  else if u < 0.8 && m > 0 then Degrade_link (Rng.int rng m, 0.5)
+  else Degrade_server (Rng.choose rng servers, 0.5)
 
 let heal_of = function
   | Link_down e -> Some (Link_up e)
   | Server_down v -> Some (Server_up v)
   | Degrade_link _ | Degrade_server _ | Link_up _ | Server_up _ -> None
 
-let random_timeline ?heal_after ?(degrade_fraction = 0.5) ~rng ~slots ~events
-    net =
+let random_timeline ?heal_after ~rng ~slots ~events net =
   if slots <= 0 then invalid_arg "Fault.random_timeline: slots <= 0";
   if events < 0 then invalid_arg "Fault.random_timeline: events < 0";
   (match heal_after with
@@ -236,7 +236,7 @@ let random_timeline ?heal_after ?(degrade_fraction = 0.5) ~rng ~slots ~events
   let failures =
     List.init events (fun _ ->
         let at = float_of_int (Rng.int rng slots) in
-        let event = draw_failure rng ~m ~servers ~degrade_fraction in
+        let event = draw_failure rng ~m ~servers in
         { at; event })
   in
   let heals =

@@ -112,7 +112,6 @@ val heal_all : t -> unit
 
 val random_timeline :
   ?heal_after:int ->
-  ?degrade_fraction:float ->
   rng:Topology.Rng.t ->
   slots:int ->
   events:int ->
@@ -122,11 +121,10 @@ val random_timeline :
     numbers drawn uniformly from [{0, …, slots - 1}]: a mix of
     link-down (35 %), server-down (20 %), link-degradation (25 %) and
     server-degradation (20 %) events over uniformly drawn targets, each
-    degradation confiscating [degrade_fraction] (default [0.5]) of the
-    target's capacity. With [heal_after:k] (which must be positive),
-    every full outage ([Link_down]/[Server_down]) heals exactly [k]
-    time units later (possibly at or past [slots]); degradations are
-    permanent.
+    degradation confiscating half the target's capacity. With
+    [heal_after:k] (which must be positive), every full outage
+    ([Link_down]/[Server_down]) heals exactly [k] time units later
+    (possibly at or past [slots]); degradations are permanent.
 
     The whole-number clock is that of a driver stamping its [i]-th
     arrival at time [i]: a failure at slot [i] strikes once arrival [i]

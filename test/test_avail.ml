@@ -1,16 +1,13 @@
 (* Availability-aware admission: make_avail validation, exposure
-   semantics (idle / allocated / confiscated / healed), the
-   spare-capacity floor in Online_cp and Batch.plan, and the two
-   equivalence properties — alpha = 0 + no reserve is bit-identical to
-   the baseline, and the pruning screen stays exact under a non-zero
-   surcharge. *)
+   semantics (idle / allocated / confiscated / healed), and the two
+   equivalence properties — alpha = 0 is bit-identical to the baseline,
+   and the pruning screen stays exact under a non-zero surcharge. *)
 
 module G = Mcgraph.Graph
 module N = Sdn.Network
 module Fault = Sdn.Fault
 module Cp = Nfv_multicast.Online_cp
 module Adm = Nfv_multicast.Admission
-module Batch = Nfv_multicast.Batch
 module Dyn = Nfv_multicast.Dynamic
 module Pt = Nfv_multicast.Pseudo_tree
 module Rng = Topology.Rng
@@ -60,10 +57,6 @@ let test_make_avail_validation () =
       ("nan alpha", fun () -> Cp.make_avail ~alpha:Float.nan net [| [ 0 ] |]);
       ( "infinite alpha",
         fun () -> Cp.make_avail ~alpha:infinity net [| [ 0 ] |] );
-      ( "negative reserve",
-        fun () -> Cp.make_avail ~reserve:(-0.1) net [| [ 0 ] |] );
-      ("reserve = 1", fun () -> Cp.make_avail ~reserve:1.0 net [| [ 0 ] |]);
-      ("reserve > 1", fun () -> Cp.make_avail ~reserve:1.5 net [| [ 0 ] |]);
       ("edge out of range", fun () -> Cp.make_avail net [| [ 0; 99 ] |]);
       ("negative edge", fun () -> Cp.make_avail net [| [ -1 ] |]);
       ( "edge in two groups",
@@ -78,8 +71,7 @@ let test_make_avail_validation () =
   Alcotest.(check int) "out of range is ungrouped" (-1)
     (Cp.avail_group_of av 99);
   Alcotest.(check int) "negative is ungrouped" (-1) (Cp.avail_group_of av (-5));
-  Alcotest.(check (float 0.0)) "alpha default" 0.0 (Cp.avail_alpha av);
-  Alcotest.(check (float 0.0)) "reserve default" 0.0 (Cp.avail_reserve av)
+  Alcotest.(check (float 0.0)) "alpha default" 0.0 (Cp.avail_alpha av)
 
 (* an avail indexes its network's link ids: one built over a network
    with a different link count must be refused up front, not misprice
@@ -173,68 +165,6 @@ let test_exposure_lifecycle () =
   N.release net (Pt.allocation tree);
   Alcotest.(check (float 1e-9)) "healed+released exposure is 0" 0.0
     (Cp.exposure av net 0)
-
-(* ---- the spare-capacity floor ------------------------------------------- *)
-
-let test_reserve_floor () =
-  with_obs @@ fun () ->
-  let net = designed_net () in
-  let m = N.m net in
-  let groups = [| List.init m Fun.id |] in
-  let req = mk_request ~id:0 ~source:0 ~destinations:[ 3 ] ~bandwidth:40.0 in
-  (* baseline and a loose floor both admit *)
-  (match Cp.admit (Tutil.cp_pricing net) req with
-  | Cp.Admitted a -> N.release net (Pt.allocation a.Cp.tree)
-  | Cp.Rejected r ->
-    Alcotest.failf "baseline rejected: %s" (Cp.rejection_to_string r));
-  let loose = Cp.make_avail ~reserve:0.5 net groups in
-  (match Cp.admit (Tutil.cp_pricing ~avail:loose net) req with
-  | Cp.Admitted a -> N.release net (Pt.allocation a.Cp.tree)
-  | Cp.Rejected r ->
-    Alcotest.failf "loose floor rejected: %s" (Cp.rejection_to_string r));
-  (* a 90%% floor on a 600-Mbps group: any 40-Mbps tree (>= 3 links,
-     >= 120 Mbps) would leave < 540 — every candidate is blocked *)
-  let tight = Cp.make_avail ~reserve:0.9 net groups in
-  let b0 = counter "avail.reserve_blocked" in
-  (match Cp.admit (Tutil.cp_pricing ~avail:tight net) req with
-  | Cp.Admitted _ -> Alcotest.fail "tight floor admitted"
-  | Cp.Rejected r ->
-    Alcotest.(check string) "blocked admits reject as Unallocatable"
-      (Cp.rejection_to_string Cp.Unallocatable)
-      (Cp.rejection_to_string r));
-  Alcotest.(check bool) "avail.reserve_blocked counted" true
-    (counter "avail.reserve_blocked" > b0);
-  for e = 0 to m - 1 do
-    Tutil.assert_close "blocked admit left no residue" (N.link_capacity net e)
-      (N.link_residual net e)
-  done
-
-let test_batch_plan_floor () =
-  with_obs @@ fun () ->
-  let net = designed_net () in
-  let m = N.m net in
-  let groups = [| List.init m Fun.id |] in
-  let reqs =
-    [ mk_request ~id:0 ~source:0 ~destinations:[ 3 ] ~bandwidth:40.0 ]
-  in
-  let base = Batch.plan net reqs Batch.Arrival in
-  Alcotest.(check int) "baseline plan admits" 1 base.Batch.admitted;
-  (* a neutral avail changes nothing *)
-  let neutral = Cp.make_avail net groups in
-  let same = Batch.plan ~avail:neutral net reqs Batch.Arrival in
-  Alcotest.(check bool) "neutral avail: identical plan" true (base = same);
-  (* the tight floor rejects, rolls the allocation back, and counts it *)
-  let tight = Cp.make_avail ~reserve:0.9 net groups in
-  let b0 = counter "avail.reserve_blocked" in
-  let blocked = Batch.plan ~avail:tight net reqs Batch.Arrival in
-  Alcotest.(check int) "tight floor admits none" 0 blocked.Batch.admitted;
-  Alcotest.(check int) "tight floor rejects all" 1 blocked.Batch.rejected;
-  Alcotest.(check int) "blocked plan counted" (b0 + 1)
-    (counter "avail.reserve_blocked");
-  for e = 0 to m - 1 do
-    Tutil.assert_close "rollback restored every residual"
-      (N.link_capacity net e) (N.link_residual net e)
-  done
 
 (* ---- alpha = 0 equivalence (the ?prune:false pattern) ------------------- *)
 
@@ -360,10 +290,6 @@ let () =
             test_avail_network_mismatch;
           Alcotest.test_case "exposure lifecycle" `Quick
             test_exposure_lifecycle;
-          Alcotest.test_case "reserve floor in Online_cp" `Quick
-            test_reserve_floor;
-          Alcotest.test_case "reserve floor in Batch.plan" `Quick
-            test_batch_plan_floor;
         ] );
       ( "property",
         [

@@ -365,7 +365,7 @@ let srlg_run_digest algo ~alpha =
   in
   let avail =
     Option.map
-      (fun alpha -> Cp.make_avail ~alpha ~reserve:0.05 net groups)
+      (fun alpha -> Cp.make_avail ~alpha net groups)
       alpha
   in
   let buf = Buffer.create 65536 in
@@ -386,18 +386,18 @@ let test_srlg_run_per_algorithm () =
       let name = Adm.algorithm_to_string algo in
       Alcotest.(check string) (name ^ ", no avail") plain
         (srlg_run_digest algo ~alpha:None);
-      Alcotest.(check string) (name ^ ", alpha = 1, reserve = 0.05") surcharged
+      Alcotest.(check string) (name ^ ", alpha = 1") surcharged
         (srlg_run_digest algo ~alpha:(Some 1.0)))
     [
       ( Adm.Online_cp,
         "ae7dfd8db640287f1029ec3a8fb69dff",
-        "df04d5abd35c23bff6799d361faa05a2" );
+        "d09cb33181115d8d518b774e9e438088" );
       ( Adm.Online_cp_no_threshold,
         "3acc0c9ee962a2cecbb2277b499e5ccb",
-        "7504578c6706e30cd876da46f655d8be" );
+        "da20daacb73162b6964019ebe6970665" );
       ( Adm.Online_linear,
         "cf3c5fd543660b11e61f40cbc98762a0",
-        "e1a10c7c69d652b8292225691634fbd8" );
+        "17c3bab16c8ebb8d887491d088d28f70" );
       ( Adm.Sp,
         "45a8a4baf5b5ccf1b5def8a0e980b5e5",
         "4e842b332025e54dfefd00a15cebb2c4" );
@@ -525,6 +525,26 @@ let test_srlg_partition_edge_cases () =
        ignore (Fault.srlg_partition ~groups:0 ~rng:(Rng.create 1) net);
        false
      with Invalid_argument _ -> true)
+
+(* every degradation [random_timeline] draws confiscates exactly half its
+   target's capacity *)
+let test_random_timeline_degrades_by_half () =
+  let net, rng = Tutil.random_network 3 ~lo:12 ~hi:20 in
+  let tl = Fault.random_timeline ~heal_after:4 ~rng ~slots:50 ~events:200 net in
+  let links = ref 0 and servers = ref 0 in
+  List.iter
+    (fun (s : Fault.stamped) ->
+      match s.Fault.event with
+      | Fault.Degrade_link (_, f) ->
+        incr links;
+        Alcotest.(check (float 0.0)) "link degradation fraction" 0.5 f
+      | Fault.Degrade_server (_, f) ->
+        incr servers;
+        Alcotest.(check (float 0.0)) "server degradation fraction" 0.5 f
+      | _ -> ())
+    tl;
+  Alcotest.(check bool) "both degradation kinds drawn" true
+    (!links > 0 && !servers > 0)
 
 let test_srlg_timeline_shape () =
   let rng = Rng.create 5 in
@@ -780,6 +800,8 @@ let () =
             test_srlg_partition_geant;
           Alcotest.test_case "SRLG partition edge cases" `Quick
             test_srlg_partition_edge_cases;
+          Alcotest.test_case "random timeline degrades by half" `Quick
+            test_random_timeline_degrades_by_half;
           Alcotest.test_case "SRLG timeline shape" `Quick
             test_srlg_timeline_shape;
         ] );

@@ -228,13 +228,12 @@ let test_point_seed_distinct () =
   Alcotest.(check bool) "non-negative" true (s1 >= 0)
 
 let test_map_order_and_exceptions () =
-  let r =
-    Pool.map ~jobs:4 ~figure:"tpar" ~seed:1 7 (fun ~rng:_ i -> i * i)
-  in
+  with_jobs 4 @@ fun () ->
+  let r = Pool.map ~figure:"tpar" ~seed:1 7 (fun ~rng:_ i -> i * i) in
   Alcotest.(check (list int)) "results in point order" [ 0; 1; 4; 9; 16; 25; 36 ] r;
-  Alcotest.(check int) "empty map" 0 (List.length (Pool.map ~jobs:4 ~figure:"tpar" ~seed:1 0 (fun ~rng:_ i -> i)));
+  Alcotest.(check int) "empty map" 0 (List.length (Pool.map ~figure:"tpar" ~seed:1 0 (fun ~rng:_ i -> i)));
   match
-    Pool.map ~jobs:4 ~figure:"tpar" ~seed:1 5 (fun ~rng:_ i ->
+    Pool.map ~figure:"tpar" ~seed:1 5 (fun ~rng:_ i ->
         if i = 3 then failwith "boom" else i)
   with
   | _ -> Alcotest.fail "expected the worker exception to propagate"
