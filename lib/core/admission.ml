@@ -80,8 +80,7 @@ let admit p request =
     | Online_sp.Admitted a -> Ok a.Online_sp.tree
     | Online_sp.Rejected msg -> Error msg)
 
-let admit_tree ?window ?avail net algo request =
-  admit (pricing ?window ?avail net algo) request
+let admit_tree ?window net algo request = admit (pricing ?window net algo) request
 
 (* Per-variant telemetry: the algorithm modules count under their own
    names ("online_cp.…"), but one Online_cp module serves three
@@ -94,11 +93,11 @@ let publish_run_counters algo ~dijkstras ~sp_hits ~sp_misses ~admitted =
   Obs.Counter.add (Obs.Counter.make (prefix ^ ".sp_misses")) sp_misses;
   Obs.Counter.add (Obs.Counter.make (prefix ^ ".admitted")) admitted
 
-let run ?avail net algo requests =
+let run net algo requests =
   (* one pricing, hence one engine window, for the whole run: requests
      between two epoch bumps (i.e. after a rejection) reuse each other's
      Dijkstra trees instead of starting from a cold per-request engine *)
-  let p = pricing ?avail net algo in
+  let p = pricing net algo in
   Sdn.Network.reset net;
   let dij0 = Obs.Counter.value c_dijkstra_runs in
   let hits0 = Obs.Counter.value c_sp_hits in

@@ -84,21 +84,14 @@ type stats = {
   records : record list;           (** in arrival order *)
 }
 
-val run :
-  ?avail:Online_cp.avail ->
-  Sdn.Network.t ->
-  algorithm ->
-  Sdn.Request.t list ->
-  stats
+val run : Sdn.Network.t -> algorithm -> Sdn.Request.t list -> stats
 (** Reset the network's residuals and process the sequence in order
-    under one {!pricing} built from [avail] (see above). *)
+    under one [pricing net algorithm] (no availability view). *)
 
 val admit_tree :
   ?window:Sp_window.t ->
-  ?avail:Online_cp.avail ->
   Sdn.Network.t -> algorithm -> Sdn.Request.t -> (Pseudo_tree.t, string) result
-(** [admit_tree ?window ?avail net algo r] is
-    [admit (pricing ?window ?avail net algo) r]. *)
+(** [admit_tree ?window net algo r] is [admit (pricing ?window net algo) r]. *)
 
 val admitted_after : stats -> int -> int
 (** Number of admissions among the first [n] arrivals — used to draw the

@@ -639,7 +639,3 @@ let to_pseudo_tree t tree_edges =
   Pseudo_tree.make ~request:req ~servers:!servers
     ~edge_uses:(Pseudo_tree.edge_uses_of_list !uses)
     ~routes
-
-let materialize t ~subset =
-  let sm = subset_metric t subset in
-  (t.ext, weight sm)

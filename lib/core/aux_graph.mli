@@ -17,7 +17,7 @@
     Dijkstra tree per queried source (the request source, candidate
     servers, destinations), cached across all combinations — never the
     former eager O(V²) all-pairs tables. Tests check this against
-    Dijkstra on a materialised auxiliary graph. *)
+    Dijkstra on {!ext_graph} under {!weight}. *)
 
 type t
 
@@ -66,8 +66,6 @@ val base_dist : t -> int -> int -> float
 (** Shortest-path distance in the (pruned) base graph under the
     engine's price. Served by the lazy engine: the first query from a source
     costs one Dijkstra, later queries from it are O(1). *)
-
-val base_path : t -> int -> int -> int list option
 
 type subset_metric
 (** The exact metric of [G_k^i] for one server combination. *)
@@ -127,7 +125,3 @@ val to_pseudo_tree : t -> int list -> Pseudo_tree.t
     shortest source → server paths, witnesses are read off the tree.
     Raises [Invalid_argument] if the edge set is not a tree rooted at
     the virtual source spanning all destinations. *)
-
-val materialize : t -> subset:int list -> Mcgraph.Graph.t * (int -> float)
-(** A concrete copy of [G_k^i] with its weight function — used by tests
-    to validate [dist] against a plain Dijkstra. *)

@@ -9,21 +9,6 @@ let choose n k =
     !acc
   end
 
-let subsets_of_size items k =
-  let rec go items k =
-    if k = 0 then [ [] ]
-    else
-      match items with
-      | [] -> []
-      | x :: rest ->
-        let with_x = List.map (fun s -> x :: s) (go rest (k - 1)) in
-        with_x @ go rest k
-  in
-  if k < 0 then [] else go items k
-
-let subsets_up_to items k =
-  List.concat_map (fun l -> subsets_of_size items l) (List.init k (fun i -> i + 1))
-
 let count_up_to n k =
   let acc = ref 0 in
   for l = 1 to k do

@@ -11,9 +11,6 @@ let normalized_weight ~capacity ~residual ~base =
   check ~capacity ~residual ~base;
   (base ** utilization ~capacity ~residual) -. 1.0
 
-let exponential_cost ~capacity ~residual ~base =
-  capacity *. normalized_weight ~capacity ~residual ~base
-
 let default_base net = 2.0 *. float_of_int (Sdn.Network.n net)
 let default_sigma net = float_of_int (Sdn.Network.n net) -. 1.0
 

@@ -12,13 +12,11 @@
     weights [w = α^{util} − 1] (cost divided by capacity) drive the
     admission thresholds [σ_v = σ_e = |V| − 1], with [α = β = 2|V|]. *)
 
-val exponential_cost : capacity:float -> residual:float -> base:float -> float
-(** Raw exponential cost of a resource at its current load. Raises
-    [Invalid_argument] unless [base > 1] and [0 ≤ residual ≤ capacity]. *)
-
 val normalized_weight : capacity:float -> residual:float -> base:float -> float
-(** [exponential_cost / capacity] = [base^{utilisation} − 1]; 0 when
-    idle, [base − 1] when exhausted. *)
+(** The exponential cost of a resource at its current load divided by
+    its capacity: [base^{utilisation} − 1], 0 when idle, [base − 1] when
+    exhausted. Raises [Invalid_argument] unless [base > 1] and
+    [0 ≤ residual ≤ capacity]. *)
 
 val default_base : Sdn.Network.t -> float
 (** [α = β = 2|V|] (Theorem 2). *)

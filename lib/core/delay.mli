@@ -6,8 +6,6 @@
     route (source → server → destination) plus the service chain's
     processing delay at the server. *)
 
-val route_delay_ms : Sdn.Network.t -> Sdn.Vnf.chain -> Pseudo_tree.route -> float
-
 val destination_delay_ms : Sdn.Network.t -> Pseudo_tree.t -> int -> float
 (** Raises [Invalid_argument] when the destination has no witness. *)
 

@@ -36,8 +36,6 @@ val of_pseudo_tree : Sdn.Network.t -> Pseudo_tree.t -> t
 (** Compile witness routes into forwarding rules. Rules for the same
     (switch, tag, ingress) are merged; duplicate actions are removed. *)
 
-val rules_at : t -> int -> rule list
-
 val switches_with_state : t -> int list
 (** Switches holding at least one rule, ascending. *)
 

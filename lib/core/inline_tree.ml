@@ -19,14 +19,13 @@ let derive net request ~tree ~servers =
       not (List.for_all (Tree.mem rooted) request.Sdn.Request.destinations)
     then Error "a destination is off the tree"
     else begin
-      let path_cost edges = List.fold_left (fun a e -> a +. weight e) 0.0 edges in
       (* each destination goes to its tree-nearest server *)
       let assign d =
         let best =
           List.fold_left
             (fun best v ->
               let p = Tree.path_between rooted v d in
-              let c = path_cost p in
+              let c = Mcgraph.Steiner.tree_cost ~weight p in
               match best with
               | Some (c', _, _) when c' <= c -> best
               | _ -> Some (c, v, p))

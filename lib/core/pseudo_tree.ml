@@ -51,19 +51,6 @@ let cost net t =
   in
   bw +. cpu
 
-let bandwidth_cost net t =
-  let b = t.request.Sdn.Request.bandwidth in
-  List.fold_left
-    (fun acc (e, uses) ->
-      acc +. (float_of_int uses *. b *. Sdn.Network.link_unit_cost net e))
-    0.0 t.edge_uses
-
-let computing_cost net t =
-  List.fold_left
-    (fun acc v -> acc +. Sdn.Network.chain_cost net v t.request.Sdn.Request.chain)
-    0.0 t.servers
-
-let server_count t = List.length t.servers
 
 let total_edge_traversals t =
   List.fold_left (fun acc (_, c) -> acc + c) 0 t.edge_uses

@@ -38,11 +38,6 @@ val cost : Sdn.Network.t -> t -> float
 (** Implementation cost under the offline linear objective:
     Σ uses·b_k·c_e + Σ_{servers} c_v(SC_k). *)
 
-val bandwidth_cost : Sdn.Network.t -> t -> float
-val computing_cost : Sdn.Network.t -> t -> float
-
-val server_count : t -> int
-
 val total_edge_traversals : t -> int
 
 val allocation : t -> Sdn.Network.allocation

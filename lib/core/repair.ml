@@ -18,11 +18,6 @@ let h_attempt = Obs.Histogram.make "repair.attempt"
 
 type tier = Patched | Migrated | Readmitted
 
-let tier_to_string = function
-  | Patched -> "patched"
-  | Migrated -> "migrated"
-  | Readmitted -> "readmitted"
-
 type outcome =
   | Repaired of { tree : Pseudo_tree.t; tier : tier }
   | Dropped of string

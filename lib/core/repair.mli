@@ -58,8 +58,6 @@ type tier =
   | Migrated  (** tier 2: surviving tree kept, service chain moved *)
   | Readmitted  (** tier 3: fresh admission, old structure discarded *)
 
-val tier_to_string : tier -> string
-
 type outcome =
   | Repaired of { tree : Pseudo_tree.t; tier : tier }
       (** the new tree's resources are reserved in the network *)

@@ -23,9 +23,6 @@ let demand_of rules =
     (fun v -> (v, Flow_rules.table_size rules v))
     (Flow_rules.switches_with_state rules)
 
-let fits t rules =
-  List.for_all (fun (v, d) -> t.used_at.(v) + d <= t.cap) (demand_of rules)
-
 let install t rules =
   match
     List.find_opt (fun (v, d) -> t.used_at.(v) + d > t.cap) (demand_of rules)

@@ -20,10 +20,9 @@ val used : t -> int -> int
 
 val total_used : t -> int
 
-val fits : t -> Flow_rules.t -> bool
-
 val install : t -> Flow_rules.t -> (unit, string) result
-(** Atomically charge every switch the rule set touches. *)
+(** Atomically charge every switch the rule set touches, or charge
+    nothing and name the first switch without room. *)
 
 val uninstall : t -> Flow_rules.t -> unit
 (** Return the rules (e.g. when the session departs). Raises

@@ -394,7 +394,7 @@ let avail_instance requests =
         ~infixes:(List.map (Printf.sprintf "a%g@") alphas)
         ~note:(fun ~ni:_ ~name ~srlg ~tag ->
           Printf.sprintf
-            "%s, Online_CP with avail pricing (alpha in {%s}, no reserve), \
+            "%s, Online_CP with avail pricing (alpha in {%s}), \
              %s; matched RNG with dynamic_churn (same sweep key), so alpha=0 \
              rows are byte-identical to the dynch%c cells of the same metric"
             name

@@ -4,12 +4,11 @@ module O = Nfv_multicast.One_server
 let ratios = [ (0.05, 'a', 'd'); (0.1, 'b', 'e'); (0.2, 'c', 'f') ]
 let default_sizes = [ 50; 100; 150; 200; 250 ]
 
-(* one data point = one (destination ratio, network size) pair; the
-   point derives everything — topology, servers, requests — from the
-   rng the pool hands it, so points are independent and the pool can
-   run them on any domain in any order *)
-let point ~requests ~ratio ~n ~rng =
-  let net = Exp_common.network rng ~n in
+(* the requests come from the rng the network was built from, so a
+   point derives everything — topology, servers, requests — from the rng
+   the pool hands it: points are independent and the pool can run them
+   on any domain in any order *)
+let point ~requests ~ratio ~rng net =
   let spec = { Workload.Gen.default_spec with dmax_ratio = Some ratio } in
   let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
   let pa = Runner.span_probe "appro_multi.solve" in
@@ -45,7 +44,8 @@ let instance ?(requests = 30) ?(sizes = default_sizes) () =
       point =
         (fun ~rng i ->
           let ratio, n = params.(i) in
-          point ~requests ~ratio ~n ~rng);
+          (* one data point = one (destination ratio, network size) pair *)
+          point ~requests ~ratio ~rng (Exp_common.network rng ~n));
     }
   in
   let per_size = List.length sizes in

@@ -1,36 +1,9 @@
-module A = Nfv_multicast.Appro_multi
-module O = Nfv_multicast.One_server
-
 let ratios = [ 0.05; 0.1; 0.15; 0.2 ]
 
 let nets =
   [
     ("GEANT", 'a', 'c', fun rng -> Exp_common.geant_network rng);
     ("AS1755", 'b', 'd', fun rng -> Exp_common.as1755_network rng);
-  ]
-
-(* one data point = one (topology, destination ratio) pair *)
-let point ~requests ~make_net ~ratio ~rng =
-  let net = make_net rng in
-  let spec = { Workload.Gen.default_spec with dmax_ratio = Some ratio } in
-  let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
-  let pa = Runner.span_probe "appro_multi.solve" in
-  let po = Runner.span_probe "one_server.solve" in
-  let ca = ref [] and co = ref [] in
-  List.iter
-    (fun r ->
-      (match A.solve ~k:3 net r with
-      | Ok res -> ca := res.A.cost :: !ca
-      | Error _ -> ());
-      match O.solve net r with
-      | Ok res -> co := res.O.cost :: !co
-      | Error _ -> ())
-    reqs;
-  [
-    ("cost_appro", Exp_common.mean !ca);
-    ("cost_one", Exp_common.mean !co);
-    ("ms_appro", Runner.span_mean_ms pa);
-    ("ms_one", Runner.span_mean_ms po);
   ]
 
 let instance ?(requests = 100) () =
@@ -47,7 +20,8 @@ let instance ?(requests = 100) () =
       point =
         (fun ~rng i ->
           let make_net, ratio = params.(i) in
-          point ~requests ~make_net ~ratio ~rng);
+          (* one data point = one (topology, destination ratio) pair *)
+          Fig5.point ~requests ~ratio ~rng (make_net rng));
     }
   in
   let per_net = List.length ratios in

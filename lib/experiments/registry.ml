@@ -19,6 +19,3 @@ let all : Spec.t list =
     Churn.avail;
     Churn.restore;
   ]
-
-let ids = List.map (fun s -> s.Spec.id) all
-let find id = List.find_opt (fun s -> String.equal s.Spec.id id) all

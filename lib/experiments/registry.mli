@@ -6,9 +6,3 @@
 val all : Spec.t list
 (** Every registered family: fig5–fig9, ablation, dynamic, batch, delay,
     tables, stress, churn. *)
-
-val ids : string list
-(** The ids of {!all}, in the same order. *)
-
-val find : string -> Spec.t option
-(** Look a family up by its [Spec.id]. *)

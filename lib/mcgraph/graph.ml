@@ -110,13 +110,10 @@ let iter_edges g f =
     f e g.eu.(e) g.ev.(e)
   done
 
-let fold_edges g ~init ~f =
-  let acc = ref init in
-  iter_edges g (fun e u v -> acc := f !acc e u v);
-  !acc
-
 let edge_list g =
-  List.rev (fold_edges g ~init:[] ~f:(fun acc e u v -> (e, u, v) :: acc))
+  let acc = ref [] in
+  iter_edges g (fun e u v -> acc := (e, u, v) :: !acc);
+  List.rev !acc
 
 let c_csr_rebuilds = Nfv_obs.Obs.Counter.make "graph.csr_rebuilds"
 
@@ -159,5 +156,3 @@ let copy g =
     adj = Array.copy g.adj;
     csr_cache = g.csr_cache;   (* immutable once built; safe to share *)
   }
-
-let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d)" g.n g.m

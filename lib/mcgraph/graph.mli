@@ -78,15 +78,8 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges g f] calls [f edge_id u v] for each edge, in increasing
     edge-id order. *)
 
-val fold_edges : t -> init:'a -> f:('a -> int -> int -> int -> 'a) -> 'a
-(** [fold_edges g ~init ~f] folds [f acc edge_id u v] over all edges in
-    increasing edge-id order. *)
-
 val edge_list : t -> (int * int * int) list
 (** All edges as [(id, u, v)], in id order. *)
 
 val copy : t -> t
 (** Independent copy (sharing no mutable state). *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable summary ["graph(n=…, m=…)"] . *)

@@ -1,6 +1,3 @@
-let weight_of ~weight edges =
-  List.fold_left (fun acc e -> acc +. weight e) 0.0 edges
-
 (* Minimum spanning forest of an edge-id list: the list goes into the
    domain's scratch and comes back in pick order (see kernels.mli). *)
 let kruskal_edges g ~weight edge_ids =
@@ -14,38 +11,6 @@ let kruskal g ~weight =
   kruskal_edges g ~weight ids
 
 let kruskal_subset g ~weight ~edges = kruskal_edges g ~weight edges
-
-let prim g ~weight ~root =
-  let nn = Graph.n g in
-  let in_tree = Array.make nn false in
-  let best_edge = Array.make nn (-1) in
-  let heap = Heap.create nn in
-  let picked = ref [] in
-  in_tree.(root) <- true;
-  let relax u =
-    Graph.iter_neighbors g u (fun v e ->
-        let w = weight e in
-        if (not in_tree.(v)) && w < infinity then
-          match Heap.priority heap v with
-          | Some p when p <= w -> ()
-          | _ ->
-            Heap.insert_or_decrease heap ~key:v w;
-            best_edge.(v) <- e)
-  in
-  relax root;
-  let rec drain () =
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (v, _) ->
-      if not in_tree.(v) then begin
-        in_tree.(v) <- true;
-        picked := best_edge.(v) :: !picked;
-        relax v
-      end;
-      drain ()
-  in
-  drain ();
-  List.rev !picked
 
 (* Prim on the metric closure, one row of distances per tree point.
    [rest.(0 .. r-1)] holds the indices of the points not yet in the

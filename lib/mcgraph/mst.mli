@@ -19,9 +19,6 @@ val kruskal_subset : Graph.t -> weight:(int -> float) -> edges:int list -> int l
     pass of the KMB Steiner heuristic. The union-find runs over compact
     ids of the listed edges' endpoints. *)
 
-val prim : Graph.t -> weight:(int -> float) -> root:int -> int list
-(** Edge ids of an MST of the component containing [root]. *)
-
 val prim_rows :
   points:int array ->
   row:(int -> int array -> int -> float array -> unit) ->
@@ -38,6 +35,3 @@ val prim_rows :
 
 val prim_metric : points:int array -> dist:(int -> int -> float) -> (int * int) list option
 (** {!prim_rows} with the rows filled one [dist] call per pair. *)
-
-val weight_of : weight:(int -> float) -> int list -> float
-(** Total weight of an edge-id list. *)

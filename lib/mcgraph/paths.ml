@@ -111,40 +111,6 @@ let dijkstra_vec g ~weights ~source =
   end;
   { source; dist; parent_edge; parent }
 
-let dijkstra g ~weight ~source =
-  dijkstra_vec g ~weights:(weight_vector g ~weight) ~source
-
-let bellman_ford g ~weight ~source =
-  let nn = Graph.n g in
-  let dist = Array.make nn infinity in
-  let parent_edge = Array.make nn (-1) in
-  let parent = Array.make nn (-1) in
-  dist.(source) <- 0.0;
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < nn do
-    changed := false;
-    incr rounds;
-    Graph.iter_edges g (fun e u v ->
-        let w = weight e in
-        if w < 0.0 then invalid_arg "Paths.bellman_ford: negative weight";
-        if w < infinity then begin
-          if dist.(u) +. w < dist.(v) then begin
-            dist.(v) <- dist.(u) +. w;
-            parent_edge.(v) <- e;
-            parent.(v) <- u;
-            changed := true
-          end;
-          if dist.(v) +. w < dist.(u) then begin
-            dist.(u) <- dist.(v) +. w;
-            parent_edge.(u) <- e;
-            parent.(u) <- v;
-            changed := true
-          end
-        end)
-  done;
-  { source; dist; parent_edge; parent }
-
 let path_edges _g spt target =
   if spt.dist.(target) = infinity then None
   else begin
@@ -153,47 +119,4 @@ let path_edges _g spt target =
       else walk spt.parent.(v) (spt.parent_edge.(v) :: acc)
     in
     Some (walk target [])
-  end
-
-let path_nodes _g spt target =
-  if spt.dist.(target) = infinity then None
-  else begin
-    let rec walk v acc =
-      if v = spt.source then v :: acc else walk spt.parent.(v) (v :: acc)
-    in
-    Some (walk target [])
-  end
-
-let path_cost ~weight edges =
-  List.fold_left (fun acc e -> acc +. weight e) 0.0 edges
-
-type apsp = {
-  d : float array array;
-  pe : int array array;
-  pn : int array array;
-}
-
-let all_pairs g ~weight =
-  let nn = Graph.n g in
-  let d = Array.make nn [||] in
-  let pe = Array.make nn [||] in
-  let pn = Array.make nn [||] in
-  let weights = weight_vector g ~weight in
-  for s = 0 to nn - 1 do
-    let spt = dijkstra_vec g ~weights ~source:s in
-    d.(s) <- spt.dist;
-    pe.(s) <- spt.parent_edge;
-    pn.(s) <- spt.parent
-  done;
-  { d; pe; pn }
-
-let apsp_dist a u v = a.d.(u).(v)
-
-let apsp_path a u v =
-  if a.d.(u).(v) = infinity then None
-  else begin
-    let rec walk x acc =
-      if x = u then acc else walk a.pn.(u).(x) (a.pe.(u).(x) :: acc)
-    in
-    Some (walk v [])
   end

@@ -2,8 +2,9 @@
 
     Weights are supplied as a function over edge ids; an [infinity]
     weight removes the edge (used for residual-capacity pruning).
-    [dijkstra] is the production algorithm; [bellman_ford] is a simple
-    reference implementation kept as a test oracle. *)
+    {!dijkstra_vec} is the one algorithm. The references tests compare it
+    against (Bellman–Ford, the closure-form Dijkstra, all-pairs tables)
+    are in the test-only [Oracle.Ref_paths]. *)
 
 type spt = {
   source : int;
@@ -12,13 +13,6 @@ type spt = {
   parent : int array;          (** predecessor node, [-1] at source/unreachable *)
 }
 (** A single-source shortest-path tree. *)
-
-val dijkstra : Graph.t -> weight:(int -> float) -> source:int -> spt
-(** [dijkstra g ~weight ~source] is
-    [dijkstra_vec g ~weights:(weight_vector g ~weight) ~source]: [weight]
-    is evaluated once on every edge id in [[0, Graph.m g)] — including
-    edges the search never scans — so it must be pure and total there.
-    Raises [Invalid_argument] if a traversed edge has negative weight. *)
 
 val attributed :
   string ->
@@ -58,31 +52,6 @@ val dijkstra_vec : Graph.t -> weights:float array -> source:int -> spt
     that raised. It calls no user code, so a run never nests inside
     another on the same domain. *)
 
-val bellman_ford : Graph.t -> weight:(int -> float) -> source:int -> spt
-(** Reference oracle; O(n·m). Requires non-negative weights (undirected
-    graphs cannot carry negative edges without negative cycles). *)
-
 val path_edges : Graph.t -> spt -> int -> int list option
 (** Edge ids of the tree path from the source to a node, in travel
     order; [None] if unreachable, [Some []] for the source itself. *)
-
-val path_nodes : Graph.t -> spt -> int -> int list option
-(** Nodes of the same path, starting with the source. *)
-
-val path_cost : weight:(int -> float) -> int list -> float
-(** Total weight of an edge-id list. *)
-
-type apsp = {
-  d : float array array;        (** [d.(u).(v)] = shortest-path cost *)
-  pe : int array array;         (** [pe.(u).(v)] = edge into [v] on a shortest [u → v] path, [-1] if none *)
-  pn : int array array;         (** [pn.(u).(v)] = predecessor of [v] on that path *)
-}
-(** All-pairs shortest paths with path reconstruction, computed by one
-    Dijkstra per node: O(n·m·log n) time, O(n²) space. *)
-
-val all_pairs : Graph.t -> weight:(int -> float) -> apsp
-
-val apsp_dist : apsp -> int -> int -> float
-
-val apsp_path : apsp -> int -> int -> int list option
-(** Edge ids of a shortest [u → v] path in travel order. *)

@@ -108,5 +108,3 @@ let renew t ~weight =
 let dist t u v = (spt t u).Paths.dist.(v)
 
 let path t u v = Paths.path_edges t.graph (spt t u) v
-
-let invalidate t = drop_all t

@@ -30,10 +30,10 @@
     [weight] once on {e every} edge id in [[0, Graph.m g)], stores the
     results in one float array (sized by [Graph.m] at fill time), and
     every later Dijkstra of that epoch reads the array. The vector is
-    dropped together with the cached trees — by an epoch change observed
-    at lookup time or by {!invalidate} — and survives {!renew} when the
-    epoch is unchanged, under the same extensional-equality contract that
-    keeps the cached trees valid. So [weight] must be
+    dropped together with the cached trees when a lookup observes an
+    epoch change, and survives {!renew} when the epoch is unchanged,
+    under the same extensional-equality contract that keeps the cached
+    trees valid. So [weight] must be
     - {b pure} between two equal readings of [epoch]: evaluating it early,
       or on edges no search reaches, must give what a later evaluation in
       the same epoch would; and
@@ -48,8 +48,8 @@
     [dist t u v] and [path t u v] always answer from [u]'s tree (never
     the symmetric [v] tree), and Dijkstra relaxes neighbours in the CSR
     slot order, which equals [Graph.iter_neighbors] order (insertion
-    order). Results are therefore bit-identical to the eager
-    [Paths.all_pairs] rows they replace, including equal-cost
+    order). Results are therefore bit-identical to eager all-pairs rows
+    built from one {!Paths.dijkstra_vec} per source, including equal-cost
     tie-breaks. Callers wanting the undirected-symmetry discount use
     {!peek} explicitly.
 
@@ -58,8 +58,8 @@
     The engine keeps no counters of its own. Every cache event feeds the
     process-wide [Nfv_obs] counters, gated on [Obs.enabled]: an {!spt}
     answered from cache is one [sp_engine.cache_hits], a computed tree
-    one [sp_engine.cache_misses], a dropped tree (epoch sweep or
-    {!invalidate}) one [sp_engine.evictions]; each computed tree is also
+    one [sp_engine.cache_misses], a tree dropped by an epoch sweep one
+    [sp_engine.evictions]; each computed tree is also
     one [dijkstra.runs] of {!Paths}, with the rest of the [dijkstra.*]
     work counters. *)
 
@@ -116,7 +116,3 @@ val renew : t -> weight:(int -> float) -> unit
     bandwidth), but as long as the window keys engines so that equal key
     + equal epoch ⇒ equal weights, [renew] is exact. Used by
     [Nfv_multicast.Sp_window]. *)
-
-val invalidate : t -> unit
-(** Drop every cached tree and the weight vector regardless of epoch;
-    each dropped tree counts as one [sp_engine.evictions]. *)

@@ -1,9 +1,9 @@
 (** Steiner trees in graphs.
 
     [kmb] is the 2(1 − 1/|S|)-approximation of Kou, Markowsky and Berman
-    (Acta Informatica 1981) used throughout the paper; [exact] is the
-    Dreyfus–Wagner dynamic program, exponential in the number of
-    terminals, used on small instances and as a test oracle.
+    (Acta Informatica 1981) used throughout the paper. The optimal
+    (Dreyfus–Wagner) trees it is checked against are in the test-only
+    [Oracle.Steiner_exact].
 
     After its metric queries, one KMB run costs work proportional to its
     terminals and its expanded subgraph: the closure MST, the path
@@ -33,10 +33,6 @@ val kmb_with_metric :
     precomputed shortest-path data to avoid re-running Dijkstra for every
     server combination of [Appro_Multi]. [weight] must agree with the
     metric (it prices the edges returned by [path]). *)
-
-val exact : Graph.t -> weight:(int -> float) -> terminals:int list -> int list option
-(** Optimal Steiner tree by Dreyfus–Wagner: O(3^t·n + 2^t·n²) for [t]
-    terminals. Raises [Invalid_argument] when [t > 15]. *)
 
 val prune : Graph.t -> terminals:int list -> int list -> int list
 (** Repeatedly remove edges whose endpoint of degree one is not a

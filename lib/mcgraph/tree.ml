@@ -156,14 +156,6 @@ let lca_many t = function
   | [] -> invalid_arg "Tree.lca_many: empty list"
   | v :: rest -> List.fold_left (lca t) v rest
 
-let is_ancestor t a ~descendant =
-  let sa = slot_of t a "Tree.is_ancestor" in
-  let sd = slot_of t descendant "Tree.is_ancestor" in
-  lca_slot t sa sd = sa
-
-let in_subtree t ~root_of_subtree v =
-  mem t v && mem t root_of_subtree && is_ancestor t root_of_subtree ~descendant:v
-
 (* edges from slot [i] up to slot [anc], in travel order, ahead of
    [tail]; raises when the climb passes the root without meeting [anc] *)
 let rec climb t i anc tail =

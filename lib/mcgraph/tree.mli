@@ -73,8 +73,3 @@ val path_up : t -> int -> ancestor:int -> int list
 val path_between : t -> int -> int -> int list
 (** Edge ids of the unique tree path between two nodes (via their LCA),
     in travel order from the first node. *)
-
-val is_ancestor : t -> int -> descendant:int -> bool
-
-val in_subtree : t -> root_of_subtree:int -> int -> bool
-(** Whether a node lies in the subtree rooted at the given node. *)

@@ -184,8 +184,8 @@ end
 
 (** Snapshots of every registered instrument, and their one file format.
 
-    A snapshot is an ordinary value: {!Export.to_json} and
-    {!Export.pp_table} are pure functions of it. *)
+    A snapshot is an ordinary value: {!Export.to_json} is a pure
+    function of it. *)
 module Export : sig
   type metric =
     | Counter of string * int
@@ -214,14 +214,11 @@ module Export : sig
       are finite JSON numbers, floats printed with round-trip precision
       ([%.17g]). *)
 
-  val pp_table : Format.formatter -> snapshot -> unit
-  (** Human-readable report: counters as aligned name/value lines,
-      histograms with count, mean, p50/p95/p99 estimates and non-empty
-      buckets. *)
-
   val print_table : out_channel -> unit
-  (** [pp_table] of a fresh {!snapshot}, to a channel (the CLIs print to
-      [stderr] so stdout stays machine-readable). Instruments that never
+  (** Human-readable report of a fresh {!snapshot}, to a channel (the
+      CLIs print to [stderr] so stdout stays machine-readable): counters
+      as aligned name/value lines, histograms with count, mean,
+      p50/p95/p99 estimates and non-empty buckets. Instruments that never
       fired are omitted; prints a placeholder line when nothing fired at
       all. *)
 end

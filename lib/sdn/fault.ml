@@ -38,8 +38,6 @@ let create net =
     srv_conf = Array.make (Network.n net) 0.0;
   }
 
-let network t = t.net
-
 let link_is_down t e = e >= 0 && e < Array.length t.link_down && t.link_down.(e)
 let server_is_down t v = v >= 0 && v < Array.length t.srv_down && t.srv_down.(v)
 

@@ -68,8 +68,6 @@ val create : Network.t -> t
 (** A controller with no active faults. The network may already carry
     allocations; they are untouched. *)
 
-val network : t -> Network.t
-
 val link_is_down : t -> int -> bool
 (** Whether a link is fully down ([Link_down] without a matching
     [Link_up]); degraded links are {e not} down. [false] for

@@ -227,8 +227,6 @@ let alloc_failure t alloc =
       Some (Printf.sprintf "server %d: need %.1f, residual %.1f" v amt t.srv_res.(v))
     | None -> None)
 
-let can_allocate t alloc = alloc_failure t alloc = None
-
 let bump_epoch t =
   t.epoch <- t.epoch + 1;
   Obs.Counter.incr c_epoch_bumps

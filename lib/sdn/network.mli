@@ -139,9 +139,6 @@ type allocation = {
     is checked, so a pseudo-multicast tree that traverses a link twice
     is charged twice. *)
 
-val can_allocate : t -> allocation -> bool
-(** Whether {!allocate} would succeed, without committing anything. *)
-
 val allocate : t -> allocation -> (unit, string) result
 (** Atomically commit, or change nothing and explain the failure.
     Success bumps {!weight_epoch} and counts under the [Nfv_obs] counter
@@ -167,15 +164,12 @@ val weight_epoch : t -> int
 
 (** {1 Metrics} *)
 
-val link_utilization : t -> int -> float
-(** Allocated fraction of one link's bandwidth, in [0, 1]. *)
-
 val mean_link_utilization : t -> float
-(** Mean of {!link_utilization} over all links ([0.] on edgeless
-    networks). *)
+(** Mean over all links of a link's utilisation, the allocated fraction
+    of its bandwidth in [0, 1] ([0.] on edgeless networks). *)
 
 val max_link_utilization : t -> float
-(** Maximum of {!link_utilization} over all links. *)
+(** Maximum link utilisation over all links. *)
 
 val jain_fairness : t -> float
 (** Jain index of link utilisations; 1 = perfectly balanced. Returns 1

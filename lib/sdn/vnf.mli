@@ -19,10 +19,6 @@ val demand_mhz : kind -> float
 (** Computing demand of one instance, in MHz (see DESIGN.md §4 for the
     sourcing of these constants). *)
 
-val processing_delay_ms : kind -> float
-(** Per-packet processing latency of one instance, in milliseconds
-    (ClickOS-scale; used by the delay-bounded extension). *)
-
 type chain = kind list
 (** A service chain, e.g. [[Nat; Firewall; Ids]] (Fig. 2 of the paper). *)
 

@@ -35,8 +35,6 @@ let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))

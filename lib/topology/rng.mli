@@ -34,8 +34,6 @@ val float_range : t -> float -> float -> float
 val int_range : t -> int -> int -> int
 (** Uniform in [lo .. hi] inclusive. *)
 
-val bool : t -> bool
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

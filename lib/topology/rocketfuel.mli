@@ -13,6 +13,3 @@ val as1755 : unit -> Topo.t
 
 val as4755 : unit -> Topo.t
 (** "AS4755"-scale backbone: 41 nodes, 68 links, deterministic. *)
-
-val synthetic_isp : ?name:string -> seed:int -> n:int -> m:int -> unit -> Topo.t
-(** General generator behind the two stand-ins. *)

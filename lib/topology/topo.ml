@@ -20,7 +20,15 @@ let make ?coords ?node_names ~name graph =
 let n t = Mcgraph.Graph.n t.graph
 let m t = Mcgraph.Graph.m t.graph
 
-let is_connected t = Mcgraph.Traversal.is_connected t.graph
+module Uf = Mcgraph.Union_find
+
+(* a forest over the graph's current edges: one set per component *)
+let components g =
+  let uf = Uf.create (Mcgraph.Graph.n g) in
+  Mcgraph.Graph.iter_edges g (fun _ u v -> ignore (Uf.union uf u v));
+  uf
+
+let is_connected t = n t <= 1 || Uf.count (components t.graph) = 1
 
 let node_name t v =
   match t.node_names with
@@ -29,18 +37,16 @@ let node_name t v =
 
 let connect_components rng t =
   let g = t.graph in
-  let rec join () =
-    let label, count = Mcgraph.Traversal.components g in
-    if count > 1 then begin
-      (* pick a random node in component 0 and one outside, link them *)
-      let inside = ref [] and outside = ref [] in
-      Array.iteri
-        (fun v c -> if c = 0 then inside := v :: !inside else outside := v :: !outside)
-        label;
-      let pick l = List.nth l (Rng.int rng (List.length l)) in
-      ignore (Mcgraph.Graph.add_edge g (pick !inside) (pick !outside));
-      join ()
-    end
-  in
-  join ();
+  let uf = components g in
+  while Uf.count uf > 1 do
+    (* pick a random node in node 0's component and one outside, link them *)
+    let inside = ref [] and outside = ref [] in
+    for v = 0 to n t - 1 do
+      if Uf.same uf 0 v then inside := v :: !inside
+      else outside := v :: !outside
+    done;
+    let pick l = List.nth l (Rng.int rng (List.length l)) in
+    let e = Mcgraph.Graph.add_edge g (pick !inside) (pick !outside) in
+    ignore (Uf.union uf (Mcgraph.Graph.edge_u g e) (Mcgraph.Graph.edge_v g e))
+  done;
   t

@@ -1,3 +1,17 @@
+(* Exact optima on small instances: the references for the 2K bound.
+
+   [optimal_one_server] is the K = 1 optimum under the linear cost model,
+   min_v [b d(s, v) + c_v(SC) + SteinerOPT({v} + D)]. [optimal ?k]
+   (default 3, at most 6 destinations) enumerates server subsets and
+   destination assignments: an optimal Steiner tree carries the
+   unprocessed stream to the chosen servers and each server spans its
+   destinations with another; every pseudo-multicast routing is
+   dominated by such a structure, so this is a true lower bound realised
+   by a valid routing. [assignment] maps destination -> serving server.
+   Steiner optima come from [Steiner_exact], so [|D_k| + 1 <= 15]. *)
+
+open Nfv_multicast
+
 module Sp = Mcgraph.Sp_engine
 
 type result = {
@@ -30,7 +44,7 @@ let optimal ?(k = 3) net request =
     | Some r -> r
     | None ->
       let r =
-        match Mcgraph.Steiner.exact g ~weight ~terminals:key with
+        match Steiner_exact.exact g ~weight ~terminals:key with
         | None -> None
         | Some edges -> Some (edges, Mcgraph.Steiner.tree_cost ~weight edges)
       in
@@ -127,7 +141,7 @@ let optimal_one_server net request =
     if d_sv = infinity then best
     else begin
       let terminals = v :: request.Sdn.Request.destinations in
-      match Mcgraph.Steiner.exact g ~weight ~terminals with
+      match Steiner_exact.exact g ~weight ~terminals with
       | None -> best
       | Some tree_edges ->
         let c =

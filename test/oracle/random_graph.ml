@@ -1,3 +1,9 @@
+(* Random graph families for property checks: G(n, p) made connected
+   by [Topo.connect_components], G(n, m) as a random spanning tree plus
+   [m - (n - 1)] extra non-parallel edges, and random labelled trees. *)
+
+open Topology
+
 let erdos_renyi ?name rng ~n ~p =
   if n < 1 then invalid_arg "Random_graph.erdos_renyi: empty graph";
   let g = Mcgraph.Graph.create n in

@@ -1,0 +1,71 @@
+(* Reference shortest paths the tests compare [Paths.dijkstra_vec] and
+   [Sp_engine] against: the closure-form Dijkstra (one [weight] call per
+   edge id, then the kernel), Bellman-Ford, and eager all-pairs tables
+   (one Dijkstra per node, O(n^2) space). *)
+
+open Mcgraph
+
+let dijkstra g ~weight ~source =
+  Paths.dijkstra_vec g ~weights:(Paths.weight_vector g ~weight) ~source
+
+let bellman_ford g ~weight ~source =
+  let nn = Graph.n g in
+  let dist = Array.make nn infinity in
+  let parent_edge = Array.make nn (-1) in
+  let parent = Array.make nn (-1) in
+  dist.(source) <- 0.0;
+  let changed = ref true in
+  let rounds = ref 0 in
+  while !changed && !rounds < nn do
+    changed := false;
+    incr rounds;
+    Graph.iter_edges g (fun e u v ->
+        let w = weight e in
+        if w < 0.0 then invalid_arg "Paths.bellman_ford: negative weight";
+        if w < infinity then begin
+          if dist.(u) +. w < dist.(v) then begin
+            dist.(v) <- dist.(u) +. w;
+            parent_edge.(v) <- e;
+            parent.(v) <- u;
+            changed := true
+          end;
+          if dist.(v) +. w < dist.(u) then begin
+            dist.(u) <- dist.(v) +. w;
+            parent_edge.(u) <- e;
+            parent.(u) <- v;
+            changed := true
+          end
+        end)
+  done;
+  { Paths.source; dist; parent_edge; parent }
+
+type apsp = {
+  d : float array array;
+  pe : int array array;
+  pn : int array array;
+}
+
+let all_pairs g ~weight =
+  let nn = Graph.n g in
+  let d = Array.make nn [||] in
+  let pe = Array.make nn [||] in
+  let pn = Array.make nn [||] in
+  let weights = Paths.weight_vector g ~weight in
+  for s = 0 to nn - 1 do
+    let spt = Paths.dijkstra_vec g ~weights ~source:s in
+    d.(s) <- spt.Paths.dist;
+    pe.(s) <- spt.Paths.parent_edge;
+    pn.(s) <- spt.Paths.parent
+  done;
+  { d; pe; pn }
+
+let apsp_dist a u v = a.d.(u).(v)
+
+let apsp_path a u v =
+  if a.d.(u).(v) = infinity then None
+  else begin
+    let rec walk x acc =
+      if x = u then acc else walk a.pn.(u).(x) (a.pe.(u).(x) :: acc)
+    in
+    Some (walk v [])
+  end

@@ -1,6 +1,6 @@
 module A = Nfv_multicast.Appro_multi
 module O = Nfv_multicast.One_server
-module E = Nfv_multicast.Exact
+module E = Oracle.Exact
 module C = Nfv_multicast.Combinations
 module Pt = Nfv_multicast.Pseudo_tree
 module Ag = Nfv_multicast.Aux_graph
@@ -18,13 +18,13 @@ let test_choose () =
   Alcotest.(check int) "negative" 0 (C.choose 5 (-1))
 
 let test_subsets () =
-  let s = C.subsets_of_size [ 1; 2; 3; 4 ] 2 in
+  let s = Oracle.Subsets.subsets_of_size [ 1; 2; 3; 4 ] 2 in
   Alcotest.(check int) "count" 6 (List.length s);
   Alcotest.(check int) "distinct" 6 (List.length (List.sort_uniq compare s));
   List.iter (fun l -> Alcotest.(check int) "size" 2 (List.length l)) s
 
 let test_subsets_up_to () =
-  let s = C.subsets_up_to [ 1; 2; 3 ] 2 in
+  let s = Oracle.Subsets.subsets_up_to [ 1; 2; 3 ] 2 in
   Alcotest.(check int) "count" 6 (List.length s);
   Alcotest.(check int) "count_up_to formula" 6 (C.count_up_to 3 2);
   Alcotest.(check int) "paper fig4 example" 6 (C.count_up_to 3 2)
@@ -36,7 +36,9 @@ let test_iter_subsets () =
     (List.length !collected);
   let as_sets = List.map (List.sort compare) !collected in
   Alcotest.(check int) "all distinct" (C.count_up_to 4 3)
-    (List.length (List.sort_uniq compare as_sets))
+    (List.length (List.sort_uniq compare as_sets));
+  Alcotest.(check (list (list int))) "same subsets in the same order"
+    (Oracle.Subsets.subsets_up_to [ 1; 2; 3; 4 ] 3) (List.rev !collected)
 
 (* --- a hand-built instance where multi-server placement wins --- *)
 
@@ -491,7 +493,7 @@ let test_weak_rule_changes_tree () =
   Alcotest.(check bool) "so {0, 21} is priced" false (Ag.redundant aux [ 0; 21 ]);
   Alcotest.(check bool) "while other pairs are skipped" true
     (List.exists (Ag.redundant aux)
-       (C.subsets_of_size (Ag.reachable_servers aux) 2))
+       (Oracle.Subsets.subsets_of_size (Ag.reachable_servers aux) 2))
 
 let () =
   Alcotest.run "appro"

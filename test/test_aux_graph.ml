@@ -1,6 +1,7 @@
 module Aux = Nfv_multicast.Aux_graph
 module G = Mcgraph.Graph
 module P = Mcgraph.Paths
+module R = Oracle.Ref_paths
 module N = Sdn.Network
 module Rng = Topology.Rng
 
@@ -33,11 +34,11 @@ let test_virtual_weight_formula () =
   let net, req, aux, _ = instance 2 in
   let b = req.Sdn.Request.bandwidth in
   let weight e = b *. N.link_unit_cost net e in
-  let apsp = P.all_pairs (N.graph net) ~weight in
+  let apsp = R.all_pairs (N.graph net) ~weight in
   List.iter
     (fun v ->
       let expect =
-        P.apsp_dist apsp req.Sdn.Request.source v
+        R.apsp_dist apsp req.Sdn.Request.source v
         +. N.chain_cost net v req.Sdn.Request.chain
       in
       Tutil.assert_close "wv" expect (Aux.virtual_edge_weight aux v))
@@ -83,18 +84,18 @@ let prop_metric_exact =
     (fun seed ->
       let _, _, aux, _ = instance seed in
       let servers = Aux.reachable_servers aux in
-      let subsets = Nfv_multicast.Combinations.subsets_up_to servers 3 in
+      let subsets = Oracle.Subsets.subsets_up_to servers 3 in
       let ext = Aux.ext_graph aux in
       List.for_all
         (fun subset ->
           let sm = Aux.subset_metric aux subset in
-          let _, weight = Aux.materialize aux ~subset in
+          let weight = Aux.weight (Aux.subset_metric aux subset) in
           let ok = ref true in
           (* compare distances from a few nodes including the virtual one *)
           let sources = [ Aux.virtual_node aux; 0; G.n ext - 2 ] in
           List.iter
             (fun s ->
-              let spt = P.dijkstra ext ~weight ~source:s in
+              let spt = R.dijkstra ext ~weight ~source:s in
               for t = 0 to G.n ext - 1 do
                 let d1 = Aux.dist sm s t and d2 = spt.P.dist.(t) in
                 if
@@ -213,11 +214,12 @@ let prop_metric_exact_pruned =
         let idx = Rng.sample_without_replacement rng k (List.length servers) in
         let subset = List.map (List.nth servers) idx in
         let sm = Aux.subset_metric aux subset in
-        let ext, weight = Aux.materialize aux ~subset in
+        let ext = Aux.ext_graph aux in
+        let weight = Aux.weight (Aux.subset_metric aux subset) in
         let ok = ref true in
         List.iter
           (fun s ->
-            let spt = P.dijkstra ext ~weight ~source:s in
+            let spt = R.dijkstra ext ~weight ~source:s in
             for t = 0 to G.n ext - 1 do
               let d1 = Aux.dist sm s t and d2 = spt.P.dist.(t) in
               if
@@ -253,7 +255,7 @@ let prop_dist_matches_quadratic =
             ~net ~request ~candidate_servers:(N.servers net) ()
       in
       let servers = Aux.reachable_servers aux in
-      let subsets = Nfv_multicast.Combinations.subsets_up_to servers 3 in
+      let subsets = Oracle.Subsets.subsets_up_to servers 3 in
       let n = N.n net in
       let bits = Int64.bits_of_float in
       List.for_all
@@ -310,7 +312,7 @@ let prop_interleaved_subsets =
       in
       let shared = build () and alone = build () in
       let servers = Aux.reachable_servers shared in
-      let all = Array.of_list (Nfv_multicast.Combinations.subsets_up_to servers 3) in
+      let all = Array.of_list (Oracle.Subsets.subsets_up_to servers 3) in
       let subsets =
         if all = [||] then []
         else List.init 6 (fun _ -> all.(Rng.int rng (Array.length all)))
@@ -335,12 +337,13 @@ let prop_interleaved_subsets =
           let sm = Aux.subset_metric alone subset in
           let solo = List.map (answers sm) pairs in
           let solo_tree = Aux.steiner_tree sm in
-          let mext, weight = Aux.materialize alone ~subset in
+          let mext = Aux.ext_graph alone in
+          let weight = Aux.weight (Aux.subset_metric alone subset) in
           let exact =
             List.for_all
               (fun (x, y) ->
                 let d1 = Aux.dist sm x y in
-                let d2 = (P.dijkstra mext ~weight ~source:x).P.dist.(y) in
+                let d2 = (R.dijkstra mext ~weight ~source:x).P.dist.(y) in
                 (d1 = infinity) = (d2 = infinity)
                 && (d1 = infinity || Float.abs (d1 -. d2) <= 1e-6))
               pairs

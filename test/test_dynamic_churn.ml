@@ -115,7 +115,7 @@ let describe (t, h) =
     Printf.sprintf "%g fault %s victims=[%s]" t (event_name event)
       (String.concat ";" (List.map string_of_int victims))
   | Dyn.Repaired { id; tier; _ } ->
-    Printf.sprintf "%g repaired %d %s" t id (Repair.tier_to_string tier)
+    Printf.sprintf "%g repaired %d %s" t id (Tutil.tier_to_string tier)
   | Dyn.Dropped { id } -> Printf.sprintf "%g dropped %d" t id
   | Dyn.Restored { id; _ } -> Printf.sprintf "%g restored %d" t id
 
@@ -339,7 +339,7 @@ let add_happened buf t h =
     Printf.bprintf buf "F";
     List.iter (Printf.bprintf buf " %d") victims
   | Dyn.Repaired { id; tier; tree } ->
-    Printf.bprintf buf "R%d %s" id (Repair.tier_to_string tier);
+    Printf.bprintf buf "R%d %s" id (Tutil.tier_to_string tier);
     add_tree buf tree
   | Dyn.Dropped { id } -> Printf.bprintf buf "X%d" id
   | Dyn.Restored { id; tree } ->

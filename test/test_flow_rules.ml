@@ -192,11 +192,11 @@ let prop_loads_within_reservation =
     (fun seed ->
       let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
       let req = Tutil.random_request rng net ~id:0 in
-      match Nfv_multicast.Exact.optimal ~k:2 net req with
+      match Oracle.Exact.optimal ~k:2 net req with
       | Error _ -> true
       | exception Invalid_argument _ -> true
       | Ok opt ->
-        let pt = opt.Nfv_multicast.Exact.mtree in
+        let pt = opt.Oracle.Exact.mtree in
         let rules = Fr.of_pseudo_tree net pt in
         let d = Fr.simulate net rules ~source:req.Sdn.Request.source in
         List.for_all

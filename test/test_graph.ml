@@ -1,5 +1,4 @@
 module G = Mcgraph.Graph
-module T = Mcgraph.Traversal
 
 let test_create () =
   let g = G.create 5 in
@@ -55,9 +54,8 @@ let test_iter_fold () =
   let count = ref 0 in
   G.iter_edges g (fun _ _ _ -> incr count);
   Alcotest.(check int) "iter count" 3 !count;
-  let sum = G.fold_edges g ~init:0 ~f:(fun acc _ u v -> acc + u + v) in
-  Alcotest.(check int) "fold sum" 9 sum;
-  Alcotest.(check int) "edge_list" 3 (List.length (G.edge_list g))
+  Alcotest.(check (list (triple int int int))) "edge_list in id order"
+    [ (0, 0, 1); (1, 1, 2); (2, 2, 3) ] (G.edge_list g)
 
 let test_copy_independent () =
   let g = G.of_edges ~n:3 [ (0, 1) ] in
@@ -75,80 +73,6 @@ let test_growth () =
   Alcotest.(check int) "m" 99 (G.m g);
   Alcotest.(check (pair int int)) "late edge" (98, 99) (G.endpoints g 98)
 
-(* --- traversal --- *)
-
-let path_graph n = G.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
-
-let test_bfs_path () =
-  let g = path_graph 6 in
-  let d = T.bfs g ~source:0 in
-  Alcotest.(check int) "end distance" 5 d.(5);
-  Alcotest.(check int) "start" 0 d.(0)
-
-let test_bfs_unreachable () =
-  let g = G.of_edges ~n:4 [ (0, 1) ] in
-  let d = T.bfs g ~source:0 in
-  Alcotest.(check int) "unreachable" (-1) d.(3)
-
-let test_bfs_keep () =
-  let g = path_graph 4 in
-  let d = T.bfs ~keep:(fun e -> e <> 1) g ~source:0 in
-  Alcotest.(check int) "cut at edge 1" (-1) d.(2);
-  Alcotest.(check int) "before cut" 1 d.(1)
-
-let test_components () =
-  let g = G.of_edges ~n:6 [ (0, 1); (2, 3); (3, 4) ] in
-  let label, count = T.components g in
-  Alcotest.(check int) "three components" 3 count;
-  Alcotest.(check bool) "0-1 same" true (label.(0) = label.(1));
-  Alcotest.(check bool) "2-4 same" true (label.(2) = label.(4));
-  Alcotest.(check bool) "different" true (label.(0) <> label.(5))
-
-let test_is_connected () =
-  Alcotest.(check bool) "path" true (T.is_connected (path_graph 5));
-  Alcotest.(check bool) "disconnected" false
-    (T.is_connected (G.of_edges ~n:3 [ (0, 1) ]));
-  Alcotest.(check bool) "singleton" true (T.is_connected (G.create 1))
-
-let test_dfs_preorder () =
-  let g = path_graph 4 in
-  Alcotest.(check (list int)) "path order" [ 0; 1; 2; 3 ] (T.dfs_preorder g ~source:0)
-
-let test_in_same_component () =
-  let g = G.of_edges ~n:5 [ (0, 1); (1, 2) ] in
-  Alcotest.(check bool) "yes" true (T.in_same_component g 0 [ 1; 2 ]);
-  Alcotest.(check bool) "no" false (T.in_same_component g 0 [ 1; 4 ])
-
-(* qcheck: BFS distance satisfies the edge relaxation property *)
-let prop_bfs_relaxation =
-  Tutil.qtest "bfs distances are 1-Lipschitz across edges"
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let g, _ = Tutil.random_connected_graph seed ~lo:2 ~hi:40 in
-      let d = T.bfs g ~source:0 in
-      let ok = ref (d.(0) = 0) in
-      G.iter_edges g (fun _ u v ->
-          if abs (d.(u) - d.(v)) > 1 then ok := false);
-      !ok)
-
-(* qcheck: component labels partition and respect edges *)
-let prop_components =
-  Tutil.qtest "components respect edges"
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let rng = Topology.Rng.create seed in
-      let n = 2 + Topology.Rng.int rng 30 in
-      let g = G.create n in
-      for _ = 1 to n do
-        let u = Topology.Rng.int rng n and v = Topology.Rng.int rng n in
-        if u <> v then ignore (G.add_edge g u v)
-      done;
-      let label, count = T.components g in
-      let ok = ref true in
-      G.iter_edges g (fun _ u v -> if label.(u) <> label.(v) then ok := false);
-      Array.iter (fun l -> if l < 0 || l >= count then ok := false) label;
-      !ok)
-
 let () =
   Alcotest.run "graph"
     [
@@ -165,15 +89,4 @@ let () =
           Alcotest.test_case "copy independence" `Quick test_copy_independent;
           Alcotest.test_case "growth" `Quick test_growth;
         ] );
-      ( "traversal",
-        [
-          Alcotest.test_case "bfs path" `Quick test_bfs_path;
-          Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
-          Alcotest.test_case "bfs keep filter" `Quick test_bfs_keep;
-          Alcotest.test_case "components" `Quick test_components;
-          Alcotest.test_case "is_connected" `Quick test_is_connected;
-          Alcotest.test_case "dfs preorder" `Quick test_dfs_preorder;
-          Alcotest.test_case "in_same_component" `Quick test_in_same_component;
-        ] );
-      ("property", [ prop_bfs_relaxation; prop_components ]);
     ]

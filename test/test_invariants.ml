@@ -14,7 +14,7 @@
    exactly; each trial logs its per-trial seed on failure. *)
 
 module A = Nfv_multicast.Appro_multi
-module E = Nfv_multicast.Exact
+module E = Oracle.Exact
 module P = Nfv_multicast.Pseudo_tree
 module Adm = Nfv_multicast.Admission
 module Net = Sdn.Network

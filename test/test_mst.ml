@@ -8,15 +8,15 @@ let test_kruskal_known () =
   let tree = Mst.kruskal g ~weight:(Tutil.weight_fn w) in
   Alcotest.(check int) "spanning size" 3 (List.length tree);
   Alcotest.check Tutil.check_float "weight" 6.0
-    (Mst.weight_of ~weight:(Tutil.weight_fn w) tree);
+    (Mcgraph.Steiner.tree_cost ~weight:(Tutil.weight_fn w) tree);
   Alcotest.(check bool) "is a tree" true (Tutil.is_tree g tree)
 
 let test_prim_known () =
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0); (0, 2) ] in
   let w = [| 1.0; 2.0; 3.0; 4.0; 10.0 |] in
-  let tree = Mst.prim g ~weight:(Tutil.weight_fn w) ~root:2 in
+  let tree = Oracle.Prim.prim g ~weight:(Tutil.weight_fn w) ~root:2 in
   Alcotest.check Tutil.check_float "weight" 6.0
-    (Mst.weight_of ~weight:(Tutil.weight_fn w) tree)
+    (Mcgraph.Steiner.tree_cost ~weight:(Tutil.weight_fn w) tree)
 
 let test_forest_on_disconnected () =
   let g = G.of_edges ~n:4 [ (0, 1); (2, 3) ] in
@@ -25,7 +25,7 @@ let test_forest_on_disconnected () =
 
 let test_prim_component_only () =
   let g = G.of_edges ~n:4 [ (0, 1); (2, 3) ] in
-  let tree = Mst.prim g ~weight:(fun _ -> 1.0) ~root:0 in
+  let tree = Oracle.Prim.prim g ~weight:(fun _ -> 1.0) ~root:0 in
   Alcotest.(check (list int)) "only local component" [ 0 ] tree
 
 let test_kruskal_subset () =
@@ -79,8 +79,8 @@ let prop_prim_equals_kruskal =
     (fun seed ->
       with_instance seed (fun g weight _ ->
           let k = Mst.kruskal g ~weight in
-          let p = Mst.prim g ~weight ~root:0 in
-          Float.abs (Mst.weight_of ~weight k -. Mst.weight_of ~weight p) < 1e-6))
+          let p = Oracle.Prim.prim g ~weight ~root:0 in
+          Float.abs (Mcgraph.Steiner.tree_cost ~weight k -. Mcgraph.Steiner.tree_cost ~weight p) < 1e-6))
 
 let prop_spanning_tree =
   Tutil.qtest ~count:150 "kruskal result is a spanning tree"
@@ -139,7 +139,7 @@ let prop_prim_metric_matches_kruskal_on_complete =
         done;
         let warr = Array.of_list (List.rev !w) in
         let k = Mst.kruskal g ~weight:(Tutil.weight_fn warr) in
-        let ktotal = Mst.weight_of ~weight:(Tutil.weight_fn warr) k in
+        let ktotal = Mcgraph.Steiner.tree_cost ~weight:(Tutil.weight_fn warr) k in
         Float.abs (total -. ktotal) < 1e-6)
 
 (* the array kernel picks exactly the edges, in exactly the order, of

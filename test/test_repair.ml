@@ -98,7 +98,7 @@ let test_single_edge_failure_is_patched () =
       "patched tree avoids the down link" false (List.mem e2 support)
   | Repair.Repaired { tier; _ } ->
     Alcotest.failf "wrong tier: %s (local patch is feasible)"
-      (Repair.tier_to_string tier)
+      (Tutil.tier_to_string tier)
   | Repair.Dropped msg -> Alcotest.failf "dropped: %s" msg);
   check_counters_sum ~before ~after:(repair_counters ())
 
@@ -113,7 +113,7 @@ let test_repair_per_algorithm () =
   in
   let show = function
     | Repair.Repaired { tree; tier } ->
-      Printf.sprintf "%s servers=%s edges=%s" (Repair.tier_to_string tier)
+      Printf.sprintf "%s servers=%s edges=%s" (Tutil.tier_to_string tier)
         (String.concat "," (List.map string_of_int tree.Pt.servers))
         (edges tree)
     | Repair.Dropped msg -> "dropped: " ^ msg
@@ -220,7 +220,7 @@ let test_server_failure_is_migrated () =
       "surviving tree kept, B attached" [ e0; e2; e3; e4 ] support;
     Alcotest.(check bool) "old server edge dropped" false (List.mem e1 support)
   | Repair.Repaired { tier; _ } ->
-    Alcotest.failf "wrong tier: %s" (Repair.tier_to_string tier)
+    Alcotest.failf "wrong tier: %s" (Tutil.tier_to_string tier)
   | Repair.Dropped msg -> Alcotest.failf "dropped: %s" msg);
   check_counters_sum ~before ~after:(repair_counters ())
 
@@ -245,7 +245,7 @@ let test_lone_server_failure_is_dropped () =
   (match repair_with ~window ~fault net tree with
   | Repair.Dropped _ -> ()
   | Repair.Repaired { tier; _ } ->
-    Alcotest.failf "no server is available, yet %s" (Repair.tier_to_string tier));
+    Alcotest.failf "no server is available, yet %s" (Tutil.tier_to_string tier));
   check_counters_sum ~before ~after:(repair_counters ());
   (* nothing leaked: every link back to capacity, the server fully
      confiscated and nothing else held *)

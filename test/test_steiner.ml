@@ -56,7 +56,7 @@ let test_prune_cascades () =
 let test_exact_known () =
   (* C4 with unit weights, terminals {0, 2}: exact cost 2 *)
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  match S.exact g ~weight:unit_weight ~terminals:[ 0; 2 ] with
+  match Oracle.Steiner_exact.exact g ~weight:unit_weight ~terminals:[ 0; 2 ] with
   | None -> Alcotest.fail "reachable"
   | Some tree ->
     Alcotest.check Tutil.check_float "cost 2" 2.0 (S.tree_cost ~weight:unit_weight tree)
@@ -65,7 +65,7 @@ let test_exact_steiner_node () =
   (* the star graph again: exact must find cost 3 via the hub *)
   let g = G.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3); (1, 2); (2, 3); (1, 3) ] in
   let w = [| 1.0; 1.0; 1.0; 1.9; 1.9; 1.9 |] in
-  match S.exact g ~weight:(Tutil.weight_fn w) ~terminals:[ 1; 2; 3 ] with
+  match Oracle.Steiner_exact.exact g ~weight:(Tutil.weight_fn w) ~terminals:[ 1; 2; 3 ] with
   | None -> Alcotest.fail "reachable"
   | Some tree ->
     Alcotest.check Tutil.check_float "uses hub" 3.0
@@ -75,7 +75,7 @@ let test_exact_too_many_terminals () =
   let g = G.of_edges ~n:20 (List.init 19 (fun i -> (i, i + 1))) in
   Alcotest.check_raises "guard" (Invalid_argument "Steiner.exact: too many terminals")
     (fun () ->
-      ignore (S.exact g ~weight:unit_weight ~terminals:(List.init 16 Fun.id)))
+      ignore (Oracle.Steiner_exact.exact g ~weight:unit_weight ~terminals:(List.init 16 Fun.id)))
 
 let test_is_steiner_tree () =
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
@@ -109,7 +109,7 @@ let prop_exact_valid =
     QCheck.(int_bound 100_000)
     (fun seed ->
       with_instance seed (fun g weight terminals _ ->
-          match S.exact g ~weight ~terminals with
+          match Oracle.Steiner_exact.exact g ~weight ~terminals with
           | None -> false
           | Some tree -> S.is_steiner_tree g ~terminals tree))
 
@@ -118,7 +118,7 @@ let prop_kmb_ratio =
     QCheck.(int_bound 100_000)
     (fun seed ->
       with_instance seed (fun g weight terminals _ ->
-          match (S.kmb g ~weight ~terminals, S.exact g ~weight ~terminals) with
+          match (S.kmb g ~weight ~terminals, Oracle.Steiner_exact.exact g ~weight ~terminals) with
           | Some approx, Some opt ->
             let ca = S.tree_cost ~weight approx
             and co = S.tree_cost ~weight opt in
@@ -131,7 +131,7 @@ let prop_exact_lower_bounds_kmb =
     QCheck.(int_bound 100_000)
     (fun seed ->
       with_instance seed (fun g weight terminals _ ->
-          match (S.kmb g ~weight ~terminals, S.exact g ~weight ~terminals) with
+          match (S.kmb g ~weight ~terminals, Oracle.Steiner_exact.exact g ~weight ~terminals) with
           | Some approx, Some opt ->
             S.tree_cost ~weight opt <= S.tree_cost ~weight approx +. 1e-6
           | _ -> false))
@@ -149,9 +149,9 @@ let prop_two_terminals =
       let b = (a + 1 + Topology.Rng.int rng (n - 1)) mod n in
       if a = b then true
       else begin
-        let spt = Mcgraph.Paths.dijkstra g ~weight ~source:a in
+        let spt = Oracle.Ref_paths.dijkstra g ~weight ~source:a in
         let expected = spt.Mcgraph.Paths.dist.(b) in
-        match (S.kmb g ~weight ~terminals:[ a; b ], S.exact g ~weight ~terminals:[ a; b ]) with
+        match (S.kmb g ~weight ~terminals:[ a; b ], Oracle.Steiner_exact.exact g ~weight ~terminals:[ a; b ]) with
         | Some t1, Some t2 ->
           Float.abs (S.tree_cost ~weight t1 -. expected) < 1e-6
           && Float.abs (S.tree_cost ~weight t2 -. expected) < 1e-6

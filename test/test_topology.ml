@@ -25,17 +25,17 @@ let test_waxman_density_scales_with_alpha () =
   Alcotest.(check bool) "alpha raises density" true (Topo.m dense > Topo.m sparse)
 
 let test_erdos_renyi () =
-  let t = Topology.Random_graph.erdos_renyi (Rng.create 2) ~n:50 ~p:0.08 in
+  let t = Oracle.Random_graph.erdos_renyi (Rng.create 2) ~n:50 ~p:0.08 in
   Alcotest.(check bool) "connected" true (Topo.is_connected t);
   Alcotest.(check int) "n" 50 (Topo.n t)
 
 let test_random_tree () =
-  let t = Topology.Random_graph.random_tree (Rng.create 4) ~n:30 in
+  let t = Oracle.Random_graph.random_tree (Rng.create 4) ~n:30 in
   Alcotest.(check int) "tree edges" 29 (Topo.m t);
   Alcotest.(check bool) "connected" true (Topo.is_connected t)
 
 let test_gnm () =
-  let t = Topology.Random_graph.gnm (Rng.create 4) ~n:30 ~m:60 in
+  let t = Oracle.Random_graph.gnm (Rng.create 4) ~n:30 ~m:60 in
   Alcotest.(check int) "edge count" 60 (Topo.m t);
   Alcotest.(check bool) "connected" true (Topo.is_connected t)
 
@@ -124,6 +124,17 @@ let test_connect_components () =
   let t = Topo.connect_components (Rng.create 9) t in
   Alcotest.(check bool) "joined" true (Topo.is_connected t)
 
+let test_is_connected () =
+  let topo g = Topo.make ~name:"t" g in
+  let path n = Mcgraph.Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
+  Alcotest.(check bool) "path" true (Topo.is_connected (topo (path 5)));
+  Alcotest.(check bool) "disconnected" false
+    (Topo.is_connected (topo (Mcgraph.Graph.of_edges ~n:3 [ (0, 1) ])));
+  Alcotest.(check bool) "singleton" true
+    (Topo.is_connected (topo (Mcgraph.Graph.create 1)));
+  Alcotest.(check bool) "empty" true
+    (Topo.is_connected (topo (Mcgraph.Graph.create 0)))
+
 let test_topo_validation () =
   let g = Mcgraph.Graph.create 3 in
   Alcotest.check_raises "coords mismatch"
@@ -131,6 +142,54 @@ let test_topo_validation () =
       ignore (Topo.make ~coords:[| (0.0, 0.0) |] ~name:"bad" g))
 
 (* properties *)
+
+(* Components counted by unit-weight Dijkstra reachability: the
+   reference [Topo.is_connected] and [Topo.connect_components] are
+   checked against. *)
+let reference_components g =
+  let n = Mcgraph.Graph.n g in
+  let seen = Array.make n false and count = ref 0 in
+  for v = 0 to n - 1 do
+    if not seen.(v) then begin
+      incr count;
+      let spt = Oracle.Ref_paths.dijkstra g ~weight:(fun _ -> 1.0) ~source:v in
+      Array.iteri (fun u d -> if d < infinity then seen.(u) <- true) spt.Mcgraph.Paths.dist
+    end
+  done;
+  !count
+
+(* A G(n, m) or G(n, p) draw with each edge kept at random, so both
+   connected and fragmented graphs come up. *)
+let thinned_draw seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 30 in
+  let t =
+    if seed mod 2 = 0 then Oracle.Random_graph.gnm rng ~n ~m:(Rng.int rng (2 * n))
+    else Oracle.Random_graph.erdos_renyi rng ~n ~p:(Rng.float rng 0.3)
+  in
+  let kept =
+    List.filter_map
+      (fun (_, u, v) -> if Rng.int rng 3 > 0 then Some (u, v) else None)
+      (Mcgraph.Graph.edge_list t.Topo.graph)
+  in
+  (rng, Topo.make ~name:"thinned" (Mcgraph.Graph.of_edges ~n kept))
+
+let prop_union_find_components =
+  Tutil.qtest ~count:200 "is_connected and connect_components = dijkstra reachability"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng, t = thinned_draw seed in
+      let g = t.Topo.graph in
+      let m0 = Topo.m t and c0 = reference_components g in
+      let edges0 = Mcgraph.Graph.edge_list g in
+      let connected = Topo.is_connected t in
+      let joined = Topo.connect_components rng t in
+      let g' = joined.Topo.graph in
+      connected = (c0 <= 1)
+      && reference_components g' <= 1
+      && Topo.is_connected joined
+      && Topo.m joined = m0 + max 0 (c0 - 1)
+      && List.filteri (fun i _ -> i < m0) (Mcgraph.Graph.edge_list g') = edges0)
 
 let prop_waxman_connected =
   Tutil.qtest ~count:40 "waxman always connected"
@@ -186,7 +245,13 @@ let () =
       ( "topo",
         [
           Alcotest.test_case "connect components" `Quick test_connect_components;
+          Alcotest.test_case "is_connected" `Quick test_is_connected;
           Alcotest.test_case "validation" `Quick test_topo_validation;
         ] );
-      ("property", [ prop_waxman_connected; prop_transit_stub_connected ]);
+      ( "property",
+        [
+          prop_waxman_connected;
+          prop_transit_stub_connected;
+          prop_union_find_components;
+        ] );
     ]

@@ -38,13 +38,6 @@ let test_paths () =
   Alcotest.(check (list int)) "between siblings" [ 2; 3 ] (T.path_between t 3 4);
   Alcotest.(check (list int)) "between self" [] (T.path_between t 4 4)
 
-let test_subtree () =
-  let _, t = fixture () in
-  Alcotest.(check bool) "6 under 1" true (T.in_subtree t ~root_of_subtree:1 6);
-  Alcotest.(check bool) "5 not under 1" false (T.in_subtree t ~root_of_subtree:1 5);
-  Alcotest.(check bool) "ancestor" true (T.is_ancestor t 0 ~descendant:6);
-  Alcotest.(check bool) "not ancestor" false (T.is_ancestor t 2 ~descendant:6)
-
 let test_not_in_tree () =
   let g = G.of_edges ~n:4 [ (0, 1); (2, 3) ] in
   let t = T.of_edges g ~root:0 [ 0 ] in
@@ -270,7 +263,6 @@ let () =
           Alcotest.test_case "structure" `Quick test_structure;
           Alcotest.test_case "lca" `Quick test_lca;
           Alcotest.test_case "paths" `Quick test_paths;
-          Alcotest.test_case "subtree" `Quick test_subtree;
           Alcotest.test_case "non-tree nodes" `Quick test_not_in_tree;
           Alcotest.test_case "cycle rejected" `Quick test_cycle_rejected;
           Alcotest.test_case "disconnected rejected" `Quick test_disconnected_rejected;

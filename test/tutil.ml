@@ -80,6 +80,12 @@ let is_tree g edges =
 
 let check_float = Alcotest.float 1e-6
 
+(* a repair tier's name in failure messages and pinned event digests *)
+let tier_to_string = function
+  | Nfv_multicast.Repair.Patched -> "patched"
+  | Migrated -> "migrated"
+  | Readmitted -> "readmitted"
+
 let assert_close ?(eps = 1e-6) msg a b =
   if Float.abs (a -. b) > eps *. (1.0 +. Float.abs a +. Float.abs b) then
     Alcotest.failf "%s: %.9g <> %.9g" msg a b
