@@ -30,7 +30,9 @@ type t = {
   wv : float array;                         (* vedge id - base_m -> its weight *)
   engine : Sp.t;                            (* base graph, the caller's price *)
   candidates : int list;
-  terminals : int list;                     (* {s'_k} ∪ D_k, sorted, unique *)
+  points : int array;                       (* {s'_k} ∪ D_k, sorted, unique *)
+  ext_w : float array;                      (* edge id -> weight, for KMB *)
+  mutable ext_base : float array;           (* engine vector [ext_w] copies *)
   (* the a_x memo of the subset metric that queried last (see [through]) *)
   mutable ax_owner : int;                   (* that metric's id *)
   mutable ax_next : int;                    (* next subset metric id *)
@@ -69,7 +71,11 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       wv = Array.make (Array.length server_of_vedge) infinity;
       engine;
       candidates = candidate_servers;
-      terminals = List.sort_uniq Int.compare (nn :: request.Sdn.Request.destinations);
+      points =
+        Array.of_list
+          (List.sort_uniq Int.compare (nn :: request.Sdn.Request.destinations));
+      ext_w = Array.make (G.m ext) infinity;
+      ext_base = [||];
       ax_owner = -1;
       ax_next = 0;
       ax_gen = 0;
@@ -114,10 +120,12 @@ let base_path t u v = Sp.path t.engine u v
 (* ------------------------------------------------------------------ *)
 (* subset metric: exact hub decomposition                               *)
 
-type hub_move =
-  | Base_leg                  (* shortest base path between the two hubs *)
-  | Special of int            (* a single special edge id *)
-  | Via of int                (* intermediate hub index (Floyd) *)
+(* A hub move, one int per ordered hub pair: a special edge's id (>= 0),
+   [base_leg] (the shortest base path between the two hubs) or [via k]
+   (through intermediate hub k, from Floyd–Warshall; [via] is its own
+   inverse, so [via m] decodes the move). *)
+let base_leg = -1
+let[@inline] via k = -2 - k
 
 type subset_metric = {
   aux : t;
@@ -126,8 +134,8 @@ type subset_metric = {
   h : int;                    (* number of hubs *)
   hubs : int array;           (* node ids; hubs.(0) = s_k, hubs.(1) = s'_k *)
   hub_row : float array array; (* hubs.(i)'s engine dist array; [||] at s'_k *)
-  hd : float array array;     (* hub-to-hub exact distances *)
-  hmove : hub_move array array;
+  hd : float array;           (* hub-to-hub exact distances, (i, j) at i·h + j *)
+  hmove : int array;          (* the move realising hd, same layout *)
   wvec : float array;         (* the engine's weight vector at creation *)
 }
 
@@ -154,57 +162,47 @@ let subset_metric t subset =
      systematically inflates the realised cost of multi-server trees, so
      we deliberately do not apply it (DESIGN.md §3): the only special
      edges are the virtual ones. *)
-  let hubs = Array.of_list (t.req.Sdn.Request.source :: t.vnode :: subset) in
-  let h = Array.length hubs in
+  let h = 2 + List.length subset in
+  let hubs = Array.make h t.vnode in
+  hubs.(0) <- t.req.Sdn.Request.source;
+  List.iteri (fun i v -> hubs.(i + 2) <- v) subset;
   (* snapshot each hub's engine row once so the (hot) metric queries
      below read flat float arrays, not the cache; rows are shared with
      the engine across all subsets of the same request *)
-  let hub_row =
-    Array.map
-      (fun hv ->
-        if hv = t.vnode then [||] else (Sp.spt t.engine hv).Mcgraph.Paths.dist)
-      hubs
-  in
-  let hd = Array.make_matrix h h infinity in
-  let hmove = Array.make_matrix h h Base_leg in
+  let hub_row = Array.make h [||] in
+  for i = 0 to h - 1 do
+    if hubs.(i) <> t.vnode then
+      hub_row.(i) <- (Sp.spt t.engine hubs.(i)).Mcgraph.Paths.dist
+  done;
+  let hd = Array.make (h * h) infinity in
+  let hmove = Array.make (h * h) base_leg in
   (* direct moves: base legs between base hubs, virtual edges
      (s'_k ↔ subset server) *)
   for i = 0 to h - 1 do
-    hd.(i).(i) <- 0.0;
+    hd.((i * h) + i) <- 0.0;
     for j = 0 to h - 1 do
-      if i <> j then begin
-        let hi = hubs.(i) and hj = hubs.(j) in
-        if hi <> t.vnode && hj <> t.vnode then begin
-          hd.(i).(j) <- hub_row.(i).(hj);
-          hmove.(i).(j) <- Base_leg
-        end
-      end
+      if i <> j && hubs.(i) <> t.vnode && hubs.(j) <> t.vnode then
+        hd.((i * h) + j) <- hub_row.(i).(hubs.(j))
     done
   done;
-  let set_special i j w e =
-    if w < hd.(i).(j) then begin
-      hd.(i).(j) <- w;
-      hd.(j).(i) <- w;
-      hmove.(i).(j) <- Special e;
-      hmove.(j).(i) <- Special e
+  (* hub j >= 2 is a subset server: its virtual edge to s'_k *)
+  for j = 2 to h - 1 do
+    let e = Hashtbl.find t.vedge_of_server hubs.(j) in
+    let w = t.wv.(e - t.base_m) in
+    if w < hd.(h + j) then begin
+      hd.(h + j) <- w;
+      hd.((j * h) + 1) <- w;
+      hmove.(h + j) <- e;
+      hmove.((j * h) + 1) <- e
     end
-  in
-  Array.iteri
-    (fun j hj ->
-      if j >= 2 then begin
-        (* hub j is a subset server: virtual edge to s'_k *)
-        match virtual_edge_of_server t hj with
-        | Some e -> set_special 1 j (virtual_edge_weight t hj) e
-        | None -> ()
-      end)
-    hubs;
+  done;
   (* Floyd–Warshall over the hubs *)
   for k = 0 to h - 1 do
     for i = 0 to h - 1 do
       for j = 0 to h - 1 do
-        if hd.(i).(k) +. hd.(k).(j) < hd.(i).(j) then begin
-          hd.(i).(j) <- hd.(i).(k) +. hd.(k).(j);
-          hmove.(i).(j) <- Via k
+        if hd.((i * h) + k) +. hd.((k * h) + j) < hd.((i * h) + j) then begin
+          hd.((i * h) + j) <- hd.((i * h) + k) +. hd.((k * h) + j);
+          hmove.((i * h) + j) <- via k
         end
       done
     done
@@ -241,7 +239,7 @@ let through sm x rx =
     for i = 0 to h - 1 do
       if sm.hubs.(i) <> t.vnode then
         for j = 0 to h - 1 do
-          let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(j) in
+          let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + j) in
           if c < a.(base + j) then a.(base + j) <- c
         done
     done;
@@ -256,12 +254,12 @@ let dist_into sm x ix y out k =
   let t = sm.aux in
   let h = sm.h in
   let iy = hub_index sm y in
-  if ix >= 0 && iy >= 0 then out.(k) <- sm.hd.(ix).(iy)
+  if ix >= 0 && iy >= 0 then out.(k) <- sm.hd.((ix * h) + iy)
   else if ix >= 0 then begin
     let best = ref infinity in
     for j = 0 to h - 1 do
       if sm.hubs.(j) <> t.vnode then begin
-        let c = sm.hd.(ix).(j) +. sm.hub_row.(j).(y) in
+        let c = sm.hd.((ix * h) + j) +. sm.hub_row.(j).(y) in
         if c < !best then best := c
       end
     done;
@@ -273,7 +271,7 @@ let dist_into sm x ix y out k =
       let best = ref infinity in
       for i = 0 to h - 1 do
         if sm.hubs.(i) <> t.vnode then begin
-          let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(iy) in
+          let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + iy) in
           if c < !best then best := c
         end
       done;
@@ -307,97 +305,123 @@ let dist sm x y =
   dist_into sm x (hub_index sm x) y out 0;
   out.(0)
 
-(* expand the hub-level move (i, j) into concrete edge ids *)
-let rec expand_hub sm i j acc =
-  if i = j then acc
-  else
-    match sm.hmove.(i).(j) with
-    | Special e -> e :: acc
-    | Base_leg -> (
-      match Sp.path sm.aux.engine sm.hubs.(i) sm.hubs.(j) with
-      | Some p -> ( match acc with [] -> p | _ -> p @ acc)
-      | None -> invalid_arg "Aux_graph: hub base leg without path")
-    | Via k -> expand_hub sm i k (expand_hub sm k j acc)
+(* the engine's shortest base path u → v, edge by edge *)
+let emit_leg sm u v emit =
+  if not (Mcgraph.Paths.iter_path (Sp.spt sm.aux.engine u) v emit) then
+    invalid_arg "Aux_graph: base leg without path"
 
-let path sm x y =
-  let t = sm.aux in
-  if dist sm x y = infinity then None
-  else if x = y then Some []
-  else begin
+(* expand the hub-level move (i, j) into concrete edge ids *)
+let rec emit_hub sm i j emit =
+  if i <> j then begin
+    let m = sm.hmove.((i * sm.h) + j) in
+    if m >= 0 then emit m
+    else if m = base_leg then emit_leg sm sm.hubs.(i) sm.hubs.(j) emit
+    else begin
+      let k = via m in
+      emit_hub sm i k emit;
+      emit_hub sm k j emit
+    end
+  end
+
+(* [emit] the edges of [path sm x y]. The argmin of [dist] is kept as
+   hub indices (ci, cj): the walk x → h_ci, hubs ci ⇝ cj, h_cj → y, with
+   a base leg at each end that is not itself a hub; ci = -1 is the
+   direct base path. The scan is quadratic on purpose: it keeps the
+   first least pair in (i, j) order, which the a_x memo's per-j minimum
+   does not record, so the edges never depend on the memo. *)
+let iter_path sm x y emit =
+  x = y
+  || begin
+    let t = sm.aux in
     let h = sm.h in
     let ix = hub_index sm x and iy = hub_index sm y in
-    (* recompute the argmin of [dist] and expand it *)
-    let best = ref infinity and choice = ref `None in
+    let best = ref infinity and ci = ref (-1) and cj = ref (-1) in
     if ix >= 0 && iy >= 0 then begin
-      best := sm.hd.(ix).(iy);
-      choice := `Hub (ix, iy)
+      best := sm.hd.((ix * h) + iy);
+      ci := ix;
+      cj := iy
     end
     else if ix >= 0 then begin
       for j = 0 to h - 1 do
         if sm.hubs.(j) <> t.vnode then begin
-          let c = sm.hd.(ix).(j) +. sm.hub_row.(j).(y) in
+          let c = sm.hd.((ix * h) + j) +. sm.hub_row.(j).(y) in
           if c < !best then begin
             best := c;
-            choice := `From_hub (ix, j)
-          end
-        end
-      done
-    end
-    else if iy >= 0 then begin
-      let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
-      for i = 0 to h - 1 do
-        if sm.hubs.(i) <> t.vnode then begin
-          let c = rx.(sm.hubs.(i)) +. sm.hd.(i).(iy) in
-          if c < !best then begin
-            best := c;
-            choice := `To_hub (i, iy)
+            ci := ix;
+            cj := j
           end
         end
       done
     end
     else begin
       let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
-      best := rx.(y);
-      choice := `Direct;
-      for i = 0 to h - 1 do
-        if sm.hubs.(i) <> t.vnode then
-          for j = 0 to h - 1 do
-            if sm.hubs.(j) <> t.vnode then begin
-              let c =
-                rx.(sm.hubs.(i))
-                +. sm.hd.(i).(j)
-                +. sm.hub_row.(j).(y)
-              in
-              if c < !best then begin
-                best := c;
-                choice := `Through (i, j)
-              end
+      if iy >= 0 then begin
+        for i = 0 to h - 1 do
+          if sm.hubs.(i) <> t.vnode then begin
+            let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + iy) in
+            if c < !best then begin
+              best := c;
+              ci := i;
+              cj := iy
             end
-          done
-      done
+          end
+        done
+      end
+      else begin
+        best := rx.(y);
+        for i = 0 to h - 1 do
+          if sm.hubs.(i) <> t.vnode then
+            for j = 0 to h - 1 do
+              if sm.hubs.(j) <> t.vnode then begin
+                let c =
+                  rx.(sm.hubs.(i)) +. sm.hd.((i * h) + j) +. sm.hub_row.(j).(y)
+                in
+                if c < !best then begin
+                  best := c;
+                  ci := i;
+                  cj := j
+                end
+              end
+            done
+        done
+      end
     end;
-    let base_path_exn a b =
-      match Sp.path t.engine a b with
-      | Some p -> p
-      | None -> invalid_arg "Aux_graph.path: missing base path"
-    in
-    let edges =
-      match !choice with
-      | `None -> invalid_arg "Aux_graph.path: unreachable"
-      | `Direct -> base_path_exn x y
-      | `Hub (i, j) -> expand_hub sm i j []
-      | `From_hub (i, j) -> expand_hub sm i j (base_path_exn sm.hubs.(j) y)
-      | `To_hub (i, j) -> base_path_exn x sm.hubs.(i) @ expand_hub sm i j []
-      | `Through (i, j) ->
-        base_path_exn x sm.hubs.(i)
-        @ expand_hub sm i j (base_path_exn sm.hubs.(j) y)
-    in
-    Some edges
+    !best < infinity
+    && begin
+      if !ci < 0 then emit_leg sm x y emit
+      else begin
+        if ix < 0 then emit_leg sm x sm.hubs.(!ci) emit;
+        emit_hub sm !ci !cj emit;
+        if iy < 0 then emit_leg sm sm.hubs.(!cj) y emit
+      end;
+      true
+    end
   end
 
+let path sm x y =
+  let acc = ref [] in
+  if iter_path sm x y (fun e -> acc := e :: !acc) then Some (List.rev !acc)
+  else None
+
+(* [weight sm] as a vector over the extended graph: the base part is
+   copied only when the engine's vector is not the one copied last, the
+   virtual part is rewritten for every subset *)
+let fill_weights sm =
+  let t = sm.aux in
+  if t.ext_base != sm.wvec then begin
+    Array.blit sm.wvec 0 t.ext_w 0 t.base_m;
+    t.ext_base <- sm.wvec
+  end;
+  Array.fill t.ext_w t.base_m (Array.length t.ext_w - t.base_m) infinity;
+  for j = 2 to sm.h - 1 do
+    let e = Hashtbl.find t.vedge_of_server sm.hubs.(j) in
+    t.ext_w.(e) <- t.wv.(e - t.base_m)
+  done
+
 let steiner_tree sm =
-  Mcgraph.Steiner.kmb_with_metric sm.aux.ext ~weight:(weight sm)
-    ~terminals:sm.aux.terminals ~row:(fill_row sm) ~path:(path sm)
+  fill_weights sm;
+  Mcgraph.Steiner.kmb_with_metric sm.aux.ext ~weights:sm.aux.ext_w
+    ~terminals:sm.aux.points ~row:(fill_row sm) ~path:(iter_path sm)
 
 let tree_cost sm edges =
   let acc = ref 0.0 and rest = ref edges and fin = ref false in
@@ -414,6 +438,9 @@ let tree_cost sm edges =
 (* servers that change nothing (DESIGN.md §17)                          *)
 
 let mask_bits = 62
+
+(* the largest finite value seen so far *)
+let[@inline] raise_to m x = if x < infinity && x > m then x else m
 
 (* Read off the engine rows already cached — the source's, the reachable
    candidates' and the destinations' — so building it never runs a
@@ -455,16 +482,23 @@ let build_dominance t =
      distance the rule compares, so it dominates the rounding of every
      float sum in the metric *)
   let maxd = ref 1.0 in
-  let see x = if x < infinity && x > !maxd then maxd := x in
-  Array.iter (Array.iter see) dqq;
-  Array.iteri
-    (fun i r ->
-      if has r then begin
-        see t.wv.(i);
-        Array.iter (fun x -> see r.(x)) q;
-        List.iter (fun v -> see r.(v)) t.candidates
-      end)
-    srow;
+  for a = 0 to nq - 1 do
+    for b = 0 to nq - 1 do
+      maxd := raise_to !maxd dqq.(a).(b)
+    done
+  done;
+  for i = 0 to nc - 1 do
+    let r = srow.(i) in
+    if has r then begin
+      maxd := raise_to !maxd t.wv.(i);
+      for b = 0 to nq - 1 do
+        maxd := raise_to !maxd r.(q.(b))
+      done;
+      for k = 0 to nc - 1 do
+        maxd := raise_to !maxd r.(t.server_of_vedge.(k))
+      done
+    end
+  done;
   let tol = 1e-9 *. !maxd in
   let in_q v = Array.exists (fun x -> x = v) q in
   (* (b) on Q × Q: u lies off every shortest path between Q's nodes *)
@@ -532,18 +566,16 @@ let rec rows_off d iu = function
     let iv = d.index.(v) in
     (iv = iu || d.off_s.((iu * d.nc) + iv)) && rows_off d iu rest
 
-(* min over v ∈ R of w_v + d(v, x) *)
-let rec best_to d t iu x acc = function
-  | [] -> acc
+(* (a) at x: w_u + d(u, x) > w_v + d(v, x) + tol for some v ∈ R. The
+   rule's min over R commutes with adding tol (rounded addition is
+   monotone), so this is its [>] against the minimum, bit for bit *)
+let rec beaten d t iu x = function
+  | [] -> false
   | v :: rest ->
     let iv = d.index.(v) in
-    let acc =
-      if iv = iu then acc
-      else
-        let c = t.wv.(iv) +. d.srow.(iv).(x) in
-        if c < acc then c else acc
-    in
-    best_to d t iu x acc rest
+    (iv <> iu
+    && t.wv.(iu) +. d.srow.(iu).(x) > t.wv.(iv) +. d.srow.(iv).(x) +. d.tol)
+    || beaten d t iu x rest
 
 (* (b) on {v} × {v'} for the servers v' of R listed after v *)
 let rec pairs_off d iu v iv = function
@@ -559,9 +591,7 @@ let rec at_servers d t iu all = function
   | [] -> true
   | v :: rest ->
     let iv = d.index.(v) in
-    (iv = iu
-    || t.wv.(iu) +. d.srow.(iu).(v) > best_to d t iu v infinity all +. d.tol
-       && pairs_off d iu v iv rest)
+    (iv = iu || (beaten d t iu v all && pairs_off d iu v iv rest))
     && at_servers d t iu all rest
 
 (* (a) on Q: every node of Q has a server of R that beats u there *)

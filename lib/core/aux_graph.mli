@@ -91,11 +91,21 @@ val dist : subset_metric -> int -> int -> float
     nodes (the virtual node included). *)
 
 val path : subset_metric -> int -> int -> int list option
-(** Edge ids realising [dist], in travel order. *)
+(** Edge ids realising [dist], in travel order: the first least walk in
+    hub order, expanded into base legs and virtual edges. These are the
+    edges {!steiner_tree} streams into KMB for the same pair, collected
+    into a list (KMB never builds it). *)
 
 val steiner_tree : subset_metric -> int list option
 (** KMB Steiner tree spanning [{s'_k} ∪ D_k] in [G_k^i]; [None] when a
-    terminal is unreachable. *)
+    terminal is unreachable. The run reads the request's terminal array
+    (built once per [t]) and a weight vector over the extended graph
+    owned by [t]: each call rewrites its virtual entries for this
+    subset, and copies the base part from the metric's engine vector
+    only when that is not the vector copied last, so the vector equals
+    {!weight} bit for bit. Paths stream from the engine trees into
+    KMB's scratch; beyond those trees and the result, a run allocates a
+    few closures. *)
 
 val tree_cost : subset_metric -> int list -> float
 (** Cost of an edge set under this combination's weights. *)

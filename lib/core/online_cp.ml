@@ -199,9 +199,14 @@ let pending_order a b =
 (* [List.mem] on ints without the polymorphic compare *)
 let rec mem_int x = function [] -> false | y :: rest -> y = x || mem_int x rest
 
-(* the edges from [v] up [t]'s parents to its source, in travel order *)
-let rec up_to_source (t : Paths.spt) v =
-  if v = t.source then [] else t.parent_edge.(v) :: up_to_source t t.parent.(v)
+(* [emit] each edge from [v] up [t]'s parents to its source, in travel
+   order *)
+let emit_up (t : Paths.spt) v emit =
+  let v = ref v in
+  while !v <> t.source do
+    emit t.parent_edge.(!v);
+    v := t.parent.(!v)
+  done
 
 (* [List.sort_uniq Int.compare (x :: l)] for a sorted, duplicate-free
    [l], sharing the tail past [x]'s place *)
@@ -358,12 +363,12 @@ let admit_impl ~prune p request =
             out.(i) <- (Sp.spt eng dst.(i)).Paths.dist.(x)
           done
       in
-      let path x y =
-        if is_terminal x then Paths.path_edges g (Sp.spt eng x) y
+      let path x y emit =
+        if is_terminal x then Paths.iter_path (Sp.spt eng x) y emit
         else
           (* [x]'s way up [y]'s tree is the x → y path in travel order *)
           let t = Sp.spt eng y in
-          if t.Paths.dist.(x) = infinity then None else Some (up_to_source t x)
+          t.Paths.dist.(x) < infinity && (emit_up t x emit; true)
       in
       (* the bounds below read distances as rows: the source's once, each
          destination's on first need (a Dijkstra KMB would run anyway) *)
@@ -445,9 +450,9 @@ let admit_impl ~prune p request =
               None
             end
             else
-              let terms = insert_int v terminals in
+              let terms = Array.of_list (insert_int v terminals) in
               match
-                Mcgraph.Steiner.kmb_with_metric g ~weight:link_wv ~terminals:terms
+                Mcgraph.Steiner.kmb_with_metric g ~weights:wvec ~terminals:terms
                   ~row ~path
               with
               | None -> None

@@ -1,5 +1,5 @@
-(* Per-domain scratch memory and the slice kernels behind KMB's second
-   MST and its leaf pruning. See kernels.mli. *)
+(* Per-domain scratch memory and the kernels behind KMB's closure MST,
+   its second MST and its leaf pruning. See kernels.mli. *)
 
 type ints = { mutable ia : int array }
 type floats = { mutable fa : float array }
@@ -9,7 +9,9 @@ type t = {
   mutable slot : int array;    (* key -> slot, valid when stamped now *)
   mutable gen : int;
   edges_a : ints;
+  weights_a : floats;
   edges_b : ints;
+  pairs : ints;
   i0 : ints;
   i1 : ints;
   i2 : ints;
@@ -24,7 +26,9 @@ let fresh () =
     slot = [||];
     gen = 0;
     edges_a = ints ();
+    weights_a = floats ();
     edges_b = ints ();
+    pairs = ints ();
     i0 = ints ();
     i1 = ints ();
     i2 = ints ();
@@ -129,6 +133,62 @@ let stable_sort_by ws order tmp k =
   done;
   !src
 
+(* Prim on the metric closure, one row of distances per tree point.
+   [rest.(0 .. r-1)] holds the indices of the points not yet in the
+   tree, in increasing order, so each row asks for exactly the pairs, in
+   exactly the order, that a per-pair scan of the points would. The
+   pairs go to [s.pairs], which no [row] callback touches. *)
+let prim ~points ~row =
+  let t = Array.length points in
+  if t = 0 then 0
+  else begin
+    let s = get () in
+    let rest = ints s.i0 t and dst = ints s.i1 t and from = ints s.i2 t in
+    let best = floats s.f0 t and buf = floats s.f1 t in
+    let r = ref (t - 1) in
+    for i = 0 to t - 2 do
+      rest.(i) <- i + 1;
+      dst.(i) <- points.(i + 1)
+    done;
+    if t > 1 then row points.(0) dst (t - 1) buf;
+    for i = 0 to t - 2 do
+      best.(i + 1) <- buf.(i);
+      from.(i + 1) <- 0
+    done;
+    let picked = ref 0 in
+    let ok = ref true in
+    while !ok && !r > 0 do
+      (* the first point of least [best], as a strict [<] scan picks *)
+      let p = ref 0 in
+      for q = 1 to !r - 1 do
+        if best.(rest.(q)) < best.(rest.(!p)) then p := q
+      done;
+      let j = rest.(!p) in
+      if best.(j) = infinity then ok := false
+      else begin
+        push s.pairs (2 * !picked) points.(from.(j));
+        push s.pairs ((2 * !picked) + 1) points.(j);
+        incr picked;
+        Array.blit rest (!p + 1) rest !p (!r - !p - 1);
+        decr r;
+        if !r > 0 then begin
+          for q = 0 to !r - 1 do
+            dst.(q) <- points.(rest.(q))
+          done;
+          row points.(j) dst !r buf;
+          for q = 0 to !r - 1 do
+            let k = rest.(q) in
+            if buf.(q) < best.(k) then begin
+              best.(k) <- buf.(q);
+              from.(k) <- j
+            end
+          done
+        end
+      end
+    done;
+    if !ok then !picked else -1
+  end
+
 let rec root parent x =
   let p = parent.(x) in
   if p = x then x
@@ -151,15 +211,12 @@ let node_slot s a count x =
     v
   end
 
-let kruskal g ~weight src n dst =
+let kruskal g ws src n dst =
   let s = get () in
-  let ws = floats s.f0 n in
   let order = ints s.i0 n in
   let k = ref 0 in
   for i = 0 to n - 1 do
-    let w = weight src.(i) in
-    ws.(i) <- w;
-    if w <> infinity then begin
+    if ws.(i) <> infinity then begin
       order.(!k) <- i;
       incr k
     end
@@ -203,11 +260,10 @@ let prune g ~terminals src n =
   done;
   (* a real degree is at most n; a terminal's is offset by n + 1, so it
      never reads as a removable leaf. A removed edge has su = -1. *)
-  List.iter
-    (fun x ->
-      let v = find s x in
-      if v >= 0 && degree.(v) <= n then degree.(v) <- degree.(v) + n + 1)
-    terminals;
+  for i = 0 to Array.length terminals - 1 do
+    let v = find s terminals.(i) in
+    if v >= 0 && degree.(v) <= n then degree.(v) <- degree.(v) + n + 1
+  done;
   let changed = ref true in
   while !changed do
     changed := false;

@@ -1,5 +1,5 @@
 (** Per-domain scratch memory for the spanning-tree and Steiner kernels,
-    and the two slice kernels KMB runs on it (private to [Mcgraph]).
+    and the three kernels KMB runs on it (private to [Mcgraph]).
 
     One KMB run must cost work proportional to its terminals and its
     expanded subgraph, not to the graph it lives in. So no kernel clears
@@ -12,8 +12,9 @@
 
     {b Re-entrancy.} A kernel holds the scratch from entry to return, so
     no kernel may be called again, on the same domain, from inside one of
-    its own callbacks ([weight], [dist], [path], [row]). Different
-    domains never share a scratch. *)
+    its own callbacks ([weight], [dist], [path], [row]), and a [path]
+    callback's [emit] (which writes the scratch) must not call one
+    either. Different domains never share a scratch. *)
 
 type ints
 (** A growable int buffer. *)
@@ -26,7 +27,9 @@ type t = private {
   mutable slot : int array;
   mutable gen : int;
   edges_a : ints;  (** an edge-id list handed between kernels *)
+  weights_a : floats;  (** the weights of [edges_a]'s entries, index for index *)
   edges_b : ints;  (** a second one, for the next stage *)
+  pairs : ints;    (** {!prim}'s node pairs, flat: [(a, b)] at [2p], [2p + 1] *)
   i0 : ints;       (** kernel-local work buffers: any kernel may clobber them *)
   i1 : ints;
   i2 : ints;
@@ -64,16 +67,24 @@ val find : t -> int -> int
 val bind : t -> int -> int -> unit
 (** Bind a key to a (non-negative) slot. *)
 
-val kruskal :
-  Graph.t -> weight:(int -> float) -> int array -> int -> ints -> int
-(** [kruskal g ~weight src n dst] writes to [dst], in pick order, the
-    edges of a minimum spanning forest of the edge ids [src.(0 .. n-1)]
-    and returns how many. Equal weights keep their input order; infinite
-    weights are skipped. The union-find runs over compact slots of the
-    edges' own endpoints. [src] must not be one of the scratch's work
-    buffers. *)
+val prim : points:int array -> row:(int -> int array -> int -> float array -> unit) -> int
+(** [prim ~points ~row] is the MST of the complete graph on [points]
+    under the metric [row] reads (the {!Mst.prim_rows} contract). It
+    writes the node pairs to [pairs] in the order Prim adds them and returns how many, or
+    [-1] when some point is at infinite distance from the rest. [row]
+    must not touch the scratch, so [pairs] and [edges_a] stay valid
+    for the caller. *)
 
-val prune : Graph.t -> terminals:int list -> int array -> int -> int list
+val kruskal : Graph.t -> float array -> int array -> int -> ints -> int
+(** [kruskal g ws src n dst] writes to [dst], in pick order, the edges
+    of a minimum spanning forest of the edge ids [src.(0 .. n-1)], edge
+    [src.(i)] weighing [ws.(i)], and returns how many. The caller fills
+    [ws] (usually [weights_a], beside [edges_a]). Equal weights keep
+    their input order; infinite weights are skipped. The union-find runs
+    over compact slots of the edges' own endpoints. Neither [src] nor
+    [ws] may be one of the scratch's work buffers. *)
+
+val prune : Graph.t -> terminals:int array -> int array -> int -> int list
 (** [prune g ~terminals src n]: the distinct edge ids [src.(0 .. n-1)]
     that survive repeated removal of edges with a non-terminal endpoint
     of degree one, in input order. *)

@@ -2,7 +2,10 @@
 
     [kruskal], [kruskal_subset] and [prim_rows] run on a per-domain
     scratch rather than per-call arrays: their work is proportional to
-    the edges or points they are given, not to the graph. In exchange
+    the edges or points they are given, not to the graph. Kruskal's
+    kernel reads weights from a float buffer beside the edge ids; these
+    wrappers fill it from [weight], one call per listed edge in list
+    order, before sorting. In exchange
     they are not re-entrant on one domain: a [weight], [dist] or [row]
     callback must not call any of them, nor [Steiner.kmb],
     [Steiner.kmb_with_metric], [Steiner.prune] or [Steiner.dedup_edges],
@@ -31,7 +34,9 @@ val prim_rows :
     to [dist]. [dst] and [out] are scratch buffers, valid only during
     the call. Returns node pairs [(a, b)] drawn from [points], in the
     order Prim adds them; [None] when some point is at infinite distance
-    from the rest. O(|points|²) time, no allocation per distance. *)
+    from the rest. O(|points|²) time, no allocation per distance. The
+    pairs are read off the flat pair buffer KMB's expansion walks
+    directly; this list is built for other callers. *)
 
 val prim_metric : points:int array -> dist:(int -> int -> float) -> (int * int) list option
 (** {!prim_rows} with the rows filled one [dist] call per pair. *)

@@ -120,3 +120,18 @@ let path_edges _g spt target =
     in
     Some (walk target [])
   end
+
+(* the edges from the source down to [v], emitted on the way back out of
+   the climb, so in travel order with nothing allocated *)
+let rec emit_down parent parent_edge source v emit =
+  if v <> source then begin
+    emit_down parent parent_edge source parent.(v) emit;
+    emit parent_edge.(v)
+  end
+
+let iter_path spt v emit =
+  spt.dist.(v) < infinity
+  && begin
+    emit_down spt.parent spt.parent_edge spt.source v emit;
+    true
+  end

@@ -55,3 +55,10 @@ val dijkstra_vec : Graph.t -> weights:float array -> source:int -> spt
 val path_edges : Graph.t -> spt -> int -> int list option
 (** Edge ids of the tree path from the source to a node, in travel
     order; [None] if unreachable, [Some []] for the source itself. *)
+
+val iter_path : spt -> int -> (int -> unit) -> bool
+(** [iter_path spt v emit] calls [emit] on each edge id of the tree path
+    from the source to [v], in travel order — the list {!path_edges}
+    returns — and returns [true]; it emits nothing and returns [false]
+    when [v] is unreachable, and emits nothing for the source itself.
+    It allocates nothing (the climb recurses once per edge). *)

@@ -19,50 +19,53 @@ let dedup_edges g edges =
 let prune g ~terminals edges =
   let s = Kernels.get () in
   let src = Kernels.of_list s.edges_a edges in
-  Kernels.prune g ~terminals src (List.length edges)
+  Kernels.prune g ~terminals:(Array.of_list terminals) src (List.length edges)
 
-(* terminals sorted with duplicates removed; a list already in that
+(* terminals sorted with duplicates removed; an array already in that
    form (as callers pricing many subsets pass it) is returned as is *)
-let rec strictly_increasing = function
-  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
-  | _ -> true
+let sorted_terminals points =
+  let ok = ref true in
+  for i = 1 to Array.length points - 1 do
+    if points.(i - 1) >= points.(i) then ok := false
+  done;
+  if !ok then points
+  else Array.of_list (List.sort_uniq Int.compare (Array.to_list points))
 
-let sorted_terminals terminals =
-  if strictly_increasing terminals then terminals
-  else List.sort_uniq Int.compare terminals
-
-(* Shared core of both KMB variants: given a sorted unique terminal list
-   and a metric closure read by rows, build an MST over the closure,
-   expand its edges into shortest paths (first occurrences kept, in
-   order, straight into the scratch), re-run an MST on the expanded
-   subgraph and prune non-terminal leaves. *)
-let kmb_core g ~weight ~terminals ~row ~path =
-  let points = Array.of_list terminals in
-  match Mst.prim_rows ~points ~row with
-  | None -> None
-  | Some closure_mst ->
+(* Shared core of both KMB variants: given sorted unique terminals and a
+   metric closure read by rows, build an MST over the closure, expand
+   its edges into shortest paths (first occurrences kept, in order,
+   straight into the scratch), re-run an MST on the expanded subgraph
+   and prune non-terminal leaves. *)
+let kmb_core g ~weights ~points ~row ~path =
+  let np = Kernels.prim ~points ~row in
+  if np < 0 then None
+  else begin
     let s = Kernels.get () in
     Kernels.reset_keys s ~size:(Graph.m g);
     let n = ref 0 in
-    List.iter
-      (fun (a, b) ->
-        match path a b with
-        | Some edges ->
-          List.iter
-            (fun e ->
-              if first_sight s e then begin
-                Kernels.push s.edges_a !n e;
-                incr n
-              end)
-            edges
-        | None -> invalid_arg "Steiner.kmb: metric/path disagree")
-      closure_mst;
-    let sub = Kernels.ints s.edges_a !n in
-    let k = Kernels.kruskal g ~weight sub !n s.edges_b in
-    Some (Kernels.prune g ~terminals (Kernels.ints s.edges_b k) k)
+    let emit e =
+      if first_sight s e then begin
+        Kernels.push s.edges_a !n e;
+        incr n
+      end
+    in
+    let pairs = Kernels.ints s.pairs (2 * np) in
+    for p = 0 to np - 1 do
+      if not (path pairs.(2 * p) pairs.((2 * p) + 1) emit) then
+        invalid_arg "Steiner.kmb: metric/path disagree"
+    done;
+    let n = !n in
+    let sub = Kernels.ints s.edges_a n in
+    let ws = Kernels.floats s.weights_a n in
+    for i = 0 to n - 1 do
+      ws.(i) <- weights.(sub.(i))
+    done;
+    let k = Kernels.kruskal g ws sub n s.edges_b in
+    Some (Kernels.prune g ~terminals:points (Kernels.ints s.edges_b k) k)
+  end
 
 let kmb g ~weight ~terminals =
-  match sorted_terminals terminals with
+  match List.sort_uniq Int.compare terminals with
   | [] | [ _ ] -> Some []
   | uniq ->
     let weights = Paths.weight_vector g ~weight in
@@ -78,13 +81,13 @@ let kmb g ~weight ~terminals =
         done
       | None -> invalid_arg "Steiner.kmb: dist outside terminal set"
     in
-    let path u v = Paths.path_edges g (Hashtbl.find spt_of u) v in
-    kmb_core g ~weight ~terminals:uniq ~row ~path
+    let path u v emit = Paths.iter_path (Hashtbl.find spt_of u) v emit in
+    kmb_core g ~weights ~points:(Array.of_list uniq) ~row ~path
 
-let kmb_with_metric g ~weight ~terminals ~row ~path =
-  match sorted_terminals terminals with
-  | [] | [ _ ] -> Some []
-  | uniq -> kmb_core g ~weight ~terminals:uniq ~row ~path
+let kmb_with_metric g ~weights ~terminals ~row ~path =
+  let points = sorted_terminals terminals in
+  if Array.length points < 2 then Some []
+  else kmb_core g ~weights ~points ~row ~path
 
 let is_steiner_tree g ~terminals edges =
   match List.sort_uniq Int.compare terminals with

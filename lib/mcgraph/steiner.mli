@@ -8,10 +8,13 @@
     After its metric queries, one KMB run costs work proportional to its
     terminals and its expanded subgraph: the closure MST, the path
     expansion, the second MST and the pruning run on a per-domain
-    scratch (see {!Mst}) with no O(|V|) or O(|E|) set-up. The same
-    re-entrancy rule holds: a [weight], [row] or [path] callback must not
-    call [kmb], [kmb_with_metric], [prune], [dedup_edges] or the
-    {!Mst} kernels on the same domain. *)
+    scratch (see {!Mst}) with no O(|V|) or O(|E|) set-up: Prim leaves
+    the closure MST as flat node pairs, the paths stream their edges
+    into the deduplicated edge buffer, and the second MST reads the
+    edges' weights from a float buffer filled off the weight vector.
+    The same re-entrancy rule holds: a [weight], [row] or [path]
+    callback must not call [kmb], [kmb_with_metric], [prune],
+    [dedup_edges] or the {!Mst} kernels on the same domain. *)
 
 val kmb : Graph.t -> weight:(int -> float) -> terminals:int list -> int list option
 (** Edge ids of an approximate Steiner tree spanning [terminals];
@@ -21,18 +24,26 @@ val kmb : Graph.t -> weight:(int -> float) -> terminals:int list -> int list opt
 
 val kmb_with_metric :
   Graph.t ->
-  weight:(int -> float) ->
-  terminals:int list ->
+  weights:float array ->
+  terminals:int array ->
   row:(int -> int array -> int -> float array -> unit) ->
-  path:(int -> int -> int list option) ->
+  path:(int -> int -> (int -> unit) -> bool) ->
   int list option
 (** KMB where the metric closure is supplied by the caller, a row at a
     time: [row u dst n out] sets [out.(i)] to the shortest-path cost from
     node [u] to node [dst.(i)] for [i < n] (the {!Mst.prim_rows}
-    contract), and [path u v] gives that path's edge ids. Used with
+    contract), and [path u v emit] calls [emit] on that path's edge ids
+    in travel order and returns [true] ([false] only when [v] is
+    unreachable from [u]; {!Paths.iter_path} is the model). [emit]
+    writes the scratch: [path] must not call it after returning, and
+    must not call any kernel itself. [weights.(e)] prices edge [e] in
+    the second spanning tree and must agree with the metric. Used with
     precomputed shortest-path data to avoid re-running Dijkstra for every
-    server combination of [Appro_Multi]. [weight] must agree with the
-    metric (it prices the edges returned by [path]). *)
+    server combination of [Appro_Multi]. [terminals] already sorted with
+    no repeats (as a caller pricing many subsets keeps them) is used as
+    is; otherwise it is sorted into a fresh array. Beyond the trees
+    [row] and [path] read, one run allocates the emitter and the
+    returned list. *)
 
 val prune : Graph.t -> terminals:int list -> int list -> int list
 (** Repeatedly remove edges whose endpoint of degree one is not a

@@ -354,6 +354,145 @@ let prop_interleaved_subsets =
         (List.mapi (fun k subset -> (k, subset)) subsets)
         trees)
 
+(* [path] expands the argmin the per-pair scan picks, not just some
+   shortest walk: the first base hub pair (i, j), in hub order (the
+   source, then the subset's servers), whose sum is strictly least —
+   rx(h_i) + hd(i, j) + row_j(y) between two non-hub nodes, with the
+   direct base path as the incumbent; one leg fewer when x or y is
+   itself a hub. The expected edges are the engine's base legs around
+   the hub-to-hub path. Integer weights make ties common; subsets
+   holding the source are left out, so each hub has one index. *)
+let prop_path_argmin =
+  Tutil.qtest ~count:60 "aux path = first argmin's legs"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
+      let request = Tutil.random_request rng net ~id:0 in
+      let engine =
+        Mcgraph.Sp_engine.create (N.graph net)
+          ~weight:(fun e -> float_of_int (1 + (e mod 3)))
+          ~epoch:(fun () -> N.weight_epoch net)
+      in
+      let aux =
+        Aux.build ~engine ~net ~request ~candidate_servers:(N.servers net) ()
+      in
+      let src = request.Sdn.Request.source in
+      let servers = List.filter (( <> ) src) (Aux.reachable_servers aux) in
+      let base u v = Option.get (Mcgraph.Sp_engine.path engine u v) in
+      let bd = Mcgraph.Sp_engine.dist engine in
+      let nodes = G.n (Aux.ext_graph aux) in
+      List.for_all
+        (fun subset ->
+          let sm = Aux.subset_metric aux subset in
+          let hubs = src :: subset in
+          let is_hub v = v = Aux.virtual_node aux || List.mem v hubs in
+          let hub_path u v = Option.get (Aux.path sm u v) in
+          let expected x y =
+            (* the incumbent and the candidates, each a sum and its edges *)
+            let direct =
+              if is_hub x && is_hub y then (Aux.dist sm x y, fun () -> hub_path x y)
+              else if is_hub x || is_hub y then (infinity, fun () -> [])
+              else (bd x y, fun () -> base x y)
+            in
+            let cands =
+              if is_hub x && is_hub y then []
+              else if is_hub x then
+                List.map
+                  (fun j ->
+                    (Aux.dist sm x j +. bd j y, fun () -> hub_path x j @ base j y))
+                  hubs
+              else if is_hub y then
+                List.map
+                  (fun i ->
+                    (bd x i +. Aux.dist sm i y, fun () -> base x i @ hub_path i y))
+                  hubs
+              else
+                List.concat_map
+                  (fun i ->
+                    List.map
+                      (fun j ->
+                        ( bd x i +. Aux.dist sm i j +. bd j y,
+                          fun () -> base x i @ hub_path i j @ base j y ))
+                      hubs)
+                  hubs
+            in
+            let c, edges =
+              List.fold_left
+                (fun (bc, be) (c, e) -> if c < bc then (c, e) else (bc, be))
+                direct cands
+            in
+            if x = y then Some [] else if c = infinity then None else Some (edges ())
+          in
+          List.for_all
+            (fun _ ->
+              let x = Rng.int rng nodes and y = Rng.int rng nodes in
+              Aux.path sm x y = expected x y)
+            (List.init 30 Fun.id))
+        (Oracle.Subsets.subsets_up_to servers 3))
+
+(* [steiner_tree] against KMB rebuilt from lists: the closure MST of
+   [Mst.prim_metric] over [dist], each closure edge expanded with
+   [path]'s list, deduplicated, then the reference Kruskal over
+   [weight sm] and the reference prune. The metrics of one request are
+   priced round-robin, forwards and back, and more are built after the
+   engine's weight epoch moves, so a weight vector or pair buffer left
+   over from another subset or epoch would show. Integer weights make
+   ties common. *)
+let prop_steiner_tree_matches_lists =
+  Tutil.qtest ~count:60 "steiner_tree = list reference (interleaved)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
+      let request = Tutil.random_request rng net ~id:0 in
+      let epoch = ref 0 in
+      let engine =
+        Mcgraph.Sp_engine.create (N.graph net)
+          ~weight:(fun e -> float_of_int (1 + ((e + !epoch) mod 3)))
+          ~epoch:(fun () -> !epoch)
+      in
+      let aux =
+        Aux.build ~engine ~net ~request ~candidate_servers:(N.servers net) ()
+      in
+      let ext = Aux.ext_graph aux in
+      let terminals =
+        List.sort_uniq compare
+          (Aux.virtual_node aux :: request.Sdn.Request.destinations)
+      in
+      let reference sm =
+        match
+          Mcgraph.Mst.prim_metric ~points:(Array.of_list terminals)
+            ~dist:(Aux.dist sm)
+        with
+        | None -> None
+        | Some closure ->
+          let expanded =
+            List.concat_map (fun (a, b) -> Option.get (Aux.path sm a b)) closure
+          in
+          let sub = Oracle.Ref_kmb.dedup_edges expanded in
+          let mst2 = Oracle.Ref_kmb.kruskal_edges ext ~weight:(Aux.weight sm) sub in
+          Some (Oracle.Ref_kmb.prune ext ~terminals mst2)
+      in
+      let all =
+        Array.of_list (Oracle.Subsets.subsets_up_to (Aux.reachable_servers aux) 3)
+      in
+      let metrics () =
+        List.init 5 (fun _ ->
+            Aux.subset_metric aux all.(Rng.int rng (Array.length all)))
+      in
+      let priced sms =
+        List.for_all (fun sm -> Aux.steiner_tree sm = reference sm) sms
+      in
+      all = [||]
+      || begin
+        let sms = metrics () in
+        priced sms
+        && priced (List.rev sms)
+        && begin
+          incr epoch;
+          priced (metrics ())
+        end
+      end)
+
 let () =
   Alcotest.run "aux_graph"
     [
@@ -374,5 +513,7 @@ let () =
           prop_cost_agreement;
           prop_dist_matches_quadratic;
           prop_interleaved_subsets;
+          prop_path_argmin;
+          prop_steiner_tree_matches_lists;
         ] );
     ]

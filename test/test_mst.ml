@@ -157,9 +157,9 @@ let prop_kruskal_subset_matches_reference =
             Topology.Rng.int rng (G.m g))
       in
       Mst.kruskal_subset g ~weight ~edges
-      = Tutil.reference_kruskal_edges g ~weight edges
+      = Oracle.Ref_kmb.kruskal_edges g ~weight edges
       && Mst.kruskal g ~weight
-         = Tutil.reference_kruskal_edges g ~weight (List.init (G.m g) Fun.id))
+         = Oracle.Ref_kmb.kruskal_edges g ~weight (List.init (G.m g) Fun.id))
 
 (* the same, on graphs of alternating sizes in one run *)
 let prop_kruskal_subset_back_to_back =
@@ -175,7 +175,7 @@ let prop_kruskal_subset_back_to_back =
                 Topology.Rng.int rng (G.m g))
           in
           Mst.kruskal_subset g ~weight ~edges
-          = Tutil.reference_kruskal_edges g ~weight edges)
+          = Oracle.Ref_kmb.kruskal_edges g ~weight edges)
         Tutil.size_ladder)
 
 (* the row kernel against the per-pair Prim it replaced, on asymmetric
@@ -200,7 +200,7 @@ let prop_prim_rows_matches_reference =
       let dist a b = table.((a * span) + b) in
       let log_ref = ref [] and log_rows = ref [] in
       let expected =
-        Tutil.reference_prim_metric ~points ~dist:(fun a b ->
+        Oracle.Ref_kmb.prim_metric ~points ~dist:(fun a b ->
             log_ref := (a, b) :: !log_ref;
             dist a b)
       in

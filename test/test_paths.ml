@@ -205,6 +205,31 @@ let prop_scratch_reuse =
             (List.init (G.n g) Fun.id))
         Tutil.size_ladder)
 
+(* [iter_path] streams the list [path_edges] builds: the same edges in
+   the same order, nothing and [false] for a target that pruned
+   (infinite) edges cut off, nothing for the source itself *)
+let prop_iter_path =
+  Tutil.qtest ~count:60 "iter_path emits path_edges' list"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (lo, hi) ->
+          let g, rng = Tutil.random_connected_graph seed ~lo ~hi in
+          let w = Tutil.tied_weights rng g in
+          let weights = P.weight_vector g ~weight:(Tutil.weight_fn w) in
+          let s = Topology.Rng.int rng (G.n g) in
+          let spt = P.dijkstra_vec g ~weights ~source:s in
+          List.for_all
+            (fun v ->
+              let got = ref [] in
+              let reached = P.iter_path spt v (fun e -> got := e :: !got) in
+              let emitted = List.rev !got in
+              match P.path_edges g spt v with
+              | None -> (not reached) && emitted = []
+              | Some edges -> reached && emitted = edges && (v <> s || edges = []))
+            (List.init (G.n g) Fun.id))
+        Tutil.size_ladder)
+
 let () =
   Alcotest.run "paths"
     [
@@ -229,5 +254,6 @@ let () =
           prop_apsp_rows;
           prop_kernel_bit_identical;
           prop_scratch_reuse;
+          prop_iter_path;
         ] );
     ]

@@ -160,52 +160,6 @@ let prop_two_terminals =
 
 (* ---- bit-identity with the Hashtbl-based kernels they replaced ---- *)
 
-let reference_dedup_edges edges =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun e ->
-      if Hashtbl.mem seen e then false
-      else begin
-        Hashtbl.add seen e ();
-        true
-      end)
-    edges
-
-let reference_prune g ~terminals edges =
-  let is_terminal = Hashtbl.create 16 in
-  List.iter (fun t -> Hashtbl.replace is_terminal t ()) terminals;
-  let degree = Hashtbl.create 16 in
-  let bump v d =
-    let cur = Option.value (Hashtbl.find_opt degree v) ~default:0 in
-    Hashtbl.replace degree v (cur + d)
-  in
-  let live = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace live e ();
-      let u, v = G.endpoints g e in
-      bump u 1;
-      bump v 1)
-    edges;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun e () ->
-        let u, v = G.endpoints g e in
-        let removable x =
-          Hashtbl.find degree x = 1 && not (Hashtbl.mem is_terminal x)
-        in
-        if removable u || removable v then begin
-          Hashtbl.remove live e;
-          bump u (-1);
-          bump v (-1);
-          changed := true
-        end)
-      (Hashtbl.copy live)
-  done;
-  List.filter (Hashtbl.mem live) edges
-
 (* a random spanning forest under tied weights, its edges shuffled, with
    a random terminal set: the shape [prune] sees after KMB's second MST *)
 let forest_instance seed =
@@ -224,7 +178,7 @@ let prop_prune_matches_reference =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let g, _, _, forest, terminals = forest_instance seed in
-      S.prune g ~terminals forest = reference_prune g ~terminals forest)
+      S.prune g ~terminals forest = Oracle.Ref_kmb.prune g ~terminals forest)
 
 let prop_dedup_matches_reference =
   Tutil.qtest ~count:300 "dedup_edges = Hashtbl reference"
@@ -234,7 +188,7 @@ let prop_dedup_matches_reference =
       let edges =
         List.init (Topology.Rng.int rng 60) (fun _ -> Topology.Rng.int rng (G.m g))
       in
-      S.dedup_edges g edges = reference_dedup_edges edges)
+      S.dedup_edges g edges = Oracle.Ref_kmb.dedup_edges edges)
 
 (* the same, on forests of alternating sizes in one run *)
 let prop_prune_back_to_back =
@@ -253,12 +207,15 @@ let prop_prune_back_to_back =
               (fun _ -> Topology.Rng.int rng 4 = 0)
               (List.init (G.n g) Fun.id)
           in
-          S.prune g ~terminals forest = reference_prune g ~terminals forest
+          S.prune g ~terminals forest = Oracle.Ref_kmb.prune g ~terminals forest
           && S.dedup_edges g (forest @ forest) = forest)
         Tutil.size_ladder)
 
 (* the whole of KMB under ties: the array kernels and the vector Dijkstra
-   give the tree the reference kernels give *)
+   give the tree the reference kernels give. [kmb_with_metric] is run
+   too, with the closure read off the same trees and each path [x → y]
+   walked up [y]'s tree from [x] (as Online_CP answers a non-terminal
+   end): its reference expands the closure MST with those lists. *)
 let prop_kmb_matches_reference =
   Tutil.qtest ~count:150 "kmb = kmb over reference kernels (ties)"
     QCheck.(int_bound 1_000_000)
@@ -272,7 +229,15 @@ let prop_kmb_matches_reference =
         List.map (fun t -> (t, Tutil.reference_dijkstra g ~weight ~source:t)) terminals
       in
       let tree_of u = List.assoc u trees in
-      let expected =
+      let up_list x y =
+        let t = tree_of y in
+        let rec up v =
+          if v = y then []
+          else t.Mcgraph.Paths.parent_edge.(v) :: up t.Mcgraph.Paths.parent.(v)
+        in
+        if t.Mcgraph.Paths.dist.(x) = infinity then None else Some (up x)
+      in
+      let expected path =
         match
           Mcgraph.Mst.prim_metric ~points:(Array.of_list terminals)
             ~dist:(fun u v -> (tree_of u).Mcgraph.Paths.dist.(v))
@@ -280,16 +245,29 @@ let prop_kmb_matches_reference =
         | None -> None
         | Some closure ->
           let expanded =
-            List.concat_map
-              (fun (a, b) ->
-                Option.get (Mcgraph.Paths.path_edges g (tree_of a) b))
-              closure
+            List.concat_map (fun (a, b) -> Option.get (path a b)) closure
           in
-          let sub = reference_dedup_edges expanded in
-          let mst2 = Tutil.reference_kruskal_edges g ~weight sub in
-          Some (reference_prune g ~terminals mst2)
+          let sub = Oracle.Ref_kmb.dedup_edges expanded in
+          let mst2 = Oracle.Ref_kmb.kruskal_edges g ~weight sub in
+          Some (Oracle.Ref_kmb.prune g ~terminals mst2)
       in
-      S.kmb g ~weight ~terminals = expected)
+      let row u dst n out =
+        for i = 0 to n - 1 do
+          out.(i) <- (tree_of u).Mcgraph.Paths.dist.(dst.(i))
+        done
+      in
+      let path_up x y emit =
+        match up_list x y with
+        | None -> false
+        | Some edges ->
+          List.iter emit edges;
+          true
+      in
+      S.kmb g ~weight ~terminals
+      = expected (fun a b -> Mcgraph.Paths.path_edges g (tree_of a) b)
+      && S.kmb_with_metric g ~weights:w ~terminals:(Array.of_list terminals)
+           ~row ~path:path_up
+         = expected up_list)
 
 (* each domain has its own scratch: KMB on two domains at once gives
    the trees one domain gives in sequence *)

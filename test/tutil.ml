@@ -271,70 +271,6 @@ let same_spt (a : Mcgraph.Paths.spt) (b : Mcgraph.Paths.spt) =
   && a.parent = b.parent
   && a.parent_edge = b.parent_edge
 
-(* Kruskal as it stood before the array kernel: a [List.sort] (stable,
-   so equal weights keep their input order) over a fresh union-find *)
-let reference_kruskal_edges g ~weight edge_ids =
-  let weighted =
-    List.filter_map
-      (fun e ->
-        let w = weight e in
-        if w = infinity then None else Some (w, e))
-      edge_ids
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) weighted in
-  let uf = Mcgraph.Union_find.create (G.n g) in
-  List.map snd
-    (List.filter
-       (fun (_, e) ->
-         let u, v = G.endpoints g e in
-         Mcgraph.Union_find.union uf u v)
-       sorted)
-
-(* Prim on the metric closure as it stood before the row kernel: one
-   [dist] call per pair, the first point of least [best] picked by a
-   strict [<] scan. [Mst.prim_rows] must ask for the same pairs in the
-   same order and return the same edges. *)
-let reference_prim_metric ~points ~dist =
-  let t = Array.length points in
-  if t = 0 then Some []
-  else begin
-    let in_tree = Array.make t false in
-    let best = Array.make t infinity in
-    let best_from = Array.make t (-1) in
-    in_tree.(0) <- true;
-    for j = 1 to t - 1 do
-      best.(j) <- dist points.(0) points.(j);
-      best_from.(j) <- 0
-    done;
-    let edges = ref [] in
-    let ok = ref true in
-    for _ = 1 to t - 1 do
-      if !ok then begin
-        let pick = ref (-1) in
-        for j = 0 to t - 1 do
-          if (not in_tree.(j)) && (!pick < 0 || best.(j) < best.(!pick)) then
-            pick := j
-        done;
-        if !pick < 0 || best.(!pick) = infinity then ok := false
-        else begin
-          let j = !pick in
-          in_tree.(j) <- true;
-          edges := (points.(best_from.(j)), points.(j)) :: !edges;
-          for k = 0 to t - 1 do
-            if not in_tree.(k) then begin
-              let w = dist points.(j) points.(k) in
-              if w < best.(k) then begin
-                best.(k) <- w;
-                best_from.(k) <- j
-              end
-            end
-          done
-        end
-      end
-    done;
-    if !ok then Some (List.rev !edges) else None
-  end
-
 (* graphs of alternating sizes, so a kernel's per-domain scratch meets
    stamps left by a larger graph: large, small, medium, small *)
 let size_ladder = [ (60, 120); (2, 8); (20, 40); (2, 8) ]
