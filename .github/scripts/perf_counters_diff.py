@@ -24,8 +24,11 @@ lists the offending values when one moved the wrong way, or when a
 workload or fingerprint is missing on one side.
 
 It also prints each workload's end-to-end `alloc_words_per_op`, parent
--> change, as an information line. That value is exact for a seed and
-scale too, but a change may move it on purpose, so it does not gate.
+-> change, as an information line. It does not gate: a change may move
+it on purpose, and at a small scale it is approximate. bench/perf reads
+it from `Gc.quick_stat`, whose `minor_words` moves only at a minor
+collection, so each rep is off by up to one minor heap; on a short run
+that can be several percent of the value either way.
 """
 import json
 import re
@@ -109,7 +112,11 @@ def main(argv):
             a = e2e_a["alloc_words_per_op"]["value"]
             b = e2e_b["alloc_words_per_op"]["value"]
             delta = "" if a == 0 else " (%+.1f%%)" % (100.0 * (b - a) / a)
-            print("info: %s alloc_words_per_op %.1f -> %.1f%s" % (w, a, b, delta))
+            print(
+                "info: %s alloc_words_per_op %.1f -> %.1f%s "
+                "(approximate at this scale: counted per minor collection)"
+                % (w, a, b, delta)
+            )
 
     keys = set(parent) | set(change)
     print(

@@ -9,7 +9,6 @@ module Sp = Mcgraph.Sp_engine
 type dominance = {
   usable : bool;                            (* every Q × Q distance known *)
   nc : int;                                 (* candidate positions *)
-  index : int array;                        (* node -> position, or -1 *)
   tol : float;                              (* margin over rounding *)
   srow : float array array;                 (* position -> engine row *)
   off_q : bool array;                       (* u -> (b) on Q × Q *)
@@ -25,7 +24,7 @@ type t = {
   ext : G.t;
   vnode : int;
   base_m : int;
-  vedge_of_server : (int, int) Hashtbl.t;   (* server -> virtual edge id *)
+  pos : int array;                          (* ext node -> candidate position, or -1 *)
   server_of_vedge : int array;              (* vedge id - base_m -> server *)
   wv : float array;                         (* vedge id - base_m -> its weight *)
   engine : Sp.t;                            (* base graph, the caller's price *)
@@ -33,12 +32,7 @@ type t = {
   points : int array;                       (* {s'_k} ∪ D_k, sorted, unique *)
   ext_w : float array;                      (* edge id -> weight, for KMB *)
   mutable ext_base : float array;           (* engine vector [ext_w] copies *)
-  (* the a_x memo of the subset metric that queried last (see [through]) *)
-  mutable ax_owner : int;                   (* that metric's id *)
-  mutable ax_next : int;                    (* next subset metric id *)
-  mutable ax_gen : int;                     (* generation of [ax_owner] *)
-  ax_stamp : int array;                     (* node -> generation of its row *)
-  mutable ax_rows : float array;            (* node x's row at x·h .. x·h+h-1 *)
+  mutable vec : float array;                (* the hub vector of the row being filled *)
   mutable dom : dominance option;           (* built on [redundant]'s first use *)
 }
 
@@ -47,12 +41,13 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
   let nn = G.n g and mm = G.m g in
   let ext = G.create (nn + 1) in
   G.iter_edges g (fun _ u v -> ignore (G.add_edge ext u v));
-  let vedge_of_server = Hashtbl.create 16 in
-  let server_of_vedge = Array.make (max (List.length candidate_servers) 1) (-1) in
+  let nc = List.length candidate_servers in
+  let pos = Array.make (nn + 1) (-1) in
+  let server_of_vedge = Array.make (max nc 1) (-1) in
   List.iteri
     (fun i v ->
-      let e = G.add_edge ext nn v in
-      Hashtbl.replace vedge_of_server v e;
+      ignore (G.add_edge ext nn v);
+      pos.(v) <- i;
       server_of_vedge.(i) <- v)
     candidate_servers;
   let placement_cost =
@@ -66,7 +61,7 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       ext;
       vnode = nn;
       base_m = mm;
-      vedge_of_server;
+      pos;
       server_of_vedge;
       wv = Array.make (Array.length server_of_vedge) infinity;
       engine;
@@ -76,11 +71,7 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
           (List.sort_uniq Int.compare (nn :: request.Sdn.Request.destinations));
       ext_w = Array.make (G.m ext) infinity;
       ext_base = [||];
-      ax_owner = -1;
-      ax_next = 0;
-      ax_gen = 0;
-      ax_stamp = Array.make (nn + 1) 0;
-      ax_rows = [||];
+      vec = [||];
       dom = None;
     }
   in
@@ -94,6 +85,9 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       in
       t.wv.(i) <- w)
     candidate_servers;
+  (* a KMB path emits only base edges and its subset's virtual edges, so
+     the other virtual entries may keep their weights for every subset *)
+  Array.blit t.wv 0 t.ext_w mm nc;
   t
 
 let ext_graph t = t.ext
@@ -104,12 +98,15 @@ let server_of_virtual_edge t e =
   if not (is_virtual_edge t e) then invalid_arg "Aux_graph: not a virtual edge";
   t.server_of_vedge.(e - t.base_m)
 
-let virtual_edge_of_server t v = Hashtbl.find_opt t.vedge_of_server v
+let is_candidate t v = v >= 0 && v < Array.length t.pos && t.pos.(v) >= 0
+
+let virtual_edge_of_server t v =
+  if is_candidate t v then Some (t.base_m + t.pos.(v)) else None
 
 let virtual_edge_weight t v =
-  match Hashtbl.find_opt t.vedge_of_server v with
-  | Some e -> t.wv.(e - t.base_m)
-  | None -> invalid_arg "Aux_graph.virtual_edge_weight: not a candidate"
+  if not (is_candidate t v) then
+    invalid_arg "Aux_graph.virtual_edge_weight: not a candidate";
+  t.wv.(t.pos.(v))
 
 let reachable_servers t =
   List.filter (fun v -> virtual_edge_weight t v < infinity) t.candidates
@@ -129,8 +126,6 @@ let[@inline] via k = -2 - k
 
 type subset_metric = {
   aux : t;
-  id : int;                   (* owner key of the a_x memo *)
-  subset : int list;
   h : int;                    (* number of hubs *)
   hubs : int array;           (* node ids; hubs.(0) = s_k, hubs.(1) = s'_k *)
   hub_row : float array array; (* hubs.(i)'s engine dist array; [||] at s'_k *)
@@ -139,20 +134,30 @@ type subset_metric = {
   wvec : float array;         (* the engine's weight vector at creation *)
 }
 
+(* whether candidate position [i] is one of the subset's servers, hubs 2
+   and up: the source, hub 0, may itself be a candidate *)
+let in_subset sm i =
+  let t = sm.aux in
+  let found = ref false in
+  for j = 2 to sm.h - 1 do
+    if t.pos.(sm.hubs.(j)) = i then found := true
+  done;
+  !found
+
 (* base edges cost what the engine's pruned weights say: its per-epoch
    vector, the same values [Sp.dist] and [Sp.path] were computed from *)
 let[@inline] weight sm e =
   let t = sm.aux in
   if e >= t.base_m then begin
     let i = e - t.base_m in
-    if List.mem t.server_of_vedge.(i) sm.subset then t.wv.(i) else infinity
+    if in_subset sm i then t.wv.(i) else infinity
   end
   else sm.wvec.(e)
 
 let subset_metric t subset =
   List.iter
     (fun v ->
-      if not (Hashtbl.mem t.vedge_of_server v) then
+      if not (is_candidate t v) then
         invalid_arg "Aux_graph.subset_metric: not a candidate server")
     subset;
   (* The paper zeroes the cost of base edges (s_k, v) for v in the chosen
@@ -187,13 +192,13 @@ let subset_metric t subset =
   done;
   (* hub j >= 2 is a subset server: its virtual edge to s'_k *)
   for j = 2 to h - 1 do
-    let e = Hashtbl.find t.vedge_of_server hubs.(j) in
-    let w = t.wv.(e - t.base_m) in
+    let i = t.pos.(hubs.(j)) in
+    let w = t.wv.(i) in
     if w < hd.(h + j) then begin
       hd.(h + j) <- w;
       hd.((j * h) + 1) <- w;
-      hmove.(h + j) <- e;
-      hmove.((j * h) + 1) <- e
+      hmove.(h + j) <- t.base_m + i;
+      hmove.((j * h) + 1) <- t.base_m + i
     end
   done;
   (* Floyd–Warshall over the hubs *)
@@ -207,9 +212,8 @@ let subset_metric t subset =
       done
     done
   done;
-  let id = t.ax_next in
-  t.ax_next <- id + 1;
-  { aux = t; id; subset; h; hubs; hub_row; hd; hmove; wvec = Sp.weights t.engine }
+  if Array.length t.vec < h then t.vec <- Array.make h infinity;
+  { aux = t; h; hubs; hub_row; hd; hmove; wvec = Sp.weights t.engine }
 
 let rec hub_from hubs node i =
   if i >= Array.length hubs then -1
@@ -218,91 +222,57 @@ let rec hub_from hubs node i =
 
 let hub_index sm node = hub_from sm.hubs node 0
 
-(* The row a_x(j) = min_i rx(h_i) + hd(i, j) over base hubs i, for a
-   non-hub node x, filled on x's first non-hub query: its offset in the
-   request's scratch. The scratch holds the rows of one subset metric at
-   a time; a query from another one takes it over and starts a new
-   generation, so a row is never read under another metric's hubs. *)
-let through sm x rx =
-  let t = sm.aux in
-  let h = sm.h in
-  if t.ax_owner <> sm.id then begin
-    t.ax_owner <- sm.id;
-    t.ax_gen <- t.ax_gen + 1;
-    let need = Array.length t.ax_stamp * h in
-    if Array.length t.ax_rows < need then t.ax_rows <- Array.make need infinity
-  end;
-  let base = x * h in
-  if t.ax_stamp.(x) <> t.ax_gen then begin
-    let a = t.ax_rows in
-    Array.fill a base h infinity;
+(* the request's [vec] <- the hub vector of extended node x (hub index
+   [ix], or -1): hd's row for a hub, or a_x(j) = min_i rx(h_i) + hd(i, j)
+   over base hubs i for a non-hub x with engine row [rx]. Each row fills
+   it before reading it, so no value outlives the row. *)
+let fill_vec sm ix rx =
+  let h = sm.h and v = sm.aux.vec in
+  if ix >= 0 then Array.blit sm.hd (ix * h) v 0 h
+  else begin
+    Array.fill v 0 h infinity;
     for i = 0 to h - 1 do
-      if sm.hubs.(i) <> t.vnode then
+      if sm.hubs.(i) <> sm.aux.vnode then
         for j = 0 to h - 1 do
           let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + j) in
-          if c < a.(base + j) then a.(base + j) <- c
+          if c < v.(j) then v.(j) <- c
         done
-    done;
-    t.ax_stamp.(x) <- t.ax_gen
-  end;
-  base
+    done
+  end
 
-(* [out.(k)] <- distance between extended nodes x (hub index [ix], or
-   -1) and y; hubs.(1) is the virtual node. A non-hub x reads its engine
-   row once per query. *)
-let dist_into sm x ix y out k =
-  let t = sm.aux in
-  let h = sm.h in
+(* [out.(k)] <- the distance from the row's node x to extended node y,
+   off x's hub vector; [rx] is x's engine row, [[||]] for a hub. Between
+   two non-hub nodes, min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y)
+   is taken as min over j of a_x(j) + row_j(y): rounded addition is
+   monotone, so the inner minimum commutes with adding row_j(y), bit for
+   bit. *)
+let dist_into sm rx y out k =
   let iy = hub_index sm y in
-  if ix >= 0 && iy >= 0 then out.(k) <- sm.hd.((ix * h) + iy)
-  else if ix >= 0 then begin
-    let best = ref infinity in
-    for j = 0 to h - 1 do
-      if sm.hubs.(j) <> t.vnode then begin
-        let c = sm.hd.((ix * h) + j) +. sm.hub_row.(j).(y) in
+  let v = sm.aux.vec in
+  if iy >= 0 then out.(k) <- v.(iy)
+  else begin
+    let best = ref (if Array.length rx > 0 then rx.(y) else infinity) in
+    for j = 0 to sm.h - 1 do
+      if sm.hubs.(j) <> sm.aux.vnode then begin
+        let c = v.(j) +. sm.hub_row.(j).(y) in
         if c < !best then best := c
       end
     done;
     out.(k) <- !best
   end
-  else begin
-    let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
-    if iy >= 0 then begin
-      let best = ref infinity in
-      for i = 0 to h - 1 do
-        if sm.hubs.(i) <> t.vnode then begin
-          let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + iy) in
-          if c < !best then best := c
-        end
-      done;
-      out.(k) <- !best
-    end
-    else begin
-      (* min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y) taken as
-         min over j of a_x(j) + row_j(y): rounded addition is monotone,
-         so the inner minimum commutes with adding row_j(y), bit for bit *)
-      let base = through sm x rx in
-      let a = t.ax_rows in
-      let best = ref rx.(y) in
-      for j = 0 to h - 1 do
-        if sm.hubs.(j) <> t.vnode then begin
-          let c = a.(base + j) +. sm.hub_row.(j).(y) in
-          if c < !best then best := c
-        end
-      done;
-      out.(k) <- !best
-    end
-  end
 
+(* x's engine row is read once per row, and only for a non-hub x *)
 let fill_row sm x dst n out =
   let ix = hub_index sm x in
+  let rx = if ix >= 0 then [||] else (Sp.spt sm.aux.engine x).Paths.dist in
+  fill_vec sm ix rx;
   for i = 0 to n - 1 do
-    dist_into sm x ix dst.(i) out i
+    dist_into sm rx dst.(i) out i
   done
 
 let dist sm x y =
   let out = [| 0.0 |] in
-  dist_into sm x (hub_index sm x) y out 0;
+  fill_row sm x [| y |] 1 out;
   out.(0)
 
 (* the engine's shortest base path u → v, edge by edge *)
@@ -327,8 +297,8 @@ let rec emit_hub sm i j emit =
    hub indices (ci, cj): the walk x → h_ci, hubs ci ⇝ cj, h_cj → y, with
    a base leg at each end that is not itself a hub; ci = -1 is the
    direct base path. The scan is quadratic on purpose: it keeps the
-   first least pair in (i, j) order, which the a_x memo's per-j minimum
-   does not record, so the edges never depend on the memo. *)
+   first least pair in (i, j) order, which the hub vector's per-j
+   minimum does not record. *)
 let iter_path sm x y emit =
   x = y
   || begin
@@ -403,20 +373,15 @@ let path sm x y =
   if iter_path sm x y (fun e -> acc := e :: !acc) then Some (List.rev !acc)
   else None
 
-(* [weight sm] as a vector over the extended graph: the base part is
-   copied only when the engine's vector is not the one copied last, the
-   virtual part is rewritten for every subset *)
+(* [weight sm] on every edge KMB reads: the virtual part was written
+   once, by [build]; the base part is copied only when the engine's
+   vector is not the one copied last *)
 let fill_weights sm =
   let t = sm.aux in
   if t.ext_base != sm.wvec then begin
     Array.blit sm.wvec 0 t.ext_w 0 t.base_m;
     t.ext_base <- sm.wvec
-  end;
-  Array.fill t.ext_w t.base_m (Array.length t.ext_w - t.base_m) infinity;
-  for j = 2 to sm.h - 1 do
-    let e = Hashtbl.find t.vedge_of_server sm.hubs.(j) in
-    t.ext_w.(e) <- t.wv.(e - t.base_m)
-  done
+  end
 
 let steiner_tree sm =
   fill_weights sm;
@@ -476,8 +441,6 @@ let build_dominance t =
     Array.init nc (fun i ->
         if t.wv.(i) < infinity then row t.server_of_vedge.(i) else [||])
   in
-  let index = Array.make (t.vnode + 1) (-1) in
-  List.iteri (fun i v -> index.(v) <- i) t.candidates;
   (* the margin Online_cp.slack gives, taken against the largest finite
      distance the rule compares, so it dominates the rounding of every
      float sum in the metric *)
@@ -545,7 +508,7 @@ let build_dominance t =
     Array.init nw (fun w ->
         (1 lsl min mask_bits (nq - (w * mask_bits))) - 1)
   in
-  { usable = !usable; nc; index; tol; srow; off_q; off_s; nw; beats; full }
+  { usable = !usable; nc; tol; srow; off_q; off_s; nw; beats; full }
 
 let dominance t =
   match t.dom with
@@ -560,78 +523,76 @@ let dominance t =
 
 (* (b) on {v} × Q for every v ∈ R, read off the table — which also
    guarantees every row of R is present for the checks after it *)
-let rec rows_off d iu = function
+let rec rows_off t d iu = function
   | [] -> true
   | v :: rest ->
-    let iv = d.index.(v) in
-    (iv = iu || d.off_s.((iu * d.nc) + iv)) && rows_off d iu rest
+    let iv = t.pos.(v) in
+    (iv = iu || d.off_s.((iu * d.nc) + iv)) && rows_off t d iu rest
 
 (* (a) at x: w_u + d(u, x) > w_v + d(v, x) + tol for some v ∈ R. The
    rule's min over R commutes with adding tol (rounded addition is
    monotone), so this is its [>] against the minimum, bit for bit *)
-let rec beaten d t iu x = function
+let rec beaten t d iu x = function
   | [] -> false
   | v :: rest ->
-    let iv = d.index.(v) in
+    let iv = t.pos.(v) in
     (iv <> iu
     && t.wv.(iu) +. d.srow.(iu).(x) > t.wv.(iv) +. d.srow.(iv).(x) +. d.tol)
-    || beaten d t iu x rest
+    || beaten t d iu x rest
 
 (* (b) on {v} × {v'} for the servers v' of R listed after v *)
-let rec pairs_off d iu v iv = function
+let rec pairs_off t d iu v iv = function
   | [] -> true
   | v' :: rest ->
-    let iv' = d.index.(v') in
+    let iv' = t.pos.(v') in
     (iv' = iu
     || d.srow.(iu).(v) +. d.srow.(iu).(v') > d.srow.(iv).(v') +. d.tol)
-    && pairs_off d iu v iv rest
+    && pairs_off t d iu v iv rest
 
 (* (a) at each server of R, and (b) on R × R *)
-let rec at_servers d t iu all = function
+let rec at_servers t d iu all = function
   | [] -> true
   | v :: rest ->
-    let iv = d.index.(v) in
-    (iv = iu || (beaten d t iu v all && pairs_off d iu v iv rest))
-    && at_servers d t iu all rest
+    let iv = t.pos.(v) in
+    (iv = iu || (beaten t d iu v all && pairs_off t d iu v iv rest))
+    && at_servers t d iu all rest
 
 (* (a) on Q: every node of Q has a server of R that beats u there *)
-let rec union d iu w acc = function
+let rec union t d iu w acc = function
   | [] -> acc
   | v :: rest ->
-    let iv = d.index.(v) in
-    union d iu w
+    let iv = t.pos.(v) in
+    union t d iu w
       (if iv = iu then acc else acc lor d.beats.((((iu * d.nc) + iv) * d.nw) + w))
       rest
 
-let rec covers d iu subset w =
+let rec covers t d iu subset w =
   w >= d.nw
-  || (union d iu w 0 subset = d.full.(w) && covers d iu subset (w + 1))
+  || (union t d iu w 0 subset = d.full.(w) && covers t d iu subset (w + 1))
 
-let inert d t subset u =
-  let iu = d.index.(u) in
+let inert t d subset u =
+  let iu = t.pos.(u) in
   d.off_q.(iu)
-  && rows_off d iu subset
-  && at_servers d t iu subset subset
-  && covers d iu subset 0
+  && rows_off t d iu subset
+  && at_servers t d iu subset subset
+  && covers t d iu subset 0
 
-let rec exists_inert d t subset = function
+let rec exists_inert t d subset = function
   | [] -> false
-  | u :: rest -> inert d t subset u || exists_inert d t subset rest
+  | u :: rest -> inert t d subset u || exists_inert t d subset rest
 
-let rec all_candidates d = function
+let rec all_candidates t = function
   | [] -> true
-  | v :: rest ->
-    v >= 0 && v < Array.length d.index && d.index.(v) >= 0
-    && all_candidates d rest
+  | v :: rest -> is_candidate t v && all_candidates t rest
 
 let redundant t subset =
   match subset with
   | [] | [ _ ] -> false
   | _ ->
-    let d = dominance t in
-    if not (all_candidates d subset) then
+    if not (all_candidates t subset) then
       invalid_arg "Aux_graph.redundant: not a candidate server";
-    d.usable && exists_inert d t subset subset
+    let d = dominance t in
+    d.usable && exists_inert t d subset subset
 
 let to_pseudo_tree t tree_edges =
   let req = t.req in

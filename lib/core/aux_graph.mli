@@ -72,13 +72,11 @@ type subset_metric
 
 val subset_metric : t -> int list -> subset_metric
 (** Raises [Invalid_argument] if the subset contains a non-candidate.
-    The subset metrics of one [t] share a per-request memo of the
-    non-hub rows [a_x]; it holds one metric's rows at a time, and a
-    query from another metric takes it over, so metrics may be queried
-    in any interleaving with the same answers. Like [t] itself, they
-    must not be queried from two domains at once. A metric reads the
-    engine's weight vector and hub rows once, when built, so it answers
-    for the weight epoch it was built at. *)
+    A metric reads the engine's weight vector and hub rows once, when
+    built, so it answers for the weight epoch it was built at. Each
+    distance row fills a vector of hub distances kept by [t] before it
+    reads it, so the metrics of one [t] may be queried in any order, but
+    like [t] itself not from two domains at once. *)
 
 val weight : subset_metric -> int -> float
 (** Per-edge weight of the auxiliary graph under this combination
@@ -100,12 +98,13 @@ val steiner_tree : subset_metric -> int list option
 (** KMB Steiner tree spanning [{s'_k} ∪ D_k] in [G_k^i]; [None] when a
     terminal is unreachable. The run reads the request's terminal array
     (built once per [t]) and a weight vector over the extended graph
-    owned by [t]: each call rewrites its virtual entries for this
-    subset, and copies the base part from the metric's engine vector
-    only when that is not the vector copied last, so the vector equals
-    {!weight} bit for bit. Paths stream from the engine trees into
-    KMB's scratch; beyond those trees and the result, a run allocates a
-    few closures. *)
+    owned by [t]. Its virtual entries are written once, when [t] is
+    built; its base part is copied from the metric's engine vector only
+    when that is not the vector copied last. A KMB path emits only base
+    edges and this subset's virtual edges, so the vector agrees with
+    {!weight} bit for bit on every edge KMB reads. Paths stream from the
+    engine trees into KMB's scratch; beyond those trees and the result,
+    a run allocates a few closures. *)
 
 val tree_cost : subset_metric -> int list -> float
 (** Cost of an edge set under this combination's weights. *)

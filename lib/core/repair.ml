@@ -1,6 +1,7 @@
 module G = Mcgraph.Graph
 module Paths = Mcgraph.Paths
 module Sp = Mcgraph.Sp_engine
+module Steiner = Mcgraph.Steiner
 module Tree = Mcgraph.Tree
 module Obs = Nfv_obs.Obs
 
@@ -156,10 +157,10 @@ let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
                     in_tree.(!cur) <- true)
                   path)
             severed;
-          let candidate = keep @ !patches in
-          let rooted, support =
-            Tree.prune g ~root:s ~keep:must_reach candidate
+          let support =
+            Steiner.prune g ~terminals:(s :: must_reach) (keep @ !patches)
           in
+          let rooted = Tree.of_edges g ~root:s support in
           let server_of d =
             match List.assoc_opt d victim.Pseudo_tree.routes with
             | Some r -> r.Pseudo_tree.server
@@ -196,7 +197,8 @@ let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
     if not (List.for_all (fun d -> in_tree.(d)) dests) then None
     else begin
       try
-        let rooted, kept = Tree.prune g ~root:s ~keep:dests keep in
+        let kept = Steiner.prune g ~terminals:(s :: dests) keep in
+        let rooted = Tree.of_edges g ~root:s kept in
         let tree_nodes = Tree.nodes rooted in
         let spt_s = Sp.spt eng s in
         let maxd =

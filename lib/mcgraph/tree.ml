@@ -109,35 +109,6 @@ let leaves t =
   let kids = child_counts t in
   nodes_where t (fun i -> kids.(i) = 0)
 
-(* Leaf pruning has a unique fixpoint: a non-root node goes exactly when
-   its subtree holds no kept node. BFS order lists every node before its
-   descendants, so each node met with no children is an original leaf,
-   and the chain cut up from it only reaches ancestors, which the scan
-   has already passed. *)
-let prune g ~root ~keep edges =
-  let t = of_edges g ~root edges in
-  let k = Array.length t.order in
-  let kept = Bytes.make k '\000' in
-  List.iter (fun v -> if mem t v then Bytes.set kept t.slot.(v) '\001') keep;
-  let kids = child_counts t in
-  let cut = Bytes.make (Graph.m g) '\000' in
-  let any = ref false in
-  for i = 0 to k - 1 do
-    let j = ref i in
-    while !j > 0 && Bytes.get kept !j = '\000' && kids.(!j) = 0 do
-      let p = t.up.(!j) in
-      Bytes.set cut t.pedge.(!j) '\001';
-      any := true;
-      kids.(p) <- kids.(p) - 1;
-      j := p
-    done
-  done;
-  if not !any then (t, edges)
-  else begin
-    let edges = List.filter (fun e -> Bytes.get cut e = '\000') edges in
-    (of_edges g ~root edges, edges)
-  end
-
 (* Parents sit at lower slots than their children, so of two distinct
    slots the higher one is never the other's ancestor and can climb. *)
 let lca_slot t a b =

@@ -50,15 +50,6 @@ val leaves : t -> int list
 (** Nodes with no children, in BFS order (the root too when the tree
     has no edges). *)
 
-val prune : Graph.t -> root:int -> keep:int list -> int list -> t * int list
-(** [prune g ~root ~keep edges] repeatedly drops leaves other than
-    [root] and the [keep] nodes from the tree [of_edges g ~root edges]
-    until none is left, in one pass: a non-root node goes exactly when
-    its subtree holds no [keep] node. Returns the rooted
-    remainder and its edges, in their order in [edges]; when nothing
-    goes, [edges] itself. [keep] ids outside the graph are ignored.
-    Raises [Invalid_argument] as {!of_edges} does. *)
-
 val lca : t -> int -> int -> int
 (** Lowest common ancestor of two tree nodes. *)
 

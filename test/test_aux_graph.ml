@@ -76,6 +76,31 @@ let test_subset_validation () =
     (Invalid_argument "Aux_graph.subset_metric: not a candidate server") (fun () ->
       ignore (Aux.subset_metric aux [ non_server ]))
 
+(* The candidate index answers every node id, off the graph too: -1,
+   the virtual node, one past it and a base node hosting no server. *)
+let test_candidate_index () =
+  let net, _, aux, _ = instance 4 in
+  let non_server =
+    let rec find v = if N.is_server net v then find (v + 1) else v in
+    find 0
+  in
+  let server = List.hd (N.servers net) in
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int))
+        "no virtual edge" None
+        (Aux.virtual_edge_of_server aux v);
+      Alcotest.check_raises "virtual_edge_weight"
+        (Invalid_argument "Aux_graph.virtual_edge_weight: not a candidate")
+        (fun () -> ignore (Aux.virtual_edge_weight aux v));
+      Alcotest.check_raises "subset_metric"
+        (Invalid_argument "Aux_graph.subset_metric: not a candidate server")
+        (fun () -> ignore (Aux.subset_metric aux [ server; v ]));
+      Alcotest.check_raises "redundant"
+        (Invalid_argument "Aux_graph.redundant: not a candidate server")
+        (fun () -> ignore (Aux.redundant aux [ server; v ])))
+    [ -1; Aux.virtual_node aux; N.n net + 1; non_server ]
+
 (* the central property: the closed-form hub metric equals Dijkstra on the
    materialised auxiliary graph, for every subset of up to 3 servers *)
 let prop_metric_exact =
@@ -231,8 +256,8 @@ let prop_metric_exact_pruned =
         !ok
       end)
 
-(* The non-hub query memoises a_x(j) = min_i rx(h_i) + hd(i, j); it must
-   return the bits of the O(h²) double loop it replaced,
+(* A non-hub row reads a_x(j) = min_i rx(h_i) + hd(i, j) off its hub
+   vector; it must return the bits of the O(h²) double loop,
    min(rx(y), min_{i,j} (rx(h_i) + hd(i, j)) + row_j(y)), rebuilt here
    from the public hub-to-hub and base distances. Integer edge weights
    make equal-cost alternatives common. *)
@@ -286,12 +311,12 @@ let prop_dist_matches_quadratic =
           !ok)
         subsets)
 
-(* Subset metrics of one request share its a_x scratch, one metric's
-   rows at a time. Queried round-robin — every query takes the scratch
-   over from another metric, whose hub count may differ — each must give
-   the bits, paths and Steiner tree it gives when queried alone (on a
-   second build of the same request), and Dijkstra's distances on the
-   materialised graph. Integer edge weights make ties common. *)
+(* Subset metrics of one request share its engine, its extended graph,
+   KMB's weight vector and the hub-vector buffer. Queried round-robin — every query comes
+   after one to another metric, whose hub count may differ — each must
+   give the bits, paths and Steiner tree it gives when queried alone
+   (on a second build of the same request), and Dijkstra's distances on
+   the materialised graph. Integer edge weights make ties common. *)
 let prop_interleaved_subsets =
   Tutil.qtest ~count:60 "interleaved subset metrics = each alone"
     QCheck.(int_bound 100_000)
@@ -503,6 +528,7 @@ let () =
             test_virtual_weight_formula;
           Alcotest.test_case "weight function" `Quick test_weight_function;
           Alcotest.test_case "subset validation" `Quick test_subset_validation;
+          Alcotest.test_case "candidate index" `Quick test_candidate_index;
         ] );
       ( "property",
         [

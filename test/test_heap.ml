@@ -143,7 +143,7 @@ let prop_mixed_ops =
 
 (* ---- state-for-state agreement with the swap-based reference ---- *)
 
-module Ref = Tutil.Ref_heap
+module Ref = Oracle.Ref_heap
 
 type op =
   | Insert of int * float

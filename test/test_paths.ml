@@ -169,7 +169,7 @@ let prop_kernel_bit_identical =
       let weights = P.weight_vector g ~weight in
       List.for_all
         (fun s ->
-          let r = Tutil.reference_dijkstra g ~weight ~source:s in
+          let r = Oracle.Ref_paths.swap_heap_dijkstra g ~weight ~source:s in
           Tutil.same_spt r (R.dijkstra g ~weight ~source:s)
           && Tutil.same_spt r (P.dijkstra_vec g ~weights ~source:s))
         (List.init (G.n g) Fun.id))
@@ -191,7 +191,7 @@ let prop_scratch_reuse =
           let weights = P.weight_vector g ~weight in
           let negative = Array.map (fun x -> if x = 0.0 then -1.0 else x) weights in
           let same s =
-            Tutil.same_spt (Tutil.reference_dijkstra g ~weight ~source:s)
+            Tutil.same_spt (Oracle.Ref_paths.swap_heap_dijkstra g ~weight ~source:s)
               (P.dijkstra_vec g ~weights ~source:s)
           in
           List.for_all

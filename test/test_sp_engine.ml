@@ -296,7 +296,7 @@ let prop_bucket_matches_sorted_reference =
           ~link_capacities:(Array.make (G.m g) cap)
           ~link_unit_costs:(Array.make (G.m g) 1.0) ()
       in
-      W.bucket (W.create net) ~bandwidth:b = Tutil.reference_bucket net ~bandwidth:b)
+      W.bucket (W.create net) ~bandwidth:b = Oracle.Ref_window.bucket net ~bandwidth:b)
 
 let test_window_reuse_within_epoch () =
   with_obs @@ fun () ->
@@ -415,7 +415,7 @@ let prop_vector_spt_bit_identical =
         let s = Rng.int rng n in
         let weight = Tutil.weight_fn w in
         let tree = Sp.spt eng s in
-        Tutil.same_spt tree (Tutil.reference_dijkstra g ~weight ~source:s)
+        Tutil.same_spt tree (Oracle.Ref_paths.swap_heap_dijkstra g ~weight ~source:s)
         && Tutil.same_spt tree (Oracle.Ref_paths.dijkstra g ~weight ~source:s)
         && Sp.weights eng = w
       in

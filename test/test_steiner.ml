@@ -226,7 +226,7 @@ let prop_kmb_matches_reference =
       in
       let weight = Tutil.weight_fn w in
       let trees =
-        List.map (fun t -> (t, Tutil.reference_dijkstra g ~weight ~source:t)) terminals
+        List.map (fun t -> (t, Oracle.Ref_paths.swap_heap_dijkstra g ~weight ~source:t)) terminals
       in
       let tree_of u = List.assoc u trees in
       let up_list x y =

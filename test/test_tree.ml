@@ -162,13 +162,16 @@ let random_subtree seed =
   in
   (g, root, keep, Array.to_list order)
 
+(* Repair's trim: [Steiner.prune] over the root and the keep set, then
+   the rooted remainder *)
 let prop_prune_reference =
   Tutil.qtest ~count:300 "prune = the iterative leaf-pruning loop"
     QCheck.(int_bound 100_000)
     (fun seed ->
       let g, root, keep, edges = random_subtree seed in
-      let t, support = T.prune g ~root ~keep edges in
-      let t', support' = Tutil.reference_prune g ~root ~keep_nodes:keep edges in
+      let support = Mcgraph.Steiner.prune g ~terminals:(root :: keep) edges in
+      let t = T.of_edges g ~root support in
+      let t', support' = Oracle.Ref_tree.prune g ~root ~keep_nodes:keep edges in
       let shape t =
         List.map
           (fun v -> (v, T.parent t v, T.parent_edge t v, T.depth t v))
@@ -203,7 +206,7 @@ let answers ~n ~nodes ~mem ~parent ~parent_edge ~depth ~lca ~path_up ~path_betwe
       vs )
 
 let agrees g ~root edges =
-  let module R = Tutil.Ref_tree in
+  let module R = Oracle.Ref_tree in
   let n = G.n g in
   match (catch (fun () -> T.of_edges g ~root edges), catch (fun () -> R.of_edges g ~root edges)) with
   | Error a, Error b -> a = b
