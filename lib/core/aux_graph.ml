@@ -19,17 +19,35 @@ type dominance = {
 }
 
 
+(* Point and hub indices (DESIGN.md §8). Points are the destinations,
+   0..nt-1 in node order, with s'_k at nt; base hubs are the candidate
+   positions 0..nc-1 with s_k at nc. The four tables below hold the
+   engine distances the subset loop reads, row-major, a row written from
+   its owner's engine row the first time it is read. *)
 type t = {
   req : Sdn.Request.t;
   ext : G.t;
   vnode : int;
   base_m : int;
   pos : int array;                          (* ext node -> candidate position, or -1 *)
-  server_of_vedge : int array;              (* vedge id - base_m -> server *)
+  bnode : int array;                        (* base hub -> node *)
   wv : float array;                         (* vedge id - base_m -> its weight *)
   engine : Sp.t;                            (* base graph, the caller's price *)
   candidates : int list;
-  points : int array;                       (* {s'_k} ∪ D_k, sorted, unique *)
+  points : int array;                       (* point -> node: D_k sorted, then s'_k *)
+  ppos : int array;                         (* ext node -> point, or -1 *)
+  nt : int;                                 (* destinations *)
+  nb : int;                                 (* base hubs, nc + 1 *)
+  dd : float array;                         (* destination x destination *)
+  dh : float array;                         (* destination x base hub *)
+  hdst : float array;                       (* base hub x destination *)
+  hh : float array;                         (* base hub x base hub *)
+  dfull : bool array;                       (* destination row written *)
+  hfull : bool array;                       (* base hub row written *)
+  mutable tab_w : float array;              (* engine vector the rows were read at *)
+  phub : int array;                         (* point -> hub index of metric [owner] *)
+  mutable owner : int;                      (* metric id [phub] was filled for *)
+  mutable metrics : int;                    (* metric ids handed out *)
   ext_w : float array;                      (* edge id -> weight, for KMB *)
   mutable ext_base : float array;           (* engine vector [ext_w] copies *)
   mutable vec : float array;                (* the hub vector of the row being filled *)
@@ -43,18 +61,25 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
   G.iter_edges g (fun _ u v -> ignore (G.add_edge ext u v));
   let nc = List.length candidate_servers in
   let pos = Array.make (nn + 1) (-1) in
-  let server_of_vedge = Array.make (max nc 1) (-1) in
+  let s = request.Sdn.Request.source in
+  let bnode = Array.make (nc + 1) s in
   List.iteri
     (fun i v ->
       ignore (G.add_edge ext nn v);
       pos.(v) <- i;
-      server_of_vedge.(i) <- v)
+      bnode.(i) <- v)
     candidate_servers;
   let placement_cost =
     match placement_cost with
     | Some c -> c
     | None -> fun v -> Sdn.Network.chain_cost net v request.Sdn.Request.chain
   in
+  let points =
+    Array.of_list (List.sort_uniq Int.compare (nn :: request.Sdn.Request.destinations))
+  in
+  let nt = Array.length points - 1 and nb = nc + 1 in
+  let ppos = Array.make (nn + 1) (-1) in
+  Array.iteri (fun p v -> ppos.(v) <- p) points;
   let t =
     {
       req = request;
@@ -62,20 +87,30 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       vnode = nn;
       base_m = mm;
       pos;
-      server_of_vedge;
-      wv = Array.make (Array.length server_of_vedge) infinity;
+      bnode;
+      wv = Array.make nc infinity;
       engine;
       candidates = candidate_servers;
-      points =
-        Array.of_list
-          (List.sort_uniq Int.compare (nn :: request.Sdn.Request.destinations));
+      points;
+      ppos;
+      nt;
+      nb;
+      dd = Array.make (nt * nt) infinity;
+      dh = Array.make (nt * nb) infinity;
+      hdst = Array.make (nb * nt) infinity;
+      hh = Array.make (nb * nb) infinity;
+      dfull = Array.make nt false;
+      hfull = Array.make nb false;
+      tab_w = [||];
+      phub = Array.make (nt + 1) (-1);
+      owner = 0;
+      metrics = 0;
       ext_w = Array.make (G.m ext) infinity;
       ext_base = [||];
       vec = [||];
       dom = None;
     }
   in
-  let s = request.Sdn.Request.source in
   List.iteri
     (fun i v ->
       let d = Sp.dist t.engine s v in
@@ -96,7 +131,7 @@ let base_edge_count t = t.base_m
 let is_virtual_edge t e = e >= t.base_m
 let server_of_virtual_edge t e =
   if not (is_virtual_edge t e) then invalid_arg "Aux_graph: not a virtual edge";
-  t.server_of_vedge.(e - t.base_m)
+  t.bnode.(e - t.base_m)
 
 let is_candidate t v = v >= 0 && v < Array.length t.pos && t.pos.(v) >= 0
 
@@ -115,6 +150,51 @@ let base_dist t u v = Sp.dist t.engine u v
 let base_path t u v = Sp.path t.engine u v
 
 (* ------------------------------------------------------------------ *)
+(* the per-request tables                                               *)
+
+(* destination [px]'s rows: its engine row read at every destination
+   and every base hub *)
+let read_point_row t px =
+  if not t.dfull.(px) then begin
+    let rx = (Sp.spt t.engine t.points.(px)).Paths.dist in
+    for q = 0 to t.nt - 1 do
+      t.dd.((px * t.nt) + q) <- rx.(t.points.(q))
+    done;
+    for b = 0 to t.nb - 1 do
+      t.dh.((px * t.nb) + b) <- rx.(t.bnode.(b))
+    done;
+    t.dfull.(px) <- true
+  end
+
+(* base hub [b]'s rows, likewise *)
+let read_hub_row t b =
+  if not t.hfull.(b) then begin
+    let rb = (Sp.spt t.engine t.bnode.(b)).Paths.dist in
+    for q = 0 to t.nt - 1 do
+      t.hdst.((b * t.nt) + q) <- rb.(t.points.(q))
+    done;
+    for c = 0 to t.nb - 1 do
+      t.hh.((b * t.nb) + c) <- rb.(t.bnode.(c))
+    done;
+    t.hfull.(b) <- true
+  end
+
+(* A base distance with a table behind it, [px]/[py] being the ends'
+   point indices. Only [dist] and [path] between nodes that are neither
+   points nor hubs reach the engine rows here. *)
+let[@inline] to_base t x px b =
+  if px >= 0 then t.dh.((px * t.nb) + b)
+  else (Sp.spt t.engine x).Paths.dist.(t.bnode.(b))
+
+let[@inline] from_base t b y py =
+  if py >= 0 then t.hdst.((b * t.nt) + py)
+  else (Sp.spt t.engine t.bnode.(b)).Paths.dist.(y)
+
+let[@inline] between t x px y py =
+  if px >= 0 && py >= 0 then t.dd.((px * t.nt) + py)
+  else (Sp.spt t.engine x).Paths.dist.(y)
+
+(* ------------------------------------------------------------------ *)
 (* subset metric: exact hub decomposition                               *)
 
 (* A hub move, one int per ordered hub pair: a special edge's id (>= 0),
@@ -126,21 +206,24 @@ let[@inline] via k = -2 - k
 
 type subset_metric = {
   aux : t;
+  id : int;                   (* owner stamp of [aux.phub] *)
   h : int;                    (* number of hubs *)
-  hubs : int array;           (* node ids; hubs.(0) = s_k, hubs.(1) = s'_k *)
-  hub_row : float array array; (* hubs.(i)'s engine dist array; [||] at s'_k *)
+  hb : int array;             (* hub -> base hub; hb.(0) = nc (s_k), hb.(1) = -1 (s'_k) *)
   hd : float array;           (* hub-to-hub exact distances, (i, j) at i·h + j *)
   hmove : int array;          (* the move realising hd, same layout *)
   wvec : float array;         (* the engine's weight vector at creation *)
 }
 
+let[@inline] hub_node sm i =
+  let b = sm.hb.(i) in
+  if b < 0 then sm.aux.vnode else sm.aux.bnode.(b)
+
 (* whether candidate position [i] is one of the subset's servers, hubs 2
    and up: the source, hub 0, may itself be a candidate *)
 let in_subset sm i =
-  let t = sm.aux in
   let found = ref false in
   for j = 2 to sm.h - 1 do
-    if t.pos.(sm.hubs.(j)) = i then found := true
+    if sm.hb.(j) = i then found := true
   done;
   !found
 
@@ -154,12 +237,16 @@ let[@inline] weight sm e =
   end
   else sm.wvec.(e)
 
+(* hb.(i..) <- the base hubs of [subset]'s servers *)
+let rec server_hubs t hb i = function
+  | [] -> ()
+  | v :: rest ->
+    if not (is_candidate t v) then
+      invalid_arg "Aux_graph.subset_metric: not a candidate server";
+    hb.(i) <- t.pos.(v);
+    server_hubs t hb (i + 1) rest
+
 let subset_metric t subset =
-  List.iter
-    (fun v ->
-      if not (is_candidate t v) then
-        invalid_arg "Aux_graph.subset_metric: not a candidate server")
-    subset;
   (* The paper zeroes the cost of base edges (s_k, v) for v in the chosen
      combination (Algorithm 1, step 5). Under per-traversal resource
      accounting that rule lets Steiner trees transit server-adjacent
@@ -168,16 +255,18 @@ let subset_metric t subset =
      we deliberately do not apply it (DESIGN.md §3): the only special
      edges are the virtual ones. *)
   let h = 2 + List.length subset in
-  let hubs = Array.make h t.vnode in
-  hubs.(0) <- t.req.Sdn.Request.source;
-  List.iteri (fun i v -> hubs.(i + 2) <- v) subset;
-  (* snapshot each hub's engine row once so the (hot) metric queries
-     below read flat float arrays, not the cache; rows are shared with
-     the engine across all subsets of the same request *)
-  let hub_row = Array.make h [||] in
+  let hb = Array.make h (-1) in
+  hb.(0) <- t.nb - 1;
+  server_hubs t hb 2 subset;
+  (* rows read at another epoch are read again *)
+  let wvec = Sp.weights t.engine in
+  if wvec != t.tab_w then begin
+    Array.fill t.dfull 0 t.nt false;
+    Array.fill t.hfull 0 t.nb false;
+    t.tab_w <- wvec
+  end;
   for i = 0 to h - 1 do
-    if hubs.(i) <> t.vnode then
-      hub_row.(i) <- (Sp.spt t.engine hubs.(i)).Mcgraph.Paths.dist
+    if hb.(i) >= 0 then read_hub_row t hb.(i)
   done;
   let hd = Array.make (h * h) infinity in
   let hmove = Array.make (h * h) base_leg in
@@ -186,13 +275,13 @@ let subset_metric t subset =
   for i = 0 to h - 1 do
     hd.((i * h) + i) <- 0.0;
     for j = 0 to h - 1 do
-      if i <> j && hubs.(i) <> t.vnode && hubs.(j) <> t.vnode then
-        hd.((i * h) + j) <- hub_row.(i).(hubs.(j))
+      if i <> j && hb.(i) >= 0 && hb.(j) >= 0 then
+        hd.((i * h) + j) <- t.hh.((hb.(i) * t.nb) + hb.(j))
     done
   done;
   (* hub j >= 2 is a subset server: its virtual edge to s'_k *)
   for j = 2 to h - 1 do
-    let i = t.pos.(hubs.(j)) in
+    let i = hb.(j) in
     let w = t.wv.(i) in
     if w < hd.(h + j) then begin
       hd.(h + j) <- w;
@@ -213,61 +302,85 @@ let subset_metric t subset =
     done
   done;
   if Array.length t.vec < h then t.vec <- Array.make h infinity;
-  { aux = t; h; hubs; hub_row; hd; hmove; wvec = Sp.weights t.engine }
+  t.metrics <- t.metrics + 1;
+  { aux = t; id = t.metrics; h; hb; hd; hmove; wvec }
 
-let rec hub_from hubs node i =
-  if i >= Array.length hubs then -1
-  else if hubs.(i) = node then i
-  else hub_from hubs node (i + 1)
+(* [aux.phub] <- this metric's point -> hub map, the first hub on each
+   point (-1 off the hubs); s'_k, point nt, is always hub 1 *)
+let own_points sm =
+  let t = sm.aux in
+  if t.owner <> sm.id then begin
+    Array.fill t.phub 0 t.nt (-1);
+    for i = sm.h - 1 downto 0 do
+      let p = t.ppos.(hub_node sm i) in
+      if p >= 0 then t.phub.(p) <- i
+    done;
+    t.owner <- sm.id
+  end
 
-let hub_index sm node = hub_from sm.hubs node 0
+let rec hub_from sm node i =
+  if i >= sm.h then -1
+  else if hub_node sm i = node then i
+  else hub_from sm node (i + 1)
+
+(* the hub index of node [x] (point [px]); [own_points] has run *)
+let[@inline] hub_of sm x px = if px >= 0 then sm.aux.phub.(px) else hub_from sm x 0
 
 (* the request's [vec] <- the hub vector of extended node x (hub index
-   [ix], or -1): hd's row for a hub, or a_x(j) = min_i rx(h_i) + hd(i, j)
-   over base hubs i for a non-hub x with engine row [rx]. Each row fills
-   it before reading it, so no value outlives the row. *)
-let fill_vec sm ix rx =
-  let h = sm.h and v = sm.aux.vec in
+   [ix], or -1; point [px]): hd's row for a hub, or a_x(j) = min_i
+   rx(h_i) + hd(i, j) over base hubs i for a non-hub x. Each row fills it
+   before reading it, so no value outlives the row. *)
+let fill_vec sm ix x px =
+  let t = sm.aux in
+  let h = sm.h and v = t.vec in
   if ix >= 0 then Array.blit sm.hd (ix * h) v 0 h
   else begin
     Array.fill v 0 h infinity;
     for i = 0 to h - 1 do
-      if sm.hubs.(i) <> sm.aux.vnode then
+      let b = sm.hb.(i) in
+      if b >= 0 then begin
+        let rxi = to_base t x px b in
         for j = 0 to h - 1 do
-          let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + j) in
+          let c = rxi +. sm.hd.((i * h) + j) in
           if c < v.(j) then v.(j) <- c
         done
+      end
     done
   end
 
-(* [out.(k)] <- the distance from the row's node x to extended node y,
-   off x's hub vector; [rx] is x's engine row, [[||]] for a hub. Between
-   two non-hub nodes, min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y)
-   is taken as min over j of a_x(j) + row_j(y): rounded addition is
-   monotone, so the inner minimum commutes with adding row_j(y), bit for
-   bit. *)
-let dist_into sm rx y out k =
-  let iy = hub_index sm y in
-  let v = sm.aux.vec in
+(* [out.(k)] <- the distance from the row's node x (hub [ix], point
+   [px]) to extended node y, off x's hub vector. Between two non-hub
+   nodes, min over (i, j) of (rx(h_i) + hd(i, j)) + row_j(y) is taken as
+   min over j of a_x(j) + row_j(y): rounded addition is monotone, so the
+   inner minimum commutes with adding row_j(y), bit for bit. *)
+let dist_into sm ix x px y out k =
+  let t = sm.aux in
+  let py = t.ppos.(y) in
+  let iy = hub_of sm y py in
+  let v = t.vec in
   if iy >= 0 then out.(k) <- v.(iy)
   else begin
-    let best = ref (if Array.length rx > 0 then rx.(y) else infinity) in
+    let best = ref (if ix >= 0 then infinity else between t x px y py) in
     for j = 0 to sm.h - 1 do
-      if sm.hubs.(j) <> sm.aux.vnode then begin
-        let c = v.(j) +. sm.hub_row.(j).(y) in
+      let b = sm.hb.(j) in
+      if b >= 0 then begin
+        let c = v.(j) +. from_base t b y py in
         if c < !best then best := c
       end
     done;
     out.(k) <- !best
   end
 
-(* x's engine row is read once per row, and only for a non-hub x *)
+(* a non-hub point's table rows are read the first time it heads a row *)
 let fill_row sm x dst n out =
-  let ix = hub_index sm x in
-  let rx = if ix >= 0 then [||] else (Sp.spt sm.aux.engine x).Paths.dist in
-  fill_vec sm ix rx;
+  own_points sm;
+  let t = sm.aux in
+  let px = t.ppos.(x) in
+  let ix = hub_of sm x px in
+  if ix < 0 && px >= 0 then read_point_row t px;
+  fill_vec sm ix x px;
   for i = 0 to n - 1 do
-    dist_into sm rx dst.(i) out i
+    dist_into sm ix x px dst.(i) out i
   done
 
 let dist sm x y =
@@ -285,7 +398,7 @@ let rec emit_hub sm i j emit =
   if i <> j then begin
     let m = sm.hmove.((i * sm.h) + j) in
     if m >= 0 then emit m
-    else if m = base_leg then emit_leg sm sm.hubs.(i) sm.hubs.(j) emit
+    else if m = base_leg then emit_leg sm (hub_node sm i) (hub_node sm j) emit
     else begin
       let k = via m in
       emit_hub sm i k emit;
@@ -302,9 +415,11 @@ let rec emit_hub sm i j emit =
 let iter_path sm x y emit =
   x = y
   || begin
+    own_points sm;
     let t = sm.aux in
     let h = sm.h in
-    let ix = hub_index sm x and iy = hub_index sm y in
+    let px = t.ppos.(x) and py = t.ppos.(y) in
+    let ix = hub_of sm x px and iy = hub_of sm y py in
     let best = ref infinity and ci = ref (-1) and cj = ref (-1) in
     if ix >= 0 && iy >= 0 then begin
       best := sm.hd.((ix * h) + iy);
@@ -313,8 +428,9 @@ let iter_path sm x y emit =
     end
     else if ix >= 0 then begin
       for j = 0 to h - 1 do
-        if sm.hubs.(j) <> t.vnode then begin
-          let c = sm.hd.((ix * h) + j) +. sm.hub_row.(j).(y) in
+        let b = sm.hb.(j) in
+        if b >= 0 then begin
+          let c = sm.hd.((ix * h) + j) +. from_base t b y py in
           if c < !best then begin
             best := c;
             ci := ix;
@@ -324,11 +440,12 @@ let iter_path sm x y emit =
       done
     end
     else begin
-      let rx = (Sp.spt t.engine x).Mcgraph.Paths.dist in
+      if px >= 0 then read_point_row t px;
       if iy >= 0 then begin
         for i = 0 to h - 1 do
-          if sm.hubs.(i) <> t.vnode then begin
-            let c = rx.(sm.hubs.(i)) +. sm.hd.((i * h) + iy) in
+          let b = sm.hb.(i) in
+          if b >= 0 then begin
+            let c = to_base t x px b +. sm.hd.((i * h) + iy) in
             if c < !best then begin
               best := c;
               ci := i;
@@ -338,14 +455,15 @@ let iter_path sm x y emit =
         done
       end
       else begin
-        best := rx.(y);
+        best := between t x px y py;
         for i = 0 to h - 1 do
-          if sm.hubs.(i) <> t.vnode then
+          let bi = sm.hb.(i) in
+          if bi >= 0 then begin
+            let rxi = to_base t x px bi in
             for j = 0 to h - 1 do
-              if sm.hubs.(j) <> t.vnode then begin
-                let c =
-                  rx.(sm.hubs.(i)) +. sm.hd.((i * h) + j) +. sm.hub_row.(j).(y)
-                in
+              let bj = sm.hb.(j) in
+              if bj >= 0 then begin
+                let c = rxi +. sm.hd.((i * h) + j) +. from_base t bj y py in
                 if c < !best then begin
                   best := c;
                   ci := i;
@@ -353,6 +471,7 @@ let iter_path sm x y emit =
                 end
               end
             done
+          end
         done
       end
     end;
@@ -360,9 +479,9 @@ let iter_path sm x y emit =
     && begin
       if !ci < 0 then emit_leg sm x y emit
       else begin
-        if ix < 0 then emit_leg sm x sm.hubs.(!ci) emit;
+        if ix < 0 then emit_leg sm x (hub_node sm !ci) emit;
         emit_hub sm !ci !cj emit;
-        if iy < 0 then emit_leg sm sm.hubs.(!cj) y emit
+        if iy < 0 then emit_leg sm (hub_node sm !cj) y emit
       end;
       true
     end
@@ -439,7 +558,7 @@ let build_dominance t =
   done;
   let srow =
     Array.init nc (fun i ->
-        if t.wv.(i) < infinity then row t.server_of_vedge.(i) else [||])
+        if t.wv.(i) < infinity then row t.bnode.(i) else [||])
   in
   (* the margin Online_cp.slack gives, taken against the largest finite
      distance the rule compares, so it dominates the rounding of every
@@ -458,7 +577,7 @@ let build_dominance t =
         maxd := raise_to !maxd r.(q.(b))
       done;
       for k = 0 to nc - 1 do
-        maxd := raise_to !maxd r.(t.server_of_vedge.(k))
+        maxd := raise_to !maxd r.(t.bnode.(k))
       done
     end
   done;
@@ -469,7 +588,7 @@ let build_dominance t =
     Array.init nc (fun i ->
         let su = srow.(i) in
         has su
-        && (not (in_q t.server_of_vedge.(i)))
+        && (not (in_q t.bnode.(i)))
         && begin
           let ok = ref true in
           for a = 0 to nq - 1 do
@@ -489,7 +608,7 @@ let build_dominance t =
     for j = 0 to nc - 1 do
       let su = srow.(i) and sv = srow.(j) in
       if i <> j && has su && has sv then begin
-        let v = t.server_of_vedge.(j) in
+        let v = t.bnode.(j) in
         let ok = ref true in
         for b = 0 to nq - 1 do
           let x = q.(b) in

@@ -15,9 +15,15 @@
     yields exact distances and reconstructible paths. Base-graph legs
     come from a lazy {!Mcgraph.Sp_engine} the caller supplies: one
     Dijkstra tree per queried source (the request source, candidate
-    servers, destinations), cached across all combinations — never the
-    former eager O(V²) all-pairs tables. Tests check this against
-    Dijkstra on {!ext_graph} under {!weight}. *)
+    servers, destinations), cached across all combinations. The
+    distances the combinations read are copied out of those trees into
+    per-request point and hub tables — destination × destination,
+    destination × base hub, base hub × destination and base hub × base
+    hub, the base hubs being the candidates and [s_k] — O((|D| + |C| +
+    1)²) floats in all, each row copied from its owner's tree the first
+    time it is read. Tests check this against Dijkstra on {!ext_graph}
+    under {!weight}, and bit for bit against the same formula read off
+    the engine trees. *)
 
 type t
 
@@ -72,11 +78,16 @@ type subset_metric
 
 val subset_metric : t -> int list -> subset_metric
 (** Raises [Invalid_argument] if the subset contains a non-candidate.
-    A metric reads the engine's weight vector and hub rows once, when
-    built, so it answers for the weight epoch it was built at. Each
-    distance row fills a vector of hub distances kept by [t] before it
-    reads it, so the metrics of one [t] may be queried in any order, but
-    like [t] itself not from two domains at once. *)
+    A metric reads the engine's weight vector and its hubs' rows of the
+    request's point and hub tables (O((|D| + |C| + 1)²) floats, kept by
+    [t]) when built; the tables keep every row they were given, so each
+    later subset adds only its own hub-to-hub corrections. A metric
+    built after the engine's weight epoch moved reads the tables afresh,
+    so a metric answers for its epoch until one is built at another.
+    Each distance row fills a vector of hub distances and, once per
+    metric, a point-to-hub map, both kept by [t], before reading them,
+    so the metrics of one [t] may be queried in any order, but like [t]
+    itself not from two domains at once. *)
 
 val weight : subset_metric -> int -> float
 (** Per-edge weight of the auxiliary graph under this combination

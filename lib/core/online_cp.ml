@@ -354,10 +354,15 @@ let admit_impl ~prune p request =
       let is_terminal x = mem_int x terminals in
       (* KMB's metric, a row at a time *)
       let row x dst n out =
-        if is_terminal x then
-          for i = 0 to n - 1 do
-            out.(i) <- (Sp.spt eng x).Paths.dist.(dst.(i))
-          done
+        if is_terminal x then begin
+          (* looked up once per row, and not at all for an empty one *)
+          if n > 0 then begin
+            let rx = (Sp.spt eng x).Paths.dist in
+            for i = 0 to n - 1 do
+              out.(i) <- rx.(dst.(i))
+            done
+          end
+        end
         else
           for i = 0 to n - 1 do
             out.(i) <- (Sp.spt eng dst.(i)).Paths.dist.(x)

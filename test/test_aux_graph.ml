@@ -518,6 +518,63 @@ let prop_steiner_tree_matches_lists =
         end
       end)
 
+(* The point and hub tables change no bit: for every subset of at most
+   K = 3 candidates, [dist] (bits) and [path] (edges) between every two
+   points equal the engine-row formula of [Oracle.Ref_aux]. A destination
+   is always a candidate, the source on two seeds in three. Every subset
+   is checked twice, the second time with the tables read; on odd seeds
+   the engine's weight epoch moves in between, so rows left over from
+   the first epoch would show. Integer weights and placement costs on
+   odd seeds make ties common, so an argmin scanned in another hub order
+   shows in the paths. *)
+let prop_tables_match_engine_rows =
+  Tutil.qtest ~count:60 "table metric = engine-row reference (bits, paths)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
+      let request = Tutil.random_request rng net ~id:0 in
+      let src = request.Sdn.Request.source
+      and dsts = request.Sdn.Request.destinations in
+      let epoch = ref 0 in
+      let engine =
+        if seed mod 2 = 0 then Tutil.offline_engine net request
+        else
+          Mcgraph.Sp_engine.create (N.graph net)
+            ~weight:(fun e -> float_of_int (1 + ((e + !epoch) mod 3)))
+            ~epoch:(fun () -> !epoch)
+      in
+      let extra = List.hd dsts :: (if seed mod 3 <> 0 then [ src ] else []) in
+      let aux =
+        Aux.build ~engine
+          ~placement_cost:(fun v -> float_of_int (v mod 3))
+          ~net ~request
+          ~candidate_servers:(List.sort_uniq Int.compare (extra @ N.servers net))
+          ()
+      in
+      let points = Aux.virtual_node aux :: dsts in
+      let bits = Int64.bits_of_float in
+      let subsets = Oracle.Subsets.subsets_up_to (Aux.reachable_servers aux) 3 in
+      let sweep () =
+        List.for_all
+          (fun subset ->
+            let sm = Aux.subset_metric aux subset in
+            let m = Oracle.Ref_aux.make aux ~engine ~source:src subset in
+            List.for_all
+              (fun x ->
+                List.for_all
+                  (fun y ->
+                    bits (Aux.dist sm x y) = bits (Oracle.Ref_aux.dist m x y)
+                    && Aux.path sm x y = Oracle.Ref_aux.path m x y)
+                  points)
+              points)
+          subsets
+      in
+      sweep ()
+      && begin
+        incr epoch;
+        sweep ()
+      end)
+
 let () =
   Alcotest.run "aux_graph"
     [
@@ -541,5 +598,6 @@ let () =
           prop_interleaved_subsets;
           prop_path_argmin;
           prop_steiner_tree_matches_lists;
+          prop_tables_match_engine_rows;
         ] );
     ]
