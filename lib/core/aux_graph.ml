@@ -1,6 +1,10 @@
 module G = Mcgraph.Graph
 module Paths = Mcgraph.Paths
 module Sp = Mcgraph.Sp_engine
+module Obs = Nfv_obs.Obs
+
+let c_dominated = Obs.Counter.make "appro_multi.pruned.dominated"
+let c_bottleneck = Obs.Counter.make "appro_multi.pruned.bottleneck"
 
 (* The per-request table behind [redundant] (DESIGN.md §17). Positions
    are candidate positions (the virtual-edge order); a row is the
@@ -16,6 +20,7 @@ type dominance = {
   nw : int;                                 (* mask words per (u, v) *)
   beats : int array;                        (* (u·nc + v)·nw + w -> (a) on Q *)
   full : int array;                         (* word -> all of Q's bits *)
+  via : float array;                        (* u -> w_u + min over D_k of d(u, y) *)
 }
 
 
@@ -52,20 +57,51 @@ type t = {
   mutable ext_base : float array;           (* engine vector [ext_w] copies *)
   mutable vec : float array;                (* the hub vector of the row being filled *)
   mutable dom : dominance option;           (* built on [redundant]'s first use *)
+  mutable bid : int;                        (* stamp of this request's bottlenecks *)
 }
+
+(* The extended graph depends only on the base graph and the candidate
+   list, and nothing mutates it once built, so each domain keeps the
+   last one it built for the next request over the same pair. *)
+type ext_cache = { base : G.t; base_edges : int; cands : int list; graph : G.t }
+
+let last_ext : ext_cache option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let extended g candidates =
+  match Domain.DLS.get last_ext with
+  | Some c
+    when c.base == g && c.base_edges = G.m g && List.equal Int.equal c.cands candidates
+    ->
+    c.graph
+  | _ ->
+    let nn = G.n g in
+    let ext = G.create (nn + 1) in
+    G.iter_edges g (fun _ u v -> ignore (G.add_edge ext u v));
+    List.iter (fun v -> ignore (G.add_edge ext nn v)) candidates;
+    Domain.DLS.set last_ext
+      (Some { base = g; base_edges = G.m g; cands = candidates; graph = ext });
+    ext
+
+(* Closure-MST bottlenecks by subset slot, one table per domain, reused
+   across requests: an entry counts only while its stamp is the [bid] of
+   the request reading it, and a request takes a fresh [bid], unique
+   across domains, when built and at every new weight vector. *)
+type bottlenecks = { mutable value : float array; mutable stamp : int array }
+
+let bottlenecks = Domain.DLS.new_key (fun () -> { value = [||]; stamp = [||] })
+let bids = Atomic.make 0
+let fresh_bid () = 1 + Atomic.fetch_and_add bids 1
 
 let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
   let g = Sdn.Network.graph net in
   let nn = G.n g and mm = G.m g in
-  let ext = G.create (nn + 1) in
-  G.iter_edges g (fun _ u v -> ignore (G.add_edge ext u v));
+  let ext = extended g candidate_servers in
   let nc = List.length candidate_servers in
   let pos = Array.make (nn + 1) (-1) in
   let s = request.Sdn.Request.source in
   let bnode = Array.make (nc + 1) s in
   List.iteri
     (fun i v ->
-      ignore (G.add_edge ext nn v);
       pos.(v) <- i;
       bnode.(i) <- v)
     candidate_servers;
@@ -109,6 +145,7 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       ext_base = [||];
       vec = [||];
       dom = None;
+      bid = fresh_bid ();
     }
   in
   List.iteri
@@ -195,6 +232,49 @@ let[@inline] between t x px y py =
   else (Sp.spt t.engine x).Paths.dist.(y)
 
 (* ------------------------------------------------------------------ *)
+(* closure-MST bottlenecks, one per server subset (DESIGN.md §17)       *)
+
+(* The slot of [subset] without candidate position [iu] (-1: none) in
+   the bottleneck table: subsets of l servers follow those of fewer,
+   and among them positions p_1 < ... < p_l sit at Σ C(p_i, i), their
+   rank in the combinatorial number system. -1 when the positions do
+   not increase (enumeration keeps candidate order) or none is left. *)
+let slot t iu subset =
+  let rec go i prev acc = function
+    | [] -> if i = 1 then -1 else Combinations.count_up_to (t.nb - 1) (i - 2) + acc
+    | v :: rest ->
+      let p = t.pos.(v) in
+      if p = iu then go i prev acc rest
+      else if p <= prev then -1
+      else go (i + 1) p (acc + Combinations.choose p i) rest
+  in
+  go 1 (-1) 0 subset
+
+(* the bottleneck at slot [k], nan when this request has not written it *)
+let[@inline] bottleneck t k =
+  let b = Domain.DLS.get bottlenecks in
+  if k >= 0 && k < Array.length b.stamp && b.stamp.(k) = t.bid then b.value.(k)
+  else Float.nan
+
+(* slot [k], of a subset of [size] servers, <- [x]; the table grows to
+   every slot of that size *)
+let[@inline] set_bottleneck t k size x =
+  if k >= 0 then begin
+    let b = Domain.DLS.get bottlenecks in
+    let len = Array.length b.stamp in
+    if k >= len then begin
+      let len' = max (Combinations.count_up_to (t.nb - 1) size) (2 * len) in
+      let value = Array.make len' Float.nan and stamp = Array.make len' 0 in
+      Array.blit b.value 0 value 0 len;
+      Array.blit b.stamp 0 stamp 0 len;
+      b.value <- value;
+      b.stamp <- stamp
+    end;
+    b.stamp.(k) <- t.bid;
+    b.value.(k) <- x
+  end
+
+(* ------------------------------------------------------------------ *)
 (* subset metric: exact hub decomposition                               *)
 
 (* A hub move, one int per ordered hub pair: a special edge's id (>= 0),
@@ -207,6 +287,7 @@ let[@inline] via k = -2 - k
 type subset_metric = {
   aux : t;
   id : int;                   (* owner stamp of [aux.phub] *)
+  slot : int;                 (* the subset's bottleneck slot *)
   h : int;                    (* number of hubs *)
   hb : int array;             (* hub -> base hub; hb.(0) = nc (s_k), hb.(1) = -1 (s'_k) *)
   hd : float array;           (* hub-to-hub exact distances, (i, j) at i·h + j *)
@@ -258,11 +339,12 @@ let subset_metric t subset =
   let hb = Array.make h (-1) in
   hb.(0) <- t.nb - 1;
   server_hubs t hb 2 subset;
-  (* rows read at another epoch are read again *)
+  (* rows read at another epoch are read again, bottlenecks found again *)
   let wvec = Sp.weights t.engine in
   if wvec != t.tab_w then begin
     Array.fill t.dfull 0 t.nt false;
     Array.fill t.hfull 0 t.nb false;
+    t.bid <- fresh_bid ();
     t.tab_w <- wvec
   end;
   for i = 0 to h - 1 do
@@ -303,7 +385,7 @@ let subset_metric t subset =
   done;
   if Array.length t.vec < h then t.vec <- Array.make h infinity;
   t.metrics <- t.metrics + 1;
-  { aux = t; id = t.metrics; h; hb; hd; hmove; wvec }
+  { aux = t; id = t.metrics; slot = slot t (-1) subset; h; hb; hd; hmove; wvec }
 
 (* [aux.phub] <- this metric's point -> hub map, the first hub on each
    point (-1 off the hubs); s'_k, point nt, is always hub 1 *)
@@ -502,10 +584,21 @@ let fill_weights sm =
     t.ext_base <- sm.wvec
   end
 
+(* the run's closure-MST bottleneck goes into the subset's slot, for
+   [redundant]'s rule (a') *)
 let steiner_tree sm =
   fill_weights sm;
-  Mcgraph.Steiner.kmb_with_metric sm.aux.ext ~weights:sm.aux.ext_w
-    ~terminals:sm.aux.points ~row:(fill_row sm) ~path:(iter_path sm)
+  let tree =
+    Mcgraph.Steiner.kmb_with_metric sm.aux.ext ~weights:sm.aux.ext_w
+      ~terminals:sm.aux.points ~row:(fill_row sm) ~path:(iter_path sm)
+  in
+  let b =
+    match tree with
+    | Some _ -> Mcgraph.Steiner.closure_bottleneck ()
+    | None -> infinity
+  in
+  set_bottleneck sm.aux sm.slot (sm.h - 2) b;
+  tree
 
 let tree_cost sm edges =
   let acc = ref 0.0 and rest = ref edges and fin = ref false in
@@ -627,7 +720,22 @@ let build_dominance t =
     Array.init nw (fun w ->
         (1 lsl min mask_bits (nq - (w * mask_bits))) - 1)
   in
-  { usable = !usable; nc; tol; srow; off_q; off_s; nw; beats; full }
+  (* every walk of G_k^S that takes u's virtual edge and reaches a
+     destination is at least this long *)
+  let via =
+    Array.init nc (fun i ->
+        let su = srow.(i) in
+        if not (has su) then infinity
+        else begin
+          let m = ref infinity in
+          for p = 0 to t.nt - 1 do
+            let x = su.(t.points.(p)) in
+            if x < !m then m := x
+          done;
+          t.wv.(i) +. !m
+        end)
+  in
+  { usable = !usable; nc; tol; srow; off_q; off_s; nw; beats; full; via }
 
 let dominance t =
   match t.dom with
@@ -668,13 +776,19 @@ let rec pairs_off t d iu v iv = function
     || d.srow.(iu).(v) +. d.srow.(iu).(v') > d.srow.(iv).(v') +. d.tol)
     && pairs_off t d iu v iv rest
 
-(* (a) at each server of R, and (b) on R × R *)
-let rec at_servers t d iu all = function
+(* (b) on R × R *)
+let rec servers_off t d iu = function
   | [] -> true
   | v :: rest ->
     let iv = t.pos.(v) in
-    (iv = iu || (beaten t d iu v all && pairs_off t d iu v iv rest))
-    && at_servers t d iu all rest
+    (iv = iu || pairs_off t d iu v iv rest) && servers_off t d iu rest
+
+(* (a) at each server of R *)
+let rec beaten_at_servers t d iu all = function
+  | [] -> true
+  | v :: rest ->
+    let iv = t.pos.(v) in
+    (iv = iu || beaten t d iu v all) && beaten_at_servers t d iu all rest
 
 (* (a) on Q: every node of Q has a server of R that beats u there *)
 let rec union t d iu w acc = function
@@ -689,16 +803,26 @@ let rec covers t d iu subset w =
   w >= d.nw
   || (union t d iu w 0 subset = d.full.(w) && covers t d iu subset (w + 1))
 
-let inert t d subset u =
-  let iu = t.pos.(u) in
-  d.off_q.(iu)
-  && rows_off t d iu subset
-  && at_servers t d iu subset subset
-  && covers t d iu subset 0
+(* [subset] is skipped for u, counted under the rule that held; its
+   KMB run is R's, pick for pick, so it takes R's bottleneck *)
+let skip t subset iu rule =
+  Obs.Counter.incr rule;
+  set_bottleneck t (slot t (-1) subset) (List.length subset)
+    (bottleneck t (slot t iu subset));
+  true
 
+(* u is inert when (b) holds and (a) or (a') does *)
 let rec exists_inert t d subset = function
   | [] -> false
-  | u :: rest -> inert t d subset u || exists_inert t d subset rest
+  | u :: rest ->
+    let iu = t.pos.(u) in
+    if d.off_q.(iu) && rows_off t d iu subset && servers_off t d iu subset then
+      if beaten_at_servers t d iu subset subset && covers t d iu subset 0 then
+        skip t subset iu c_dominated
+      else if d.via.(iu) > bottleneck t (slot t iu subset) +. d.tol then
+        skip t subset iu c_bottleneck
+      else exists_inert t d subset rest
+    else exists_inert t d subset rest
 
 let rec all_candidates t = function
   | [] -> true

@@ -47,7 +47,9 @@ val build :
 
 val ext_graph : t -> Mcgraph.Graph.t
 (** Base graph plus virtual node and virtual edges; base edge ids are
-    preserved. *)
+    preserved. It depends only on the base graph and the candidate list,
+    so a domain hands the same graph to every request over the same
+    base graph (same edge count) and candidate list: never mutate it. *)
 
 val virtual_node : t -> int
 
@@ -107,7 +109,10 @@ val path : subset_metric -> int -> int -> int list option
 
 val steiner_tree : subset_metric -> int list option
 (** KMB Steiner tree spanning [{s'_k} ∪ D_k] in [G_k^i]; [None] when a
-    terminal is unreachable. The run reads the request's terminal array
+    terminal is unreachable. The run's closure-MST bottleneck (its
+    longest closure-MST edge, [infinity] for [None]) is kept for
+    {!redundant}'s rule (a′) when the subset lists its servers in
+    candidate order. The run reads the request's terminal array
     (built once per [t]) and a weight vector over the extended graph
     owned by [t]. Its virtual entries are written once, when [t] is
     built; its base part is copied from the metric's engine vector only
@@ -124,12 +129,25 @@ val redundant : t -> int list -> bool
 (** [redundant aux subset] is [true] when some server [u] of [subset]
     (of at least two servers) provably changes nothing: the KMB tree
     {!steiner_tree} finds for [subset] and its {!tree_cost} are, bit for
-    bit, those of [subset] without [u]. The test (DESIGN.md §17) asks
-    that [u]'s virtual edge loses, by a margin above float rounding, to
-    the other servers' at the source, every destination and every other
-    server of [subset], and that [u] lies off every shortest path
-    between them. [false] is always safe: it only means the subset must
-    be priced.
+    bit, those of [subset] without [u] (call it [R]). The test
+    (DESIGN.md §17) asks that [u] lies off every shortest path between
+    the source, the destinations and [R] (b), and either (a) that [u]'s
+    virtual edge loses to [R]'s at each of them, or (a′) that every
+    walk through [u]'s virtual edge to a destination is longer than the
+    longest edge of [R]'s closure MST, both by a margin above float
+    rounding. [false] is always safe: it only means the subset must be
+    priced. A skip is counted under [appro_multi.pruned.dominated] (a)
+    or [appro_multi.pruned.bottleneck] (a′).
+
+    (a′) reads [R]'s bottleneck as {!steiner_tree} kept it, and a
+    skipped subset keeps [R]'s, so call [redundant] on a subset after
+    its subsets have been priced or skipped, in candidate order (as
+    {!Combinations.iter_subsets_up_to} over {!reachable_servers} does).
+    The bottlenecks live in one table per domain, stamped with the
+    request and its weight vector: one found at another weight vector
+    than the latest metric's, or overwritten by another request's run
+    on the same domain in between, reads as unknown, which only
+    disables (a′).
 
     The first call builds a per-request table from the engine rows
     already cached — the source's, the reachable candidates' and the

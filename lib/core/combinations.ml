@@ -23,8 +23,9 @@ let iter_subsets_up_to items k f =
     let arr = Array.of_list items in
     let n = Array.length arr in
     let buf = Array.make (max k 1) first in
+    let rec prefix i acc = if i < 0 then acc else prefix (i - 1) (buf.(i) :: acc) in
     let rec go depth start target =
-      if depth = target then f (Array.to_list (Array.sub buf 0 target))
+      if depth = target then f (prefix (target - 1) [])
       else
         for i = start to n - 1 do
           buf.(depth) <- arr.(i);

@@ -17,6 +17,7 @@ type t = {
   i2 : ints;
   f0 : floats;
   f1 : floats;
+  bottleneck : float array;    (* one entry: the largest key [prim] last picked *)
 }
 
 let fresh () =
@@ -34,6 +35,7 @@ let fresh () =
     i2 = ints ();
     f0 = floats ();
     f1 = floats ();
+    bottleneck = [| neg_infinity |];
   }
 
 let key = Domain.DLS.new_key fresh
@@ -137,12 +139,14 @@ let stable_sort_by ws order tmp k =
    [rest.(0 .. r-1)] holds the indices of the points not yet in the
    tree, in increasing order, so each row asks for exactly the pairs, in
    exactly the order, that a per-pair scan of the points would. The
-   pairs go to [s.pairs], which no [row] callback touches. *)
+   pairs go to [s.pairs], which no [row] callback touches, and the
+   largest picked key to [s.bottleneck.(0)]. *)
 let prim ~points ~row =
   let t = Array.length points in
+  let s = get () in
+  s.bottleneck.(0) <- neg_infinity;
   if t = 0 then 0
   else begin
-    let s = get () in
     let rest = ints s.i0 t and dst = ints s.i1 t and from = ints s.i2 t in
     let best = floats s.f0 t and buf = floats s.f1 t in
     let r = ref (t - 1) in
@@ -166,6 +170,7 @@ let prim ~points ~row =
       let j = rest.(!p) in
       if best.(j) = infinity then ok := false
       else begin
+        if best.(j) > s.bottleneck.(0) then s.bottleneck.(0) <- best.(j);
         push s.pairs (2 * !picked) points.(from.(j));
         push s.pairs ((2 * !picked) + 1) points.(j);
         incr picked;

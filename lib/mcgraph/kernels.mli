@@ -35,6 +35,9 @@ type t = private {
   i2 : ints;
   f0 : floats;
   f1 : floats;
+  bottleneck : float array;
+      (** one entry: the largest key {!prim} picked in its last run on
+          this domain, the longest closure-MST edge *)
 }
 
 val get : unit -> t
@@ -71,7 +74,10 @@ val prim : points:int array -> row:(int -> int array -> int -> float array -> un
 (** [prim ~points ~row] is the MST of the complete graph on [points]
     under the metric [row] reads (the {!Mst.prim_rows} contract). It
     writes the node pairs to [pairs] in the order Prim adds them and returns how many, or
-    [-1] when some point is at infinite distance from the rest. [row]
+    [-1] when some point is at infinite distance from the rest. It
+    leaves the largest key it picked in [bottleneck] ([neg_infinity]
+    with fewer than two points; the keys picked before the failure
+    when it returns [-1]). [row]
     must not touch the scratch, so [pairs] and [edges_a] stay valid
     for the caller. *)
 

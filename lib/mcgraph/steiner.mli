@@ -45,6 +45,14 @@ val kmb_with_metric :
     [row] and [path] read, one run allocates the emitter and the
     returned list. *)
 
+val closure_bottleneck : unit -> float
+(** The longest edge of the last closure MST built on this domain (by
+    {!kmb}, {!kmb_with_metric} or {!Mst.prim_rows}): the largest closure
+    distance among its pairs. {!kmb_with_metric} builds one for every
+    terminal set, an empty one ([neg_infinity]) for fewer than two
+    terminals. Read it right after a run that returned [Some _]; each
+    domain keeps its own. *)
+
 val prune : Graph.t -> terminals:int list -> int list -> int list
 (** Repeatedly remove edges whose endpoint of degree one is not a
     terminal; the standard final step of KMB. The edge ids must be

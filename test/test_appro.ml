@@ -6,6 +6,13 @@ module Pt = Nfv_multicast.Pseudo_tree
 module Ag = Nfv_multicast.Aux_graph
 module N = Sdn.Network
 module Rng = Topology.Rng
+module Obs = Nfv_obs.Obs
+
+let with_obs f =
+  Obs.enabled := true;
+  Fun.protect ~finally:(fun () -> Obs.enabled := false) f
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
 
 (* --- combinations --- *)
 
@@ -333,10 +340,10 @@ let by_order (ca, sa, _) (cb, sb, _) =
 
 (* every feasible combination priced, none skipped, through the public
    Aux_graph API: the unpruned Algorithm 1 *)
-let all_priced ~k ~keep ~usable net req =
+let all_priced ?placement_cost ~k ~keep ~usable net req =
   let aux =
-    Ag.build ~engine:(Tutil.offline_engine ~keep net req) ~net ~request:req
-      ~candidate_servers:usable ()
+    Ag.build ~engine:(Tutil.offline_engine ~keep net req) ?placement_cost ~net
+      ~request:req ~candidate_servers:usable ()
   in
   let found = ref [] in
   C.iter_subsets_up_to (Ag.reachable_servers aux) k (fun subset ->
@@ -412,6 +419,46 @@ let capacitated_filters net req =
   ( (fun e -> N.link_admits net e b),
     List.filter (fun v -> N.server_admits net v demand) (N.servers net) )
 
+(* [net] and [twin] are one instance built twice: [solve],
+   [solve_capacitated], [candidates] and [admit] on [net] against the
+   oracle, which allocates on [twin] *)
+let pruning_keeps ~k net twin reqs =
+  List.for_all
+    (fun req ->
+      let aux, full =
+        all_priced ~k ~keep:(fun _ -> true) ~usable:(N.servers net) net req
+      in
+      let solve_ok = expect_solve aux full (A.solve ~k net req) in
+      let keep, usable = capacitated_filters net req in
+      let caux, cfull = all_priced ~k ~keep ~usable net req in
+      let cap_ok = expect_solve caux cfull (A.solve_capacitated ~k net req) in
+      let cands =
+        List.map
+          (fun (c, s, _, e) -> (c, s, e))
+          (A.candidates ~k
+             ~engine:(Tutil.offline_engine ~keep net req)
+             ~usable_servers:usable net req)
+      in
+      let cands_ok = omits_only_repeats ~before:[] cfull cands in
+      (* the first oracle candidate the twin can allocate *)
+      let expected =
+        List.find_map
+          (fun (c, s, e) ->
+            let tree = Ag.to_pseudo_tree caux e in
+            match N.allocate twin (Pt.allocation tree) with
+            | Ok () -> Some (c, s, tree)
+            | Error _ -> None)
+          cfull
+      in
+      let got = A.admit ~k net req in
+      let admit_ok =
+        match expected with
+        | Some want -> same_result want got
+        | None -> Result.is_error got
+      in
+      solve_ok && cap_ok && cands_ok && admit_ok)
+    reqs
+
 let prop_pruning_exact =
   Tutil.qtest ~count:100
     "pruned subsets change no solve, admit or candidate order"
@@ -420,40 +467,82 @@ let prop_pruning_exact =
       let k = 2 + (seed / 3 mod 2) in
       let net, reqs = oracle_instance seed in
       let twin, _ = oracle_instance seed in
+      pruning_keeps ~k net twin reqs)
+
+(* K = 4: a skipped subset may take its bottleneck through a chain of
+   skips *)
+let prop_pruning_exact_k4 =
+  Tutil.qtest ~count:30 "pruning changes nothing at K = 4"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, reqs = oracle_instance seed in
+      let twin, _ = oracle_instance seed in
+      pruning_keeps ~k:4 net twin reqs)
+
+(* Integer link costs in 1..3, integer server costs and bandwidths: every
+   distance is an exact integer, so closure distances, virtual routes
+   and bottlenecks tie exactly and often. *)
+let integer_instance seed =
+  let rng = Rng.create seed in
+  let topology =
+    Topology.Waxman.generate ~alpha:0.5 ~beta:0.4 rng ~n:(Rng.int_range rng 10 24)
+  in
+  let m = Topology.Topo.m topology and nn = Topology.Topo.n topology in
+  let link_unit_costs = Array.init m (fun _ -> float_of_int (1 + Rng.int rng 3)) in
+  let link_capacities =
+    Array.init m (fun _ -> float_of_int (100 * Rng.int_range rng 3 9))
+  in
+  let servers =
+    List.filter_map
+      (fun v ->
+        if v = 0 || Rng.int rng 4 = 0 then
+          Some (v, 6000.0, float_of_int (1 + Rng.int rng 2))
+        else None)
+      (List.init nn Fun.id)
+  in
+  let net =
+    N.make_explicit ~topology ~servers ~link_capacities ~link_unit_costs ()
+  in
+  let reqs =
+    List.map
+      (fun r ->
+        { r with Sdn.Request.bandwidth = float_of_int (50 * (1 + Rng.int rng 4)) })
+      (Workload.Gen.sequence rng net ~count:8)
+  in
+  (net, reqs)
+
+let prop_pruning_exact_ties =
+  Tutil.qtest ~count:60 "pruning changes nothing under integer-cost ties"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let k = 2 + (seed mod 2) in
+      let net, reqs = integer_instance seed in
+      let twin, _ = integer_instance seed in
+      pruning_keeps ~k net twin reqs)
+
+(* Zero placement cost: a server's virtual route is its distance from
+   the source alone. Only [candidates] takes a placement price. *)
+let prop_pruning_exact_free_placement =
+  Tutil.qtest ~count:60 "pruning changes no candidate at zero placement cost"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let k = 2 + (seed / 2 mod 2) in
+      let net, reqs =
+        if seed mod 2 = 0 then oracle_instance seed else integer_instance seed
+      in
+      let placement_cost _ = 0.0 in
       List.for_all
         (fun req ->
-          let aux, full =
-            all_priced ~k ~keep:(fun _ -> true) ~usable:(N.servers net) net req
-          in
-          let solve_ok = expect_solve aux full (A.solve ~k net req) in
           let keep, usable = capacitated_filters net req in
-          let caux, cfull = all_priced ~k ~keep ~usable net req in
-          let cap_ok = expect_solve caux cfull (A.solve_capacitated ~k net req) in
+          let _, full = all_priced ~placement_cost ~k ~keep ~usable net req in
           let cands =
             List.map
               (fun (c, s, _, e) -> (c, s, e))
-              (A.candidates ~k
+              (A.candidates ~k ~placement_cost
                  ~engine:(Tutil.offline_engine ~keep net req)
                  ~usable_servers:usable net req)
           in
-          let cands_ok = omits_only_repeats ~before:[] cfull cands in
-          (* the first oracle candidate the twin can allocate *)
-          let expected =
-            List.find_map
-              (fun (c, s, e) ->
-                let tree = Ag.to_pseudo_tree caux e in
-                match N.allocate twin (Pt.allocation tree) with
-                | Ok () -> Some (c, s, tree)
-                | Error _ -> None)
-              cfull
-          in
-          let got = A.admit ~k net req in
-          let admit_ok =
-            match expected with
-            | Some want -> same_result want got
-            | None -> Result.is_error got
-          in
-          solve_ok && cap_ok && cands_ok && admit_ok)
+          omits_only_repeats ~before:[] full cands)
         reqs)
 
 (* Condition (a) at the destinations alone does not make a server
@@ -495,6 +584,114 @@ let test_weak_rule_changes_tree () =
     (List.exists (Ag.redundant aux)
        (Oracle.Subsets.subsets_of_size (Ag.reachable_servers aux) 2))
 
+(* Rule (a'), DESIGN.md §17. GÉANT at uniform costs, seed 1, request 0
+   (source 12, destinations 6 and 20). In {6, 10}, server 10's virtual
+   route ties server 6's at destination 20, so (a) fails for 10; no
+   other server passes either. But every walk through 10's virtual edge
+   to a destination costs at least 916.19, above the longest edge
+   (557.46) of {6}'s closure MST, so {6, 10} is skipped, and pricing it
+   anyway gives {6}'s tree and cost. A bottleneck belongs to the request
+   and the weight vector it was found at: another request, or a metric
+   at a new vector, must price {6} again before (a') can use it. *)
+let test_bottleneck_rule_skips () =
+  with_obs @@ fun () ->
+  let rng = Rng.create 1 in
+  let net =
+    N.make
+      ~profile:(N.uniform_profile ~link_capacity:700.0 ~server_capacity:6000.0)
+      ~rng ~servers:Topology.Geant.default_servers (Topology.Geant.topology ())
+  in
+  let req = List.hd (Workload.Gen.sequence rng net ~count:1) in
+  let engine = Tutil.offline_engine net req in
+  let build () =
+    Ag.build ~engine ~net ~request:req ~candidate_servers:(N.servers net) ()
+  in
+  let aux = build () in
+  let price_in aux subset =
+    let sm = Ag.subset_metric aux subset in
+    match Ag.steiner_tree sm with
+    | Some edges -> (Ag.tree_cost sm edges, edges)
+    | None -> Alcotest.fail "GÉANT is connected"
+  in
+  let price = price_in aux in
+  let route v x = Ag.virtual_edge_weight aux v +. Ag.base_dist aux v x in
+  Alcotest.(check bool) "(a) fails at destination 20" false (route 10 20 > route 6 20);
+  List.iter (fun v -> if v <> 6 then ignore (price [ v ])) (Ag.reachable_servers aux);
+  let cost_r, tree_r = price [ 6 ] in
+  let bottleneck = Mcgraph.Steiner.closure_bottleneck () in
+  let via =
+    List.fold_left
+      (fun m y -> Float.min m (Ag.virtual_edge_weight aux 10 +. Ag.base_dist aux 10 y))
+      infinity req.Sdn.Request.destinations
+  in
+  Alcotest.(check bool) "via(10) clears {6}'s bottleneck" true (via > bottleneck +. 1.0);
+  let dominated = counter "appro_multi.pruned.dominated"
+  and beyond = counter "appro_multi.pruned.bottleneck" in
+  Alcotest.(check bool) "{6, 10} is skipped" true (Ag.redundant aux [ 6; 10 ]);
+  Alcotest.(check int) "under (a')" (beyond + 1) (counter "appro_multi.pruned.bottleneck");
+  Alcotest.(check int) "not under (a)" dominated (counter "appro_multi.pruned.dominated");
+  let cost_s, tree_s = price [ 6; 10 ] in
+  Alcotest.(check bool) "same tree and cost as {6}" true
+    (tree_s = tree_r && bits cost_s = bits cost_r);
+  N.reset net;
+  ignore (price [ 10 ]);
+  Alcotest.(check bool) "a new weight vector forgets {6}'s bottleneck" false
+    (Ag.redundant aux [ 6; 10 ]);
+  ignore (price [ 6 ]);
+  Alcotest.(check bool) "until {6} is priced again" true (Ag.redundant aux [ 6; 10 ]);
+  let again = build () in
+  Alcotest.(check bool) "another request does not read it" false
+    (Ag.redundant again [ 6; 10 ]);
+  ignore (price_in again [ 6 ]);
+  Alcotest.(check bool) "until it prices {6} itself" true (Ag.redundant again [ 6; 10 ])
+
+(* (a') needs its margin. Seven nodes at decimal costs, source 5,
+   destinations 1, 2 and 4, bandwidth 1. In exact arithmetic every walk
+   through server 0's virtual edge to a destination costs at least 2.3,
+   and 2.3 is also the longest edge of {6}'s closure MST. In floats the
+   two read 2.3000000000000003 and 2.2999999999999998, so without the
+   tolerance (a') would skip {0, 6}, whose KMB tree is not {6}'s. *)
+let test_bottleneck_rule_margin () =
+  let g =
+    Mcgraph.Graph.of_edges ~n:7
+      [ (0, 5); (1, 5); (2, 3); (3, 4); (3, 5); (4, 6); (5, 6) ]
+  in
+  let link_unit_costs = [| 0.6; 1.1; 0.2; 0.6; 1.1; 1.3; 0.6 |] in
+  let net =
+    N.make_explicit
+      ~topology:(Topology.Topo.make ~name:"margin" g)
+      ~servers:(List.map (fun v -> (v, 6000.0, 1.0)) [ 0; 2; 3; 6 ])
+      ~link_capacities:(Array.make 7 1000.0) ~link_unit_costs ()
+  in
+  let req =
+    Sdn.Request.make ~id:0 ~source:5 ~destinations:[ 1; 2; 4 ] ~bandwidth:1.0
+      ~chain:[ Sdn.Vnf.Firewall ]
+  in
+  let placement_cost = function 3 -> 0.1 | _ -> 0.0 in
+  let aux =
+    Ag.build ~engine:(Tutil.offline_engine net req) ~placement_cost ~net
+      ~request:req ~candidate_servers:(N.servers net) ()
+  in
+  let price subset =
+    let sm = Ag.subset_metric aux subset in
+    match Ag.steiner_tree sm with
+    | Some edges -> (Ag.tree_cost sm edges, edges)
+    | None -> Alcotest.fail "connected"
+  in
+  List.iter (fun v -> if v <> 6 then ignore (price [ v ])) (Ag.reachable_servers aux);
+  let _, tree_r = price [ 6 ] in
+  let bottleneck = Mcgraph.Steiner.closure_bottleneck () in
+  let via =
+    List.fold_left
+      (fun m y -> Float.min m (Ag.virtual_edge_weight aux 0 +. Ag.base_dist aux 0 y))
+      infinity req.Sdn.Request.destinations
+  in
+  Alcotest.(check bool) "via(0) is above {6}'s bottleneck by rounding only" true
+    (via > bottleneck && via -. bottleneck < 1e-12);
+  Alcotest.(check bool) "{0, 6} is priced" false (Ag.redundant aux [ 0; 6 ]);
+  let _, tree_s = price [ 0; 6 ] in
+  Alcotest.(check bool) "and its tree is not {6}'s" true (tree_s <> tree_r)
+
 let () =
   Alcotest.run "appro"
     [
@@ -518,6 +715,9 @@ let () =
             test_refuses_foreign_window;
           Alcotest.test_case "(a) at destinations alone is unsound" `Quick
             test_weak_rule_changes_tree;
+          Alcotest.test_case "(a') skips past the bottleneck" `Quick
+            test_bottleneck_rule_skips;
+          Alcotest.test_case "(a') keeps its margin" `Quick test_bottleneck_rule_margin;
         ] );
       ( "property",
         [
@@ -533,5 +733,8 @@ let () =
           prop_exact_valid;
           prop_capacitated_never_exceeds;
           prop_pruning_exact;
+          prop_pruning_exact_k4;
+          prop_pruning_exact_ties;
+          prop_pruning_exact_free_placement;
         ] );
     ]

@@ -269,6 +269,73 @@ let prop_kmb_matches_reference =
            ~row ~path:path_up
          = expected up_list)
 
+(* A KMB run over a closure read off Dijkstra trees, with its expected
+   bottleneck: the largest closure distance among the pairs the
+   reference Prim picks ([neg_infinity] for one terminal). *)
+let closure_run seed =
+  let g, rng, w, _, terminals = forest_instance seed in
+  let terminals =
+    Array.of_list (List.sort_uniq compare (Topology.Rng.int rng (G.n g) :: terminals))
+  in
+  let weight = Tutil.weight_fn w in
+  let trees =
+    List.map
+      (fun t -> (t, Oracle.Ref_paths.swap_heap_dijkstra g ~weight ~source:t))
+      (Array.to_list terminals)
+  in
+  let tree_of u = List.assoc u trees in
+  let dist u v = (tree_of u).Mcgraph.Paths.dist.(v) in
+  let row u dst n out =
+    for i = 0 to n - 1 do
+      out.(i) <- dist u dst.(i)
+    done
+  in
+  let kmb () =
+    S.kmb_with_metric g ~weights:w ~terminals ~row
+      ~path:(fun u v emit -> Mcgraph.Paths.iter_path (tree_of u) v emit)
+  in
+  let expected =
+    Option.map
+      (List.fold_left (fun m (a, b) -> Float.max m (dist a b)) neg_infinity)
+      (Oracle.Ref_kmb.prim_metric ~points:terminals ~dist)
+  in
+  (terminals, row, kmb, expected)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* whether a run leaves its own bottleneck behind *)
+let reads_own run expected =
+  match (run (), expected) with
+  | Some _, Some b -> same_bits (S.closure_bottleneck ()) b
+  | None, None -> true
+  | _ -> false
+
+let prop_closure_bottleneck =
+  Tutil.qtest ~count:200 "closure_bottleneck = longest closure-MST edge"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let points, row, kmb, expected = closure_run seed in
+      reads_own kmb expected
+      && reads_own (fun () -> Mcgraph.Mst.prim_rows ~points ~row) expected)
+
+(* the bottleneck is per domain: a second domain's runs leave this one's
+   reading alone *)
+let test_bottleneck_per_domain () =
+  let _, _, kmb, expected = closure_run 7 in
+  Alcotest.(check bool) "this domain reads its run" true (reads_own kmb expected);
+  let here = S.closure_bottleneck () in
+  let other =
+    Domain.spawn (fun () ->
+        List.for_all
+          (fun seed ->
+            let _, _, kmb, expected = closure_run seed in
+            reads_own kmb expected)
+          (List.init 50 (fun i -> 100 + i)))
+  in
+  Alcotest.(check bool) "the other domain reads its own" true (Domain.join other);
+  Alcotest.(check bool) "this one is untouched" true
+    (same_bits (S.closure_bottleneck ()) here)
+
 (* each domain has its own scratch: KMB on two domains at once gives
    the trees one domain gives in sequence *)
 let test_kmb_two_domains () =
@@ -311,6 +378,7 @@ let () =
           Alcotest.test_case "exact terminal guard" `Quick test_exact_too_many_terminals;
           Alcotest.test_case "is_steiner_tree" `Quick test_is_steiner_tree;
           Alcotest.test_case "kmb on two domains" `Quick test_kmb_two_domains;
+          Alcotest.test_case "bottleneck per domain" `Quick test_bottleneck_per_domain;
         ] );
       ( "property",
         [
@@ -323,5 +391,6 @@ let () =
           prop_prune_back_to_back;
           prop_dedup_matches_reference;
           prop_kmb_matches_reference;
+          prop_closure_bottleneck;
         ] );
     ]
