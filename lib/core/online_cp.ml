@@ -5,6 +5,8 @@ module Obs = Nfv_obs.Obs
 
 let c_dijkstras = Obs.Counter.make "online_cp.dijkstras"
 let c_relaxations = Obs.Counter.make "online_cp.relaxations"
+(* every [admit] call, each ending in [admitted] or one [rejected.*] *)
+let c_admits = Obs.Counter.make "online_cp.admits"
 let c_admitted = Obs.Counter.make "online_cp.admitted"
 let c_rej_no_server = Obs.Counter.make "online_cp.rejected.no_feasible_server"
 let c_rej_unreachable = Obs.Counter.make "online_cp.rejected.unreachable"
@@ -171,12 +173,13 @@ type admitted = {
 
 type outcome = Admitted of admitted | Rejected of rejection
 
+(* A candidate keeps its KMB tree as the edge list; only the one
+   [try_alloc] tries is rooted as a [Tree.t]. *)
 type candidate = {
   cand_server : int;
   cand_pos : int;             (* index in the usable-server order *)
-  cand_tree : Tree.t;         (* the KMB tree, rooted at the source *)
-  cand_backtrack : int list;  (* edges of the v → u return path *)
-  cand_lca : int;
+  cand_edges : int list;      (* the KMB tree *)
+  cand_lca : int;             (* LCA of the server and the destinations *)
   cand_score : float;
 }
 
@@ -196,8 +199,9 @@ let pending_order a b =
   let c = Float.compare a.p_bound b.p_bound in
   if c <> 0 then c else Int.compare b.p_pos a.p_pos
 
-(* [List.mem] on ints without the polymorphic compare *)
-let rec mem_int x = function [] -> false | y :: rest -> y = x || mem_int x rest
+(* [Array.mem] on ints without the polymorphic compare *)
+let rec mem_from x a i = i < Array.length a && (a.(i) = x || mem_from x a (i + 1))
+let mem_int x a = mem_from x a 0
 
 (* [emit] each edge from [v] up [t]'s parents to its source, in travel
    order *)
@@ -208,12 +212,34 @@ let emit_up (t : Paths.spt) v emit =
     v := t.parent.(!v)
   done
 
-(* [List.sort_uniq Int.compare (x :: l)] for a sorted, duplicate-free
-   [l], sharing the tail past [x]'s place *)
-let rec insert_int x = function
-  | [] -> [ x ]
-  | y :: rest as l ->
-    if x < y then x :: l else if x = y then l else y :: insert_int x rest
+(* the sorted, duplicate-free [terms] with [x] added: [terms] itself
+   when it holds [x] *)
+let with_node terms x =
+  let n = Array.length terms in
+  let at = ref 0 in
+  while !at < n && terms.(!at) < x do
+    incr at
+  done;
+  if !at < n && terms.(!at) = x then terms
+  else begin
+    let out = Array.make (n + 1) x in
+    Array.blit terms 0 out 0 !at;
+    Array.blit terms !at out (!at + 1) (n - !at);
+    out
+  end
+
+(* Σ w.(e) over [edges] from 0.0 in list order, the sum
+   [Steiner.tree_cost] takes, in an unboxed accumulator *)
+let sum_weights w edges =
+  let acc = ref 0.0 and rest = ref edges in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | e :: tl ->
+      acc := !acc +. w.(e);
+      rest := tl
+  done;
+  !acc
 
 let min_by order = function
   | [] -> invalid_arg "Online_cp.min_by: empty"
@@ -243,23 +269,57 @@ type pricing = {
   params : params;
   avail : avail option;
   window : Sp_window.t;
+  family : string;
+  prices : Sp_window.prices;
 }
 
+(* the price family: everything a link's base price reads besides its
+   capacity and residual *)
+let base_family mode params =
+  match mode with
+  | `Exponential ->
+    (* the exponential weights read [beta]; fold its bits into the key
+       so different params never share an engine or a price table *)
+    "online_cp.exp:" ^ Int64.to_string (Int64.bits_of_float params.beta)
+  | `Linear -> "online_cp.lin"
+
+let base_price mode params net =
+  match mode with
+  | `Exponential ->
+    fun e -> Cost_model.link_weight net ~base:params.beta e +. hop_epsilon
+  | `Linear -> fun e -> Cost_model.linear_link_weight net e +. hop_epsilon
+
+let weight_family base avail =
+  (* the surcharge changes the weight function iff [alpha > 0]; only
+     then does the family fork (stamp + alpha bits), so zero-alpha
+     admits keep sharing engines with the baseline — the other half of
+     the bit-identity argument above *)
+  match avail with
+  | Some av when av.av_alpha > 0.0 ->
+    Printf.sprintf "%s+avail:%d:%s" base av.av_stamp
+      (Int64.to_string (Int64.bits_of_float av.av_alpha))
+  | _ -> base
+
 let pricing ?avail ~mode ~params window =
+  let net = Sp_window.net window in
   (match avail with
-  | Some av when avail_links av <> Sdn.Network.m (Sp_window.net window) ->
+  | Some av when avail_links av <> Sdn.Network.m net ->
     invalid_arg "Online_cp.pricing: avail built over a different network"
   | _ -> ());
-  { mode; params; avail; window }
+  let base = base_family mode params in
+  {
+    mode;
+    params;
+    avail;
+    window;
+    family = weight_family base avail;
+    prices = Sp_window.prices window ~family:base ~price:(base_price mode params net);
+  }
 
 let link_weight p net ~bandwidth e =
   if not (Sdn.Network.link_admits net e bandwidth) then infinity
   else
-    let base =
-      match p.mode with
-      | `Exponential -> Cost_model.link_weight net ~base:p.params.beta e +. hop_epsilon
-      | `Linear -> Cost_model.linear_link_weight net e +. hop_epsilon
-    in
+    let base = Sp_window.price p.prices e in
     (* [alpha = 0] takes the [_] branch: the surcharge term is never
        evaluated, so the result is the bit-identical baseline weight *)
     match p.avail with
@@ -274,30 +334,11 @@ let server_weight p ~demand v =
   | `Exponential -> Cost_model.server_weight net ~base:p.params.alpha v
   | `Linear -> Sdn.Network.server_unit_cost net v *. demand
 
-let weight_family p =
-  let base =
-    match p.mode with
-    | `Exponential ->
-      (* the exponential weights read [beta]; fold its bits into the key
-         so different params never share an engine *)
-      "online_cp.exp:" ^ Int64.to_string (Int64.bits_of_float p.params.beta)
-    | `Linear -> "online_cp.lin"
-  in
-  (* the surcharge changes the weight function iff [alpha > 0]; only
-     then does the family fork (stamp + alpha bits), so zero-alpha
-     admits keep sharing engines with the baseline — the other half of
-     the bit-identity argument above *)
-  match p.avail with
-  | Some av when av.av_alpha > 0.0 ->
-    Printf.sprintf "%s+avail:%d:%s" base av.av_stamp
-      (Int64.to_string (Int64.bits_of_float av.av_alpha))
-  | _ -> base
-
 (* [bucket] is the window's feasibility bucket for [bandwidth]; admission
    counts it once and also reads the component labels with it *)
 let engine_at p ~bucket ~bandwidth =
   let net = Sp_window.net p.window in
-  Sp_window.engine p.window ~family:(weight_family p) ~bucket
+  Sp_window.engine p.window ~family:p.family ~bucket
     ~weight:(fun e -> link_weight p net ~bandwidth e)
 
 let engine p ~bandwidth =
@@ -342,7 +383,7 @@ let admit_impl ~prune p request =
          run in the same weight class (Sp_window's exactness contract),
          and a request following a rejection reuses cached trees instead
          of starting cold. *)
-      let terminals = List.sort_uniq Int.compare (s :: destinations) in
+      let terminals = Array.of_list (List.sort_uniq Int.compare (s :: destinations)) in
       let eng = engine_at p ~bucket ~bandwidth:b in
       (* non-terminal sources (candidate servers) answer from the terminal
          end's tree by symmetry, so servers never cost a Dijkstra. The
@@ -446,7 +487,6 @@ let admit_impl ~prune p request =
           (* price trees off the engine's weight vector for this epoch — the
              values [link_weight] returns, without re-evaluating it per edge *)
           let wvec = Sp.weights eng in
-          let link_wv e = wvec.(e) in
           let compute p =
             let v = p.p_server in
             if prune && thresholds_on && proved_over v then begin
@@ -455,30 +495,36 @@ let admit_impl ~prune p request =
               None
             end
             else
-              let terms = Array.of_list (insert_int v terminals) in
               match
-                Mcgraph.Steiner.kmb_with_metric g ~weights:wvec ~terminals:terms
-                  ~row ~path
+                Mcgraph.Steiner.kmb_with_metric g ~weights:wvec
+                  ~terminals:(with_node terminals v) ~row ~path
               with
               | None -> None
               | Some tree_edges ->
-                let w_tree = Mcgraph.Steiner.tree_cost ~weight:link_wv tree_edges in
+                let w_tree = sum_weights wvec tree_edges in
                 if thresholds_on && w_tree >= params.sigma_e then begin
                   saw_threshold_violation := true;
                   None
                 end
                 else begin
-                  let rooted = Tree.of_edges g ~root:s tree_edges in
-                  let u = Tree.lca_many rooted (v :: destinations) in
-                  let backtrack = Tree.path_up rooted v ~ancestor:u in
-                  let w_back = Mcgraph.Steiner.tree_cost ~weight:link_wv backtrack in
-                  let score = w_tree +. w_back +. p.p_wv in
+                  (* the LCA and the v → u backtrack are unique in the
+                     tree, so the scratch rooting reads them as
+                     [Tree.of_edges g ~root:s] would; the backtrack is
+                     summed in its travel order, as [Tree.path_up]
+                     lists it *)
+                  Tree.Scratch.root g ~root:s tree_edges;
+                  let u = Tree.Scratch.lca v destinations in
+                  let w_back = ref 0.0 and x = ref v in
+                  while !x <> u do
+                    w_back := !w_back +. wvec.(Tree.Scratch.parent_edge !x);
+                    x := Tree.Scratch.parent !x
+                  done;
+                  let score = w_tree +. !w_back +. p.p_wv in
                   Some
                     {
                       cand_server = v;
                       cand_pos = p.p_pos;
-                      cand_tree = rooted;
-                      cand_backtrack = backtrack;
+                      cand_edges = tree_edges;
                       cand_lca = u;
                       cand_score = score;
                     }
@@ -504,7 +550,7 @@ let admit_impl ~prune p request =
             screened;
           let try_alloc c =
             let v = c.cand_server in
-            let rooted = c.cand_tree in
+            let rooted = Tree.of_edges g ~root:s c.cand_edges in
             let to_server = Tree.path_between rooted s v in
             let route_of d =
               (* the processed copy climbs only to LCA(v, d) — a prefix of
@@ -517,7 +563,8 @@ let admit_impl ~prune p request =
             let tree =
               Pseudo_tree.make ~request ~servers:[ v ]
                 ~edge_uses:
-                  (Pseudo_tree.edge_uses_of_list (Tree.edges rooted @ c.cand_backtrack))
+                  (Pseudo_tree.edge_uses_of_list
+                     (c.cand_edges @ Tree.path_up rooted v ~ancestor:c.cand_lca))
                 ~routes
             in
             match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
@@ -582,6 +629,7 @@ let admit_impl ~prune p request =
   end
 
 let admit ?(prune = true) p request =
+  Obs.Counter.incr c_admits;
   let outcome =
     Paths.attributed "online_cp.admit" ~dijkstras:c_dijkstras
       ~relaxations:c_relaxations (fun () -> admit_impl ~prune p request)

@@ -119,6 +119,9 @@ type pricing = private {
   params : params;
   avail : avail option;
   window : Sp_window.t;
+  family : string;  (** the engine family key, built once *)
+  prices : Sp_window.prices;
+      (** the window's base link prices for [mode] and [β] *)
 }
 
 val pricing :
@@ -143,7 +146,10 @@ val engine : pricing -> bandwidth:float -> Mcgraph.Sp_engine.t
     [alpha > 0] — the exposure surcharge [alpha × exposure(group)] on
     grouped links. Weights read residual state, so they are pure only
     between equal {!Sdn.Network.weight_epoch} readings (the exposure
-    cache is keyed on the same epoch).
+    cache is keyed on the same epoch). The base price, before the
+    surcharge, comes from the window's price table for the mode and
+    [β] ({!Sp_window.prices}), so a link is re-priced only after its
+    residual changed.
 
     The engine comes from {!Sp_window.engine} under a family key that
     folds in [β]'s bits (exponential mode) and, with [avail] at

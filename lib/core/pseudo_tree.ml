@@ -24,6 +24,11 @@ let edge_uses_of_list edges =
   in
   runs [] (List.sort Int.compare edges)
 
+(* strictly ascending edge ids: already sorted and merged *)
+let rec ascending = function
+  | (e, _) :: ((e', _) :: _ as rest) -> e < e' && ascending rest
+  | _ -> true
+
 let make ~request ~servers ~edge_uses ~routes =
   if servers = [] then invalid_arg "Pseudo_tree.make: no servers";
   List.iter
@@ -31,8 +36,10 @@ let make ~request ~servers ~edge_uses ~routes =
       if c <= 0 then invalid_arg "Pseudo_tree.make: non-positive multiplicity")
     edge_uses;
   let merged =
-    edge_uses_of_list
-      (List.concat_map (fun (e, c) -> List.init c (fun _ -> e)) edge_uses)
+    if ascending edge_uses then edge_uses
+    else
+      edge_uses_of_list
+        (List.concat_map (fun (e, c) -> List.init c (fun _ -> e)) edge_uses)
   in
   { request; servers = List.sort_uniq Int.compare servers; edge_uses = merged; routes }
 

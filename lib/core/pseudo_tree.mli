@@ -28,8 +28,11 @@ val make :
   edge_uses:(int * int) list ->
   routes:(int * route) list ->
   t
-(** Normalises [edge_uses] (merges repeats). Raises [Invalid_argument]
-    on an empty server list or a non-positive multiplicity. *)
+(** Normalises [edge_uses] (sorts by edge id and merges repeats, as
+    {!edge_uses_of_list} would on the expanded multiset); a list whose
+    ids are already strictly ascending is kept as it is. Raises
+    [Invalid_argument] on an empty server list or a non-positive
+    multiplicity. *)
 
 val edge_uses_of_list : int list -> (int * int) list
 (** Count multiplicities in a raw edge-id list (traversal multiset). *)

@@ -17,14 +17,29 @@ let c_reuses = Obs.Counter.make "sp_window.engine_reuses"
    the forest is relabelled in place when the epoch moves *)
 type labels = { mutable l_epoch : int; forest : Uf.t }
 
+(* a price family's link prices: [table.(e)] is [price e] evaluated at
+   the residual [priced_at.(e)] (nan until first read) *)
+type prices = {
+  p_net : Sdn.Network.t;
+  price : int -> float;
+  table : float array;
+  priced_at : float array;
+}
+
 type t = {
   net : Sdn.Network.t;
   engines : (string * int, Sp.t) Hashtbl.t;
   labels : (int, labels) Hashtbl.t;
+  price_tables : (string, prices) Hashtbl.t;
 }
 
 let create net =
-  { net; engines = Hashtbl.create 8; labels = Hashtbl.create 8 }
+  {
+    net;
+    engines = Hashtbl.create 8;
+    labels = Hashtbl.create 8;
+    price_tables = Hashtbl.create 2;
+  }
 
 let net t = t.net
 
@@ -92,3 +107,33 @@ let engine t ~family ~bucket:bkt ~weight =
     Hashtbl.replace t.engines key eng;
     Obs.Counter.incr c_creates;
     eng
+
+let prices t ~family ~price =
+  match Hashtbl.find_opt t.price_tables family with
+  | Some p -> p
+  | None ->
+    let m = Sdn.Network.m t.net in
+    let p =
+      {
+        p_net = t.net;
+        price;
+        table = Array.make m 0.0;
+        priced_at = Array.make m Float.nan;
+      }
+    in
+    Hashtbl.replace t.price_tables family p;
+    p
+
+(* A family's price reads the link's capacity, which never changes, and
+   its residual, so an entry stays exact until the residual moves. The
+   float compare treats -0.0 and 0.0 as one residual; a price reads the
+   residual only through [residual /. capacity] and [1.0 -. _], which
+   give equal results on both. A nan never compares equal, so it is
+   never served from the table. *)
+let price p e =
+  let r = Sdn.Network.link_residual p.p_net e in
+  if r <> p.priced_at.(e) then begin
+    p.table.(e) <- p.price e;
+    p.priced_at.(e) <- r
+  end;
+  p.table.(e)

@@ -85,3 +85,31 @@ val engine :
     the window's only record of its acquisitions: each call is one
     [sp_window.engine_creates] (a new key) or one
     [sp_window.engine_reuses] (an existing engine). *)
+
+(** {2 Link prices}
+
+    Load-dependent prices such as Online_CP's [β^{utilisation} − 1] are
+    costly to evaluate, yet between two fills of an engine's weight
+    vector only the links an allocation or a release touched change
+    residual. A window keeps one price table per price family so that
+    every engine of the family, at every bucket and epoch, re-evaluates
+    only those. *)
+
+type prices
+(** One family's link-price table, owned by the window. *)
+
+val prices : t -> family:string -> price:(int -> float) -> prices
+(** [prices t ~family ~price] is the window's table for [family],
+    created on first use with [price]; later calls return it and ignore
+    their [price]. As with {!engine}'s family, the caller guarantees
+    that one family string names one function of a link's capacity and
+    residual (callers embed the mode and e.g. [β]'s bits), so that
+    [price e] is fixed by [e]'s residual. *)
+
+val price : prices -> int -> float
+(** [price p e] is the family's [price e] at [e]'s current residual,
+    bit for bit: the stored value when [e]'s residual equals the one it
+    was last evaluated at, otherwise [price e] evaluated now and
+    stored. A link is evaluated only when read, so a link no weight
+    function reads (one that cannot admit the bandwidth) is never
+    priced. *)

@@ -207,7 +207,8 @@ let churn =
       "Churn: failure injection + tiered repair, survival and latency vs \
        failure rate on GEANT/AS1755"
     ~default_requests:800
-    ~ledgers:[ Spec.repair_ledger ] ~smoke:64 churn_instance
+    ~ledgers:[ Spec.admission_ledger; Spec.repair_ledger ]
+    ~smoke:64 churn_instance
 
 (* ---- the Poisson families: one grid, one point, a treatment per sweep ---- *)
 
@@ -497,7 +498,8 @@ let restore_instance requests =
    cells line up in the smoke runs too *)
 let poisson_family ~id ~doc instance =
   family ~id ~doc ~default_requests:400
-    ~ledgers:[ Spec.repair_ledger; Spec.restoration_ledger ]
+    ~ledgers:
+      [ Spec.admission_ledger; Spec.repair_ledger; Spec.restoration_ledger ]
     ~smoke:16 instance
 
 let dynamic_churn =

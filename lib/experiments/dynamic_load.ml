@@ -77,5 +77,6 @@ let instance ?(n = 100) ?(arrivals = 2000) () =
 let spec =
   Spec.make ~id:"dynamic"
     ~doc:"Extension: acceptance under request departures vs offered load"
+    ~ledgers:[ Spec.admission_ledger ]
     ~smoke:(fun ~seed:_ -> instance ~n:40 ~arrivals:40 ())
     (fun ~seed:_ ~requests -> instance ?arrivals:requests ())

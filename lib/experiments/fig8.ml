@@ -86,5 +86,6 @@ let instance ?(requests = 1500) ?(sizes = [ 50; 100; 150; 200; 250 ]) () =
 
 let spec =
   Spec.make ~id:"fig8" ~doc:"Fig. 8: Online_CP vs SP across network sizes"
+    ~ledgers:[ Spec.admission_ledger ]
     ~smoke:(fun ~seed:_ -> instance ~requests:30 ~sizes:[ 30; 50 ] ())
     (fun ~seed:_ ~requests -> instance ?requests ())

@@ -84,5 +84,6 @@ let instance ?(requests = 1500) () =
 
 let spec =
   Spec.make ~id:"fig9" ~doc:"Fig. 9: Online_CP vs SP in GEANT and AS1755"
+    ~ledgers:[ Spec.admission_ledger ]
     ~smoke:(fun ~seed:_ -> instance ~requests:60 ())
     (fun ~seed:_ ~requests -> instance ?requests ())

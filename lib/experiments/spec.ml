@@ -52,6 +52,20 @@ let repair_ledger =
       [ "repair.patched"; "repair.migrated"; "repair.readmitted"; "repair.dropped" ];
   }
 
+let admission_ledger =
+  {
+    total = "online_cp.admits";
+    parts =
+      [
+        "online_cp.admitted";
+        "online_cp.rejected.no_feasible_server";
+        "online_cp.rejected.unreachable";
+        "online_cp.rejected.server_unreachable";
+        "online_cp.rejected.over_threshold";
+        "online_cp.rejected.unallocatable";
+      ];
+  }
+
 let restoration_ledger =
   {
     total = "restoration.attempted";

@@ -70,6 +70,11 @@ val repair_ledger : ledger
 (** [repair.attempted = patched + migrated + readmitted + dropped]:
     every repair attempt ends in exactly one tier. *)
 
+val admission_ledger : ledger
+(** [online_cp.admits = online_cp.admitted + Σ online_cp.rejected.*]:
+    every Online_CP decision ends admitted or with exactly one
+    rejection reason. *)
+
 val restoration_ledger : ledger
 (** [restoration.attempted = restored + failed]. *)
 

@@ -10,62 +10,158 @@ type t = {
   edge_ids : int list;
 }
 
-let of_edges g ~root edges =
-  let nn = Graph.n g in
-  if root < 0 || root >= nn then invalid_arg "Tree.of_edges: root out of range";
-  let m = Graph.m g in
-  let in_set = Bytes.make m '\000' in
-  let k =
-    List.fold_left
-      (fun k e ->
-        if e < 0 || e >= m then invalid_arg "Tree.of_edges: edge id out of range";
-        if Bytes.get in_set e <> '\000' then
-          invalid_arg "Tree.of_edges: repeated edge";
-        Bytes.set in_set e '\001';
-        k + 1)
-      0 edges
-  in
-  (* each discovery uses a distinct listed edge, so at most k + 1 nodes
-     get a slot; [order] doubles as the BFS queue *)
-  let slot = Array.make nn (-1) in
-  let order = Array.make (k + 1) root in
-  let up = Array.make (k + 1) (-1) in
-  let pedge = Array.make (k + 1) (-1) in
-  let depth_at = Array.make (k + 1) 0 in
-  slot.(root) <- 0;
-  let tail = ref 1 in
-  for head = 0 to k do
-    (* [head] reaching [!tail] means the search ran dry *)
-    if head < !tail then begin
-      let rest = ref (Graph.neighbors g order.(head)) in
+(* One rooting per domain, in node- and edge-indexed arrays grown to the
+   largest graph the domain has rooted on. A node or edge belongs to the
+   current rooting iff its mark holds the current generation, so a new
+   rooting clears nothing. *)
+module Scratch = struct
+  type s = {
+    mutable gen : int;
+    mutable mark : int array;    (* node -> generation that reached it *)
+    mutable up : int array;      (* node -> parent node, -1 at the root *)
+    mutable pedge : int array;   (* node -> edge to the parent, -1 at the root *)
+    mutable depth : int array;   (* node -> depth *)
+    mutable emark : int array;   (* edge -> generation that listed it *)
+    mutable queue : int array;   (* BFS order *)
+  }
+
+  let key =
+    Domain.DLS.new_key (fun () ->
+        {
+          gen = 0;
+          mark = [||];
+          up = [||];
+          pedge = [||];
+          depth = [||];
+          emark = [||];
+          queue = [||];
+        })
+
+  (* a failed rooting leaves no rooting behind: its marks go stale *)
+  let fail s name what =
+    s.gen <- s.gen + 1;
+    invalid_arg (name ^ ": " ^ what)
+
+  (* roots [edges] and returns the tree's node count; errors are
+     reported under [name] *)
+  let root_as name g ~root edges =
+    let nn = Graph.n g and m = Graph.m g in
+    let s = Domain.DLS.get key in
+    if root < 0 || root >= nn then fail s name "root out of range";
+    if Array.length s.mark < nn then begin
+      s.mark <- Array.make nn 0;
+      s.up <- Array.make nn (-1);
+      s.pedge <- Array.make nn (-1);
+      s.depth <- Array.make nn 0;
+      s.queue <- Array.make nn 0
+    end;
+    if Array.length s.emark < m then s.emark <- Array.make m 0;
+    s.gen <- s.gen + 1;
+    let gen = s.gen in
+    let k = ref 0 and rest = ref edges in
+    while !rest != [] do
+      match !rest with
+      | [] -> ()
+      | e :: tl ->
+        if e < 0 || e >= m then fail s name "edge id out of range";
+        if s.emark.(e) = gen then fail s name "repeated edge";
+        s.emark.(e) <- gen;
+        incr k;
+        rest := tl
+    done;
+    s.mark.(root) <- gen;
+    s.up.(root) <- -1;
+    s.pedge.(root) <- -1;
+    s.depth.(root) <- 0;
+    s.queue.(0) <- root;
+    let tail = ref 1 and head = ref 0 in
+    while !head < !tail do
+      let x = s.queue.(!head) in
+      incr head;
+      let rest = ref (Graph.neighbors g x) in
       while !rest != [] do
         match !rest with
         | [] -> ()
         | (v, e) :: tl ->
           rest := tl;
-          if Bytes.get in_set e <> '\000' then begin
-            let sv = slot.(v) in
-            if sv < 0 then begin
-              let i = !tail in
-              slot.(v) <- i;
-              order.(i) <- v;
-              up.(i) <- head;
-              pedge.(i) <- e;
-              depth_at.(i) <- depth_at.(head) + 1;
-              tail := i + 1
+          if s.emark.(e) = gen then begin
+            if s.mark.(v) <> gen then begin
+              s.mark.(v) <- gen;
+              s.up.(v) <- x;
+              s.pedge.(v) <- e;
+              s.depth.(v) <- s.depth.(x) + 1;
+              s.queue.(!tail) <- v;
+              incr tail
             end
-            else if pedge.(head) <> e then
+            else if s.pedge.(x) <> e && s.pedge.(v) <> e then
               (* [v] already reached and [e] is not the edge that
-                 discovered the node at [head]: the edge set contains a
-                 cycle through both. Each such cycle edge is seen from
-                 both sides, so guard idempotently. *)
-              if pedge.(sv) <> e then invalid_arg "Tree.of_edges: cycle in edge set"
+                 discovered [x] or [v]: the edge set contains a cycle
+                 through both *)
+              fail s name "cycle in edge set"
           end
       done
-    end
+    done;
+    (* each discovery uses a distinct listed edge, so a tree reaches
+       exactly one node more than it has edges *)
+    if !tail <> !k + 1 then fail s name "edge set not connected to root";
+    !tail
+
+  let root g ~root edges = ignore (root_as "Tree.Scratch.root" g ~root edges)
+
+  (* marks start at 0 and the first rooting is generation 1 *)
+  let in_tree s v = v >= 0 && v < Array.length s.mark && s.mark.(v) = s.gen
+
+  let check s v name = if not (in_tree s v) then invalid_arg (name ^ ": node not in tree")
+
+  let parent v =
+    let s = Domain.DLS.get key in
+    check s v "Tree.Scratch.parent";
+    s.up.(v)
+
+  let parent_edge v =
+    let s = Domain.DLS.get key in
+    check s v "Tree.Scratch.parent_edge";
+    s.pedge.(v)
+
+  (* the deeper node climbs; at equal depth both do *)
+  let rec lca2 s a b =
+    if a = b then a
+    else
+      let da = s.depth.(a) and db = s.depth.(b) in
+      if da > db then lca2 s s.up.(a) b
+      else if db > da then lca2 s a s.up.(b)
+      else lca2 s s.up.(a) s.up.(b)
+
+  let rec lca_fold s a = function
+    | [] -> a
+    | d :: rest ->
+      check s d "Tree.Scratch.lca";
+      lca_fold s (lca2 s a d) rest
+
+  let lca v others =
+    let s = Domain.DLS.get key in
+    check s v "Tree.Scratch.lca";
+    lca_fold s v others
+end
+
+(* the BFS runs in the domain's scratch; the tree copies its order out *)
+let of_edges g ~root edges =
+  let size = Scratch.root_as "Tree.of_edges" g ~root edges in
+  let s = Domain.DLS.get Scratch.key in
+  let slot = Array.make (Graph.n g) (-1) in
+  let order = Array.sub s.Scratch.queue 0 size in
+  let up = Array.make size (-1) in
+  let pedge = Array.make size (-1) in
+  let depth_at = Array.make size 0 in
+  for i = 0 to size - 1 do
+    slot.(order.(i)) <- i
   done;
-  if !tail <> k + 1 then
-    invalid_arg "Tree.of_edges: edge set not connected to root";
+  for i = 1 to size - 1 do
+    let v = order.(i) in
+    up.(i) <- slot.(s.Scratch.up.(v));
+    pedge.(i) <- s.Scratch.pedge.(v);
+    depth_at.(i) <- s.Scratch.depth.(v)
+  done;
   { slot; order; up; pedge; depth_at; edge_ids = edges }
 
 let root t = t.order.(0)

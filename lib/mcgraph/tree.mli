@@ -6,9 +6,10 @@
     (Algorithm 2, step 10 of the paper).
 
     {b Cost.} A tree over [k] edges of a graph with [n] nodes and [m]
-    edges takes O(n) words once (a node-to-slot map, plus [m] bytes of
-    edge marks that die with {!of_edges}); everything else it keeps is
-    sized to the tree, O(k) words. {!lca}, {!path_up} and
+    edges takes O(n) words once (a node-to-slot map); everything else it
+    keeps is sized to the tree, O(k) words. {!of_edges} runs its search
+    in the domain's {!Scratch} arrays, so it replaces that domain's
+    scratch rooting. {!lca}, {!path_up} and
     {!path_between} allocate nothing beyond the lists they return;
     {!nodes} builds its list on each call. *)
 
@@ -64,3 +65,34 @@ val path_up : t -> int -> ancestor:int -> int list
 val path_between : t -> int -> int -> int list
 (** Edge ids of the unique tree path between two nodes (via their LCA),
     in travel order from the first node. *)
+
+(** {1 Scratch rooting}
+
+    A tree read once, for its LCA and one climb, need not be built as a
+    {!t}. [Scratch] roots an edge list in the calling domain's own
+    arrays, sized to the largest graph it has rooted on and never
+    cleared, so a rooting allocates nothing. Each domain holds one
+    rooting: it stays readable until that domain's next {!Scratch.root}
+    or {!of_edges}.
+    The queries answer as {!parent}, {!parent_edge} and {!lca_many} of
+    [of_edges g ~root edges] do, since both are unique in a tree. *)
+module Scratch : sig
+  val root : Graph.t -> root:int -> int list -> unit
+  (** [root g ~root edges] replaces the domain's rooting by [edges]
+      oriented away from [root]. Raises [Invalid_argument] where
+      [of_edges] does, and then leaves no rooting (every query raises). *)
+
+  val parent : int -> int
+  (** Parent node; [-1] for the root. Raises [Invalid_argument] off the
+      rooting. *)
+
+  val parent_edge : int -> int
+  (** Edge to the parent; [-1] for the root. Raises [Invalid_argument]
+      off the rooting. *)
+
+  val lca : int -> int list -> int
+  (** [lca v others] is the lowest common ancestor of [v] and every node
+      of [others] ([lca_many t (v :: others)]). Raises
+      [Invalid_argument] when one of them is off the rooting, [v] alone
+      included. *)
+end

@@ -8,6 +8,8 @@ let c_alloc_rejections = Obs.Counter.make "network.alloc_rejections"
 let c_releases = Obs.Counter.make "network.releases"
 let c_resets = Obs.Counter.make "network.resets"
 let c_epoch_bumps = Obs.Counter.make "network.epoch_bumps"
+(* resources whose released residual [min cap] cut back to capacity *)
+let c_release_clamps = Obs.Counter.make "network.release_clamps"
 
 type t = {
   topo : Topology.Topo.t;
@@ -196,16 +198,29 @@ type allocation = {
   nodes : (int * float) list;
 }
 
+(* Strictly ascending ids with amounts that are neither negative nor
+   -0.0 already are their own aggregate (no id repeats, and the table
+   below would sum each amount onto 0.0, which only changes a -0.0).
+   [Pseudo_tree.allocation] always has this form. *)
+let rec ascending_nonneg = function
+  | [] -> true
+  | [ (_, v) ] -> not (Float.sign_bit v)
+  | (k, v) :: ((k', _) :: _ as rest) ->
+    k < k' && (not (Float.sign_bit v)) && ascending_nonneg rest
+
 (* sum repeated resources so atomicity checks see aggregate demand *)
 let aggregate pairs =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (k, v) ->
-      if v < 0.0 then invalid_arg "Network: negative allocation amount";
-      let cur = Option.value (Hashtbl.find_opt tbl k) ~default:0.0 in
-      Hashtbl.replace tbl k (cur +. v))
-    pairs;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  if ascending_nonneg pairs then pairs
+  else begin
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (k, v) ->
+        if v < 0.0 then invalid_arg "Network: negative allocation amount";
+        let cur = Option.value (Hashtbl.find_opt tbl k) ~default:0.0 in
+        Hashtbl.replace tbl k (cur +. v))
+      pairs;
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  end
 
 let alloc_failure t alloc =
   let link_issue =
@@ -257,8 +272,18 @@ let release t alloc =
       if t.srv_res.(v) +. amt > t.srv_cap.(v) +. 1e-6 then
         invalid_arg "Network.release: server over-release")
     nodes;
-  List.iter (fun (e, amt) -> t.link_res.(e) <- min t.link_cap.(e) (t.link_res.(e) +. amt)) links;
-  List.iter (fun (v, amt) -> t.srv_res.(v) <- min t.srv_cap.(v) (t.srv_res.(v) +. amt)) nodes;
+  (* the over-release slack lets a sum land just above capacity; the
+     clamp cuts it back, and each cut is counted *)
+  let restore res cap (i, amt) =
+    let x = res.(i) +. amt in
+    if x > cap.(i) then begin
+      Obs.Counter.incr c_release_clamps;
+      res.(i) <- cap.(i)
+    end
+    else res.(i) <- x
+  in
+  List.iter (restore t.link_res t.link_cap) links;
+  List.iter (restore t.srv_res t.srv_cap) nodes;
   Obs.Counter.incr c_releases;
   bump_epoch t
 

@@ -148,7 +148,9 @@ val allocate : t -> allocation -> (unit, string) result
 val release : t -> allocation -> unit
 (** Return previously allocated resources; bumps {!weight_epoch}.
     Raises [Invalid_argument] if a release would exceed a capacity
-    (double free). *)
+    (double free) by more than an absolute [1e-6]; a residual the slack
+    lets past its capacity is clamped back to it, and each clamped link
+    or server counts once under [network.release_clamps]. *)
 
 val reset : t -> unit
 (** Restore all residuals to full capacity; bumps {!weight_epoch}. *)

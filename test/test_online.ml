@@ -536,6 +536,94 @@ let test_pricing_refuses_foreign_window () =
   Alcotest.(check bool) "own window accepted" false
     (raises (fun () -> Adm.pricing ~window:(W.create net) net Adm.Online_cp))
 
+(* ---- the window's link-price tables ---- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Several pricings share one window, hence its price tables: both
+   modes, two β values and a surcharged view over the first β. After
+   every random allocate (an admit), release, reset, link fault or heal,
+   each engine's weight vector, read at two bandwidths, equals the price
+   formula evaluated afresh on the current residuals, bit for bit. *)
+let prop_price_tables_exact =
+  Tutil.qtest ~count:40 "engine weights = fresh link prices, bit for bit"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let net, rng = mk_net (seed + 3600) in
+      let m = N.m net in
+      let window = W.create net in
+      let params = Cp.default_params net in
+      let steep = { params with Cp.beta = params.Cp.beta *. 1.5 } in
+      let av = Cp.make_avail ~alpha:0.5 net (Array.init 3 (fun r -> List.filter (fun e -> e mod 3 = r) (List.init m Fun.id))) in
+      let pricings =
+        [
+          (Cp.pricing ~mode:`Exponential ~params window, params, None);
+          (Cp.pricing ~mode:`Exponential ~params:steep window, steep, None);
+          (Cp.pricing ~mode:`Linear ~params window, params, None);
+          (Cp.pricing ~avail:av ~mode:`Exponential ~params window, params, Some av);
+        ]
+      in
+      let fresh (p : Cp.pricing) (params : Cp.params) av b e =
+        if not (N.link_admits net e b) then infinity
+        else
+          let base =
+            match p.Cp.mode with
+            | `Exponential -> Nfv_multicast.Cost_model.link_weight net ~base:params.Cp.beta e +. h
+            | `Linear -> Nfv_multicast.Cost_model.linear_link_weight net e +. h
+          in
+          match av with
+          | None -> base
+          | Some av ->
+            let gi = Cp.avail_group_of av e in
+            base +. (Cp.avail_alpha av *. Cp.exposure av net gi)
+      in
+      let exact () =
+        List.for_all
+          (fun (p, params, av) ->
+            List.for_all
+              (fun b ->
+                let w = Mcgraph.Sp_engine.weights (Cp.engine p ~bandwidth:b) in
+                let ok = ref true in
+                for e = 0 to m - 1 do
+                  if not (same_bits w.(e) (fresh p params av b e)) then ok := false
+                done;
+                !ok)
+              [ 1.0; 60.0 +. Rng.float_range rng 0.0 200.0 ])
+          pricings
+      in
+      let faults = ref (Sdn.Fault.create net) in
+      let live = ref [] and next_id = ref 0 in
+      let ok = ref (exact ()) in
+      for _ = 1 to 60 do
+        (match Rng.int rng 6 with
+        | 0 | 1 -> (
+          let p, _, _ = List.nth pricings (Rng.int rng (List.length pricings)) in
+          let r = Tutil.random_request rng net ~id:!next_id in
+          match Cp.admit p r with
+          | Cp.Admitted a ->
+            live := (!next_id, Pt.allocation a.Cp.tree) :: !live;
+            incr next_id
+          | Cp.Rejected _ -> ())
+        | 2 -> (
+          match !live with
+          | (_, alloc) :: rest ->
+            N.release net alloc;
+            live := rest
+          | [] -> ())
+        | 3 ->
+          N.reset net;
+          live := [];
+          faults := Sdn.Fault.create net
+        | 4 ->
+          let victims =
+            Sdn.Fault.inject !faults ~live:!live (Sdn.Fault.Link_down (Rng.int rng m))
+          in
+          live := List.filter (fun (id, _) -> not (List.mem id victims)) !live
+        | _ -> ignore (Sdn.Fault.inject !faults ~live:[] (Sdn.Fault.Link_up (Rng.int rng m))));
+        ok := !ok && exact ()
+      done;
+      !ok)
+
 let () =
   Alcotest.run "online"
     [
@@ -575,6 +663,7 @@ let () =
       ( "pruning",
         [
           prop_prune_and_window_exact;
+          prop_price_tables_exact;
           prop_sp_window_exact;
           Alcotest.test_case "window and pruning telemetry" `Quick
             test_window_and_pruning_telemetry;

@@ -95,6 +95,28 @@ let test_make_merges_repeats () =
   in
   Alcotest.(check (list (pair int int))) "merged" [ (0, 3); (1, 1) ] t.Pt.edge_uses
 
+(* [make]'s fast path keeps a strictly ascending list as it is; any
+   other order or repeat goes through the expand-and-merge *)
+let test_make_fast_path () =
+  let req = request () in
+  let uses l = (Pt.make ~request:req ~servers:[ 2 ] ~edge_uses:l ~routes:[]).Pt.edge_uses in
+  let ascending = [ (0, 2); (1, 1); (3, 4) ] in
+  Alcotest.(check bool) "ascending kept as is" true (uses ascending == ascending);
+  List.iter
+    (fun l ->
+      Alcotest.(check (list (pair int int))) "same merged uses" ascending (uses l))
+    [
+      [ (3, 4); (0, 2); (1, 1) ];
+      [ (0, 1); (1, 1); (0, 1); (3, 4) ];
+      [ (0, 2); (1, 1); (3, 1); (3, 3) ];
+    ];
+  Alcotest.check_raises "bad multiplicity in ascending uses"
+    (Invalid_argument "Pseudo_tree.make: non-positive multiplicity") (fun () ->
+      ignore (uses [ (0, 1); (1, 0); (2, 1) ]));
+  Alcotest.check_raises "negative multiplicity"
+    (Invalid_argument "Pseudo_tree.make: non-positive multiplicity") (fun () ->
+      ignore (uses [ (0, 1); (1, -2) ]))
+
 let test_make_validation () =
   let req = request () in
   Alcotest.check_raises "no servers" (Invalid_argument "Pseudo_tree.make: no servers")
@@ -138,6 +160,7 @@ let () =
           Alcotest.test_case "edge_uses_of_list" `Quick test_edge_uses_of_list;
           Alcotest.test_case "make merges repeats" `Quick test_make_merges_repeats;
           Alcotest.test_case "make validation" `Quick test_make_validation;
+          Alcotest.test_case "make fast path" `Quick test_make_fast_path;
           Alcotest.test_case "allocation" `Quick test_allocation;
           Alcotest.test_case "double traversal allocation" `Quick
             test_double_traversal_allocation;

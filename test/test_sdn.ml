@@ -181,6 +181,96 @@ let test_over_release_rejected () =
     (Invalid_argument "Network.release: link over-release") (fun () ->
       N.release net { N.links = [ (0, 1.0) ]; nodes = [] })
 
+let clamps () = Nfv_obs.Obs.Counter.value (Nfv_obs.Obs.Counter.make "network.release_clamps")
+
+let with_obs f =
+  Nfv_obs.Obs.reset_all ();
+  Nfv_obs.Obs.enabled := true;
+  Fun.protect ~finally:(fun () -> Nfv_obs.Obs.enabled := false) f
+
+let test_release_clamps () =
+  with_obs @@ fun () ->
+  let net = mk_net () in
+  let v = List.hd (N.servers net) in
+  let alloc = { N.links = [ (0, 100.0); (1, 50.0) ]; nodes = [ (v, 500.0) ] } in
+  ignore (N.allocate net alloc);
+  N.release net alloc;
+  Alcotest.(check int) "an exact release clamps nothing" 0 (clamps ());
+  ignore (N.allocate net alloc);
+  (* inside the 1e-6 over-release slack on link 0 and on the server *)
+  N.release net { N.links = [ (0, 100.0 +. 5e-7); (1, 50.0) ]; nodes = [ (v, 500.0 +. 5e-7) ] };
+  Alcotest.(check int) "the link and the server clamp" 2 (clamps ());
+  Alcotest.(check bool) "link back at capacity" true
+    (N.link_residual net 0 = N.link_capacity net 0);
+  Alcotest.(check bool) "server back at capacity" true
+    (N.server_residual net v = N.server_capacity net v)
+
+(* [aggregate]'s fast path (strictly ascending ids, amounts neither
+   negative nor -0.0, taken as they are) against its table: the same
+   demand written unsorted, split into repeats and with zero entries
+   allocates and releases to the same residual bits and the same
+   verdict *)
+let prop_aggregate_fast_path =
+  Tutil.qtest ~count:200 "ascending allocation = shuffled, split allocation"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let a = mk_net ~seed:(1 + (seed mod 7)) () and b = mk_net ~seed:(1 + (seed mod 7)) () in
+      let m = N.m a in
+      let ids = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init m Fun.id) in
+      (* whole Mbps, so a split sums back exactly *)
+      let amounts = List.map (fun e -> (e, float_of_int (Rng.int rng 2_000))) ids in
+      let split =
+        List.concat_map
+          (fun (e, x) ->
+            let part = Float.round (Rng.float rng x) in
+            [ (e, part); (e, x -. part); (e, 0.0) ])
+          amounts
+      in
+      let split = Array.of_list split in
+      Rng.shuffle rng split;
+      let servers = N.servers a in
+      let nodes = List.map (fun v -> (v, float_of_int (Rng.int rng 5_000))) servers in
+      let fast = { N.links = amounts; nodes } in
+      let slow = { N.links = Array.to_list split; nodes = List.rev nodes @ List.map (fun v -> (v, 0.0)) servers } in
+      let bits net =
+        ( Array.init m (fun e -> Int64.bits_of_float (N.link_residual net e)),
+          List.map (fun v -> Int64.bits_of_float (N.server_residual net v)) servers )
+      in
+      let ra = N.allocate a fast and rb = N.allocate b slow in
+      Result.is_ok ra = Result.is_ok rb
+      && bits a = bits b
+      && begin
+        if Result.is_ok ra then begin
+          N.release a fast;
+          N.release b slow
+        end;
+        bits a = bits b
+      end)
+
+let test_aggregate_bad_amounts () =
+  let net = mk_net () in
+  let negative = Invalid_argument "Network: negative allocation amount" in
+  Alcotest.check_raises "negative, ascending" negative (fun () ->
+      ignore (N.allocate net { N.links = [ (0, 1.0); (1, -1.0) ]; nodes = [] }));
+  Alcotest.check_raises "negative, unsorted" negative (fun () ->
+      ignore (N.allocate net { N.links = [ (1, 1.0); (0, -1.0) ]; nodes = [] }));
+  Alcotest.check_raises "negative release" negative (fun () ->
+      N.release net { N.links = [ (0, -1.0) ]; nodes = [] });
+  List.iter
+    (fun links ->
+      Alcotest.(check bool) "repeats still sum" true
+        (Result.is_error (N.allocate net { N.links; nodes = [] })))
+    [
+      [ (1, 1.0); (0, N.link_capacity net 0); (0, 1.0) ];
+      [ (0, N.link_capacity net 0); (0, 1.0); (1, 1.0) ];
+    ];
+  (match N.allocate net { N.links = [ (0, -0.0); (1, 0.0) ]; nodes = [] } with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "zero amounts: %s" e);
+  Alcotest.(check bool) "zero amounts drain nothing" true
+    (N.link_residual net 0 = N.link_capacity net 0)
+
 let test_reset () =
   let net = mk_net () in
   (match N.allocate net { N.links = [ (0, 100.0) ]; nodes = [] } with
@@ -289,6 +379,9 @@ let () =
           Alcotest.test_case "repeat aggregation" `Quick
             test_allocation_aggregates_repeats;
           Alcotest.test_case "over-release" `Quick test_over_release_rejected;
+          Alcotest.test_case "release clamps" `Quick test_release_clamps;
+          Alcotest.test_case "aggregate bad amounts" `Quick test_aggregate_bad_amounts;
+          prop_aggregate_fast_path;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "utilisation metrics" `Quick test_utilization_metrics;
           Alcotest.test_case "uniform profile" `Quick test_uniform_profile;

@@ -258,6 +258,116 @@ let prop_layout_reference =
       && agrees g ~root:n spanning
       && agrees g ~root:(-1) [ -1 ])
 
+(* ---- scratch rooting against [of_edges] ---- *)
+
+module S = T.Scratch
+
+(* an [Invalid_argument] message without its function name *)
+let reason f =
+  match f () with
+  | x -> Ok x
+  | exception Invalid_argument m -> (
+    match String.index_opt m ':' with
+    | Some i -> Error (String.sub m i (String.length m - i))
+    | None -> Error m)
+
+let scratch_mem v = Result.is_ok (reason (fun () -> S.parent v))
+
+(* the v → ancestor climb read off the scratch parents *)
+let scratch_path_up v ~ancestor =
+  let rec climb x = if x = ancestor then [] else S.parent_edge x :: climb (S.parent x) in
+  climb v
+
+(* After [S.root g ~root edges], every scratch answer matches the tree
+   [of_edges] builds: membership, parents and parent edges for every
+   node and one off each end, and, for random [v] and node sets, the
+   LCA and the v → LCA backtrack ([lca_many] and [path_up]). *)
+let scratch_agrees rng g ~root edges =
+  let n = G.n g in
+  let vs = List.init (n + 2) (fun i -> i - 1) in
+  (* [of_edges] roots in the scratch too, so it goes first *)
+  let tree = reason (fun () -> T.of_edges g ~root edges) in
+  match (tree, reason (fun () -> S.root g ~root edges)) with
+  | Error a, Error b -> a = b && not (List.exists scratch_mem vs)
+  | Ok t, Ok () ->
+    List.for_all
+      (fun v ->
+        scratch_mem v = T.mem t v
+        && reason (fun () -> S.parent v) = reason (fun () -> T.parent t v)
+        && reason (fun () -> S.parent_edge v) = reason (fun () -> T.parent_edge t v))
+      vs
+    && List.for_all
+         (fun _ ->
+           let pick () = List.nth vs (Topology.Rng.int rng (n + 2)) in
+           let v = pick () in
+           let others = List.init (Topology.Rng.int rng 4) (fun _ -> pick ()) in
+           (* [lca_many] returns a lone node unchecked *)
+           match reason (fun () -> T.lca_many t (v :: others)) with
+           | Ok _ when not (T.mem t v) ->
+             reason (fun () -> S.lca v others) = Error ": node not in tree"
+           | Error _ as e -> reason (fun () -> S.lca v others) = e
+           | Ok u ->
+             S.lca v others = u && scratch_path_up v ~ancestor:u = T.path_up t v ~ancestor:u)
+         (List.init 20 Fun.id)
+  | _ -> false
+
+let prop_scratch_reference =
+  Tutil.qtest ~count:200 "scratch rooting = of_edges (lca, backtrack)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      (* a random subtree, a rooting of a graph of another size in
+         between (stale marks, grown arrays), the single-node tree, and
+         the edge sets [of_edges] refuses *)
+      let g, root, _, edges = random_subtree seed in
+      let g', root', _, edges' = random_subtree (seed + 1) in
+      let rng = Topology.Rng.create seed in
+      let m = G.m g in
+      let bad =
+        [ insert_at rng (-1) edges; insert_at rng (m + Topology.Rng.int rng 3) edges ]
+        @
+        match edges with
+        | [] -> []
+        | e :: _ -> [ insert_at rng e edges ]
+      in
+      scratch_agrees rng g ~root edges
+      && scratch_agrees rng g' ~root:root' edges'
+      && scratch_agrees rng g ~root edges
+      && scratch_agrees rng g ~root []
+      && scratch_agrees rng g ~root:(G.n g) edges
+      && List.for_all (scratch_agrees rng g ~root) bad
+      && scratch_agrees rng g ~root edges)
+
+let test_scratch_single_node () =
+  let g, _ = fixture () in
+  S.root g ~root:4 [];
+  Alcotest.(check bool) "root in" true (scratch_mem 4);
+  Alcotest.(check bool) "neighbour out" false (scratch_mem 1);
+  Alcotest.(check int) "lca of the root" 4 (S.lca 4 []);
+  Alcotest.(check int) "lca of the root twice" 4 (S.lca 4 [ 4 ]);
+  Alcotest.(check int) "parent" (-1) (S.parent 4);
+  Alcotest.check_raises "lca off the tree"
+    (Invalid_argument "Tree.Scratch.lca: node not in tree") (fun () ->
+      ignore (S.lca 4 [ 1 ]))
+
+let test_scratch_cycle () =
+  let g = G.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
+  Alcotest.check_raises "cycle" (Invalid_argument "Tree.Scratch.root: cycle in edge set")
+    (fun () -> S.root g ~root:0 [ 0; 1; 2 ])
+
+(* each domain keeps its own rooting *)
+let test_scratch_per_domain () =
+  let g, _ = fixture () in
+  S.root g ~root:0 [ 0; 1; 2; 3; 4; 5 ];
+  let other =
+    Domain.spawn (fun () ->
+        S.root g ~root:6 [ 5; 2; 0; 1 ];
+        (S.parent 0, S.lca 2 [ 3 ]))
+  in
+  let p0, l = Domain.join other in
+  Alcotest.(check (pair int int)) "other domain's rooting" (1, 3) (p0, l);
+  Alcotest.(check int) "own rooting kept" (-1) (S.parent 0);
+  Alcotest.(check int) "own lca" 0 (S.lca 6 [ 5 ])
+
 let () =
   Alcotest.run "tree"
     [
@@ -271,6 +381,9 @@ let () =
           Alcotest.test_case "disconnected rejected" `Quick test_disconnected_rejected;
           Alcotest.test_case "repeated edge rejected" `Quick test_repeated_edge_rejected;
           Alcotest.test_case "edge id out of range" `Quick test_edge_id_out_of_range;
+          Alcotest.test_case "scratch single-node tree" `Quick test_scratch_single_node;
+          Alcotest.test_case "scratch cycle rejected" `Quick test_scratch_cycle;
+          Alcotest.test_case "scratch rooting per domain" `Quick test_scratch_per_domain;
         ] );
       ( "property",
         [
@@ -280,5 +393,6 @@ let () =
           prop_leaves_childless;
           prop_prune_reference;
           prop_layout_reference;
+          prop_scratch_reference;
         ] );
     ]
