@@ -554,7 +554,10 @@ let prop_price_tables_exact =
       let window = W.create net in
       let params = Cp.default_params net in
       let steep = { params with Cp.beta = params.Cp.beta *. 1.5 } in
-      let av = Cp.make_avail ~alpha:0.5 net (Array.init 3 (fun r -> List.filter (fun e -> e mod 3 = r) (List.init m Fun.id))) in
+      let groups =
+        Array.init 3 (fun r -> List.filter (fun e -> e mod 3 = r) (List.init m Fun.id))
+      in
+      let av = Cp.make_avail ~alpha:0.5 net groups in
       let pricings =
         [
           (Cp.pricing ~mode:`Exponential ~params window, params, None);
@@ -568,7 +571,8 @@ let prop_price_tables_exact =
         else
           let base =
             match p.Cp.mode with
-            | `Exponential -> Nfv_multicast.Cost_model.link_weight net ~base:params.Cp.beta e +. h
+            | `Exponential ->
+              Nfv_multicast.Cost_model.link_weight net ~base:params.Cp.beta e +. h
             | `Linear -> Nfv_multicast.Cost_model.linear_link_weight net e +. h
           in
           match av with

@@ -181,7 +181,8 @@ let test_over_release_rejected () =
     (Invalid_argument "Network.release: link over-release") (fun () ->
       N.release net { N.links = [ (0, 1.0) ]; nodes = [] })
 
-let clamps () = Nfv_obs.Obs.Counter.value (Nfv_obs.Obs.Counter.make "network.release_clamps")
+let clamps () =
+  Nfv_obs.Obs.Counter.value (Nfv_obs.Obs.Counter.make "network.release_clamps")
 
 let with_obs f =
   Nfv_obs.Obs.reset_all ();
@@ -198,7 +199,8 @@ let test_release_clamps () =
   Alcotest.(check int) "an exact release clamps nothing" 0 (clamps ());
   ignore (N.allocate net alloc);
   (* inside the 1e-6 over-release slack on link 0 and on the server *)
-  N.release net { N.links = [ (0, 100.0 +. 5e-7); (1, 50.0) ]; nodes = [ (v, 500.0 +. 5e-7) ] };
+  N.release net
+    { N.links = [ (0, 100.0 +. 5e-7); (1, 50.0) ]; nodes = [ (v, 500.0 +. 5e-7) ] };
   Alcotest.(check int) "the link and the server clamp" 2 (clamps ());
   Alcotest.(check bool) "link back at capacity" true
     (N.link_residual net 0 = N.link_capacity net 0);
@@ -215,7 +217,8 @@ let prop_aggregate_fast_path =
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let a = mk_net ~seed:(1 + (seed mod 7)) () and b = mk_net ~seed:(1 + (seed mod 7)) () in
+      let a = mk_net ~seed:(1 + (seed mod 7)) () in
+      let b = mk_net ~seed:(1 + (seed mod 7)) () in
       let m = N.m a in
       let ids = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init m Fun.id) in
       (* whole Mbps, so a split sums back exactly *)
@@ -232,7 +235,12 @@ let prop_aggregate_fast_path =
       let servers = N.servers a in
       let nodes = List.map (fun v -> (v, float_of_int (Rng.int rng 5_000))) servers in
       let fast = { N.links = amounts; nodes } in
-      let slow = { N.links = Array.to_list split; nodes = List.rev nodes @ List.map (fun v -> (v, 0.0)) servers } in
+      let slow =
+        {
+          N.links = Array.to_list split;
+          nodes = List.rev nodes @ List.map (fun v -> (v, 0.0)) servers;
+        }
+      in
       let bits net =
         ( Array.init m (fun e -> Int64.bits_of_float (N.link_residual net e)),
           List.map (fun v -> Int64.bits_of_float (N.server_residual net v)) servers )

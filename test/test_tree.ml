@@ -307,7 +307,8 @@ let scratch_agrees rng g ~root edges =
              reason (fun () -> S.lca v others) = Error ": node not in tree"
            | Error _ as e -> reason (fun () -> S.lca v others) = e
            | Ok u ->
-             S.lca v others = u && scratch_path_up v ~ancestor:u = T.path_up t v ~ancestor:u)
+             S.lca v others = u
+             && scratch_path_up v ~ancestor:u = T.path_up t v ~ancestor:u)
          (List.init 20 Fun.id)
   | _ -> false
 
