@@ -31,11 +31,11 @@ type dominance = {
    its owner's engine row the first time it is read. *)
 type t = {
   req : Sdn.Request.t;
-  ext : G.t;
+  base : G.t;
   vnode : int;
   base_m : int;
   pos : int array;                          (* ext node -> candidate position, or -1 *)
-  bnode : int array;                        (* base hub -> node *)
+  bnode : int array;                        (* base hub -> node; KMB's spokes *)
   wv : float array;                         (* vedge id - base_m -> its weight *)
   engine : Sp.t;                            (* base graph, the caller's price *)
   candidates : int list;
@@ -53,49 +53,14 @@ type t = {
   phub : int array;                         (* point -> hub index of metric [owner] *)
   mutable owner : int;                      (* metric id [phub] was filled for *)
   mutable metrics : int;                    (* metric ids handed out *)
-  ext_w : float array;                      (* edge id -> weight, for KMB *)
-  mutable ext_base : float array;           (* engine vector [ext_w] copies *)
   mutable vec : float array;                (* the hub vector of the row being filled *)
   mutable dom : dominance option;           (* built on [redundant]'s first use *)
-  mutable bid : int;                        (* stamp of this request's bottlenecks *)
+  mutable bneck : float array;              (* subset slot -> closure-MST bottleneck *)
 }
-
-(* The extended graph depends only on the base graph and the candidate
-   list, and nothing mutates it once built, so each domain keeps the
-   last one it built for the next request over the same pair. *)
-type ext_cache = { base : G.t; base_edges : int; cands : int list; graph : G.t }
-
-let last_ext : ext_cache option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let extended g candidates =
-  match Domain.DLS.get last_ext with
-  | Some c
-    when c.base == g && c.base_edges = G.m g && List.equal Int.equal c.cands candidates
-    ->
-    c.graph
-  | _ ->
-    let nn = G.n g in
-    let ext = G.create (nn + 1) in
-    G.iter_edges g (fun _ u v -> ignore (G.add_edge ext u v));
-    List.iter (fun v -> ignore (G.add_edge ext nn v)) candidates;
-    Domain.DLS.set last_ext
-      (Some { base = g; base_edges = G.m g; cands = candidates; graph = ext });
-    ext
-
-(* Closure-MST bottlenecks by subset slot, one table per domain, reused
-   across requests: an entry counts only while its stamp is the [bid] of
-   the request reading it, and a request takes a fresh [bid], unique
-   across domains, when built and at every new weight vector. *)
-type bottlenecks = { mutable value : float array; mutable stamp : int array }
-
-let bottlenecks = Domain.DLS.new_key (fun () -> { value = [||]; stamp = [||] })
-let bids = Atomic.make 0
-let fresh_bid () = 1 + Atomic.fetch_and_add bids 1
 
 let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
   let g = Sdn.Network.graph net in
   let nn = G.n g and mm = G.m g in
-  let ext = extended g candidate_servers in
   let nc = List.length candidate_servers in
   let pos = Array.make (nn + 1) (-1) in
   let s = request.Sdn.Request.source in
@@ -119,7 +84,7 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
   let t =
     {
       req = request;
-      ext;
+      base = g;
       vnode = nn;
       base_m = mm;
       pos;
@@ -141,11 +106,9 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       phub = Array.make (nt + 1) (-1);
       owner = 0;
       metrics = 0;
-      ext_w = Array.make (G.m ext) infinity;
-      ext_base = [||];
       vec = [||];
       dom = None;
-      bid = fresh_bid ();
+      bneck = [||];
     }
   in
   List.iteri
@@ -157,15 +120,11 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       in
       t.wv.(i) <- w)
     candidate_servers;
-  (* a KMB path emits only base edges and its subset's virtual edges, so
-     the other virtual entries may keep their weights for every subset *)
-  Array.blit t.wv 0 t.ext_w mm nc;
   t
 
-let ext_graph t = t.ext
 let virtual_node t = t.vnode
 let base_edge_count t = t.base_m
-let is_virtual_edge t e = e >= t.base_m
+let is_virtual_edge t e = e >= t.base_m && e < t.base_m + Array.length t.wv
 let server_of_virtual_edge t e =
   if not (is_virtual_edge t e) then invalid_arg "Aux_graph: not a virtual edge";
   t.bnode.(e - t.base_m)
@@ -250,28 +209,23 @@ let slot t iu subset =
   in
   go 1 (-1) 0 subset
 
-(* the bottleneck at slot [k], nan when this request has not written it *)
+(* the bottleneck at slot [k], nan when not written at this weight
+   vector *)
 let[@inline] bottleneck t k =
-  let b = Domain.DLS.get bottlenecks in
-  if k >= 0 && k < Array.length b.stamp && b.stamp.(k) = t.bid then b.value.(k)
-  else Float.nan
+  if k >= 0 && k < Array.length t.bneck then t.bneck.(k) else Float.nan
 
 (* slot [k], of a subset of [size] servers, <- [x]; the table grows to
    every slot of that size *)
 let[@inline] set_bottleneck t k size x =
   if k >= 0 then begin
-    let b = Domain.DLS.get bottlenecks in
-    let len = Array.length b.stamp in
+    let len = Array.length t.bneck in
     if k >= len then begin
       let len' = max (Combinations.count_up_to (t.nb - 1) size) (2 * len) in
-      let value = Array.make len' Float.nan and stamp = Array.make len' 0 in
-      Array.blit b.value 0 value 0 len;
-      Array.blit b.stamp 0 stamp 0 len;
-      b.value <- value;
-      b.stamp <- stamp
+      let b = Array.make len' Float.nan in
+      Array.blit t.bneck 0 b 0 len;
+      t.bneck <- b
     end;
-    b.stamp.(k) <- t.bid;
-    b.value.(k) <- x
+    t.bneck.(k) <- x
   end
 
 (* ------------------------------------------------------------------ *)
@@ -344,7 +298,7 @@ let subset_metric t subset =
   if wvec != t.tab_w then begin
     Array.fill t.dfull 0 t.nt false;
     Array.fill t.hfull 0 t.nb false;
-    t.bid <- fresh_bid ();
+    Array.fill t.bneck 0 (Array.length t.bneck) Float.nan;
     t.tab_w <- wvec
   end;
   for i = 0 to h - 1 do
@@ -574,23 +528,17 @@ let path sm x y =
   if iter_path sm x y (fun e -> acc := e :: !acc) then Some (List.rev !acc)
   else None
 
-(* [weight sm] on every edge KMB reads: the virtual part was written
-   once, by [build]; the base part is copied only when the engine's
-   vector is not the one copied last *)
-let fill_weights sm =
-  let t = sm.aux in
-  if t.ext_base != sm.wvec then begin
-    Array.blit sm.wvec 0 t.ext_w 0 t.base_m;
-    t.ext_base <- sm.wvec
-  end
-
-(* the run's closure-MST bottleneck goes into the subset's slot, for
-   [redundant]'s rule (a') *)
+(* KMB over the base graph plus the virtual edges as spokes of s'_k:
+   edge [base_m + i] is (s'_k, bnode.(i)) at weight wv.(i). [bnode]'s
+   last spoke, (s'_k, s_k), is no virtual edge, and no path emits it. A
+   path emits only base edges and this subset's virtual edges, so every
+   weight KMB reads is [weight sm]'s. The run's closure-MST bottleneck
+   goes into the subset's slot, for [redundant]'s rule (a'). *)
 let steiner_tree sm =
-  fill_weights sm;
+  let t = sm.aux in
   let tree =
-    Mcgraph.Steiner.kmb_with_metric sm.aux.ext ~weights:sm.aux.ext_w
-      ~terminals:sm.aux.points ~row:(fill_row sm) ~path:(iter_path sm)
+    Mcgraph.Steiner.kmb_with_metric t.base ~spokes:t.bnode ~weights:sm.wvec
+      ~spoke_weights:t.wv ~terminals:t.points ~row:(fill_row sm) ~path:(iter_path sm)
   in
   let b =
     match tree with
@@ -837,11 +785,29 @@ let redundant t subset =
     let d = dominance t in
     d.usable && exists_inert t d subset subset
 
+(* the server of the first root [r] in [roots], or -1 *)
+let rec server_in r roots servers =
+  match (roots, servers) with
+  | r' :: roots, v :: servers -> if r' = r then v else server_in r roots servers
+  | _ -> -1
+
+(* [x]'s climb to its ancestor [v] in the domain's scratch rooting, read
+   top-down *)
+let rec climb x v acc =
+  if x = v then acc
+  else climb (Mcgraph.Tree.Scratch.parent x) v (Mcgraph.Tree.Scratch.parent_edge x :: acc)
+
+(* The tree minus s'_k is one subtree per virtual edge: the base edges
+   of its server's union-find set, rooted at the server on the base
+   graph, where [Tree.Scratch.root] refuses a cycle or a repeat. A tree
+   path is unique, so a destination's [onward] is its climb to its
+   server read top-down. *)
 let to_pseudo_tree t tree_edges =
-  let req = t.req in
-  let tree = Mcgraph.Tree.of_edges t.ext ~root:t.vnode tree_edges in
-  let servers = ref [] in
-  let uses = ref [] in
+  let req = t.req and g = t.base in
+  let fail what = invalid_arg ("Aux_graph.to_pseudo_tree: " ^ what) in
+  let uf = Mcgraph.Union_find.create (G.n g) in
+  let find = Mcgraph.Union_find.find uf in
+  let servers = ref [] and uses = ref [] in
   List.iter
     (fun e ->
       if is_virtual_edge t e then begin
@@ -849,27 +815,33 @@ let to_pseudo_tree t tree_edges =
         servers := v :: !servers;
         match base_path t req.Sdn.Request.source v with
         | Some p -> uses := p @ !uses
-        | None -> invalid_arg "Aux_graph.to_pseudo_tree: unreachable server"
+        | None -> fail "unreachable server"
       end
-      else uses := e :: !uses)
+      else begin
+        ignore (Mcgraph.Union_find.union uf (G.edge_u g e) (G.edge_v g e));
+        uses := e :: !uses
+      end)
     tree_edges;
-  if !servers = [] then invalid_arg "Aux_graph.to_pseudo_tree: no server in tree";
-  let route_of d =
-    if not (Mcgraph.Tree.mem tree d) then
-      invalid_arg "Aux_graph.to_pseudo_tree: destination not spanned";
-    let down = List.rev (Mcgraph.Tree.path_up tree d ~ancestor:t.vnode) in
-    match down with
-    | first :: onward when is_virtual_edge t first ->
-      let v = server_of_virtual_edge t first in
-      let to_server =
-        match base_path t req.Sdn.Request.source v with
-        | Some p -> p
-        | None -> assert false
-      in
-      (d, { Pseudo_tree.to_server; server = v; onward })
-    | _ -> invalid_arg "Aux_graph.to_pseudo_tree: path does not start virtually"
+  (* no set may hold two servers (a cycle through s'_k) *)
+  let roots = List.map find !servers in
+  if roots = [] || List.length (List.sort_uniq Int.compare roots) < List.length roots then
+    fail "not one subtree per server";
+  let server_of x = server_in (find x) roots !servers in
+  let under v e = (not (is_virtual_edge t e)) && server_of (G.edge_u g e) = v in
+  if List.exists (under (-1)) tree_edges then fail "edge cut off from the virtual source";
+  let dests = Array.of_list req.Sdn.Request.destinations in
+  let onward = Array.make (Array.length dests) [] in
+  List.iter
+    (fun v ->
+      Mcgraph.Tree.Scratch.root g ~root:v (List.filter (under v) tree_edges);
+      Array.iteri (fun i d -> if server_of d = v then onward.(i) <- climb d v []) dests)
+    !servers;
+  let route_of i d =
+    let v = server_of d in
+    if v < 0 then fail "destination not spanned";
+    let to_server = Option.get (base_path t req.Sdn.Request.source v) in
+    (d, { Pseudo_tree.to_server; server = v; onward = onward.(i) })
   in
-  let routes = List.map route_of req.Sdn.Request.destinations in
   Pseudo_tree.make ~request:req ~servers:!servers
     ~edge_uses:(Pseudo_tree.edge_uses_of_list !uses)
-    ~routes
+    ~routes:(List.mapi route_of req.Sdn.Request.destinations)

@@ -21,9 +21,10 @@
     destination × base hub, base hub × destination and base hub × base
     hub, the base hubs being the candidates and [s_k] — O((|D| + |C| +
     1)²) floats in all, each row copied from its owner's tree the first
-    time it is read. Tests check this against Dijkstra on {!ext_graph}
-    under {!weight}, and bit for bit against the same formula read off
-    the engine trees. *)
+    time it is read. Nor is [G_k^i] copied: KMB reads the virtual edges
+    as spokes of the base graph. Tests check the metric against Dijkstra
+    on a materialised [G_k^i] under {!weight}, and bit for bit against
+    the same formula read off the engine trees. *)
 
 type t
 
@@ -45,20 +46,17 @@ val build :
     [candidate_servers] are the servers considered for hosting the
     chain (already filtered for computing capacity by the caller). *)
 
-val ext_graph : t -> Mcgraph.Graph.t
-(** Base graph plus virtual node and virtual edges; base edge ids are
-    preserved. It depends only on the base graph and the candidate list,
-    so a domain hands the same graph to every request over the same
-    base graph (same edge count) and candidate list: never mutate it. *)
-
 val virtual_node : t -> int
+(** [s'_k], node [n] of [G_k^i]; its edge [m + i] leads to candidate [i]. *)
 
 val base_edge_count : t -> int
 (** Edges with id below this bound are base edges. *)
 
 val is_virtual_edge : t -> int -> bool
+(** Whether the id is in [[m, m + |candidates|)]. *)
 
 val server_of_virtual_edge : t -> int -> int
+(** Raises [Invalid_argument] off {!is_virtual_edge}. *)
 
 val virtual_edge_of_server : t -> int -> int option
 
@@ -113,14 +111,13 @@ val steiner_tree : subset_metric -> int list option
     longest closure-MST edge, [infinity] for [None]) is kept for
     {!redundant}'s rule (a′) when the subset lists its servers in
     candidate order. The run reads the request's terminal array
-    (built once per [t]) and a weight vector over the extended graph
-    owned by [t]. Its virtual entries are written once, when [t] is
-    built; its base part is copied from the metric's engine vector only
-    when that is not the vector copied last. A KMB path emits only base
-    edges and this subset's virtual edges, so the vector agrees with
-    {!weight} bit for bit on every edge KMB reads. Paths stream from the
-    engine trees into KMB's scratch; beyond those trees and the result,
-    a run allocates a few closures. *)
+    (built once per [t]), the base graph, and the virtual edges as
+    spokes of [s'_k]: base edges weigh the metric's engine vector,
+    virtual edges their {!virtual_edge_weight}. A KMB path emits only
+    base edges and this subset's virtual edges, so those weights agree
+    with {!weight} bit for bit on every edge KMB reads. Paths stream
+    from the engine trees into KMB's scratch; beyond those trees and the
+    result, a run allocates a few closures. *)
 
 val tree_cost : subset_metric -> int list -> float
 (** Cost of an edge set under this combination's weights. *)
@@ -143,10 +140,9 @@ val redundant : t -> int list -> bool
     skipped subset keeps [R]'s, so call [redundant] on a subset after
     its subsets have been priced or skipped, in candidate order (as
     {!Combinations.iter_subsets_up_to} over {!reachable_servers} does).
-    The bottlenecks live in one table per domain, stamped with the
-    request and its weight vector: one found at another weight vector
-    than the latest metric's, or overwritten by another request's run
-    on the same domain in between, reads as unknown, which only
+    The bottlenecks live in [t], by subset, and are forgotten when a
+    metric is built at a new weight vector: one found at another weight
+    vector than the latest metric's reads as unknown, which only
     disables (a′).
 
     The first call builds a per-request table from the engine rows

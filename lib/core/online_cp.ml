@@ -496,8 +496,8 @@ let admit_impl ~prune p request =
             end
             else
               match
-                Mcgraph.Steiner.kmb_with_metric g ~weights:wvec
-                  ~terminals:(with_node terminals v) ~row ~path
+                Mcgraph.Steiner.kmb_with_metric g ~spokes:[||] ~weights:wvec
+                  ~spoke_weights:[||] ~terminals:(with_node terminals v) ~row ~path
               with
               | None -> None
               | Some tree_edges ->

@@ -216,7 +216,12 @@ let node_slot s a count x =
     v
   end
 
-let kruskal g ws src n dst =
+(* edge [m + i] of [g] plus a star is spoke [i], (n, spokes.(i)); keys
+   run up to n *)
+let[@inline] end_u g m e = if e < m then Graph.edge_u g e else Graph.n g
+let[@inline] end_v g spokes m e = if e < m then Graph.edge_v g e else spokes.(e - m)
+
+let kruskal g spokes ws src n dst =
   let s = get () in
   let order = ints s.i0 n in
   let k = ref 0 in
@@ -228,14 +233,15 @@ let kruskal g ws src n dst =
   done;
   let k = !k in
   let sorted = stable_sort_by ws order (ints s.i1 k) k in
-  reset_keys s ~size:(Graph.n g);
+  reset_keys s ~size:(Graph.n g + 1);
+  let m = Graph.m g in
   let parent = ints s.i2 (2 * k) in
   let count = ref 0 in
   let picked = ref 0 in
   for r = 0 to k - 1 do
     let e = src.(sorted.(r)) in
-    let a = root parent (node_slot s parent count (Graph.edge_u g e)) in
-    let b = root parent (node_slot s parent count (Graph.edge_v g e)) in
+    let a = root parent (node_slot s parent count (end_u g m e)) in
+    let b = root parent (node_slot s parent count (end_v g spokes m e)) in
     if a <> b then begin
       parent.(a) <- b;
       push dst !picked e;
@@ -247,16 +253,17 @@ let kruskal g ws src n dst =
 (* Leaf-stripping is confluent: an edge hanging off a non-terminal leaf
    stays removable until it is removed, so every sweep order reaches the
    same fixpoint, and the survivors are read back in input order. *)
-let prune g ~terminals src n =
+let prune g spokes ~terminals src n =
   let s = get () in
-  reset_keys s ~size:(Graph.n g);
+  reset_keys s ~size:(Graph.n g + 1);
+  let m = Graph.m g in
   let degree = ints s.i0 (2 * n) in
   let count = ref 0 in
   let su = ints s.i1 n and sv = ints s.i2 n in
   for i = 0 to n - 1 do
     let e = src.(i) in
-    su.(i) <- node_slot s degree count (Graph.edge_u g e);
-    sv.(i) <- node_slot s degree count (Graph.edge_v g e)
+    su.(i) <- node_slot s degree count (end_u g m e);
+    sv.(i) <- node_slot s degree count (end_v g spokes m e)
   done;
   Array.fill degree 0 !count 0;
   for i = 0 to n - 1 do

@@ -81,16 +81,19 @@ val prim : points:int array -> row:(int -> int array -> int -> float array -> un
     must not touch the scratch, so [pairs] and [edges_a] stay valid
     for the caller. *)
 
-val kruskal : Graph.t -> float array -> int array -> int -> ints -> int
-(** [kruskal g ws src n dst] writes to [dst], in pick order, the edges
-    of a minimum spanning forest of the edge ids [src.(0 .. n-1)], edge
-    [src.(i)] weighing [ws.(i)], and returns how many. The caller fills
-    [ws] (usually [weights_a], beside [edges_a]). Equal weights keep
-    their input order; infinite weights are skipped. The union-find runs
-    over compact slots of the edges' own endpoints. Neither [src] nor
-    [ws] may be one of the scratch's work buffers. *)
+val kruskal : Graph.t -> int array -> float array -> int array -> int -> ints -> int
+(** [kruskal g spokes ws src n dst] writes to [dst], in pick order, the
+    edges of a minimum spanning forest of the edge ids [src.(0 .. n-1)],
+    edge [src.(i)] weighing [ws.(i)], and returns how many. Ids from
+    [Graph.m g] on are a star's: edge [Graph.m g + i] joins node
+    [Graph.n g] to [spokes.(i)] ([[||]] over [g] alone). The caller
+    fills [ws] (usually [weights_a], beside [edges_a]). Equal weights
+    keep their input order; infinite weights are skipped. The union-find
+    runs over compact slots of the edges' own endpoints. Neither [src]
+    nor [ws] may be one of the scratch's work buffers. *)
 
-val prune : Graph.t -> terminals:int array -> int array -> int -> int list
-(** [prune g ~terminals src n]: the distinct edge ids [src.(0 .. n-1)]
-    that survive repeated removal of edges with a non-terminal endpoint
-    of degree one, in input order. *)
+val prune : Graph.t -> int array -> terminals:int array -> int array -> int -> int list
+(** [prune g spokes ~terminals src n]: the distinct edge ids
+    [src.(0 .. n-1)] (spokes as in {!kruskal}) that survive repeated
+    removal of edges with a non-terminal endpoint of degree one, in
+    input order. *)

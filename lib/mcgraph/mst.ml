@@ -9,7 +9,7 @@ let kruskal_edges g ~weight edge_ids =
   for i = 0 to n - 1 do
     ws.(i) <- weight src.(i)
   done;
-  let n = Kernels.kruskal g ws src n s.edges_b in
+  let n = Kernels.kruskal g [||] ws src n s.edges_b in
   Kernels.to_list (Kernels.ints s.edges_b n) n
 
 let kruskal g ~weight =

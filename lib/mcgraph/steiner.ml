@@ -19,7 +19,7 @@ let dedup_edges g edges =
 let prune g ~terminals edges =
   let s = Kernels.get () in
   let src = Kernels.of_list s.edges_a edges in
-  Kernels.prune g ~terminals:(Array.of_list terminals) src (List.length edges)
+  Kernels.prune g [||] ~terminals:(Array.of_list terminals) src (List.length edges)
 
 (* terminals sorted with duplicates removed; an array already in that
    form (as callers pricing many subsets pass it) is returned as is *)
@@ -35,13 +35,14 @@ let sorted_terminals points =
    metric closure read by rows, build an MST over the closure, expand
    its edges into shortest paths (first occurrences kept, in order,
    straight into the scratch), re-run an MST on the expanded subgraph
-   and prune non-terminal leaves. *)
-let kmb_core g ~weights ~points ~row ~path =
+   and prune non-terminal leaves. Edge [m + i] is spoke [i]. *)
+let kmb_core g ~spokes ~weights ~spoke_weights ~points ~row ~path =
   let np = Kernels.prim ~points ~row in
   if np < 0 then None
   else begin
     let s = Kernels.get () in
-    Kernels.reset_keys s ~size:(Graph.m g);
+    let m = Graph.m g in
+    Kernels.reset_keys s ~size:(m + Array.length spokes);
     let n = ref 0 in
     let emit e =
       if first_sight s e then begin
@@ -58,10 +59,11 @@ let kmb_core g ~weights ~points ~row ~path =
     let sub = Kernels.ints s.edges_a n in
     let ws = Kernels.floats s.weights_a n in
     for i = 0 to n - 1 do
-      ws.(i) <- weights.(sub.(i))
+      let e = sub.(i) in
+      ws.(i) <- (if e < m then weights.(e) else spoke_weights.(e - m))
     done;
-    let k = Kernels.kruskal g ws sub n s.edges_b in
-    Some (Kernels.prune g ~terminals:points (Kernels.ints s.edges_b k) k)
+    let k = Kernels.kruskal g spokes ws sub n s.edges_b in
+    Some (Kernels.prune g spokes ~terminals:points (Kernels.ints s.edges_b k) k)
   end
 
 let kmb g ~weight ~terminals =
@@ -82,12 +84,14 @@ let kmb g ~weight ~terminals =
       | None -> invalid_arg "Steiner.kmb: dist outside terminal set"
     in
     let path u v emit = Paths.iter_path (Hashtbl.find spt_of u) v emit in
-    kmb_core g ~weights ~points:(Array.of_list uniq) ~row ~path
+    kmb_core g ~spokes:[||] ~weights ~spoke_weights:[||] ~points:(Array.of_list uniq)
+      ~row ~path
 
 (* fewer than two terminals still go through Prim, which then picks
    nothing and leaves [closure_bottleneck] at [neg_infinity] *)
-let kmb_with_metric g ~weights ~terminals ~row ~path =
-  kmb_core g ~weights ~points:(sorted_terminals terminals) ~row ~path
+let kmb_with_metric g ~spokes ~weights ~spoke_weights ~terminals ~row ~path =
+  kmb_core g ~spokes ~weights ~spoke_weights ~points:(sorted_terminals terminals)
+    ~row ~path
 
 let closure_bottleneck () = (Kernels.get ()).bottleneck.(0)
 

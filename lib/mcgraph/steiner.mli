@@ -24,7 +24,9 @@ val kmb : Graph.t -> weight:(int -> float) -> terminals:int list -> int list opt
 
 val kmb_with_metric :
   Graph.t ->
+  spokes:int array ->
   weights:float array ->
+  spoke_weights:float array ->
   terminals:int array ->
   row:(int -> int array -> int -> float array -> unit) ->
   path:(int -> int -> (int -> unit) -> bool) ->
@@ -36,14 +38,18 @@ val kmb_with_metric :
     in travel order and returns [true] ([false] only when [v] is
     unreachable from [u]; {!Paths.iter_path} is the model). [emit]
     writes the scratch: [path] must not call it after returning, and
-    must not call any kernel itself. [weights.(e)] prices edge [e] in
-    the second spanning tree and must agree with the metric. Used with
-    precomputed shortest-path data to avoid re-running Dijkstra for every
-    server combination of [Appro_Multi]. [terminals] already sorted with
-    no repeats (as a caller pricing many subsets keeps them) is used as
-    is; otherwise it is sorted into a fresh array. Beyond the trees
-    [row] and [path] read, one run allocates the emitter and the
-    returned list. *)
+    must not call any kernel itself.
+
+    Edge [e < Graph.m g] is [g]'s and weighs [weights.(e)]; edge
+    [Graph.m g + i] is a spoke from node [Graph.n g] to [spokes.(i)]
+    and weighs [spoke_weights.(i)] ([[||]] for both over [g] alone).
+    [Aux_graph] passes the virtual edges of [G_k^i] as spokes, with no
+    copy of [g]. The weights price the second spanning tree and must
+    agree with the metric on every edge [path] emits. [terminals]
+    already sorted with no repeats (as a caller pricing many subsets
+    keeps them) is used as is; otherwise it is sorted into a fresh
+    array. Beyond the trees [row] and [path] read, one run allocates the
+    emitter and the returned list. *)
 
 val closure_bottleneck : unit -> float
 (** The longest edge of the last closure MST built on this domain (by

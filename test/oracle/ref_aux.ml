@@ -164,3 +164,15 @@ let path m x y =
         @ hub_path m !ci !cj
         @ if iy < 0 then leg m m.hubs.(!cj) y else [])
   end
+
+(* [G_k^i] materialised, as [Aux_graph] built it before KMB read the
+   virtual edges as spokes: a copy of [g]'s edges, then one edge per
+   candidate from the virtual node [G.n g], in candidate order, so edge
+   [m + i] is candidate [i]'s *)
+let extended g candidates =
+  let module G = Mcgraph.Graph in
+  let n = G.n g in
+  let ext = G.create (n + 1) in
+  G.iter_edges g (fun _ u v -> ignore (G.add_edge ext u v));
+  List.iter (fun v -> ignore (G.add_edge ext n v)) candidates;
+  ext

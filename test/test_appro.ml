@@ -692,6 +692,83 @@ let test_bottleneck_rule_margin () =
   let _, tree_s = price [ 0; 6 ] in
   Alcotest.(check bool) "and its tree is not {6}'s" true (tree_s <> tree_r)
 
+(* --- one domain, many requests --- *)
+
+(* [solve], [solve_capacitated] and [admit] take turns on one domain
+   across two networks (two base graphs) and two candidate lists: every
+   server, and those with computing residual, which shrinks as admits
+   drain servers. Each result — subset, cost bits, tree — is the one its
+   network's own sequence gives on a freshly spawned domain, where each
+   network's requests run back to back. Nothing a domain keeps between
+   requests may carry over from one request to another. *)
+let test_one_domain_isolation () =
+  let sequences () =
+    List.map
+      (fun seed ->
+        (* servers small enough that a few admits drain them *)
+        let rng = Rng.create seed in
+        let topo = Topology.Waxman.generate ~alpha:0.5 ~beta:0.4 rng ~n:30 in
+        let profile = { N.default_profile with server_capacity = (300.0, 800.0) } in
+        let net = N.make_random_servers ~profile ~fraction:0.2 ~rng topo in
+        (net, Workload.Gen.sequence rng net ~count:36))
+      [ 21; 22 ]
+  in
+  let run net i r =
+    let res =
+      match i mod 3 with
+      | 0 -> A.solve net r
+      | 1 -> A.solve_capacitated net r
+      | _ -> A.admit net r
+    in
+    Result.map
+      (fun x -> (x.A.subset, bits x.A.cost, bits x.A.aux_cost, x.A.tree))
+      res
+  in
+  (* the capacity-filtered candidate list each request sees *)
+  let usable net r =
+    List.filter
+      (fun v -> N.server_admits net v (Sdn.Request.demand_mhz r))
+      (N.servers net)
+  in
+  let here = sequences () in
+  let lists = ref [] in
+  let skips = counter "appro_multi.pruned.bottleneck" in
+  let interleaved =
+    with_obs (fun () ->
+        List.init 36 (fun i ->
+            List.map
+              (fun (net, reqs) ->
+                let r = List.nth reqs i in
+                lists := usable net r :: !lists;
+                run net i r)
+              here))
+  in
+  Alcotest.(check bool) "rule (a') skips some subsets" true
+    (counter "appro_multi.pruned.bottleneck" > skips);
+  let alone =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.map
+             (fun (net, reqs) -> List.mapi (fun i r -> run net i r) reqs)
+             (sequences ())))
+  in
+  Alcotest.(check bool) "several filtered candidate lists" true
+    (List.length (List.sort_uniq compare !lists) > 2);
+  Alcotest.(check bool) "some tree has two servers" true
+    (List.exists
+       (List.exists (function
+          | Ok (subset, _, _, _) -> List.length subset > 1
+          | Error _ -> false))
+       interleaved);
+  List.iteri
+    (fun n results ->
+      List.iteri
+        (fun i res ->
+          if List.nth (List.nth interleaved i) n <> res then
+            Alcotest.failf "network %d, request %d differs from a fresh domain" n i)
+        results)
+    alone
+
 let () =
   Alcotest.run "appro"
     [
@@ -718,6 +795,8 @@ let () =
           Alcotest.test_case "(a') skips past the bottleneck" `Quick
             test_bottleneck_rule_skips;
           Alcotest.test_case "(a') keeps its margin" `Quick test_bottleneck_rule_margin;
+          Alcotest.test_case "one domain, interleaved requests" `Quick
+            test_one_domain_isolation;
         ] );
       ( "property",
         [

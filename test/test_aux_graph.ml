@@ -14,21 +14,36 @@ let instance seed =
   in
   (net, request, aux, rng)
 
+(* the materialised [G_k^i] over every server, the reference for its
+   ids, its distances and KMB's edges *)
+let ext_of net = Oracle.Ref_aux.extended (N.graph net) (N.servers net)
+
+(* Node and edge ids are those of the materialised graph: virtual edge
+   [m + i] joins the virtual node to candidate [i], and ids from
+   [m + |candidates|] on are no edge at all. *)
 let test_structure () =
   let net, _, aux, _ = instance 1 in
-  let g = Aux.ext_graph aux in
-  Alcotest.(check int) "one extra node" (N.n net + 1) (G.n g);
-  Alcotest.(check int) "virtual node id" (N.n net) (Aux.virtual_node aux);
-  Alcotest.(check int) "extra edges" (N.m net + N.server_count net) (G.m g);
-  Alcotest.(check int) "base edge bound" (N.m net) (Aux.base_edge_count aux);
+  let g = ext_of net in
+  let m = N.m net and nc = N.server_count net in
+  Alcotest.(check int) "virtual node id" (G.n g - 1) (Aux.virtual_node aux);
+  Alcotest.(check int) "base edge bound" m (Aux.base_edge_count aux);
   List.iter
     (fun v ->
       match Aux.virtual_edge_of_server aux v with
       | None -> Alcotest.fail "candidate lacks virtual edge"
       | Some e ->
         Alcotest.(check bool) "virtual id range" true (Aux.is_virtual_edge aux e);
-        Alcotest.(check int) "round trip" v (Aux.server_of_virtual_edge aux e))
-    (N.servers net)
+        Alcotest.(check int) "round trip" v (Aux.server_of_virtual_edge aux e);
+        Alcotest.(check (pair int int))
+          "materialised endpoints" (Aux.virtual_node aux, v) (G.endpoints g e))
+    (N.servers net);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "not virtual" false (Aux.is_virtual_edge aux e);
+      Alcotest.check_raises "server_of_virtual_edge"
+        (Invalid_argument "Aux_graph: not a virtual edge") (fun () ->
+          ignore (Aux.server_of_virtual_edge aux e)))
+    [ -1; 0; m - 1; m + nc; m + nc + 1 ]
 
 let test_virtual_weight_formula () =
   let net, req, aux, _ = instance 2 in
@@ -101,16 +116,60 @@ let test_candidate_index () =
         (fun () -> ignore (Aux.redundant aux [ server; v ])))
     [ -1; Aux.virtual_node aux; N.n net + 1; non_server ]
 
+(* [to_pseudo_tree] refuses every edge set that is not a tree of
+   [G_k^i] hanging off s'_k: a repeated base or virtual edge, a second
+   server's virtual edge whose base path joins the first's subtree, an
+   edge cut off from s'_k, no virtual edge at all. *)
+let test_pseudo_tree_refusals () =
+  let rec find seed =
+    let net, req, aux, _ = instance seed in
+    match Aux.reachable_servers aux with
+    | v :: u :: _ -> (
+      match Aux.steiner_tree (Aux.subset_metric aux [ v ]) with
+      | Some edges when List.length edges > 1 -> (net, req, aux, v, u, edges)
+      | _ -> find (seed + 1))
+    | _ -> find (seed + 1)
+  in
+  let net, req, aux, v, u, edges = find 1 in
+  ignore (Aux.to_pseudo_tree aux edges);
+  let vedge x = Option.get (Aux.virtual_edge_of_server aux x) in
+  let base = List.filter (fun e -> not (Aux.is_virtual_edge aux e)) edges in
+  let ends e =
+    let a, b = G.endpoints (N.graph net) e in
+    [ a; b ]
+  in
+  let spanned = v :: List.concat_map ends base in
+  let outside =
+    List.find
+      (fun e -> not (List.exists (fun x -> List.mem x spanned) (ends e)))
+      (List.init (N.m net) Fun.id)
+  in
+  let u_to_v =
+    Option.get (Mcgraph.Sp_engine.path (Tutil.offline_engine net req) u v)
+  in
+  List.iter
+    (fun (what, bad) ->
+      match Aux.to_pseudo_tree aux bad with
+      | _ -> Alcotest.failf "accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("a repeated base edge", List.hd base :: edges);
+      ("a repeated virtual edge", vedge v :: edges);
+      ("a cycle through s'_k", (vedge u :: u_to_v) @ edges);
+      ("an edge cut off from s'_k", outside :: edges);
+      ("no virtual edge", base);
+    ]
+
 (* the central property: the closed-form hub metric equals Dijkstra on the
    materialised auxiliary graph, for every subset of up to 3 servers *)
 let prop_metric_exact =
   Tutil.qtest ~count:80 "hub metric = dijkstra on materialised graph"
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let _, _, aux, _ = instance seed in
+      let net, _, aux, _ = instance seed in
       let servers = Aux.reachable_servers aux in
       let subsets = Oracle.Subsets.subsets_up_to servers 3 in
-      let ext = Aux.ext_graph aux in
+      let ext = ext_of net in
       List.for_all
         (fun subset ->
           let sm = Aux.subset_metric aux subset in
@@ -137,7 +196,7 @@ let prop_path_realises_dist =
   Tutil.qtest ~count:60 "aux path cost = aux dist"
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let _, _, aux, rng = instance seed in
+      let net, _, aux, rng = instance seed in
       let servers = Aux.reachable_servers aux in
       if servers = [] then true
       else begin
@@ -145,7 +204,7 @@ let prop_path_realises_dist =
         let idx = Rng.sample_without_replacement rng k (List.length servers) in
         let subset = List.map (List.nth servers) idx in
         let sm = Aux.subset_metric aux subset in
-        let ext = Aux.ext_graph aux in
+        let ext = ext_of net in
         let ok = ref true in
         for _ = 1 to 15 do
           let x = Rng.int rng (G.n ext) and y = Rng.int rng (G.n ext) in
@@ -239,7 +298,7 @@ let prop_metric_exact_pruned =
         let idx = Rng.sample_without_replacement rng k (List.length servers) in
         let subset = List.map (List.nth servers) idx in
         let sm = Aux.subset_metric aux subset in
-        let ext = Aux.ext_graph aux in
+        let ext = ext_of net in
         let weight = Aux.weight (Aux.subset_metric aux subset) in
         let ok = ref true in
         List.iter
@@ -311,8 +370,8 @@ let prop_dist_matches_quadratic =
           !ok)
         subsets)
 
-(* Subset metrics of one request share its engine, its extended graph,
-   KMB's weight vector and the hub-vector buffer. Queried round-robin — every query comes
+(* Subset metrics of one request share its engine, its tables, its
+   bottlenecks and the hub-vector buffer. Queried round-robin — every query comes
    after one to another metric, whose hub count may differ — each must
    give the bits, paths and Steiner tree it gives when queried alone
    (on a second build of the same request), and Dijkstra's distances on
@@ -342,7 +401,7 @@ let prop_interleaved_subsets =
         if all = [||] then []
         else List.init 6 (fun _ -> all.(Rng.int rng (Array.length all)))
       in
-      let ext = Aux.ext_graph shared in
+      let ext = ext_of net in
       let nodes = G.n ext in
       let pairs =
         List.init 40 (fun _ -> (Rng.int rng nodes, Rng.int rng nodes))
@@ -362,13 +421,12 @@ let prop_interleaved_subsets =
           let sm = Aux.subset_metric alone subset in
           let solo = List.map (answers sm) pairs in
           let solo_tree = Aux.steiner_tree sm in
-          let mext = Aux.ext_graph alone in
           let weight = Aux.weight (Aux.subset_metric alone subset) in
           let exact =
             List.for_all
               (fun (x, y) ->
                 let d1 = Aux.dist sm x y in
-                let d2 = (R.dijkstra mext ~weight ~source:x).P.dist.(y) in
+                let d2 = (R.dijkstra ext ~weight ~source:x).P.dist.(y) in
                 (d1 = infinity) = (d2 = infinity)
                 && (d1 = infinity || Float.abs (d1 -. d2) <= 1e-6))
               pairs
@@ -405,7 +463,7 @@ let prop_path_argmin =
       let servers = List.filter (( <> ) src) (Aux.reachable_servers aux) in
       let base u v = Option.get (Mcgraph.Sp_engine.path engine u v) in
       let bd = Mcgraph.Sp_engine.dist engine in
-      let nodes = G.n (Aux.ext_graph aux) in
+      let nodes = G.n (ext_of net) in
       List.for_all
         (fun subset ->
           let sm = Aux.subset_metric aux subset in
@@ -478,7 +536,7 @@ let prop_steiner_tree_matches_lists =
       let aux =
         Aux.build ~engine ~net ~request ~candidate_servers:(N.servers net) ()
       in
-      let ext = Aux.ext_graph aux in
+      let ext = ext_of net in
       let terminals =
         List.sort_uniq compare
           (Aux.virtual_node aux :: request.Sdn.Request.destinations)
@@ -586,6 +644,7 @@ let () =
           Alcotest.test_case "weight function" `Quick test_weight_function;
           Alcotest.test_case "subset validation" `Quick test_subset_validation;
           Alcotest.test_case "candidate index" `Quick test_candidate_index;
+          Alcotest.test_case "pseudo-tree refusals" `Quick test_pseudo_tree_refusals;
         ] );
       ( "property",
         [

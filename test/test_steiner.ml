@@ -265,9 +265,90 @@ let prop_kmb_matches_reference =
       in
       S.kmb g ~weight ~terminals
       = expected (fun a b -> Mcgraph.Paths.path_edges g (tree_of a) b)
-      && S.kmb_with_metric g ~weights:w ~terminals:(Array.of_list terminals)
-           ~row ~path:path_up
+      && S.kmb_with_metric g ~spokes:[||] ~weights:w ~spoke_weights:[||]
+           ~terminals:(Array.of_list terminals) ~row ~path:path_up
          = expected up_list)
+
+(* Over a graph plus a star of spokes (edge m + i from the hub n to
+   spokes.(i)), [kmb_with_metric] returns, bit for bit, the edges it
+   returns over the star materialised as a graph
+   ([Oracle.Ref_aux.extended]), and those of the reference kernels
+   there. The closure is read off Dijkstra on the materialised graph. A
+   second pair of runs takes a [path] that emits random edge lists
+   (repeats, cycles, spokes), so the second spanning tree and the leaf
+   pruning run on arbitrary inputs. Integer weights on the spokes too
+   make ties common. *)
+let prop_spokes_match_materialised =
+  Tutil.qtest ~count:300 "kmb over spokes = kmb over the materialised graph"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module Rng = Topology.Rng in
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+      let n = G.n g and m = G.m g in
+      let spokes =
+        Array.of_list (Rng.sample_without_replacement rng (min n (Rng.int rng 7)) n)
+      in
+      let k = Array.length spokes in
+      let w = Tutil.tied_weights rng g in
+      let sw = Array.map (fun _ -> float_of_int (1 + Rng.int rng 3)) spokes in
+      let ext = Oracle.Ref_aux.extended g (Array.to_list spokes) in
+      let weight = Tutil.weight_fn (Array.append w sw) in
+      let terminals =
+        List.sort_uniq compare
+          (Rng.int rng (n + 1)
+          :: List.filter (fun _ -> Rng.int rng 4 = 0) (List.init (n + 1) Fun.id))
+      in
+      let points = Array.of_list terminals in
+      let trees =
+        List.map
+          (fun t -> (t, Oracle.Ref_paths.swap_heap_dijkstra ext ~weight ~source:t))
+          terminals
+      in
+      let tree_of u = List.assoc u trees in
+      let row u dst n out =
+        for i = 0 to n - 1 do
+          out.(i) <- (tree_of u).Mcgraph.Paths.dist.(dst.(i))
+        done
+      in
+      let shortest u v = Mcgraph.Paths.path_edges ext (tree_of u) v in
+      let noise u v =
+        let r = Rng.create ((seed * 31) + (u * 1009) + v) in
+        Some (List.init (Rng.int r 8) (fun _ -> Rng.int r (m + k)))
+      in
+      let emitting paths u v emit =
+        match paths u v with
+        | None -> false
+        | Some edges ->
+          List.iter emit edges;
+          true
+      in
+      let expected paths =
+        match
+          Oracle.Ref_kmb.prim_metric ~points ~dist:(fun u v ->
+              (tree_of u).Mcgraph.Paths.dist.(v))
+        with
+        | None -> None
+        | Some closure ->
+          let expanded =
+            List.concat_map (fun (a, b) -> Option.get (paths a b)) closure
+          in
+          let sub = Oracle.Ref_kmb.dedup_edges expanded in
+          let mst2 = Oracle.Ref_kmb.kruskal_edges ext ~weight sub in
+          Some (Oracle.Ref_kmb.prune ext ~terminals mst2)
+      in
+      List.for_all
+        (fun paths ->
+          let path = emitting paths in
+          let star =
+            S.kmb_with_metric g ~spokes ~weights:w ~spoke_weights:sw ~terminals:points
+              ~row ~path
+          in
+          let flat =
+            S.kmb_with_metric ext ~spokes:[||] ~weights:(Array.append w sw)
+              ~spoke_weights:[||] ~terminals:points ~row ~path
+          in
+          star = flat && star = expected paths)
+        [ shortest; noise ])
 
 (* A KMB run over a closure read off Dijkstra trees, with its expected
    bottleneck: the largest closure distance among the pairs the
@@ -291,7 +372,7 @@ let closure_run seed =
     done
   in
   let kmb () =
-    S.kmb_with_metric g ~weights:w ~terminals ~row
+    S.kmb_with_metric g ~spokes:[||] ~weights:w ~spoke_weights:[||] ~terminals ~row
       ~path:(fun u v emit -> Mcgraph.Paths.iter_path (tree_of u) v emit)
   in
   let expected =
@@ -391,6 +472,7 @@ let () =
           prop_prune_back_to_back;
           prop_dedup_matches_reference;
           prop_kmb_matches_reference;
+          prop_spokes_match_materialised;
           prop_closure_bottleneck;
         ] );
     ]
