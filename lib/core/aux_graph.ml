@@ -801,20 +801,23 @@ let rec climb x v acc =
    of its server's union-find set, rooted at the server on the base
    graph, where [Tree.Scratch.root] refuses a cycle or a repeat. A tree
    path is unique, so a destination's [onward] is its climb to its
-   server read top-down. *)
+   server read top-down. Each server's source path is read once, where
+   its virtual edge is charged, and shared by the routes through it. *)
 let to_pseudo_tree t tree_edges =
   let req = t.req and g = t.base in
   let fail what = invalid_arg ("Aux_graph.to_pseudo_tree: " ^ what) in
   let uf = Mcgraph.Union_find.create (G.n g) in
   let find = Mcgraph.Union_find.find uf in
-  let servers = ref [] and uses = ref [] in
+  let servers = ref [] and to_server = ref [] and uses = ref [] in
   List.iter
     (fun e ->
       if is_virtual_edge t e then begin
         let v = server_of_virtual_edge t e in
         servers := v :: !servers;
         match base_path t req.Sdn.Request.source v with
-        | Some p -> uses := p @ !uses
+        | Some p ->
+          to_server := (v, p) :: !to_server;
+          uses := p @ !uses
         | None -> fail "unreachable server"
       end
       else begin
@@ -839,7 +842,7 @@ let to_pseudo_tree t tree_edges =
   let route_of i d =
     let v = server_of d in
     if v < 0 then fail "destination not spanned";
-    let to_server = Option.get (base_path t req.Sdn.Request.source v) in
+    let to_server = List.assoc v !to_server in
     (d, { Pseudo_tree.to_server; server = v; onward = onward.(i) })
   in
   Pseudo_tree.make ~request:req ~servers:!servers

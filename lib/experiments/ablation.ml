@@ -19,25 +19,19 @@ let a1_checkpoints requests =
 let cost_model_instance ~seed ?(requests = 2000) () =
   let n = 100 in
   let shared = Pool.point_seed ~figure:"ablA1" ~index:0 ~seed in
-  let algos_a = Array.of_list a1_algos in
   let checkpoints = a1_checkpoints requests in
   let sweep =
-    {
-      Spec.key = "ablA1";
-      points = Array.length algos_a;
-      point =
-        (fun ~rng:_ i ->
-          let rng = Topology.Rng.create shared in
-          let topo = Topology.Waxman.generate ~alpha:0.2 ~beta:0.25 rng ~n in
-          let net = Sdn.Network.make_random_servers ~fraction:0.05 ~rng topo in
-          let reqs = Workload.Gen.sequence rng net ~count:requests in
-          let stats = Adm.run net algos_a.(i) reqs in
-          List.map
-            (fun p ->
-              ( Printf.sprintf "adm@%d" p,
-                float_of_int (Adm.admitted_after stats p) ))
-            checkpoints);
-    }
+    Spec.grid ~key:"ablA1" a1_algos (fun ~rng:_ algo ->
+        let rng = Topology.Rng.create shared in
+        let topo = Topology.Waxman.generate ~alpha:0.2 ~beta:0.25 rng ~n in
+        let net = Sdn.Network.make_random_servers ~fraction:0.05 ~rng topo in
+        let reqs = Workload.Gen.sequence rng net ~count:requests in
+        let stats = Adm.run net algo reqs in
+        List.map
+          (fun p ->
+            ( Printf.sprintf "adm@%d" p,
+              float_of_int (Adm.admitted_after stats p) ))
+          checkpoints)
   in
   let figures =
     [
@@ -47,20 +41,17 @@ let cost_model_instance ~seed ?(requests = 2000) () =
         xlabel = "requests";
         ylabel = "admitted";
         series =
-          List.mapi
-            (fun ai algo ->
+          List.map
+            (fun algo ->
               {
                 Spec.label = Adm.algorithm_to_string algo;
                 cells =
-                  List.map
-                    (fun p ->
-                      {
-                        Spec.x = float_of_int p;
-                        sweep = 0;
-                        point = ai;
-                        metric = Printf.sprintf "adm@%d" p;
-                      })
-                    checkpoints;
+                  Spec.cells ~sweep:0 a1_algos (fun a ->
+                      if a <> algo then []
+                      else
+                        List.map
+                          (fun p -> (float_of_int p, Printf.sprintf "adm@%d" p))
+                          checkpoints);
               })
             a1_algos;
         notes =
@@ -82,54 +73,35 @@ let cost_model_instance ~seed ?(requests = 2000) () =
 let k_sweep_instance ~seed ?(requests = 20) () =
   let sizes = [ 50; 100; 150 ] in
   let ks = [ 1; 2; 3 ] in
-  let sizes_a = Array.of_list sizes in
-  let per_k = Array.length sizes_a in
   let params =
-    Array.of_list
-      (List.concat_map (fun k -> List.map (fun n -> (k, n)) sizes) ks)
+    List.concat_map (fun k -> List.mapi (fun si n -> (k, si, n)) sizes) ks
   in
   let sweep =
-    {
-      Spec.key = "ablA2";
-      points = Array.length params;
-      point =
-        (fun ~rng:_ i ->
-          let k, n = params.(i) in
-          let rng =
-            Topology.Rng.create
-              (Pool.point_seed ~figure:"ablA2" ~index:(i mod per_k) ~seed)
-          in
-          let net = Exp_common.network rng ~n in
-          let spec = { Workload.Gen.default_spec with dmax_ratio = Some 0.2 } in
-          let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
-          let p = Runner.span_probe "appro_multi.solve" in
-          let cs = ref [] in
-          List.iter
-            (fun r ->
-              match A.solve ~k net r with
-              | Ok res -> cs := res.A.cost :: !cs
-              | Error _ -> ())
-            reqs;
-          [
-            ("cost", Exp_common.mean !cs); ("ms", Runner.span_mean_ms p);
-          ]);
-    }
+    Spec.grid ~key:"ablA2" params (fun ~rng:_ (k, si, n) ->
+        let rng =
+          Topology.Rng.create (Pool.point_seed ~figure:"ablA2" ~index:si ~seed)
+        in
+        let net = Exp_common.network rng ~n in
+        let spec = { Workload.Gen.default_spec with dmax_ratio = Some 0.2 } in
+        let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
+        let p = Runner.span_probe "appro_multi.solve" in
+        let cs = ref [] in
+        List.iter
+          (fun r ->
+            match A.solve ~k net r with
+            | Ok res -> cs := res.A.cost :: !cs
+            | Error _ -> ())
+          reqs;
+        [ ("cost", Exp_common.mean !cs); ("ms", Runner.span_mean_ms p) ])
   in
   let series metric =
-    List.mapi
-      (fun ki k ->
+    List.map
+      (fun k ->
         {
           Spec.label = Printf.sprintf "K=%d" k;
           cells =
-            List.mapi
-              (fun si n ->
-                {
-                  Spec.x = float_of_int n;
-                  sweep = 0;
-                  point = (ki * per_k) + si;
-                  metric;
-                })
-              sizes;
+            Spec.cells ~sweep:0 params (fun (k', _, n) ->
+                if k' = k then [ (float_of_int n, metric) ] else []);
         })
       ks
   in
@@ -169,11 +141,11 @@ let cluster_metric k b = Printf.sprintf "k%d@%g" k b
    instance forces the processed stream to re-cross one arm (2·arm·b
    extra bandwidth); a second instance costs one more chain placement.
    The crossover sits at b ≈ chain_cost / (2·arm). The single point
-   derives nothing from the pool rng — the designed topology is seeded
-   directly from the user seed, exactly as before the spec port. *)
+   derives nothing from the pool rng: the designed topology is seeded
+   directly from the user seed. *)
 let two_cluster_instance ~seed =
   let arm = 4 in
-  let point ~rng:_ _ =
+  let point ~rng:_ () =
     let rng = Topology.Rng.create seed in
     (* nodes: 0 = source; arm nodes per side; server at the far end of each
        arm, one destination hanging off each server *)
@@ -222,7 +194,7 @@ let two_cluster_instance ~seed =
           cluster_bandwidths)
       cluster_ks
   in
-  let sweep = { Spec.key = "ablA2cluster"; points = 1; point } in
+  let sweep = Spec.grid ~key:"ablA2cluster" [ () ] point in
   let figures =
     [
       {
@@ -236,15 +208,10 @@ let two_cluster_instance ~seed =
               {
                 Spec.label = Printf.sprintf "K=%d" k;
                 cells =
-                  List.map
-                    (fun b ->
-                      {
-                        Spec.x = b;
-                        sweep = 0;
-                        point = 0;
-                        metric = cluster_metric k b;
-                      })
-                    cluster_bandwidths;
+                  Spec.cells ~sweep:0 [ () ] (fun () ->
+                      List.map
+                        (fun b -> (b, cluster_metric k b))
+                        cluster_bandwidths);
               })
             cluster_ks;
         notes =
@@ -272,37 +239,26 @@ let a3_labels =
 
 let placement_instance ?(requests = 40) () =
   let sizes = [ 50; 100; 150 ] in
-  let sizes_a = Array.of_list sizes in
   let sweep =
-    {
-      Spec.key = "ablA3";
-      points = Array.length sizes_a;
-      point =
-        (fun ~rng i ->
-          let n = sizes_a.(i) in
-          let net = Exp_common.network rng ~n in
-          let spec =
-            { Workload.Gen.default_spec with dmax_ratio = Some 0.15 }
-          in
-          let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
-          let totals = [| []; []; [] |] in
-          List.iter
-            (fun r ->
-              match
-                ( A.solve ~k:2 net r,
-                  Nfv_multicast.Inline_tree.solve ~k:2 net r,
-                  Nfv_multicast.One_server.solve net r )
-              with
-              | Ok a, Ok i, Ok o ->
-                totals.(0) <- a.A.cost :: totals.(0);
-                totals.(1) <- i.Nfv_multicast.Inline_tree.cost :: totals.(1);
-                totals.(2) <- o.Nfv_multicast.One_server.cost :: totals.(2)
-              | _ -> ())
-            reqs;
-          List.mapi
-            (fun li (m, _) -> (m, Exp_common.mean totals.(li)))
-            a3_labels);
-    }
+    Spec.grid ~key:"ablA3" sizes (fun ~rng n ->
+        let net = Exp_common.network rng ~n in
+        let spec = { Workload.Gen.default_spec with dmax_ratio = Some 0.15 } in
+        let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
+        let totals = [| []; []; [] |] in
+        List.iter
+          (fun r ->
+            match
+              ( A.solve ~k:2 net r,
+                Nfv_multicast.Inline_tree.solve ~k:2 net r,
+                Nfv_multicast.One_server.solve net r )
+            with
+            | Ok a, Ok i, Ok o ->
+              totals.(0) <- a.A.cost :: totals.(0);
+              totals.(1) <- i.Nfv_multicast.Inline_tree.cost :: totals.(1);
+              totals.(2) <- o.Nfv_multicast.One_server.cost :: totals.(2)
+            | _ -> ())
+          reqs;
+        List.mapi (fun li (m, _) -> (m, Exp_common.mean totals.(li))) a3_labels)
   in
   let figures =
     [
@@ -317,15 +273,7 @@ let placement_instance ?(requests = 40) () =
               {
                 Spec.label = label;
                 cells =
-                  List.mapi
-                    (fun si n ->
-                      {
-                        Spec.x = float_of_int n;
-                        sweep = 0;
-                        point = si;
-                        metric = m;
-                      })
-                    sizes;
+                  Spec.cells ~sweep:0 sizes (fun n -> [ (float_of_int n, m) ]);
               })
             a3_labels;
         notes =
@@ -346,26 +294,22 @@ let placement_instance ?(requests = 40) () =
    from one seed. *)
 let online_k_instance ~seed ?(requests = 800) () =
   let n = 100 in
-  let tasks = [| `K 1; `K 2; `K 3; `Sp |] in
+  let ks = [ 1; 2; 3 ] in
+  let tasks = List.map (fun k -> `K k) ks @ [ `Sp ] in
   let shared = Pool.point_seed ~figure:"ablA4" ~index:0 ~seed in
   let sweep =
-    {
-      Spec.key = "ablA4";
-      points = Array.length tasks;
-      point =
-        (fun ~rng:_ i ->
-          let rng = Topology.Rng.create shared in
-          let net = Exp_common.network rng ~n in
-          let reqs = Workload.Gen.sequence rng net ~count:requests in
-          let admitted =
-            match tasks.(i) with
-            | `K k -> Nfv_multicast.Online_multi.run ~k net reqs
-            | `Sp -> (Adm.run net Adm.Sp reqs).Adm.admitted
-          in
-          [ ("admitted", float_of_int admitted) ]);
-    }
+    Spec.grid ~key:"ablA4" tasks (fun ~rng:_ task ->
+        let rng = Topology.Rng.create shared in
+        let net = Exp_common.network rng ~n in
+        let reqs = Workload.Gen.sequence rng net ~count:requests in
+        let admitted =
+          match task with
+          | `K k -> Nfv_multicast.Online_multi.run ~k net reqs
+          | `Sp -> (Adm.run net Adm.Sp reqs).Adm.admitted
+        in
+        [ ("admitted", float_of_int admitted) ])
   in
-  let ks = [ 1; 2; 3 ] in
+  let at_k k = (float_of_int k, "admitted") in
   let figures =
     [
       {
@@ -378,28 +322,16 @@ let online_k_instance ~seed ?(requests = 800) () =
             {
               Spec.label = "Online_Multi";
               cells =
-                List.mapi
-                  (fun i k ->
-                    {
-                      Spec.x = float_of_int k;
-                      sweep = 0;
-                      point = i;
-                      metric = "admitted";
-                    })
-                  ks;
+                Spec.cells ~sweep:0 tasks (function
+                  | `K k -> [ at_k k ]
+                  | `Sp -> []);
             };
             {
               Spec.label = "SP";
               cells =
-                List.map
-                  (fun k ->
-                    {
-                      Spec.x = float_of_int k;
-                      sweep = 0;
-                      point = 3;
-                      metric = "admitted";
-                    })
-                  ks;
+                Spec.cells ~sweep:0 tasks (function
+                  | `K _ -> []
+                  | `Sp -> List.map at_k ks);
             };
           ];
         notes =

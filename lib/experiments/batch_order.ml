@@ -6,22 +6,15 @@ let orders = B.[ Arrival; Smallest_first; Largest_first; Cheapest_first ]
    batch, so they run together inside the point. *)
 
 let instance ?(n = 80) ?(sizes = [ 100; 200; 400; 800 ]) () =
-  let sizes_a = Array.of_list sizes in
   let sweep =
-    {
-      Spec.key = "batch";
-      points = Array.length sizes_a;
-      point =
-        (fun ~rng i ->
-          let batch = sizes_a.(i) in
-          let net = Exp_common.network rng ~n in
-          let reqs = Workload.Gen.sequence rng net ~count:batch in
-          List.map
-            (fun o ->
-              ( "adm_" ^ B.order_to_string o,
-                float_of_int (B.plan ~k:2 net reqs o).B.admitted ))
-            orders);
-    }
+    Spec.grid ~key:"batch" sizes (fun ~rng batch ->
+        let net = Exp_common.network rng ~n in
+        let reqs = Workload.Gen.sequence rng net ~count:batch in
+        List.map
+          (fun o ->
+            ( "adm_" ^ B.order_to_string o,
+              float_of_int (B.plan ~k:2 net reqs o).B.admitted ))
+          orders)
   in
   let figures =
     [
@@ -37,15 +30,8 @@ let instance ?(n = 80) ?(sizes = [ 100; 200; 400; 800 ]) () =
               {
                 Spec.label = name;
                 cells =
-                  List.mapi
-                    (fun si batch ->
-                      {
-                        Spec.x = float_of_int batch;
-                        sweep = 0;
-                        point = si;
-                        metric = "adm_" ^ name;
-                      })
-                    sizes;
+                  Spec.cells ~sweep:0 sizes (fun batch ->
+                      [ (float_of_int batch, "adm_" ^ name) ]);
               })
             orders;
         notes =

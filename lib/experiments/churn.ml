@@ -52,12 +52,11 @@ let nets =
   [ ("GEANT", Exp_common.geant_network); ("AS1755", Exp_common.as1755_network) ]
 
 let rates = [ 0.05; 0.1; 0.2 ]
-let n_rates = List.length rates
 
 (* two load levels: the horizon and its half, so --requests scales the
-   whole sweep down for smoke runs *)
-let load_divisors = [ 2; 1 ]
-let loads_of requests = List.map (fun d -> max 1 (requests / d)) load_divisors
+   whole sweep down for smoke runs; a horizon of 1 has one level *)
+let loads_of requests =
+  List.sort_uniq compare (List.map (fun d -> max 1 (requests / d)) [ 2; 1 ])
 
 let tiers =
   [
@@ -92,18 +91,84 @@ let repair_probes () =
         ("p99_ms", Runner.span_quantile_ms latency 0.99);
       ]
 
-(* One series per metric over the failure rates. *)
-let rate_series ~label ~sweep ~point metrics =
-  List.map
-    (fun m ->
-      {
-        Spec.label = label m;
-        cells =
-          List.mapi
-            (fun ri x -> { Spec.x; sweep; point = point ri; metric = m })
-            rates;
-      })
-    metrics
+(* ---- the grid and its figures, shared by all four families ---- *)
+
+type cell = {
+  net : string * (Topology.Rng.t -> Sdn.Network.t);  (** an entry of [nets] *)
+  srlg : bool;  (** SRLG group cuts, or matched singleton groups *)
+  load : int;
+  rate : float;
+  stressed : bool;  (** restore's contended cell (see the header comment) *)
+}
+
+let models = [ false; true ]
+
+(* nets × models × loads × rates, in this nesting order *)
+let grid ~models requests =
+  List.concat_map
+    (fun net ->
+      List.concat_map
+        (fun srlg ->
+          List.concat_map
+            (fun load ->
+              List.map
+                (fun rate -> { net; srlg; load; rate; stressed = false })
+                rates)
+            (loads_of requests))
+        models)
+    nets
+
+(* One figure per net and failure model of [grid], [prefix ^ tag]. Per
+   treatment (sweep) in [infixes] it has one series
+   [<metric>@<infix><load>] per load and metric, x the failure rate,
+   then [<metric>@<infix>stressed] when the grid has stressed cells
+   there. *)
+let figures ~prefix ~title ~ylabel ~metrics ~infixes ~note grid =
+  let distinct f cells = List.sort_uniq compare (List.map f cells) in
+  let models = distinct (fun c -> c.srlg) grid in
+  let loads =
+    distinct (fun c -> c.load) (List.filter (fun c -> not c.stressed) grid)
+  in
+  List.concat
+    (List.mapi
+       (fun ni (name, _) ->
+         List.mapi
+           (fun mi srlg ->
+             let tag = tag ((ni * List.length models) + mi) in
+             let here c = fst c.net = name && c.srlg = srlg in
+             let stressed = List.exists (fun c -> here c && c.stressed) grid in
+             let series sweep infix =
+               let by_rate at suffix =
+                 List.map
+                   (fun m ->
+                     {
+                       Spec.label = Printf.sprintf "%s@%s%s" m infix suffix;
+                       cells =
+                         Spec.cells ~sweep grid (fun c ->
+                             if here c && at c then [ (c.rate, m) ] else []);
+                     })
+                   metrics
+               in
+               List.concat_map
+                 (fun load ->
+                   by_rate
+                     (fun c -> c.load = load && not c.stressed)
+                     (string_of_int load))
+                 loads
+               @
+               if stressed then by_rate (fun c -> c.stressed) "stressed"
+               else []
+             in
+             {
+               Spec.fid = Printf.sprintf "%s%c" prefix tag;
+               title = title ~srlg name;
+               xlabel = "failure events per arrival";
+               ylabel;
+               series = List.concat (List.mapi series infixes);
+               notes = [ note ~name ~srlg ~tag ~stressed ];
+             })
+           models)
+       nets)
 
 let family ~id ~doc ~default_requests ~ledgers ~smoke instance =
   Spec.make ~id ~doc ~ledgers
@@ -129,11 +194,16 @@ let arrival_indexed_timeline ~rng ~load ~events net =
     (fun k (s : Fault.stamped) -> { s with Fault.at = s.Fault.at +. slot k })
     due
 
-let online_point ~make_net ~load ~rate ~rng =
-  let net = make_net rng in
+(* the cell's failure model is unused: churn draws link and server
+   failures from Fault.random_timeline *)
+let online_point ~rng c =
+  let load = c.load in
+  let net = snd c.net rng in
   let reqs = Workload.Gen.sequence rng net ~count:load in
   let timeline =
-    arrival_indexed_timeline ~rng ~load ~events:(events_of ~rate ~load) net
+    arrival_indexed_timeline ~rng ~load
+      ~events:(events_of ~rate:c.rate ~load)
+      net
   in
   let trace =
     List.mapi
@@ -148,57 +218,23 @@ let online_point ~make_net ~load ~rate ~rng =
        net Adm.Online_cp trace)
 
 let churn_instance requests =
-  let loads = loads_of requests in
-  let params =
-    Array.of_list
-      (List.concat_map
-         (fun (_, make_net) ->
-           List.concat_map
-             (fun load -> List.map (fun rate -> (make_net, load, rate)) rates)
-             loads)
-         nets)
-  in
-  let metrics = [ "survival" ] @ List.map fst tiers @ [ "p50_ms"; "p99_ms" ] in
-  let figure ni (name, _) =
-    {
-      Spec.fid = Printf.sprintf "churn%c" (tag ni);
-      title = "Failure churn: survival and repair tiers in " ^ name;
-      xlabel = "failure events per arrival";
-      ylabel = "survival rate / repairs / latency (ms)";
-      series =
-        List.concat
-          (List.mapi
-             (fun li load ->
-               rate_series
-                 ~label:(fun m -> Printf.sprintf "%s@%d" m load)
-                 ~sweep:0
-                 ~point:(fun ri ->
-                   (((ni * List.length loads) + li) * n_rates) + ri)
-                 metrics)
-             loads);
-      notes =
-        [
+  let grid = grid ~models:[ false ] requests in
+  {
+    Spec.sweeps = [ Spec.grid ~key:"churn" grid online_point ];
+    figures =
+      figures ~prefix:"churn"
+        ~title:(fun ~srlg:_ name ->
+          "Failure churn: survival and repair tiers in " ^ name)
+        ~ylabel:"survival rate / repairs / latency (ms)"
+        ~metrics:(("survival" :: List.map fst tiers) @ [ "p50_ms"; "p99_ms" ])
+        ~infixes:[ "" ]
+        ~note:(fun ~name ~srlg:_ ~tag:_ ~stressed:_ ->
           Printf.sprintf
             "%s, Online_CP + Fault.random_timeline at arrival indices \
              (heal_after = load/4); tier columns are repair.* counter deltas, \
              latency columns are p50/p99 of the repair.attempt histogram"
-            name;
-        ];
-    }
-  in
-  {
-    Spec.sweeps =
-      [
-        {
-          Spec.key = "churn";
-          points = Array.length params;
-          point =
-            (fun ~rng i ->
-              let make_net, load, rate = params.(i) in
-              online_point ~make_net ~load ~rate ~rng);
-        };
-      ];
-    figures = List.mapi figure nets;
+            name)
+        grid;
   }
 
 let churn =
@@ -214,30 +250,31 @@ let churn =
 
 type treatment = { alpha : float; restore : R.t }
 
-type cell = {
-  make_net : Topology.Rng.t -> Sdn.Network.t;
-  srlg : bool;  (** SRLG group cuts, or matched singleton groups *)
-  load : int;
-  rate : float;
-  holding : float;  (** mean holding time *)
-  heal_div : float;  (** outages heal [horizon / heal_div] after striking *)
-}
-
 let baseline = { alpha = 0.0; restore = R.default }
-let models = [ false; true ]
 let mean_holding = 25.0
 let srlg_groups = 8
+
+(* stressed-cell shape (see the header comment) *)
+let stressed_heal_div = 8.0
+let stressed_holding_frac = 0.5
+
+let model_name srlg = if srlg then "SRLG" else "independent"
 
 (* One matched point: network, trace, partition and timeline from [rng],
    then Dynamic.run under the treatment. The result carries every
    metric the three families tabulate; each figure picks by name. *)
-let point t c ~rng =
+let point t ~rng c =
+  let holding, heal_div =
+    if c.stressed then
+      (stressed_holding_frac *. float_of_int c.load, stressed_heal_div)
+    else (mean_holding, 4.0)
+  in
   let attempted = Runner.counter_probe "restoration.attempted" in
   let failed = Runner.counter_probe "restoration.failed" in
   let pass = Runner.span_probe "restoration.pass" in
-  let net = c.make_net rng in
+  let net = snd c.net rng in
   let trace =
-    Dyn.poisson_trace rng net ~rate:1.0 ~mean_holding:c.holding ~count:c.load
+    Dyn.poisson_trace rng net ~rate:1.0 ~mean_holding:holding ~count:c.load
   in
   let horizon =
     List.fold_left (fun acc (a : Dyn.arrival) -> Float.max acc a.Dyn.at) 1.0
@@ -248,7 +285,7 @@ let point t c ~rng =
     else Array.init (Sdn.Network.m net) (fun e -> [ e ])
   in
   let timeline =
-    Fault.srlg_timeline ~heal_after:(horizon /. c.heal_div) ~rng ~horizon
+    Fault.srlg_timeline ~heal_after:(horizon /. heal_div) ~rng ~horizon
       ~events:(events_of ~rate:c.rate ~load:c.load)
       groups
   in
@@ -280,92 +317,28 @@ let point t c ~rng =
   ]
   @ read_repair s
 
-(* The canonical cells: nets × models × loads × rates, in exactly this
-   nesting order; index with [point_index]. *)
-let grid requests =
-  List.concat_map
-    (fun (_, make_net) ->
-      List.concat_map
-        (fun srlg ->
-          List.concat_map
-            (fun load ->
-              List.map
-                (fun rate ->
-                  { make_net; srlg; load; rate; holding = mean_holding;
-                    heal_div = 4.0 })
-                rates)
-            (loads_of requests))
-        models)
-    nets
-
-let point_index ~ni ~mi ~li ~ri =
-  let per_model = List.length load_divisors * n_rates in
-  (((ni * List.length models) + mi) * per_model) + (li * n_rates) + ri
-
 (* one sweep per treatment, all under the matched-RNG key *)
-let sweeps cells treatments =
-  let cells = Array.of_list cells in
-  List.map
-    (fun t ->
-      {
-        Spec.key = "dynamic_churn";
-        points = Array.length cells;
-        point = (fun ~rng i -> point t cells.(i) ~rng);
-      })
-    treatments
-
-(* The nets × models figures: figure [prefix ^ tag] with series
-   [<metric>@<infix><load>] per treatment (sweep) in [infixes], each
-   followed by whatever [extra] adds for it. *)
-let figures ~prefix ~title ~ylabel ~metrics ~infixes
-    ?(extra = fun ~ni:_ ~mi:_ ~sweep:_ _ -> []) ~note requests =
-  List.concat
-    (List.mapi
-       (fun ni (name, _) ->
-         List.mapi
-           (fun mi srlg ->
-             let tag = tag ((ni * List.length models) + mi) in
-             let series sweep infix =
-               List.concat
-                 (List.mapi
-                    (fun li load ->
-                      rate_series
-                        ~label:(fun m -> Printf.sprintf "%s@%s%d" m infix load)
-                        ~sweep
-                        ~point:(fun ri -> point_index ~ni ~mi ~li ~ri)
-                        metrics)
-                    (loads_of requests))
-               @ extra ~ni ~mi ~sweep infix
-             in
-             {
-               Spec.fid = Printf.sprintf "%s%c" prefix tag;
-               title =
-                 Printf.sprintf title
-                   (if srlg then "SRLG" else "independent")
-                   name;
-               xlabel = "failure events per arrival";
-               ylabel;
-               series = List.concat (List.mapi series infixes);
-               notes = [ note ~ni ~name ~srlg ~tag ];
-             })
-           models)
-       nets)
+let sweeps grid treatments =
+  List.map (fun t -> Spec.grid ~key:"dynamic_churn" grid (point t)) treatments
 
 let dynamic_churn_instance requests =
+  let grid = grid ~models requests in
   {
-    Spec.sweeps = sweeps (grid requests) [ baseline ];
+    Spec.sweeps = sweeps grid [ baseline ];
     figures =
       figures ~prefix:"dynch"
-        ~title:
-          "Dynamic churn (%s failures): survival, restoration and repair \
-           tiers in %s"
+        ~title:(fun ~srlg name ->
+          Printf.sprintf
+            "Dynamic churn (%s failures): survival, restoration and repair \
+             tiers in %s"
+            (model_name srlg) name)
         ~ylabel:"rate / repairs / latency (ms)"
         ~metrics:
           ([ "accept"; "survival" ]
           @ List.map fst tiers
           @ [ "restored"; "restored_frac"; "p50_ms"; "p99_ms" ])
         ~infixes:[ "" ]
-        ~note:(fun ~ni:_ ~name ~srlg ~tag:_ ->
+        ~note:(fun ~name ~srlg ~tag:_ ~stressed:_ ->
           Printf.sprintf
             "%s, Online_CP, Poisson arrivals (rate 1, mean holding %g), %s \
              link cuts healing horizon/4 later; restoration order \
@@ -375,25 +348,27 @@ let dynamic_churn_instance requests =
             (if srlg then
                Printf.sprintf "correlated (<= %d SRLG groups)" srlg_groups
              else "independent single-"))
-        requests;
+        grid;
   }
 
 let alphas = [ 0.0; 1.0; 4.0 ]
 
 let avail_instance requests =
+  let grid = grid ~models requests in
   {
     Spec.sweeps =
-      sweeps (grid requests)
-        (List.map (fun alpha -> { baseline with alpha }) alphas);
+      sweeps grid (List.map (fun alpha -> { baseline with alpha }) alphas);
     figures =
       figures ~prefix:"avail"
-        ~title:
-          "Availability-aware admission (%s failures): exposure surcharge \
-           alpha on %s"
+        ~title:(fun ~srlg name ->
+          Printf.sprintf
+            "Availability-aware admission (%s failures): exposure surcharge \
+             alpha on %s"
+            (model_name srlg) name)
         ~ylabel:"rate / fraction / latency (ms)"
         ~metrics:[ "accept"; "survival"; "restored_frac"; "p50_ms"; "p99_ms" ]
         ~infixes:(List.map (Printf.sprintf "a%g@") alphas)
-        ~note:(fun ~ni:_ ~name ~srlg ~tag ->
+        ~note:(fun ~name ~srlg ~tag ~stressed:_ ->
           Printf.sprintf
             "%s, Online_CP with avail pricing (alpha in {%s}), \
              %s; matched RNG with dynamic_churn (same sweep key), so alpha=0 \
@@ -404,7 +379,7 @@ let avail_instance requests =
                Printf.sprintf "correlated (<= %d SRLG groups) cuts" srlg_groups
              else "independent single-link cuts")
             tag)
-        requests;
+        grid;
   }
 
 let policies =
@@ -419,60 +394,39 @@ let policies =
     R.make ~policy:(R.Knapsack R.Priced) ~trigger:R.Heal_or_depart ();
   ]
 
-(* stressed-cell shape (see the header comment); the rates equal the
-   canonical ones so every figure row is dense *)
-let stressed_heal_div = 8.0
-let stressed_holding_frac = 0.5
-
 let restore_instance requests =
-  let canon = grid requests in
-  let n_canon = List.length canon in
-  (* GEANT only, both failure models, full offered load *)
+  (* GEANT only, both failure models, full offered load; the rates equal
+     the canonical ones so every figure row is dense *)
   let load = List.fold_left max 1 (loads_of requests) in
   let stressed =
     List.concat_map
       (fun srlg ->
         List.map
           (fun rate ->
-            {
-              make_net = Exp_common.geant_network;
-              srlg;
-              load;
-              rate;
-              holding = stressed_holding_frac *. float_of_int load;
-              heal_div = stressed_heal_div;
-            })
+            { net = List.hd nets; srlg; load; rate; stressed = true })
           rates)
       models
   in
-  let metrics =
-    [
-      "accept"; "restored"; "restored_frac"; "attempted"; "failed";
-      "pass_p50_ms"; "pass_p99_ms";
-    ]
-  in
-  let stressed_series ~ni ~mi ~sweep infix =
-    if ni <> 0 then []
-    else
-      rate_series
-        ~label:(fun m -> Printf.sprintf "%s@%sstressed" m infix)
-        ~sweep
-        ~point:(fun ri -> n_canon + (mi * n_rates) + ri)
-        metrics
-  in
+  let grid = grid ~models requests @ stressed in
   {
     Spec.sweeps =
-      sweeps (canon @ stressed)
+      sweeps grid
         (List.map (fun restore -> { baseline with restore }) policies);
     figures =
       figures ~prefix:"restore"
-        ~title:
-          "Restoration policy (%s failures): backlog selection at heal time \
-           on %s"
-        ~ylabel:"rate / count / latency (ms)" ~metrics
+        ~title:(fun ~srlg name ->
+          Printf.sprintf
+            "Restoration policy (%s failures): backlog selection at heal time \
+             on %s"
+            (model_name srlg) name)
+        ~ylabel:"rate / count / latency (ms)"
+        ~metrics:
+          [
+            "accept"; "restored"; "restored_frac"; "attempted"; "failed";
+            "pass_p50_ms"; "pass_p99_ms";
+          ]
         ~infixes:(List.map (fun p -> R.to_string p ^ "@") policies)
-        ~extra:stressed_series
-        ~note:(fun ~ni ~name ~srlg:_ ~tag ->
+        ~note:(fun ~name ~srlg:_ ~tag ~stressed ->
           Printf.sprintf
             "%s, Online_CP, policies {%s}; matched RNG with dynamic_churn \
              (same sweep key), so the replay-smallest-first rows are \
@@ -482,7 +436,7 @@ let restore_instance requests =
             name
             (String.concat ", " (List.map R.to_string policies))
             tag
-            (if ni = 0 then
+            (if stressed then
                Printf.sprintf
                  "; @stressed series: full offered load with mean holding %g \
                   x horizon and outages healing after horizon/%g, so drops \
@@ -491,7 +445,7 @@ let restore_instance requests =
                  stressed_holding_frac stressed_heal_div
                  (String.concat ", " (List.map string_of_float rates))
              else ""))
-        requests;
+        grid;
   }
 
 (* avail and restore share dynamic_churn's scales, so their matched

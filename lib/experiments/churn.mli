@@ -15,8 +15,10 @@ val churn : Spec.t
     {!Nfv_multicast.Repair}'s tier ladder and restoration is off.
     Figures [churnA] (GÉANT) and [churnB] (AS1755); x is the failure
     rate (events per arrival: 0.05, 0.1, 0.2), series
-    [<metric>@<load>] for [--requests] and its half: survival, the four
-    repair tiers, p50/p99 repair latency. *)
+    [<metric>@<load>] for [--requests] and its half (one load when the
+    two coincide, as at [--requests 1]): survival, the four repair
+    tiers, p50/p99 repair latency. The three Poisson families below
+    take their loads the same way. *)
 
 val dynamic_churn : Spec.t
 (** ["dynamic_churn"]: Poisson arrivals and departures through

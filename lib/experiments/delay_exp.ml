@@ -9,34 +9,27 @@ let deadlines = [ 6.0; 10.0; 15.0; 25.0; 50.0 ]
    point. *)
 
 let instance ?(n = 100) ?(requests = 400) () =
-  let deadlines_a = Array.of_list deadlines in
   let sweep =
-    {
-      Spec.key = "delay";
-      points = Array.length deadlines_a;
-      point =
-        (fun ~rng i ->
-          let bound = deadlines_a.(i) in
-          let net = Exp_common.network rng ~n in
-          let spec =
-            { Workload.Gen.default_spec with deadline = Some (bound, bound) }
-          in
-          let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
-          List.map
-            (fun algo ->
-              Sdn.Network.reset net;
-              let k =
-                List.fold_left
-                  (fun k r ->
-                    match Delay.admit net algo r with
-                    | Ok _ -> k + 1
-                    | Error _ -> k)
-                  0 reqs
-              in
-              ( "accept_" ^ Adm.algorithm_to_string algo,
-                float_of_int k /. float_of_int requests ))
-            algos);
-    }
+    Spec.grid ~key:"delay" deadlines (fun ~rng bound ->
+        let net = Exp_common.network rng ~n in
+        let spec =
+          { Workload.Gen.default_spec with deadline = Some (bound, bound) }
+        in
+        let reqs = Workload.Gen.sequence ~spec rng net ~count:requests in
+        List.map
+          (fun algo ->
+            Sdn.Network.reset net;
+            let k =
+              List.fold_left
+                (fun k r ->
+                  match Delay.admit net algo r with
+                  | Ok _ -> k + 1
+                  | Error _ -> k)
+                0 reqs
+            in
+            ( "accept_" ^ Adm.algorithm_to_string algo,
+              float_of_int k /. float_of_int requests ))
+          algos)
   in
   let figures =
     [
@@ -52,15 +45,8 @@ let instance ?(n = 100) ?(requests = 400) () =
               {
                 Spec.label = name;
                 cells =
-                  List.mapi
-                    (fun di bound ->
-                      {
-                        Spec.x = bound;
-                        sweep = 0;
-                        point = di;
-                        metric = "accept_" ^ name;
-                      })
-                    deadlines;
+                  Spec.cells ~sweep:0 deadlines (fun bound ->
+                      [ (bound, "accept_" ^ name) ]);
               })
             algos;
         notes =

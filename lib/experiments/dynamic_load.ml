@@ -8,30 +8,23 @@ let offered_loads = [ 25.0; 50.0; 100.0; 200.0; 400.0 ]
    load's trace, so they run together inside the point. *)
 
 let instance ?(n = 100) ?(arrivals = 2000) () =
-  let loads_a = Array.of_list offered_loads in
   let sweep =
-    {
-      Spec.key = "dyn";
-      points = Array.length loads_a;
-      point =
-        (fun ~rng i ->
-          let load = loads_a.(i) in
-          let net = Exp_common.network rng ~n in
-          (* mean holding 100 time units; rate follows from the target load *)
-          let trace =
-            Dyn.poisson_trace rng net ~rate:(load /. 100.0)
-              ~mean_holding:100.0 ~count:arrivals
-          in
-          List.concat_map
-            (fun algo ->
-              let s = Dyn.run net algo trace in
-              let name = Adm.algorithm_to_string algo in
-              [
-                ("accept_" ^ name, s.Dyn.acceptance_ratio);
-                ("util_" ^ name, s.Dyn.mean_utilization);
-              ])
-            algos);
-    }
+    Spec.grid ~key:"dyn" offered_loads (fun ~rng load ->
+        let net = Exp_common.network rng ~n in
+        (* mean holding 100 time units; rate follows from the target load *)
+        let trace =
+          Dyn.poisson_trace rng net ~rate:(load /. 100.0) ~mean_holding:100.0
+            ~count:arrivals
+        in
+        List.concat_map
+          (fun algo ->
+            let s = Dyn.run net algo trace in
+            let name = Adm.algorithm_to_string algo in
+            [
+              ("accept_" ^ name, s.Dyn.acceptance_ratio);
+              ("util_" ^ name, s.Dyn.mean_utilization);
+            ])
+          algos)
   in
   let series prefix =
     List.map
@@ -40,10 +33,8 @@ let instance ?(n = 100) ?(arrivals = 2000) () =
         {
           Spec.label = name;
           cells =
-            List.mapi
-              (fun li load ->
-                { Spec.x = load; sweep = 0; point = li; metric = prefix ^ name })
-              offered_loads;
+            Spec.cells ~sweep:0 offered_loads (fun load ->
+                [ (load, prefix ^ name) ]);
         })
       algos
   in

@@ -73,8 +73,8 @@ let to_csv fig =
     xs;
   Buffer.contents buf
 
-(* mkdir -p: [--csv out/run-3/figs] used to fail mid-run when the
-   parent directory was missing, losing every figure already computed *)
+(* mkdir -p, so [--csv out/run-3/figs] works without [out/run-3] and no
+   figure already computed is lost to a missing parent directory *)
 let rec ensure_dir dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     ensure_dir (Filename.dirname dir);

@@ -31,69 +31,53 @@ let point ~requests ~ratio ~rng net =
   ]
 
 let instance ?(requests = 30) ?(sizes = default_sizes) () =
+  (* one data point = one (destination ratio, network size) pair *)
   let params =
-    Array.of_list
-      (List.concat_map
-         (fun (ratio, _, _) -> List.map (fun n -> (ratio, n)) sizes)
-         ratios)
+    List.concat_map
+      (fun (ratio, _, _) -> List.map (fun n -> (ratio, n)) sizes)
+      ratios
   in
   let sweep =
-    {
-      Spec.key = "fig5";
-      points = Array.length params;
-      point =
-        (fun ~rng i ->
-          let ratio, n = params.(i) in
-          (* one data point = one (destination ratio, network size) pair *)
-          point ~requests ~ratio ~rng (Exp_common.network rng ~n));
-    }
+    Spec.grid ~key:"fig5" params (fun ~rng (ratio, n) ->
+        point ~requests ~ratio ~rng (Exp_common.network rng ~n))
   in
-  let per_size = List.length sizes in
   let figures =
-    List.concat
-      (List.mapi
-         (fun ri (ratio, cost_tag, time_tag) ->
-           let row metric =
-             List.mapi
-               (fun si n ->
-                 {
-                   Spec.x = float_of_int n;
-                   sweep = 0;
-                   point = (ri * per_size) + si;
-                   metric;
-                 })
-               sizes
-           in
-           let mk fid title ylabel m1 m2 =
-             {
-               Spec.fid;
-               title;
-               xlabel = "|V|";
-               ylabel;
-               series =
-                 [
-                   { Spec.label = "Appro_Multi"; cells = row m1 };
-                   { Spec.label = "Alg_One_Server"; cells = row m2 };
-                 ];
-               notes =
-                 [
-                   Printf.sprintf
-                     "Dmax/|V| = %.2f, K = 3, %d requests averaged per point"
-                     ratio requests;
-                 ];
-             }
-           in
-           [
-             mk
-               (Printf.sprintf "fig5%c" cost_tag)
-               "operational cost vs network size" "mean cost" "cost_appro"
-               "cost_one";
-             mk
-               (Printf.sprintf "fig5%c" time_tag)
-               "running time vs network size" "ms per request" "ms_appro"
-               "ms_one";
-           ])
-         ratios)
+    List.concat_map
+      (fun (ratio, cost_tag, time_tag) ->
+        let row metric =
+          Spec.cells ~sweep:0 params (fun (r, n) ->
+              if r = ratio then [ (float_of_int n, metric) ] else [])
+        in
+        let mk fid title ylabel m1 m2 =
+          {
+            Spec.fid;
+            title;
+            xlabel = "|V|";
+            ylabel;
+            series =
+              [
+                { Spec.label = "Appro_Multi"; cells = row m1 };
+                { Spec.label = "Alg_One_Server"; cells = row m2 };
+              ];
+            notes =
+              [
+                Printf.sprintf
+                  "Dmax/|V| = %.2f, K = 3, %d requests averaged per point"
+                  ratio requests;
+              ];
+          }
+        in
+        [
+          mk
+            (Printf.sprintf "fig5%c" cost_tag)
+            "operational cost vs network size" "mean cost" "cost_appro"
+            "cost_one";
+          mk
+            (Printf.sprintf "fig5%c" time_tag)
+            "running time vs network size" "ms per request" "ms_appro"
+            "ms_one";
+        ])
+      ratios
   in
   let figures =
     List.sort (fun a b -> compare a.Spec.fid b.Spec.fid) figures

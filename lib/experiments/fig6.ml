@@ -7,63 +7,53 @@ let nets =
   ]
 
 let instance ?(requests = 100) () =
+  (* one data point = one (topology, destination ratio) pair *)
   let params =
-    Array.of_list
-      (List.concat_map
-         (fun (_, _, _, make_net) -> List.map (fun r -> (make_net, r)) ratios)
-         nets)
+    List.concat_map
+      (fun (name, _, _, make_net) ->
+        List.map (fun r -> (name, make_net, r)) ratios)
+      nets
   in
   let sweep =
-    {
-      Spec.key = "fig6";
-      points = Array.length params;
-      point =
-        (fun ~rng i ->
-          let make_net, ratio = params.(i) in
-          (* one data point = one (topology, destination ratio) pair *)
-          Fig5.point ~requests ~ratio ~rng (make_net rng));
-    }
+    Spec.grid ~key:"fig6" params (fun ~rng (_, make_net, ratio) ->
+        Fig5.point ~requests ~ratio ~rng (make_net rng))
   in
-  let per_net = List.length ratios in
   let figures =
-    List.concat
-      (List.mapi
-         (fun ni (name, cost_tag, time_tag, _) ->
-           let row metric =
-             List.mapi
-               (fun ri r ->
-                 { Spec.x = r; sweep = 0; point = (ni * per_net) + ri; metric })
-               ratios
-           in
-           let mk fid title ylabel m1 m2 =
-             {
-               Spec.fid;
-               title;
-               xlabel = "Dmax/|V|";
-               ylabel;
-               series =
-                 [
-                   { Spec.label = "Appro_Multi"; cells = row m1 };
-                   { Spec.label = "Alg_One_Server"; cells = row m2 };
-                 ];
-               notes =
-                 [
-                   Printf.sprintf "%s, K = 3, %d requests averaged per point"
-                     name requests;
-                 ];
-             }
-           in
-           [
-             mk
-               (Printf.sprintf "fig6%c" cost_tag)
-               ("operational cost in " ^ name)
-               "mean cost" "cost_appro" "cost_one";
-             mk
-               (Printf.sprintf "fig6%c" time_tag)
-               ("running time in " ^ name)
-               "ms per request" "ms_appro" "ms_one";
-           ])
-         nets)
+    List.concat_map
+      (fun (name, cost_tag, time_tag, _) ->
+        let row metric =
+          Spec.cells ~sweep:0 params (fun (net, _, r) ->
+              if net = name then [ (r, metric) ] else [])
+        in
+        let mk fid title ylabel m1 m2 =
+          {
+            Spec.fid;
+            title;
+            xlabel = "Dmax/|V|";
+            ylabel;
+            series =
+              [
+                { Spec.label = "Appro_Multi"; cells = row m1 };
+                { Spec.label = "Alg_One_Server"; cells = row m2 };
+              ];
+            notes =
+              [
+                Printf.sprintf "%s, K = 3, %d requests averaged per point" name
+                  requests;
+              ];
+          }
+        in
+        [
+          mk
+            (Printf.sprintf "fig6%c" cost_tag)
+            ("operational cost in " ^ name)
+            "mean cost" "cost_appro" "cost_one";
+          mk
+            (Printf.sprintf "fig6%c" time_tag)
+            ("running time in " ^ name)
+            "ms per request" "ms_appro" "ms_one";
+        ])
+      nets
   in
   { Spec.sweeps = [ sweep ]; figures }
 

@@ -40,18 +40,11 @@ let point ~requests ~n ~rng =
   ]
 
 let instance ?(requests = 120) ?(sizes = [ 50; 100; 150; 200; 250 ]) () =
-  let sizes_a = Array.of_list sizes in
   let sweep =
-    {
-      Spec.key = "fig7";
-      points = Array.length sizes_a;
-      point = (fun ~rng i -> point ~requests ~n:sizes_a.(i) ~rng);
-    }
+    Spec.grid ~key:"fig7" sizes (fun ~rng n -> point ~requests ~n ~rng)
   in
   let row metric =
-    List.mapi
-      (fun i n -> { Spec.x = float_of_int n; sweep = 0; point = i; metric })
-      sizes
+    Spec.cells ~sweep:0 sizes (fun n -> [ (float_of_int n, metric) ])
   in
   let note =
     Printf.sprintf "Dmax/|V| = 0.2, K = 3, %d sequentially admitted requests"

@@ -27,13 +27,8 @@ let point ~requests ~n ~rng =
     algos
 
 let instance ?(requests = 1500) ?(sizes = [ 50; 100; 150; 200; 250 ]) () =
-  let sizes_a = Array.of_list sizes in
   let sweep =
-    {
-      Spec.key = "fig8";
-      points = Array.length sizes_a;
-      point = (fun ~rng i -> point ~requests ~n:sizes_a.(i) ~rng);
-    }
+    Spec.grid ~key:"fig8" sizes (fun ~rng n -> point ~requests ~n ~rng)
   in
   let series prefix =
     List.map
@@ -42,15 +37,8 @@ let instance ?(requests = 1500) ?(sizes = [ 50; 100; 150; 200; 250 ]) () =
         {
           Spec.label = name;
           cells =
-            List.mapi
-              (fun si n ->
-                {
-                  Spec.x = float_of_int n;
-                  sweep = 0;
-                  point = si;
-                  metric = prefix ^ name;
-                })
-              sizes;
+            Spec.cells ~sweep:0 sizes (fun n ->
+                [ (float_of_int n, prefix ^ name) ]);
         })
       algos
   in

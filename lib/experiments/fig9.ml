@@ -35,20 +35,13 @@ let point ~requests ~prefixes ~make_net ~rng =
 
 let instance ?(requests = 1500) () =
   let prefixes = prefixes_of requests in
-  let nets_a = Array.of_list nets in
   let sweep =
-    {
-      Spec.key = "fig9";
-      points = Array.length nets_a;
-      point =
-        (fun ~rng i ->
-          let _, _, make_net = nets_a.(i) in
-          point ~requests ~prefixes ~make_net ~rng);
-    }
+    Spec.grid ~key:"fig9" nets (fun ~rng (_, _, make_net) ->
+        point ~requests ~prefixes ~make_net ~rng)
   in
   let figures =
-    List.mapi
-      (fun ni (name, tag, _) ->
+    List.map
+      (fun (name, tag, _) ->
         {
           Spec.fid = Printf.sprintf "fig9%c" tag;
           title = "admitted requests vs sequence length in " ^ name;
@@ -61,15 +54,14 @@ let instance ?(requests = 1500) () =
                 {
                   Spec.label = aname;
                   cells =
-                    List.map
-                      (fun p ->
-                        {
-                          Spec.x = float_of_int p;
-                          sweep = 0;
-                          point = ni;
-                          metric = Printf.sprintf "adm_%s@%d" aname p;
-                        })
-                      prefixes;
+                    Spec.cells ~sweep:0 nets (fun (net, _, _) ->
+                        if net <> name then []
+                        else
+                          List.map
+                            (fun p ->
+                              ( float_of_int p,
+                                Printf.sprintf "adm_%s@%d" aname p ))
+                            prefixes);
                 })
               algos;
           notes =

@@ -55,7 +55,7 @@ val map :
 
     With a job count ({!get_jobs}) of 1 (or [n <= 1], or when already
     inside a worker domain) everything runs inline in the calling
-    domain — exactly the historical sequential path. Otherwise
+    domain, in index order, with no domain spawned. Otherwise
     [min (get_jobs ()) n] domains are spawned; each claims indices from
     a shared atomic counter, runs [f], and finally hands its [Nfv_obs]
     shard back to be merged. [f] must confine its effects to state reachable

@@ -72,6 +72,17 @@ let restoration_ledger =
     parts = [ "restoration.restored"; "restoration.failed" ];
   }
 
+let grid ~key params f =
+  let at = Array.of_list params in
+  { key; points = Array.length at; point = (fun ~rng i -> f ~rng at.(i)) }
+
+let cells ~sweep params pick =
+  List.concat
+    (List.mapi
+       (fun point p ->
+         List.map (fun (x, metric) -> { x; sweep; point; metric }) (pick p))
+       params)
+
 let concat_instances insts =
   let _, sweeps_rev, figures_rev =
     List.fold_left
@@ -120,22 +131,39 @@ let lookup results c =
       (Printf.sprintf "Spec: sweep %d point %d declared no metric %S" c.sweep
          c.point c.metric)
 
+(* the CSV and the table key a column by its label and a row by its x,
+   so a repeat would drop values *)
+let check_unique fid describe keys =
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      if a = b then
+        invalid_arg
+          (Printf.sprintf "Spec: figure %s repeats %s" fid (describe a))
+      else go rest
+    | _ -> ()
+  in
+  go (List.sort compare keys)
+
 let assemble inst results =
   List.map
     (fun (f : figure_def) ->
+      check_unique f.fid (Printf.sprintf "label %S")
+        (List.map (fun s -> s.label) f.series);
+      let series s =
+        check_unique f.fid
+          (fun x -> Printf.sprintf "x = %g in series %S" x s.label)
+          (List.map (fun c -> c.x) s.cells);
+        {
+          Exp_common.label = s.label;
+          points = List.map (fun c -> (c.x, lookup results c)) s.cells;
+        }
+      in
       {
         Exp_common.id = f.fid;
         title = f.title;
         xlabel = f.xlabel;
         ylabel = f.ylabel;
-        series =
-          List.map
-            (fun s ->
-              {
-                Exp_common.label = s.label;
-                points = List.map (fun c -> (c.x, lookup results c)) s.cells;
-              })
-            f.series;
+        series = List.map series f.series;
         notes = f.notes;
       })
     inst.figures

@@ -16,14 +16,14 @@
 type point_result = (string * float) list
 (** Named metrics one grid point computes. Names are free-form and
     local to the spec; a metric may be [nan] when the point has no
-    value for it (rendered as [nan], as the legacy modules did). *)
+    value for it (it is rendered as [nan]). *)
 
 type sweep = {
   key : string;
-      (** [Pool.point_seed] figure key. Kept equal to the pre-spec
-          harness keys (["fig5"], ["ablA1"], …) so every per-point RNG
-          stream — and with it every non-timing figure value — is
-          byte-identical to the historical modules. *)
+      (** [Pool.point_seed] figure key (["fig5"], ["ablA1"], …). Every
+          per-point RNG stream derives from it, so renaming a key moves
+          every non-timing value of its figures; sweeps that share a key
+          see the same RNG at the same point (matched runs). *)
   points : int;  (** grid size; point indices are [0 .. points - 1] *)
   point : rng:Topology.Rng.t -> int -> point_result;
       (** The per-point function. It must derive all randomness from
@@ -108,6 +108,21 @@ val make :
   t
 (** [ledgers] defaults to none. *)
 
+val grid :
+  key:string -> 'p list -> (rng:Topology.Rng.t -> 'p -> point_result) -> sweep
+(** [grid ~key params f] is the sweep whose point [i] computes
+    [f ~rng p] for the [i]-th element [p] of [params]: one point per
+    parameter, in list order. A point that must know more than its
+    parameter (say, the seed of an input it shares with other points)
+    carries that in the parameter. *)
+
+val cells : sweep:int -> 'p list -> ('p -> (float * string) list) -> cell list
+(** [cells ~sweep params pick] is what a series reads off the grid that
+    [grid] built from [params] (sweep [sweep] of the instance): for each
+    parameter [p], in grid order, one cell per [(x, metric)] pair of
+    [pick p] at [p]'s point. [pick] returns [[]] for points outside the
+    series. *)
+
 val concat_instances : instance list -> instance
 (** Combine sub-experiments into one instance: sweeps are concatenated
     in order and every figure's cell [sweep] indices are shifted past
@@ -116,5 +131,8 @@ val concat_instances : instance list -> instance
 val assemble : instance -> point_result array array -> Exp_common.figure list
 (** [assemble inst results] materialises the declared figures from the
     computed grid ([results.(s).(p)] is sweep [s]'s point [p]). Raises
-    [Invalid_argument] when a cell references a sweep, point or metric
-    the grid does not have — a malformed spec, caught loudly. *)
+    [Invalid_argument] on a malformed spec, caught loudly: a cell that
+    references a sweep, point or metric the grid does not have, a series
+    with two cells at one x, or a figure with two series of one label
+    (the CSV and the rendered table key a column by its label and a row
+    by its x, so a repeat would silently drop values). *)

@@ -27,47 +27,40 @@ let reasons =
 
 let default_requests = 4000
 
-(* the four load levels are the horizon and its halvings, so --requests
-   scales the whole sweep down for smoke runs *)
+(* the load levels are the horizon and its halvings, so --requests
+   scales the whole sweep down for smoke runs; a small horizon repeats a
+   level, which is kept once *)
 let loads_of requests =
-  List.map (fun d -> max 1 (requests / d)) [ 8; 4; 2; 1 ]
+  List.sort_uniq compare
+    (List.map (fun d -> max 1 (requests / d)) [ 8; 4; 2; 1 ])
 
 let metric name load = Printf.sprintf "%s@%d" name load
 
 let instance ?(requests = default_requests) () =
   let loads = loads_of requests in
-  let loads_a = Array.of_list loads in
-  let per_net = Array.length loads_a in
   let params =
-    Array.of_list
-      (List.concat_map
-         (fun (_, _, make_net) -> List.map (fun l -> (make_net, l)) loads)
-         nets)
+    List.concat_map
+      (fun (name, _, make_net) -> List.map (fun l -> (name, make_net, l)) loads)
+      nets
   in
   let sweep =
-    {
-      Spec.key = "stress";
-      points = Array.length params;
-      point =
-        (fun ~rng i ->
-          let make_net, load = params.(i) in
-          let net = make_net rng in
-          let reqs = Workload.Gen.sequence rng net ~count:load in
-          let probes =
-            List.map
-              (fun (name, counter) -> (name, Runner.counter_probe counter))
-              reasons
-          in
-          ignore (Adm.run net Adm.Online_cp reqs);
+    Spec.grid ~key:"stress" params (fun ~rng (_, make_net, load) ->
+        let net = make_net rng in
+        let reqs = Workload.Gen.sequence rng net ~count:load in
+        let probes =
           List.map
-            (fun (name, p) ->
-              (metric name load, float_of_int (Runner.counter_delta p)))
-            probes);
-    }
+            (fun (name, counter) -> (name, Runner.counter_probe counter))
+            reasons
+        in
+        ignore (Adm.run net Adm.Online_cp reqs);
+        List.map
+          (fun (name, p) ->
+            (metric name load, float_of_int (Runner.counter_delta p)))
+          probes)
   in
   let figures =
-    List.mapi
-      (fun ni (name, tag, _) ->
+    List.map
+      (fun (name, tag, _) ->
         {
           Spec.fid = Printf.sprintf "stress%c" tag;
           title = "Online_CP outcome breakdown under load in " ^ name;
@@ -79,15 +72,10 @@ let instance ?(requests = default_requests) () =
                 {
                   Spec.label = rname;
                   cells =
-                    List.mapi
-                      (fun li load ->
-                        {
-                          Spec.x = float_of_int load;
-                          sweep = 0;
-                          point = (ni * per_net) + li;
-                          metric = metric rname load;
-                        })
-                      loads;
+                    Spec.cells ~sweep:0 params (fun (net, _, load) ->
+                        if net = name then
+                          [ (float_of_int load, metric rname load) ]
+                        else []);
                 })
               reasons;
           notes =

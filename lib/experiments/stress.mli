@@ -9,4 +9,5 @@
 val spec : Spec.t
 (** Registered as ["stress"]; figures [stressA] (AS1755) and [stressB]
     (AS4755). [--requests] sets the largest load level; the sweep runs
-    it and its three halvings. *)
+    it and its three halvings (at least 1 each), each distinct level
+    once. *)

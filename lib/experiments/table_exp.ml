@@ -8,31 +8,24 @@ let capacities = [ 25; 50; 100; 200; 400 ]
    the same sequence under that budget, so they stay inside the point. *)
 
 let instance ?(n = 100) ?(requests = 400) () =
-  let caps_a = Array.of_list capacities in
   let sweep =
-    {
-      Spec.key = "table";
-      points = Array.length caps_a;
-      point =
-        (fun ~rng i ->
-          let cap = caps_a.(i) in
-          let net = Exp_common.network rng ~n in
-          let reqs = Workload.Gen.sequence rng net ~count:requests in
-          List.map
-            (fun algo ->
-              Sdn.Network.reset net;
-              let budget = Rb.create net ~capacity:cap in
-              let k =
-                List.fold_left
-                  (fun k r ->
-                    match Rb.admit budget net algo r with
-                    | Ok _ -> k + 1
-                    | Error _ -> k)
-                  0 reqs
-              in
-              ("adm_" ^ Adm.algorithm_to_string algo, float_of_int k))
-            algos);
-    }
+    Spec.grid ~key:"table" capacities (fun ~rng cap ->
+        let net = Exp_common.network rng ~n in
+        let reqs = Workload.Gen.sequence rng net ~count:requests in
+        List.map
+          (fun algo ->
+            Sdn.Network.reset net;
+            let budget = Rb.create net ~capacity:cap in
+            let k =
+              List.fold_left
+                (fun k r ->
+                  match Rb.admit budget net algo r with
+                  | Ok _ -> k + 1
+                  | Error _ -> k)
+                0 reqs
+            in
+            ("adm_" ^ Adm.algorithm_to_string algo, float_of_int k))
+          algos)
   in
   let figures =
     [
@@ -48,15 +41,8 @@ let instance ?(n = 100) ?(requests = 400) () =
               {
                 Spec.label = name;
                 cells =
-                  List.mapi
-                    (fun ci cap ->
-                      {
-                        Spec.x = float_of_int cap;
-                        sweep = 0;
-                        point = ci;
-                        metric = "adm_" ^ name;
-                      })
-                    capacities;
+                  Spec.cells ~sweep:0 capacities (fun cap ->
+                      [ (float_of_int cap, "adm_" ^ name) ]);
               })
             algos;
         notes = [ Printf.sprintf "n = %d, %d requests, K = 1" n requests ];

@@ -111,6 +111,111 @@ let test_default_layouts () =
   Alcotest.(check (list (pair string string)))
     "default-scale layouts" expected_layouts got
 
+(* ---- grids and cells --------------------------------------------- *)
+
+let cell_t =
+  Alcotest.testable
+    (fun ppf (c : Spec.cell) ->
+      Format.fprintf ppf "{x=%g; sweep=%d; point=%d; metric=%S}" c.Spec.x
+        c.Spec.sweep c.Spec.point c.Spec.metric)
+    ( = )
+
+let test_grid_cells () =
+  let params = [ "a"; "bb"; "ccc"; "dddd" ] in
+  let sweep =
+    Spec.grid ~key:"t" params (fun ~rng:_ p ->
+        [ ("len", float_of_int (String.length p)) ])
+  in
+  Alcotest.(check string) "key" "t" sweep.Spec.key;
+  Alcotest.(check int) "one point per parameter" 4 sweep.Spec.points;
+  let rng = Topology.Rng.create 1 in
+  Alcotest.(check (list (float 0.0)))
+    "point i runs on the i-th parameter" [ 1.0; 2.0; 3.0; 4.0 ]
+    (List.init 4 (fun i -> List.assoc "len" (sweep.Spec.point ~rng i)));
+  let cell x point metric = { Spec.x; sweep = 2; point; metric } in
+  Alcotest.(check (list cell_t))
+    "grid order, one cell per picked pair at its point"
+    [ cell 1.0 0 "m"; cell 3.0 2 "m"; cell 3.5 2 "n" ]
+    (Spec.cells ~sweep:2 params (function
+      | "a" -> [ (1.0, "m") ]
+      | "ccc" -> [ (3.0, "m"); (3.5, "n") ]
+      | _ -> []));
+  Alcotest.(check (list cell_t))
+    "an empty pick reads nothing" []
+    (Spec.cells ~sweep:0 params (fun _ -> []))
+
+(* two cells at one x (or two series of one label) would collapse into
+   one CSV row (column), so assembly refuses them *)
+let test_repeats_refused () =
+  let sweep = Spec.grid ~key:"t" [ 1; 1 ] (fun ~rng:_ _ -> [ ("m", 0.0) ]) in
+  let figure series =
+    {
+      Spec.sweeps = [ sweep ];
+      figures =
+        [
+          {
+            Spec.fid = "t";
+            title = "t";
+            xlabel = "x";
+            ylabel = "y";
+            notes = [];
+            series;
+          };
+        ];
+    }
+  in
+  let results = [| [| [ ("m", 0.0) ]; [ ("m", 1.0) ] |] |] in
+  let at_x point = { Spec.x = 1.0; sweep = 0; point; metric = "m" } in
+  let refused what series =
+    match Spec.assemble (figure series) results with
+    | _ -> Alcotest.failf "%s assembled" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "a repeated x" [ { Spec.label = "s"; cells = [ at_x 0; at_x 1 ] } ];
+  refused "a repeated label"
+    [
+      { Spec.label = "s"; cells = [ at_x 0 ] };
+      { Spec.label = "s"; cells = [ at_x 1 ] };
+    ]
+
+let check_no_repeats what figs =
+  List.iter
+    (fun f ->
+      let labels = List.map (fun s -> s.E.label) f.E.series in
+      if List.length (List.sort_uniq compare labels) <> List.length labels then
+        Alcotest.failf "%s: %s repeats a label" what f.E.id;
+      List.iter
+        (fun s ->
+          let xs = List.map fst s.E.points in
+          if List.length (List.sort_uniq compare xs) <> List.length xs then
+            Alcotest.failf "%s: %s %s repeats an x" what f.E.id s.E.label)
+        f.E.series)
+    figs
+
+(* a horizon too short to halve keeps each load level once *)
+let test_small_horizons () =
+  E.install_fake_clock ();
+  Experiments.Pool.set_jobs 1;
+  let stress = Runner.run ~seed:1 ~requests:4 Experiments.Stress.spec in
+  check_no_repeats "stress --requests 4" stress;
+  List.iter
+    (fun f ->
+      List.iter
+        (fun s ->
+          Alcotest.(check (list (float 0.0)))
+            (f.E.id ^ " load levels")
+            [ 1.0; 2.0; 4.0 ]
+            (List.map fst s.E.points))
+        f.E.series)
+    stress;
+  let churn = Runner.run ~seed:1 ~requests:1 Experiments.Churn.churn in
+  check_no_repeats "churn --requests 1" churn;
+  Alcotest.(check (list string))
+    "churn --requests 1 has one load level"
+    [ "survival@1"; "patched@1"; "migrated@1"; "readmitted@1"; "dropped@1";
+      "p50_ms@1"; "p99_ms@1" ]
+    (List.map (fun s -> s.E.label) (List.hd churn).E.series)
+
 (* every cell of every figure must name a sweep/point/metric the sweeps
    can produce — shape errors surface at assembly, so run the smallest
    family end to end *)
@@ -427,6 +532,9 @@ let () =
           Alcotest.test_case "default-scale layouts" `Quick
             test_default_layouts;
           Alcotest.test_case "assembly smoke" `Quick test_assembly_smoke;
+          Alcotest.test_case "grid and cells" `Quick test_grid_cells;
+          Alcotest.test_case "repeats refused" `Quick test_repeats_refused;
+          Alcotest.test_case "small horizons" `Quick test_small_horizons;
           Alcotest.test_case "stress conservation" `Quick
             test_stress_conservation;
           Alcotest.test_case "matched baselines" `Quick test_matched_baselines;
