@@ -22,7 +22,7 @@ type result = {
 let footprint r =
   r.Sdn.Request.bandwidth *. float_of_int (Sdn.Request.terminal_count r)
 
-let reorder ?k ?window net requests = function
+let reorder ?k ~window net requests = function
   | Arrival -> requests
   | Smallest_first ->
     List.stable_sort (fun a b -> compare (footprint a) (footprint b)) requests
@@ -33,7 +33,7 @@ let reorder ?k ?window net requests = function
       List.map
         (fun r ->
           let price =
-            match Appro_multi.solve ?k ?window net r with
+            match Appro_multi.solve ?k ~window net r with
             | Ok res -> res.Appro_multi.cost
             | Error _ -> infinity
           in

@@ -30,13 +30,13 @@ type result = {
 }
 
 val reorder :
-  ?k:int -> ?window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t list ->
+  ?k:int -> window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t list ->
   order -> Sdn.Request.t list
 (** Apply an ordering policy without admitting anything: the exact
     reordering {!plan} uses. [Cheapest_first] prices every request with
     one uncapacitated {!Appro_multi.solve} against the network's
-    {e current} residuals (through [window] when given, so pricing can
-    share cached engines with a surrounding run); the other policies
+    {e current} residuals, through [window] (a window over [net], so
+    pricing shares cached engines with a surrounding run); the other policies
     read only the requests. All sorts are stable, so equal keys keep
     their sequence order. Also the ordering stage of the dynamic
     simulator's heal-triggered restoration pass

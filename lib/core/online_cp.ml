@@ -550,22 +550,14 @@ let admit_impl ~prune p request =
             screened;
           let try_alloc c =
             let v = c.cand_server in
-            let rooted = Tree.of_edges g ~root:s c.cand_edges in
-            let to_server = Tree.path_between rooted s v in
-            let route_of d =
-              (* the processed copy climbs only to LCA(v, d) — a prefix of
-                 the reserved v → u backtrack — before descending, so no
-                 edge carries more traffic than Algorithm 2 accounts for *)
-              let onward = Tree.path_between rooted v d in
-              (d, { Pseudo_tree.to_server; server = v; onward })
-            in
-            let routes = List.map route_of destinations in
+            (* every copy is processed at [v]; it climbs only to LCA(v, d)
+               — a prefix of the reserved v → u backtrack — before
+               descending, so no edge carries more traffic than
+               Algorithm 2 accounts for *)
             let tree =
-              Pseudo_tree.make ~request ~servers:[ v ]
-                ~edge_uses:
-                  (Pseudo_tree.edge_uses_of_list
-                     (c.cand_edges @ Tree.path_up rooted v ~ancestor:c.cand_lca))
-                ~routes
+              Pseudo_tree.of_rooted
+                ~rooted:(Tree.of_edges g ~root:s c.cand_edges)
+                ~support:c.cand_edges ~request ~server_of:(fun _ -> v)
             in
             match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
             | Ok () ->

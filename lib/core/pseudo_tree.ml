@@ -43,6 +43,45 @@ let make ~request ~servers ~edge_uses ~routes =
   in
   { request; servers = List.sort_uniq Int.compare servers; edge_uses = merged; routes }
 
+(* per server (distinct, ascending): its source path, shared by the
+   routes it serves, and its backtrack up to the LCA of it and those
+   destinations *)
+let of_rooted ~rooted ~support ~request ~server_of =
+  let module Tree = Mcgraph.Tree in
+  let s = request.Sdn.Request.source in
+  let dests = request.Sdn.Request.destinations in
+  let servers =
+    List.sort Int.compare
+      (List.fold_left
+         (fun acc d ->
+           let v = server_of d in
+           if List.mem v acc then acc else v :: acc)
+         [] dests)
+  in
+  let legs =
+    List.map
+      (fun v ->
+        let mine = List.filter (fun d -> server_of d = v) dests in
+        ( v,
+          Tree.path_between rooted s v,
+          Tree.path_up rooted v ~ancestor:(Tree.lca_many rooted (v :: mine)) ))
+      servers
+  in
+  let routes =
+    List.map
+      (fun d ->
+        let v = server_of d in
+        let _, to_server, _ = List.find (fun (v', _, _) -> v' = v) legs in
+        (d, { to_server; server = v; onward = Tree.path_between rooted v d }))
+      dests
+  in
+  (* the support plus every backtrack, in any order: edge_uses_of_list
+     sorts the multiset *)
+  let uses =
+    List.fold_left (fun acc (_, _, up) -> List.rev_append up acc) support legs
+  in
+  make ~request ~servers ~edge_uses:(edge_uses_of_list uses) ~routes
+
 let cost net t =
   let b = t.request.Sdn.Request.bandwidth in
   let bw =

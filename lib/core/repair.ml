@@ -58,42 +58,6 @@ let component g ~edges ~from visited =
   done;
   !keep
 
-(* witness routes + per-server backtracks for a rooted repaired tree;
-   [server_of d] chooses the serving server (must be a tree node) *)
-let finish_tree ~rooted ~support ~request ~server_of =
-  let s = request.Sdn.Request.source in
-  let dests = request.Sdn.Request.destinations in
-  let routes =
-    List.map
-      (fun d ->
-        let v = server_of d in
-        ( d,
-          {
-            Pseudo_tree.to_server = Tree.path_between rooted s v;
-            server = v;
-            onward = Tree.path_between rooted v d;
-          } ))
-      dests
-  in
-  let used_servers =
-    List.sort_uniq compare (List.map (fun (_, r) -> r.Pseudo_tree.server) routes)
-  in
-  let backtracks =
-    List.concat_map
-      (fun v ->
-        let served =
-          List.filter_map
-            (fun (d, r) -> if r.Pseudo_tree.server = v then Some d else None)
-            routes
-        in
-        let u = Tree.lca_many rooted (v :: served) in
-        Tree.path_up rooted v ~ancestor:u)
-      used_servers
-  in
-  Pseudo_tree.make ~request ~servers:used_servers
-    ~edge_uses:(Pseudo_tree.edge_uses_of_list (support @ backtracks))
-    ~routes
-
 (* ---- tier 1: local patch ---------------------------------------------- *)
 
 exception Infeasible
@@ -166,7 +130,9 @@ let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
             | Some r -> r.Pseudo_tree.server
             | None -> List.hd victim.Pseudo_tree.servers
           in
-          let tree = finish_tree ~rooted ~support ~request ~server_of in
+          let tree =
+            Pseudo_tree.of_rooted ~rooted ~support ~request ~server_of
+          in
           match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
           | Ok () -> Some tree
           | Error _ -> None
@@ -267,7 +233,7 @@ let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
               match
                 let rooted2 = Tree.of_edges g ~root:s (kept @ path) in
                 let tree =
-                  finish_tree ~rooted:rooted2 ~support:(kept @ path)
+                  Pseudo_tree.of_rooted ~rooted:rooted2 ~support:(kept @ path)
                     ~request ~server_of:(fun _ -> v)
                 in
                 (tree, Sdn.Network.allocate net (Pseudo_tree.allocation tree))

@@ -43,11 +43,11 @@ let by_id entries =
     (fun a b -> compare a.request.Sdn.Request.id b.request.Sdn.Request.id)
     entries
 
-let select ?window ~returned net t entries =
+let select ~window ~returned net t entries =
   let base = by_id entries in
   match t.policy with
   | Replay order ->
-    Batch.reorder ?window net (List.map (fun e -> e.request) base) order
+    Batch.reorder ~window net (List.map (fun e -> e.request) base) order
   | Deadline ->
     List.map
       (fun e -> e.request)
@@ -67,7 +67,7 @@ let select ?window ~returned net t entries =
             match v with
             | Volume -> fp
             | Priced -> (
-              match Appro_multi.solve ?window net e.request with
+              match Appro_multi.solve ~window net e.request with
               | Ok res when res.Appro_multi.cost > 0.0 ->
                 fp /. res.Appro_multi.cost
               | Ok _ -> infinity (* free tree: infinitely dense *)

@@ -89,7 +89,7 @@ type entry = {
 }
 
 val select :
-  ?window:Sp_window.t ->
+  window:Sp_window.t ->
   returned:float ->
   Sdn.Network.t ->
   t ->
@@ -103,9 +103,10 @@ val select :
     overshooting. A [Server_up] heal returns compute rather than
     bandwidth, so its passes run with [returned = 0.] and the knapsack
     degenerates to pure density order — still deterministic, just
-    unclassified. [window] lets {!Priced} (and [Replay Cheapest_first])
-    share the surrounding run's cached shortest-path engines.
+    unclassified. {!Priced} (and [Replay Cheapest_first]) price through
+    [window], a window over [net] shared with the surrounding run's
+    cached shortest-path engines.
 
     [select t] with [t = default] returns exactly
-    [Batch.reorder ?window net (id-sorted requests)
+    [Batch.reorder ~window net (id-sorted requests)
      Batch.Smallest_first] — the bit-identity anchor. *)

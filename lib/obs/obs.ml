@@ -1,16 +1,17 @@
-(* Metrics/tracing substrate. Everything is registered in global
-   per-kind registries so exporters can walk the full instrument
-   population without the instrumented layers knowing about each other.
-   Recording is gated on [enabled]; see obs.mli for the contract.
+(* Metrics/tracing substrate. Every instrument is registered by name in
+   its domain's store — one insertion-ordered registry per instrument
+   kind — so exporters can walk the full instrument population without
+   the instrumented layers knowing about each other. Recording is gated
+   on [enabled]; see obs.mli for the contract.
 
-   Domain safety: the global registries belong to the main domain and
-   are never touched from any other domain. A worker domain records
-   into a private per-domain shard (domain-local storage, keyed by
-   instrument name); the parallel harness collects each worker's shard
-   after [Domain.join] and folds it into the global registries with
-   [Sharding.merge]. Handles created at module-init time in the main
-   domain can therefore be used from any domain: every operation
-   dispatches on [Domain.is_main_domain]. *)
+   Domain safety: every domain records into its own store, held in
+   domain-local storage. The main domain's store is the global registry
+   that exports read. A worker's store is private to it: the parallel
+   harness hands what [Sharding.take] returns to [Sharding.merge] after
+   [Domain.join], which folds it into the global registry. A handle is
+   the cell its [make] registered, so a main-domain handle records in
+   place; a worker resolves any handle to the cell of the same name in
+   its own store. *)
 
 let enabled = ref false
 let clock = ref Sys.time
@@ -37,7 +38,6 @@ module Registry = struct
   let create () = { tbl = Hashtbl.create 32; rev_order = [] }
 
   let find_or_add r name build =
-    check_name name;
     match Hashtbl.find_opt r.tbl name with
     | Some x -> x
     | None ->
@@ -48,115 +48,78 @@ module Registry = struct
 
   let find_opt r name = Hashtbl.find_opt r.tbl name
   let items r = List.rev r.rev_order
-
-  let clear r =
-    Hashtbl.reset r.tbl;
-    r.rev_order <- []
 end
 
-(* ---- per-domain shards (worker-side storage) ----
+(* ---- cells and stores: one cell type per instrument kind ---- *)
 
-   A worker domain must not mutate the global registries (races with
-   the main domain and with other workers), so each domain owns a
-   shard: one name-keyed registry per instrument kind, holding plain
-   mutable cells. Cells are created lazily on first record and carry
-   everything [Sharding.merge] needs to fold them back. *)
+type counter = { c_name : string; mutable v : int }
 
-type counter_cell = { c_name : string; mutable c_v : int }
-
-type hist_cell = {
+type histogram = {
   h_name : string;
-  h_bkts : int array;
-  mutable h_count : int;
-  mutable h_sum : float;
+  bkts : int array;   (* one per default bound, plus the overflow *)
+  mutable count : int;
+  mutable sum : float;
 }
 
-type shard_store = {
-  sh_counters : counter_cell Registry.t;
-  sh_hists : hist_cell Registry.t;
-}
+type store = { counters : counter Registry.t; hists : histogram Registry.t }
 
-let fresh_shard () =
-  { sh_counters = Registry.create (); sh_hists = Registry.create () }
-
-let shard_key : shard_store Domain.DLS.key = Domain.DLS.new_key fresh_shard
-let local_shard () = Domain.DLS.get shard_key
+let fresh_store () =
+  { counters = Registry.create (); hists = Registry.create () }
+let store_key : store Domain.DLS.key = Domain.DLS.new_key fresh_store
+let local () = Domain.DLS.get store_key
 let in_main () = Domain.is_main_domain ()
 
 module Counter = struct
-  type t = { name : string; mutable v : int }
+  type t = counter
 
-  let registry : t Registry.t = Registry.create ()
+  let fresh name () = { c_name = name; v = 0 }
 
-  (* In the main domain, [make] registers globally as before. In a
-     worker it returns a detached handle — a pure name carrier whose
-     record operations resolve to this domain's shard — so dynamic
-     registration (e.g. span histograms) never touches shared state. *)
   let make name =
-    if in_main () then Registry.find_or_add registry name (fun () -> { name; v = 0 })
-    else begin
-      check_name name;
-      { name; v = 0 }
-    end
+    check_name name;
+    Registry.find_or_add (local ()).counters name (fresh name)
 
-  let cell t =
-    Registry.find_or_add (local_shard ()).sh_counters t.name (fun () ->
-        { c_name = t.name; c_v = 0 })
+  (* the calling domain's cell of [t]'s name *)
+  let cell t = if in_main () then t else make t.c_name
 
   let incr t =
-    if !enabled then
-      if in_main () then t.v <- t.v + 1
-      else begin
-        let c = cell t in
-        c.c_v <- c.c_v + 1
-      end
+    if !enabled then begin
+      let c = cell t in
+      c.v <- c.v + 1
+    end
 
   let add t n =
-    if !enabled then
-      if in_main () then t.v <- t.v + n
-      else begin
-        let c = cell t in
-        c.c_v <- c.c_v + n
-      end
+    if !enabled then begin
+      let c = cell t in
+      c.v <- c.v + n
+    end
 
-  (* reads are per-domain views: the global value in the main domain,
-     this domain's unmerged contribution in a worker — which is exactly
-     what before/after delta attribution inside a worker needs *)
+  (* reads are per-domain views and register nothing: a worker reads
+     its own unmerged contribution, which is exactly what before/after
+     delta attribution inside a worker needs *)
   let value t =
     if in_main () then t.v
     else
-      match Registry.find_opt (local_shard ()).sh_counters t.name with
-      | Some c -> c.c_v
+      match Registry.find_opt (local ()).counters t.c_name with
+      | Some c -> c.v
       | None -> 0
 
-  let name t = t.name
+  let name t = t.c_name
 end
 
 module Histogram = struct
-  type t = {
-    name : string;
-    bkts : int array;   (* one per default bound, plus the overflow *)
-    mutable count : int;
-    mutable sum : float;
-  }
+  type t = histogram
 
-  let registry : t Registry.t = Registry.create ()
   let default_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
   let n_buckets = Array.length default_bounds + 1
-  let empty_buckets () = Array.make n_buckets 0
+
+  let fresh name () =
+    { h_name = name; bkts = Array.make n_buckets 0; count = 0; sum = 0.0 }
 
   let make name =
-    if in_main () then
-      Registry.find_or_add registry name (fun () ->
-          { name; bkts = empty_buckets (); count = 0; sum = 0.0 })
-    else begin
-      check_name name;
-      { name; bkts = empty_buckets (); count = 0; sum = 0.0 }
-    end
+    check_name name;
+    Registry.find_or_add (local ()).hists name (fresh name)
 
-  let cell t =
-    Registry.find_or_add (local_shard ()).sh_hists t.name (fun () ->
-        { h_name = t.name; h_bkts = empty_buckets (); h_count = 0; h_sum = 0.0 })
+  let cell t = if in_main () then t else make t.h_name
 
   let bucket_index x =
     let n = Array.length default_bounds in
@@ -167,45 +130,31 @@ module Histogram = struct
     !i
 
   let observe t x =
-    if !enabled then
-      if in_main () then begin
-        t.count <- t.count + 1;
-        t.sum <- t.sum +. x;
-        let i = bucket_index x in
-        t.bkts.(i) <- t.bkts.(i) + 1
-      end
-      else begin
-        let c = cell t in
-        c.h_count <- c.h_count + 1;
-        c.h_sum <- c.h_sum +. x;
-        let i = bucket_index x in
-        c.h_bkts.(i) <- c.h_bkts.(i) + 1
-      end
+    if !enabled then begin
+      let c = cell t in
+      c.count <- c.count + 1;
+      c.sum <- c.sum +. x;
+      let i = bucket_index x in
+      c.bkts.(i) <- c.bkts.(i) + 1
+    end
 
-  (* per-domain view of (count, sum, buckets); worker reads see this
-     domain's unmerged contribution, like Counter.value *)
+  (* per-domain view, like Counter.value: an unregistered cell when a
+     worker never recorded into [t] *)
   let view t =
-    if in_main () then (t.count, t.sum, t.bkts)
+    if in_main () then t
     else
-      match Registry.find_opt (local_shard ()).sh_hists t.name with
-      | Some c -> (c.h_count, c.h_sum, c.h_bkts)
-      | None -> (0, 0.0, empty_buckets ())
+      match Registry.find_opt (local ()).hists t.h_name with
+      | Some c -> c
+      | None -> fresh t.h_name ()
 
-  let count t =
-    let c, _, _ = view t in
-    c
-
-  let sum t =
-    let _, s, _ = view t in
-    s
+  let count t = (view t).count
+  let sum t = (view t).sum
 
   let mean t =
-    let c, s, _ = view t in
-    if c = 0 then 0.0 else s /. float_of_int c
+    let c = view t in
+    if c.count = 0 then 0.0 else c.sum /. float_of_int c.count
 
-  let buckets t =
-    let _, _, b = view t in
-    Array.copy b
+  let buckets t = Array.copy (view t).bkts
 
   (* the upper bound of the first non-empty bucket at which the
      cumulative count reaches q * total. [cum > 0]: with q = 0 the
@@ -230,10 +179,9 @@ module Histogram = struct
 
   let quantile t q =
     if q < 0.0 || q > 1.0 then invalid_arg "Obs.Histogram.quantile";
-    let _, _, bkts = view t in
-    bucket_quantile bkts q
+    bucket_quantile (view t).bkts q
 
-  let name t = t.name
+  let name t = t.h_name
 end
 
 module Span = struct
@@ -263,33 +211,25 @@ module Span = struct
     end
 end
 
+(* zero the calling domain's store; its instruments stay registered *)
 let reset_all () =
-  if in_main () then begin
-    List.iter (fun (c : Counter.t) -> c.Counter.v <- 0)
-      (Registry.items Counter.registry);
-    List.iter
-      (fun (h : Histogram.t) ->
-        h.Histogram.count <- 0;
-        h.Histogram.sum <- 0.0;
-        Array.fill h.Histogram.bkts 0 (Array.length h.Histogram.bkts) 0)
-      (Registry.items Histogram.registry)
-  end
-  else begin
-    (* a worker can only zero its own shard; the global registries stay
-       untouched (they belong to the main domain) *)
-    let s = local_shard () in
-    Registry.clear s.sh_counters;
-    Registry.clear s.sh_hists
-  end
+  let s = local () in
+  List.iter (fun (c : counter) -> c.v <- 0) (Registry.items s.counters);
+  List.iter
+    (fun h ->
+      h.count <- 0;
+      h.sum <- 0.0;
+      Array.fill h.bkts 0 (Array.length h.bkts) 0)
+    (Registry.items s.hists)
 
 module Sharding = struct
-  type shard = shard_store
+  type shard = store
 
   let take () =
-    if in_main () then fresh_shard ()
+    if in_main () then fresh_store ()
     else begin
-      let s = Domain.DLS.get shard_key in
-      Domain.DLS.set shard_key (fresh_shard ());
+      let s = local () in
+      Domain.DLS.set store_key (fresh_store ());
       s
     end
 
@@ -297,19 +237,17 @@ module Sharding = struct
     if not (in_main ()) then
       invalid_arg "Obs.Sharding.merge: must be called from the main domain";
     List.iter
-      (fun (c : counter_cell) ->
+      (fun (c : counter) ->
         let g = Counter.make c.c_name in
-        g.Counter.v <- g.Counter.v + c.c_v)
-      (Registry.items s.sh_counters);
+        g.v <- g.v + c.v)
+      (Registry.items s.counters);
     List.iter
-      (fun (hc : hist_cell) ->
-        let h = Histogram.make hc.h_name in
-        h.Histogram.count <- h.Histogram.count + hc.h_count;
-        h.Histogram.sum <- h.Histogram.sum +. hc.h_sum;
-        Array.iteri
-          (fun i k -> h.Histogram.bkts.(i) <- h.Histogram.bkts.(i) + k)
-          hc.h_bkts)
-      (Registry.items s.sh_hists)
+      (fun h ->
+        let g = Histogram.make h.h_name in
+        g.count <- g.count + h.count;
+        g.sum <- g.sum +. h.sum;
+        Array.iteri (fun i k -> g.bkts.(i) <- g.bkts.(i) + k) h.bkts)
+      (Registry.items s.hists)
 end
 
 module Export = struct
@@ -325,27 +263,29 @@ module Export = struct
   type snapshot = metric list
 
   (* Sorted by name within each kind: registration order depends on
-     which domain first touched an instrument (worker shards register on
+     which domain first touched an instrument (worker stores register on
      merge), so insertion order would make exports differ across --jobs
      settings. Name order makes two snapshots of the same run diffable
      regardless of scheduling. *)
   let by_name name xs =
     List.sort (fun a b -> String.compare (name a) (name b)) xs
 
+  (* the calling domain's store: the global registry in the main domain *)
   let snapshot () =
+    let s = local () in
     List.map
-      (fun c -> Counter (Counter.name c, Counter.value c))
-      (by_name Counter.name (Registry.items Counter.registry))
+      (fun (c : counter) -> Counter (c.c_name, c.v))
+      (by_name Counter.name (Registry.items s.counters))
     @ List.map
         (fun h ->
           Histogram
             {
-              name = Histogram.name h;
-              count = Histogram.count h;
-              sum = Histogram.sum h;
-              buckets = Histogram.buckets h;
+              name = h.h_name;
+              count = h.count;
+              sum = h.sum;
+              buckets = Array.copy h.bkts;
             })
-        (by_name Histogram.name (Registry.items Histogram.registry))
+        (by_name Histogram.name (Registry.items s.hists))
 
   (* %.17g round-trips every finite double through float_of_string *)
   let fstr x = Printf.sprintf "%.17g" x

@@ -20,18 +20,24 @@
     conventional shape is ["layer.event"], e.g.
     ["sp_engine.cache_hits"].
 
-    {b Domains.} The global registries belong to the main domain and are
-    never mutated from any other domain. Recording from a worker domain
-    (spawned by the [Experiments.Pool] harness or directly) lands in a
-    private
-    per-domain {e shard}; reads from a worker see that domain's unmerged
-    contribution, so before/after delta attribution keeps working inside
-    a worker. After joining a worker, the main domain folds its shard
-    back with {!Sharding.merge}: counters sum and histograms add
-    bucket-wise, so the merged registry does not depend on merge order.
-    {!enabled} and {!clock} are plain refs shared by all domains: set
-    them before spawning workers and leave them alone while workers
-    run. *)
+    {b Domains.} Every domain records into its own {e store}: one
+    name-keyed registry per instrument kind. The main domain's store is
+    the global registry that {!Export} reads; a worker domain's store
+    (the [Experiments.Pool] harness spawns them, or code spawns one
+    directly) is private to it, so a worker never mutates shared state.
+    [make] registers the name in the calling domain's store, and a
+    record in a worker lands in its store's cell of the handle's name,
+    whichever domain made the handle; reads from a worker see that
+    domain's unmerged contribution and register nothing, so before/after
+    delta attribution keeps working inside a worker. After joining a
+    worker, the main domain folds its store back with
+    {!Sharding.merge}: counters sum, histograms add bucket-wise, and
+    every name the worker registered is registered, so the merged
+    registry depends neither on merge order nor on which domain ran
+    what — a figure family's snapshot is the same under every [--jobs]
+    setting, also in a fresh process ([test/obs_jobs.t]). {!enabled} and
+    {!clock} are plain refs shared by all domains: set them before
+    spawning workers and leave them alone while workers run. *)
 
 val enabled : bool ref
 (** Master switch, default [false]. All recording operations ({!Counter.incr},
@@ -51,11 +57,11 @@ val reset_all : unit -> unit
 (** Zero every registered instrument (counts, sums, buckets). The
     instruments themselves stay registered. Benchmarks call this between
     phases so each phase's snapshot is self-contained. Called from a
-    worker domain it zeroes only that domain's shard. *)
+    worker domain it zeroes only that domain's store. *)
 
-(** Per-domain shard hand-off for parallel harnesses. A worker domain's
-    records accumulate in a private shard; the code that joins the
-    worker moves them into the global registry:
+(** Per-domain store hand-off for parallel harnesses. A worker domain's
+    registrations and records accumulate in its private store; the code
+    that joins the worker moves them into the global registry:
 
     {[
       let worker () = ...work...; Obs.Sharding.take () in
@@ -65,22 +71,23 @@ val reset_all : unit -> unit
 
     Every kind merges by summing, so the order of the merges does not
     matter. Nothing here is gated on {!enabled}: when recording was
-    disabled the shard is empty and [merge] is a no-op. *)
+    disabled the shard holds only the names the worker registered, each
+    at zero. *)
 module Sharding : sig
   type shard
 
   val take : unit -> shard
-  (** Detach and return the calling domain's accumulated shard,
-      resetting the domain's local state. In the main domain (which
-      records straight into the global registry) this returns an empty
-      shard. Call as the last thing a worker does, and hand the result
-      to the joining domain. *)
+  (** Detach and return the calling domain's store, leaving the domain
+      an empty one. In the main domain (whose store is the global
+      registry) this returns an empty shard. Call as the last thing a
+      worker does, and hand the result to the joining domain. *)
 
   val merge : shard -> unit
-  (** Fold a worker shard into the global registry: counters sum,
-      histogram counts, sums and buckets add (instruments first seen in
-      the worker are registered by the merge). Must be called from the
-      main domain; raises [Invalid_argument] elsewhere. *)
+  (** Fold a worker store into the global registry: counters sum,
+      histogram counts, sums and buckets add, and every instrument the
+      worker registered is registered by the merge, as a main-domain
+      [make] would. Must be called from the main domain; raises
+      [Invalid_argument] elsewhere. *)
 end
 
 (** {1 Instruments} *)
@@ -101,10 +108,10 @@ module Counter : sig
   (** Add an arbitrary non-negative amount, when {!enabled}. *)
 
   val value : t -> int
-  (** Current count. Reads are never gated. In a worker domain this is
-      the domain's own unmerged contribution (0 before its first
-      record), which keeps before/after attribution deltas correct
-      under parallel runs. *)
+  (** Current count. Reads are never gated and register nothing. In a
+      worker domain this is the domain's own unmerged contribution (0
+      before its first record), which keeps before/after attribution
+      deltas correct under parallel runs. *)
 
   val name : t -> string
 end
@@ -205,7 +212,8 @@ module Export : sig
       two exports of the same run diffable across [--jobs] settings. *)
 
   val snapshot : unit -> snapshot
-  (** Capture the current values of every registered instrument. *)
+  (** Capture the current values of every instrument registered in the
+      calling domain's store (the global registry in the main domain). *)
 
   val to_json : snapshot -> string
   (** A JSON object with [counters] and [histograms] sub-objects keyed

@@ -21,192 +21,169 @@ type event =
 type stamped = { at : float; event : event }
 type timeline = stamped list
 
-type t = {
-  net : Network.t;
-  link_down : bool array;       (* edge id -> fully out? *)
-  srv_down : bool array;        (* node id -> fully out? (servers only) *)
-  link_conf : float array;      (* Mbps confiscated per edge *)
-  srv_conf : float array;       (* MHz confiscated per server node *)
+(* One resource kind of a controller: its down flags and confiscation
+   ledger, indexed by edge id (links) or node id (servers), and that
+   kind's Network accessors, partially applied to the network. *)
+type kind = {
+  what : string;                        (* "link" / "server" *)
+  down : bool array;                    (* id -> fully out? *)
+  conf : float array;                   (* amount confiscated per id *)
+  valid : int -> bool;
+  bad : string;                         (* the id check's message suffix *)
+  capacity : int -> float;
+  residual : int -> float;
+  admits : int -> float -> bool;
+  held : Network.allocation -> (int * float) list;
+  single : int -> float -> Network.allocation;
+  c_down : Obs.Counter.t;
+  c_up : Obs.Counter.t;
+  c_degrade : Obs.Counter.t;
 }
 
+type t = { net : Network.t; links : kind; servers : kind }
+
 let create net =
+  let m = Network.m net and n = Network.n net in
   {
     net;
-    link_down = Array.make (Network.m net) false;
-    srv_down = Array.make (Network.n net) false;
-    link_conf = Array.make (Network.m net) 0.0;
-    srv_conf = Array.make (Network.n net) 0.0;
+    links =
+      {
+        what = "link";
+        down = Array.make m false;
+        conf = Array.make m 0.0;
+        valid = (fun e -> e >= 0 && e < m);
+        bad = ": bad edge";
+        capacity = Network.link_capacity net;
+        residual = Network.link_residual net;
+        admits = Network.link_admits net;
+        held = (fun a -> a.Network.links);
+        single = (fun e x -> { Network.links = [ (e, x) ]; nodes = [] });
+        c_down = c_link_down;
+        c_up = c_link_up;
+        c_degrade = c_degrade_link;
+      };
+    servers =
+      {
+        what = "server";
+        down = Array.make n false;
+        conf = Array.make n 0.0;
+        valid = Network.is_server net;
+        bad = ": not a server";
+        capacity = Network.server_capacity net;
+        residual = Network.server_residual net;
+        admits = Network.server_admits net;
+        held = (fun a -> a.Network.nodes);
+        single = (fun v x -> { Network.links = []; nodes = [ (v, x) ] });
+        c_down = c_server_down;
+        c_up = c_server_up;
+        c_degrade = c_degrade_server;
+      };
   }
 
-let link_is_down t e = e >= 0 && e < Array.length t.link_down && t.link_down.(e)
-let server_is_down t v = v >= 0 && v < Array.length t.srv_down && t.srv_down.(v)
-
-let check_link t e name =
-  if e < 0 || e >= Network.m t.net then invalid_arg (name ^ ": bad edge")
-
-let check_server t v name =
-  if not (Network.is_server t.net v) then invalid_arg (name ^ ": not a server")
+let is_down k i = i >= 0 && i < Array.length k.down && k.down.(i)
+let link_is_down t e = is_down t.links e
+let server_is_down t v = is_down t.servers v
+let check k i name = if not (k.valid i) then invalid_arg (name ^ k.bad)
 
 let check_fraction f name =
   if not (f >= 0.0 && f <= 1.0) then invalid_arg (name ^ ": fraction outside [0, 1]")
 
 let confiscated_link t e =
-  check_link t e "Fault.confiscated_link";
-  t.link_conf.(e)
+  check t.links e "Fault.confiscated_link";
+  t.links.conf.(e)
 
 let confiscated_server t v =
-  check_server t v "Fault.confiscated_server";
-  t.srv_conf.(v)
+  check t.servers v "Fault.confiscated_server";
+  t.servers.conf.(v)
 
-let holds_link alloc e =
-  List.exists (fun (e', amt) -> e' = e && amt > 0.0) alloc.Network.links
-
-let holds_server alloc v =
-  List.exists (fun (v', amt) -> v' = v && amt > 0.0) alloc.Network.nodes
-
-(* release the allocations of every live session matching [pred], in
-   increasing id order; returns the evicted ids (already ascending) *)
-let evict_all ~live pred =
-  let victims =
-    List.filter (fun (_, alloc) -> pred alloc) live
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.map fst victims, victims
+let holds k alloc i =
+  List.exists (fun (i', amt) -> i' = i && amt > 0.0) (k.held alloc)
+let by_id live = List.sort (fun (a, _) (b, _) -> compare a b) live
 
 (* confiscate [amount] (clamped to the current residual) from one
    resource via an ordinary allocation, so the epoch bumps and every
    cached shortest-path tree is invalidated the normal way *)
-let confiscate_link t e amount =
-  let amount = Float.min amount (Network.link_residual t.net e) in
+let confiscate t k i amount =
+  let amount = Float.min amount (k.residual i) in
   if amount > 0.0 then begin
-    (match Network.allocate t.net { Network.links = [ (e, amount) ]; nodes = [] } with
+    (match Network.allocate t.net (k.single i amount) with
     | Ok () -> ()
-    | Error msg -> invalid_arg ("Fault: link confiscation failed: " ^ msg));
-    t.link_conf.(e) <- t.link_conf.(e) +. amount
+    | Error msg ->
+      invalid_arg ("Fault: " ^ k.what ^ " confiscation failed: " ^ msg));
+    k.conf.(i) <- k.conf.(i) +. amount
   end
 
-let confiscate_server t v amount =
-  let amount = Float.min amount (Network.server_residual t.net v) in
-  if amount > 0.0 then begin
-    (match Network.allocate t.net { Network.links = []; nodes = [ (v, amount) ] } with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Fault: server confiscation failed: " ^ msg));
-    t.srv_conf.(v) <- t.srv_conf.(v) +. amount
+let restore t k i =
+  if k.conf.(i) > 0.0 then begin
+    Network.release t.net (k.single i k.conf.(i));
+    k.conf.(i) <- 0.0
   end
 
-let restore_link t e =
-  if t.link_conf.(e) > 0.0 then begin
-    Network.release t.net { Network.links = [ (e, t.link_conf.(e)) ]; nodes = [] };
-    t.link_conf.(e) <- 0.0
-  end
-
-let restore_server t v =
-  if t.srv_conf.(v) > 0.0 then begin
-    Network.release t.net { Network.links = []; nodes = [ (v, t.srv_conf.(v)) ] };
-    t.srv_conf.(v) <- 0.0
-  end
-
-let incr_kind = function
-  | Link_down _ -> Obs.Counter.incr c_link_down
-  | Link_up _ -> Obs.Counter.incr c_link_up
-  | Server_down _ -> Obs.Counter.incr c_server_down
-  | Server_up _ -> Obs.Counter.incr c_server_up
-  | Degrade_link _ -> Obs.Counter.incr c_degrade_link
-  | Degrade_server _ -> Obs.Counter.incr c_degrade_server
+type action = Down | Up | Degrade of float
 
 let inject t ~live event =
-  incr_kind event;
-  let victims =
+  let k, i, action =
     match event with
-    | Link_down e ->
-      check_link t e "Fault.inject";
-      if t.link_down.(e) then []
+    | Link_down e -> (t.links, e, Down)
+    | Link_up e -> (t.links, e, Up)
+    | Degrade_link (e, f) -> (t.links, e, Degrade f)
+    | Server_down v -> (t.servers, v, Down)
+    | Server_up v -> (t.servers, v, Up)
+    | Degrade_server (v, f) -> (t.servers, v, Degrade f)
+  in
+  Obs.Counter.incr
+    (match action with
+    | Down -> k.c_down
+    | Up -> k.c_up
+    | Degrade _ -> k.c_degrade);
+  check k i "Fault.inject";
+  let victims =
+    match action with
+    | Down ->
+      if k.down.(i) then []
       else begin
-        let ids, victims = evict_all ~live (fun a -> holds_link a e) in
+        let victims = by_id (List.filter (fun (_, a) -> holds k a i) live) in
         List.iter (fun (_, alloc) -> Network.release t.net alloc) victims;
-        confiscate_link t e infinity;
-        t.link_down.(e) <- true;
-        ids
+        confiscate t k i infinity;
+        k.down.(i) <- true;
+        List.map fst victims
       end
-    | Server_down v ->
-      check_server t v "Fault.inject";
-      if t.srv_down.(v) then []
-      else begin
-        let ids, victims = evict_all ~live (fun a -> holds_server a v) in
-        List.iter (fun (_, alloc) -> Network.release t.net alloc) victims;
-        confiscate_server t v infinity;
-        t.srv_down.(v) <- true;
-        ids
-      end
-    | Link_up e ->
-      check_link t e "Fault.inject";
-      if not t.link_down.(e) then []
-      else begin
-        restore_link t e;
-        t.link_down.(e) <- false;
-        []
-      end
-    | Server_up v ->
-      check_server t v "Fault.inject";
-      if not t.srv_down.(v) then []
-      else begin
-        restore_server t v;
-        t.srv_down.(v) <- false;
-        []
-      end
-    | Degrade_link (e, frac) ->
-      check_link t e "Fault.inject";
+    | Up ->
+      if k.down.(i) then begin
+        restore t k i;
+        k.down.(i) <- false
+      end;
+      []
+    | Degrade frac ->
       check_fraction frac "Fault.inject";
-      if t.link_down.(e) then []
+      if k.down.(i) then []
       else begin
-        let target = frac *. Network.link_capacity t.net e in
+        (* evict holders, smallest id first, only while the residual
+           cannot cover the confiscation still missing *)
+        let target = frac *. k.capacity i in
         let victims = ref [] in
-        let ordered = List.sort (fun (a, _) (b, _) -> compare a b) live in
         List.iter
           (fun (id, alloc) ->
-            let missing = target -. t.link_conf.(e) in
-            if
-              Network.link_residual t.net e < missing -. 1e-9
-              && holds_link alloc e
+            if (not (k.admits i (target -. k.conf.(i)))) && holds k alloc i
             then begin
               Network.release t.net alloc;
               victims := id :: !victims
             end)
-          ordered;
-        confiscate_link t e (target -. t.link_conf.(e));
-        List.rev !victims
-      end
-    | Degrade_server (v, frac) ->
-      check_server t v "Fault.inject";
-      check_fraction frac "Fault.inject";
-      if t.srv_down.(v) then []
-      else begin
-        let target = frac *. Network.server_capacity t.net v in
-        let victims = ref [] in
-        let ordered = List.sort (fun (a, _) (b, _) -> compare a b) live in
-        List.iter
-          (fun (id, alloc) ->
-            let missing = target -. t.srv_conf.(v) in
-            if
-              Network.server_residual t.net v < missing -. 1e-9
-              && holds_server alloc v
-            then begin
-              Network.release t.net alloc;
-              victims := id :: !victims
-            end)
-          ordered;
-        confiscate_server t v (target -. t.srv_conf.(v));
+          (by_id live);
+        confiscate t k i (target -. k.conf.(i));
         List.rev !victims
       end
   in
   Obs.Counter.add c_victims (List.length victims);
   victims
 
+(* links by edge id, then servers by node id *)
 let heal_all t =
-  Array.iteri (fun e _ -> restore_link t e) t.link_conf;
-  List.iter (fun v -> restore_server t v) (Network.servers t.net);
-  Array.fill t.link_down 0 (Array.length t.link_down) false;
-  Array.fill t.srv_down 0 (Array.length t.srv_down) false
+  List.iter
+    (fun k ->
+      Array.iteri (fun i _ -> restore t k i) k.conf;
+      Array.fill k.down 0 (Array.length k.down) false)
+    [ t.links; t.servers ]
 
 (* the failure-kind mix: 35 % link outage, 20 % server outage, 25 %
    link degradation, 20 % server degradation, all over uniform targets;
@@ -223,12 +200,10 @@ let heal_of = function
   | Server_down v -> Some (Server_up v)
   | Degrade_link _ | Degrade_server _ | Link_up _ | Server_up _ -> None
 
-let random_timeline ?heal_after ~rng ~slots ~events net =
+let random_timeline ~heal_after ~rng ~slots ~events net =
   if slots <= 0 then invalid_arg "Fault.random_timeline: slots <= 0";
   if events < 0 then invalid_arg "Fault.random_timeline: events < 0";
-  (match heal_after with
-  | Some h when h <= 0 -> invalid_arg "Fault.random_timeline: heal_after <= 0"
-  | _ -> ());
+  if heal_after <= 0 then invalid_arg "Fault.random_timeline: heal_after <= 0";
   let m = Network.m net in
   let servers = Array.of_list (Network.servers net) in
   let failures =
@@ -238,21 +213,18 @@ let random_timeline ?heal_after ~rng ~slots ~events net =
         { at; event })
   in
   let heals =
-    match heal_after with
-    | None -> []
-    | Some h ->
-      List.filter_map
-        (fun f ->
-          Option.map
-            (fun ev -> { at = f.at +. float_of_int h; event = ev })
-            (heal_of f.event))
-        failures
+    List.filter_map
+      (fun f ->
+        Option.map
+          (fun ev -> { at = f.at +. float_of_int heal_after; event = ev })
+          (heal_of f.event))
+      failures
   in
   List.stable_sort (fun a b -> compare a.at b.at) (failures @ heals)
 
 (* ---- shared-risk link groups ------------------------------------------ *)
 
-let srlg_partition ?(groups = 8) ~rng net =
+let srlg_partition ~groups ~rng net =
   if groups <= 0 then invalid_arg "Fault.srlg_partition: groups <= 0";
   let m = Network.m net in
   if m = 0 then [||]
@@ -302,13 +274,11 @@ let srlg_partition ?(groups = 8) ~rng net =
     Array.of_list (List.filter (fun l -> l <> []) (Array.to_list buckets))
   end
 
-let srlg_timeline ?heal_after ~rng ~horizon ~events groups =
+let srlg_timeline ~heal_after ~rng ~horizon ~events groups =
   if not (horizon > 0.0) then invalid_arg "Fault.srlg_timeline: horizon <= 0";
   if events < 0 then invalid_arg "Fault.srlg_timeline: events < 0";
-  (match heal_after with
-  | Some h when not (h > 0.0) ->
-    invalid_arg "Fault.srlg_timeline: heal_after <= 0"
-  | _ -> ());
+  if not (heal_after > 0.0) then
+    invalid_arg "Fault.srlg_timeline: heal_after <= 0";
   if Array.length groups = 0 then
     invalid_arg "Fault.srlg_timeline: no groups";
   let cuts =
@@ -323,12 +293,9 @@ let srlg_timeline ?heal_after ~rng ~horizon ~events groups =
       cuts
   in
   let heals =
-    match heal_after with
-    | None -> []
-    | Some h ->
-      List.concat_map
-        (fun (at, links) ->
-          List.map (fun e -> { at = at +. h; event = Link_up e }) links)
-        cuts
+    List.concat_map
+      (fun (at, links) ->
+        List.map (fun e -> { at = at +. heal_after; event = Link_up e }) links)
+      cuts
   in
   List.stable_sort (fun a b -> compare a.at b.at) (failures @ heals)

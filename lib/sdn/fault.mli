@@ -109,7 +109,7 @@ val heal_all : t -> unit
     regains exactly the capacity the faults removed. *)
 
 val random_timeline :
-  ?heal_after:int ->
+  heal_after:int ->
   rng:Topology.Rng.t ->
   slots:int ->
   events:int ->
@@ -119,10 +119,10 @@ val random_timeline :
     numbers drawn uniformly from [{0, …, slots - 1}]: a mix of
     link-down (35 %), server-down (20 %), link-degradation (25 %) and
     server-degradation (20 %) events over uniformly drawn targets, each
-    degradation confiscating half the target's capacity. With
-    [heal_after:k] (which must be positive), every full outage
-    ([Link_down]/[Server_down]) heals exactly [k] time units later
-    (possibly at or past [slots]); degradations are permanent.
+    degradation confiscating half the target's capacity. Every full
+    outage ([Link_down]/[Server_down]) heals exactly [heal_after] time
+    units later (possibly at or past [slots]); degradations are
+    permanent.
 
     The whole-number clock is that of a driver stamping its [i]-th
     arrival at time [i]: a failure at slot [i] strikes once arrival [i]
@@ -141,8 +141,8 @@ val random_timeline :
     cut. *)
 
 val srlg_partition :
-  ?groups:int -> rng:Topology.Rng.t -> Network.t -> int list array
-(** Partition the network's links into at most [groups] (default [8])
+  groups:int -> rng:Topology.Rng.t -> Network.t -> int list array
+(** Partition the network's links into at most [groups]
     non-empty shared-risk groups, each listing edge ids in increasing
     order. On a topology with embedded coordinates (e.g. GÉANT), [k]
     seed links are drawn without replacement and every link joins the
@@ -154,20 +154,20 @@ val srlg_partition :
     edgeless network. Raises [Invalid_argument] when [groups ≤ 0]. *)
 
 val srlg_timeline :
-  ?heal_after:float ->
+  heal_after:float ->
   rng:Topology.Rng.t ->
   horizon:float ->
   events:int ->
   int list array ->
   timeline
-(** [srlg_timeline ~rng ~horizon ~events groups] draws [events]
+(** [srlg_timeline ~heal_after ~rng ~horizon ~events groups] draws [events]
     correlated cuts: each picks a firing time uniform in [0, horizon)
     and a group uniform in [groups], and takes {e every} link of that
     group down at that instant ([Link_down] per member, in group
-    order). With [heal_after:h] each cut's links heal together [h]
-    later. A member already down when a cut fires is a no-op under
-    {!inject}, and an early heal of an overlapping cut revives it —
-    the model trades that edge case for exact confiscation accounting.
+    order), and heals them together [heal_after] later. A member
+    already down when a cut fires is a no-op under {!inject}, and an
+    early heal of an overlapping cut revives it — the model trades that
+    edge case for exact confiscation accounting.
     With singleton groups ([[|[0]; [1]; …|]]) this is exactly the
     matched independent-failure baseline: the same draw sequence, one
     link per cut. Sorted by [at], construction order breaking ties.

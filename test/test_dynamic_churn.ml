@@ -197,6 +197,37 @@ let test_bad_strike_targets () =
       (Fault.Server_down (-1), "Fault.inject: not a server");
     ]
 
+(* every arm's id and fraction checks, through [Fault.inject] itself
+   (in a run, [Fault.confiscated_link] rejects a bad [Link_up] first);
+   a rejected event changes nothing *)
+let test_inject_rejects_bad_events () =
+  let net, _ = designed_net () in
+  let fault = Fault.create net in
+  let frac = "Fault.inject: fraction outside [0, 1]" in
+  List.iter
+    (fun (event, msg) ->
+      Alcotest.check_raises (event_name event) (Invalid_argument msg)
+        (fun () -> ignore (Fault.inject fault ~live:[] event)))
+    [
+      (Fault.Link_up (N.m net), "Fault.inject: bad edge");
+      (Fault.Link_up (-1), "Fault.inject: bad edge");
+      (Fault.Server_up 1, "Fault.inject: not a server");
+      (Fault.Server_up (N.n net), "Fault.inject: not a server");
+      (Fault.Degrade_link (0, 1.5), frac);
+      (Fault.Degrade_link (0, -0.1), frac);
+      (Fault.Degrade_link (0, Float.nan), frac);
+      (Fault.Degrade_server (2, 1.5), frac);
+      (Fault.Degrade_server (2, -0.1), frac);
+    ];
+  for e = 0 to N.m net - 1 do
+    Alcotest.(check (float 0.0)) "nothing confiscated" 0.0
+      (Fault.confiscated_link fault e);
+    Alcotest.(check (float 0.0)) "link untouched" (N.link_capacity net e)
+      (N.link_residual net e)
+  done;
+  Alcotest.(check (float 0.0)) "server untouched" (N.server_capacity net 2)
+    (N.server_residual net 2)
+
 let test_dropped_session_departure_is_noop () =
   let net, e2 = designed_net () in
   let seen = ref [] in
@@ -594,7 +625,9 @@ let test_srlg_timeline_shape () =
   Alcotest.(check int) "4 cuts + 4 heals" 8 (List.length tl');
   Alcotest.(check bool) "timeline validation" true
     (try
-       ignore (Fault.srlg_timeline ~rng ~horizon:10.0 ~events:1 [||]);
+       ignore
+         (Fault.srlg_timeline ~heal_after:1.0 ~rng ~horizon:10.0 ~events:1
+            [||]);
        false
      with Invalid_argument _ -> true)
 
@@ -603,40 +636,6 @@ let test_srlg_timeline_shape () =
    checked after EVERY observed event: the new surface is departures and
    restorations interleaved with confiscation. The shadow live set is
    maintained purely from the [happened] stream. *)
-
-let sum_allocs shadow =
-  let links = Hashtbl.create 32 and nodes = Hashtbl.create 32 in
-  let bump tbl k v =
-    Hashtbl.replace tbl k
-      (v +. Option.value (Hashtbl.find_opt tbl k) ~default:0.0)
-  in
-  Hashtbl.iter
-    (fun _ tree ->
-      let a = Pt.allocation tree in
-      List.iter (fun (e, amt) -> bump links e amt) a.N.links;
-      List.iter (fun (v, amt) -> bump nodes v amt) a.N.nodes)
-    shadow;
-  (links, nodes)
-
-let check_conservation ~ctx net fault shadow =
-  let links, nodes = sum_allocs shadow in
-  let held tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0.0 in
-  for e = 0 to N.m net - 1 do
-    let lhs = N.link_capacity net e -. N.link_residual net e in
-    let rhs = Fault.confiscated_link fault e +. held links e in
-    if Float.abs (lhs -. rhs) > 1e-6 then
-      QCheck.Test.fail_reportf
-        "%s: link %d allocated %.9g but confiscated+held = %.9g" ctx e lhs rhs
-  done;
-  List.iter
-    (fun v ->
-      let lhs = N.server_capacity net v -. N.server_residual net v in
-      let rhs = Fault.confiscated_server fault v +. held nodes v in
-      if Float.abs (lhs -. rhs) > 1e-6 then
-        QCheck.Test.fail_reportf
-          "%s: server %d allocated %.9g but confiscated+held = %.9g" ctx v lhs
-          rhs)
-    (N.servers net)
 
 let conservation_property seed =
   with_obs @@ fun () ->
@@ -664,14 +663,16 @@ let conservation_property seed =
     | Dyn.Repaired { id; tree; _ } -> Hashtbl.replace shadow id tree
     | Dyn.Dropped _ -> ()
     | Dyn.Restored { id; tree } -> Hashtbl.replace shadow id tree);
-    check_conservation ~ctx:(describe (_t, h)) net fault shadow
+    Tutil.check_conservation ~ctx:(describe (_t, h)) net fault
+      (List.of_seq (Hashtbl.to_seq_values shadow))
   in
   let s =
     Dyn.run
       ~faults:(Dyn.make_faults ~controller:fault timeline)
       ~observe net Adm.Online_cp trace
   in
-  check_conservation ~ctx:"final" net fault shadow;
+  Tutil.check_conservation ~ctx:"final" net fault
+    (List.of_seq (Hashtbl.to_seq_values shadow));
   if s.Dyn.admitted + s.Dyn.rejected <> s.Dyn.arrivals then
     QCheck.Test.fail_reportf "admitted + rejected <> arrivals";
   if s.Dyn.evicted <> s.Dyn.repaired + s.Dyn.dropped then
@@ -794,6 +795,8 @@ let () =
             test_dropped_session_departure_is_noop;
           Alcotest.test_case "bad strike targets reach inject" `Quick
             test_bad_strike_targets;
+          Alcotest.test_case "inject rejects bad ids and fractions" `Quick
+            test_inject_rejects_bad_events;
           Alcotest.test_case "restoration order is id-sorted under ties" `Quick
             test_restoration_order_on_ties;
           Alcotest.test_case "SRLG partition on GEANT coordinates" `Quick

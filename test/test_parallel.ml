@@ -169,6 +169,37 @@ let test_merge_worker_created () =
   Alcotest.(check int) "registered at merge" 3
     (Obs.Counter.value (Obs.Counter.make name))
 
+(* a worker's [make] registers the name in its own store, so the merge
+   registers it exactly as a main-domain [make] would, even when nothing
+   was recorded (a probe on a span that never ran); a worker's read
+   registers nothing *)
+let test_merge_worker_made () =
+  Obs.reset_all ();
+  let main_made = Obs.Counter.make "tpar.main_made" in
+  let name = "tpar.worker_made" in
+  let worker_names, shard =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (Obs.Histogram.make name);
+           Alcotest.(check int) "worker read" 0 (Obs.Counter.value main_made);
+           let names =
+             List.map
+               (function
+                 | Obs.Export.Counter (n, _)
+                 | Obs.Export.Histogram { name = n; _ } -> n)
+               (Obs.Export.snapshot ())
+           in
+           (names, Obs.Sharding.take ())))
+  in
+  Alcotest.(check (list string)) "the worker's store" [ name ] worker_names;
+  Obs.Sharding.merge shard;
+  Alcotest.(check bool) "registered at merge" true
+    (List.exists
+       (function
+         | Obs.Export.Histogram { name = n; count = 0; _ } -> n = name
+         | _ -> false)
+       (Obs.Export.snapshot ()))
+
 let test_disabled_noop () =
   Obs.reset_all ();
   Alcotest.(check bool) "recording off" false !Obs.enabled;
@@ -272,6 +303,8 @@ let () =
           Alcotest.test_case "histograms add" `Quick test_merge_histograms;
           Alcotest.test_case "worker-created instrument" `Quick
             test_merge_worker_created;
+          Alcotest.test_case "worker make registers, reads do not" `Quick
+            test_merge_worker_made;
           Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
         ] );
       ( "kernels",

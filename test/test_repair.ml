@@ -283,38 +283,6 @@ let test_degrade_without_eviction () =
    for every link and server; tier counters sum to attempted; live trees
    stay valid. *)
 
-let sum_allocs live =
-  let links = Hashtbl.create 32 and nodes = Hashtbl.create 32 in
-  let bump tbl k v =
-    Hashtbl.replace tbl k (v +. Option.value (Hashtbl.find_opt tbl k) ~default:0.0)
-  in
-  List.iter
-    (fun (_, tree) ->
-      let a = Pt.allocation tree in
-      List.iter (fun (e, amt) -> bump links e amt) a.N.links;
-      List.iter (fun (v, amt) -> bump nodes v amt) a.N.nodes)
-    live;
-  (links, nodes)
-
-let check_conservation net fault live =
-  let links, nodes = sum_allocs live in
-  let held tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0.0 in
-  for e = 0 to N.m net - 1 do
-    let lhs = N.link_capacity net e -. N.link_residual net e in
-    let rhs = Fault.confiscated_link fault e +. held links e in
-    if Float.abs (lhs -. rhs) > 1e-6 then
-      QCheck.Test.fail_reportf
-        "link %d: allocated %.9g but confiscated+held = %.9g" e lhs rhs
-  done;
-  List.iter
-    (fun v ->
-      let lhs = N.server_capacity net v -. N.server_residual net v in
-      let rhs = Fault.confiscated_server fault v +. held nodes v in
-      if Float.abs (lhs -. rhs) > 1e-6 then
-        QCheck.Test.fail_reportf
-          "server %d: allocated %.9g but confiscated+held = %.9g" v lhs rhs)
-    (N.servers net)
-
 let churn_property seed =
   with_obs @@ fun () ->
   let net, rng = Tutil.random_network seed ~lo:12 ~hi:24 in
@@ -340,13 +308,13 @@ let churn_property seed =
     | Dyn.Fault_fired { victims; _ } ->
       live := List.filter (fun (id, _) -> not (List.mem id victims)) !live
     | Dyn.Arrived _ | Dyn.Departed _ | Dyn.Dropped _ | Dyn.Restored _ -> ());
-    check_conservation net fault !live
+    Tutil.check_conservation ~ctx:"strike" net fault (List.map snd !live)
   in
   ignore
     (Dyn.run
        ~faults:(Dyn.make_faults ~controller:fault ~restore:None timeline)
        ~observe net Adm.Online_cp trace);
-  check_conservation net fault !live;
+  Tutil.check_conservation ~ctx:"final" net fault (List.map snd !live);
   List.iter
     (fun (id, t) ->
       match Pt.validate net t with
@@ -356,22 +324,20 @@ let churn_property seed =
   let a0, p0, m0, r0, d0 = before and a1, p1, m1, r1, d1 = repair_counters () in
   if a1 - a0 <> p1 - p0 + (m1 - m0) + (r1 - r0) + (d1 - d0) then
     QCheck.Test.fail_reportf "tier counters do not sum to repair.attempted";
-  (* healing everything must restore the full idle capacity net of what
-     the surviving sessions still hold *)
+  (* healing everything must confiscate nothing and restore the full
+     idle capacity net of what the surviving sessions still hold *)
   Fault.heal_all fault;
-  let links, nodes = sum_allocs !live in
-  let held tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0.0 in
   for e = 0 to N.m net - 1 do
-    let expect = N.link_capacity net e -. held links e in
-    if Float.abs (N.link_residual net e -. expect) > 1e-6 then
-      QCheck.Test.fail_reportf "after heal_all, link %d residual wrong" e
+    if Fault.confiscated_link fault e <> 0.0 then
+      QCheck.Test.fail_reportf "after heal_all, link %d still confiscated" e
   done;
   List.iter
     (fun v ->
-      let expect = N.server_capacity net v -. held nodes v in
-      if Float.abs (N.server_residual net v -. expect) > 1e-6 then
-        QCheck.Test.fail_reportf "after heal_all, server %d residual wrong" v)
+      if Fault.confiscated_server fault v <> 0.0 then
+        QCheck.Test.fail_reportf "after heal_all, server %d still confiscated"
+          v)
     (N.servers net);
+  Tutil.check_conservation ~ctx:"after heal_all" net fault (List.map snd !live);
   true
 
 let () =

@@ -13,6 +13,7 @@ module Adm = Nfv_multicast.Admission
 module Dyn = Nfv_multicast.Dynamic
 module Batch = Nfv_multicast.Batch
 module R = Nfv_multicast.Restore
+module Sp_window = Nfv_multicast.Sp_window
 module Rng = Topology.Rng
 module Obs = Nfv_obs.Obs
 
@@ -42,6 +43,10 @@ let spur_net () =
 
 let entry ?(depart_at = infinity) r = { R.request = r; depart_at }
 
+(* select over a fresh window on [net], as a pass outside a run would *)
+let select ~returned net t entries =
+  R.select ~window:(Sp_window.create net) ~returned net t entries
+
 (* ---- select: ordering contracts ---------------------------------------- *)
 
 let test_to_string () =
@@ -70,9 +75,9 @@ let test_select_default_is_the_replay () =
   in
   (* scrambled entry order: select must not depend on it *)
   let entries = List.map entry [ List.nth reqs 2; List.nth reqs 0; List.nth reqs 3; List.nth reqs 1 ] in
-  let got = R.select ~returned:0.0 net R.default entries in
+  let got = select ~returned:0.0 net R.default entries in
   let expected =
-    Batch.reorder net
+    Batch.reorder ~window:(Sp_window.create net) net
       (List.sort
          (fun (a : Sdn.Request.t) b -> compare a.Sdn.Request.id b.Sdn.Request.id)
          reqs)
@@ -98,14 +103,14 @@ let test_select_knapsack_volume () =
      id), the 8 overshoots and goes last *)
   Alcotest.(check (list int)) "fitting class first, density desc, ties by id"
     [ 0; 1; 3; 2 ]
-    (ids (R.select ~returned:6.0 net t entries));
+    (ids (select ~returned:6.0 net t entries));
   (* nothing fits: pure density order *)
   Alcotest.(check (list int)) "returned 0 degenerates to density order"
     [ 2; 0; 1; 3 ]
-    (ids (R.select ~returned:0.0 net t entries));
+    (ids (select ~returned:0.0 net t entries));
   (* everything fits: same density order *)
   Alcotest.(check (list int)) "everything fits: density order" [ 2; 0; 1; 3 ]
-    (ids (R.select ~returned:100.0 net t entries))
+    (ids (select ~returned:100.0 net t entries))
 
 let test_select_deadline () =
   let net = spur_net () in
@@ -121,7 +126,7 @@ let test_select_deadline () =
   let t = R.make ~policy:R.Deadline () in
   Alcotest.(check (list int))
     "least remaining lifetime first, ties by id, unknown last" [ 1; 2; 0; 3 ]
-    (ids (R.select ~returned:0.0 net t entries))
+    (ids (select ~returned:0.0 net t entries))
 
 let test_select_priced_infeasible_last () =
   let net = spur_net () in
@@ -135,9 +140,9 @@ let test_select_priced_infeasible_last () =
   let t = R.make ~policy:(R.Knapsack R.Priced) () in
   Alcotest.(check (list int)) "unpriceable entry sorts last, never dropped"
     [ 1; 0 ]
-    (ids (R.select ~returned:100.0 net t entries));
+    (ids (select ~returned:100.0 net t entries));
   Alcotest.(check (list int)) "same with no returned headroom" [ 1; 0 ]
-    (ids (R.select ~returned:0.0 net t entries))
+    (ids (select ~returned:0.0 net t entries))
 
 (* ---- the default policy is bit-identical to the historical pass --------
    The 6-node designed net of test_dynamic_churn, replayed twice: the

@@ -179,7 +179,11 @@ let test_over_release_rejected () =
   let net = mk_net () in
   Alcotest.check_raises "double free"
     (Invalid_argument "Network.release: link over-release") (fun () ->
-      N.release net { N.links = [ (0, 1.0) ]; nodes = [] })
+      N.release net { N.links = [ (0, 1.0) ]; nodes = [] });
+  Alcotest.check_raises "server double free"
+    (Invalid_argument "Network.release: server over-release") (fun () ->
+      let v = List.hd (N.servers net) in
+      N.release net { N.links = []; nodes = [ (v, 1.0) ] })
 
 let clamps () =
   Nfv_obs.Obs.Counter.value (Nfv_obs.Obs.Counter.make "network.release_clamps")

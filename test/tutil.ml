@@ -115,3 +115,37 @@ let same_spt (a : Mcgraph.Paths.spt) (b : Mcgraph.Paths.spt) =
 (* graphs of alternating sizes, so a kernel's per-domain scratch meets
    stamps left by a larger graph: large, small, medium, small *)
 let size_ladder = [ (60, 120); (2, 8); (20, 40); (2, 8) ]
+
+(* Sdn.Fault's resource-exactness invariant, capacity(r) - residual(r)
+   = confiscated(r) + Σ held on r to within 1e-6, for every link and
+   server, with [trees] the live sessions' trees; [ctx] prefixes the
+   failure report *)
+let check_conservation ~ctx net fault trees =
+  let module N = Sdn.Network in
+  let links = Hashtbl.create 32 and nodes = Hashtbl.create 32 in
+  let held tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0.0 in
+  let bump tbl (k, v) = Hashtbl.replace tbl k (v +. held tbl k) in
+  List.iter
+    (fun tree ->
+      let a = Nfv_multicast.Pseudo_tree.allocation tree in
+      List.iter (bump links) a.N.links;
+      List.iter (bump nodes) a.N.nodes)
+    trees;
+  let check what r ~allocated ~confiscated tbl =
+    let held = confiscated +. held tbl r in
+    if Float.abs (allocated -. held) > 1e-6 then
+      QCheck.Test.fail_reportf
+        "%s: %s %d allocated %.9g but confiscated+held = %.9g" ctx what r
+        allocated held
+  in
+  for e = 0 to N.m net - 1 do
+    check "link" e links
+      ~allocated:(N.link_capacity net e -. N.link_residual net e)
+      ~confiscated:(Sdn.Fault.confiscated_link fault e)
+  done;
+  List.iter
+    (fun v ->
+      check "server" v nodes
+        ~allocated:(N.server_capacity net v -. N.server_residual net v)
+        ~confiscated:(Sdn.Fault.confiscated_server fault v))
+    (N.servers net)
