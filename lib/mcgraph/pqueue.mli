@@ -1,6 +1,7 @@
 (** Polymorphic min-priority queue with [float] priorities (pairing
-    heap). Unlike {!Heap}, elements are arbitrary and need no key space;
-    used for event-driven simulation. *)
+    heap). Unlike the indexed heap inside {!Paths.dijkstra_vec}, elements
+    are arbitrary and need no key space; used for event-driven
+    simulation. *)
 
 type 'a t
 

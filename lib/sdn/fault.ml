@@ -131,12 +131,16 @@ let inject t ~live event =
     | Server_up v -> (t.servers, v, Up)
     | Degrade_server (v, f) -> (t.servers, v, Degrade f)
   in
+  check k i "Fault.inject";
+  (match action with
+  | Degrade frac -> check_fraction frac "Fault.inject"
+  | Down | Up -> ());
+  (* only a validated event counts as injected *)
   Obs.Counter.incr
     (match action with
     | Down -> k.c_down
     | Up -> k.c_up
     | Degrade _ -> k.c_degrade);
-  check k i "Fault.inject";
   let victims =
     match action with
     | Down ->
@@ -155,7 +159,6 @@ let inject t ~live event =
       end;
       []
     | Degrade frac ->
-      check_fraction frac "Fault.inject";
       if k.down.(i) then []
       else begin
         (* evict holders, smallest id first, only while the residual

@@ -101,8 +101,9 @@ val inject : t -> live:(int * Network.allocation) list -> event -> int list
     no-ops with no victims; up events on a healthy resource likewise.
     Raises [Invalid_argument] on a bad link id, a non-server node, or a
     degradation fraction outside [0, 1]. Telemetry: one
-    [fault.injected.<kind>] counter per event kind, victims under
-    [fault.victims]. *)
+    [fault.injected.<kind>] counter per event kind, counting the events
+    that passed those checks (a rejected event counts nothing), victims
+    under [fault.victims]. *)
 
 val heal_all : t -> unit
 (** Release every confiscation and clear all down flags — the network

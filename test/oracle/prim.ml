@@ -1,7 +1,8 @@
-(* Heap-based Prim over the component of [root]: the reference for
-   [Mst.kruskal]'s spanning-tree weight. *)
+(* Heap-based Prim over the component of [root], on [Ref_heap]: the
+   reference for [Mst.kruskal]'s spanning-tree weight. *)
 
 open Mcgraph
+module Heap = Ref_heap
 
 let prim g ~weight ~root =
   let nn = Graph.n g in

@@ -1,7 +1,8 @@
 (* The indexed binary heap as it stood before the hole-based sifts:
-   every sift step swaps two slots. [Mcgraph.Heap] must make the same
-   moves — same pops, same slot of every key — so that Dijkstra's tie
-   order, and with it every tree, is unchanged. *)
+   every sift step swaps two slots. The heap inside [Paths.dijkstra_vec]
+   must make the same moves — same pops, same slot of every key — so
+   that Dijkstra's tie order, and with it every tree, is unchanged. Also
+   the heap of [Prim]. *)
 type t = {
   keys : int array;
   prio : float array;
@@ -20,6 +21,8 @@ let create capacity =
 
 let in_range h key = key >= 0 && key < Array.length h.pos
 let mem h key = in_range h key && h.pos.(key) >= 0
+
+let priority h key = if mem h key then Some h.prio.(h.pos.(key)) else None
 
 let swap h i j =
   let ki = h.keys.(i) and kj = h.keys.(j) in
@@ -98,6 +101,6 @@ let clear h =
   done;
   h.size <- 0
 
-(* the shape of [Mcgraph.Heap.For_testing.state] *)
+(* the shape of [Mcgraph.Paths.For_testing.state] *)
 let state h =
   (Array.sub h.keys 0 h.size, Array.sub h.prio 0 h.size, Array.copy h.pos)

@@ -11,10 +11,10 @@ let dijkstra g ~weight ~source =
   Paths.dijkstra_vec g ~weights:(Paths.weight_vector g ~weight) ~source
 
 (* Dijkstra as it stood before the weight-vector kernel: the closure is
-   evaluated on every scanned edge and [Heap.pop_min] returns the popped
-   priority. The kernel must reproduce it bit for bit; it runs on the
-   swap-based reference heap, so the comparison also pins the tie order
-   the kernel inherited. *)
+   evaluated on every scanned edge, the pop returns the popped priority
+   and settled nodes are skipped by a mark. The kernel must reproduce it
+   bit for bit; it runs on the swap-based reference heap, so the
+   comparison also pins the tie order the kernel inherited. *)
 let swap_heap_dijkstra g ~weight ~source =
   let module H = Ref_heap in
   let nn = G.n g in

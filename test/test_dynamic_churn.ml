@@ -228,6 +228,38 @@ let test_inject_rejects_bad_events () =
   Alcotest.(check (float 0.0)) "server untouched" (N.server_capacity net 2)
     (N.server_residual net 2)
 
+(* an event [Fault.inject] rejects is not counted as injected; an
+   accepted one is, once *)
+let test_rejected_events_not_counted () =
+  with_obs @@ fun () ->
+  let net, _ = designed_net () in
+  let fault = Fault.create net in
+  let injected =
+    counters
+      [
+        "fault.injected.link_down"; "fault.injected.link_up";
+        "fault.injected.degrade_link"; "fault.injected.server_down";
+        "fault.injected.server_up"; "fault.injected.degrade_server";
+      ]
+  in
+  let before = injected () in
+  List.iter
+    (fun event ->
+      match Fault.inject fault ~live:[] event with
+      | _ -> Alcotest.failf "%s accepted" (event_name event)
+      | exception Invalid_argument _ -> ())
+    [
+      Fault.Link_up (-1); Fault.Degrade_link (0, 1.5);
+      Fault.Server_down 1; Fault.Degrade_server (2, Float.nan);
+    ];
+  Alcotest.(check (list int)) "rejected events count nothing"
+    [ 0; 0; 0; 0; 0; 0 ]
+    (deltas before (injected ()));
+  ignore (Fault.inject fault ~live:[] (Fault.Degrade_link (0, 0.5)));
+  Alcotest.(check (list int)) "an accepted event counts once"
+    [ 0; 0; 1; 0; 0; 0 ]
+    (deltas before (injected ()))
+
 let test_dropped_session_departure_is_noop () =
   let net, e2 = designed_net () in
   let seen = ref [] in
@@ -797,6 +829,8 @@ let () =
             test_bad_strike_targets;
           Alcotest.test_case "inject rejects bad ids and fractions" `Quick
             test_inject_rejects_bad_events;
+          Alcotest.test_case "rejected events are not counted" `Quick
+            test_rejected_events_not_counted;
           Alcotest.test_case "restoration order is id-sorted under ties" `Quick
             test_restoration_order_on_ties;
           Alcotest.test_case "SRLG partition on GEANT coordinates" `Quick

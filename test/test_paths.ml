@@ -22,6 +22,21 @@ let test_dijkstra_picks_cheaper () =
   Alcotest.(check (option (list int))) "via node 2" (Some [ 1; 2 ])
     (P.path_edges g spt 1)
 
+(* two equal-cost routes to node 3: the first relaxation stands and an
+   equal one does not replace it. Slots list a node's newest edge first,
+   so node 2 is relaxed, popped and scanned before node 1, and node 3
+   keeps parent 2 (edge 3). *)
+let test_tie_keeps_first_parent () =
+  let g = G.of_edges ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
+  let weights = [| 1.0; 1.0; 1.0; 1.0 |] in
+  let spt = P.dijkstra_vec g ~weights ~source:0 in
+  Alcotest.(check int) "parent" 2 spt.P.parent.(3);
+  Alcotest.(check int) "parent edge" 3 spt.P.parent_edge.(3);
+  Alcotest.(check bool) "= reference" true
+    (Tutil.same_spt spt
+       (Oracle.Ref_paths.swap_heap_dijkstra g ~weight:(Tutil.weight_fn weights)
+          ~source:0))
+
 let test_dijkstra_unreachable () =
   let g = G.of_edges ~n:3 [ (0, 1) ] in
   let spt = R.dijkstra g ~weight:unit_weight ~source:0 in
@@ -174,10 +189,10 @@ let prop_kernel_bit_identical =
           && Tutil.same_spt r (P.dijkstra_vec g ~weights ~source:s))
         (List.init (G.n g) Fun.id))
 
-(* The kernel's heap and settled marks are per-domain scratch: runs on
-   graphs of alternating sizes (so the scratch grows, then is reused on
-   a smaller graph) and runs right after one aborted by a negative
-   weight (which leaves heap entries behind) must still match the
+(* The kernel's heap arrays are per-domain scratch: runs on graphs of
+   alternating sizes (so the scratch grows, then is reused on a smaller
+   graph) and runs right after one aborted by a negative weight (which
+   must reset the heap entries it leaves) must still match the
    reference bit for bit. *)
 let prop_scratch_reuse =
   Tutil.qtest ~count:60 "dijkstra kernel = reference across scratch reuse"
@@ -204,6 +219,91 @@ let prop_scratch_reuse =
               end)
             (List.init (G.n g) Fun.id))
         Tutil.size_ladder)
+
+(* The kernel's one test per scanned slot, on the weights it has to
+   get right without settled marks: [-0.0], [infinity] and [nan]
+   weights; negative weights (in this graph a slot scanned from a
+   settled node never leads to a settled one, as its far end scanned it
+   first, so a negative edge is harmless only where the search never
+   reaches it, and raises once it does); a weight vector longer than
+   [m]; and a source outside [0, n). On each vector the kernel gives the
+   reference's tree bits or its exception, and the next run is intact. *)
+let prop_kernel_edge_cases =
+  Tutil.qtest ~count:200 "dijkstra kernel = reference on edge-case weights"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module Rng = Topology.Rng in
+      let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:30 in
+      let n = G.n g in
+      let outcome f =
+        match f () with
+        | spt -> Ok spt
+        | exception Invalid_argument msg -> Error msg
+      in
+      let reference weights source =
+        outcome (fun () ->
+            Oracle.Ref_paths.swap_heap_dijkstra g
+              ~weight:(Tutil.weight_fn weights) ~source)
+      in
+      let kernel weights source =
+        outcome (fun () -> P.dijkstra_vec g ~weights ~source)
+      in
+      let same a b =
+        match (a, b) with
+        | Ok a, Ok b -> Tutil.same_spt a b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      let base = Tutil.tied_weights rng g in
+      let s0 = Rng.int rng n in
+      let intact () = same (reference base s0) (kernel base s0) in
+      let agree weights source =
+        same (reference weights source) (kernel weights source) && intact ()
+      in
+      let special =
+        Array.map
+          (fun w ->
+            match Rng.int rng 6 with
+            | 0 -> -0.0
+            | 1 -> infinity
+            | 2 -> Float.nan
+            | _ -> w)
+          base
+      in
+      (* cut with more [infinity] weights, then put [-1.0] on every edge
+         the cut search from [s0] leaves unreached (no raise from [s0]),
+         or on one edge at [s0] (raises) *)
+      let cut =
+        Array.map (fun w -> if Rng.int rng 3 = 0 then infinity else w) special
+      in
+      let reached =
+        match reference cut s0 with Ok spt -> spt.P.dist | Error _ -> [||]
+      in
+      let hidden =
+        Array.mapi
+          (fun e w ->
+            if reached.(G.edge_u g e) = infinity
+               && reached.(G.edge_v g e) = infinity
+            then -1.0
+            else w)
+          cut
+      in
+      let touched = Array.copy cut in
+      let at_s0 = G.neighbors g s0 in
+      touched.(snd (List.nth at_s0 (Rng.int rng (List.length at_s0)))) <- -1.0;
+      let longer = Array.append special [| -1.0; Float.nan; infinity |] in
+      let negative = Error "Paths.dijkstra: negative weight" in
+      List.for_all
+        (fun source ->
+          agree special source && agree hidden source && agree touched source
+          && agree longer source)
+        (List.init n Fun.id)
+      && Result.is_ok (kernel hidden s0)
+      && same (kernel touched s0) negative
+      && List.for_all
+           (fun source ->
+             Result.is_error (kernel base source) && agree base source)
+           [ -1; n ])
 
 (* [iter_path] streams the list [path_edges] builds: the same edges in
    the same order, nothing and [false] for a target that pruned
@@ -237,6 +337,8 @@ let () =
         [
           Alcotest.test_case "simple path" `Quick test_dijkstra_path;
           Alcotest.test_case "cheaper detour" `Quick test_dijkstra_picks_cheaper;
+          Alcotest.test_case "equal-cost tie keeps the first parent" `Quick
+            test_tie_keeps_first_parent;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "infinity prunes" `Quick test_dijkstra_infinite_edge_pruned;
           Alcotest.test_case "negative rejected" `Quick test_dijkstra_negative_rejected;
@@ -254,6 +356,7 @@ let () =
           prop_apsp_rows;
           prop_kernel_bit_identical;
           prop_scratch_reuse;
+          prop_kernel_edge_cases;
           prop_iter_path;
         ] );
     ]
