@@ -80,7 +80,8 @@ let order ca sa cb sb =
    [Aux_graph.redundant] proves repeat a smaller combination's tree and
    cost (DESIGN.md §17): that smaller one comes first in [order], so no
    minimum and no first-allocatable candidate changes. *)
-let price ?(k = default_k) aux f =
+let price aux f =
+  let k = Aux_graph.k aux in
   if k < 1 then invalid_arg "Appro_multi: K must be at least 1";
   Combinations.iter_subsets_up_to (Aux_graph.reachable_servers aux) k
     (fun subset ->
@@ -94,51 +95,51 @@ let price ?(k = default_k) aux f =
           if c < infinity then f c subset edges
       end)
 
-let candidates ?k ?placement_cost ~engine ~usable_servers net request =
+let candidates ?(k = default_k) ?placement_cost ~engine ~usable_servers net request =
   let aux =
-    Aux_graph.build ~engine ?placement_cost ~net ~request
+    Aux_graph.build ~engine ?placement_cost ~k ~net ~request
       ~candidate_servers:usable_servers ()
   in
   let found = ref [] in
-  price ?k aux (fun c subset edges -> found := (c, subset, aux, edges) :: !found);
+  price aux (fun c subset edges -> found := (c, subset, aux, edges) :: !found);
   List.sort (fun (ca, sa, _, _) (cb, sb, _, _) -> order ca sa cb sb) !found
 
 (* The [combinations] field always reports the size of the explored
    search space: the number of non-empty server subsets of size ≤ K drawn
    from the reachable candidate servers, feasible or not. *)
-let combinations_explored ?k aux =
+let combinations_explored aux =
   Combinations.count_up_to
     (List.length (Aux_graph.reachable_servers aux))
-    (Option.value k ~default:default_k)
+    (Aux_graph.k aux)
 
-let result net ?k aux ~aux_cost ~subset tree =
+let result net aux ~aux_cost ~subset tree =
   {
     tree;
     subset = List.sort Int.compare subset;
     aux_cost;
     cost = Pseudo_tree.cost net tree;
-    combinations = combinations_explored ?k aux;
+    combinations = combinations_explored aux;
   }
 
 (* one incumbent, the least candidate under [order] so far *)
-let solve_with ?k ?window ~capacitated ~usable_servers net request =
+let solve_with ?(k = default_k) ?window ~capacitated ~usable_servers net request =
   observe "appro_multi.solve" ~ok:c_solved ~err:c_infeasible @@ fun () ->
   if usable_servers = [] then Error "no usable server"
   else
     let aux =
       Aux_graph.build
         ~engine:(engine ?window ~capacitated net request)
-        ~net ~request ~candidate_servers:usable_servers ()
+        ~k ~net ~request ~candidate_servers:usable_servers ()
     in
     let best = ref None in
-    price ?k aux (fun c subset edges ->
+    price aux (fun c subset edges ->
         match !best with
         | Some (bc, bs, _) when order c subset bc bs >= 0 -> ()
         | _ -> best := Some (c, subset, edges));
     match !best with
     | None -> Error "no feasible pseudo-multicast tree"
     | Some (aux_cost, subset, edges) ->
-      Ok (result net ?k aux ~aux_cost ~subset (Aux_graph.to_pseudo_tree aux edges))
+      Ok (result net aux ~aux_cost ~subset (Aux_graph.to_pseudo_tree aux edges))
 
 let solve ?k ?window net request =
   solve_with ?k ?window ~capacitated:false
@@ -166,7 +167,7 @@ let admit ?k ?window net request =
       | (aux_cost, subset, aux, edges) :: rest -> (
         let tree = Aux_graph.to_pseudo_tree aux edges in
         match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
-        | Ok () -> Ok (result net ?k aux ~aux_cost ~subset tree)
+        | Ok () -> Ok (result net aux ~aux_cost ~subset tree)
         | Error _ -> try_cands rest)
     in
     try_cands cands

@@ -55,10 +55,11 @@ type t = {
   mutable metrics : int;                    (* metric ids handed out *)
   mutable vec : float array;                (* the hub vector of the row being filled *)
   mutable dom : dominance option;           (* built on [redundant]'s first use *)
-  mutable bneck : float array;              (* subset slot -> closure-MST bottleneck *)
+  k : int;                                  (* most servers per subset *)
+  bneck : float array;                      (* slot of < k servers -> closure-MST bottleneck *)
 }
 
-let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
+let build ~engine ?placement_cost ~k ~net ~request ~candidate_servers () =
   let g = Sdn.Network.graph net in
   let nn = G.n g and mm = G.m g in
   let nc = List.length candidate_servers in
@@ -108,7 +109,8 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
       metrics = 0;
       vec = [||];
       dom = None;
-      bneck = [||];
+      k;
+      bneck = Array.make (Combinations.count_up_to nc (k - 1)) Float.nan;
     }
   in
   List.iteri
@@ -122,6 +124,7 @@ let build ~engine ?placement_cost ~net ~request ~candidate_servers () =
     candidate_servers;
   t
 
+let k t = t.k
 let virtual_node t = t.vnode
 let base_edge_count t = t.base_m
 let is_virtual_edge t e = e >= t.base_m && e < t.base_m + Array.length t.wv
@@ -209,24 +212,15 @@ let slot t iu subset =
   in
   go 1 (-1) 0 subset
 
-(* the bottleneck at slot [k], nan when not written at this weight
-   vector *)
+(* One slot per subset of fewer than [t.k] servers: rule (a') reads the
+   slot of a priced subset minus one server, so a subset of [t.k]
+   stores nothing. A slot holds nan until written at this weight
+   vector. *)
 let[@inline] bottleneck t k =
   if k >= 0 && k < Array.length t.bneck then t.bneck.(k) else Float.nan
 
-(* slot [k], of a subset of [size] servers, <- [x]; the table grows to
-   every slot of that size *)
-let[@inline] set_bottleneck t k size x =
-  if k >= 0 then begin
-    let len = Array.length t.bneck in
-    if k >= len then begin
-      let len' = max (Combinations.count_up_to (t.nb - 1) size) (2 * len) in
-      let b = Array.make len' Float.nan in
-      Array.blit t.bneck 0 b 0 len;
-      t.bneck <- b
-    end;
-    t.bneck.(k) <- x
-  end
+let[@inline] set_bottleneck t k x =
+  if k >= 0 && k < Array.length t.bneck then t.bneck.(k) <- x
 
 (* ------------------------------------------------------------------ *)
 (* subset metric: exact hub decomposition                               *)
@@ -545,7 +539,7 @@ let steiner_tree sm =
     | Some _ -> Mcgraph.Steiner.closure_bottleneck ()
     | None -> infinity
   in
-  set_bottleneck sm.aux sm.slot (sm.h - 2) b;
+  set_bottleneck sm.aux sm.slot b;
   tree
 
 let tree_cost sm edges =
@@ -755,8 +749,7 @@ let rec covers t d iu subset w =
    KMB run is R's, pick for pick, so it takes R's bottleneck *)
 let skip t subset iu rule =
   Obs.Counter.incr rule;
-  set_bottleneck t (slot t (-1) subset) (List.length subset)
-    (bottleneck t (slot t iu subset));
+  set_bottleneck t (slot t (-1) subset) (bottleneck t (slot t iu subset));
   true
 
 (* u is inert when (b) holds and (a) or (a') does *)
@@ -791,18 +784,12 @@ let rec server_in r roots servers =
   | r' :: roots, v :: servers -> if r' = r then v else server_in r roots servers
   | _ -> -1
 
-(* [x]'s climb to its ancestor [v] in the domain's scratch rooting, read
-   top-down *)
-let rec climb x v acc =
-  if x = v then acc
-  else climb (Mcgraph.Tree.Scratch.parent x) v (Mcgraph.Tree.Scratch.parent_edge x :: acc)
-
 (* The tree minus s'_k is one subtree per virtual edge: the base edges
    of its server's union-find set, rooted at the server on the base
-   graph, where [Tree.Scratch.root] refuses a cycle or a repeat. A tree
-   path is unique, so a destination's [onward] is its climb to its
-   server read top-down. Each server's source path is read once, where
-   its virtual edge is charged, and shared by the routes through it. *)
+   graph, where [Tree.root] refuses a cycle or a repeat. A
+   destination's [onward] is its tree path from its server. Each
+   server's source path is read once, where its virtual edge is
+   charged, and shared by the routes through it. *)
 let to_pseudo_tree t tree_edges =
   let req = t.req and g = t.base in
   let fail what = invalid_arg ("Aux_graph.to_pseudo_tree: " ^ what) in
@@ -836,8 +823,10 @@ let to_pseudo_tree t tree_edges =
   let onward = Array.make (Array.length dests) [] in
   List.iter
     (fun v ->
-      Mcgraph.Tree.Scratch.root g ~root:v (List.filter (under v) tree_edges);
-      Array.iteri (fun i d -> if server_of d = v then onward.(i) <- climb d v []) dests)
+      Mcgraph.Tree.root g ~root:v (List.filter (under v) tree_edges);
+      Array.iteri
+        (fun i d -> if server_of d = v then onward.(i) <- Mcgraph.Tree.path_between v d)
+        dests)
     !servers;
   let route_of i d =
     let v = server_of d in

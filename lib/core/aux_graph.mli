@@ -31,6 +31,7 @@ type t
 val build :
   engine:Mcgraph.Sp_engine.t ->
   ?placement_cost:(int -> float) ->
+  k:int ->
   net:Sdn.Network.t ->
   request:Sdn.Request.t ->
   candidate_servers:int list ->
@@ -44,7 +45,13 @@ val build :
     capacitated), {!Online_multi} uses {!Online_cp.engine}.
     [placement_cost] prices a server (default [c_v(SC_k)]).
     [candidate_servers] are the servers considered for hosting the
-    chain (already filtered for computing capacity by the caller). *)
+    chain (already filtered for computing capacity by the caller). [k]
+    is the most servers a priced subset holds: {!redundant}'s
+    bottleneck table keeps one slot per subset of fewer than [k]
+    candidates. *)
+
+val k : t -> int
+(** The [k] the graph was built for. *)
 
 val virtual_node : t -> int
 (** [s'_k], node [n] of [G_k^i]; its edge [m + i] leads to candidate [i]. *)
@@ -110,7 +117,7 @@ val steiner_tree : subset_metric -> int list option
     terminal is unreachable. The run's closure-MST bottleneck (its
     longest closure-MST edge, [infinity] for [None]) is kept for
     {!redundant}'s rule (a′) when the subset lists its servers in
-    candidate order. The run reads the request's terminal array
+    candidate order and holds fewer than [k] of them. The run reads the request's terminal array
     (built once per [t]), the base graph, and the virtual edges as
     spokes of [s'_k]: base edges weigh the metric's engine vector,
     virtual edges their {!virtual_edge_weight}. A KMB path emits only

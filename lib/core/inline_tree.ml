@@ -7,16 +7,16 @@ let derive net request ~tree ~servers =
   let b = request.Sdn.Request.bandwidth in
   let weight e = b *. Sdn.Network.link_unit_cost net e in
   let s = request.Sdn.Request.source in
-  match Tree.of_edges g ~root:s tree with
+  match Tree.root g ~root:s tree with
   | exception Invalid_argument m -> Error ("not a tree rooted at the source: " ^ m)
-  | rooted ->
+  | () ->
     if servers = [] then Error "no servers supplied"
     else if not (List.for_all (Sdn.Network.is_server net) servers) then
       Error "a supplied node is not a server"
-    else if not (List.for_all (Tree.mem rooted) servers) then
+    else if not (List.for_all Tree.mem servers) then
       Error "a supplied server is off the tree"
     else if
-      not (List.for_all (Tree.mem rooted) request.Sdn.Request.destinations)
+      not (List.for_all Tree.mem request.Sdn.Request.destinations)
     then Error "a destination is off the tree"
     else begin
       (* each destination goes to its tree-nearest server *)
@@ -24,7 +24,7 @@ let derive net request ~tree ~servers =
         let best =
           List.fold_left
             (fun best v ->
-              let p = Tree.path_between rooted v d in
+              let p = Tree.path_between v d in
               let c = Mcgraph.Steiner.tree_cost ~weight p in
               match best with
               | Some (c', _, _) when c' <= c -> best
@@ -45,7 +45,7 @@ let derive net request ~tree ~servers =
         (fun v ->
           List.iter
             (fun e -> Hashtbl.replace t0 e ())
-            (Tree.path_up rooted v ~ancestor:s))
+            (Tree.path_up v ~ancestor:s))
         used;
       (* processed flows: per server, the union of its fan-out paths *)
       let floods = Hashtbl.create 4 in
@@ -64,7 +64,7 @@ let derive net request ~tree ~servers =
       let routes =
         List.map
           (fun (d, v, p) ->
-            let to_server = List.rev (Tree.path_up rooted v ~ancestor:s) in
+            let to_server = List.rev (Tree.path_up v ~ancestor:s) in
             (d, { Pseudo_tree.to_server; server = v; onward = p }))
           assignments
       in

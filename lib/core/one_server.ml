@@ -89,12 +89,12 @@ let solve_impl net request =
       (* route witnesses over a spanning tree of the (possibly redundant)
          subgraph; the full subgraph is charged, as the baseline floods it *)
       let spanning = Mcgraph.Mst.kruskal_subset g ~weight ~edges:subgraph in
-      let rooted = Mcgraph.Tree.of_edges g ~root:x spanning in
+      Mcgraph.Tree.root g ~root:x spanning;
       let routes =
         List.map
           (fun d ->
             let onward =
-              v_to_x @ List.rev (Mcgraph.Tree.path_up rooted d ~ancestor:x)
+              v_to_x @ List.rev (Mcgraph.Tree.path_up d ~ancestor:x)
             in
             (d, { Pseudo_tree.to_server; server = v; onward }))
           request.Sdn.Request.destinations

@@ -173,8 +173,8 @@ type admitted = {
 
 type outcome = Admitted of admitted | Rejected of rejection
 
-(* A candidate keeps its KMB tree as the edge list; only the one
-   [try_alloc] tries is rooted as a [Tree.t]. *)
+(* A candidate keeps its KMB tree as the edge list, rooted again by the
+   one [try_alloc] tries. *)
 type candidate = {
   cand_server : int;
   cand_pos : int;             (* index in the usable-server order *)
@@ -507,17 +507,15 @@ let admit_impl ~prune p request =
                   None
                 end
                 else begin
-                  (* the LCA and the v → u backtrack are unique in the
-                     tree, so the scratch rooting reads them as
-                     [Tree.of_edges g ~root:s] would; the backtrack is
-                     summed in its travel order, as [Tree.path_up]
-                     lists it *)
-                  Tree.Scratch.root g ~root:s tree_edges;
-                  let u = Tree.Scratch.lca v destinations in
+                  (* the v → u backtrack is summed in its travel order,
+                     as [Tree.path_up] lists it, without building the
+                     list *)
+                  Tree.root g ~root:s tree_edges;
+                  let u = Tree.lca v destinations in
                   let w_back = ref 0.0 and x = ref v in
                   while !x <> u do
-                    w_back := !w_back +. wvec.(Tree.Scratch.parent_edge !x);
-                    x := Tree.Scratch.parent !x
+                    w_back := !w_back +. wvec.(Tree.parent_edge !x);
+                    x := Tree.parent !x
                   done;
                   let score = w_tree +. !w_back +. p.p_wv in
                   Some
@@ -555,9 +553,8 @@ let admit_impl ~prune p request =
                descending, so no edge carries more traffic than
                Algorithm 2 accounts for *)
             let tree =
-              Pseudo_tree.of_rooted
-                ~rooted:(Tree.of_edges g ~root:s c.cand_edges)
-                ~support:c.cand_edges ~request ~server_of:(fun _ -> v)
+              Pseudo_tree.of_support g ~support:c.cand_edges ~request
+                ~server_of:(fun _ -> v)
             in
             match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
             | Ok () ->

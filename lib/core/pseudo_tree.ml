@@ -43,13 +43,14 @@ let make ~request ~servers ~edge_uses ~routes =
   in
   { request; servers = List.sort_uniq Int.compare servers; edge_uses = merged; routes }
 
-(* per server (distinct, ascending): its source path, shared by the
-   routes it serves, and its backtrack up to the LCA of it and those
-   destinations *)
-let of_rooted ~rooted ~support ~request ~server_of =
+(* [support] rooted at the source; per server (distinct, ascending): its
+   source path, shared by the routes it serves, and its backtrack up to
+   the LCA of it and those destinations *)
+let of_support g ~support ~request ~server_of =
   let module Tree = Mcgraph.Tree in
   let s = request.Sdn.Request.source in
   let dests = request.Sdn.Request.destinations in
+  Tree.root g ~root:s support;
   let servers =
     List.sort Int.compare
       (List.fold_left
@@ -63,8 +64,8 @@ let of_rooted ~rooted ~support ~request ~server_of =
       (fun v ->
         let mine = List.filter (fun d -> server_of d = v) dests in
         ( v,
-          Tree.path_between rooted s v,
-          Tree.path_up rooted v ~ancestor:(Tree.lca_many rooted (v :: mine)) ))
+          Tree.path_between s v,
+          Tree.path_up v ~ancestor:(Tree.lca v mine) ))
       servers
   in
   let routes =
@@ -72,7 +73,7 @@ let of_rooted ~rooted ~support ~request ~server_of =
       (fun d ->
         let v = server_of d in
         let _, to_server, _ = List.find (fun (v', _, _) -> v' = v) legs in
-        (d, { to_server; server = v; onward = Tree.path_between rooted v d }))
+        (d, { to_server; server = v; onward = Tree.path_between v d }))
       dests
   in
   (* the support plus every backtrack, in any order: edge_uses_of_list

@@ -34,19 +34,21 @@ val make :
     [Invalid_argument] on an empty server list or a non-positive
     multiplicity. *)
 
-val of_rooted :
-  rooted:Mcgraph.Tree.t ->
+val of_support :
+  Mcgraph.Graph.t ->
   support:int list ->
   request:Sdn.Request.t ->
   server_of:(int -> int) ->
   t
-(** The pseudo-tree a rooted multicast tree carries when each
-    destination [d] is served by [server_of d] (a node of [rooted]):
+(** [of_support g ~support ~request ~server_of] is the pseudo-tree the
+    multicast tree [support] (edge ids of [g]) carries when each
+    destination [d] is served by [server_of d], a node of the tree:
     every witness walks the tree's paths source → server → destination,
     and the edge uses are the [support] edges plus, per server, the
     backtrack from it up to the LCA of it and the destinations it
-    serves. [rooted] is rooted at the request's source; [support] lists
-    its edges. *)
+    serves. [support] is rooted at the request's source with
+    {!Mcgraph.Tree.root}, which replaces the domain's rooting and raises
+    [Invalid_argument] when [support] is not a tree. *)
 
 val edge_uses_of_list : int list -> (int * int) list
 (** Count multiplicities in a raw edge-id list (traversal multiset). *)

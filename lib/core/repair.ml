@@ -3,6 +3,7 @@ module Paths = Mcgraph.Paths
 module Sp = Mcgraph.Sp_engine
 module Steiner = Mcgraph.Steiner
 module Tree = Mcgraph.Tree
+module Union_find = Mcgraph.Union_find
 module Obs = Nfv_obs.Obs
 
 let c_attempted = Obs.Counter.make "repair.attempted"
@@ -31,32 +32,13 @@ let max_migrate_candidates = 16
 
 (* ---- shared tree surgery ---------------------------------------------- *)
 
-(* breadth-first sweep of the source's component of [edges]; marks
-   reached nodes in [visited] and returns the component's edges *)
-let component g ~edges ~from visited =
-  let adj = Array.make (G.n g) [] in
-  List.iter
-    (fun e ->
-      let u, v = G.endpoints g e in
-      adj.(u) <- (e, v) :: adj.(u);
-      adj.(v) <- (e, u) :: adj.(v))
-    edges;
-  let keep = ref [] in
-  let q = Queue.create () in
-  visited.(from) <- true;
-  Queue.add from q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun (e, v) ->
-        if not visited.(v) then begin
-          visited.(v) <- true;
-          keep := e :: !keep;
-          Queue.add v q
-        end)
-      adj.(u)
-  done;
-  !keep
+(* the partition [edges] make of the nodes, and the edges on [from]'s
+   side of it. A victim's support is a tree, so these are exactly the
+   edges of [from]'s component. *)
+let component g ~edges ~from =
+  let uf = Union_find.create (G.n g) in
+  List.iter (fun e -> ignore (Union_find.union uf (G.edge_u g e) (G.edge_v g e))) edges;
+  (uf, List.filter (fun e -> Union_find.same uf from (G.edge_u g e)) edges)
 
 (* ---- tier 1: local patch ---------------------------------------------- *)
 
@@ -81,8 +63,8 @@ let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
       | Ok () -> Some victim
       | Error _ -> None
     else begin
-      let in_tree = Array.make (G.n g) false in
-      let keep = component g ~edges:surviving ~from:s in_tree in
+      let uf, keep = component g ~edges:surviving ~from:s in
+      let in_tree = Array.init (G.n g) (Union_find.same uf s) in
       let must_reach =
         List.sort_uniq compare (victim.Pseudo_tree.servers @ dests)
       in
@@ -124,15 +106,12 @@ let try_patch ~eng ~link_down ~server_down net (victim : Pseudo_tree.t)
           let support =
             Steiner.prune g ~terminals:(s :: must_reach) (keep @ !patches)
           in
-          let rooted = Tree.of_edges g ~root:s support in
           let server_of d =
             match List.assoc_opt d victim.Pseudo_tree.routes with
             | Some r -> r.Pseudo_tree.server
             | None -> List.hd victim.Pseudo_tree.servers
           in
-          let tree =
-            Pseudo_tree.of_rooted ~rooted ~support ~request ~server_of
-          in
+          let tree = Pseudo_tree.of_support g ~support ~request ~server_of in
           match Sdn.Network.allocate net (Pseudo_tree.allocation tree) with
           | Ok () -> Some tree
           | Error _ -> None
@@ -158,14 +137,13 @@ let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
     let demand = Sdn.Request.demand_mhz request in
     let support = List.map fst victim.Pseudo_tree.edge_uses in
     let surviving = List.filter (fun e -> not (link_down e)) support in
-    let in_tree = Array.make (G.n g) false in
-    let keep = component g ~edges:surviving ~from:s in_tree in
-    if not (List.for_all (fun d -> in_tree.(d)) dests) then None
+    let uf, keep = component g ~edges:surviving ~from:s in
+    if not (List.for_all (Union_find.same uf s) dests) then None
     else begin
       try
         let kept = Steiner.prune g ~terminals:(s :: dests) keep in
-        let rooted = Tree.of_edges g ~root:s kept in
-        let tree_nodes = Tree.nodes rooted in
+        Tree.root g ~root:s kept;
+        let tree_nodes = Tree.nodes () in
         let spt_s = Sp.spt eng s in
         let maxd =
           List.fold_left
@@ -210,10 +188,7 @@ let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
                   if spt_v.Paths.dist.(u) < !bd then begin
                     best := u;
                     bd := spt_v.Paths.dist.(u)
-                  end
-                  else if
-                    spt_v.Paths.dist.(u) = !bd && !best >= 0 && u < !best
-                  then best := u)
+                  end)
                 (List.sort compare tree_nodes);
               if !best >= 0 && !bd < infinity then begin
                 let score = w_v v +. !bd in
@@ -231,10 +206,9 @@ let try_migrate ~eng cp ~link_down ~server_down net (victim : Pseudo_tree.t) =
             | None -> attempt rest
             | Some path -> (
               match
-                let rooted2 = Tree.of_edges g ~root:s (kept @ path) in
                 let tree =
-                  Pseudo_tree.of_rooted ~rooted:rooted2 ~support:(kept @ path)
-                    ~request ~server_of:(fun _ -> v)
+                  Pseudo_tree.of_support g ~support:(kept @ path) ~request
+                    ~server_of:(fun _ -> v)
                 in
                 (tree, Sdn.Network.allocate net (Pseudo_tree.allocation tree))
               with

@@ -29,22 +29,22 @@ let graph ?(name = "G") ?(node_label = default_label) ?edge_label
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let tree ?(name = "T") ?(node_label = default_label) g t =
+let tree ?(name = "T") ?(node_label = default_label) g ~root edges =
+  Tree.root g ~root edges;
+  let nodes = Tree.nodes () in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" name);
   Buffer.add_string buf "  node [shape=circle, fontsize=10];\n";
   List.iter
     (fun v ->
-      let extra = if v = Tree.root t then ", shape=doublecircle" else "" in
+      let extra = if v = root then ", shape=doublecircle" else "" in
       Buffer.add_string buf
         (Printf.sprintf "  %d [label=\"%s\"%s];\n" v (node_label v) extra))
-    (Tree.nodes t);
+    nodes;
   List.iter
     (fun v ->
-      if v <> Tree.root t then
-        Buffer.add_string buf
-          (Printf.sprintf "  %d -> %d;\n" (Tree.parent t v) v))
-    (Tree.nodes t);
+      if v <> root then
+        Buffer.add_string buf (Printf.sprintf "  %d -> %d;\n" (Tree.parent v) v))
+    nodes;
   Buffer.add_string buf "}\n";
-  ignore g;
   Buffer.contents buf

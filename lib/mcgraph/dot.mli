@@ -16,6 +16,9 @@ val tree :
   ?name:string ->
   ?node_label:(int -> string) ->
   Graph.t ->
-  Tree.t ->
+  root:int ->
+  int list ->
   string
-(** DOT source for a rooted tree, drawn as a digraph away from the root. *)
+(** [tree g ~root edges] is DOT source for [edges] rooted at [root]
+    (through {!Tree.root}, so it replaces the domain's rooting and
+    raises where that does), drawn as a digraph away from the root. *)

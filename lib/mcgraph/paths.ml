@@ -210,7 +210,7 @@ let path_edges _g spt target =
 
 (* the edges from the source down to [v], emitted on the way back out of
    the climb, so in travel order with nothing allocated *)
-let rec emit_down parent parent_edge source v emit =
+let rec emit_down (parent : int array) (parent_edge : int array) (source : int) v emit =
   if v <> source then begin
     emit_down parent parent_edge source parent.(v) emit;
     emit parent_edge.(v)

@@ -99,6 +99,6 @@ let is_steiner_tree g ~terminals edges =
   match List.sort_uniq Int.compare terminals with
   | [] -> edges = []
   | root :: _ as uniq -> (
-    match Tree.of_edges g ~root edges with
-    | tree -> List.for_all (Tree.mem tree) uniq
+    match Tree.root g ~root edges with
+    | () -> List.for_all Tree.mem uniq
     | exception Invalid_argument _ -> false)

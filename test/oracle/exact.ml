@@ -96,17 +96,17 @@ let optimal ?(k = 3) net request =
   match !best with
   | None -> Error "no reachable server set spanning the destinations"
   | Some (cost, subset, t0, parts) ->
-    let unprocessed = Mcgraph.Tree.of_edges g ~root:s t0 in
+    let unprocessed = Ref_tree.of_edges g ~root:s t0 in
     let routes =
       List.concat_map
         (fun (v, bucket, tv) ->
           let to_server =
-            List.rev (Mcgraph.Tree.path_up unprocessed v ~ancestor:s)
+            List.rev (Ref_tree.path_up unprocessed v ~ancestor:s)
           in
-          let rooted = Mcgraph.Tree.of_edges g ~root:v tv in
+          let rooted = Ref_tree.of_edges g ~root:v tv in
           List.map
             (fun d ->
-              let onward = List.rev (Mcgraph.Tree.path_up rooted d ~ancestor:v) in
+              let onward = List.rev (Ref_tree.path_up rooted d ~ancestor:v) in
               (d, { Pseudo_tree.to_server; server = v; onward }))
             bucket)
         parts
@@ -158,11 +158,11 @@ let optimal_one_server net request =
   | None -> Error "no reachable server spanning the destinations"
   | Some (_, v, tree_edges) ->
     let to_server = Option.get (Sp.path eng s v) in
-    let rooted = Mcgraph.Tree.of_edges g ~root:v tree_edges in
+    let rooted = Ref_tree.of_edges g ~root:v tree_edges in
     let routes =
       List.map
         (fun d ->
-          let onward = List.rev (Mcgraph.Tree.path_up rooted d ~ancestor:v) in
+          let onward = List.rev (Ref_tree.path_up rooted d ~ancestor:v) in
           (d, { Pseudo_tree.to_server; server = v; onward }))
         request.Sdn.Request.destinations
     in

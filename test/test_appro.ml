@@ -342,7 +342,7 @@ let by_order (ca, sa, _) (cb, sb, _) =
    Aux_graph API: the unpruned Algorithm 1 *)
 let all_priced ?placement_cost ~k ~keep ~usable net req =
   let aux =
-    Ag.build ~engine:(Tutil.offline_engine ~keep net req) ?placement_cost ~net
+    Ag.build ~engine:(Tutil.offline_engine ~keep net req) ?placement_cost ~k ~net
       ~request:req ~candidate_servers:usable ()
   in
   let found = ref [] in
@@ -559,7 +559,7 @@ let test_weak_rule_changes_tree () =
   in
   let req = List.nth (Workload.Gen.sequence rng net ~count:44) 43 in
   let aux =
-    Ag.build ~engine:(Tutil.offline_engine net req) ~net ~request:req
+    Ag.build ~engine:(Tutil.offline_engine net req) ~k:2 ~net ~request:req
       ~candidate_servers:(N.servers net) ()
   in
   let price subset =
@@ -604,7 +604,7 @@ let test_bottleneck_rule_skips () =
   let req = List.hd (Workload.Gen.sequence rng net ~count:1) in
   let engine = Tutil.offline_engine net req in
   let build () =
-    Ag.build ~engine ~net ~request:req ~candidate_servers:(N.servers net) ()
+    Ag.build ~engine ~k:2 ~net ~request:req ~candidate_servers:(N.servers net) ()
   in
   let aux = build () in
   let price_in aux subset =
@@ -669,7 +669,7 @@ let test_bottleneck_rule_margin () =
   in
   let placement_cost = function 3 -> 0.1 | _ -> 0.0 in
   let aux =
-    Ag.build ~engine:(Tutil.offline_engine net req) ~placement_cost ~net
+    Ag.build ~engine:(Tutil.offline_engine net req) ~placement_cost ~k:2 ~net
       ~request:req ~candidate_servers:(N.servers net) ()
   in
   let price subset =

@@ -9,7 +9,7 @@ let instance seed =
   let net, rng = Tutil.random_network seed ~lo:6 ~hi:25 in
   let request = Tutil.random_request rng net ~id:0 in
   let aux =
-    Aux.build ~engine:(Tutil.offline_engine net request) ~net ~request
+    Aux.build ~k:3 ~engine:(Tutil.offline_engine net request) ~net ~request
       ~candidate_servers:(N.servers net) ()
   in
   (net, request, aux, rng)
@@ -288,7 +288,7 @@ let prop_metric_exact_pruned =
       let removed = Array.init (N.m net) (fun _ -> Rng.int rng 10 < 3) in
       let keep e = not removed.(e) in
       let aux =
-        Aux.build ~engine:(Tutil.offline_engine ~keep net request) ~net
+        Aux.build ~k:3 ~engine:(Tutil.offline_engine ~keep net request) ~net
           ~request ~candidate_servers:(N.servers net) ()
       in
       let servers = Aux.reachable_servers aux in
@@ -328,10 +328,10 @@ let prop_dist_matches_quadratic =
       let request = Tutil.random_request rng net ~id:0 in
       let aux =
         if seed mod 2 = 0 then
-          Aux.build ~engine:(Tutil.offline_engine net request) ~net ~request
+          Aux.build ~k:3 ~engine:(Tutil.offline_engine net request) ~net ~request
             ~candidate_servers:(N.servers net) ()
         else
-          Aux.build
+          Aux.build ~k:3
             ~engine:
               (Mcgraph.Sp_engine.create (N.graph net)
                  ~weight:(fun e -> float_of_int (1 + (e mod 3)))
@@ -384,10 +384,10 @@ let prop_interleaved_subsets =
       let request = Tutil.random_request rng net ~id:0 in
       let build () =
         if seed mod 2 = 0 then
-          Aux.build ~engine:(Tutil.offline_engine net request) ~net ~request
+          Aux.build ~k:3 ~engine:(Tutil.offline_engine net request) ~net ~request
             ~candidate_servers:(N.servers net) ()
         else
-          Aux.build
+          Aux.build ~k:3
             ~engine:
               (Mcgraph.Sp_engine.create (N.graph net)
                  ~weight:(fun e -> float_of_int (1 + (e mod 3)))
@@ -457,7 +457,7 @@ let prop_path_argmin =
           ~epoch:(fun () -> N.weight_epoch net)
       in
       let aux =
-        Aux.build ~engine ~net ~request ~candidate_servers:(N.servers net) ()
+        Aux.build ~k:3 ~engine ~net ~request ~candidate_servers:(N.servers net) ()
       in
       let src = request.Sdn.Request.source in
       let servers = List.filter (( <> ) src) (Aux.reachable_servers aux) in
@@ -534,7 +534,7 @@ let prop_steiner_tree_matches_lists =
           ~epoch:(fun () -> !epoch)
       in
       let aux =
-        Aux.build ~engine ~net ~request ~candidate_servers:(N.servers net) ()
+        Aux.build ~k:3 ~engine ~net ~request ~candidate_servers:(N.servers net) ()
       in
       let ext = ext_of net in
       let terminals =
@@ -603,7 +603,7 @@ let prop_tables_match_engine_rows =
       in
       let extra = List.hd dsts :: (if seed mod 3 <> 0 then [ src ] else []) in
       let aux =
-        Aux.build ~engine
+        Aux.build ~k:3 ~engine
           ~placement_cost:(fun v -> float_of_int (v mod 3))
           ~net ~request
           ~candidate_servers:(List.sort_uniq Int.compare (extra @ N.servers net))

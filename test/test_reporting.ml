@@ -36,8 +36,7 @@ let test_dot_labels () =
 
 let test_dot_tree () =
   let g = Mcgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
-  let t = Mcgraph.Tree.of_edges g ~root:0 [ 0; 1 ] in
-  let dot = Dot.tree g t in
+  let dot = Dot.tree g ~root:0 [ 0; 1 ] in
   Alcotest.(check bool) "digraph" true (contains dot "digraph");
   Alcotest.(check bool) "oriented edge" true (contains dot "0 -> 1")
 

@@ -74,8 +74,8 @@ let is_tree g edges =
   | [] -> true
   | e :: _ ->
     let u, _ = G.endpoints g e in
-    (match Mcgraph.Tree.of_edges g ~root:u edges with
-    | (_ : Mcgraph.Tree.t) -> true
+    (match Mcgraph.Tree.root g ~root:u edges with
+    | () -> true
     | exception Invalid_argument _ -> false)
 
 let check_float = Alcotest.float 1e-6
