@@ -212,7 +212,7 @@ let prop_prune_reference =
       && List.map (fun v -> (v, T.parent v, T.parent_edge v)) (T.nodes ())
          = List.map (fun v -> (v, R.parent r v, R.parent_edge r v)) (R.nodes r))
 
-(* ---- every query against the reference, across re-rootings ---- *)
+(* ---- every query against the node-indexed reference ---- *)
 
 let catch f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
 
@@ -257,8 +257,20 @@ let agrees rng g ~root edges ~stale =
       R.nodes r )
   | _ -> (false, [])
 
-let prop_queries_reference =
-  Tutil.qtest ~count:100 "queries = Ref_tree, across re-rootings"
+(* Roots each of [rootings] in turn, the rooting before's nodes
+   passed on as stale, and checks every answer with [agrees] *)
+let agree_in_turn rng rootings =
+  fst
+    (List.fold_left
+       (fun (ok, stale) (g, root, edges) ->
+         let ok', nodes = agrees rng g ~root edges ~stale in
+         (ok && ok', nodes))
+       (true, []) rootings)
+
+(* a spanning tree, a subtree, the edge sets rooting refuses and the
+   roots off the id range, each against [Ref_tree.of_edges] *)
+let prop_layout_reference =
+  Tutil.qtest ~count:100 "of_edges and queries = node-indexed reference"
     QCheck.(int_bound 100_000)
     (fun seed ->
       (* a spanning tree: [random_connected_graph] lays edges [0, n-1)
@@ -282,21 +294,36 @@ let prop_queries_reference =
             List.filter (fun e -> e <> pick spanning) spanning;
           ]
       in
-      (* a subtree of the same graph, and one of a graph of another size
-         (stale marks, grown arrays) *)
       let g', root', _, sub = random_subtree seed in
-      let g'', root'', _, sub' = random_subtree (seed + 1) in
-      let rootings =
-        [ (g, root, spanning); (g', root', sub); (g'', root'', sub') ]
+      agree_in_turn rng
+        ([ (g, root, spanning); (g', root', sub) ]
         @ List.map (fun edges -> (g, root, edges)) bad
-        @ [ (g, root, spanning); (g, n, spanning); (g, -1, [ -1 ]); (g, root, []); (g', root', sub) ]
+        @ [ (g, n, spanning); (g, -1, [ -1 ]) ]))
+
+(* the domain's scratch across re-rootings: a rooting of a graph of
+   another size in between (stale marks, grown arrays), the same
+   rooting twice, the single-node tree, a root off the range and the
+   edge sets rooting refuses, each against [Ref_tree.of_edges] *)
+let prop_scratch_reference =
+  Tutil.qtest ~count:200 "scratch rooting = of_edges (lca, backtrack)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g, root, _, edges = random_subtree seed in
+      let g', root', _, edges' = random_subtree (seed + 1) in
+      let rng = Topology.Rng.create seed in
+      let m = G.m g in
+      let bad =
+        [ insert_at rng (-1) edges; insert_at rng (m + Topology.Rng.int rng 3) edges ]
+        @
+        match edges with
+        | [] -> []
+        | e :: _ -> [ insert_at rng e edges ]
       in
-      fst
-        (List.fold_left
-           (fun (ok, stale) (g, root, edges) ->
-             let ok', nodes = agrees rng g ~root edges ~stale in
-             (ok && ok', nodes))
-           (true, []) rootings))
+      agree_in_turn rng
+        ([ (g, root, edges); (g', root', edges'); (g, root, edges); (g, root, []) ]
+        @ [ (g, G.n g, edges) ]
+        @ List.map (fun edges -> (g, root, edges)) bad
+        @ [ (g, root, edges); (g', root', edges') ]))
 
 let () =
   Alcotest.run "tree"
@@ -321,6 +348,7 @@ let () =
           prop_path_between_depth;
           prop_bfs_orders_nodes;
           prop_prune_reference;
-          prop_queries_reference;
+          prop_layout_reference;
+          prop_scratch_reference;
         ] );
     ]
